@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Demo 2: continuing the profile through the graph region y = f(x).
+"""Demo 2: the graph region y = f(x) of the profile.
 
-Away from the axis the profile is integrated as an ODE in x with running
-arclength and curvature quadratures.  Every inequality known to hold for
-the true solution is monitored along the way: the height stays between
+Near the axis the profile is a graph over the horizontal axis.  The curve
+is integrated once, in angle form, from the series seed to its crossing of
+the horizontal axis; on the strip 0 < x < 1 its states read as a graph
+with x = u, f = v and f' = tan phi.  Every inequality known to hold for the
+true solution is monitored on those states: the height stays between
 a sqrt(1-x^2) and a, the slope is negative but above -a x/(1-x^2), the
 profile is concave, and f / sqrt(1-x^2) increases.
 """
@@ -13,33 +15,31 @@ import os
 
 import numpy as np
 
-from lensshrinker import integrate_graph, picard_analytic, seed_from_series
+from lensshrinker import angle_of, graph_view
 from lensshrinker.graph_profile import trajectory_to_csv
-from lensshrinker.series import R_STAR
 
 OUT = os.environ.get("LENS_OUTPUT_DIR", "out")
 os.makedirs(OUT, exist_ok=True)
 
 for a in (0.1, 1.0, math.sqrt(2.0)):
-    h = picard_analytic(a, R_STAR)
-    seed = seed_from_series(h, a, 1e-3)
-    traj = integrate_graph(seed, a, series=h)
-    f1, fp1 = traj.at(1.0)[0], traj.at(1.0)[1]
-    print(f"a = {a:.4f}: {len(traj.x)} accepted steps, stop at x = "
-          f"{traj.x_end:.6f} ({traj.stop_reason})")
-    print(f"  f(1) = {f1:.6f} in (0, a); f'(1) = {fp1:.6f}")
+    _, p = angle_of(a)
+    x, f, fp, _ = graph_view(p)
+    f1 = np.interp(1.0, p.u, p.v)
+    print(f"a = {a:.4f}: {len(p.s)} profile states, {len(x)} of them with "
+          f"0 < x < 1; u passes 1 at s = {p.s_star:.6f}")
+    print(f"  f(1) ~ {f1:.6f} in (0, a); f' at the last graph state = {fp[-1]:.6f}")
     print("  worst monitor slacks:")
-    for name, slack in sorted(traj.monitors.items()):
-        print(f"    {name:<18} {slack:+.3e}")
+    for name, slack in sorted(p.monitors.items()):
+        if name.startswith("graph_"):
+            print(f"    {name[len('graph_'):]:<18} {slack:+.3e}")
 
 # the exact circle is reproduced pointwise
-a = math.sqrt(2.0)
-h = picard_analytic(a, R_STAR)
-traj = integrate_graph(seed_from_series(h, a, 1e-3), a, series=h)
-xs = np.linspace(1e-3, 0.99, 200)
-dev = np.max(np.abs(traj.at(xs)[0] - np.sqrt(2.0 - xs * xs)))
-print(f"\ncircle check: max |f - sqrt(2-x^2)| on [0.001, 0.99] = {dev:.3e}")
+_, p = angle_of(math.sqrt(2.0))
+x, f, _, _ = graph_view(p)
+dev = np.max(np.abs(f - np.sqrt(2.0 - x * x)))
+print(f"\ncircle check: max |f - sqrt(2-x^2)| on the {len(x)} graph states "
+      f"in [{x[0]:.3f}, {x[-1]:.3f}] = {dev:.3e}")
 
 path = os.path.join(OUT, "graph_demo.csv")
-trajectory_to_csv(traj, path)
-print(f"trajectory with per-sample slacks written to {path}")
+trajectory_to_csv(p, path)
+print(f"graph view with per-state slacks written to {path}")

@@ -7,26 +7,25 @@ angles) that shrinks homothetically under mean curvature flow:
 * :mod:`lensshrinker.series` solves the degenerate profile equation at the
   rotation axis with certified even-power-series fixed points, plus an
   independent grid-based construction used as a cross-validation oracle;
-* :mod:`lensshrinker.graph_profile` continues the profile through the
-  region where it is a graph y = f(x), monitoring every proved inequality;
-* :mod:`lensshrinker.arclength` follows the curve in arclength down to the
-  horizontal axis, with three independent curvature formulas and polar
-  bounds certifying non-self-intersection;
+* :mod:`lensshrinker.arclength` integrates the curve once, in angle form,
+  from the series seed down to the horizontal axis, with three independent
+  curvature formulas and polar bounds certifying non-self-intersection;
+* :mod:`lensshrinker.graph_profile` seeds that curve from the series and
+  reads the region where it is a graph y = f(x) off its states, monitoring
+  every proved inequality there;
 * :mod:`lensshrinker.shooting` locates the initial height whose profile
   meets the axis at 60 degrees (the junction condition);
 * :mod:`lensshrinker.cluster` revolves the profile into a watertight
   three-sheet mesh and exports it.
 """
 
-from .arclength import (ArcControl, CurveState, LensProfile, curvature_three_ways,
-                        handoff_to_arclength, integrate_to_axis, polar_monitors,
-                        terminal_angle)
+from .arclength import (CurveState, LensProfile, curvature_three_ways,
+                        integrate_profile, polar_monitors, terminal_angle)
 from .cluster import ClusterMesh, build_cluster, shrinker_residual_on_curve, write_obj
 from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,
-                     InconsistentPrefix, LensError, MonitorViolation, NoContraction,
+                     LensError, MonitorViolation, NoContraction,
                      NoConvergence, NoCrossing, StepFailure)
-from .graph_profile import (ProfileSample, ProfileTrajectory, StepControl,
-                            integrate_graph, seed_from_series,
+from .graph_profile import (ProfileSample, graph_view, seed_from_series,
                             transversality_monitor)
 from .series import (ContractionConstants, EvenSeries, apply_G, apply_L,
                      contraction_certificate, eta_coefficients, find_x0,
@@ -38,15 +37,14 @@ from .shooting import (PipelineConfig, ShootReport, angle_of, find_lens,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcControl", "BracketFailure", "CertificateFailure", "ClusterMesh",
+    "BracketFailure", "CertificateFailure", "ClusterMesh",
     "ContractionConstants", "CurveState", "DegenerateProfile", "EvenSeries",
-    "InconsistentPrefix", "LensError", "LensProfile", "MonitorViolation",
-    "NoContraction", "NoConvergence", "NoCrossing", "PipelineConfig",
-    "ProfileSample", "ProfileTrajectory", "ShootReport", "StepControl",
-    "StepFailure", "angle_of", "apply_G", "apply_L", "build_cluster",
-    "contraction_certificate", "curvature_three_ways", "eta_coefficients",
-    "find_lens", "find_x0", "handoff_to_arclength", "integrate_graph",
-    "integrate_to_axis", "invert_L", "j_function", "nonlinear_Q",
+    "LensError", "LensProfile", "MonitorViolation", "NoContraction",
+    "NoConvergence", "NoCrossing", "PipelineConfig", "ProfileSample",
+    "ShootReport", "StepFailure", "angle_of", "apply_G", "apply_L",
+    "build_cluster", "contraction_certificate", "curvature_three_ways",
+    "eta_coefficients", "find_lens", "find_x0", "graph_view",
+    "integrate_profile", "invert_L", "j_function", "nonlinear_Q",
     "picard_analytic", "picard_c2_oracle", "polar_monitors",
     "sample_angle_table", "seed_from_series", "shrinker_residual_on_curve",
     "terminal_angle", "transversality_monitor", "weighted_norm",

@@ -1,30 +1,36 @@
-"""Arclength continuation of the profile curve down to the horizontal axis.
+"""The profile curve from the series seed to the horizontal axis.
 
-The curve gamma(s) = (u(s), v(s)), parametrized by arclength, satisfies
+The curve gamma(s) = (u(s), v(s)), parametrized by arclength, is integrated
+in angle form.  With the unit tangent (u', v') = (cos phi, sin phi),
 
-    u'' = -v'^2 (u - 1/u) + u' v' v,
-    v'' =  v' u' (u - 1/u) - u'^2 v,
+    u'   = cos phi,
+    v'   = sin phi,
+    phi' = -sin phi / u + u sin phi - v cos phi,
 
-with the shrinker identity -v' u'' + u' v'' + v'/u - u v' + v u' = 0 as a
-consequence of unit speed.  Two quadratures ride in the state vector,
+so unit speed holds by construction, and the third equation is the
+shrinker identity -v' u'' + u' v'' + v'/u - u v' + v u' = 0 itself, with
+the curvature k = phi'.  Two quadratures ride in the state vector,
 
     i_phi(s) = int_0^s e^{-(u^2+v^2)/2} u' v' / u dt,
     i_v(s)   = int_0^s e^{-(u^2+v^2)/2} v dt,
 
-because the curvature k = -v' u'' + u' v'' admits two integral forms tied
-to the axis-orthogonal start,
+because the curvature admits two integral forms tied to the
+axis-orthogonal start,
 
     k = i_phi e^{(u^2+v^2)/2} / u
       = -v'/u - e^{(u^2+v^2)/2} i_v / u,
 
 whose pointwise agreement with the algebraic form -v'/u + u v' - v u' is
-the central consistency oracle of this stage.
+the central consistency oracle of the pipeline.
 
-The crossing v = 0 is located by root refinement on the dense output; the
-first passage of u through 1 is recorded as s_star.  Transversality floors,
-polar annulus bounds and the strict decrease of the polar angle (which
-certifies that the curve cannot self-intersect) are monitored on the
-computed states.
+One adaptive 8th-order Runge-Kutta solve runs from the series seed at
+u = x_seed (the axis series supplies the segment [0, x_seed] and its
+quadratures) to the first v = 0, located by root refinement on the dense
+output; the first passage of u through 1 is recorded as s_star.
+Transversality floors, polar annulus bounds and the strict decrease of the
+polar angle (which certifies that the curve cannot self-intersect) are
+monitored on the computed states, together with the graph-region
+inequalities of :mod:`lensshrinker.graph_profile`.
 """
 
 from __future__ import annotations
@@ -35,12 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import InconsistentPrefix, MonitorViolation, NoCrossing, StepFailure
-from .graph_profile import ProfileSample, ProfileTrajectory
+from . import graph_profile
+from .errors import MonitorViolation, NoCrossing, StepFailure
+from .series import EvenSeries
 
 MONITOR_SLACK_TOL = -1e-9
-DRIFT_PROJECT_THRESHOLD = 1e-12
 ARCLENGTH_HARD_CAP = 50.0
+# dense-output states kept strictly inside each accepted step, so that the
+# monitors see the curve between the steps of the adaptive integrator
+DENSE_POINTS_PER_STEP = 4
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
@@ -67,25 +76,16 @@ class CurveState:
     def theta(self) -> float:
         return math.atan2(self.v, self.u)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.up, self.vp,
-                         self.i_phi, self.i_v])
-
-
-@dataclass(frozen=True)
-class ArcControl:
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    event_tol: float = DEFAULT_EVENT_TOL
-
 
 @dataclass
 class LensProfile:
     """The full profile curve from the axis to the horizontal crossing.
 
-    Arrays cover the graph region (converted to arclength states, including
-    the exact axis point at s = 0 when a prefix is supplied) followed by the
-    arclength integration; ``s`` is strictly increasing up to s_bar.
+    Arrays hold the exact axis point at s = 0, then the dense output at
+    every accepted step (the first is the series seed) and at
+    DENSE_POINTS_PER_STEP interior points of each step, then the refined
+    crossing state; ``s`` is strictly increasing up to s_bar and (up, vp) =
+    (cos phi, sin phi).  ``series`` is the axis series that seeded the curve.
     """
 
     a: float
@@ -101,9 +101,8 @@ class LensProfile:
     xi: float
     alpha: float
     v_residual: float
-    drift_max: float
-    projections: list
     monitors: dict
+    series: EvenSeries
 
     @property
     def states(self) -> list[CurveState]:
@@ -120,29 +119,14 @@ class LensProfile:
 
 
 def arclength_rhs(s, y):
-    u, v, up, vp = y[0], y[1], y[2], y[3]
-    w = u - 1.0 / u
+    """State (u, v, phi, i_phi, i_v); the angle-form ODE plus quadratures."""
+    u, v, phi = y[0], y[1], y[2]
+    c, sn = math.cos(phi), math.sin(phi)
     e = math.exp(-0.5 * (u * u + v * v))
-    return [up, vp,
-            -vp * vp * w + up * vp * v,
-            vp * up * w - up * up * v,
-            e * up * vp / u,
+    return [c, sn,
+            -sn / u + u * sn - v * c,
+            e * c * sn / u,
             e * v]
-
-
-def handoff_to_arclength(p: ProfileSample, prefix: ProfileTrajectory) -> CurveState:
-    """Convert the last graph sample into an arclength state.
-
-    The tangent is the normalized graph tangent, u' = 1/sqrt(1+f'^2) and
-    v' = f'/sqrt(1+f'^2); arclength and quadratures continue from the
-    running values the prefix accumulated (series segment included).
-    """
-    if abs(p.x - prefix.x[-1]) > 1e-12 or abs(p.f - prefix.f[-1]) > 1e-9:
-        raise InconsistentPrefix("sample does not match the trajectory end")
-    sq = math.sqrt(1.0 + p.fp * p.fp)
-    return CurveState(s=float(prefix.s[-1]), u=p.x, v=p.f,
-                      up=1.0 / sq, vp=p.fp / sq,
-                      i_phi=float(prefix.i_phi[-1]), i_v=float(prefix.i_v[-1]))
 
 
 def transversality_floor(a: float) -> float:
@@ -164,33 +148,30 @@ def turning_floor(a: float) -> float:
     return K * math.exp(-annulus_log_halfwidth(a))
 
 
-def _graph_states(prefix: ProfileTrajectory) -> tuple[np.ndarray, ...]:
-    sq = np.sqrt(1.0 + prefix.fp ** 2)
-    return (prefix.s, prefix.x, prefix.f, 1.0 / sq, prefix.fp / sq,
-            prefix.i_phi, prefix.i_v)
+def integrate_profile(seed: graph_profile.ProfileSample, a: float,
+                      series: EvenSeries, *, rtol: float = DEFAULT_RTOL,
+                      atol: float = DEFAULT_ATOL,
+                      event_tol: float = DEFAULT_EVENT_TOL) -> LensProfile:
+    """Integrate the angle form from the series seed to the crossing v = 0.
 
+    The curve starts at the seed (x_seed, f, f') with phi = atan f';
+    arclength and quadratures start from their values on [0, x_seed], taken
+    from the seeding series.  The crossing is event-detected on the dense
+    output and refined until |v(s_bar)| <= event_tol; s_star is the first
+    passage of u through 1.  Integration fails safe at s_max = pi / (2 c_a)
+    -- reaching it contradicts the guaranteed crossing and raises
+    NoCrossing.
 
-def integrate_to_axis(start: CurveState, a: float,
-                      step_ctl: ArcControl | None = None,
-                      prefix: ProfileTrajectory | None = None) -> LensProfile:
-    """Integrate the arclength system from the handoff state to v = 0.
-
-    The crossing is event-detected on the dense output; s_star (first
-    passage of u through 1) comes from the prefix when the crossing of
-    x = 1 happened in the graph region, which it always does.  Integration
-    fails safe at s_max = pi / (2 c_a) -- reaching it contradicts the
-    guaranteed crossing and raises NoCrossing.
-
-    The tangent is projected back to the unit circle whenever its norm
-    drifts beyond 1e-12 (each projection is logged); all proved monitors
-    are evaluated afterwards and violations raise MonitorViolation.
+    All proved monitors are evaluated on the returned states; a violation
+    beyond tolerance raises MonitorViolation, and an integrator failure
+    raises StepFailure.
     """
-    ctl = step_ctl or ArcControl()
     if a <= 0.0:
         raise ValueError("a must be positive")
+    s0, iphi0, iv0 = graph_profile.seed_quadratures(series, a, seed.x)
     c_a = turning_floor(a)
     s_max = min(math.pi / (2.0 * c_a) if c_a > 0.0 else math.inf,
-                start.s + ARCLENGTH_HARD_CAP)
+                s0 + ARCLENGTH_HARD_CAP)
 
     def crossing(s, y):
         return y[1]
@@ -203,97 +184,42 @@ def integrate_to_axis(start: CurveState, a: float,
 
     u_passes_one.direction = 1
 
-    chunks_t, chunks_y = [], []
-    projections = []
-    s_star_arc = math.nan
-    s_cur, y_cur = start.s, start.as_array()
-    crossed = False
-    s_bar = math.nan
-    y_bar = None
-    for _ in range(64):
-        sol = solve_ivp(arclength_rhs, (s_cur, s_max), y_cur, method="DOP853",
-                        rtol=ctl.rtol, atol=ctl.atol, dense_output=True,
-                        events=[crossing, u_passes_one])
-        if sol.status < 0:
-            raise StepFailure(f"arclength integration failed at a={a}: "
-                              f"{sol.message}")
-        if len(sol.t_events[1]) and math.isnan(s_star_arc):
-            s_star_arc = float(sol.t_events[1][0])
-        drift = np.abs(sol.y[2] ** 2 + sol.y[3] ** 2 - 1.0)
-        bad = np.flatnonzero(drift > DRIFT_PROJECT_THRESHOLD)
-        if len(bad) and bad[0] < len(sol.t) - 1:
-            cut = max(int(bad[0]), 1)
-            chunks_t.append(sol.t[:cut])
-            chunks_y.append(sol.y[:, :cut])
-            s_cur = float(sol.t[cut])
-            y_cur = sol.y[:, cut].copy()
-            norm = math.hypot(y_cur[2], y_cur[3])
-            projections.append((s_cur, norm - 1.0))
-            y_cur[2] /= norm
-            y_cur[3] /= norm
-            continue
-        chunks_t.append(sol.t)
-        chunks_y.append(sol.y)
-        if sol.status == 1:
-            crossed = True
-            s_bar = float(sol.t_events[0][0])
-            y_bar = sol.y_events[0][0]
-        break
-    if not crossed:
+    sol = solve_ivp(arclength_rhs, (s0, s_max),
+                    [seed.x, seed.f, math.atan(seed.fp), iphi0, iv0],
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+                    events=[crossing, u_passes_one])
+    if sol.status < 0:
+        raise StepFailure(f"profile integration failed at a={a}: "
+                          f"{sol.message}")
+    if sol.status != 1:
         raise NoCrossing(f"no v=0 crossing before s_max={s_max} at a={a}; "
                          "this contradicts the guaranteed crossing")
-
-    s_arc = np.concatenate(chunks_t)
-    y_arc = np.concatenate(chunks_y, axis=1)
-    # keep the refined event state as the final row
-    keep = s_arc < s_bar
-    s_arc = np.append(s_arc[keep], s_bar)
-    y_arc = np.column_stack([y_arc[:, keep], y_bar])
+    s_bar = float(sol.t_events[0][0])
+    y_bar = sol.y_events[0][0]
     v_residual = abs(float(y_bar[1]))
-    if v_residual > ctl.event_tol:
+    if v_residual > event_tol:
         raise NoCrossing(f"event refinement left |v(s_bar)|={v_residual}")
+    s_star = float(sol.t_events[1][0]) if len(sol.t_events[1]) else math.nan
 
-    if prefix is not None:
-        gs, gu, gv, gup, gvp, gphi, gv2 = _graph_states(prefix)
-        s_all = np.concatenate([[0.0], gs, s_arc])
-        u_all = np.concatenate([[0.0], gu, y_arc[0]])
-        v_all = np.concatenate([[a], gv, y_arc[1]])
-        up_all = np.concatenate([[1.0], gup, y_arc[2]])
-        vp_all = np.concatenate([[0.0], gvp, y_arc[3]])
-        iphi_all = np.concatenate([[0.0], gphi, y_arc[4]])
-        iv_all = np.concatenate([[0.0], gv2, y_arc[5]])
-        if prefix.x[-1] >= 1.0:
-            s_star = float(prefix.at(1.0)[2])
-        else:
-            s_star = s_star_arc
-    else:
-        s_all, u_all, v_all = s_arc, y_arc[0], y_arc[1]
-        up_all, vp_all = y_arc[2], y_arc[3]
-        iphi_all, iv_all = y_arc[4], y_arc[5]
-        s_star = s_star_arc if start.u < 1.0 else math.nan
-
-    # deduplicate the handoff point if it repeats
-    keep = np.concatenate([[True], np.diff(s_all) > 0.0])
-    s_all, u_all, v_all = s_all[keep], u_all[keep], v_all[keep]
-    up_all, vp_all = up_all[keep], vp_all[keep]
-    iphi_all, iv_all = iphi_all[keep], iv_all[keep]
-
-    drift_max = float(np.max(np.abs(up_all ** 2 + vp_all ** 2 - 1.0)))
-    alpha = math.atan2(float(vp_all[-1]), float(up_all[-1]))
-    profile = LensProfile(a=a, s=s_all, u=u_all, v=v_all, up=up_all,
-                          vp=vp_all, i_phi=iphi_all, i_v=iv_all,
-                          s_bar=float(s_all[-1]), s_star=s_star,
-                          xi=float(u_all[-1]), alpha=alpha,
-                          v_residual=v_residual, drift_max=drift_max,
-                          projections=projections, monitors={})
+    frac = np.arange(DENSE_POINTS_PER_STEP + 1) / (DENSE_POINTS_PER_STEP + 1)
+    grid = (sol.t[:-1, None] + np.diff(sol.t)[:, None] * frac).ravel()
+    u, v, phi, i_phi, i_v = np.column_stack(
+        [[0.0, a, 0.0, 0.0, 0.0], sol.sol(grid), y_bar])
+    profile = LensProfile(a=a, s=np.concatenate([[0.0], grid, [s_bar]]),
+                          u=u, v=v, up=np.cos(phi), vp=np.sin(phi),
+                          i_phi=i_phi, i_v=i_v, s_bar=s_bar, s_star=s_star,
+                          xi=float(y_bar[0]), alpha=float(y_bar[2]),
+                          v_residual=v_residual, monitors={}, series=series)
     report = polar_monitors(profile, a)
     profile.monitors = {m.monitor_id: m.worst_slack for m in report.results}
-    profile.monitors["unit_speed"] = float(1e-10 - drift_max)
     profile.monitors["shrinker_residual"] = float(
         1e-8 - np.max(np.abs(shrinker_residual(profile))))
+    profile.monitors.update(
+        {f"graph_{name}": float(slack) for name, slack
+         in graph_profile.evaluate_monitors(profile, a).items()})
     bad = {k: v for k, v in profile.monitors.items() if v < MONITOR_SLACK_TOL}
     if bad:
-        raise MonitorViolation(f"arclength monitors violated at a={a}: {bad}")
+        raise MonitorViolation(f"profile monitors violated at a={a}: {bad}")
     return profile
 
 
@@ -331,7 +257,8 @@ def shrinker_residual(profile: LensProfile) -> np.ndarray:
 
         -v' u'' + u' v'' + v'/u - u v' + v u',
 
-    with u'', v'' substituted from the arclength system.  Identically zero
+    with u'' = -v'^2 (u - 1/u) + u' v' v and v'' = v' u' (u - 1/u) - u'^2 v,
+    the second-order form of the profile equation.  Identically zero
     in exact arithmetic for unit tangents, so it doubles as a scaled
     unit-speed check.
     """

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,7 @@ from . import checks
 from .arclength import polar_monitors, profile_summary, profile_to_csv
 from .cluster import build_cluster, write_metadata, write_obj
 from .errors import BracketFailure, LensError, MonitorViolation
-from .graph_profile import integrate_graph, seed_from_series, trajectory_to_csv
-from .series import picard_analytic
+from .graph_profile import trajectory_to_csv
 from .shooting import (A_CIRCLE, PipelineConfig, angle_of, angle_table_to_csv,
                        find_lens, sample_angle_table)
 
@@ -35,6 +34,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BRACKET = 3
 EXIT_MONITOR = 4
+
+MAX_ORDER = 256
+MAX_TABLE_ROWS = 10_000
+N_THETA_RANGE = (16, 4096)
 
 
 @dataclass
@@ -57,7 +60,6 @@ class RunConfig:
     table_range: tuple[float, float, float] | None = None
     n_theta: int = 64
     annulus_outer: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         positive = {"tol_a": self.tol_a, "series_tol": self.series_tol,
@@ -66,13 +68,25 @@ class RunConfig:
         for name, value in positive.items():
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.a is not None and not 0.0 < self.a <= A_CIRCLE + 1e-12:
+        if self.a is not None and not 0.0 < self.a <= A_CIRCLE:
             raise ValueError("a must lie in (0, sqrt(2)]")
         lo, hi = self.bracket
         if not 0.0 < lo < hi <= A_CIRCLE:
             raise ValueError("bracket must be ordered inside (0, sqrt(2)]")
-        if self.order < 8 or self.order % 2:
-            raise ValueError("order must be an even integer >= 8")
+        if not 8 <= self.order <= MAX_ORDER or self.order % 2:
+            raise ValueError(f"order must be an even integer in [8, {MAX_ORDER}]")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.jobs <= cpus:
+            raise ValueError(f"jobs must lie in [1, {cpus}] (the CPU count)")
+        if not N_THETA_RANGE[0] <= self.n_theta <= N_THETA_RANGE[1]:
+            raise ValueError(f"n_theta must lie in {list(N_THETA_RANGE)}")
+        if self.table_range is not None:
+            lo, hi, step = self.table_range
+            if not (0.0 < lo <= hi <= A_CIRCLE and step > 0.0):
+                raise ValueError("table range must be ordered inside (0, sqrt(2)]")
+            # np.arange(lo, hi + step / 2, step) has ceil((hi - lo) / step + 1/2) rows
+            if (hi - lo) / step > MAX_TABLE_ROWS - 0.5:
+                raise ValueError(f"table range gives more than {MAX_TABLE_ROWS} rows")
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(order=self.order, series_tol=self.series_tol,
@@ -117,15 +131,10 @@ def _say(cfg: RunConfig, payload: dict, text: str) -> None:
 def cmd_solve(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     a = cfg.a
-    pipeline = cfg.pipeline()
-    alpha, profile = angle_of(a, pipeline)
+    alpha, profile = angle_of(a, cfg.pipeline())
     tag = f"a{a:.8g}"
-    h = picard_analytic(a, pipeline.series_radius, order=pipeline.order,
-                        tol=pipeline.series_tol)
-    seed = seed_from_series(h, a, pipeline.x_seed)
-    traj = integrate_graph(seed, a, step_ctl=pipeline.step_control(), series=h)
-    trajectory_to_csv(traj, out / f"graph_{tag}.csv")
-    _write_json(out / f"series_{tag}.json", h.to_dict(a), cfg)
+    trajectory_to_csv(profile, out / f"graph_{tag}.csv")
+    _write_json(out / f"series_{tag}.json", profile.series.to_dict(a), cfg)
     profile_to_csv(profile, out / f"profile_{tag}.csv")
     summary = profile_summary(profile)
     summary["alpha_deg"] = math.degrees(alpha)
@@ -172,17 +181,16 @@ def cmd_table(cfg: RunConfig) -> int:
 def cmd_mesh(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     if cfg.a is not None:
-        a = cfg.a
+        _, profile = angle_of(cfg.a, cfg.pipeline())
     else:
-        a = find_lens(cfg.bracket[0], cfg.bracket[1], cfg.tol_a,
-                      cfg.pipeline()).a_star
-    _, profile = angle_of(a, cfg.pipeline())
+        profile = find_lens(cfg.bracket[0], cfg.bracket[1], cfg.tol_a,
+                            cfg.pipeline()).profile
     mesh = build_cluster(profile, n_theta=cfg.n_theta,
                          annulus_outer=cfg.annulus_outer)
     write_obj(mesh, out / "lens.obj")
     write_metadata(mesh, out / "lens.json", cfg.to_dict())
     _say(cfg, mesh.metadata,
-         f"mesh for a={a:.12g}: {len(mesh.vertices)} vertices, "
+         f"mesh for a={profile.a:.12g}: {len(mesh.vertices)} vertices, "
          f"{len(mesh.triangles)} triangles -> {out / 'lens.obj'}")
     return EXIT_OK
 
@@ -262,8 +270,6 @@ def config_from_args(args) -> RunConfig:
     elif args.command == "table":
         cfg.table_range = (args.a_from, args.a_to, args.step)
         cfg.jobs = args.jobs
-        if not (0.0 < args.a_from <= args.a_to <= A_CIRCLE and args.step > 0.0):
-            raise ValueError("table range must be ordered inside (0, sqrt(2)]")
     elif args.command == "mesh":
         cfg.a = args.a
         cfg.n_theta = args.n_theta

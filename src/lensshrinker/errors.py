@@ -37,9 +37,5 @@ class NoCrossing(LensError):
     """The curve failed to reach the horizontal axis before the arclength cap."""
 
 
-class InconsistentPrefix(LensError):
-    """A handoff state does not match the trajectory it claims to extend."""
-
-
 class DegenerateProfile(LensError):
     """A profile is unusable for mesh construction."""

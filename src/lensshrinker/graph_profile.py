@@ -1,50 +1,36 @@
-"""Continuation of the profile through the graph region y = f(x).
+"""The graph region y = f(x) of the profile, read off the one curve.
 
-Away from the axis the profile height satisfies the regular ODE
+Near the axis the profile is a graph whose height satisfies the regular ODE
 
-    f'' = (1 + f'^2) [ f' (x - 1/x) - f ],
+    f'' = (1 + f'^2) [ f' (x - 1/x) - f ]
 
-which we integrate from a series-seeded point x_seed > 0 with an adaptive
-high-order Runge-Kutta scheme.  Three running quadratures ride along as
-extra state components so that the later arclength stage inherits them at
-integrator accuracy:
+away from x = 0.  This module seeds the curve from the axis series; the
+curve itself is integrated once, in angle form, by
+:func:`lensshrinker.arclength.integrate_profile`.  The graph quantities are
+views of its states on the strip 0 < u < 1:
 
-    s     = arclength from the axis,
-    i_phi = int e^{-(x^2+f^2)/2} f' / (x sqrt(1+f'^2)) dx   (curvature kernel),
-    i_v   = int e^{-(x^2+f^2)/2} f  sqrt(1+f'^2) dx.
+    x = u,   f = v,   f' = tan phi,   f'' = phi' / cos^3 phi.
 
-Every inequality proved for this region is monitored at the accepted steps:
-the height bounds a sqrt(1-x^2) < f < a, the slope bounds
--a x/(1-x^2) < f' < 0, concavity f'' < 0, monotonicity of the comparison
-ratio F = f / sqrt(1-x^2), and the transversality floor
-(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) on [0, 1].  A violation beyond
-tolerance raises, since it can only mean the integration is wrong.
-
-Integration stops when the slope escapes a configured cap (the graph
-description is near-vertical and the arclength system takes over) or, for
-small heights where the slope stays tame all the way to the axis crossing,
-when f falls below a small fraction of a.
+Every inequality proved for this region is monitored on those states: the
+height bounds a sqrt(1-x^2) < f < a, the slope bounds -a x/(1-x^2) < f' < 0,
+monotonicity of the comparison ratio F = f / sqrt(1-x^2), and the
+transversality floor (f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2).
+Concavity (as phi' < 0, which stays finite at a vertical tangent), f > 0
+and f' < 0 are monitored on every state between the seed and the crossing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import MonitorViolation, StepFailure
 from .series import EvenSeries, gauss_legendre_composite
 
-MONITOR_SLACK_TOL = -1e-9
-
-DEFAULT_X_SEED = 1e-3
-DEFAULT_SLOPE_CAP = 50.0
-DEFAULT_FLOOR_FRACTION = 0.01
-DEFAULT_X_MAX = 3.0
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-12
+if TYPE_CHECKING:
+    from .arclength import LensProfile
 
 
 @dataclass(frozen=True)
@@ -57,74 +43,8 @@ class ProfileSample:
     fpp: float
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Integrator and stopping controls for the graph region."""
-
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    slope_cap: float = DEFAULT_SLOPE_CAP
-    floor_fraction: float = DEFAULT_FLOOR_FRACTION
-    x_max: float = DEFAULT_X_MAX
-
-
-@dataclass
-class ProfileTrajectory:
-    """Accepted-step record of one graph integration, with quadratures.
-
-    Arrays are aligned; ``x`` is strictly increasing and starts at the seed
-    abscissa.  ``monitors`` maps each monitored inequality to its worst
-    slack (nonnegative means satisfied).  The seeding series is retained so
-    downstream stages can reproduce the segment [0, x_seed] analytically.
-    """
-
-    a: float
-    x: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
-    fpp: np.ndarray
-    s: np.ndarray
-    i_phi: np.ndarray
-    i_v: np.ndarray
-    x_end: float
-    stop_reason: str
-    monitors: dict = field(default_factory=dict)
-    series: EvenSeries | None = None
-    x_seed: float = DEFAULT_X_SEED
-    _dense = None
-
-    @property
-    def samples(self) -> list[ProfileSample]:
-        return [ProfileSample(float(x), float(f), float(fp), float(fpp))
-                for x, f, fp, fpp in zip(self.x, self.f, self.fp, self.fpp)]
-
-    @property
-    def last_sample(self) -> ProfileSample:
-        return ProfileSample(float(self.x[-1]), float(self.f[-1]),
-                             float(self.fp[-1]), float(self.fpp[-1]))
-
-    def at(self, x):
-        """Dense-output evaluation (f, f', s, i_phi, i_v) at abscissa x."""
-        if self._dense is None:
-            raise ValueError("trajectory has no dense output")
-        return self._dense(x)
-
-
-def graph_rhs(x, y):
-    """State (f, f', s, i_phi, i_v); the profile ODE plus quadratures."""
-    f, fp = y[0], y[1]
-    w = 1.0 + fp * fp
-    sq = math.sqrt(w)
-    e = math.exp(-0.5 * (x * x + f * f))
-    return [fp,
-            w * (fp * (x - 1.0 / x) - f),
-            sq,
-            e * fp / (x * sq),
-            e * f * sq]
-
-
 def seed_from_series(h: EvenSeries, a: float, x_seed: float) -> ProfileSample:
-    """Evaluate the axis series at x_seed as the graph initial condition.
+    """Evaluate the axis series at x_seed as the initial condition.
 
     Returns (x_seed, a + h, h', h''); rejects seeds at or beyond the
     certified radius of the series.
@@ -156,121 +76,66 @@ def seed_quadratures(h: EvenSeries, a: float, x_seed: float,
             float(np.sum(w * e * f * sq)))
 
 
-def integrate_graph(seed: ProfileSample, a: float, x_stop: float | None = None,
-                    step_ctl: StepControl | None = None, *,
-                    series: EvenSeries | None = None) -> ProfileTrajectory:
-    """Integrate the graph ODE from the seed until the handoff trigger.
-
-    Stops at the first of: |f'| reaching the slope cap (near-vertical
-    tangent), f dropping to floor_fraction * a (the crossing is imminent
-    and belongs to the arclength stage), or x reaching x_stop when given.
-    The trajectory always extends past x = 1 with f(1) > 0.
-
-    When the seeding series is supplied, the running quadratures start from
-    their exact values on [0, x_seed]; otherwise they start at zero and the
-    trajectory only supports geometry, not the curvature integral identity.
-
-    Raises MonitorViolation if any proved inequality fails beyond tolerance
-    and StepFailure if the integrator gives up.
-    """
-    ctl = step_ctl or StepControl()
-    if series is not None:
-        s0, iphi0, iv0 = seed_quadratures(series, a, seed.x)
-    else:
-        s0, iphi0, iv0 = 0.0, 0.0, 0.0
-
-    def slope_event(x, y):
-        return y[1] + ctl.slope_cap
-
-    slope_event.terminal = True
-    slope_event.direction = -1
-
-    def floor_event(x, y):
-        return y[0] - ctl.floor_fraction * a
-
-    floor_event.terminal = True
-    floor_event.direction = -1
-
-    x_end = ctl.x_max if x_stop is None else x_stop
-    sol = solve_ivp(graph_rhs, (seed.x, x_end),
-                    [seed.f, seed.fp, s0, iphi0, iv0],
-                    method="DOP853", rtol=ctl.rtol, atol=ctl.atol,
-                    dense_output=True, events=[slope_event, floor_event])
-    if sol.status < 0:
-        raise StepFailure(f"graph integration failed at a={a}: {sol.message}")
-    if sol.status == 1:
-        stop_reason = "slope_cap" if len(sol.t_events[0]) else "height_floor"
-    else:
-        stop_reason = "x_stop" if x_stop is not None else "x_max"
-
-    x = sol.t
-    f, fp, s, i_phi, i_v = sol.y
-    fpp = np.array([graph_rhs(xi, yi)[1] for xi, yi in zip(x, sol.y.T)])
-    traj = ProfileTrajectory(a=a, x=x, f=f, fp=fp, fpp=fpp, s=s,
-                             i_phi=i_phi, i_v=i_v, x_end=float(x[-1]),
-                             stop_reason=stop_reason, series=series,
-                             x_seed=seed.x)
-    traj._dense = sol.sol
-    traj.monitors = evaluate_monitors(traj, a)
-    worst = min(traj.monitors.values())
-    if worst < MONITOR_SLACK_TOL:
-        bad = {k: v for k, v in traj.monitors.items() if v < MONITOR_SLACK_TOL}
-        raise MonitorViolation(f"graph monitors violated at a={a}: {bad}")
-    return traj
+def _phi_prime(u, v, up, vp):
+    """Curvature phi' = -sin phi / u + u sin phi - v cos phi (needs u > 0)."""
+    return -vp / u + u * vp - v * up
 
 
-def comparison_ratio(traj: ProfileTrajectory) -> np.ndarray:
-    """F(x) = f / sqrt(1 - x^2) on samples with x < 1; strictly increasing."""
-    mask = traj.x < 1.0
-    return traj.f[mask] / np.sqrt(1.0 - traj.x[mask] ** 2)
+def graph_view(profile: LensProfile) -> tuple[np.ndarray, ...]:
+    """(x, f, f', f'') on the profile states with 0 < u < 1."""
+    m = (profile.u > 0.0) & (profile.u < 1.0)
+    x, f, up, vp = profile.u[m], profile.v[m], profile.up[m], profile.vp[m]
+    return x, f, vp / up, _phi_prime(x, f, up, vp) / up ** 3
 
 
-def transversality_monitor(traj: ProfileTrajectory, a: float) -> float:
-    """Worst slack of (f - x f')/sqrt(1+f'^2) - a/sqrt(1+a^2) on [0, 1]."""
-    mask = traj.x <= 1.0
-    x, f, fp = traj.x[mask], traj.f[mask], traj.fp[mask]
-    lhs = (f - x * fp) / np.sqrt(1.0 + fp * fp)
-    return float(np.min(lhs - a / math.sqrt(1.0 + a * a)))
+def _worst(values) -> float:
+    return float(np.min(values)) if len(values) else math.inf
 
 
-def evaluate_monitors(traj: ProfileTrajectory, a: float) -> dict:
-    """Worst slack of every proved inequality over the accepted steps."""
-    x, f, fp, fpp = traj.x, traj.f, traj.fp, traj.fpp
-    strip = (x > 0.0) & (x < 1.0)
-    xs, fs, fps = x[strip], f[strip], fp[strip]
-    lower = fs - a * np.sqrt(1.0 - xs * xs)
-    upper = a - fs
-    slope_low = fps + a * xs / (1.0 - xs * xs)
-    slope_high = -fps
-    ratio = fs / np.sqrt(1.0 - xs * xs)
-    monitors = {
-        "height_lower": float(np.min(lower)) if len(xs) else math.inf,
-        "height_upper": float(np.min(upper)) if len(xs) else math.inf,
-        "slope_lower": float(np.min(slope_low)) if len(xs) else math.inf,
-        "slope_upper": float(np.min(slope_high)) if len(xs) else math.inf,
-        "ratio_monotone": float(np.min(np.diff(ratio))) if len(xs) > 1 else math.inf,
-        "concavity": float(np.min(-fpp)),
-        "height_positive": float(np.min(f)),
-        "slope_negative": float(np.min(-fp[x > traj.x_seed]))
-        if np.any(x > traj.x_seed) else math.inf,
-        "transversality": transversality_monitor(traj, a),
+def comparison_ratio(profile: LensProfile) -> np.ndarray:
+    """F(x) = f / sqrt(1 - x^2) on the graph view; strictly increasing."""
+    x, f, _, _ = graph_view(profile)
+    return f / np.sqrt(1.0 - x * x)
+
+
+def _transversality_slack(x, f, fp, a: float) -> np.ndarray:
+    return (f - x * fp) / np.sqrt(1.0 + fp * fp) - a / math.sqrt(1.0 + a * a)
+
+
+def transversality_monitor(profile: LensProfile, a: float) -> float:
+    """Worst slack of (f - x f')/sqrt(1+f'^2) - a/sqrt(1+a^2) on 0 < x < 1."""
+    x, f, fp, _ = graph_view(profile)
+    return _worst(_transversality_slack(x, f, fp, a))
+
+
+def evaluate_monitors(profile: LensProfile, a: float) -> dict:
+    """Worst slack of every proved graph-region inequality (>= 0 holds)."""
+    x, f, fp, _ = graph_view(profile)
+    # state 0 is the axis point, state 1 the seed, the last the crossing
+    u, v, up, vp = (arr[2:-1] for arr in
+                    (profile.u, profile.v, profile.up, profile.vp))
+    return {
+        "height_lower": _worst(f - a * np.sqrt(1.0 - x * x)),
+        "height_upper": _worst(a - f),
+        "slope_lower": _worst(fp + a * x / (1.0 - x * x)),
+        "slope_upper": _worst(-fp),
+        "ratio_monotone": _worst(np.diff(comparison_ratio(profile))),
+        "concavity": _worst(-_phi_prime(u, v, up, vp)),
+        "height_positive": _worst(v),
+        "slope_negative": _worst(-vp / up),
+        "transversality": transversality_monitor(profile, a),
     }
-    return monitors
 
 
-def trajectory_to_csv(traj: ProfileTrajectory, path) -> None:
-    """Write x, f, fp, fpp, F, slack_lower, slack_upper, slack_transversality."""
-    a = traj.a
-    x, f, fp, fpp = traj.x, traj.f, traj.fp, traj.fpp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        one_minus = 1.0 - x * x
-        F = np.where(one_minus > 0.0, f / np.sqrt(np.abs(one_minus)), np.nan)
-        slack_lower = np.where(one_minus > 0.0,
-                               f - a * np.sqrt(np.abs(one_minus)), np.nan)
-    slack_upper = a - f
-    slack_trans = ((f - x * fp) / np.sqrt(1.0 + fp * fp)
-                   - a / math.sqrt(1.0 + a * a))
+def trajectory_to_csv(profile: LensProfile, path) -> None:
+    """Write the graph view: x, f, fp, fpp, F, slack_lower, slack_upper,
+    slack_transversality, one row per profile state with 0 < u < 1."""
+    a = profile.a
+    x, f, fp, fpp = graph_view(profile)
+    root = np.sqrt(1.0 - x * x)
+    slack_trans = _transversality_slack(x, f, fp, a)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,f,fp,fpp,F,slack_lower,slack_upper,slack_transversality\n")
-        for row in zip(x, f, fp, fpp, F, slack_lower, slack_upper, slack_trans):
+        for row in zip(x, f, fp, fpp, f / root, f - a * root, a - f,
+                       slack_trans):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -15,10 +15,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .arclength import (ArcControl, LensProfile, handoff_to_arclength,
-                        integrate_to_axis)
+from .arclength import LensProfile, integrate_profile
 from .errors import BracketFailure, LensError
-from .graph_profile import StepControl, integrate_graph, seed_from_series
+from .graph_profile import seed_from_series
 from .series import R_STAR, picard_analytic
 
 A_CIRCLE = math.sqrt(2.0)
@@ -40,9 +39,6 @@ class PipelineConfig:
     ode_rtol: float = 1e-12
     ode_atol: float = 1e-12
     event_tol: float = 1e-12
-    slope_cap: float = 50.0
-    floor_fraction: float = 0.01
-    x_max: float = 3.0
     tol_a: float = DEFAULT_TOL_A
     jobs: int = 1
 
@@ -54,16 +50,6 @@ class PipelineConfig:
                        ode_atol=self.ode_atol / factor,
                        event_tol=self.event_tol / factor)
 
-    def step_control(self) -> StepControl:
-        return StepControl(rtol=self.ode_rtol, atol=self.ode_atol,
-                           slope_cap=self.slope_cap,
-                           floor_fraction=self.floor_fraction,
-                           x_max=self.x_max)
-
-    def arc_control(self) -> ArcControl:
-        return ArcControl(rtol=self.ode_rtol, atol=self.ode_atol,
-                          event_tol=self.event_tol)
-
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -71,8 +57,8 @@ class PipelineConfig:
 def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensProfile]:
     """Terminal tangent angle and full profile for one initial height.
 
-    Composes the pipeline: axis series, graph integration, arclength
-    continuation, crossing detection.  Deterministic: identical (a, cfg)
+    Composes the pipeline: axis series, then one angle-form integration
+    from the series seed to the crossing.  Deterministic: identical (a, cfg)
     inputs give bitwise-identical results.
     """
     cfg = cfg or PipelineConfig()
@@ -81,12 +67,8 @@ def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensPr
     h = picard_analytic(a, cfg.series_radius, order=cfg.order,
                         tol=cfg.series_tol, max_iter=cfg.series_max_iter)
     seed = seed_from_series(h, a, cfg.x_seed)
-    traj = integrate_graph(seed, a, step_ctl=cfg.step_control(), series=h)
-    start = handoff_to_arclength(traj.last_sample, traj)
-    profile = integrate_to_axis(start, a, step_ctl=cfg.arc_control(),
-                                prefix=traj)
-    profile.monitors.update({f"graph_{k}": float(v)
-                             for k, v in traj.monitors.items()})
+    profile = integrate_profile(seed, a, h, rtol=cfg.ode_rtol,
+                                atol=cfg.ode_atol, event_tol=cfg.event_tol)
     return profile.alpha, profile
 
 

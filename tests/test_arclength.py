@@ -3,60 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lensshrinker import (CurveState, InconsistentPrefix, curvature_three_ways,
-                          find_x0, handoff_to_arclength, integrate_graph,
-                          integrate_to_axis, picard_analytic, polar_monitors,
+from lensshrinker import (CurveState, curvature_three_ways, find_x0,
+                          integrate_profile, picard_analytic, polar_monitors,
                           seed_from_series, terminal_angle)
 from lensshrinker.arclength import (annulus_log_halfwidth, curvature_arrays,
                                     profile_summary, profile_to_csv,
                                     shrinker_residual, transversality_floor,
                                     turning_floor)
-from lensshrinker.graph_profile import ProfileSample
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
 A_SUITE = (0.1, 0.5, 1.0, SQRT2)
-
-
-# ---------------------------------------------------------------------------
-# handoff
-# ---------------------------------------------------------------------------
-
-def graph_prefix(a, x_stop=None):
-    h = picard_analytic(a, R_STAR)
-    seed = seed_from_series(h, a, 1e-3)
-    return integrate_graph(seed, a, x_stop=x_stop, series=h)
-
-
-def test_handoff_normalizes_tangent():
-    traj = graph_prefix(1.0)
-    st = handoff_to_arclength(traj.last_sample, traj)
-    assert st.up ** 2 + st.vp ** 2 == pytest.approx(1.0, abs=1e-15)
-    assert st.u == traj.x[-1]
-    assert st.v == traj.f[-1]
-    assert st.vp < 0.0 < st.up
-
-
-def test_handoff_horizontal_start_limit():
-    # a flat sample maps to the unit horizontal tangent
-    traj = graph_prefix(1.0)
-    flat = ProfileSample(traj.x[-1], traj.f[-1], 0.0, 0.0)
-    st = CurveState(0.0, flat.x, flat.f, 1.0 / math.sqrt(1.0), 0.0)
-    assert (st.up, st.vp) == (1.0, 0.0)
-
-
-def test_handoff_circle_arclength():
-    traj = graph_prefix(SQRT2, x_stop=1.0)
-    st = handoff_to_arclength(traj.last_sample, traj)
-    assert st.s == pytest.approx(SQRT2 * math.asin(1.0 / SQRT2), abs=1e-10)
-
-
-def test_handoff_rejects_mismatched_prefix():
-    traj = graph_prefix(1.0)
-    wrong = ProfileSample(traj.x[-1] + 0.1, traj.f[-1], traj.fp[-1],
-                          traj.fpp[-1])
-    with pytest.raises(InconsistentPrefix):
-        handoff_to_arclength(wrong, traj)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +159,9 @@ def test_shrinker_residual_small(a, profiles):
 
 @pytest.mark.parametrize("a", A_SUITE)
 def test_unit_speed_drift(a, profiles):
+    # the tangent is (cos phi, sin phi), so unit speed holds to roundoff
     _, p = profiles[a]
-    assert p.drift_max < 1e-10
-    assert p.projections == []
+    assert np.max(np.abs(p.up ** 2 + p.vp ** 2 - 1.0)) < 1e-15
 
 
 @pytest.mark.parametrize("a", A_SUITE)
@@ -214,6 +171,7 @@ def test_profile_stays_in_open_quadrant(a, profiles):
     assert abs(p.v[-1]) < 1e-10
     assert np.all(p.u[1:] > 0.0)
     assert p.u[0] == 0.0
+    assert (p.v[0], p.up[0], p.vp[0]) == (a, 1.0, 0.0)
     assert np.all(np.diff(p.s) > 0.0)
 
 
@@ -221,9 +179,7 @@ def test_small_height_crossing_near_x0():
     x0 = find_x0()
     h = picard_analytic(0.01, R_STAR)
     seed = seed_from_series(h, 0.01, 1e-3)
-    traj = integrate_graph(seed, 0.01, series=h)
-    start = handoff_to_arclength(traj.last_sample, traj)
-    p = integrate_to_axis(start, 0.01, prefix=traj)
+    p = integrate_profile(seed, 0.01, h)
     assert abs(p.xi - x0) < 0.05
     assert -0.2 < p.alpha < 0.0
 

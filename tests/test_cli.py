@@ -1,8 +1,11 @@
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
+from lensshrinker import cli
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_OK, RunConfig,
                               config_from_args, build_parser, main)
 
@@ -102,6 +105,50 @@ def test_mesh_outputs(tmp_path):
     assert meta["n_theta"] == 24
     assert meta["xi"] == pytest.approx(SQRT2, abs=1e-8)
     assert meta["config"]["command"] == "mesh"
+
+
+def test_mesh_without_height_reuses_the_shoot_profile(tmp_path, monkeypatch,
+                                                     lens_report):
+    def no_second_solve(*args, **kwargs):
+        raise AssertionError("mesh solved a* again")
+
+    monkeypatch.setattr(cli, "angle_of", no_second_solve)
+    out = tmp_path / "mesh"
+    assert run(["mesh", "--n-theta", "16", "--output-dir", str(out)]) == EXIT_OK
+    meta = json.loads((out / "lens.json").read_text())
+    assert meta["a_star"] == lens_report.a_star
+    assert meta["xi"] == lens_report.profile.xi
+
+
+def parse(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
+TABLE = ["table", "--from", "0.0001", "--to", "1.0"]
+
+
+@pytest.mark.parametrize("argv", [
+    TABLE + ["--step", "0.1", "--jobs", "0"],
+    TABLE + ["--step", "0.1", "--jobs", str((os.cpu_count() or 1) + 1)],
+    ["table", "--from", "0.0001", "--to", "1.0001", "--step", "0.0001"],
+    TABLE + ["--step", "1e-320"],
+    ["solve", "--a", "0.5", "--order", "258"],
+    ["mesh", "--a", "0.5", "--n-theta", "15"],
+    ["mesh", "--a", "0.5", "--n-theta", "4097"],
+    ["solve", "--a", repr(SQRT2 + 1e-13)],
+])
+def test_size_inputs_are_bounded(argv):
+    with pytest.raises(ValueError):
+        parse(argv)
+
+
+def test_size_bounds_admit_their_edges():
+    cfg = parse(TABLE + ["--step", "0.0001", "--jobs", str(os.cpu_count() or 1)])
+    lo, hi, step = cfg.table_range
+    assert len(np.arange(lo, hi + 0.5 * step, step)) == 10_000
+    assert parse(["solve", "--a", repr(SQRT2), "--order", "256"]).a == SQRT2
+    for n_theta in ("16", "4096"):
+        assert parse(["mesh", "--n-theta", n_theta]).n_theta == int(n_theta)
 
 
 def test_output_dir_env_fallback(tmp_path, monkeypatch):

@@ -3,20 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from lensshrinker import (MonitorViolation, StepControl, integrate_graph,
-                          j_function, picard_analytic, seed_from_series,
+from lensshrinker import (MonitorViolation, PipelineConfig, angle_of,
+                          graph_view, integrate_profile, j_function,
+                          picard_analytic, seed_from_series,
                           transversality_monitor)
 from lensshrinker.graph_profile import (ProfileSample, comparison_ratio,
                                         seed_quadratures, trajectory_to_csv)
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
-
-
-def make_trajectory(a, x_stop=None, ctl=None, x_seed=1e-3):
-    h = picard_analytic(a, R_STAR)
-    seed = seed_from_series(h, a, x_seed)
-    return integrate_graph(seed, a, x_stop=x_stop, step_ctl=ctl, series=h)
 
 
 # ---------------------------------------------------------------------------
@@ -54,34 +49,19 @@ def test_seed_tracks_linear_solution_for_small_height():
 
 
 # ---------------------------------------------------------------------------
-# integration against the exact circle
+# the graph view of the exact circle
 # ---------------------------------------------------------------------------
 
-def test_circle_pointwise_regression():
-    traj = make_trajectory(SQRT2)
-    xs = np.linspace(1e-3, 0.99, 400)
-    f = traj.at(xs)[0]
-    assert np.max(np.abs(f - np.sqrt(2.0 - xs * xs))) < 1e-9
+def test_circle_pointwise_regression(circle_profile):
+    x, f, _, _ = graph_view(circle_profile)
+    assert x[0] == 1e-3 and x[-1] > 0.9
+    assert np.max(np.abs(f - np.sqrt(2.0 - x * x))) < 1e-9
 
 
-def test_circle_stops_at_slope_cap():
-    traj = make_trajectory(SQRT2)
-    assert traj.stop_reason == "slope_cap"
-    assert traj.x_end > 1.0
-    assert traj.fp[-1] == pytest.approx(-50.0, abs=1e-6)
-
-
-def test_circle_arclength_at_one():
-    traj = make_trajectory(SQRT2, x_stop=1.0)
-    assert traj.stop_reason == "x_stop"
-    assert traj.s[-1] == pytest.approx(math.pi * SQRT2 / 4.0, abs=1e-10)
-
-
-def test_small_height_stops_at_floor():
-    traj = make_trajectory(0.05)
-    assert traj.stop_reason == "height_floor"
-    assert traj.f[-1] == pytest.approx(0.01 * 0.05, rel=1e-9)
-    assert traj.x_end > 1.0
+def test_circle_arclength_at_one(circle_profile):
+    # u = sqrt(2) sin(s/sqrt2) passes 1 at s = pi sqrt(2) / 4
+    assert circle_profile.s_star == pytest.approx(math.pi * SQRT2 / 4.0,
+                                                  abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -89,35 +69,37 @@ def test_small_height_stops_at_floor():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, SQRT2])
-def test_proved_bounds_hold(a):
-    traj = make_trajectory(a)
-    assert min(traj.monitors.values()) >= -1e-9
-    strip = (traj.x > 0.0) & (traj.x < 1.0)
-    xs, fs, fps = traj.x[strip], traj.f[strip], traj.fp[strip]
+def test_proved_bounds_hold(a, profiles):
+    _, p = profiles[a]
+    graph = {k: v for k, v in p.monitors.items() if k.startswith("graph_")}
+    assert len(graph) == 9
+    assert min(graph.values()) >= -1e-9
+    xs, fs, fps, fpps = graph_view(p)
     assert np.all(fs > a * np.sqrt(1.0 - xs * xs))
     assert np.all(fs < a)
     assert np.all(fps < 0.0)
     assert np.all(fps > -a * xs / (1.0 - xs * xs))
-    assert np.all(traj.fpp < 0.0)
+    assert np.all(fpps < 0.0)
 
 
-def test_comparison_ratio_increases():
-    traj = make_trajectory(1.0)
-    F = comparison_ratio(traj)
+def test_comparison_ratio_increases(profiles):
+    F = comparison_ratio(profiles[1.0][1])
     assert np.all(np.diff(F) > 0.0)
 
 
-def test_samples_strictly_increasing_from_seed():
-    traj = make_trajectory(1.0)
-    assert traj.x[0] == 1e-3
-    assert np.all(np.diff(traj.x) > 0.0)
-    assert np.all(np.diff(traj.s) > 0.0)
+def test_samples_strictly_increasing_from_seed(profiles):
+    p = profiles[1.0][1]
+    x, _, _, _ = graph_view(p)
+    assert p.u[1] == x[0] == 1e-3
+    assert np.all(np.diff(x) > 0.0)
+    assert np.all(np.diff(p.s) > 0.0)
 
 
-def test_height_at_one_is_interior():
+def test_height_at_one_is_interior(profiles):
     for a in (0.1, 1.0, SQRT2):
-        traj = make_trajectory(a)
-        f1 = float(traj.at(1.0)[0])
+        p = profiles[a][1]
+        assert p.u[1] < 1.0 < p.xi
+        f1 = float(np.interp(1.0, p.u, p.v))
         assert 0.0 < f1 < a
 
 
@@ -137,45 +119,36 @@ def test_transversality_on_exact_circle():
     assert np.all(val >= SQRT2 / math.sqrt(3.0))
 
 
-def test_transversality_monitor_positive():
+def test_transversality_monitor_positive(profiles):
     for a in (0.1, 1.0, SQRT2):
-        traj = make_trajectory(a)
-        assert transversality_monitor(traj, a) > 0.0
+        assert transversality_monitor(profiles[a][1], a) > 0.0
 
 
 def test_monitor_violation_on_inconsistent_seed():
     # a seed with positive slope contradicts every slope bound
+    h = picard_analytic(1.0, R_STAR)
     bad = ProfileSample(1e-3, 1.0, +0.5, 0.0)
-    with pytest.raises(MonitorViolation):
-        integrate_graph(bad, 1.0, x_stop=0.5)
+    with pytest.raises(MonitorViolation, match="graph_slope_negative"):
+        integrate_profile(bad, 1.0, h)
 
 
 # ---------------------------------------------------------------------------
 # numerical consistency
 # ---------------------------------------------------------------------------
 
-def test_seed_independence():
-    a = 1.0
-    h = picard_analytic(a, R_STAR)
-    vals = []
-    for x_seed in (1e-3, 5e-4):
-        seed = seed_from_series(h, a, x_seed)
-        traj = integrate_graph(seed, a, x_stop=0.9, series=h)
-        vals.append(float(traj.at(0.5)[0]))
-    assert abs(vals[0] - vals[1]) < 1e-10
+def test_seed_independence(profiles):
+    _, ref = profiles[1.0]
+    _, p = angle_of(1.0, PipelineConfig(x_seed=5e-4))
+    assert p.u[1] == 5e-4
+    for name in ("alpha", "s_bar", "xi"):
+        assert abs(getattr(p, name) - getattr(ref, name)) < 1e-10
 
 
 def test_step_size_convergence():
-    a = 1.0
-    h = picard_analytic(a, R_STAR)
-    seed = seed_from_series(h, a, 1e-3)
-    coarse = integrate_graph(seed, a, x_stop=1.0,
-                             step_ctl=StepControl(rtol=1e-9, atol=1e-9),
-                             series=h)
-    fine = integrate_graph(seed, a, x_stop=1.0,
-                           step_ctl=StepControl(rtol=5e-10, atol=5e-10),
-                           series=h)
-    assert abs(coarse.f[-1] - fine.f[-1]) < 1e-9
+    coarse = angle_of(1.0, PipelineConfig(ode_rtol=1e-9, ode_atol=1e-9))[1]
+    fine = angle_of(1.0, PipelineConfig(ode_rtol=5e-10, ode_atol=5e-10))[1]
+    for name in ("alpha", "s_bar", "xi"):
+        assert abs(getattr(coarse, name) - getattr(fine, name)) < 1e-9
 
 
 def test_quadrature_seed_values():
@@ -189,12 +162,12 @@ def test_quadrature_seed_values():
     assert iv0 == pytest.approx(math.exp(-0.5) * 1e-3, rel=1e-5)
 
 
-def test_csv_export(tmp_path):
-    traj = make_trajectory(0.5)
+def test_csv_export(tmp_path, profiles):
+    p = profiles[0.5][1]
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
+    trajectory_to_csv(p, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f,fp,fpp,F,slack_lower,slack_upper,slack_transversality"
-    assert len(lines) == len(traj.x) + 1
+    assert len(lines) == int(np.sum((p.u > 0.0) & (p.u < 1.0))) + 1
     first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == pytest.approx(traj.x[0], rel=1e-16)
+    assert first[0] == pytest.approx(p.u[1], rel=1e-16)
