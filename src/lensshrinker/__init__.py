@@ -20,7 +20,7 @@ angles) that shrinks homothetically under mean curvature flow:
 """
 
 from .arclength import (CurveState, LensProfile, curvature_three_ways,
-                        integrate_profile, polar_monitors, terminal_angle)
+                        integrate_profile, polar_monitors)
 from .cluster import ClusterMesh, build_cluster, shrinker_residual_on_curve, write_obj
 from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,
                      LensError, MonitorViolation, NoContraction,
@@ -47,5 +47,5 @@ __all__ = [
     "integrate_profile", "invert_L", "j_function", "nonlinear_Q",
     "picard_analytic", "picard_c2_oracle", "polar_monitors",
     "sample_angle_table", "seed_from_series", "shrinker_residual_on_curve",
-    "terminal_angle", "transversality_monitor", "weighted_norm",
+    "transversality_monitor", "weighted_norm",
 ]

@@ -110,13 +110,6 @@ class LensProfile:
                 for row in zip(self.s, self.u, self.v, self.up, self.vp,
                                self.i_phi, self.i_v)]
 
-    @property
-    def end_state(self) -> CurveState:
-        return CurveState(float(self.s[-1]), float(self.u[-1]),
-                          float(self.v[-1]), float(self.up[-1]),
-                          float(self.vp[-1]), float(self.i_phi[-1]),
-                          float(self.i_v[-1]))
-
 
 def arclength_rhs(s, y):
     """State (u, v, phi, i_phi, i_v); the angle-form ODE plus quadratures."""
@@ -347,11 +340,6 @@ def polar_monitors(profile: LensProfile, a: float) -> PolarReport:
                       bool(slack >= MONITOR_SLACK_TOL))
         for name, slack in slacks.items())
     return PolarReport(a, results, all(r.passed for r in results))
-
-
-def terminal_angle(profile: LensProfile) -> float:
-    """Angle of the tangent (cos alpha, sin alpha) at the crossing."""
-    return profile.alpha
 
 
 def profile_to_csv(profile: LensProfile, path) -> None:

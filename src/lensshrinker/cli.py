@@ -6,8 +6,8 @@ geometry), ``verify`` (run the invariant suite).  Every JSON output embeds
 the configuration that produced it, so outputs are reproducible bit for
 bit; no timestamps are written.
 
-Exit codes: 0 success, 2 configuration error, 3 bracket failure,
-4 monitor violation or failed verification.
+Exit codes: 0 success, 2 configuration or other pipeline error, 3 bracket
+failure, 4 monitor violation or failed verification.
 """
 
 from __future__ import annotations

@@ -90,74 +90,53 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     phi = 2.0 * math.pi * np.arange(n_theta) / n_theta
     cos_p, sin_p = np.cos(phi), np.sin(phi)
 
-    verts = [np.array([[0.0, 0.0, v[0]]])]
-    # rings 1 .. n_s-1 of the upper cap; the last is the junction circle
-    for i in range(1, n_s):
-        verts.append(np.column_stack([u[i] * cos_p, u[i] * sin_p,
-                                      np.full(n_theta, v[i])]))
-    upper_count = 1 + (n_s - 1) * n_theta
-    upper = np.concatenate(verts)
-    junction_start = upper_count - n_theta
+    def rings(radius: np.ndarray, height: np.ndarray) -> np.ndarray:
+        # one ring of n_theta vertices per radius, flattened ring by ring
+        r = radius[:, None]
+        z = np.broadcast_to(height[:, None], (len(radius), n_theta))
+        return np.stack([r * cos_p, r * sin_p, z], axis=-1).reshape(-1, 3)
 
+    # pole, then rings 1 .. n_s-1 of the upper cap; the last is the junction
+    upper = np.concatenate([[[0.0, 0.0, v[0]]], rings(u[1:], v[1:])])
+    junction_start = len(upper) - n_theta
     # lower cap: exact reflection of the upper cap, junction ring excluded
     lower = upper[:junction_start] * np.array([1.0, 1.0, -1.0])
-    lower_offset = upper_count
-
     # annulus rings strictly outside the junction circle, z = 0
     radii = np.linspace(xi, outer, n_r + 1)[1:]
-    annulus = np.concatenate([
-        np.column_stack([rad * cos_p, rad * sin_p, np.zeros(n_theta)])
-        for rad in radii])
-    annulus_offset = lower_offset + len(lower)
+    annulus = rings(radii, np.zeros(n_r))
+    annulus_offset = len(upper) + len(lower)
     vertices = np.concatenate([upper, lower, annulus])
-
-    def ring(index: int, base: int, offset: int) -> np.ndarray:
-        # vertex ids of ring `index` (1-based rings after the pole)
-        return offset + base + (index - 1) * n_theta + np.arange(n_theta)
-
-    tris = []
-    sheets = []
-
-    def add(tri, sheet):
-        tris.append(tri)
-        sheets.append(sheet)
 
     nxt = (np.arange(n_theta) + 1) % n_theta
 
-    # upper cap: pole fan, oriented with outward normal pointing away from z=0
-    r1 = ring(1, 1, 0)
-    for j in range(n_theta):
-        add((0, r1[j], r1[nxt[j]]), SHEET_UPPER)
-    for i in range(1, n_s - 1):
-        ra = ring(i, 1, 0)
-        rb = ring(i + 1, 1, 0)
-        for j in range(n_theta):
-            add((ra[j], rb[j], rb[nxt[j]]), SHEET_UPPER)
-            add((ra[j], rb[nxt[j]], ra[nxt[j]]), SHEET_UPPER)
+    def band(inner_ids: np.ndarray, outer_ids: np.ndarray) -> np.ndarray:
+        # the two triangles of every quad between consecutive rings of ids
+        a, b = inner_ids, outer_ids
+        a_n, b_n = a[:, nxt], b[:, nxt]
+        quads = np.stack([np.stack([a, b, b_n], axis=-1),
+                          np.stack([a, b_n, a_n], axis=-1)], axis=2)
+        return quads.reshape(-1, 3)
 
-    def lower_id(vid: int) -> int:
-        # junction ring is shared; every other vertex has a mirrored copy
-        return vid if vid >= junction_start else lower_offset + vid
-
-    # lower cap: mirrored triangles, winding flipped to keep outward normals
-    for tri, sheet in zip(list(tris), list(sheets)):
-        if sheet == SHEET_UPPER:
-            i0, i1, i2 = tri
-            add((lower_id(i0), lower_id(i2), lower_id(i1)), SHEET_LOWER)
-
-    # planar annulus, outward normal +z
-    prev = np.arange(junction_start, junction_start + n_theta)
-    for i in range(n_r):
-        cur = annulus_offset + i * n_theta + np.arange(n_theta)
-        for j in range(n_theta):
-            add((prev[j], cur[j], cur[nxt[j]]), SHEET_ANNULUS)
-            add((prev[j], cur[nxt[j]], prev[nxt[j]]), SHEET_ANNULUS)
-        prev = cur
+    # upper cap: pole fan then bands, outward normal pointing away from z=0
+    cap_rings = 1 + np.arange((n_s - 1) * n_theta).reshape(n_s - 1, n_theta)
+    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64),
+                           cap_rings[0], cap_rings[0][nxt]])
+    upper_tris = np.concatenate([fan, band(cap_rings[:-1], cap_rings[1:])])
+    # lower cap: mirrored ids (the junction ring is shared), winding flipped
+    lower_tris = np.where(upper_tris >= junction_start, upper_tris,
+                          upper_tris + len(upper))[:, [0, 2, 1]]
+    # planar annulus from the junction ring outward, outward normal +z
+    ann_ids = annulus_offset + np.arange(n_r * n_theta).reshape(n_r, n_theta)
+    ann_rings = np.concatenate([cap_rings[-1:], ann_ids])
+    annulus_tris = band(ann_rings[:-1], ann_rings[1:])
+    triangles = np.concatenate([upper_tris, lower_tris, annulus_tris])
+    sheet_id = np.repeat([SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS],
+                         [len(upper_tris), len(lower_tris), len(annulus_tris)])
 
     mesh = ClusterMesh(
         vertices=vertices,
-        triangles=np.asarray(tris, dtype=np.int64),
-        sheet_id=np.asarray(sheets, dtype=np.int64),
+        triangles=triangles,
+        sheet_id=sheet_id,
         junction=np.arange(junction_start, junction_start + n_theta),
         junction_radius=xi,
         metadata={"a": profile.a, "xi": xi, "s_bar": profile.s_bar,
@@ -176,27 +155,41 @@ def _validate(mesh: ClusterMesh) -> None:
 
 
 def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
-    """Reflection symmetry, junction coherence, orientation and quality."""
+    """Reflection symmetry, junction coherence, orientation and quality.
+
+    Junction coherence counts the triangles on each undirected edge: an edge
+    of the junction circle borders exactly three, one per sheet; an edge of
+    the annulus rim (at radius annulus_outer) borders one; every other edge
+    borders two.  A missing or duplicated triangle anywhere fails it.
+    """
     out = []
-    upper_ids = np.unique(mesh.sheet_triangles(SHEET_UPPER))
-    lower_ids = np.unique(mesh.sheet_triangles(SHEET_LOWER))
-    upper_set = mesh.vertices[upper_ids]
-    lower_set = mesh.vertices[lower_ids]
-    reflected = np.array(sorted(map(tuple, upper_set * [1.0, 1.0, -1.0])))
-    target = np.array(sorted(map(tuple, lower_set)))
-    sym = upper_set.shape == lower_set.shape and np.array_equal(reflected, target)
+    upper_set = mesh.vertices[np.unique(mesh.sheet_triangles(SHEET_UPPER))]
+    lower_set = mesh.vertices[np.unique(mesh.sheet_triangles(SHEET_LOWER))]
+    reflected = upper_set * [1.0, 1.0, -1.0]
+    sym = np.array_equal(reflected[np.lexsort(reflected.T[::-1])],
+                         lower_set[np.lexsort(lower_set.T[::-1])])
     out.append(("reflection_symmetry", bool(sym),
                 "lower cap vertex set equals z-negated upper cap"))
 
-    sheets_at = {int(j): set() for j in mesh.junction}
-    for tri, sheet in zip(mesh.triangles, mesh.sheet_id):
-        for vid in tri:
-            if int(vid) in sheets_at:
-                sheets_at[int(vid)].add(int(sheet))
-    coherent = all(s == {SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS}
-                   for s in sheets_at.values())
+    n_vert = len(mesh.vertices)
+    edges = np.sort(mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
+    keys, inverse, counts = np.unique(edges[..., 0] * n_vert + edges[..., 1],
+                                      return_inverse=True, return_counts=True)
+    # one bit per sheet: 0b111 on an edge of three triangles is one per sheet
+    sheet_bits = np.bincount(inverse.ravel(),
+                             weights=np.repeat(1 << mesh.sheet_id, 3))
+    radius = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    on_rim = np.isclose(radius, mesh.metadata["annulus_outer"],
+                        rtol=1e-12, atol=0.0)
+    ends = np.stack(np.divmod(keys, n_vert))
+    junction_edge = np.isin(ends, mesh.junction).all(axis=0)
+    rim_edge = on_rim[ends].all(axis=0)
+    expected = np.where(junction_edge, 3, np.where(rim_edge, 1, 2))
+    coherent = (np.array_equal(counts, expected)
+                and np.all(sheet_bits[junction_edge] == 0b111))
     out.append(("junction_coherence", bool(coherent),
-                "every junction vertex is used by exactly the three sheets"))
+                "junction edges border one triangle per sheet, rim edges one, "
+                "all other edges two"))
 
     v = mesh.vertices
     t = mesh.triangles
@@ -236,13 +229,14 @@ def shrinker_residual_on_curve(profile: LensProfile) -> float:
 
 def write_obj(mesh: ClusterMesh, path) -> None:
     """Wavefront OBJ with one group per sheet; 1-based face indices."""
+    v = mesh.vertices
+    parts = ["v %.17g %.17g %.17g\n" * len(v) % tuple(v.ravel().tolist())]
+    for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
+        f = mesh.sheet_triangles(sheet) + 1
+        parts.append(f"g {SHEET_NAMES[sheet]}\n")
+        parts.append("f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
-            fh.write(f"g {SHEET_NAMES[sheet]}\n")
-            for i, j, k in mesh.sheet_triangles(sheet) + 1:
-                fh.write(f"f {i} {j} {k}\n")
+        fh.write("".join(parts))
 
 
 def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:

@@ -296,27 +296,15 @@ def nonlinear_Q(h: EvenSeries, a: float) -> EvenSeries:
     if m < 2:
         return EvenSeries(np.array([-a]), h.radius)
     # d[j] = coefficient of x^{2j+1} in h'
-    d = np.array([2.0 * (j + 1) * c[j + 1] for j in range(m - 1)])
+    d = 2.0 * np.arange(1, m) * c[1:]
     s2 = np.convolve(d, d)        # h'^2: s2[i] at degree 2i + 2
     s3 = np.convolve(s2, d)       # h'^3: s3[i] at degree 2i + 3
     q = np.zeros(len(s3) + 2)     # x h'^3 tops out at degree 2 len(s3) + 2
     q[0] = -a
-    for k in range(1, len(q)):
-        n = 2 * k
-        i = (n - 4) // 2          # x h'^3
-        if 0 <= i < len(s3):
-            q[k] += s3[i]
-        i = (n - 2) // 2          # h'^3 / x (exact shift)
-        if 0 <= i < len(s3):
-            q[k] -= s3[i]
-        if 0 <= i < len(s2):      # a h'^2 shares the shift index
-            q[k] -= a * s2[i]
-        acc = 0.0                 # h'^2 h: degrees (2i+2) + 2j = n
-        for i2 in range(min(len(s2), k)):
-            j = k - i2 - 1
-            if j < m:
-                acc += s2[i2] * c[j]
-        q[k] -= acc
+    q[2:] += s3                   # x h'^3
+    q[1:-1] -= s3                 # h'^3 / x (exact shift)
+    q[1:len(s2) + 1] -= a * s2    # a h'^2 shares the shift index
+    q[1:] -= np.convolve(s2, c)   # h'^2 h: degrees (2i+2) + 2j
     return EvenSeries(q, h.radius)
 
 

@@ -15,7 +15,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .arclength import LensProfile, integrate_profile
+from .arclength import MONITOR_SLACK_TOL, LensProfile, integrate_profile
 from .errors import BracketFailure, LensError
 from .graph_profile import seed_from_series
 from .series import R_STAR, picard_analytic
@@ -112,12 +112,11 @@ class ShootReport:
 
 def _row(a: float, cfg: PipelineConfig) -> AngleSample:
     try:
-        alpha, profile = angle_of(a, cfg)
+        _, profile = angle_of(a, cfg)
     except (LensError, ValueError) as exc:
         return AngleSample(a, math.nan, math.nan, math.nan, False,
                            f"{type(exc).__name__}: {exc}")
-    ok = bool(min(profile.monitors.values()) >= -1e-9)
-    return AngleSample(a, profile.s_bar, profile.xi, alpha, ok)
+    return _sample_from(profile)
 
 
 def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> ShootReport:
@@ -152,9 +151,10 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
 
     The endpoints must satisfy alpha(a_lo) > -pi/3 > alpha(a_hi); by
     continuity of the crossing data in a, plain bisection then converges,
-    halving the bracket each step until its width drops below tol_a.  The
-    report carries the full bracket history, the located height a_star,
-    its profile, and the residual |u'(s_bar) - 1/2|.
+    halving the bracket each step until its width drops below tol_a or its
+    endpoints are adjacent floats.  The report carries the full bracket
+    history, the located height a_star, its profile, and the residual
+    |u'(s_bar) - 1/2|.
     """
     cfg = cfg or PipelineConfig()
     tol_a = cfg.tol_a if tol_a is None else tol_a
@@ -179,6 +179,8 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
     report.bracket_history.append((lo, hi))
     while hi - lo > tol_a:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: the bracket cannot shrink
         g_mid, prof_mid = g(mid)
         if g_mid > 0.0:
             lo = mid
@@ -196,7 +198,7 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
 
 
 def _sample_from(profile: LensProfile) -> AngleSample:
-    ok = bool(min(profile.monitors.values()) >= -1e-9)
+    ok = bool(min(profile.monitors.values()) >= MONITOR_SLACK_TOL)
     return AngleSample(profile.a, profile.s_bar, profile.xi,
                        profile.alpha, ok)
 

@@ -5,7 +5,7 @@ import pytest
 
 from lensshrinker import (CurveState, curvature_three_ways, find_x0,
                           integrate_profile, picard_analytic, polar_monitors,
-                          seed_from_series, terminal_angle)
+                          seed_from_series)
 from lensshrinker.arclength import (annulus_log_halfwidth, curvature_arrays,
                                     profile_summary, profile_to_csv,
                                     shrinker_residual, transversality_floor,
@@ -26,7 +26,7 @@ def test_circle_crossing_data(circle_profile):
     assert p.xi == pytest.approx(SQRT2, abs=1e-8)
     assert p.up[-1] == pytest.approx(0.0, abs=1e-8)
     assert p.vp[-1] == pytest.approx(-1.0, abs=1e-8)
-    assert terminal_angle(p) == pytest.approx(-math.pi / 2.0, abs=1e-8)
+    assert p.alpha == pytest.approx(-math.pi / 2.0, abs=1e-8)
     assert p.v_residual < 1e-10
 
 

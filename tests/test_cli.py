@@ -8,6 +8,7 @@ import pytest
 from lensshrinker import cli
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_OK, RunConfig,
                               config_from_args, build_parser, main)
+from lensshrinker.errors import DegenerateProfile
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,6 +106,17 @@ def test_mesh_outputs(tmp_path):
     assert meta["n_theta"] == 24
     assert meta["xi"] == pytest.approx(SQRT2, abs=1e-8)
     assert meta["config"]["command"] == "mesh"
+
+
+def test_pipeline_error_exit_code(tmp_path, monkeypatch, capsys):
+    def degenerate(*args, **kwargs):
+        raise DegenerateProfile("mesh validity checks failed")
+
+    monkeypatch.setattr(cli, "build_cluster", degenerate)
+    code = run(["mesh", "--a", "1.4142135623730951", "--n-theta", "16",
+                "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "error: mesh validity checks failed" in capsys.readouterr().err
 
 
 def test_mesh_without_height_reuses_the_shoot_profile(tmp_path, monkeypatch,

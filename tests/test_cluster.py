@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -58,6 +59,54 @@ def test_mesh_quality_and_orientation(sphere_mesh):
     assert checks["no_degenerate_triangles"]
     assert checks["orientation_consistent"]
     assert checks["junction_coherence"]
+
+
+def _drop_interior_cap_triangle(mesh):
+    keep = np.ones(len(mesh.triangles), dtype=bool)
+    keep[mesh.metadata["n_theta"] + 5] = False  # a band triangle of the upper cap
+    return dataclasses.replace(mesh, triangles=mesh.triangles[keep],
+                               sheet_id=mesh.sheet_id[keep])
+
+
+def _duplicate_annulus_triangle(mesh):
+    return dataclasses.replace(mesh,
+                               triangles=np.vstack([mesh.triangles,
+                                                    mesh.triangles[-1:]]),
+                               sheet_id=np.append(mesh.sheet_id, SHEET_ANNULUS))
+
+
+def _nudge_lower_cap_vertex(mesh):
+    lower_only = np.setdiff1d(mesh.sheet_triangles(SHEET_LOWER), mesh.junction)
+    vertices = mesh.vertices.copy()
+    vertices[lower_only[len(lower_only) // 2], 2] += 1e-9
+    return dataclasses.replace(mesh, vertices=vertices)
+
+
+def _flip_lower_cap_winding(mesh):
+    triangles = mesh.triangles.copy()
+    t = np.flatnonzero(mesh.sheet_id == SHEET_LOWER)[7]
+    triangles[t, [1, 2]] = triangles[t, [2, 1]]
+    return dataclasses.replace(mesh, triangles=triangles)
+
+
+def _collapse_triangle(mesh):
+    triangles = mesh.triangles.copy()
+    triangles[3, 2] = triangles[3, 1]
+    return dataclasses.replace(mesh, triangles=triangles)
+
+
+@pytest.mark.parametrize("corrupt, check", [
+    (_drop_interior_cap_triangle, "junction_coherence"),
+    (_duplicate_annulus_triangle, "junction_coherence"),
+    (_nudge_lower_cap_vertex, "reflection_symmetry"),
+    (_flip_lower_cap_winding, "orientation_consistent"),
+    (_collapse_triangle, "no_degenerate_triangles"),
+])
+def test_mesh_checks_negative_controls(sphere_mesh, corrupt, check):
+    checks = dict((name, ok) for name, ok, _ in mesh_checks(corrupt(sphere_mesh)))
+    assert list(checks) == ["reflection_symmetry", "junction_coherence",
+                            "no_degenerate_triangles", "orientation_consistent"]
+    assert not checks[check]
 
 
 def test_junction_angle_at_lens_height(lens_report):
@@ -132,11 +181,20 @@ def test_obj_export(tmp_path, sphere_mesh):
     assert n_v == len(sphere_mesh.vertices)
     assert n_f == len(sphere_mesh.triangles)
     assert groups == ["upper_cap", "lower_cap", "planar_annulus"]
-    # faces are 1-based and in range
+    # vertices round-trip exactly; each group holds its sheet's 1-based faces
+    verts = np.array([[float(tok) for tok in ln.split()[1:]]
+                      for ln in lines if ln.startswith("v ")])
+    assert np.array_equal(verts, sphere_mesh.vertices)
+    faces, group = {}, None
     for ln in lines:
-        if ln.startswith("f "):
-            idx = [int(tok) for tok in ln.split()[1:]]
-            assert all(1 <= i <= n_v for i in idx)
+        if ln.startswith("g "):
+            group = ln.split()[1]
+            faces[group] = []
+        elif ln.startswith("f "):
+            faces[group].append([int(tok) for tok in ln.split()[1:]])
+    for sheet, name in enumerate(["upper_cap", "lower_cap", "planar_annulus"]):
+        assert np.array_equal(np.array(faces[name]).reshape(-1, 3),
+                              sphere_mesh.sheet_triangles(sheet) + 1)
 
 
 def test_metadata_sidecar(tmp_path, sphere_mesh):

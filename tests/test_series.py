@@ -231,6 +231,20 @@ def test_q_polynomial_example():
     assert all(q.coefficient(n) == 0.0 for n in (1, 3, 5, 6, 8))
 
 
+def test_q_matches_pointwise_formula_at_high_order():
+    rng = np.random.default_rng(11)
+    x = np.array([0.05, 0.1, 0.2, 0.3, 0.4, 0.5])
+    for a in (0.05, 0.8, SQRT2):
+        c = rng.uniform(-1.0, 1.0, size=13)  # order 24
+        c[0] = 0.0
+        h = EvenSeries(c)
+        q = nonlinear_Q(h, a)
+        assert len(q.coeffs) == 3 * len(c) - 3
+        hp = h.deriv(x)
+        pointwise = -a + (x - 1.0 / x) * hp ** 3 - hp ** 2 * (h(x) + a)
+        np.testing.assert_allclose(q(x), pointwise, rtol=1e-12, atol=0.0)
+
+
 def test_q_rejects_nonzero_constant():
     with pytest.raises(ValueError):
         nonlinear_Q(EvenSeries(np.array([1.0, 0.5])), 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lensshrinker import (BracketFailure, PipelineConfig, angle_of, find_lens,
-                          find_x0, sample_angle_table)
+                          find_x0, sample_angle_table, shooting)
 from lensshrinker.shooting import angle_table_to_csv
 
 SQRT2 = math.sqrt(2.0)
@@ -66,6 +66,25 @@ def test_find_lens_bracket_halves(lens_report):
         assert w_next == pytest.approx(w_prev / 2.0, rel=1e-12)
     expected = math.ceil(math.log2((SQRT2 - 0.05) / 1e-10))
     assert len(hist) - 1 <= expected
+
+
+def test_find_lens_stops_at_float_resolution(monkeypatch):
+    # a tolerance below the float spacing near a* still terminates, and every
+    # bracket straddles the sign change of u'(s_bar) - 1/2
+    g = {}
+
+    def recording_angle_of(a, cfg=None):
+        alpha, profile = angle_of(a, cfg)
+        g[a] = float(profile.up[-1]) - 0.5
+        return alpha, profile
+
+    monkeypatch.setattr(shooting, "angle_of", recording_angle_of)
+    hist = find_lens(tol_a=1e-300).bracket_history
+    assert len(hist) <= 64
+    for lo, hi in hist:
+        assert g[lo] > 0.0 >= g[hi]
+    lo, hi = hist[-1]
+    assert np.nextafter(lo, hi) == hi
 
 
 def test_find_lens_deterministic(lens_report):
