@@ -27,7 +27,8 @@ from .arclength import polar_monitors, profile_summary, profile_to_csv
 from .cluster import build_cluster, write_metadata, write_obj
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
-from .shooting import (A_CIRCLE, PipelineConfig, angle_of, angle_table_to_csv,
+from .shooting import (A_CIRCLE, DEFAULT_BRACKET, DEFAULT_TOL_A,
+                       PipelineConfig, angle_of, angle_table_to_csv,
                        find_lens, sample_angle_table)
 
 EXIT_OK = 0
@@ -46,8 +47,8 @@ class RunConfig:
 
     command: str
     a: float | None = None
-    bracket: tuple[float, float] = (0.05, A_CIRCLE)
-    tol_a: float = 1e-10
+    bracket: tuple[float, float] = DEFAULT_BRACKET
+    tol_a: float = DEFAULT_TOL_A
     order: int = 64
     series_tol: float = 1e-14
     ode_abs: float = 1e-12
@@ -231,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shoot", help="locate the 120-degree junction height")
     common(p)
-    p.add_argument("--a-lo", type=float, default=0.05)
-    p.add_argument("--a-hi", type=float, default=A_CIRCLE)
-    p.add_argument("--tol-a", type=float, default=1e-10)
+    p.add_argument("--a-lo", type=float, default=DEFAULT_BRACKET[0])
+    p.add_argument("--a-hi", type=float, default=DEFAULT_BRACKET[1])
+    p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
 
     p = sub.add_parser("table", help="tabulate the angle map")
     common(p)
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile height (default: shoot for the junction height)")
     p.add_argument("--n-theta", type=int, default=64)
     p.add_argument("--annulus-outer", type=float, default=None)
-    p.add_argument("--tol-a", type=float, default=1e-10)
+    p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
 
     p = sub.add_parser("verify", help="run the invariant suite")
     common(p)

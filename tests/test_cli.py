@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from lensshrinker import cli
-from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_OK, RunConfig,
-                              config_from_args, build_parser, main)
-from lensshrinker.errors import DegenerateProfile
+from lensshrinker import cli, shooting
+from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_MONITOR, EXIT_OK,
+                              RunConfig, config_from_args, build_parser, main)
+from lensshrinker.errors import DegenerateProfile, MonitorViolation, NoCrossing
 
 SQRT2 = math.sqrt(2.0)
 
@@ -117,6 +117,27 @@ def test_pipeline_error_exit_code(tmp_path, monkeypatch, capsys):
                 "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "error: mesh validity checks failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [(NoCrossing, EXIT_CONFIG),
+                                         (MonitorViolation, EXIT_MONITOR)])
+def test_shoot_names_the_height_of_an_interior_failure(tmp_path, monkeypatch,
+                                                       capsys, error, code):
+    heights = []
+    angle_of = shooting.angle_of
+
+    def failing_inside(a, cfg=None):
+        heights.append(a)
+        if len(heights) > 2:  # both bracket endpoints solve, then one step
+            raise error("stub failure")
+        return angle_of(a, cfg)
+
+    monkeypatch.setattr(shooting, "angle_of", failing_inside)
+    assert run(["shoot", "--output-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert len(heights) == 3
+    assert f"at a={heights[2]!r} inside the bracket" in err
+    assert "stub failure" in err
 
 
 def test_mesh_without_height_reuses_the_shoot_profile(tmp_path, monkeypatch,

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,13 +60,61 @@ def test_find_lens_locates_junction(lens_report):
     assert min(p.monitors.values()) >= -1e-9
 
 
-def test_find_lens_bracket_halves(lens_report):
+def test_find_lens_brackets_nest_and_straddle(lens_report):
     hist = lens_report.bracket_history
-    widths = [hi - lo for lo, hi in hist]
-    for w_prev, w_next in zip(widths[:-1], widths[1:]):
-        assert w_next == pytest.approx(w_prev / 2.0, rel=1e-12)
-    expected = math.ceil(math.log2((SQRT2 - 0.05) / 1e-10))
-    assert len(hist) - 1 <= expected
+    for lo, hi, g_lo, g_hi in hist:
+        assert lo < hi and g_lo > 0.0 >= g_hi
+    for (lo0, hi0, *_), (lo1, hi1, *_) in zip(hist[:-1], hist[1:]):
+        assert lo0 <= lo1 < hi1 <= hi0
+        assert (lo1, hi1) != (lo0, hi0)
+    lo, hi, g_lo, g_hi = hist[-1]
+    assert hi - lo <= 1e-10
+    assert lens_report.a_star in (lo, hi)
+    assert lens_report.profile.a == lens_report.a_star
+    assert lens_report.alpha_residual == min(abs(g_lo), abs(g_hi))
+
+
+def test_find_lens_evaluation_budget(monkeypatch):
+    # bisection to tol_a = 1e-10 took 37 solves; every ITP solve is a
+    # bracket endpoint, and no height, a* included, is solved twice
+    seen = []
+
+    def counting_angle_of(a, cfg=None):
+        seen.append(a)
+        return angle_of(a, cfg)
+
+    monkeypatch.setattr(shooting, "angle_of", counting_angle_of)
+    rep = find_lens()
+    assert len(seen) <= 12
+    ends = [a for row in rep.bracket_history for a in row[:2]]
+    assert set(seen) == set(ends)
+    assert len(set(seen)) == len(seen)
+
+
+def _stub_angle_of(g):
+    # with TARGET_UP = 0 the shoot's g is u'(s_bar) itself, so g stays exact
+    def stub(a, cfg=None):
+        up = g(a)
+        return math.acos(up), SimpleNamespace(
+            a=a, up=np.array([up]), s_bar=1.0, xi=1.0, alpha=math.acos(up),
+            monitors={"stub": 0.0})
+    return stub
+
+
+@pytest.mark.parametrize("g", [
+    lambda a: 0.25 if a < 0.7123456789 else -0.25,  # a step: no slope to use
+    lambda a: -(a - 0.7123456789) ** 3,             # a flat cubic root
+], ids=["step", "flat_cubic"])
+def test_find_lens_minmax_steps(monkeypatch, g):
+    monkeypatch.setattr(shooting, "angle_of", _stub_angle_of(g))
+    monkeypatch.setattr(shooting, "TARGET_UP", 0.0)
+    a_lo, a_hi, tol_a = 0.05, SQRT2, 1e-10
+    hist = find_lens(a_lo, a_hi, tol_a).bracket_history
+    assert len(hist) - 1 <= math.ceil(math.log2((a_hi - a_lo) / tol_a)) + 2
+    for lo, hi, g_lo, g_hi in hist:
+        assert g_lo == g(lo) > 0.0 >= g(hi) == g_hi
+    lo, hi = hist[-1][:2]
+    assert lo < 0.7123456789 <= hi and hi - lo <= tol_a
 
 
 def test_find_lens_stops_at_float_resolution(monkeypatch):
@@ -81,9 +130,9 @@ def test_find_lens_stops_at_float_resolution(monkeypatch):
     monkeypatch.setattr(shooting, "angle_of", recording_angle_of)
     hist = find_lens(tol_a=1e-300).bracket_history
     assert len(hist) <= 64
-    for lo, hi in hist:
-        assert g[lo] > 0.0 >= g[hi]
-    lo, hi = hist[-1]
+    for lo, hi, g_lo, g_hi in hist:
+        assert g[lo] == g_lo > 0.0 >= g_hi == g[hi]
+    lo, hi = hist[-1][:2]
     assert np.nextafter(lo, hi) == hi
 
 
