@@ -19,8 +19,7 @@ angles) that shrinks homothetically under mean curvature flow:
   three-sheet mesh and exports it.
 """
 
-from .arclength import (CurveState, LensProfile, curvature_three_ways,
-                        integrate_profile, polar_monitors)
+from .arclength import LensProfile, integrate_profile, polar_monitors
 from .cluster import ClusterMesh, build_cluster, shrinker_residual_on_curve, write_obj
 from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,
                      LensError, MonitorViolation, NoContraction,
@@ -38,14 +37,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketFailure", "CertificateFailure", "ClusterMesh",
-    "ContractionConstants", "CurveState", "DegenerateProfile", "EvenSeries",
-    "LensError", "LensProfile", "MonitorViolation", "NoContraction",
-    "NoConvergence", "NoCrossing", "PipelineConfig", "ProfileSample",
-    "ShootReport", "StepFailure", "angle_of", "apply_G", "apply_L",
-    "build_cluster", "contraction_certificate", "curvature_three_ways",
-    "eta_coefficients", "find_lens", "find_x0", "graph_view",
-    "integrate_profile", "invert_L", "j_function", "nonlinear_Q",
-    "picard_analytic", "picard_c2_oracle", "polar_monitors",
+    "ContractionConstants", "DegenerateProfile", "EvenSeries", "LensError",
+    "LensProfile", "MonitorViolation", "NoContraction", "NoConvergence",
+    "NoCrossing", "PipelineConfig", "ProfileSample", "ShootReport",
+    "StepFailure", "angle_of", "apply_G", "apply_L", "build_cluster",
+    "contraction_certificate", "eta_coefficients", "find_lens", "find_x0",
+    "graph_view", "integrate_profile", "invert_L", "j_function",
+    "nonlinear_Q", "picard_analytic", "picard_c2_oracle", "polar_monitors",
     "sample_angle_table", "seed_from_series", "shrinker_residual_on_curve",
     "transversality_monitor", "weighted_norm",
 ]

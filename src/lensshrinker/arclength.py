@@ -23,10 +23,11 @@ axis-orthogonal start,
 whose pointwise agreement with the algebraic form -v'/u + u v' - v u' is
 the central consistency oracle of the pipeline.
 
-One adaptive 8th-order Runge-Kutta solve runs from the series seed at
-u = x_seed (the axis series supplies the segment [0, x_seed] and its
-quadratures) to the first v = 0, located by root refinement on the dense
-output; the first passage of u through 1 is recorded as s_star.
+One adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
+:mod:`lensshrinker.dop853`) runs from the series seed at u = x_seed (the
+axis series supplies the segment [0, x_seed] and its quadratures) to the
+first v = 0, located by root refinement on the dense output; the first
+passage of u through 1 is recorded as s_star.
 Transversality floors, polar annulus bounds and the strict decrease of the
 polar angle (which certifies that the curve cannot self-intersect) are
 monitored on the computed states, together with the graph-region
@@ -39,10 +40,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import graph_profile
-from .errors import MonitorViolation, NoCrossing, StepFailure
+from . import dop853, graph_profile
+from .errors import MonitorViolation, NoCrossing
 from .series import EvenSeries
 
 MONITOR_SLACK_TOL = -1e-9
@@ -56,27 +56,6 @@ DEFAULT_ATOL = 1e-12
 DEFAULT_EVENT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CurveState:
-    """Arclength state with running quadratures."""
-
-    s: float
-    u: float
-    v: float
-    up: float
-    vp: float
-    i_phi: float = 0.0
-    i_v: float = 0.0
-
-    @property
-    def rho(self) -> float:
-        return math.hypot(self.u, self.v)
-
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.v, self.u)
-
-
 @dataclass
 class LensProfile:
     """The full profile curve from the axis to the horizontal crossing.
@@ -86,6 +65,9 @@ class LensProfile:
     DENSE_POINTS_PER_STEP interior points of each step, then the refined
     crossing state; ``s`` is strictly increasing up to s_bar and (up, vp) =
     (cos phi, sin phi).  ``series`` is the axis series that seeded the curve.
+    ``dense`` gives (u, v, phi, i_phi, i_v) on [0, s_bar]: a cubic Hermite
+    piece on [0, x_seed], then DOP853's; ``nfev``, ``n_steps`` and
+    ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
     """
 
     a: float
@@ -103,12 +85,10 @@ class LensProfile:
     v_residual: float
     monitors: dict
     series: EvenSeries
-
-    @property
-    def states(self) -> list[CurveState]:
-        return [CurveState(*map(float, row))
-                for row in zip(self.s, self.u, self.v, self.up, self.vp,
-                               self.i_phi, self.i_v)]
+    dense: dop853.DenseOutput
+    nfev: int
+    n_steps: int
+    n_rejected: int
 
 
 def arclength_rhs(s, y):
@@ -157,7 +137,8 @@ def integrate_profile(seed: graph_profile.ProfileSample, a: float,
 
     All proved monitors are evaluated on the returned states; a violation
     beyond tolerance raises MonitorViolation, and an integrator failure
-    raises StepFailure.
+    raises StepFailure.  rtol below 100 eps, or a non-finite rtol or atol,
+    raises ValueError.
     """
     if a <= 0.0:
         raise ValueError("a must be positive")
@@ -166,25 +147,12 @@ def integrate_profile(seed: graph_profile.ProfileSample, a: float,
     s_max = min(math.pi / (2.0 * c_a) if c_a > 0.0 else math.inf,
                 s0 + ARCLENGTH_HARD_CAP)
 
-    def crossing(s, y):
-        return y[1]
-
-    crossing.terminal = True
-    crossing.direction = -1
-
-    def u_passes_one(s, y):
-        return y[0] - 1.0
-
-    u_passes_one.direction = 1
-
-    sol = solve_ivp(arclength_rhs, (s0, s_max),
-                    [seed.x, seed.f, math.atan(seed.fp), iphi0, iv0],
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-                    events=[crossing, u_passes_one])
-    if sol.status < 0:
-        raise StepFailure(f"profile integration failed at a={a}: "
-                          f"{sol.message}")
-    if sol.status != 1:
+    sol = dop853.integrate(arclength_rhs, s0,
+                           [seed.x, seed.f, math.atan(seed.fp), iphi0, iv0],
+                           s_max, rtol=rtol, atol=atol,
+                           events=[(lambda y: y[1], -1, True),
+                                   (lambda y: y[0] - 1.0, 1, False)])
+    if not sol.terminated:
         raise NoCrossing(f"no v=0 crossing before s_max={s_max} at a={a}; "
                          "this contradicts the guaranteed crossing")
     s_bar = float(sol.t_events[0][0])
@@ -192,17 +160,28 @@ def integrate_profile(seed: graph_profile.ProfileSample, a: float,
     v_residual = abs(float(y_bar[1]))
     if v_residual > event_tol:
         raise NoCrossing(f"event refinement left |v(s_bar)|={v_residual}")
-    s_star = float(sol.t_events[1][0]) if len(sol.t_events[1]) else math.nan
+    s_star = float(sol.t_events[1][0]) if sol.t_events[1] else math.nan
 
+    d = sol.dense
     frac = np.arange(DENSE_POINTS_PER_STEP + 1) / (DENSE_POINTS_PER_STEP + 1)
-    grid = (sol.t[:-1, None] + np.diff(sol.t)[:, None] * frac).ravel()
-    u, v, phi, i_phi, i_v = np.column_stack(
-        [[0.0, a, 0.0, 0.0, 0.0], sol.sol(grid), y_bar])
+    grid = (d.ts[:-1, None] + np.diff(d.ts)[:, None] * frac).ravel()
+    y_axis = np.array([0.0, a, 0.0, 0.0, 0.0])
+    u, v, phi, i_phi, i_v = np.column_stack([y_axis, d(grid), y_bar])
+    # the axis segment [0, s0] as one cubic Hermite piece; phi'(0) = h''(0)
+    k0, e0 = series.deriv2(0.0), math.exp(-0.5 * a * a)
+    axis = dop853.hermite_rows(s0, y_axis, d.y_old[0],
+                               np.array([1.0, 0.0, k0, e0 * k0, e0 * a]),
+                               sol.f0)
+    dense = dop853.DenseOutput(np.append(0.0, d.ts), np.append(s0, d.h),
+                               np.vstack([y_axis, d.y_old]),
+                               np.concatenate([axis[None], d.F]))
     profile = LensProfile(a=a, s=np.concatenate([[0.0], grid, [s_bar]]),
                           u=u, v=v, up=np.cos(phi), vp=np.sin(phi),
                           i_phi=i_phi, i_v=i_v, s_bar=s_bar, s_star=s_star,
                           xi=float(y_bar[0]), alpha=float(y_bar[2]),
-                          v_residual=v_residual, monitors={}, series=series)
+                          v_residual=v_residual, monitors={}, series=series,
+                          dense=dense, nfev=sol.nfev, n_steps=len(d.h),
+                          n_rejected=sol.n_rejected)
     report = polar_monitors(profile, a)
     profile.monitors = {m.monitor_id: m.worst_slack for m in report.results}
     profile.monitors["shrinker_residual"] = float(
@@ -216,25 +195,10 @@ def integrate_profile(seed: graph_profile.ProfileSample, a: float,
     return profile
 
 
-def curvature_three_ways(st: CurveState) -> tuple[float, float, float]:
-    """Curvature by the algebraic, variation-of-constants and integral forms.
-
-    All three agree along true solutions started orthogonally to the axis;
-    the two integral forms are meaningless for other initial data, which is
-    exactly what makes the comparison a sharp consistency check.
-    """
-    if st.u <= 0.0:
-        raise ValueError("curvature forms require u > 0")
-    u, v, up, vp = st.u, st.v, st.up, st.vp
-    grow = math.exp(0.5 * (u * u + v * v)) / u
-    k_alg = -vp / u + u * vp - v * up
-    k_var = st.i_phi * grow
-    k_int = -vp / u - grow * st.i_v
-    return k_alg, k_var, k_int
-
-
 def curvature_arrays(profile: LensProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized curvature forms over the profile states with u > 0."""
+    """Algebraic, variation-of-constants and integral curvature on the states
+    with u > 0; the integral forms agree with the first only along true
+    solutions started orthogonally to the axis, a sharp consistency check."""
     m = profile.u > 0.0
     u, v = profile.u[m], profile.v[m]
     up, vp = profile.up[m], profile.vp[m]

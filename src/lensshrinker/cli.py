@@ -25,6 +25,7 @@ import numpy as np
 from . import checks
 from .arclength import polar_monitors, profile_summary, profile_to_csv
 from .cluster import build_cluster, write_metadata, write_obj
+from .dop853 import RTOL_FLOOR
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
 from .shooting import (A_CIRCLE, DEFAULT_BRACKET, DEFAULT_TOL_A,
@@ -67,13 +68,17 @@ class RunConfig:
                     "ode_abs": self.ode_abs, "ode_rel": self.ode_rel,
                     "event_tol": self.event_tol, "x_seed": self.x_seed}
         for name, value in positive.items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.ode_rel < RTOL_FLOOR:
+            raise ValueError(f"ode_rel must be at least 100 eps = {RTOL_FLOOR}")
         if self.a is not None and not 0.0 < self.a <= A_CIRCLE:
             raise ValueError("a must lie in (0, sqrt(2)]")
         lo, hi = self.bracket
         if not 0.0 < lo < hi <= A_CIRCLE:
             raise ValueError("bracket must be ordered inside (0, sqrt(2)]")
+        if not self.tol_a < hi - lo:
+            raise ValueError(f"tol_a must be below the bracket width {hi - lo}")
         if not 8 <= self.order <= MAX_ORDER or self.order % 2:
             raise ValueError(f"order must be an even integer in [8, {MAX_ORDER}]")
         cpus = os.cpu_count() or 1

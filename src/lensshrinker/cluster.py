@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .arclength import LensProfile, curvature_arrays, shrinker_residual
 from .errors import DegenerateProfile
@@ -50,14 +49,11 @@ class ClusterMesh:
 
 
 def resample_profile(profile: LensProfile, n_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arclength-uniform (u, v) samples from the axis to the crossing."""
+    """Arclength-uniform (u, v) samples from the axis to the crossing,
+    evaluated on the profile's dense output."""
     if profile.s_bar <= 0.0 or len(profile.s) < 8:
         raise DegenerateProfile("profile too short to resample")
-    su = CubicSpline(profile.s, profile.u)
-    sv = CubicSpline(profile.s, profile.v)
-    s = np.linspace(0.0, profile.s_bar, n_s)
-    u = su(s)
-    v = sv(s)
+    u, v = profile.dense(np.linspace(0.0, profile.s_bar, n_s))[:2]
     u[0] = profile.u[0]
     v[0] = profile.v[0]
     u[-1] = profile.u[-1]

@@ -25,11 +25,11 @@ series route and serves as a cross-validation oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BracketFailure, CertificateFailure, NoContraction, NoConvergence
 
@@ -510,10 +510,18 @@ def picard_analytic(a: float, r: float, order: int = DEFAULT_ORDER,
 # Independent C^2 construction on a grid
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached Gauss-Legendre rule on [-1, 1]; read-only, as callers share it."""
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def gauss_legendre_composite(lo: float, hi: float, cells: int,
                              nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = gauss_legendre_rule(nodes)
     edges = np.linspace(lo, hi, cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
@@ -565,6 +573,8 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129,
     This route never touches the series machinery; it is the
     cross-validation oracle for picard_analytic.
     """
+    from scipy.interpolate import CubicSpline
+
     from .graph_profile import ProfileSample
 
     consts = ContractionConstants(a, r, 6.0 * a, 0.5, "C2")

@@ -159,18 +159,19 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
     window around it that shrinks so that no run takes more than one step
     beyond bisection's count (two with the rounding of the width), while a
     smooth g converges superlinearly.  The bracket shrinks until its width
-    drops below tol_a or its midpoint is not strictly inside it.  The report
-    carries every bracket with its g values (each straddles the sign
-    change), the endpoint of the last bracket with the smaller
-    |u'(s_bar) - 1/2| as a_star, its profile and that residual; a_star is
-    never solved twice.
+    drops below tol_a (which must lie in (0, a_hi - a_lo)) or its midpoint
+    is not strictly inside it.  The report carries every bracket with its g
+    values (each straddles the sign change), the endpoint of the last
+    bracket with the smaller |u'(s_bar) - 1/2| as a_star, its profile and
+    that residual; a_star is never solved twice.
     """
     cfg = cfg or PipelineConfig()
     tol_a = cfg.tol_a if tol_a is None else tol_a
     if not 0.0 < a_lo < a_hi <= A_CIRCLE:
         raise BracketFailure(f"invalid bracket ({a_lo}, {a_hi})")
-    if not tol_a > 0.0:
-        raise ValueError(f"tol_a={tol_a} must be positive")
+    if not 0.0 < tol_a < a_hi - a_lo:
+        raise ValueError(f"tol_a={tol_a} must be positive and below the "
+                         f"bracket width {a_hi - a_lo}")
 
     def g(a: float) -> tuple[float, LensProfile]:
         alpha, profile = angle_of(a, cfg)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lensshrinker import (CurveState, curvature_three_ways, find_x0,
-                          integrate_profile, picard_analytic, polar_monitors,
-                          seed_from_series)
+from lensshrinker import (find_x0, integrate_profile, picard_analytic,
+                          polar_monitors, seed_from_series)
 from lensshrinker.arclength import (annulus_log_halfwidth, curvature_arrays,
                                     profile_summary, profile_to_csv,
                                     shrinker_residual, transversality_floor,
@@ -77,17 +76,18 @@ def test_curvature_axis_limit(a, profiles):
     # exact limit from the series seed
     h = picard_analytic(a, R_STAR)
     assert h.deriv2(0.0) == pytest.approx(-a / 2.0, abs=1e-14)
-    # and the first computed state agrees to the seed-abscissa resolution
-    first = p.states[1]
-    k_alg, k_var, k_int = curvature_three_ways(first)
+    # and the first computed state (the seed; the axis state is skipped)
+    # agrees to the seed-abscissa resolution
+    k_alg, k_var, k_int = (k[0] for k in curvature_arrays(p))
     assert k_alg == pytest.approx(-a / 2.0, abs=1e-4)
     assert k_var == pytest.approx(-a / 2.0, abs=1e-4)
 
 
-def test_curvature_rejects_axis_state():
-    st = CurveState(0.0, 0.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        curvature_three_ways(st)
+def test_curvature_rejects_axis_state(circle_profile):
+    # the 1/u forms are undefined on the axis, so the axis state is left out
+    p = circle_profile
+    assert p.u[0] == 0.0 and np.all(p.u[1:] > 0.0)
+    assert all(len(k) == len(p.s) - 1 for k in curvature_arrays(p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from lensshrinker import cli, shooting
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_MONITOR, EXIT_OK,
                               RunConfig, config_from_args, build_parser, main)
+from lensshrinker.dop853 import RTOL_FLOOR
 from lensshrinker.errors import DegenerateProfile, MonitorViolation, NoCrossing
 
 SQRT2 = math.sqrt(2.0)
@@ -173,6 +176,44 @@ TABLE = ["table", "--from", "0.0001", "--to", "1.0"]
 def test_size_inputs_are_bounded(argv):
     with pytest.raises(ValueError):
         parse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--tol-a", "inf"],
+    ["shoot", "--tol-a", repr(SQRT2 - 0.05)],  # the default bracket width
+    ["mesh", "--tol-a", "inf"],
+    ["solve", "--a", "0.9", "--ode-rel", "1e-14"],
+    ["solve", "--a", "0.9", "--ode-abs", "inf"],
+], ids=["shoot_tol_a_inf", "shoot_tol_a_width", "mesh_tol_a_inf",
+        "ode_rel_below_floor", "ode_abs_inf"])
+def test_unbounded_tolerances_exit_with_config_error(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_tolerance_bounds_admit_their_edges():
+    assert parse(["solve", "--a", "0.9", "--ode-rel", repr(RTOL_FLOOR)]
+                 ).ode_rel == RTOL_FLOOR
+    width = SQRT2 - 0.05
+    assert parse(["shoot", "--tol-a", repr(math.nextafter(width, 0.0))]
+                 ).tol_a < width
+
+
+def test_fresh_interpreter_imports_no_scipy(tmp_path):
+    code = ("import sys\n"
+            "import lensshrinker, lensshrinker.cli\n"
+            "from lensshrinker import cli\n"
+            f"assert cli.main(['solve', '--a', '0.9', '--output-dir', "
+            f"{str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "profile_a0.9.json").exists()
 
 
 def test_size_bounds_admit_their_edges():

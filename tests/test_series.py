@@ -11,6 +11,7 @@ from lensshrinker import (BracketFailure, CertificateFailure, ContractionConstan
                           invert_L, j_function, nonlinear_Q, picard_analytic,
                           picard_c2_oracle, weighted_norm)
 from lensshrinker.series import (R_STAR, derive_contraction_constants,
+                                 gauss_legendre_composite, gauss_legendre_rule,
                                  radial_laplacian_inverse, regime_constants)
 
 SQRT2 = math.sqrt(2.0)
@@ -472,3 +473,17 @@ def test_c2_oracle_lipschitz_in_height():
 def test_c2_oracle_rejects_uncertified_interval():
     with pytest.raises(CertificateFailure):
         picard_c2_oracle(SQRT2, 1.0 / (3.0 * SQRT2))
+
+
+@pytest.mark.parametrize("nodes", [10, 40])
+def test_gauss_legendre_rule_cached_and_read_only(nodes):
+    xg, wg = gauss_legendre_rule(nodes)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
+    assert np.array_equal(xg, ref_x) and np.array_equal(wg, ref_w)
+    assert gauss_legendre_rule(nodes)[0] is xg
+    assert not xg.flags.writeable and not wg.flags.writeable
+    with pytest.raises(ValueError):
+        xg[0] = 0.0
+    # the composite rule built on the cached arrays leaves them untouched
+    xs, ws = gauss_legendre_composite(0.0, 2.0, 3, nodes)
+    assert np.array_equal(xg, ref_x) and ws.flags.writeable

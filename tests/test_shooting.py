@@ -117,6 +117,13 @@ def test_find_lens_minmax_steps(monkeypatch, g):
     assert lo < 0.7123456789 <= hi and hi - lo <= tol_a
 
 
+@pytest.mark.parametrize("tol_a", [math.inf, SQRT2 - 0.05, 0.0, -1e-10,
+                                   math.nan])
+def test_find_lens_rejects_unbounded_tol_a(tol_a):
+    with pytest.raises(ValueError, match="tol_a"):
+        find_lens(tol_a=tol_a)
+
+
 def test_find_lens_stops_at_float_resolution(monkeypatch):
     # a tolerance below the float spacing near a* still terminates, and every
     # bracket straddles the sign change of u'(s_bar) - 1/2
