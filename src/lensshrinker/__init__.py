@@ -20,13 +20,13 @@ angles) that shrinks homothetically under mean curvature flow:
 """
 
 from .arclength import LensProfile, integrate_profile, polar_monitors
-from .cluster import ClusterMesh, build_cluster, shrinker_residual_on_curve, write_obj
+from .cluster import ClusterMesh, build_cluster, write_obj
 from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,
                      LensError, MonitorViolation, NoContraction,
                      NoConvergence, NoCrossing, StepFailure)
 from .graph_profile import (ProfileSample, graph_view, seed_from_series,
                             transversality_monitor)
-from .series import (ContractionConstants, EvenSeries, apply_G, apply_L,
+from .series import (ContractionConstants, EvenSeries, apply_L,
                      contraction_certificate, eta_coefficients, find_x0,
                      invert_L, j_function, nonlinear_Q, picard_analytic,
                      picard_c2_oracle, weighted_norm)
@@ -40,10 +40,10 @@ __all__ = [
     "ContractionConstants", "DegenerateProfile", "EvenSeries", "LensError",
     "LensProfile", "MonitorViolation", "NoContraction", "NoConvergence",
     "NoCrossing", "PipelineConfig", "ProfileSample", "ShootReport",
-    "StepFailure", "angle_of", "apply_G", "apply_L", "build_cluster",
+    "StepFailure", "angle_of", "apply_L", "build_cluster",
     "contraction_certificate", "eta_coefficients", "find_lens", "find_x0",
     "graph_view", "integrate_profile", "invert_L", "j_function",
     "nonlinear_Q", "picard_analytic", "picard_c2_oracle", "polar_monitors",
-    "sample_angle_table", "seed_from_series", "shrinker_residual_on_curve",
-    "transversality_monitor", "weighted_norm",
+    "sample_angle_table", "seed_from_series", "transversality_monitor",
+    "weighted_norm",
 ]

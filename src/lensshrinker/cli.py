@@ -40,6 +40,9 @@ EXIT_MONITOR = 4
 MAX_ORDER = 256
 MAX_TABLE_ROWS = 10_000
 N_THETA_RANGE = (16, 4096)
+# the mesh's degenerate-triangle test is relative to its bounding box, so a
+# wider annulus fails it at fine n_theta; junction radii stay below 1.8
+MAX_ANNULUS_OUTER = 30.0
 
 
 @dataclass
@@ -86,6 +89,10 @@ class RunConfig:
             raise ValueError(f"jobs must lie in [1, {cpus}] (the CPU count)")
         if not N_THETA_RANGE[0] <= self.n_theta <= N_THETA_RANGE[1]:
             raise ValueError(f"n_theta must lie in {list(N_THETA_RANGE)}")
+        if self.annulus_outer is not None and \
+                not 0.0 < self.annulus_outer <= MAX_ANNULUS_OUTER:
+            raise ValueError(f"annulus_outer must lie in "
+                             f"(0, {MAX_ANNULUS_OUTER}]")
         if self.table_range is not None:
             lo, hi, step = self.table_range
             if not (0.0 < lo <= hi <= A_CIRCLE and step > 0.0):
@@ -253,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None,
                    help="profile height (default: shoot for the junction height)")
     p.add_argument("--n-theta", type=int, default=64)
-    p.add_argument("--annulus-outer", type=float, default=None)
+    p.add_argument("--annulus-outer", type=float, default=None,
+                   help=f"annulus radius, at most {MAX_ANNULUS_OUTER:g} "
+                        "(default: 3x the junction radius)")
     p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
 
     p = sub.add_parser("verify", help="run the invariant suite")

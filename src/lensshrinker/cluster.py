@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arclength import LensProfile, curvature_arrays, shrinker_residual
+from .arclength import LensProfile
 from .errors import DegenerateProfile
 
 SHEET_UPPER = 0
@@ -204,23 +204,6 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
                 bool(up_ok and low_ok and ann_ok),
                 "outward normal z-sign uniform per sheet"))
     return out
-
-
-def shrinker_residual_on_curve(profile: LensProfile) -> float:
-    """Max pointwise residual of the shrinker identity along the profile.
-
-    Combines the dynamical form (second derivatives substituted from the
-    arclength system) with the integral-form curvature identity; the former
-    degenerates to a scaled unit-speed check for any unit tangent field, so
-    the latter is what catches geometry that does not actually solve the
-    equation.  The residual lives on the smooth curve; discrete-mesh
-    curvature is deliberately out of scope.
-    """
-    dyn = float(np.max(np.abs(shrinker_residual(profile))))
-    k_alg, k_var, k_int = curvature_arrays(profile)
-    integral = float(np.max(np.abs(k_alg - k_int)))
-    variation = float(np.max(np.abs(k_alg - k_var)))
-    return max(dyn, integral, variation)
 
 
 def write_obj(mesh: ClusterMesh, path) -> None:

@@ -111,12 +111,29 @@ class DenseOutput:
     y_old: np.ndarray  # (m, n)
     F: np.ndarray      # (m, 7, n)
 
-    def __call__(self, t) -> np.ndarray:
-        """States at the 1-d array of points t, shape (n, len(t))."""
+    def _locate(self, t):
+        # piece index and local coordinate x of each point of t
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
-        x = ((t - self.ts[k]) / self.h[k])[:, None]
+        return k, ((t - self.ts[k]) / self.h[k])[:, None]
+
+    def __call__(self, t) -> np.ndarray:
+        """States at the 1-d array of points t, shape (n, len(t))."""
+        k, x = self._locate(t)
         return _horner(self.F[k], self.y_old[k], x).T
+
+    def derivative(self, t) -> np.ndarray:
+        """Exact t-derivative of each piece's polynomial at the points t,
+        shape (n, len(t)); it equals the right-hand side at step ends."""
+        k, x = self._locate(t)
+        F = self.F[k]
+        p = dp = 0.0  # the Horner value and its x-derivative, innermost first
+        for i in range(6, -1, -1):
+            m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
+            p = p + F[:, i, :]
+            dp = dp * m + p * dm
+            p = p * m
+        return (dp / self.h[k][:, None]).T
 
 
 # the dense output, fun(t0, y0), each event's roots and states, the work done

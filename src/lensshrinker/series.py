@@ -199,15 +199,6 @@ def invert_L(g: EvenSeries) -> EvenSeries:
     return EvenSeries(h, g.radius)
 
 
-def apply_G(g: EvenSeries) -> EvenSeries:
-    """Diagonal smoothing g_n -> g_n / ((n+2) max(1, n)); bounds invert_L."""
-    c = g.coeffs.copy()
-    for k in range(len(c)):
-        n = 2 * k
-        c[k] /= (n + 2) * max(1, n)
-    return EvenSeries(c, g.radius)
-
-
 def eta_coefficients(order: int = DEFAULT_ORDER) -> EvenSeries:
     """Kernel generator of the linear operator: eta_0 = 1, recursion
     eta_{n+2} = (n-1) eta_n / (n+2)^2.  All coefficients beyond degree 0
@@ -413,7 +404,7 @@ def derive_contraction_constants(a: float, r: float,
     """Pick certified (R, L) for the given (a, r), or raise NoContraction.
 
     Analytic flavor: the smallness regime gives R = a / K_r, L = (a/a0)^2
-    with a0 = C_r K_r whenever a < a0; otherwise scan fallback candidates.
+    with a0 = C_r K_r, so a >= a0 raises (a0 ~ 41.5 at r = R_STAR).
     C2 flavor: the local-existence rule R = 6a, L = 1/2.
     """
     if a <= 0.0 or r <= 0.0:
@@ -429,16 +420,8 @@ def derive_contraction_constants(a: float, r: float,
         c = ContractionConstants(a, r, a / K_r, (a / a0) ** 2, "analytic")
         if contraction_certificate(c).certified:
             return c
-    # direct scan over candidate balls; deterministic and coarse on purpose
-    for L in (0.5, 0.9, 0.99):
-        e = math.exp(r * r / 2.0)
-        disc = (0.5 * a * r * e) ** 2 + 3.0 * (1.0 + r * r) * e * L
-        R_max = (math.sqrt(disc) - 0.5 * a * r * e) / (1.5 * (1.0 + r * r) * e)
-        for R in np.linspace(R_max, R_max / 200.0, 200):
-            c = ContractionConstants(a, r, float(R), L, "analytic")
-            if contraction_certificate(c).certified:
-                return c
-    raise NoContraction(f"no certified ball found for a={a}, r={r}")
+    raise NoContraction(f"no certified ball in the smallness regime for "
+                        f"a={a}, r={r} (a0 = C_r K_r = {a0})")
 
 
 # ---------------------------------------------------------------------------

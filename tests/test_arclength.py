@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from lensshrinker import (find_x0, integrate_profile, picard_analytic,
-                          polar_monitors, seed_from_series)
+from lensshrinker import (MonitorViolation, angle_of, arclength, find_x0,
+                          integrate_profile, picard_analytic, polar_monitors,
+                          seed_from_series)
 from lensshrinker.arclength import (annulus_log_halfwidth, curvature_arrays,
                                     profile_summary, profile_to_csv,
                                     shrinker_residual, transversality_floor,
@@ -110,10 +112,10 @@ def test_polar_monitors_pass(a, profiles):
     report = polar_monitors(p, a)
     assert report.all_passed
     rows = report.to_json_list()
-    assert {r["monitor_id"] for r in rows} >= {
+    assert {r["monitor_id"] for r in rows} == {
         "radial_transversality_global", "radial_transversality_graph",
         "radial_speed_cone", "annulus_lower", "annulus_upper",
-        "turning_rate", "theta_decreasing", "theta_endpoints"}
+        "turning_rate", "theta_decreasing"}
 
 
 def test_theta_runs_from_half_pi_to_zero(profiles):
@@ -155,6 +157,33 @@ def test_small_height_floors_underflow_gracefully():
 def test_shrinker_residual_small(a, profiles):
     _, p = profiles[a]
     assert np.max(np.abs(shrinker_residual(p))) < 1e-8
+
+
+def test_defect_fails_a_profile_with_a_wrong_rhs(monkeypatch, profiles):
+    # phi' off by 1e-6 passes every geometric monitor; only the defect sees it
+    rhs = arclength.arclength_rhs
+
+    def skewed(s, y):
+        f = rhs(s, y)
+        f[2] *= 1.0 + 1e-6
+        return f
+
+    monkeypatch.setattr(arclength, "arclength_rhs", skewed)
+    with pytest.raises(MonitorViolation) as err:
+        angle_of(1.0)
+    message = str(err.value)
+    assert "'shrinker_residual'" in message
+    others = set(profiles[1.0][1].monitors) - {"shrinker_residual"}
+    assert not [name for name in others if f"'{name}'" in message]
+
+
+def test_defect_sees_a_dense_output_off_the_ode(profiles):
+    _, p = profiles[1.0]
+    d = p.dense
+    v_up = np.array([1.0, 1.01, 1.0, 1.0, 1.0])  # the v rows scaled by 1.01
+    bent = dataclasses.replace(
+        p, dense=dataclasses.replace(d, y_old=d.y_old * v_up, F=d.F * v_up))
+    assert np.max(shrinker_residual(bent)) > 1e-3
 
 
 @pytest.mark.parametrize("a", A_SUITE)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lensshrinker import cli, shooting
+from lensshrinker import checks, cli, shooting
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_MONITOR, EXIT_OK,
                               RunConfig, config_from_args, build_parser, main)
 from lensshrinker.dop853 import RTOL_FLOOR
@@ -192,6 +192,22 @@ def test_unbounded_tolerances_exit_with_config_error(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--a", "0.9", "--annulus-outer", value]
+    for value in ("nan", "inf", "1e300", "0", "-1", "30.000000000000004")
+] + [["mesh", "--annulus-outer", "inf"]])
+def test_annulus_outer_is_bounded_before_any_solve(tmp_path, monkeypatch,
+                                                   argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --annulus-outer was validated")
+
+    monkeypatch.setattr(cli, "angle_of", no_solve)
+    monkeypatch.setattr(cli, "find_lens", no_solve)
+    out = tmp_path / "out"
+    assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_tolerance_bounds_admit_their_edges():
     assert parse(["solve", "--a", "0.9", "--ode-rel", repr(RTOL_FLOOR)]
                  ).ode_rel == RTOL_FLOOR
@@ -223,6 +239,8 @@ def test_size_bounds_admit_their_edges():
     assert parse(["solve", "--a", repr(SQRT2), "--order", "256"]).a == SQRT2
     for n_theta in ("16", "4096"):
         assert parse(["mesh", "--n-theta", n_theta]).n_theta == int(n_theta)
+    assert parse(["mesh", "--annulus-outer", "30"]).annulus_outer \
+        == cli.MAX_ANNULUS_OUTER
 
 
 def test_output_dir_env_fallback(tmp_path, monkeypatch):
@@ -245,6 +263,13 @@ def test_runconfig_roundtrip_defaults():
     d = cfg.to_dict()
     assert d["tolerances"]["tol_a"] == 1e-10
     assert d["order"] == 64
+
+
+def test_verify_shoot_bounds_the_defect_by_the_ode_tolerance():
+    cfg = shooting.PipelineConfig(ode_rtol=1e-10, ode_atol=1e-10)
+    result = checks.check_junction_shoot(cfg)
+    assert result.passed, result.detail
+    assert "(bound 1e-06)" in result.detail
 
 
 def test_verify_exits_zero(capsys):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lensshrinker import build_cluster, shrinker_residual_on_curve
+from lensshrinker import build_cluster
+from lensshrinker.arclength import curvature_arrays, shrinker_residual
 from lensshrinker.cluster import (SHEET_ANNULUS, SHEET_LOWER, SHEET_UPPER,
                                   mesh_checks, resample_profile, write_metadata,
                                   write_obj)
@@ -149,22 +150,25 @@ def test_resample_is_arclength_uniform(circle_profile):
 # residual report
 # ---------------------------------------------------------------------------
 
+def curvature_split(p) -> float:
+    """Largest disagreement of the two integral curvatures with k_alg."""
+    k_alg, k_var, k_int = curvature_arrays(p)
+    return float(np.max(np.abs([k_alg - k_var, k_alg - k_int])))
+
+
 def test_residual_on_computed_profiles(profiles, lens_report):
-    for a, (_, p) in profiles.items():
-        assert shrinker_residual_on_curve(p) < 1e-8
-    assert shrinker_residual_on_curve(lens_report.profile) < 1e-8
+    for p in [p for _, p in profiles.values()] + [lens_report.profile]:
+        assert np.max(shrinker_residual(p)) < 1e-8
+        assert curvature_split(p) < 1e-8
 
 
 def test_residual_on_circle_is_roundoff(circle_profile):
-    assert shrinker_residual_on_curve(circle_profile) < 1e-10
+    assert curvature_split(circle_profile) < 1e-10
 
 
 def test_residual_negative_control(profiles):
-    import copy
     _, p = profiles[1.0]
-    perturbed = copy.deepcopy(p)
-    perturbed.v = perturbed.v * 1.01
-    assert shrinker_residual_on_curve(perturbed) > 1e-3
+    assert curvature_split(dataclasses.replace(p, v=p.v * 1.01)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

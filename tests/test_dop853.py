@@ -158,6 +158,21 @@ def test_dense_output_follows_the_circle_from_the_axis(circle_profile):
     assert np.max(dev) < 1e-11
 
 
+def test_dense_derivative_is_the_rhs_at_step_ends_and_the_slope_inside():
+    def pendulum(t, y):
+        return [y[1], -math.sin(y[0])]
+
+    d = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, rtol=1e-10,
+                         atol=1e-10).dense
+    ends = d.ts[1:]  # each belongs to the step it ends
+    f_ends = np.array([pendulum(t, y) for t, y in zip(ends, d(ends).T)]).T
+    assert np.max(np.abs(d.derivative(ends) - f_ends)) < 1e-14
+    inside = d.ts[:-1] + 0.37 * d.h
+    dt = 1e-5 * d.h
+    central = (d(inside + dt) - d(inside - dt)) / (2 * dt)
+    assert np.max(np.abs(d.derivative(inside) - central)) < 1e-9
+
+
 def test_resampling_ignores_the_stored_state_set(profiles):
     # the mesh comes from the dense output, so thinning the stored states
     # (keeping the axis point and the crossing) leaves it unchanged

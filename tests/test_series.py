@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from lensshrinker import (BracketFailure, CertificateFailure, ContractionConstants,
-                          EvenSeries, NoContraction, apply_G, apply_L,
+                          EvenSeries, NoContraction, apply_L,
                           contraction_certificate, eta_coefficients, find_x0,
                           invert_L, j_function, nonlinear_Q, picard_analytic,
                           picard_c2_oracle, weighted_norm)
@@ -15,6 +15,12 @@ from lensshrinker.series import (R_STAR, derive_contraction_constants,
                                  radial_laplacian_inverse, regime_constants)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def apply_G(g: EvenSeries) -> EvenSeries:
+    """Diagonal smoothing g_n -> g_n / ((n+2) max(1, n)); bounds invert_L."""
+    n = 2 * np.arange(len(g.coeffs))
+    return EvenSeries(g.coeffs / ((n + 2) * np.maximum(1, n)), g.radius)
 
 
 # ---------------------------------------------------------------------------
