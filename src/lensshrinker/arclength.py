@@ -23,11 +23,12 @@ axis-orthogonal start,
 whose pointwise agreement with the algebraic form -v'/u + u v' - v u' is
 the central consistency oracle of the pipeline.
 
-One adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
-:mod:`lensshrinker.dop853`) runs from the series seed at u = x_seed (the
-axis series supplies the segment [0, x_seed] and its quadratures) to the
-first v = 0, located by root refinement on the dense output; the first
-passage of u through 1 is recorded as s_star.
+The axis series seeds the curve: it supplies the segment [0, x_seed], the
+state at u = x_seed and the quadratures over that segment.  From there one
+adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
+:mod:`lensshrinker.dop853`) runs to the first v = 0, located by root
+refinement on the dense output; the first passage of u through 1 is
+recorded as s_star.
 Transversality floors, polar annulus bounds and the strict decrease of the
 polar angle (which certifies that the curve cannot self-intersect) are
 monitored on the computed states, together with the graph-region
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import dop853, graph_profile
 from .errors import MonitorViolation, NoCrossing
-from .series import EvenSeries
+from .series import EvenSeries, gauss_legendre_composite
 
 MONITOR_SLACK_TOL = -1e-9
 # bound on the dense output's ODE defect, per unit of max(rtol, atol)
@@ -54,6 +55,8 @@ ARCLENGTH_HARD_CAP = 50.0
 # monitors see the curve between the steps of the adaptive integrator
 DENSE_POINTS_PER_STEP = 4
 
+# where the axis series hands the curve to the integrator
+X_SEED = 1e-3
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
 DEFAULT_EVENT_TOL = 1e-12
@@ -124,34 +127,56 @@ def turning_floor(a: float) -> float:
     return K * math.exp(-annulus_log_halfwidth(a))
 
 
-def integrate_profile(seed: graph_profile.ProfileSample, a: float,
-                      series: EvenSeries, *, rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL,
-                      event_tol: float = DEFAULT_EVENT_TOL) -> LensProfile:
-    """Integrate the angle form from the series seed to the crossing v = 0.
+def seed_quadratures(h: EvenSeries, a: float, x_seed: float,
+                     nodes: int = 40) -> tuple[float, float, float]:
+    """Initial (s, i_phi, i_v) from the series on [0, x_seed].
 
-    The curve starts at the seed (x_seed, f, f') with phi = atan f';
-    arclength and quadratures start from their values on [0, x_seed], taken
-    from the seeding series.  The crossing is event-detected on the dense
-    output and refined until |v(s_bar)| <= event_tol; s_star is the first
-    passage of u through 1.  Integration fails safe at s_max = pi / (2 c_a)
-    -- reaching it contradicts the guaranteed crossing and raises
-    NoCrossing.
+    Gauss-Legendre on the analytic segment; the i_phi integrand uses the
+    even function h'(x)/x directly, so its removable singularity at the
+    axis (limit -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
+    """
+    t, w = gauss_legendre_composite(0.0, x_seed, 1, nodes)
+    f = a + h(t)
+    hp_over_x = h.deriv_over_x(t)
+    fp = hp_over_x * t
+    sq = np.sqrt(1.0 + fp * fp)
+    e = np.exp(-0.5 * (t * t + f * f))
+    return (float(np.sum(w * sq)),
+            float(np.sum(w * e * hp_over_x / sq)),
+            float(np.sum(w * e * f * sq)))
+
+
+def integrate_profile(series: EvenSeries, a: float, *, x_seed: float = X_SEED,
+                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                      event_tol: float = DEFAULT_EVENT_TOL) -> LensProfile:
+    """Integrate the angle form from the axis series to the crossing v = 0.
+
+    The series h seeds the curve at u = x_seed, which must lie in
+    (0, series.radius): v = a + h(x_seed) and phi = atan h'(x_seed), with
+    arclength and quadratures starting from their values on [0, x_seed].
+    The crossing is event-detected on the dense output and refined until
+    |v(s_bar)| <= event_tol; s_star is the first passage of u through 1.
+    Integration fails safe at s_max = pi / (2 c_a) -- reaching it
+    contradicts the guaranteed crossing and raises NoCrossing.
 
     All proved monitors are evaluated on the returned states; a violation
     beyond tolerance raises MonitorViolation, and an integrator failure
-    raises StepFailure.  rtol below 100 eps, or a non-finite rtol or atol,
-    raises ValueError.
+    raises StepFailure.  An x_seed outside (0, series.radius), rtol below
+    100 eps, or a non-finite rtol or atol raises ValueError.
     """
     if a <= 0.0:
         raise ValueError("a must be positive")
-    s0, iphi0, iv0 = graph_profile.seed_quadratures(series, a, seed.x)
+    if not 0.0 < x_seed < series.radius:
+        raise ValueError(f"x_seed={x_seed} must be positive and inside the "
+                         f"certified radius {series.radius}")
+    s0, iphi0, iv0 = seed_quadratures(series, a, x_seed)
     c_a = turning_floor(a)
     s_max = min(math.pi / (2.0 * c_a) if c_a > 0.0 else math.inf,
                 s0 + ARCLENGTH_HARD_CAP)
 
     sol = dop853.integrate(arclength_rhs, s0,
-                           [seed.x, seed.f, math.atan(seed.fp), iphi0, iv0],
+                           [x_seed, a + series(x_seed),
+                            math.atan(series.deriv(x_seed)), iphi0, iv0],
                            s_max, rtol=rtol, atol=atol,
                            events=[(lambda y: y[1], -1, True),
                                    (lambda y: y[0] - 1.0, 1, False)])

@@ -28,21 +28,18 @@ from .cluster import build_cluster, write_metadata, write_obj
 from .dop853 import RTOL_FLOOR
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
-from .shooting import (A_CIRCLE, DEFAULT_BRACKET, DEFAULT_TOL_A,
-                       PipelineConfig, angle_of, angle_table_to_csv,
-                       find_lens, sample_angle_table)
+from .shooting import (A_CIRCLE, DEFAULT_BRACKET, PipelineConfig, angle_of,
+                       angle_table_to_csv, find_lens, sample_angle_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BRACKET = 3
 EXIT_MONITOR = 4
 
-MAX_ORDER = 256
 MAX_TABLE_ROWS = 10_000
 N_THETA_RANGE = (16, 4096)
-# the mesh's degenerate-triangle test is relative to its bounding box, so a
-# wider annulus fails it at fine n_theta; junction radii stay below 1.8
-MAX_ANNULUS_OUTER = 30.0
+# keeps the annulus input finite; junction radii stay below 1.8
+MAX_ANNULUS_OUTER = 1000.0
 
 
 @dataclass
@@ -52,47 +49,39 @@ class RunConfig:
     command: str
     a: float | None = None
     bracket: tuple[float, float] = DEFAULT_BRACKET
-    tol_a: float = DEFAULT_TOL_A
-    order: int = 64
-    series_tol: float = 1e-14
-    ode_abs: float = 1e-12
-    ode_rel: float = 1e-12
-    event_tol: float = 1e-12
-    x_seed: float = 1e-3
     output_dir: str = "."
     json_output: bool = False
-    jobs: int = 1
     table_range: tuple[float, float, float] | None = None
     n_theta: int = 64
     annulus_outer: float | None = None
+    pipeline: PipelineConfig = PipelineConfig()
 
     def validate(self) -> None:
-        positive = {"tol_a": self.tol_a, "series_tol": self.series_tol,
-                    "ode_abs": self.ode_abs, "ode_rel": self.ode_rel,
-                    "event_tol": self.event_tol, "x_seed": self.x_seed}
+        p = self.pipeline
+        positive = {"tol_a": p.tol_a, "series_tol": p.series_tol,
+                    "ode_abs": p.ode_atol, "ode_rel": p.ode_rtol,
+                    "event_tol": p.event_tol}
         for name, value in positive.items():
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.ode_rel < RTOL_FLOOR:
+        if p.ode_rtol < RTOL_FLOOR:
             raise ValueError(f"ode_rel must be at least 100 eps = {RTOL_FLOOR}")
         if self.a is not None and not 0.0 < self.a <= A_CIRCLE:
             raise ValueError("a must lie in (0, sqrt(2)]")
         lo, hi = self.bracket
         if not 0.0 < lo < hi <= A_CIRCLE:
             raise ValueError("bracket must be ordered inside (0, sqrt(2)]")
-        if not self.tol_a < hi - lo:
+        if not p.tol_a < hi - lo:
             raise ValueError(f"tol_a must be below the bracket width {hi - lo}")
-        if not 8 <= self.order <= MAX_ORDER or self.order % 2:
-            raise ValueError(f"order must be an even integer in [8, {MAX_ORDER}]")
         cpus = os.cpu_count() or 1
-        if not 1 <= self.jobs <= cpus:
+        if not 1 <= p.jobs <= cpus:
             raise ValueError(f"jobs must lie in [1, {cpus}] (the CPU count)")
         if not N_THETA_RANGE[0] <= self.n_theta <= N_THETA_RANGE[1]:
             raise ValueError(f"n_theta must lie in {list(N_THETA_RANGE)}")
         if self.annulus_outer is not None and \
                 not 0.0 < self.annulus_outer <= MAX_ANNULUS_OUTER:
             raise ValueError(f"annulus_outer must lie in "
-                             f"(0, {MAX_ANNULUS_OUTER}]")
+                             f"(0, {MAX_ANNULUS_OUTER:g}]")
         if self.table_range is not None:
             lo, hi, step = self.table_range
             if not (0.0 < lo <= hi <= A_CIRCLE and step > 0.0):
@@ -101,20 +90,14 @@ class RunConfig:
             if (hi - lo) / step > MAX_TABLE_ROWS - 0.5:
                 raise ValueError(f"table range gives more than {MAX_TABLE_ROWS} rows")
 
-    def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(order=self.order, series_tol=self.series_tol,
-                              ode_rtol=self.ode_rel, ode_atol=self.ode_abs,
-                              event_tol=self.event_tol, x_seed=self.x_seed,
-                              tol_a=self.tol_a, jobs=self.jobs)
-
     def to_dict(self) -> dict:
+        p = self.pipeline
         d = {"command": self.command, "a": self.a,
              "bracket": list(self.bracket),
-             "tolerances": {"series_tol": self.series_tol,
-                            "ode_abs": self.ode_abs, "ode_rel": self.ode_rel,
-                            "event_tol": self.event_tol, "tol_a": self.tol_a},
-             "order": self.order, "x_seed": self.x_seed,
-             "output_dir": self.output_dir, "jobs": self.jobs,
+             "tolerances": {"series_tol": p.series_tol,
+                            "ode_abs": p.ode_atol, "ode_rel": p.ode_rtol,
+                            "event_tol": p.event_tol, "tol_a": p.tol_a},
+             "output_dir": self.output_dir, "jobs": p.jobs,
              "n_theta": self.n_theta, "annulus_outer": self.annulus_outer}
         if self.table_range is not None:
             d["table_range"] = list(self.table_range)
@@ -144,7 +127,7 @@ def _say(cfg: RunConfig, payload: dict, text: str) -> None:
 def cmd_solve(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     a = cfg.a
-    alpha, profile = angle_of(a, cfg.pipeline())
+    alpha, profile = angle_of(a, cfg.pipeline)
     tag = f"a{a:.8g}"
     trajectory_to_csv(profile, out / f"graph_{tag}.csv")
     _write_json(out / f"series_{tag}.json", profile.series.to_dict(a), cfg)
@@ -162,8 +145,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_shoot(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    report = find_lens(cfg.bracket[0], cfg.bracket[1], cfg.tol_a,
-                       cfg.pipeline())
+    report = find_lens(*cfg.bracket, cfg=cfg.pipeline)
     payload = report.to_dict()
     profile = report.profile
     payload["profile"] = profile_summary(profile)
@@ -181,7 +163,7 @@ def cmd_table(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     lo, hi, step = cfg.table_range
     values = list(np.arange(lo, hi + 0.5 * step, step))
-    report = sample_angle_table(values, cfg.pipeline())
+    report = sample_angle_table(values, cfg.pipeline)
     angle_table_to_csv(report, out / "angle_table.csv")
     _write_json(out / "angle_table.json", report.to_dict(), cfg)
     n_err = sum(1 for r in report.table if r.error is not None)
@@ -194,10 +176,9 @@ def cmd_table(cfg: RunConfig) -> int:
 def cmd_mesh(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     if cfg.a is not None:
-        _, profile = angle_of(cfg.a, cfg.pipeline())
+        _, profile = angle_of(cfg.a, cfg.pipeline)
     else:
-        profile = find_lens(cfg.bracket[0], cfg.bracket[1], cfg.tol_a,
-                            cfg.pipeline()).profile
+        profile = find_lens(*cfg.bracket, cfg=cfg.pipeline).profile
     mesh = build_cluster(profile, n_theta=cfg.n_theta,
                          annulus_outer=cfg.annulus_outer)
     write_obj(mesh, out / "lens.obj")
@@ -209,7 +190,7 @@ def cmd_mesh(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = checks.run_all(cfg.pipeline(), verbose=not cfg.json_output)
+    results = checks.run_all(cfg.pipeline, verbose=not cfg.json_output)
     payload = {"results": [{"name": r.name, "pass": r.passed,
                             "detail": r.detail} for r in results]}
     if cfg.json_output:
@@ -225,18 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lensshrinker",
         description="Lens-shaped self-shrinker profiles: solve, shoot, export.")
     sub = ap.add_subparsers(dest="command", required=True)
+    defaults = PipelineConfig()
 
     def common(p):
         p.add_argument("--output-dir", default=None,
                        help="output directory (fallback: $LENS_OUTPUT_DIR, then '.')")
         p.add_argument("--json", action="store_true", dest="json_output",
                        help="machine-readable stdout")
-        p.add_argument("--order", type=int, default=64)
-        p.add_argument("--series-tol", type=float, default=1e-14)
-        p.add_argument("--ode-abs", type=float, default=1e-12)
-        p.add_argument("--ode-rel", type=float, default=1e-12)
-        p.add_argument("--event-tol", type=float, default=1e-12)
-        p.add_argument("--x-seed", type=float, default=1e-3)
+        p.add_argument("--series-tol", type=float, default=defaults.series_tol)
+        p.add_argument("--ode-abs", type=float, default=defaults.ode_atol)
+        p.add_argument("--ode-rel", type=float, default=defaults.ode_rtol)
+        p.add_argument("--event-tol", type=float, default=defaults.event_tol)
 
     p = sub.add_parser("solve", help="compute one profile")
     common(p)
@@ -246,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a-lo", type=float, default=DEFAULT_BRACKET[0])
     p.add_argument("--a-hi", type=float, default=DEFAULT_BRACKET[1])
-    p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
+    p.add_argument("--tol-a", type=float, default=defaults.tol_a)
 
     p = sub.add_parser("table", help="tabulate the angle map")
     common(p)
     p.add_argument("--from", dest="a_from", type=float, required=True)
     p.add_argument("--to", dest="a_to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=defaults.jobs)
 
     p = sub.add_parser("mesh", help="export the three-sheet cluster mesh")
     common(p)
@@ -263,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annulus-outer", type=float, default=None,
                    help=f"annulus radius, at most {MAX_ANNULUS_OUTER:g} "
                         "(default: 3x the junction radius)")
-    p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
+    p.add_argument("--tol-a", type=float, default=defaults.tol_a)
 
     p = sub.add_parser("verify", help="run the invariant suite")
     common(p)
@@ -272,24 +252,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     out_dir = args.output_dir or os.environ.get("LENS_OUTPUT_DIR") or "."
+    defaults = PipelineConfig()
+    pipeline = PipelineConfig(
+        series_tol=args.series_tol, ode_rtol=args.ode_rel,
+        ode_atol=args.ode_abs, event_tol=args.event_tol,
+        tol_a=getattr(args, "tol_a", defaults.tol_a),
+        jobs=getattr(args, "jobs", defaults.jobs))
     cfg = RunConfig(command=args.command, output_dir=out_dir,
-                    json_output=args.json_output, order=args.order,
-                    series_tol=args.series_tol, ode_abs=args.ode_abs,
-                    ode_rel=args.ode_rel, event_tol=args.event_tol,
-                    x_seed=args.x_seed)
-    if args.command == "solve":
+                    json_output=args.json_output, pipeline=pipeline)
+    if args.command in ("solve", "mesh"):
         cfg.a = args.a
-    elif args.command == "shoot":
+    if args.command == "shoot":
         cfg.bracket = (args.a_lo, args.a_hi)
-        cfg.tol_a = args.tol_a
     elif args.command == "table":
         cfg.table_range = (args.a_from, args.a_to, args.step)
-        cfg.jobs = args.jobs
     elif args.command == "mesh":
-        cfg.a = args.a
         cfg.n_theta = args.n_theta
         cfg.annulus_outer = args.annulus_outer
-        cfg.tol_a = args.tol_a
     cfg.validate()
     return cfg
 

@@ -189,11 +189,14 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
 
     v = mesh.vertices
     t = mesh.triangles
-    n = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    e1, e2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
+    n = np.cross(e1, e2)
+    # each area against its own longest edge, so the floor scales per triangle
+    longest2 = np.max([np.einsum("ij,ij->i", e, e) for e in (e1, e2, e2 - e1)],
+                      axis=0)
     areas = 0.5 * np.linalg.norm(n, axis=1)
-    bbox = np.max(np.ptp(v, axis=0))
     out.append(("no_degenerate_triangles",
-                bool(np.min(areas) > 1e-12 * bbox * bbox),
+                bool(np.all(areas > 1e-12 * longest2)),
                 f"min area {np.min(areas):.3e}"))
 
     nz = n[:, 2]

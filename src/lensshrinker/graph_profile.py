@@ -4,10 +4,9 @@ Near the axis the profile is a graph whose height satisfies the regular ODE
 
     f'' = (1 + f'^2) [ f' (x - 1/x) - f ]
 
-away from x = 0.  This module seeds the curve from the axis series; the
-curve itself is integrated once, in angle form, by
-:func:`lensshrinker.arclength.integrate_profile`.  The graph quantities are
-views of its states on the strip 0 < u < 1:
+away from x = 0.  The curve is seeded from the axis series and integrated
+once, in angle form, by :func:`lensshrinker.arclength.integrate_profile`.
+The graph quantities are views of its states on the strip 0 < u < 1:
 
     x = u,   f = v,   f' = tan phi,   f'' = phi' / cos^3 phi.
 
@@ -22,58 +21,12 @@ and f' < 0 are monitored on every state between the seed and the crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .series import EvenSeries, gauss_legendre_composite
-
 if TYPE_CHECKING:
     from .arclength import LensProfile
-
-
-@dataclass(frozen=True)
-class ProfileSample:
-    """One point of the graph solution y = f(x)."""
-
-    x: float
-    f: float
-    fp: float
-    fpp: float
-
-
-def seed_from_series(h: EvenSeries, a: float, x_seed: float) -> ProfileSample:
-    """Evaluate the axis series at x_seed as the initial condition.
-
-    Returns (x_seed, a + h, h', h''); rejects seeds at or beyond the
-    certified radius of the series.
-    """
-    if not 0.0 < x_seed:
-        raise ValueError("x_seed must be positive")
-    if x_seed >= h.radius:
-        raise ValueError(f"x_seed={x_seed} is not inside the certified "
-                         f"radius {h.radius}")
-    return ProfileSample(x_seed, a + h(x_seed), h.deriv(x_seed), h.deriv2(x_seed))
-
-
-def seed_quadratures(h: EvenSeries, a: float, x_seed: float,
-                     nodes: int = 40) -> tuple[float, float, float]:
-    """Initial (s, i_phi, i_v) from the series on [0, x_seed].
-
-    Gauss-Legendre on the analytic segment; the i_phi integrand uses the
-    even function h'(x)/x directly, so its removable singularity at the
-    axis (limit -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
-    """
-    t, w = gauss_legendre_composite(0.0, x_seed, 1, nodes)
-    f = a + h(t)
-    hp_over_x = h.deriv_over_x(t)
-    fp = hp_over_x * t
-    sq = np.sqrt(1.0 + fp * fp)
-    e = np.exp(-0.5 * (t * t + f * f))
-    return (float(np.sum(w * sq)),
-            float(np.sum(w * e * hp_over_x / sq)),
-            float(np.sum(w * e * f * sq)))
 
 
 def _phi_prime(u, v, up, vp):

@@ -43,6 +43,8 @@ R_STAR = 1.0 / (36.0 * math.sqrt(2.0))
 DEFAULT_ORDER = 64
 DEFAULT_PICARD_TOL = 1e-14
 DEFAULT_PICARD_MAX_ITER = 200
+# truncation orders picard_analytic tries, until the tail is below eps * a
+SERIES_ORDERS = (8, 16, 32, 64, 128, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -440,42 +442,47 @@ class PicardInfo:
     linear_gap_bound: float
 
 
-def picard_analytic(a: float, r: float, order: int = DEFAULT_ORDER,
-                    tol: float = DEFAULT_PICARD_TOL,
-                    max_iter: int = DEFAULT_PICARD_MAX_ITER,
+def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
                     constants: ContractionConstants | None = None,
                     full_output: bool = False):
-    """Fixed point of h -> invert_L(Q(h, a)) on series of the given order.
+    """Fixed point of h -> invert_L(Q(h, a)) on truncated even series.
 
-    Starts from h = 0 (so the first iterate is -a J) and stops when the
-    weighted-norm distance between successive iterates drops below tol.
-    The (a, r) pair must admit a certified contraction ball; pass explicit
+    At each order of SERIES_ORDERS the iteration starts from h = 0 (so the
+    first iterate is -a J) and stops when the weighted-norm distance
+    between successive iterates drops below tol; the first order whose
+    fixed point has a tail estimate at r of at most eps * a is kept.  The
+    (a, r) pair must admit a certified contraction ball; pass explicit
     ``constants`` to override the derived ones.
 
-    Returns the solution series (radius = r), plus a PicardInfo when
-    ``full_output`` is set.
+    Returns the solution series (radius = r), plus a PicardInfo on the
+    kept order's iteration when ``full_output`` is set.
 
     Raises NoContraction when no certificate exists and NoConvergence when
-    the iteration budget is exhausted.
+    the iteration budget or SERIES_ORDERS is exhausted.
     """
     if constants is None:
         constants = derive_contraction_constants(a, r, "analytic")
     report = contraction_certificate(constants)
     if not report.certified:
         raise NoContraction(f"supplied constants are not certified: {constants}")
-    h = EvenSeries(np.zeros(order // 2 + 1), r)
-    distances = []
-    for it in range(max_iter):
-        q = nonlinear_Q(h, a).truncated(order - 2)
-        h_next = EvenSeries(invert_L(q).coeffs, r)
-        dist = weighted_norm(h_next - h, r)
-        distances.append(dist)
-        h = h_next
-        if dist < tol:
+    for order in SERIES_ORDERS:
+        h = EvenSeries(np.zeros(order // 2 + 1), r)
+        distances = []
+        for _ in range(DEFAULT_PICARD_MAX_ITER):
+            q = nonlinear_Q(h, a).truncated(order - 2)
+            h_next = EvenSeries(invert_L(q).coeffs, r)
+            distances.append(weighted_norm(h_next - h, r))
+            h = h_next
+            if distances[-1] < tol:
+                break
+        else:
+            raise NoConvergence(f"series iteration did not reach tol={tol} in "
+                                f"{DEFAULT_PICARD_MAX_ITER} steps (a={a}, r={r})")
+        if series_tail_ratio(h, r) <= np.finfo(float).eps * a:
             break
     else:
-        raise NoConvergence(f"series iteration did not reach tol={tol} "
-                            f"in {max_iter} steps (a={a}, r={r})")
+        raise NoConvergence(f"series tail at r={r} stays above eps * a up to "
+                            f"order {order} (a={a})")
     gap = weighted_norm(h + a * j_function(order), r)
     L = constants.L
     gap_bound = L * a * r * math.exp(r * r / 2.0) / (2.0 * (1.0 - L))
@@ -528,15 +535,62 @@ def radial_laplacian_inverse(g, xs: np.ndarray, w_max: float = 18.0,
     wn, ww = gauss_legendre_composite(0.0, w_max, cells, nodes)
     ew = np.exp(-wn)
     base_w = ww * np.exp(-2.0 * wn)
-    h = np.zeros(len(xs))
-    hp = np.zeros(len(xs))
-    for i, x in enumerate(xs):
-        if x == 0.0:
-            continue
-        gv = np.asarray(g(x * ew), dtype=float)
-        h[i] = x * x * float(np.sum(wn * base_w * gv))
-        hp[i] = x * float(np.sum(base_w * gv))
-    return h, hp
+    gv = np.asarray(g(xs[:, None] * ew), dtype=float)
+    return xs * xs * (gv @ (wn * base_w)), xs * (gv @ base_w)
+
+
+def not_a_knot_spline(x: np.ndarray, y: np.ndarray):
+    """Cubic spline through (x, y) with not-a-knot ends, as a callable.
+
+    The knot slopes solve a tridiagonal system by the Thomas algorithm:
+    interior rows make the second derivative continuous, the end rows make
+    the third derivative continuous across the second and the second-to-last
+    knot.  Points outside [x[0], x[-1]] use the end pieces.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 4:
+        raise ValueError("a not-a-knot spline needs at least four knots")
+    h = np.diff(x)
+    d = np.diff(y) / h
+    w0, w1 = h[0] + h[1], h[-2] + h[-1]
+    lower = np.r_[0.0, h[1:], w1].tolist()
+    diag = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]].tolist()
+    upper = np.r_[w0, h[:-1], 0.0].tolist()
+    rhs = np.r_[((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0,
+                3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:]),
+                (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1
+                ].tolist()
+    for i in range(1, n):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    slope = [0.0] * n
+    slope[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        slope[i] = (rhs[i] - upper[i] * slope[i + 1]) / diag[i]
+    s0, s1 = np.array(slope[:-1]), np.array(slope[1:])
+    # per-piece Taylor coefficients about x[k], highest degree first
+    coef = np.column_stack([(s0 + s1 - 2.0 * d) / (h * h),
+                            (3.0 * d - 2.0 * s0 - s1) / h, s0, y[:-1]])
+
+    def spline(t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n - 2)
+        dt, c = t - x[k], coef[k]
+        return ((c[..., 0] * dt + c[..., 1]) * dt + c[..., 2]) * dt + c[..., 3]
+
+    return spline
+
+
+@dataclass(frozen=True)
+class ProfileSample:
+    """One point of the graph solution y = f(x)."""
+
+    x: float
+    f: float
+    fp: float
+    fpp: float
 
 
 def picard_c2_oracle(a: float, r: float, grid: int = 129,
@@ -549,17 +603,13 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129,
         P(h, a) = x h' - h - a + h'^2 [h' (x - 1/x) - h - a],
 
     with T^{-1} realized by log-kernel quadrature and the right-hand side
-    interpolated by a cubic spline between grid points.  The pair (a, r)
-    must satisfy the C2 certificate with R = 6a, L = 1/2.
+    interpolated by a not-a-knot cubic spline between grid points.  The
+    pair (a, r) must satisfy the C2 certificate with R = 6a, L = 1/2.
 
     Returns the list of profile samples (x, a + h, h', h'') on the grid.
     This route never touches the series machinery; it is the
     cross-validation oracle for picard_analytic.
     """
-    from scipy.interpolate import CubicSpline
-
-    from .graph_profile import ProfileSample
-
     consts = ContractionConstants(a, r, 6.0 * a, 0.5, "C2")
     report = contraction_certificate(consts)
     if not report.certified:
@@ -574,7 +624,7 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129,
             core = hp * (xs - 1.0 / xs) - h - a
         g = xs * hp - h - a + hp * hp * core
         g[0] = -a
-        spline = CubicSpline(xs, g)
+        spline = not_a_knot_spline(xs, g)
         h_next, hp_next = radial_laplacian_inverse(spline, xs, w_max, cells, nodes)
         delta = float(np.max(np.abs(h_next - h)))
         h, hp = h_next, hp_next

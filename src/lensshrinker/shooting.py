@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 from .arclength import MONITOR_SLACK_TOL, LensProfile, integrate_profile
 from .errors import BracketFailure, LensError
-from .graph_profile import seed_from_series
 from .series import R_STAR, picard_analytic
 
 A_CIRCLE = math.sqrt(2.0)
@@ -31,11 +30,7 @@ DEFAULT_TOL_A = 1e-10
 class PipelineConfig:
     """Tolerances and knobs for the single-profile pipeline."""
 
-    order: int = 64
     series_tol: float = 1e-14
-    series_max_iter: int = 200
-    series_radius: float = R_STAR
-    x_seed: float = 1e-3
     ode_rtol: float = 1e-12
     ode_atol: float = 1e-12
     event_tol: float = 1e-12
@@ -50,25 +45,20 @@ class PipelineConfig:
                        ode_atol=self.ode_atol / factor,
                        event_tol=self.event_tol / factor)
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensProfile]:
     """Terminal tangent angle and full profile for one initial height.
 
-    Composes the pipeline: axis series, then one angle-form integration
-    from the series seed to the crossing.  Deterministic: identical (a, cfg)
-    inputs give bitwise-identical results.
+    Composes the pipeline: the axis series on [0, R_STAR], then one
+    angle-form integration that it seeds, out to the crossing.
+    Deterministic: identical (a, cfg) inputs give bitwise-identical results.
     """
     cfg = cfg or PipelineConfig()
     if not 0.0 < a <= A_CIRCLE:
         raise ValueError(f"a={a} outside the supported range (0, sqrt(2)]")
-    h = picard_analytic(a, cfg.series_radius, order=cfg.order,
-                        tol=cfg.series_tol, max_iter=cfg.series_max_iter)
-    seed = seed_from_series(h, a, cfg.x_seed)
-    profile = integrate_profile(seed, a, h, rtol=cfg.ode_rtol,
-                                atol=cfg.ode_atol, event_tol=cfg.event_tol)
+    h = picard_analytic(a, R_STAR, tol=cfg.series_tol)
+    profile = integrate_profile(h, a, rtol=cfg.ode_rtol, atol=cfg.ode_atol,
+                                event_tol=cfg.event_tol)
     return profile.alpha, profile
 
 

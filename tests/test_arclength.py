@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from lensshrinker import (MonitorViolation, angle_of, arclength, find_x0,
-                          integrate_profile, picard_analytic, polar_monitors,
-                          seed_from_series)
+                          integrate_profile, picard_analytic, polar_monitors)
 from lensshrinker.arclength import (annulus_log_halfwidth, curvature_arrays,
                                     profile_summary, profile_to_csv,
                                     shrinker_residual, transversality_floor,
@@ -206,9 +205,7 @@ def test_profile_stays_in_open_quadrant(a, profiles):
 
 def test_small_height_crossing_near_x0():
     x0 = find_x0()
-    h = picard_analytic(0.01, R_STAR)
-    seed = seed_from_series(h, 0.01, 1e-3)
-    p = integrate_profile(seed, 0.01, h)
+    p = integrate_profile(picard_analytic(0.01, R_STAR), 0.01)
     assert abs(p.xi - x0) < 0.05
     assert -0.2 < p.alpha < 0.0
 

@@ -168,7 +168,7 @@ TABLE = ["table", "--from", "0.0001", "--to", "1.0"]
     TABLE + ["--step", "0.1", "--jobs", str((os.cpu_count() or 1) + 1)],
     ["table", "--from", "0.0001", "--to", "1.0001", "--step", "0.0001"],
     TABLE + ["--step", "1e-320"],
-    ["solve", "--a", "0.5", "--order", "258"],
+    TABLE + ["--step", "0"],
     ["mesh", "--a", "0.5", "--n-theta", "15"],
     ["mesh", "--a", "0.5", "--n-theta", "4097"],
     ["solve", "--a", repr(SQRT2 + 1e-13)],
@@ -194,7 +194,7 @@ def test_unbounded_tolerances_exit_with_config_error(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["mesh", "--a", "0.9", "--annulus-outer", value]
-    for value in ("nan", "inf", "1e300", "0", "-1", "30.000000000000004")
+    for value in ("nan", "inf", "1e300", "0", "-1", "1000.0000000000001")
 ] + [["mesh", "--annulus-outer", "inf"]])
 def test_annulus_outer_is_bounded_before_any_solve(tmp_path, monkeypatch,
                                                    argv):
@@ -210,18 +210,32 @@ def test_annulus_outer_is_bounded_before_any_solve(tmp_path, monkeypatch,
 
 def test_tolerance_bounds_admit_their_edges():
     assert parse(["solve", "--a", "0.9", "--ode-rel", repr(RTOL_FLOOR)]
-                 ).ode_rel == RTOL_FLOOR
+                 ).pipeline.ode_rtol == RTOL_FLOOR
     width = SQRT2 - 0.05
     assert parse(["shoot", "--tol-a", repr(math.nextafter(width, 0.0))]
-                 ).tol_a < width
+                 ).pipeline.tol_a < width
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "0.5", "--order", "64"],
+    ["solve", "--a", "0.5", "--x-seed", "1e-3"],
+    ["mesh", "--order", "8"],
+])
+def test_removed_series_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fresh_interpreter_imports_no_scipy(tmp_path):
-    code = ("import sys\n"
+    code = ("import contextlib, io, sys\n"
             "import lensshrinker, lensshrinker.cli\n"
             "from lensshrinker import cli\n"
             f"assert cli.main(['solve', '--a', '0.9', '--output-dir', "
             f"{str(tmp_path)!r}]) == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -236,10 +250,10 @@ def test_size_bounds_admit_their_edges():
     cfg = parse(TABLE + ["--step", "0.0001", "--jobs", str(os.cpu_count() or 1)])
     lo, hi, step = cfg.table_range
     assert len(np.arange(lo, hi + 0.5 * step, step)) == 10_000
-    assert parse(["solve", "--a", repr(SQRT2), "--order", "256"]).a == SQRT2
+    assert parse(["solve", "--a", repr(SQRT2)]).a == SQRT2
     for n_theta in ("16", "4096"):
         assert parse(["mesh", "--n-theta", n_theta]).n_theta == int(n_theta)
-    assert parse(["mesh", "--annulus-outer", "30"]).annulus_outer \
+    assert parse(["mesh", "--annulus-outer", "1000"]).annulus_outer \
         == cli.MAX_ANNULUS_OUTER
 
 
@@ -262,7 +276,8 @@ def test_runconfig_roundtrip_defaults():
     cfg.validate()
     d = cfg.to_dict()
     assert d["tolerances"]["tol_a"] == 1e-10
-    assert d["order"] == 64
+    assert d["jobs"] == 1
+    assert "order" not in d and "x_seed" not in d
 
 
 def test_verify_shoot_bounds_the_defect_by_the_ode_tolerance():

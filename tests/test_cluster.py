@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lensshrinker import build_cluster
+from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
 from lensshrinker.cluster import (SHEET_ANNULUS, SHEET_LOWER, SHEET_UPPER,
                                   mesh_checks, resample_profile, write_metadata,
@@ -108,6 +108,18 @@ def test_mesh_checks_negative_controls(sphere_mesh, corrupt, check):
     assert list(checks) == ["reflection_symmetry", "junction_coherence",
                             "no_degenerate_triangles", "orientation_consistent"]
     assert not checks[check]
+
+
+@pytest.mark.parametrize("n_theta, size", [
+    (16, {}), (64, {}), (4096, {"n_s": 32, "n_r": 4})])
+def test_wide_annulus_passes_the_degenerate_floor(profiles, lens_report,
+                                                  n_theta, size):
+    # build_cluster raises unless every mesh check passes.  The floor is per
+    # triangle, so the annulus width does not move it; a floor scaled by the
+    # bounding box rejected these meshes except at n_theta = 16
+    suite = [angle_of(0.005)[1], lens_report.profile, profiles[SQRT2][1]]
+    for profile in suite:
+        build_cluster(profile, n_theta=n_theta, annulus_outer=1000.0, **size)
 
 
 def test_junction_angle_at_lens_height(lens_report):

@@ -8,10 +8,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from lensshrinker import PipelineConfig, angle_of, arclength, dop853
-from lensshrinker.arclength import integrate_profile, profile_summary
+from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
+                                    seed_quadratures)
 from lensshrinker.cluster import resample_profile
 from lensshrinker.errors import StepFailure
-from lensshrinker.graph_profile import seed_from_series, seed_quadratures
 
 SQRT2 = math.sqrt(2.0)
 HEIGHTS = [float(a) for a in np.geomspace(0.005, SQRT2, 11)]
@@ -19,10 +19,10 @@ EPS = np.finfo(float).eps
 
 
 def _scipy_solve(profile, cfg):
-    """solve_ivp on the same seed, bound and events as integrate_profile."""
+    """solve_ivp from the series at X_SEED, with the bound and events of
+    integrate_profile."""
     a, h = profile.a, profile.series
-    seed = seed_from_series(h, a, cfg.x_seed)
-    s0, iphi0, iv0 = seed_quadratures(h, a, seed.x)
+    s0, iphi0, iv0 = seed_quadratures(h, a, X_SEED)
     c_a = arclength.turning_floor(a)
     s_max = min(math.pi / (2.0 * c_a) if c_a > 0.0 else math.inf,
                 s0 + arclength.ARCLENGTH_HARD_CAP)
@@ -36,7 +36,8 @@ def _scipy_solve(profile, cfg):
     crossing.terminal, crossing.direction = True, -1
     u_passes_one.direction = 1
     return solve_ivp(arclength.arclength_rhs, (s0, s_max),
-                     [seed.x, seed.f, math.atan(seed.fp), iphi0, iv0],
+                     [X_SEED, a + h(X_SEED), math.atan(h.deriv(X_SEED)),
+                      iphi0, iv0],
                      method="DOP853", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
                      dense_output=True, events=[crossing, u_passes_one])
 
@@ -186,6 +187,5 @@ def test_resampling_ignores_the_stored_state_set(profiles):
 
 def test_integrate_profile_rejects_rtol_below_floor():
     _, p = angle_of(0.5)
-    seed = seed_from_series(p.series, 0.5, 1e-3)
     with pytest.raises(ValueError):
-        integrate_profile(seed, 0.5, p.series, rtol=1e-15)
+        integrate_profile(p.series, 0.5, rtol=1e-15)

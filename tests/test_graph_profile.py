@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lensshrinker import (MonitorViolation, PipelineConfig, angle_of,
-                          graph_view, integrate_profile, j_function,
-                          picard_analytic, seed_from_series,
-                          transversality_monitor)
-from lensshrinker.graph_profile import (ProfileSample, comparison_ratio,
-                                        seed_quadratures, trajectory_to_csv)
+from lensshrinker import (EvenSeries, MonitorViolation, PipelineConfig,
+                          angle_of, graph_view, integrate_profile, j_function,
+                          picard_analytic, transversality_monitor)
+from lensshrinker.arclength import seed_quadratures
+from lensshrinker.graph_profile import comparison_ratio, trajectory_to_csv
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
@@ -19,23 +18,31 @@ SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 
 def test_seed_limits_toward_axis():
+    # the series seed (x, a + h, h', h'') tends to (0, a, 0, -a/2)
     a = 0.8
     h = picard_analytic(a, R_STAR)
     for x_seed in (1e-3, 1e-5, 1e-7):
-        p = seed_from_series(h, a, x_seed)
-        assert abs(p.f - a) < a * x_seed
-        assert abs(p.fp) < a * x_seed
-        assert p.fpp == pytest.approx(-a / 2.0, rel=1e-5)
-    tiny = seed_from_series(h, a, 1e-9)
-    assert tiny.fpp == pytest.approx(-a / 2.0, rel=1e-12)
+        assert abs(h(x_seed)) < a * x_seed
+        assert abs(h.deriv(x_seed)) < a * x_seed
+        assert h.deriv2(x_seed) == pytest.approx(-a / 2.0, rel=1e-5)
+    assert h.deriv2(1e-9) == pytest.approx(-a / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("x_seed", [1e-3, 5e-4])
+def test_integrate_profile_starts_from_the_series(x_seed):
+    a = 0.8
+    h = picard_analytic(a, R_STAR)
+    p = integrate_profile(h, a, x_seed=x_seed)
+    assert (p.u[1], p.v[1]) == (x_seed, a + h(x_seed))
+    assert p.vp[1] / p.up[1] == pytest.approx(h.deriv(x_seed), rel=1e-14)
+    assert p.s[1] == pytest.approx(x_seed, rel=1e-6)
 
 
 def test_seed_rejects_outside_certified_radius():
     h = picard_analytic(1.0, R_STAR)
-    with pytest.raises(ValueError):
-        seed_from_series(h, 1.0, R_STAR)
-    with pytest.raises(ValueError):
-        seed_from_series(h, 1.0, -1e-3)
+    for x_seed in (R_STAR, 2.0 * R_STAR, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="x_seed"):
+            integrate_profile(h, 1.0, x_seed=x_seed)
 
 
 def test_seed_tracks_linear_solution_for_small_height():
@@ -43,8 +50,7 @@ def test_seed_tracks_linear_solution_for_small_height():
     h = picard_analytic(a, R_STAR)
     J = j_function(64)
     x_seed = 1e-3
-    p = seed_from_series(h, a, x_seed)
-    rel = abs(p.f / a - (1.0 - J(x_seed)))
+    rel = abs((a + h(x_seed)) / a - (1.0 - J(x_seed)))
     assert rel < 10.0 * a * a
 
 
@@ -125,11 +131,11 @@ def test_transversality_monitor_positive(profiles):
 
 
 def test_monitor_violation_on_inconsistent_seed():
-    # a seed with positive slope contradicts every slope bound
-    h = picard_analytic(1.0, R_STAR)
-    bad = ProfileSample(1e-3, 1.0, +0.5, 0.0)
+    # a series curving upward seeds a positive slope, which contradicts
+    # every slope bound
+    bad = EvenSeries([0.0, +0.25])
     with pytest.raises(MonitorViolation, match="graph_slope_negative"):
-        integrate_profile(bad, 1.0, h)
+        integrate_profile(bad, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +144,7 @@ def test_monitor_violation_on_inconsistent_seed():
 
 def test_seed_independence(profiles):
     _, ref = profiles[1.0]
-    _, p = angle_of(1.0, PipelineConfig(x_seed=5e-4))
+    p = integrate_profile(picard_analytic(1.0, R_STAR), 1.0, x_seed=5e-4)
     assert p.u[1] == 5e-4
     for name in ("alpha", "s_bar", "xi"):
         assert abs(getattr(p, name) - getattr(ref, name)) < 1e-10

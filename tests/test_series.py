@@ -12,9 +12,12 @@ from lensshrinker import (BracketFailure, CertificateFailure, ContractionConstan
                           picard_c2_oracle, weighted_norm)
 from lensshrinker.series import (R_STAR, derive_contraction_constants,
                                  gauss_legendre_composite, gauss_legendre_rule,
-                                 radial_laplacian_inverse, regime_constants)
+                                 not_a_knot_spline, radial_laplacian_inverse,
+                                 regime_constants, series_tail_ratio)
 
 SQRT2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
+A_STAR = 0.7860039861771013
 
 
 def apply_G(g: EvenSeries) -> EvenSeries:
@@ -359,6 +362,19 @@ def test_picard_linear_gap_bound_holds():
     assert info.linear_gap <= info.linear_gap_bound * (1.0 + 1e-9)
 
 
+def test_picard_order_is_the_first_doubling_with_tail_below_eps_a():
+    heights = [float(a) for a in np.geomspace(0.005, SQRT2, 11)] + [A_STAR]
+    for a in heights:
+        h = picard_analytic(a, R_STAR)
+        assert h.order == 8
+        assert series_tail_ratio(h, R_STAR) <= EPS * a
+    a = 0.01
+    h = picard_analytic(a, 1.0)
+    assert h.order == 32
+    assert series_tail_ratio(h, 1.0) <= EPS * a
+    assert series_tail_ratio(h.truncated(16), 1.0) > EPS * a
+
+
 def test_picard_small_height_cubic_law():
     J = j_function(64)
     ratios = []
@@ -440,6 +456,43 @@ def test_log_kernel_quadrature_unit():
     h, hp = radial_laplacian_inverse(lambda t: np.ones_like(t), xs)
     assert np.max(np.abs(h - xs**2 / 4.0)) < 1e-15
     assert np.max(np.abs(hp - xs / 2.0)) < 1e-15
+
+
+def test_radial_laplacian_inverse_matches_the_pointwise_sums():
+    xs = np.linspace(0.0, R_STAR, 33)
+
+    def g(t):
+        return np.cos(40.0 * t) - 2.0 * t
+
+    wn, ww = gauss_legendre_composite(0.0, 18.0, 16, 10)
+    base = ww * np.exp(-2.0 * wn)
+    h, hp = radial_laplacian_inverse(g, xs)
+    for x, h_x, hp_x in zip(xs, h, hp):
+        gv = g(x * np.exp(-wn))
+        assert h_x == pytest.approx(x * x * np.sum(wn * base * gv), rel=1e-14)
+        assert hp_x == pytest.approx(x * np.sum(base * gv), rel=1e-14)
+
+
+def test_not_a_knot_spline_matches_scipy():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(7)
+    grids = [np.cumsum(rng.uniform(0.2, 2.0, n)) for n in (4, 5, 17, 129)]
+    for x in grids + [np.linspace(0.0, R_STAR, 129)]:
+        y = rng.standard_normal(len(x))
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 400)])
+        ref = CubicSpline(x, y)(t)
+        assert np.max(np.abs(not_a_knot_spline(x, y)(t) - ref)) \
+            <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_not_a_knot_spline_reproduces_cubics():
+    x = np.cumsum(np.random.default_rng(3).uniform(0.5, 1.5, 9))
+    cubic = np.polynomial.Polynomial([0.3, -2.0, 0.5, 0.25])
+    t = np.linspace(x[0], x[-1], 101)
+    assert np.max(np.abs(not_a_knot_spline(x, cubic(x))(t) - cubic(t))) < 1e-12
+    with pytest.raises(ValueError):
+        not_a_knot_spline(x[:3], cubic(x[:3]))
 
 
 def test_c2_oracle_initial_conditions():
