@@ -156,30 +156,45 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     Junction coherence counts the triangles on each undirected edge: an edge
     of the junction circle borders exactly three, one per sheet; an edge of
     the annulus rim (at radius annulus_outer) borders one; every other edge
-    borders two.  A missing or duplicated triangle anywhere fails it.
+    borders two.  A missing or duplicated triangle anywhere fails it.  Each
+    edge key min*n + max carries its triangle's sheet bit in three low bits,
+    so one sort of the 3m packed keys gives every edge's run: the run length
+    is its triangle count and the OR of the low bits its set of sheets.
     """
     out = []
-    upper_set = mesh.vertices[np.unique(mesh.sheet_triangles(SHEET_UPPER))]
-    lower_set = mesh.vertices[np.unique(mesh.sheet_triangles(SHEET_LOWER))]
+    v, t, sheet = mesh.vertices, mesh.triangles, mesh.sheet_id
+    n_vert = len(v)
+
+    def vertex_mask(ids: np.ndarray) -> np.ndarray:
+        # v[mask] lists the vertices named in ids once each, in id order
+        mask = np.zeros(n_vert, dtype=bool)
+        mask[ids] = True
+        return mask
+
+    upper_set = v[vertex_mask(t[sheet == SHEET_UPPER])]
+    lower_set = v[vertex_mask(t[sheet == SHEET_LOWER])]
     reflected = upper_set * [1.0, 1.0, -1.0]
     sym = np.array_equal(reflected[np.lexsort(reflected.T[::-1])],
                          lower_set[np.lexsort(lower_set.T[::-1])])
     out.append(("reflection_symmetry", bool(sym),
                 "lower cap vertex set equals z-negated upper cap"))
 
-    n_vert = len(mesh.vertices)
-    edges = np.sort(mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
-    keys, inverse, counts = np.unique(edges[..., 0] * n_vert + edges[..., 1],
-                                      return_inverse=True, return_counts=True)
+    t_next = t[:, [1, 2, 0]]
+    packed = (np.minimum(t, t_next) * n_vert + np.maximum(t, t_next)) << 3
+    packed |= (1 << sheet)[:, None]
+    packed = np.sort(packed, axis=None)
+    edge = packed >> 3
+    starts = np.flatnonzero(np.concatenate([[True], edge[1:] != edge[:-1]]))
+    counts = np.diff(np.append(starts, len(edge)))
     # one bit per sheet: 0b111 on an edge of three triangles is one per sheet
-    sheet_bits = np.bincount(inverse.ravel(),
-                             weights=np.repeat(1 << mesh.sheet_id, 3))
-    radius = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    sheet_bits = np.bitwise_or.reduceat(packed & 7, starts)
+    lo, hi = np.divmod(edge[starts], n_vert)
+    radius = np.hypot(v[:, 0], v[:, 1])
     on_rim = np.isclose(radius, mesh.metadata["annulus_outer"],
                         rtol=1e-12, atol=0.0)
-    ends = np.stack(np.divmod(keys, n_vert))
-    junction_edge = np.isin(ends, mesh.junction).all(axis=0)
-    rim_edge = on_rim[ends].all(axis=0)
+    on_junction = vertex_mask(mesh.junction)
+    junction_edge = on_junction[lo] & on_junction[hi]
+    rim_edge = on_rim[lo] & on_rim[hi]
     expected = np.where(junction_edge, 3, np.where(rim_edge, 1, 2))
     coherent = (np.array_equal(counts, expected)
                 and np.all(sheet_bits[junction_edge] == 0b111))
@@ -187,38 +202,65 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
                 "junction edges border one triangle per sheet, rim edges one, "
                 "all other edges two"))
 
-    v = mesh.vertices
-    t = mesh.triangles
-    e1, e2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
-    n = np.cross(e1, e2)
+    # edge vectors e1 = p1 - p0, e2 = p2 - p0 and e2 - e1 from contiguous
+    # coordinate columns, and their cross product written out
+    x, y, z = np.ascontiguousarray(v.T)
+    t0, t1, t2 = np.ascontiguousarray(t.T)
+    x0, y0, z0 = x[t0], y[t0], z[t0]
+    ax, ay, az = x[t1] - x0, y[t1] - y0, z[t1] - z0
+    bx, by, bz = x[t2] - x0, y[t2] - y0, z[t2] - z0
+    cx, cy, cz = bx - ax, by - ay, bz - az
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
     # each area against its own longest edge, so the floor scales per triangle
-    longest2 = np.max([np.einsum("ij,ij->i", e, e) for e in (e1, e2, e2 - e1)],
-                      axis=0)
-    areas = 0.5 * np.linalg.norm(n, axis=1)
+    longest2 = np.maximum(np.maximum(ax * ax + ay * ay + az * az,
+                                     bx * bx + by * by + bz * bz),
+                          cx * cx + cy * cy + cz * cz)
+    areas = 0.5 * np.sqrt(nx * nx + ny * ny + nz * nz)
     out.append(("no_degenerate_triangles",
                 bool(np.all(areas > 1e-12 * longest2)),
                 f"min area {np.min(areas):.3e}"))
 
-    nz = n[:, 2]
-    up_ok = np.all(nz[mesh.sheet_id == SHEET_UPPER] > 0.0)
-    low_ok = np.all(nz[mesh.sheet_id == SHEET_LOWER] < 0.0)
-    ann_ok = np.all(nz[mesh.sheet_id == SHEET_ANNULUS] > 0.0)
+    up_ok = np.all(nz[sheet == SHEET_UPPER] > 0.0)
+    low_ok = np.all(nz[sheet == SHEET_LOWER] < 0.0)
+    ann_ok = np.all(nz[sheet == SHEET_ANNULUS] > 0.0)
     out.append(("orientation_consistent",
                 bool(up_ok and low_ok and ann_ok),
                 "outward normal z-sign uniform per sheet"))
     return out
 
 
+def _lines(head: bytes, tokens: np.ndarray, index: np.ndarray) -> bytes:
+    """One line `head tok tok tok` per row of the (rows, 3) index into the
+    NUL-padded token table; the caller strips the NULs."""
+    rows, width = len(index), tokens.dtype.itemsize
+    line = np.empty((rows, len(head) + 3 * (width + 1) + 1), dtype=np.uint8)
+    line[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+    fields = line[:, len(head):-1].reshape(rows, 3, width + 1)
+    fields[:, :, 0] = ord(" ")
+    fields[:, :, 1:] = tokens[index].view(np.uint8).reshape(rows, 3, width)
+    line[:, -1] = ord("\n")
+    return line.tobytes()
+
+
 def write_obj(mesh: ClusterMesh, path) -> None:
-    """Wavefront OBJ with one group per sheet; 1-based face indices."""
-    v = mesh.vertices
-    parts = ["v %.17g %.17g %.17g\n" * len(v) % tuple(v.ravel().tolist())]
+    """Wavefront OBJ with one group per sheet; 1-based face indices.
+
+    Coordinates are printed with %.17g and indices with %d.  Each distinct
+    float64 bit pattern (so -0.0 apart from 0.0) and each index is formatted
+    once into a token table that the lines gather from; the file is written
+    as bytes, so no newline is translated.
+    """
+    v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
+    bits, index = np.unique(v.view(np.uint64), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    coords = np.array(("%.17g " * len(floats) % tuple(floats)).encode().split())
+    ids = np.array(("%d " * len(v) % tuple(range(1, len(v) + 1))).encode().split())
+    parts = [_lines(b"v", coords, index.reshape(-1, 3))]
     for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
-        f = mesh.sheet_triangles(sheet) + 1
-        parts.append(f"g {SHEET_NAMES[sheet]}\n")
-        parts.append("f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+        parts.append(f"g {SHEET_NAMES[sheet]}\n".encode())
+        parts.append(_lines(b"f", ids, mesh.sheet_triangles(sheet)))
+    with open(path, "wb") as fh:
+        fh.write(b"".join(parts).translate(None, b"\0"))
 
 
 def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:

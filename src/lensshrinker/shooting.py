@@ -12,7 +12,6 @@ runtime, and table sampling reports every sign change it sees.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .arclength import MONITOR_SLACK_TOL, LensProfile, integrate_profile
@@ -124,6 +123,9 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> ShootRepo
     cfg = cfg or PipelineConfig()
     a_values = sorted(float(a) for a in a_values)
     if cfg.jobs > 1:
+        # imported here, so that importing the package does not load
+        # concurrent.futures and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_row, a_values, [cfg] * len(a_values)))
     else:

@@ -246,6 +246,20 @@ def test_fresh_interpreter_imports_no_scipy(tmp_path):
     assert (tmp_path / "profile_a0.9.json").exists()
 
 
+def test_fresh_interpreter_imports_no_process_pool():
+    # the pool is imported only by table --jobs > 1
+    code = ("import sys\n"
+            "import lensshrinker, lensshrinker.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_size_bounds_admit_their_edges():
     cfg = parse(TABLE + ["--step", "0.0001", "--jobs", str(os.cpu_count() or 1)])
     lo, hi, step = cfg.table_range

@@ -7,9 +7,9 @@ import pytest
 
 from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
-from lensshrinker.cluster import (SHEET_ANNULUS, SHEET_LOWER, SHEET_UPPER,
-                                  mesh_checks, resample_profile, write_metadata,
-                                  write_obj)
+from lensshrinker.cluster import (SHEET_ANNULUS, SHEET_LOWER, SHEET_NAMES,
+                                  SHEET_UPPER, mesh_checks, resample_profile,
+                                  write_metadata, write_obj)
 from lensshrinker.errors import DegenerateProfile
 
 SQRT2 = math.sqrt(2.0)
@@ -96,12 +96,24 @@ def _collapse_triangle(mesh):
     return dataclasses.replace(mesh, triangles=triangles)
 
 
+def _relabel_junction_lower_triangle(mesh):
+    # a lower-cap triangle with an edge on the junction ring, labelled upper:
+    # the triangles stay as they are, so every edge keeps its count (three on
+    # the ring) and only the sheets on that ring edge can fail the check
+    on_ring = np.isin(mesh.triangles, mesh.junction).sum(axis=1) == 2
+    t = np.flatnonzero(on_ring & (mesh.sheet_id == SHEET_LOWER))[0]
+    sheet_id = mesh.sheet_id.copy()
+    sheet_id[t] = SHEET_UPPER
+    return dataclasses.replace(mesh, sheet_id=sheet_id)
+
+
 @pytest.mark.parametrize("corrupt, check", [
     (_drop_interior_cap_triangle, "junction_coherence"),
     (_duplicate_annulus_triangle, "junction_coherence"),
     (_nudge_lower_cap_vertex, "reflection_symmetry"),
     (_flip_lower_cap_winding, "orientation_consistent"),
     (_collapse_triangle, "no_degenerate_triangles"),
+    (_relabel_junction_lower_triangle, "junction_coherence"),
 ])
 def test_mesh_checks_negative_controls(sphere_mesh, corrupt, check):
     checks = dict((name, ok) for name, ok, _ in mesh_checks(corrupt(sphere_mesh)))
@@ -211,6 +223,46 @@ def test_obj_export(tmp_path, sphere_mesh):
     for sheet, name in enumerate(["upper_cap", "lower_cap", "planar_annulus"]):
         assert np.array_equal(np.array(faces[name]).reshape(-1, 3),
                               sphere_mesh.sheet_triangles(sheet) + 1)
+
+
+def _reference_obj(mesh) -> bytes:
+    """The %-template OBJ writer that write_obj matches byte for byte."""
+    v = mesh.vertices
+    parts = ["v %.17g %.17g %.17g\n" * len(v) % tuple(v.ravel().tolist())]
+    for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
+        f = mesh.sheet_triangles(sheet) + 1
+        parts.append(f"g {SHEET_NAMES[sheet]}\n")
+        parts.append("f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
+    return "".join(parts).encode()
+
+
+def _signed_zeros(mesh):
+    # 0.0 and -0.0 compare equal but print apart, and repeated values share
+    # a token: a dedupe by value rather than by bit pattern misprints one
+    vertices = mesh.vertices.copy()
+    vertices[1:5] = [[0.0, -0.0, 0.25], [-0.0, 0.0, 0.25],
+                     [0.25, -0.0, -0.0], [-0.25, 0.25, 0.0]]
+    return dataclasses.replace(mesh, vertices=vertices)
+
+
+def _empty_lower_cap(mesh):
+    keep = mesh.sheet_id != SHEET_LOWER
+    return dataclasses.replace(mesh, triangles=mesh.triangles[keep],
+                               sheet_id=mesh.sheet_id[keep])
+
+
+@pytest.mark.parametrize("make", [
+    lambda sphere, p: sphere,
+    lambda sphere, p: build_cluster(p),
+    lambda sphere, p: _signed_zeros(sphere),
+    lambda sphere, p: _empty_lower_cap(sphere),
+], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet"])
+def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
+                                              make):
+    mesh = make(sphere_mesh, profiles[0.5][1])
+    path = tmp_path / "lens.obj"
+    write_obj(mesh, path)
+    assert path.read_bytes() == _reference_obj(mesh)
 
 
 def test_metadata_sidecar(tmp_path, sphere_mesh):
