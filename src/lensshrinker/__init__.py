@@ -29,13 +29,13 @@ from .series import (ContractionConstants, EvenSeries, ProfileSample, apply_L,
                      contraction_certificate, eta_coefficients, find_x0,
                      invert_L, j_function, nonlinear_Q, picard_analytic,
                      picard_c2_oracle, weighted_norm)
-from .shooting import (PipelineConfig, ShootReport, angle_of, find_lens,
-                       sample_angle_table)
+from .shooting import (AngleTable, PipelineConfig, ShootReport, angle_of,
+                       find_lens, sample_angle_table)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketFailure", "CertificateFailure", "ClusterMesh",
+    "AngleTable", "BracketFailure", "CertificateFailure", "ClusterMesh",
     "ContractionConstants", "DegenerateProfile", "EvenSeries", "LensError",
     "LensProfile", "MonitorViolation", "NoContraction", "NoConvergence",
     "NoCrossing", "PipelineConfig", "ProfileSample", "ShootReport",

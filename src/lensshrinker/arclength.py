@@ -23,8 +23,8 @@ axis-orthogonal start,
 whose pointwise agreement with the algebraic form -v'/u + u v' - v u' is
 the central consistency oracle of the pipeline.
 
-The axis series seeds the curve: it supplies the segment [0, x_seed], the
-state at u = x_seed and the quadratures over that segment.  From there one
+The axis series seeds the curve: it supplies the segment [0, X_SEED], the
+state at u = X_SEED and the quadratures over that segment.  From there one
 adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
 :mod:`lensshrinker.dop853`) runs to the first v = 0, located by root
 refinement on the dense output; the first passage of u through 1 is
@@ -72,7 +72,7 @@ class LensProfile:
     crossing state; ``s`` is strictly increasing up to s_bar and (up, vp) =
     (cos phi, sin phi).  ``series`` is the axis series that seeded the curve.
     ``dense`` gives (u, v, phi, i_phi, i_v) on [0, s_bar]: a cubic Hermite
-    piece on [0, x_seed], then DOP853's; ``nfev``, ``n_steps`` and
+    piece on [0, X_SEED], then DOP853's; ``nfev``, ``n_steps`` and
     ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
     """
 
@@ -127,15 +127,15 @@ def turning_floor(a: float) -> float:
     return K * math.exp(-annulus_log_halfwidth(a))
 
 
-def seed_quadratures(h: EvenSeries, a: float, x_seed: float,
-                     nodes: int = 40) -> tuple[float, float, float]:
+def seed_quadratures(h: EvenSeries, a: float,
+                     x_seed: float) -> tuple[float, float, float]:
     """Initial (s, i_phi, i_v) from the series on [0, x_seed].
 
-    Gauss-Legendre on the analytic segment; the i_phi integrand uses the
-    even function h'(x)/x directly, so its removable singularity at the
-    axis (limit -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
+    40-node Gauss-Legendre on the analytic segment; the i_phi integrand
+    uses the even function h'(x)/x directly, so its removable singularity at
+    the axis (limit -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
     """
-    t, w = gauss_legendre_composite(0.0, x_seed, 1, nodes)
+    t, w = gauss_legendre_composite(0.0, x_seed, 1, 40)
     f = a + h(t)
     hp_over_x = h.deriv_over_x(t)
     fp = hp_over_x * t
@@ -146,14 +146,14 @@ def seed_quadratures(h: EvenSeries, a: float, x_seed: float,
             float(np.sum(w * e * f * sq)))
 
 
-def integrate_profile(series: EvenSeries, a: float, *, x_seed: float = X_SEED,
+def integrate_profile(series: EvenSeries, a: float, *,
                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                       event_tol: float = DEFAULT_EVENT_TOL) -> LensProfile:
     """Integrate the angle form from the axis series to the crossing v = 0.
 
-    The series h seeds the curve at u = x_seed, which must lie in
-    (0, series.radius): v = a + h(x_seed) and phi = atan h'(x_seed), with
-    arclength and quadratures starting from their values on [0, x_seed].
+    The series h seeds the curve at u = X_SEED, which must lie inside
+    series.radius: v = a + h(X_SEED) and phi = atan h'(X_SEED), with
+    arclength and quadratures starting from their values on [0, X_SEED].
     The crossing is event-detected on the dense output and refined until
     |v(s_bar)| <= event_tol; s_star is the first passage of u through 1.
     Integration fails safe at s_max = pi / (2 c_a) -- reaching it
@@ -161,22 +161,22 @@ def integrate_profile(series: EvenSeries, a: float, *, x_seed: float = X_SEED,
 
     All proved monitors are evaluated on the returned states; a violation
     beyond tolerance raises MonitorViolation, and an integrator failure
-    raises StepFailure.  An x_seed outside (0, series.radius), rtol below
-    100 eps, or a non-finite rtol or atol raises ValueError.
+    raises StepFailure.  A series.radius at most X_SEED, rtol below 100 eps,
+    or a non-finite rtol or atol raises ValueError.
     """
     if a <= 0.0:
         raise ValueError("a must be positive")
-    if not 0.0 < x_seed < series.radius:
-        raise ValueError(f"x_seed={x_seed} must be positive and inside the "
+    if not X_SEED < series.radius:
+        raise ValueError(f"the seed X_SEED={X_SEED} must lie inside the "
                          f"certified radius {series.radius}")
-    s0, iphi0, iv0 = seed_quadratures(series, a, x_seed)
+    s0, iphi0, iv0 = seed_quadratures(series, a, X_SEED)
     c_a = turning_floor(a)
     s_max = min(math.pi / (2.0 * c_a) if c_a > 0.0 else math.inf,
                 s0 + ARCLENGTH_HARD_CAP)
 
     sol = dop853.integrate(arclength_rhs, s0,
-                           [x_seed, a + series(x_seed),
-                            math.atan(series.deriv(x_seed)), iphi0, iv0],
+                           [X_SEED, a + series(X_SEED),
+                            math.atan(series.deriv(X_SEED)), iphi0, iv0],
                            s_max, rtol=rtol, atol=atol,
                            events=[(lambda y: y[1], -1, True),
                                    (lambda y: y[0] - 1.0, 1, False)])

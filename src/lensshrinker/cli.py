@@ -6,8 +6,8 @@ geometry), ``verify`` (run the invariant suite).  Every JSON output embeds
 the configuration that produced it, so outputs are reproducible bit for
 bit; no timestamps are written.
 
-Exit codes: 0 success, 2 configuration or other pipeline error, 3 bracket
-failure, 4 monitor violation or failed verification.
+Exit codes: 0 success, 2 configuration, I/O or other pipeline error, 3
+bracket failure, 4 monitor violation or failed verification.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .cluster import build_cluster, write_metadata, write_obj
 from .dop853 import RTOL_FLOOR
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
-from .shooting import (A_CIRCLE, DEFAULT_BRACKET, PipelineConfig, angle_of,
-                       angle_table_to_csv, find_lens, sample_angle_table)
+from .shooting import (A_CIRCLE, DEFAULT_BRACKET, DEFAULT_TOL_A, PipelineConfig,
+                       angle_of, angle_table_to_csv, find_lens,
+                       sample_angle_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,6 +50,7 @@ class RunConfig:
     command: str
     a: float | None = None
     bracket: tuple[float, float] = DEFAULT_BRACKET
+    tol_a: float = DEFAULT_TOL_A
     output_dir: str = "."
     json_output: bool = False
     table_range: tuple[float, float, float] | None = None
@@ -58,7 +60,7 @@ class RunConfig:
 
     def validate(self) -> None:
         p = self.pipeline
-        positive = {"tol_a": p.tol_a, "series_tol": p.series_tol,
+        positive = {"tol_a": self.tol_a, "series_tol": p.series_tol,
                     "ode_abs": p.ode_atol, "ode_rel": p.ode_rtol,
                     "event_tol": p.event_tol}
         for name, value in positive.items():
@@ -71,7 +73,7 @@ class RunConfig:
         lo, hi = self.bracket
         if not 0.0 < lo < hi <= A_CIRCLE:
             raise ValueError("bracket must be ordered inside (0, sqrt(2)]")
-        if not p.tol_a < hi - lo:
+        if not self.tol_a < hi - lo:
             raise ValueError(f"tol_a must be below the bracket width {hi - lo}")
         cpus = os.cpu_count() or 1
         if not 1 <= p.jobs <= cpus:
@@ -96,7 +98,7 @@ class RunConfig:
              "bracket": list(self.bracket),
              "tolerances": {"series_tol": p.series_tol,
                             "ode_abs": p.ode_atol, "ode_rel": p.ode_rtol,
-                            "event_tol": p.event_tol, "tol_a": p.tol_a},
+                            "event_tol": p.event_tol, "tol_a": self.tol_a},
              "output_dir": self.output_dir, "jobs": p.jobs,
              "n_theta": self.n_theta, "annulus_outer": self.annulus_outer}
         if self.table_range is not None:
@@ -145,7 +147,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_shoot(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    report = find_lens(*cfg.bracket, cfg=cfg.pipeline)
+    report = find_lens(*cfg.bracket, cfg.tol_a, cfg.pipeline)
     payload = report.to_dict()
     profile = report.profile
     payload["profile"] = profile_summary(profile)
@@ -178,7 +180,7 @@ def cmd_mesh(cfg: RunConfig) -> int:
     if cfg.a is not None:
         _, profile = angle_of(cfg.a, cfg.pipeline)
     else:
-        profile = find_lens(*cfg.bracket, cfg=cfg.pipeline).profile
+        profile = find_lens(*cfg.bracket, cfg.tol_a, cfg.pipeline).profile
     mesh = build_cluster(profile, n_theta=cfg.n_theta,
                          annulus_outer=cfg.annulus_outer)
     write_obj(mesh, out / "lens.obj")
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a-lo", type=float, default=DEFAULT_BRACKET[0])
     p.add_argument("--a-hi", type=float, default=DEFAULT_BRACKET[1])
-    p.add_argument("--tol-a", type=float, default=defaults.tol_a)
+    p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
 
     p = sub.add_parser("table", help="tabulate the angle map")
     common(p)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annulus-outer", type=float, default=None,
                    help=f"annulus radius, at most {MAX_ANNULUS_OUTER:g} "
                         "(default: 3x the junction radius)")
-    p.add_argument("--tol-a", type=float, default=defaults.tol_a)
+    p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
 
     p = sub.add_parser("verify", help="run the invariant suite")
     common(p)
@@ -256,9 +258,9 @@ def config_from_args(args) -> RunConfig:
     pipeline = PipelineConfig(
         series_tol=args.series_tol, ode_rtol=args.ode_rel,
         ode_atol=args.ode_abs, event_tol=args.event_tol,
-        tol_a=getattr(args, "tol_a", defaults.tol_a),
         jobs=getattr(args, "jobs", defaults.jobs))
     cfg = RunConfig(command=args.command, output_dir=out_dir,
+                    tol_a=getattr(args, "tol_a", DEFAULT_TOL_A),
                     json_output=args.json_output, pipeline=pipeline)
     if args.command in ("solve", "mesh"):
         cfg.a = args.a
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
     except MonitorViolation as exc:
         print(f"monitor violation: {exc}", file=sys.stderr)
         return EXIT_MONITOR
-    except (LensError, ValueError) as exc:
+    except (LensError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -64,19 +64,20 @@ def transversality_monitor(profile: LensProfile, a: float) -> float:
 def evaluate_monitors(profile: LensProfile, a: float) -> dict:
     """Worst slack of every proved graph-region inequality (>= 0 holds)."""
     x, f, fp, _ = graph_view(profile)
+    root = np.sqrt(1.0 - x * x)
     # state 0 is the axis point, state 1 the seed, the last the crossing
     u, v, up, vp = (arr[2:-1] for arr in
                     (profile.u, profile.v, profile.up, profile.vp))
     return {
-        "height_lower": _worst(f - a * np.sqrt(1.0 - x * x)),
+        "height_lower": _worst(f - a * root),
         "height_upper": _worst(a - f),
         "slope_lower": _worst(fp + a * x / (1.0 - x * x)),
         "slope_upper": _worst(-fp),
-        "ratio_monotone": _worst(np.diff(comparison_ratio(profile))),
+        "ratio_monotone": _worst(np.diff(f / root)),
         "concavity": _worst(-_phi_prime(u, v, up, vp)),
         "height_positive": _worst(v),
         "slope_negative": _worst(-vp / up),
-        "transversality": transversality_monitor(profile, a),
+        "transversality": _worst(_transversality_slack(x, f, fp, a)),
     }
 
 

@@ -40,7 +40,6 @@ CERT_MARGIN = 1e-12
 # the analytic certificate at this radius admits every a below ~41.
 R_STAR = 1.0 / (36.0 * math.sqrt(2.0))
 
-DEFAULT_ORDER = 64
 DEFAULT_PICARD_TOL = 1e-14
 DEFAULT_PICARD_MAX_ITER = 200
 # truncation orders picard_analytic tries, until the tail is below eps * a
@@ -113,9 +112,6 @@ class EvenSeries:
         for k in range(len(self.coeffs) - 1, 0, -1):
             out = out * x2 + 2 * k * (2 * k - 1) * self.coeffs[k]
         return out if out.ndim else float(out)
-
-    def norm(self, r: float | None = None) -> float:
-        return weighted_norm(self, self.radius if r is None else r)
 
     def truncated(self, order: int) -> "EvenSeries":
         """Copy truncated (or zero-padded) to the given even order."""
@@ -201,7 +197,7 @@ def invert_L(g: EvenSeries) -> EvenSeries:
     return EvenSeries(h, g.radius)
 
 
-def eta_coefficients(order: int = DEFAULT_ORDER) -> EvenSeries:
+def eta_coefficients(order: int) -> EvenSeries:
     """Kernel generator of the linear operator: eta_0 = 1, recursion
     eta_{n+2} = (n-1) eta_n / (n+2)^2.  All coefficients beyond degree 0
     are strictly negative; eta is entire.
@@ -216,7 +212,7 @@ def eta_coefficients(order: int = DEFAULT_ORDER) -> EvenSeries:
     return EvenSeries(c)
 
 
-def j_function(order: int = DEFAULT_ORDER) -> EvenSeries:
+def j_function(order: int) -> EvenSeries:
     """The particular solution J = 1 - eta: apply_L(J) = 1, J(0) = J'(0) = 0,
     J''(0) = 1/2, and every coefficient of degree >= 2 is positive, so J and
     all its derivatives increase on x > 0.
@@ -241,17 +237,16 @@ def series_tail_ratio(f: EvenSeries, x: float) -> float:
     return last * rho / (1.0 - rho)
 
 
-def find_x0(order: int = 200, tol: float = 1e-12,
-            bracket: tuple[float, float] = (1.0, 3.0)) -> float:
+def find_x0(bracket: tuple[float, float] = (1.0, 3.0)) -> float:
     """Abscissa where J equals one; unique since J increases strictly.
 
-    Bisects J(x) = 1 on the bracket after checking that the truncation tail
-    at the upper endpoint is below tol.
+    Bisects J(x) = 1 for J of order 200 on the bracket, after checking that
+    the truncation tail at the upper endpoint is below 1e-12.
     """
-    J = j_function(order)
+    J = j_function(200)
     lo, hi = bracket
-    if series_tail_ratio(J, hi) > tol:
-        raise ValueError("truncation order too small for the requested tol")
+    if series_tail_ratio(J, hi) > 1e-12:
+        raise ValueError("truncation order too small for the upper endpoint")
     if J(hi) < 1.0:
         raise BracketFailure(f"J({hi}) < 1: enlarge the bracket")
     if J(lo) > 1.0:
@@ -265,8 +260,8 @@ def find_x0(order: int = 200, tol: float = 1e-12,
         if hi - lo <= 4.0 * np.finfo(float).eps * hi:
             break
     x0 = 0.5 * (lo + hi)
-    if abs(J(x0) - 1.0) > tol:
-        raise BracketFailure("bisection stalled before reaching tol")
+    if abs(J(x0) - 1.0) > 1e-12:
+        raise BracketFailure("bisection stalled before reaching 1e-12")
     return x0
 
 
@@ -401,21 +396,16 @@ def contraction_certificate(c: ContractionConstants) -> CertificateReport:
     return CertificateReport(c, tuple(checks), certified)
 
 
-def derive_contraction_constants(a: float, r: float,
-                                 flavor: str = "analytic") -> ContractionConstants:
-    """Pick certified (R, L) for the given (a, r), or raise NoContraction.
+def derive_contraction_constants(a: float, r: float) -> ContractionConstants:
+    """Pick certified analytic (R, L) for the given (a, r), or raise
+    NoContraction.
 
-    Analytic flavor: the smallness regime gives R = a / K_r, L = (a/a0)^2
-    with a0 = C_r K_r, so a >= a0 raises (a0 ~ 41.5 at r = R_STAR).
-    C2 flavor: the local-existence rule R = 6a, L = 1/2.
+    The smallness regime gives R = a / K_r, L = (a/a0)^2 with a0 = C_r K_r,
+    so a >= a0 raises (a0 ~ 41.5 at r = R_STAR).  The grid oracle's C2
+    constants are fixed by its own rule, R = 6a and L = 1/2.
     """
     if a <= 0.0 or r <= 0.0:
         raise ValueError("a and r must be positive")
-    if flavor == "C2":
-        c = ContractionConstants(a, r, 6.0 * a, 0.5, "C2")
-        if contraction_certificate(c).certified:
-            return c
-        raise NoContraction(f"C2 certificate fails at a={a}, r={r}, R=6a, L=1/2")
     C_r, K_r = regime_constants(r)
     a0 = C_r * K_r
     if a < a0:
@@ -443,7 +433,6 @@ class PicardInfo:
 
 
 def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
-                    constants: ContractionConstants | None = None,
                     full_output: bool = False):
     """Fixed point of h -> invert_L(Q(h, a)) on truncated even series.
 
@@ -451,8 +440,8 @@ def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
     first iterate is -a J) and stops when the weighted-norm distance
     between successive iterates drops below tol; the first order whose
     fixed point has a tail estimate at r of at most eps * a is kept.  The
-    (a, r) pair must admit a certified contraction ball; pass explicit
-    ``constants`` to override the derived ones.
+    (a, r) pair must admit a certified contraction ball, whose constants
+    derive_contraction_constants picks.
 
     Returns the solution series (radius = r), plus a PicardInfo on the
     kept order's iteration when ``full_output`` is set.
@@ -460,11 +449,8 @@ def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
     Raises NoContraction when no certificate exists and NoConvergence when
     the iteration budget or SERIES_ORDERS is exhausted.
     """
-    if constants is None:
-        constants = derive_contraction_constants(a, r, "analytic")
+    constants = derive_contraction_constants(a, r)
     report = contraction_certificate(constants)
-    if not report.certified:
-        raise NoContraction(f"supplied constants are not certified: {constants}")
     for order in SERIES_ORDERS:
         h = EvenSeries(np.zeros(order // 2 + 1), r)
         distances = []
@@ -520,8 +506,7 @@ def gauss_legendre_composite(lo: float, hi: float, cells: int,
     return xs, ws
 
 
-def radial_laplacian_inverse(g, xs: np.ndarray, w_max: float = 18.0,
-                             cells: int = 16, nodes: int = 10):
+def radial_laplacian_inverse(g, xs: np.ndarray):
     """Solve h'' + h'/x = g with h(0) = h'(0) = 0 at the points xs.
 
     Uses the closed form h(x) = int_0^x (log x - log t) t g(t) dt with the
@@ -530,9 +515,10 @@ def radial_laplacian_inverse(g, xs: np.ndarray, w_max: float = 18.0,
         h(x)  = x^2 * int_0^inf w e^{-2w} g(x e^{-w}) dw,
         h'(x) = x   * int_0^inf   e^{-2w} g(x e^{-w}) dw,
 
-    evaluated by composite Gauss-Legendre on [0, w_max].  Returns (h, h').
+    evaluated by composite Gauss-Legendre on [0, 18] with 16 cells of 10
+    nodes.  Returns (h, h').
     """
-    wn, ww = gauss_legendre_composite(0.0, w_max, cells, nodes)
+    wn, ww = gauss_legendre_composite(0.0, 18.0, 16, 10)
     ew = np.exp(-wn)
     base_w = ww * np.exp(-2.0 * wn)
     gv = np.asarray(g(xs[:, None] * ew), dtype=float)
@@ -593,9 +579,7 @@ class ProfileSample:
     fpp: float
 
 
-def picard_c2_oracle(a: float, r: float, grid: int = 129,
-                     tol: float = 1e-13, max_iter: int = 100,
-                     w_max: float = 18.0, cells: int = 16, nodes: int = 10):
+def picard_c2_oracle(a: float, r: float, grid: int = 129):
     """Independent C^2 solution of the axis Cauchy problem on a uniform grid.
 
     Iterates h -> T^{-1} P(h, a) where T h = h'' + h'/x and
@@ -603,8 +587,10 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129,
         P(h, a) = x h' - h - a + h'^2 [h' (x - 1/x) - h - a],
 
     with T^{-1} realized by log-kernel quadrature and the right-hand side
-    interpolated by a not-a-knot cubic spline between grid points.  The
-    pair (a, r) must satisfy the C2 certificate with R = 6a, L = 1/2.
+    interpolated by a not-a-knot cubic spline between grid points, until
+    successive iterates differ by less than 1e-13 in the sup norm (at most
+    100 iterations).  The pair (a, r) must satisfy the C2 certificate with
+    R = 6a, L = 1/2.
 
     Returns the list of profile samples (x, a + h, h', h'') on the grid.
     This route never touches the series machinery; it is the
@@ -619,20 +605,20 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129,
     h = np.zeros(grid)
     hp = np.zeros(grid)
     g = np.full(grid, -a)
-    for _ in range(max_iter):
+    for _ in range(100):
         with np.errstate(divide="ignore", invalid="ignore"):
             core = hp * (xs - 1.0 / xs) - h - a
         g = xs * hp - h - a + hp * hp * core
         g[0] = -a
         spline = not_a_knot_spline(xs, g)
-        h_next, hp_next = radial_laplacian_inverse(spline, xs, w_max, cells, nodes)
+        h_next, hp_next = radial_laplacian_inverse(spline, xs)
         delta = float(np.max(np.abs(h_next - h)))
         h, hp = h_next, hp_next
-        if delta < tol:
+        if delta < 1e-13:
             break
     else:
-        raise NoConvergence(f"grid iteration did not reach tol={tol} "
-                            f"in {max_iter} steps (a={a}, r={r})")
+        raise NoConvergence(f"grid iteration did not reach 1e-13 "
+                            f"in 100 steps (a={a}, r={r})")
     hpp = g.copy()
     hpp[1:] -= hp[1:] / xs[1:]
     hpp[0] = -a / 2.0

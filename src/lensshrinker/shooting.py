@@ -12,7 +12,7 @@ runtime, and table sampling reports every sign change it sees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .arclength import MONITOR_SLACK_TOL, LensProfile, integrate_profile
 from .errors import BracketFailure, LensError
@@ -33,7 +33,6 @@ class PipelineConfig:
     ode_rtol: float = 1e-12
     ode_atol: float = 1e-12
     event_tol: float = 1e-12
-    tol_a: float = DEFAULT_TOL_A
     jobs: int = 1
 
     def tightened(self, factor: float = 10.0) -> "PipelineConfig":
@@ -78,27 +77,41 @@ class AngleSample:
                 "error": self.error}
 
 
-@dataclass
-class ShootReport:
-    """Outcome of a shooting run and/or angle-table sweep.
+@dataclass(frozen=True)
+class AngleTable:
+    """Rows of the angle map, sorted by a, and every sub-bracket (lo, hi)
+    of successive good rows on which u'(s_bar) - 1/2 changes sign."""
 
-    Each ``bracket_history`` row is (lo, hi, g(lo), g(hi)) with
+    table: list[AngleSample]
+    sign_change_brackets: list[tuple[float, float]]
+
+    def to_dict(self) -> dict:
+        return {
+            "sign_change_brackets": [list(b) for b in self.sign_change_brackets],
+            "table": [row.to_dict() for row in self.table],
+        }
+
+
+@dataclass(frozen=True)
+class ShootReport:
+    """Outcome of a shooting run.
+
+    ``table`` holds the bracket endpoints and a_star; each
+    ``bracket_history`` row is (lo, hi, g(lo), g(hi)) with
     g = u'(s_bar) - 1/2, so every row shows its own sign change.
     """
 
-    table: list[AngleSample] = field(default_factory=list)
-    a_star: float = math.nan
-    alpha_residual: float = math.nan
-    bracket_history: list = field(default_factory=list)
-    profile: LensProfile | None = None
-    sign_change_brackets: list = field(default_factory=list)
+    table: list[AngleSample]
+    a_star: float
+    alpha_residual: float
+    bracket_history: list[tuple[float, float, float, float]]
+    profile: LensProfile
 
     def to_dict(self) -> dict:
         return {
             "a_star": self.a_star,
             "alpha_residual": self.alpha_residual,
             "bracket_history": [list(b) for b in self.bracket_history],
-            "sign_change_brackets": [list(b) for b in self.sign_change_brackets],
             "table": [row.to_dict() for row in self.table],
         }
 
@@ -112,11 +125,11 @@ def _row(a: float, cfg: PipelineConfig) -> AngleSample:
     return _sample_from(profile)
 
 
-def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> ShootReport:
+def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTable:
     """Tabulate (a, s_bar, xi_a, alpha) rows, recording per-row failures.
 
     Rows are independent; with cfg.jobs > 1 they are computed in a process
-    pool.  The returned report also lists every sub-bracket on which
+    pool.  The returned table also lists every sub-bracket on which
     u'(s_bar) - 1/2 changes sign, since the angle map is not known to be
     monotone.
     """
@@ -130,18 +143,18 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> ShootRepo
             rows = list(pool.map(_row, a_values, [cfg] * len(a_values)))
     else:
         rows = [_row(a, cfg) for a in a_values]
-    report = ShootReport(table=rows)
     good = [r for r in rows if r.error is None]
+    brackets = []
     for lo, hi in zip(good[:-1], good[1:]):
         g_lo = math.cos(lo.alpha) - TARGET_UP
         g_hi = math.cos(hi.alpha) - TARGET_UP
         if g_lo == 0.0 or g_lo * g_hi < 0.0:
-            report.sign_change_brackets.append((lo.a, hi.a))
-    return report
+            brackets.append((lo.a, hi.a))
+    return AngleTable(rows, brackets)
 
 
 def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1],
-              tol_a: float | None = None,
+              tol_a: float = DEFAULT_TOL_A,
               cfg: PipelineConfig | None = None) -> ShootReport:
     """Solve u'(s_bar) = 1/2 by ITP steps inside a validated bracket.
 
@@ -151,14 +164,14 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
     window around it that shrinks so that no run takes more than one step
     beyond bisection's count (two with the rounding of the width), while a
     smooth g converges superlinearly.  The bracket shrinks until its width
-    drops below tol_a (which must lie in (0, a_hi - a_lo)) or its midpoint
-    is not strictly inside it.  The report carries every bracket with its g
+    drops below tol_a or its midpoint is not strictly inside it; tol_a must
+    lie in (0, a_hi - a_lo), and it is only set here, since cfg holds the
+    tolerances of each solve.  The report carries every bracket with its g
     values (each straddles the sign change), the endpoint of the last
     bracket with the smaller |u'(s_bar) - 1/2| as a_star, its profile and
     that residual; a_star is never solved twice.
     """
     cfg = cfg or PipelineConfig()
-    tol_a = cfg.tol_a if tol_a is None else tol_a
     if not 0.0 < a_lo < a_hi <= A_CIRCLE:
         raise BracketFailure(f"invalid bracket ({a_lo}, {a_hi})")
     if not 0.0 < tol_a < a_hi - a_lo:
@@ -176,11 +189,9 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
             f"bracket endpoints do not straddle the junction condition: "
             f"g({a_lo})={g_lo:.6g}, g({a_hi})={g_hi:.6g}")
 
-    report = ShootReport()
-    report.table.append(_sample_from(prof_lo))
-    report.table.append(_sample_from(prof_hi))
+    table = [_sample_from(prof_lo), _sample_from(prof_hi)]
     lo, hi = a_lo, a_hi
-    report.bracket_history.append((lo, hi, g_lo, g_hi))
+    history = [(lo, hi, g_lo, g_hi)]
     kappa1 = 0.2 / (a_hi - a_lo)  # ITP constants: kappa2 = 2, n0 = 1
     n_max = math.ceil(max(0.0, math.log2(a_hi - a_lo) - math.log2(tol_a))) + 1
     while hi - lo > tol_a:
@@ -192,7 +203,7 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
         delta = kappa1 * width * width
         x = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
         # the step may leave mid by r and still end within n_max steps
-        r = math.ldexp(tol_a, n_max - len(report.bracket_history)) - 0.5 * width
+        r = math.ldexp(tol_a, n_max - len(history)) - 0.5 * width
         if abs(x - mid) > r:
             x = mid - sigma * r
         if not lo < x < hi:
@@ -206,14 +217,12 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
             lo, g_lo, prof_lo = x, g_x, prof_x
         else:
             hi, g_hi, prof_hi = x, g_x, prof_x
-        report.bracket_history.append((lo, hi, g_lo, g_hi))
+        history.append((lo, hi, g_lo, g_hi))
     profile = prof_lo if abs(g_lo) < abs(g_hi) else prof_hi
-    report.a_star = profile.a
-    report.alpha_residual = abs(float(profile.up[-1]) - TARGET_UP)
-    report.profile = profile
-    report.table.append(_sample_from(profile))
-    report.table.sort(key=lambda row: row.a)
-    return report
+    table.append(_sample_from(profile))
+    table.sort(key=lambda row: row.a)
+    return ShootReport(table, profile.a,
+                       abs(float(profile.up[-1]) - TARGET_UP), history, profile)
 
 
 def _sample_from(profile: LensProfile) -> AngleSample:
@@ -222,7 +231,7 @@ def _sample_from(profile: LensProfile) -> AngleSample:
                        profile.alpha, ok)
 
 
-def angle_table_to_csv(report: ShootReport, path) -> None:
+def angle_table_to_csv(report: AngleTable, path) -> None:
     """Write a, s_bar, xi_a, alpha_deg, pass rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("a,s_bar,xi_a,alpha_deg,pass\n")

@@ -213,7 +213,7 @@ def test_tolerance_bounds_admit_their_edges():
                  ).pipeline.ode_rtol == RTOL_FLOOR
     width = SQRT2 - 0.05
     assert parse(["shoot", "--tol-a", repr(math.nextafter(width, 0.0))]
-                 ).pipeline.tol_a < width
+                 ).tol_a < width
 
 
 @pytest.mark.parametrize("argv", [
@@ -283,6 +283,36 @@ def test_json_stdout_mode(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["a"] == 0.7
     assert payload["config"]["command"] == "solve"
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "0.9"],
+    ["shoot", "--tol-a", "1e-8"],
+    ["table", "--from", "0.5", "--to", "0.9", "--step", "0.2"],
+    ["mesh", "--a", "0.9", "--n-theta", "16"],
+], ids=["solve", "shoot", "table", "mesh"])
+def test_json_outputs_are_strict_json(tmp_path, capsys, argv):
+    assert run(argv + ["--json", "--output-dir", str(tmp_path)]) == EXIT_OK
+    _strict_json(capsys.readouterr().out)
+    files = sorted(tmp_path.glob("*.json"))
+    assert files
+    for path in files:
+        _strict_json(path.read_text())
+
+
+def test_output_dir_on_a_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["solve", "--a", "0.9", "--output-dir", str(blocker)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_runconfig_roundtrip_defaults():

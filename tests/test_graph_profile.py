@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lensshrinker import (EvenSeries, MonitorViolation, PipelineConfig,
-                          angle_of, graph_view, integrate_profile, j_function,
-                          picard_analytic, transversality_monitor)
-from lensshrinker.arclength import seed_quadratures
+                          angle_of, arclength, graph_view, integrate_profile,
+                          j_function, picard_analytic, transversality_monitor)
+from lensshrinker.arclength import X_SEED, seed_quadratures
 from lensshrinker.graph_profile import comparison_ratio, trajectory_to_csv
 from lensshrinker.series import R_STAR
 
@@ -29,10 +29,11 @@ def test_seed_limits_toward_axis():
 
 
 @pytest.mark.parametrize("x_seed", [1e-3, 5e-4])
-def test_integrate_profile_starts_from_the_series(x_seed):
+def test_integrate_profile_starts_from_the_series(x_seed, monkeypatch):
+    monkeypatch.setattr(arclength, "X_SEED", x_seed)
     a = 0.8
     h = picard_analytic(a, R_STAR)
-    p = integrate_profile(h, a, x_seed=x_seed)
+    p = integrate_profile(h, a)
     assert (p.u[1], p.v[1]) == (x_seed, a + h(x_seed))
     assert p.vp[1] / p.up[1] == pytest.approx(h.deriv(x_seed), rel=1e-14)
     assert p.s[1] == pytest.approx(x_seed, rel=1e-6)
@@ -40,9 +41,10 @@ def test_integrate_profile_starts_from_the_series(x_seed):
 
 def test_seed_rejects_outside_certified_radius():
     h = picard_analytic(1.0, R_STAR)
-    for x_seed in (R_STAR, 2.0 * R_STAR, 0.0, -1e-3):
-        with pytest.raises(ValueError, match="x_seed"):
-            integrate_profile(h, 1.0, x_seed=x_seed)
+    for radius in (X_SEED, 0.5 * X_SEED):
+        short = EvenSeries(h.coeffs, radius)
+        with pytest.raises(ValueError, match="X_SEED"):
+            integrate_profile(short, 1.0)
 
 
 def test_seed_tracks_linear_solution_for_small_height():
@@ -142,9 +144,10 @@ def test_monitor_violation_on_inconsistent_seed():
 # numerical consistency
 # ---------------------------------------------------------------------------
 
-def test_seed_independence(profiles):
+def test_seed_independence(profiles, monkeypatch):
     _, ref = profiles[1.0]
-    p = integrate_profile(picard_analytic(1.0, R_STAR), 1.0, x_seed=5e-4)
+    monkeypatch.setattr(arclength, "X_SEED", 5e-4)
+    p = integrate_profile(picard_analytic(1.0, R_STAR), 1.0)
     assert p.u[1] == 5e-4
     for name in ("alpha", "s_bar", "xi"):
         assert abs(getattr(p, name) - getattr(ref, name)) < 1e-10

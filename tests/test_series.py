@@ -388,9 +388,6 @@ def test_picard_small_height_cubic_law():
 def test_picard_rejects_uncertified_inputs():
     with pytest.raises(NoContraction):
         picard_analytic(100.0, 1.0)
-    bad = ContractionConstants(SQRT2, 1.0, 0.01, 0.5)
-    with pytest.raises(NoContraction):
-        picard_analytic(SQRT2, 1.0, constants=bad)
 
 
 def test_picard_deterministic():

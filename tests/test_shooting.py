@@ -163,10 +163,10 @@ def test_find_lens_refinement_stability(lens_report):
 
 def test_refinement_is_cauchy():
     # drift between successive tolerance decades stays bounded
-    base = PipelineConfig(ode_rtol=1e-10, ode_atol=1e-10, tol_a=1e-8)
-    a1 = find_lens(cfg=base).a_star
-    a2 = find_lens(cfg=base.tightened(10.0)).a_star
-    a3 = find_lens(cfg=base.tightened(100.0)).a_star
+    base = PipelineConfig(ode_rtol=1e-10, ode_atol=1e-10)
+    a1 = find_lens(tol_a=1e-8, cfg=base).a_star
+    a2 = find_lens(tol_a=1e-8, cfg=base.tightened(10.0)).a_star
+    a3 = find_lens(tol_a=1e-8, cfg=base.tightened(100.0)).a_star
     d12, d23 = abs(a2 - a1), abs(a3 - a2)
     assert d23 <= 10.0 * d12 + 1e-8
 
