@@ -48,8 +48,12 @@ from .errors import MonitorViolation, NoCrossing
 from .series import EvenSeries, gauss_legendre_composite
 
 MONITOR_SLACK_TOL = -1e-9
-# bound on the dense output's ODE defect, per unit of max(rtol, atol)
+# DOP853's rtol and atol of each solve, unless the caller passes tol
+DEFAULT_TOL = 1e-12
+# bound on the dense output's ODE defect, per unit of tol
 DEFECT_PER_TOL = 1e4
+# bound on |v(s_bar)| after the crossing refinement, which leaves ~1e-16
+EVENT_TOL = 1e-12
 ARCLENGTH_HARD_CAP = 50.0
 # dense-output states kept strictly inside each accepted step, so that the
 # monitors see the curve between the steps of the adaptive integrator
@@ -57,9 +61,6 @@ DENSE_POINTS_PER_STEP = 4
 
 # where the axis series hands the curve to the integrator
 X_SEED = 1e-3
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-12
-DEFAULT_EVENT_TOL = 1e-12
 
 
 @dataclass
@@ -147,25 +148,26 @@ def seed_quadratures(h: EvenSeries, a: float,
 
 
 def integrate_profile(series: EvenSeries, a: float, *,
-                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                      event_tol: float = DEFAULT_EVENT_TOL) -> LensProfile:
+                      tol: float = DEFAULT_TOL) -> LensProfile:
     """Integrate the angle form from the axis series to the crossing v = 0.
 
     The series h seeds the curve at u = X_SEED, which must lie inside
     series.radius: v = a + h(X_SEED) and phi = atan h'(X_SEED), with
     arclength and quadratures starting from their values on [0, X_SEED].
-    The crossing is event-detected on the dense output and refined until
-    |v(s_bar)| <= event_tol; s_star is the first passage of u through 1.
+    One DOP853 solve with rtol = atol = tol follows.  The crossing is
+    event-detected on the dense output and refined until |v(s_bar)| <=
+    EVENT_TOL; s_star is the first passage of u through 1.
     Integration fails safe at s_max = pi / (2 c_a) -- reaching it
     contradicts the guaranteed crossing and raises NoCrossing.
 
     All proved monitors are evaluated on the returned states; a violation
-    beyond tolerance raises MonitorViolation, and an integrator failure
-    raises StepFailure.  A series.radius at most X_SEED, rtol below 100 eps,
-    or a non-finite rtol or atol raises ValueError.
+    beyond tolerance raises MonitorViolation; the defect monitor's bound is
+    DEFECT_PER_TOL * tol.  An integrator failure raises StepFailure.  An a
+    that is not positive and finite, a series.radius at most X_SEED, or a
+    tol below 100 eps or not finite raises ValueError.
     """
-    if a <= 0.0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a={a} must be positive and finite")
     if not X_SEED < series.radius:
         raise ValueError(f"the seed X_SEED={X_SEED} must lie inside the "
                          f"certified radius {series.radius}")
@@ -177,7 +179,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     sol = dop853.integrate(arclength_rhs, s0,
                            [X_SEED, a + series(X_SEED),
                             math.atan(series.deriv(X_SEED)), iphi0, iv0],
-                           s_max, rtol=rtol, atol=atol,
+                           s_max, rtol=tol, atol=tol,
                            events=[(lambda y: y[1], -1, True),
                                    (lambda y: y[0] - 1.0, 1, False)])
     if not sol.terminated:
@@ -186,7 +188,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     s_bar = float(sol.t_events[0][0])
     y_bar = sol.y_events[0][0]
     v_residual = abs(float(y_bar[1]))
-    if v_residual > event_tol:
+    if v_residual > EVENT_TOL:
         raise NoCrossing(f"event refinement left |v(s_bar)|={v_residual}")
     s_star = float(sol.t_events[1][0]) if sol.t_events[1] else math.nan
 
@@ -213,7 +215,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     report = polar_monitors(profile, a)
     profile.monitors = {m.monitor_id: m.worst_slack for m in report.results}
     profile.monitors["shrinker_residual"] = float(
-        DEFECT_PER_TOL * max(rtol, atol) - np.max(shrinker_residual(profile)))
+        DEFECT_PER_TOL * tol - np.max(shrinker_residual(profile)))
     profile.monitors.update(
         {f"graph_{name}": float(slack) for name, slack
          in graph_profile.evaluate_monitors(profile, a).items()})

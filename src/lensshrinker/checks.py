@@ -61,8 +61,8 @@ def check_kernel_functions() -> CheckResult:
 
 
 def check_certificate_reference() -> CheckResult:
-    c = se.ContractionConstants(A_CIRCLE, 1.0 / (36.0 * math.sqrt(2.0)),
-                                6.0 * math.sqrt(2.0), 0.5, "C2")
+    c = se.ContractionConstants(A_CIRCLE, se.R_STAR, 6.0 * math.sqrt(2.0),
+                                0.5, "C2")
     report = se.contraction_certificate(c)
     return _result("contraction certificate at reference constants",
                    report.certified,
@@ -131,7 +131,7 @@ def check_junction_shoot(cfg: PipelineConfig) -> CheckResult:
     profile = report.profile
     res_v = abs(float(profile.vp[-1]) + math.sqrt(3.0) / 2.0)
     defect = float(np.max(shrinker_residual(profile)))
-    bound = DEFECT_PER_TOL * max(cfg.ode_rtol, cfg.ode_atol)
+    bound = DEFECT_PER_TOL * cfg.ode_tol
     ok = (0.0 < report.a_star < A_CIRCLE and report.alpha_residual < 1e-9
           and res_v < 1e-9 and defect < bound)
     return _result("junction shooting", ok,

@@ -2,7 +2,9 @@
 
 Subcommands: ``solve`` (one profile), ``shoot`` (locate the junction
 height), ``table`` (sample the angle map), ``mesh`` (export the cluster
-geometry), ``verify`` (run the invariant suite).  Every JSON output embeds
+geometry), ``verify`` (run the invariant suite).  Each takes one accuracy
+option, ``--ode-tol`` (the rtol and atol of every profile solve); the
+series and crossing tolerances are constants.  Every JSON output embeds
 the configuration that produced it, so outputs are reproducible bit for
 bit; no timestamps are written.
 
@@ -60,14 +62,11 @@ class RunConfig:
 
     def validate(self) -> None:
         p = self.pipeline
-        positive = {"tol_a": self.tol_a, "series_tol": p.series_tol,
-                    "ode_abs": p.ode_atol, "ode_rel": p.ode_rtol,
-                    "event_tol": p.event_tol}
-        for name, value in positive.items():
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if p.ode_rtol < RTOL_FLOOR:
-            raise ValueError(f"ode_rel must be at least 100 eps = {RTOL_FLOOR}")
+        if not 0.0 < self.tol_a < math.inf:
+            raise ValueError("tol_a must be positive and finite")
+        if not RTOL_FLOOR <= p.ode_tol < math.inf:
+            raise ValueError(f"ode_tol must be finite and at least "
+                             f"100 eps = {RTOL_FLOOR}")
         if self.a is not None and not 0.0 < self.a <= A_CIRCLE:
             raise ValueError("a must lie in (0, sqrt(2)]")
         lo, hi = self.bracket
@@ -96,9 +95,7 @@ class RunConfig:
         p = self.pipeline
         d = {"command": self.command, "a": self.a,
              "bracket": list(self.bracket),
-             "tolerances": {"series_tol": p.series_tol,
-                            "ode_abs": p.ode_atol, "ode_rel": p.ode_rtol,
-                            "event_tol": p.event_tol, "tol_a": self.tol_a},
+             "tolerances": {"ode_tol": p.ode_tol, "tol_a": self.tol_a},
              "output_dir": self.output_dir, "jobs": p.jobs,
              "n_theta": self.n_theta, "annulus_outer": self.annulus_outer}
         if self.table_range is not None:
@@ -215,10 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (fallback: $LENS_OUTPUT_DIR, then '.')")
         p.add_argument("--json", action="store_true", dest="json_output",
                        help="machine-readable stdout")
-        p.add_argument("--series-tol", type=float, default=defaults.series_tol)
-        p.add_argument("--ode-abs", type=float, default=defaults.ode_atol)
-        p.add_argument("--ode-rel", type=float, default=defaults.ode_rtol)
-        p.add_argument("--event-tol", type=float, default=defaults.event_tol)
+        p.add_argument("--ode-tol", type=float, default=defaults.ode_tol,
+                       help="rtol and atol of each profile solve")
 
     p = sub.add_parser("solve", help="compute one profile")
     common(p)
@@ -255,10 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     out_dir = args.output_dir or os.environ.get("LENS_OUTPUT_DIR") or "."
     defaults = PipelineConfig()
-    pipeline = PipelineConfig(
-        series_tol=args.series_tol, ode_rtol=args.ode_rel,
-        ode_atol=args.ode_abs, event_tol=args.event_tol,
-        jobs=getattr(args, "jobs", defaults.jobs))
+    pipeline = PipelineConfig(ode_tol=args.ode_tol,
+                              jobs=getattr(args, "jobs", defaults.jobs))
     cfg = RunConfig(command=args.command, output_dir=out_dir,
                     tol_a=getattr(args, "tol_a", DEFAULT_TOL_A),
                     json_output=args.json_output, pipeline=pipeline)

@@ -186,12 +186,15 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
     ``events`` holds (g, direction, terminal) triples: the zeros of g(y)
     crossed upward (direction +1) or downward (-1) are located on the dense
     output of their step, and the first terminal one ends the solve.  rtol
-    below 100 eps, or a non-finite or negative tolerance, raises ValueError;
-    a step below ten float spacings raises StepFailure.
+    below 100 eps, a non-finite or negative tolerance, or a t_bound not
+    beyond t0 raises ValueError; a step below ten float spacings, or a NaN
+    step, raises StepFailure.
     """
     if not (RTOL_FLOOR <= rtol < math.inf and 0 <= atol < math.inf):
         raise ValueError(f"need rtol={rtol} finite and at least the floor "
                          f"100 eps = {RTOL_FLOOR}, atol={atol} finite, >= 0")
+    if not t0 < t_bound:
+        raise ValueError(f"need t0={t0} < t_bound={t_bound}")
     nfev = 0
 
     def f(t, y):
@@ -221,8 +224,9 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
-            if h_abs < min_step:
-                raise StepFailure(f"step size below {min_step:.3g} at t={t}")
+            if not h_abs >= min_step:  # also a NaN step
+                raise StepFailure(f"step size {h_abs:.3g} below "
+                                  f"{min_step:.3g} at t={t}")
             t_end = min(t + h_abs, t_bound)
             h = t_end - t
             h_abs = np.abs(h)

@@ -404,8 +404,8 @@ def derive_contraction_constants(a: float, r: float) -> ContractionConstants:
     so a >= a0 raises (a0 ~ 41.5 at r = R_STAR).  The grid oracle's C2
     constants are fixed by its own rule, R = 6a and L = 1/2.
     """
-    if a <= 0.0 or r <= 0.0:
-        raise ValueError("a and r must be positive")
+    if not (a > 0.0 and r > 0.0):
+        raise ValueError(f"a={a} and r={r} must be positive")
     C_r, K_r = regime_constants(r)
     a0 = C_r * K_r
     if a < a0:
@@ -432,16 +432,15 @@ class PicardInfo:
     linear_gap_bound: float
 
 
-def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
-                    full_output: bool = False):
+def picard_analytic(a: float, r: float, full_output: bool = False):
     """Fixed point of h -> invert_L(Q(h, a)) on truncated even series.
 
     At each order of SERIES_ORDERS the iteration starts from h = 0 (so the
     first iterate is -a J) and stops when the weighted-norm distance
-    between successive iterates drops below tol; the first order whose
-    fixed point has a tail estimate at r of at most eps * a is kept.  The
-    (a, r) pair must admit a certified contraction ball, whose constants
-    derive_contraction_constants picks.
+    between successive iterates drops below DEFAULT_PICARD_TOL; the first
+    order whose fixed point has a tail estimate at r of at most eps * a is
+    kept.  The (a, r) pair must admit a certified contraction ball, whose
+    constants derive_contraction_constants picks.
 
     Returns the solution series (radius = r), plus a PicardInfo on the
     kept order's iteration when ``full_output`` is set.
@@ -450,7 +449,6 @@ def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
     the iteration budget or SERIES_ORDERS is exhausted.
     """
     constants = derive_contraction_constants(a, r)
-    report = contraction_certificate(constants)
     for order in SERIES_ORDERS:
         h = EvenSeries(np.zeros(order // 2 + 1), r)
         distances = []
@@ -459,10 +457,11 @@ def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
             h_next = EvenSeries(invert_L(q).coeffs, r)
             distances.append(weighted_norm(h_next - h, r))
             h = h_next
-            if distances[-1] < tol:
+            if distances[-1] < DEFAULT_PICARD_TOL:
                 break
         else:
-            raise NoConvergence(f"series iteration did not reach tol={tol} in "
+            raise NoConvergence(f"series iteration did not reach "
+                                f"tol={DEFAULT_PICARD_TOL} in "
                                 f"{DEFAULT_PICARD_MAX_ITER} steps (a={a}, r={r})")
         if series_tail_ratio(h, r) <= np.finfo(float).eps * a:
             break
@@ -477,7 +476,7 @@ def picard_analytic(a: float, r: float, tol: float = DEFAULT_PICARD_TOL,
                             "to the linear solution")
     if full_output:
         info = PicardInfo(len(distances), tuple(distances), constants,
-                          report, gap, gap_bound)
+                          contraction_certificate(constants), gap, gap_bound)
         return h, info
     return h
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .arclength import MONITOR_SLACK_TOL, LensProfile, integrate_profile
+from .arclength import (DEFAULT_TOL, MONITOR_SLACK_TOL, LensProfile,
+                        integrate_profile)
 from .errors import BracketFailure, LensError
 from .series import R_STAR, picard_analytic
 
@@ -27,21 +28,17 @@ DEFAULT_TOL_A = 1e-10
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tolerances and knobs for the single-profile pipeline."""
+    """Settings of the single-profile pipeline: ode_tol is the one accuracy
+    setting of each solve (DOP853's rtol and atol), jobs the number of
+    worker processes of a table.  The series and crossing tolerances are
+    constants of their modules."""
 
-    series_tol: float = 1e-14
-    ode_rtol: float = 1e-12
-    ode_atol: float = 1e-12
-    event_tol: float = 1e-12
+    ode_tol: float = DEFAULT_TOL
     jobs: int = 1
 
     def tightened(self, factor: float = 10.0) -> "PipelineConfig":
-        """Copy with all integration tolerances divided by factor."""
-        return replace(self,
-                       series_tol=self.series_tol / factor,
-                       ode_rtol=self.ode_rtol / factor,
-                       ode_atol=self.ode_atol / factor,
-                       event_tol=self.event_tol / factor)
+        """Copy with ode_tol divided by factor."""
+        return replace(self, ode_tol=self.ode_tol / factor)
 
 
 def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensProfile]:
@@ -54,9 +51,7 @@ def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensPr
     cfg = cfg or PipelineConfig()
     if not 0.0 < a <= A_CIRCLE:
         raise ValueError(f"a={a} outside the supported range (0, sqrt(2)]")
-    h = picard_analytic(a, R_STAR, tol=cfg.series_tol)
-    profile = integrate_profile(h, a, rtol=cfg.ode_rtol, atol=cfg.ode_atol,
-                                event_tol=cfg.event_tol)
+    profile = integrate_profile(picard_analytic(a, R_STAR), a, tol=cfg.ode_tol)
     return profile.alpha, profile
 
 

@@ -203,6 +203,12 @@ def test_profile_stays_in_open_quadrant(a, profiles):
     assert np.all(np.diff(p.s) > 0.0)
 
 
+@pytest.mark.parametrize("a", [0.0, -0.5, math.nan, math.inf])
+def test_integrate_profile_rejects_a_height_that_is_not_positive_and_finite(a):
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate_profile(picard_analytic(0.5, R_STAR), a)
+
+
 def test_small_height_crossing_near_x0():
     x0 = find_x0()
     p = integrate_profile(picard_analytic(0.01, R_STAR), 0.01)

@@ -58,7 +58,7 @@ def test_solve_rejects_bad_height(tmp_path):
 
 def test_config_validation_catches_bad_tolerances():
     parser = build_parser()
-    args = parser.parse_args(["solve", "--a", "0.5", "--series-tol", "-1"])
+    args = parser.parse_args(["solve", "--a", "0.5", "--ode-tol", "-1"])
     with pytest.raises(ValueError):
         config_from_args(args)
 
@@ -182,10 +182,11 @@ def test_size_inputs_are_bounded(argv):
     ["shoot", "--tol-a", "inf"],
     ["shoot", "--tol-a", repr(SQRT2 - 0.05)],  # the default bracket width
     ["mesh", "--tol-a", "inf"],
-    ["solve", "--a", "0.9", "--ode-rel", "1e-14"],
-    ["solve", "--a", "0.9", "--ode-abs", "inf"],
+    ["solve", "--a", "0.9", "--ode-tol", "1e-14"],
+    ["solve", "--a", "0.9", "--ode-tol", "inf"],
+    ["solve", "--a", "0.9", "--ode-tol", "nan"],
 ], ids=["shoot_tol_a_inf", "shoot_tol_a_width", "mesh_tol_a_inf",
-        "ode_rel_below_floor", "ode_abs_inf"])
+        "ode_tol_below_floor", "ode_tol_inf", "ode_tol_nan"])
 def test_unbounded_tolerances_exit_with_config_error(tmp_path, argv):
     out = tmp_path / "out"
     assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
@@ -209,8 +210,8 @@ def test_annulus_outer_is_bounded_before_any_solve(tmp_path, monkeypatch,
 
 
 def test_tolerance_bounds_admit_their_edges():
-    assert parse(["solve", "--a", "0.9", "--ode-rel", repr(RTOL_FLOOR)]
-                 ).pipeline.ode_rtol == RTOL_FLOOR
+    assert parse(["solve", "--a", "0.9", "--ode-tol", repr(RTOL_FLOOR)]
+                 ).pipeline.ode_tol == RTOL_FLOOR
     width = SQRT2 - 0.05
     assert parse(["shoot", "--tol-a", repr(math.nextafter(width, 0.0))]
                  ).tol_a < width
@@ -220,6 +221,11 @@ def test_tolerance_bounds_admit_their_edges():
     ["solve", "--a", "0.5", "--order", "64"],
     ["solve", "--a", "0.5", "--x-seed", "1e-3"],
     ["mesh", "--order", "8"],
+    ["solve", "--a", "0.5", "--series-tol", "1e-14"],
+    ["shoot", "--event-tol", "1e-12"],
+    ["table", "--from", "0.1", "--to", "0.2", "--step", "0.1",
+     "--ode-abs", "1e-12"],
+    ["mesh", "--ode-rel", "1e-12"],
 ])
 def test_removed_series_options_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -325,7 +331,7 @@ def test_runconfig_roundtrip_defaults():
 
 
 def test_verify_shoot_bounds_the_defect_by_the_ode_tolerance():
-    cfg = shooting.PipelineConfig(ode_rtol=1e-10, ode_atol=1e-10)
+    cfg = shooting.PipelineConfig(ode_tol=1e-10)
     result = checks.check_junction_shoot(cfg)
     assert result.passed, result.detail
     assert "(bound 1e-06)" in result.detail

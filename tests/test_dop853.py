@@ -38,7 +38,7 @@ def _scipy_solve(profile, cfg):
     return solve_ivp(arclength.arclength_rhs, (s0, s_max),
                      [X_SEED, a + h(X_SEED), math.atan(h.deriv(X_SEED)),
                       iphi0, iv0],
-                     method="DOP853", rtol=cfg.ode_rtol, atol=cfg.ode_atol,
+                     method="DOP853", rtol=cfg.ode_tol, atol=cfg.ode_tol,
                      dense_output=True, events=[crossing, u_passes_one])
 
 
@@ -58,6 +58,8 @@ def test_matches_scipy_dop853(a):
     assert abs(p.s_star - s_star) <= 4 * EPS * s_bar
     assert abs(p.alpha - ref.y_events[0][0][2]) <= 1e-15
     assert abs(p.xi - ref.y_events[0][0][0]) <= 1e-15
+    # the evidence behind the constant crossing bound arclength.EVENT_TOL
+    assert p.v_residual <= 1e-15
     # dense states on the profile grid of every step before the crossing step
     head = slice(1, 1 + (p.n_steps - 1) * (arclength.DENSE_POINTS_PER_STEP + 1))
     u, v, phi, i_phi, i_v = ref.sol(p.s[head])
@@ -150,6 +152,20 @@ def test_step_failure_on_a_blow_up():
                          rtol=1e-10, atol=1e-10)
 
 
+def test_step_failure_on_a_nan_state():
+    # a NaN state makes the step size NaN, which h < min_step never catches
+    with pytest.raises(StepFailure):
+        dop853.integrate(lambda t, y: [-y[0]], 0.0, [math.nan], 1.0,
+                         rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("t_bound", [0.0, -1.0, math.nan])
+def test_rejects_an_empty_interval(t_bound):
+    with pytest.raises(ValueError, match="t_bound"):
+        dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], t_bound,
+                         rtol=1e-10, atol=1e-10)
+
+
 def test_dense_output_follows_the_circle_from_the_axis(circle_profile):
     p = circle_profile
     s = np.linspace(0.0, p.s_bar, 2001)
@@ -188,4 +204,4 @@ def test_resampling_ignores_the_stored_state_set(profiles):
 def test_integrate_profile_rejects_rtol_below_floor():
     _, p = angle_of(0.5)
     with pytest.raises(ValueError):
-        integrate_profile(p.series, 0.5, rtol=1e-15)
+        integrate_profile(p.series, 0.5, tol=1e-15)

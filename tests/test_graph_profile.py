@@ -154,8 +154,8 @@ def test_seed_independence(profiles, monkeypatch):
 
 
 def test_step_size_convergence():
-    coarse = angle_of(1.0, PipelineConfig(ode_rtol=1e-9, ode_atol=1e-9))[1]
-    fine = angle_of(1.0, PipelineConfig(ode_rtol=5e-10, ode_atol=5e-10))[1]
+    coarse = angle_of(1.0, PipelineConfig(ode_tol=1e-9))[1]
+    fine = angle_of(1.0, PipelineConfig(ode_tol=5e-10))[1]
     for name in ("alpha", "s_bar", "xi"):
         assert abs(getattr(coarse, name) - getattr(fine, name)) < 1e-9
 

@@ -310,6 +310,13 @@ def test_derive_constants_rejects_huge_height():
         derive_contraction_constants(100.0, 1.0)
 
 
+@pytest.mark.parametrize("a, r", [(math.nan, R_STAR), (0.5, math.nan),
+                                  (0.0, R_STAR), (0.5, -1.0)])
+def test_derive_constants_rejects_a_height_or_radius_that_is_not_positive(a, r):
+    with pytest.raises(ValueError, match="must be positive"):
+        derive_contraction_constants(a, r)
+
+
 def test_regime_constants_formulas():
     C1, K1 = regime_constants(1.0)
     assert C1 == pytest.approx(SQRT2 / (math.exp(0.25) * math.sqrt(6.0)), rel=1e-15)

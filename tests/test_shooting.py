@@ -163,7 +163,7 @@ def test_find_lens_refinement_stability(lens_report):
 
 def test_refinement_is_cauchy():
     # drift between successive tolerance decades stays bounded
-    base = PipelineConfig(ode_rtol=1e-10, ode_atol=1e-10)
+    base = PipelineConfig(ode_tol=1e-10)
     a1 = find_lens(tol_a=1e-8, cfg=base).a_star
     a2 = find_lens(tol_a=1e-8, cfg=base.tightened(10.0)).a_star
     a3 = find_lens(tol_a=1e-8, cfg=base.tightened(100.0)).a_star
