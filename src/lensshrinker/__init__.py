@@ -9,10 +9,10 @@ angles) that shrinks homothetically under mean curvature flow:
   independent grid-based construction used as a cross-validation oracle;
 * :mod:`lensshrinker.arclength` seeds the curve from the series and
   integrates it once, in angle form, down to the horizontal axis, with
-  three independent curvature formulas and polar bounds certifying
-  non-self-intersection;
+  three independent curvature formulas and one table of monitored
+  inequalities, whose polar bounds certify non-self-intersection;
 * :mod:`lensshrinker.graph_profile` reads the region where the curve is a
-  graph y = f(x) off its states, monitoring every proved inequality there;
+  graph y = f(x) off its states;
 * :mod:`lensshrinker.shooting` locates the initial height whose profile
   meets the axis at 60 degrees (the junction condition);
 * :mod:`lensshrinker.cluster` revolves the profile into a watertight
@@ -24,7 +24,7 @@ from .cluster import ClusterMesh, build_cluster, write_obj
 from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,
                      LensError, MonitorViolation, NoContraction,
                      NoConvergence, NoCrossing, StepFailure)
-from .graph_profile import graph_view, transversality_monitor
+from .graph_profile import graph_view
 from .series import (ContractionConstants, EvenSeries, ProfileSample, apply_L,
                      contraction_certificate, eta_coefficients, find_x0,
                      invert_L, j_function, nonlinear_Q, picard_analytic,
@@ -43,6 +43,5 @@ __all__ = [
     "contraction_certificate", "eta_coefficients", "find_lens", "find_x0",
     "graph_view", "integrate_profile", "invert_L", "j_function",
     "nonlinear_Q", "picard_analytic", "picard_c2_oracle", "polar_monitors",
-    "sample_angle_table", "transversality_monitor",
-    "weighted_norm",
+    "sample_angle_table", "weighted_norm",
 ]

@@ -29,11 +29,13 @@ adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
 :mod:`lensshrinker.dop853`) runs to the first v = 0, located by root
 refinement on the dense output; the first passage of u through 1 is
 recorded as s_star.
-Transversality floors, polar annulus bounds and the strict decrease of the
-polar angle (which certifies that the curve cannot self-intersect) are
-monitored on the computed states, together with the graph-region
-inequalities of :mod:`lensshrinker.graph_profile` and the defect of the
-dense output, which tests whether the stored curve solves the ODE.
+One function, :func:`monitor_slacks`, checks every monitored inequality on
+the computed states: the radial transversality floor, the outer annulus
+bound and the strict decrease of the polar angle (which certifies that the
+curve cannot self-intersect), the graph-region inequalities on the view of
+:mod:`lensshrinker.graph_profile`, and the defect of the dense output,
+which tests whether the stored curve solves the ODE.  Bounds that these
+imply are not checked again.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     Integration fails safe at s_max = pi / (2 c_a) -- reaching it
     contradicts the guaranteed crossing and raises NoCrossing.
 
-    All proved monitors are evaluated on the returned states; a violation
+    monitor_slacks fills ``monitors`` from the returned states; a violation
     beyond tolerance raises MonitorViolation; the defect monitor's bound is
     DEFECT_PER_TOL * tol.  An integrator failure raises StepFailure.  An a
     that is not positive and finite, a series.radius at most X_SEED, or a
@@ -212,13 +214,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
                           v_residual=v_residual, monitors={}, series=series,
                           dense=dense, nfev=sol.nfev, n_steps=len(d.h),
                           n_rejected=sol.n_rejected)
-    report = polar_monitors(profile, a)
-    profile.monitors = {m.monitor_id: m.worst_slack for m in report.results}
-    profile.monitors["shrinker_residual"] = float(
-        DEFECT_PER_TOL * tol - np.max(shrinker_residual(profile)))
-    profile.monitors.update(
-        {f"graph_{name}": float(slack) for name, slack
-         in graph_profile.evaluate_monitors(profile, a).items()})
+    profile.monitors = monitor_slacks(profile, tol)
     bad = {k: v for k, v in profile.monitors.items() if v < MONITOR_SLACK_TOL}
     if bad:
         raise MonitorViolation(f"profile monitors violated at a={a}: {bad}")
@@ -253,79 +249,75 @@ def shrinker_residual(profile: LensProfile) -> np.ndarray:
                           dphi - (-sn / u + u * sn - v * c)]), axis=0)
 
 
-@dataclass(frozen=True)
-class MonitorResult:
-    monitor_id: str
-    valid_range: str
-    worst_slack: float
-    passed: bool
+def _worst(values) -> float:
+    return float(np.min(values)) if len(values) else math.inf
 
-    def to_dict(self) -> dict:
-        return {"monitor_id": self.monitor_id, "range": self.valid_range,
-                "worst_slack": self.worst_slack, "pass": self.passed}
+
+def monitor_slacks(profile: LensProfile, tol: float) -> dict:
+    """Worst slack of each monitored inequality on the stored states; an
+    inequality holds where its slack is >= 0.  Pure report, never raises.
+
+    Polar, on all states: the radial transversality (-u v' + v u')/rho >=
+    K_a, log rho below the annulus band, and a strictly decreasing polar
+    angle, which certifies injectivity.  ``shrinker_residual`` is
+    DEFECT_PER_TOL * tol minus the largest ODE defect of the dense output.
+    Graph, on the view 0 < u < 1 (x = u, f = v, f' = tan phi):
+    a sqrt(1-x^2) <= f <= a, f' >= -a x/(1-x^2), f / sqrt(1-x^2)
+    increasing and (f - x f')/sqrt(1+f'^2) >= a/sqrt(1+a^2).  Before the
+    crossing: f' <= 0 from the seed on, and phi' <= 0 and f >= 0 after it.
+    Bounds these imply are not checked again: the radial speed cone and
+    the turning rate (by the radial transversality and the annulus), the
+    radial transversality up to s_star (by the graph transversality),
+    f' <= 0 on the graph view, and the inner annulus bound (by the graph
+    height bounds).
+    """
+    a = profile.a
+    u, v, up, vp = profile.u, profile.v, profile.up, profile.vp
+    rho = np.hypot(u, v)
+    x, f, fp, _ = graph_profile.graph_view(profile)
+    root = np.sqrt(1.0 - x * x)
+    # state 0 is the axis point, state 1 the seed, the last the crossing
+    past_seed = [arr[2:-1] for arr in (u, v, up, vp)]
+    return {
+        "radial_transversality_global":
+            _worst((-u * vp + v * up) / rho - transversality_floor(a)),
+        "annulus_upper": _worst(annulus_log_halfwidth(a) - np.log(rho)),
+        "theta_decreasing": _worst(-np.diff(np.arctan2(v, u))),
+        "shrinker_residual": float(DEFECT_PER_TOL * tol
+                                   - np.max(shrinker_residual(profile))),
+        "graph_height_lower": _worst(f - a * root),
+        "graph_height_upper": _worst(a - f),
+        "graph_slope_lower": _worst(fp + a * x / (1.0 - x * x)),
+        "graph_ratio_monotone": _worst(np.diff(f / root)),
+        "graph_concavity": _worst(-graph_profile._phi_prime(*past_seed)),
+        "graph_height_positive": _worst(past_seed[1]),
+        "graph_slope_negative": _worst(-vp[1:-1] / up[1:-1]),
+        "graph_transversality": _worst((f - x * fp) / np.sqrt(1.0 + fp * fp)
+                                       - a / math.sqrt(1.0 + a * a)),
+    }
+
+
+# the monitors of the polar bounds, each checked on [0, s_bar]
+POLAR_MONITORS = ("radial_transversality_global", "annulus_upper",
+                  "theta_decreasing")
 
 
 @dataclass(frozen=True)
 class PolarReport:
-    a: float
-    results: tuple[MonitorResult, ...]
-    all_passed: bool
+    rows: tuple[dict, ...]
 
     def to_json_list(self) -> list[dict]:
-        return [r.to_dict() for r in self.results]
+        return [dict(r) for r in self.rows]
 
 
 def polar_monitors(profile: LensProfile, a: float) -> PolarReport:
-    """Evaluate the transversality, annulus and turning bounds on the states.
-
-    The radial transversality (-u v' + v u')/rho must exceed the global
-    floor K_a everywhere and a/(1+a^2) up to the first passage of u = 1;
-    |rho'| stays below sqrt(1-K_a^2); log rho stays inside the certified
-    annulus band; -theta' stays above the turning floor, and theta strictly
-    decreases (from exactly pi/2 on the axis to 0 at the crossing, to the
-    event tolerance), which certifies injectivity.  Pure report, never raises.
-    """
-    s = profile.s
-    u, v = profile.u, profile.v
-    up, vp = profile.up, profile.vp
-    rho = np.hypot(u, v)
-    trans = (-u * vp + v * up) / rho
-    K_a = transversality_floor(a)
-    band = annulus_log_halfwidth(a)
-    c_a = turning_floor(a)
-    rho_p = (u * up + v * vp) / rho
-    theta = np.arctan2(v, u)
-    minus_theta_p = trans / rho
-    graph_part = (s <= profile.s_star) if math.isfinite(profile.s_star) \
-        else np.zeros(len(s), dtype=bool)
-
-    def worst(values) -> float:
-        return float(np.min(values)) if len(values) else math.inf
-
-    slacks = {
-        "radial_transversality_global": worst(trans - K_a),
-        "radial_transversality_graph": worst(trans[graph_part]
-                                             - a / (1.0 + a * a)),
-        "radial_speed_cone": worst((1.0 - K_a * K_a) - rho_p ** 2),
-        "annulus_lower": worst(np.log(rho) + band),
-        "annulus_upper": worst(band - np.log(rho)),
-        "turning_rate": worst(minus_theta_p - c_a),
-        "theta_decreasing": worst(-np.diff(theta)),
-    }
-    ranges = {
-        "radial_transversality_global": "[0, s_bar]",
-        "radial_transversality_graph": "[0, s_star]",
-        "radial_speed_cone": "[0, s_bar]",
-        "annulus_lower": "[0, s_bar]",
-        "annulus_upper": "[0, s_bar]",
-        "turning_rate": "[0, s_bar]",
-        "theta_decreasing": "[0, s_bar]",
-    }
-    results = tuple(
-        MonitorResult(name, ranges[name], float(slack),
-                      bool(slack >= MONITOR_SLACK_TOL))
-        for name, slack in slacks.items())
-    return PolarReport(a, results, all(r.passed for r in results))
+    """The polar bounds' rows {monitor_id, range, worst_slack, pass}, read
+    from ``profile.monitors``, which integrate_profile filled at height a."""
+    return PolarReport(tuple(
+        {"monitor_id": name, "range": "[0, s_bar]",
+         "worst_slack": profile.monitors[name],
+         "pass": bool(profile.monitors[name] >= MONITOR_SLACK_TOL)}
+        for name in POLAR_MONITORS))
 
 
 def profile_to_csv(profile: LensProfile, path) -> None:

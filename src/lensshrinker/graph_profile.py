@@ -10,12 +10,14 @@ The graph quantities are views of its states on the strip 0 < u < 1:
 
     x = u,   f = v,   f' = tan phi,   f'' = phi' / cos^3 phi.
 
-Every inequality proved for this region is monitored on those states: the
-height bounds a sqrt(1-x^2) < f < a, the slope bounds -a x/(1-x^2) < f' < 0,
-monotonicity of the comparison ratio F = f / sqrt(1-x^2), and the
-transversality floor (f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2).
-Concavity (as phi' < 0, which stays finite at a vertical tangent), f > 0
-and f' < 0 are monitored on every state between the seed and the crossing.
+The inequalities proved for this region -- the height bounds
+a sqrt(1-x^2) < f < a, the slope bound f' > -a x/(1-x^2), monotonicity of
+the comparison ratio F = f / sqrt(1-x^2) and the transversality floor
+(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- are monitored on this view
+by :func:`lensshrinker.arclength.monitor_slacks`, with concavity (as
+phi' < 0, which stays finite at a vertical tangent), f > 0 and f' < 0 on
+the states between the seed and the crossing.  This module writes the
+view and its pointwise slacks as CSV.
 """
 
 from __future__ import annotations
@@ -41,53 +43,14 @@ def graph_view(profile: LensProfile) -> tuple[np.ndarray, ...]:
     return x, f, vp / up, _phi_prime(x, f, up, vp) / up ** 3
 
 
-def _worst(values) -> float:
-    return float(np.min(values)) if len(values) else math.inf
-
-
-def comparison_ratio(profile: LensProfile) -> np.ndarray:
-    """F(x) = f / sqrt(1 - x^2) on the graph view; strictly increasing."""
-    x, f, _, _ = graph_view(profile)
-    return f / np.sqrt(1.0 - x * x)
-
-
-def _transversality_slack(x, f, fp, a: float) -> np.ndarray:
-    return (f - x * fp) / np.sqrt(1.0 + fp * fp) - a / math.sqrt(1.0 + a * a)
-
-
-def transversality_monitor(profile: LensProfile, a: float) -> float:
-    """Worst slack of (f - x f')/sqrt(1+f'^2) - a/sqrt(1+a^2) on 0 < x < 1."""
-    x, f, fp, _ = graph_view(profile)
-    return _worst(_transversality_slack(x, f, fp, a))
-
-
-def evaluate_monitors(profile: LensProfile, a: float) -> dict:
-    """Worst slack of every proved graph-region inequality (>= 0 holds)."""
-    x, f, fp, _ = graph_view(profile)
-    root = np.sqrt(1.0 - x * x)
-    # state 0 is the axis point, state 1 the seed, the last the crossing
-    u, v, up, vp = (arr[2:-1] for arr in
-                    (profile.u, profile.v, profile.up, profile.vp))
-    return {
-        "height_lower": _worst(f - a * root),
-        "height_upper": _worst(a - f),
-        "slope_lower": _worst(fp + a * x / (1.0 - x * x)),
-        "slope_upper": _worst(-fp),
-        "ratio_monotone": _worst(np.diff(f / root)),
-        "concavity": _worst(-_phi_prime(u, v, up, vp)),
-        "height_positive": _worst(v),
-        "slope_negative": _worst(-vp / up),
-        "transversality": _worst(_transversality_slack(x, f, fp, a)),
-    }
-
-
 def trajectory_to_csv(profile: LensProfile, path) -> None:
     """Write the graph view: x, f, fp, fpp, F, slack_lower, slack_upper,
     slack_transversality, one row per profile state with 0 < u < 1."""
     a = profile.a
     x, f, fp, fpp = graph_view(profile)
     root = np.sqrt(1.0 - x * x)
-    slack_trans = _transversality_slack(x, f, fp, a)
+    slack_trans = ((f - x * fp) / np.sqrt(1.0 + fp * fp)
+                   - a / math.sqrt(1.0 + a * a))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,f,fp,fpp,F,slack_lower,slack_upper,slack_transversality\n")
         for row in zip(x, f, fp, fpp, f / root, f - a * root, a - f,

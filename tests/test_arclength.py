@@ -6,10 +6,11 @@ import pytest
 
 from lensshrinker import (MonitorViolation, angle_of, arclength, find_x0,
                           integrate_profile, picard_analytic, polar_monitors)
-from lensshrinker.arclength import (annulus_log_halfwidth, curvature_arrays,
-                                    profile_summary, profile_to_csv,
-                                    shrinker_residual, transversality_floor,
-                                    turning_floor)
+from lensshrinker.arclength import (DEFAULT_TOL, MONITOR_SLACK_TOL,
+                                    annulus_log_halfwidth, curvature_arrays,
+                                    monitor_slacks, profile_summary,
+                                    profile_to_csv, shrinker_residual,
+                                    transversality_floor, turning_floor)
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
@@ -108,13 +109,52 @@ def test_graph_floor_dominates_global_floor(a):
 @pytest.mark.parametrize("a", A_SUITE)
 def test_polar_monitors_pass(a, profiles):
     _, p = profiles[a]
-    report = polar_monitors(p, a)
-    assert report.all_passed
-    rows = report.to_json_list()
-    assert {r["monitor_id"] for r in rows} == {
-        "radial_transversality_global", "radial_transversality_graph",
-        "radial_speed_cone", "annulus_lower", "annulus_upper",
-        "turning_rate", "theta_decreasing"}
+    rows = polar_monitors(p, a).to_json_list()
+    assert all(r["pass"] for r in rows)
+    assert [r["monitor_id"] for r in rows] == [
+        "radial_transversality_global", "annulus_upper", "theta_decreasing"]
+    assert all(r["worst_slack"] == p.monitors[r["monitor_id"]] for r in rows)
+
+
+def test_one_table_holds_every_monitor(profiles):
+    _, p = profiles[1.0]
+    assert set(p.monitors) == {
+        "radial_transversality_global", "annulus_upper", "theta_decreasing",
+        "shrinker_residual", "graph_height_lower", "graph_height_upper",
+        "graph_slope_lower", "graph_ratio_monotone", "graph_concavity",
+        "graph_height_positive", "graph_slope_negative",
+        "graph_transversality"}
+    assert monitor_slacks(p, DEFAULT_TOL) == p.monitors
+
+
+def _failing(profile) -> set:
+    """Monitors a perturbed copy fails, apart from the ODE defect, which
+    every state moved off the ODE fails by design."""
+    slacks = monitor_slacks(profile, DEFAULT_TOL)
+    return {k for k, v in slacks.items()
+            if v < MONITOR_SLACK_TOL and k != "shrinker_residual"}
+
+
+@pytest.mark.parametrize("target", ["annulus_upper", "theta_decreasing"])
+def test_polar_monitor_fails_alone(target, profiles):
+    _, p = profiles[1.0]
+    i = int(np.argmax(p.u > 1.2))
+    u, v = p.u.copy(), p.v.copy()
+    if target == "annulus_upper":  # one state 40x farther out, same angle
+        u[i] *= 40.0
+        v[i] *= 40.0
+    else:  # two adjacent states swapped
+        u[[i, i + 1]] = u[[i + 1, i]]
+        v[[i, i + 1]] = v[[i + 1, i]]
+    assert _failing(dataclasses.replace(p, u=u, v=v)) == {target}
+
+
+def test_slope_negative_covers_the_seed(profiles):
+    # the seed (state 1) is the one state the merged slope bound alone sees
+    _, p = profiles[1.0]
+    vp = p.vp.copy()
+    vp[1] = +1e-6
+    assert _failing(dataclasses.replace(p, vp=vp)) == {"graph_slope_negative"}
 
 
 def test_theta_runs_from_half_pi_to_zero(profiles):

@@ -1,13 +1,17 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lensshrinker import checks, cli, shooting
+from lensshrinker.arclength import polar_monitors, profile_summary
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_MONITOR, EXIT_OK,
                               RunConfig, config_from_args, build_parser, main)
 from lensshrinker.dop853 import RTOL_FLOOR
@@ -342,3 +346,30 @@ def test_verify_exits_zero(capsys):
     text = capsys.readouterr().out
     assert text.count("[PASS]") >= 10
     assert "[FAIL]" not in text
+
+
+def _bench_trace():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_contract(tmp_path, profiles):
+    # the benchmark traces these modules and checks solve's JSON against
+    # the in-process profile, so both must hold for it to run at all
+    trace = _bench_trace()
+    for module, _ in trace.SPAN_SITES + trace.COUNT_SITES:
+        importlib.import_module(module)
+    assert run(["solve", "--a", "1.0", "--output-dir", str(tmp_path)]) == EXIT_OK
+    got = json.loads((tmp_path / "profile_a1.json").read_text())
+    alpha, p = profiles[1.0]
+    want = profile_summary(p)
+    want["alpha_deg"] = math.degrees(alpha)
+    want["polar_monitors"] = polar_monitors(p, 1.0).to_json_list()
+    want = json.loads(json.dumps(want, sort_keys=True))
+    assert got["monitors"] == want["monitors"]
+    assert got["polar_monitors"] == want["polar_monitors"]
+    del got["config"]
+    assert got == want

@@ -5,9 +5,9 @@ import pytest
 
 from lensshrinker import (EvenSeries, MonitorViolation, PipelineConfig,
                           angle_of, arclength, graph_view, integrate_profile,
-                          j_function, picard_analytic, transversality_monitor)
+                          j_function, picard_analytic)
 from lensshrinker.arclength import X_SEED, seed_quadratures
-from lensshrinker.graph_profile import comparison_ratio, trajectory_to_csv
+from lensshrinker.graph_profile import trajectory_to_csv
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
@@ -80,7 +80,7 @@ def test_circle_arclength_at_one(circle_profile):
 def test_proved_bounds_hold(a, profiles):
     _, p = profiles[a]
     graph = {k: v for k, v in p.monitors.items() if k.startswith("graph_")}
-    assert len(graph) == 9
+    assert len(graph) == 8
     assert min(graph.values()) >= -1e-9
     xs, fs, fps, fpps = graph_view(p)
     assert np.all(fs > a * np.sqrt(1.0 - xs * xs))
@@ -91,8 +91,7 @@ def test_proved_bounds_hold(a, profiles):
 
 
 def test_comparison_ratio_increases(profiles):
-    F = comparison_ratio(profiles[1.0][1])
-    assert np.all(np.diff(F) > 0.0)
+    assert profiles[1.0][1].monitors["graph_ratio_monotone"] > 0.0
 
 
 def test_samples_strictly_increasing_from_seed(profiles):
@@ -129,7 +128,7 @@ def test_transversality_on_exact_circle():
 
 def test_transversality_monitor_positive(profiles):
     for a in (0.1, 1.0, SQRT2):
-        assert transversality_monitor(profiles[a][1], a) > 0.0
+        assert profiles[a][1].monitors["graph_transversality"] > 0.0
 
 
 def test_monitor_violation_on_inconsistent_seed():
