@@ -123,13 +123,6 @@ def annulus_log_halfwidth(a: float) -> float:
     return math.sqrt(1.0 - K * K) / K * math.pi / 2.0
 
 
-def turning_floor(a: float) -> float:
-    """Strict lower bound for -theta' along the curve; underflows to zero
-    for tiny a, where the bound is void anyway."""
-    K = transversality_floor(a)
-    return K * math.exp(-annulus_log_halfwidth(a))
-
-
 def seed_quadratures(h: EvenSeries, a: float,
                      x_seed: float) -> tuple[float, float, float]:
     """Initial (s, i_phi, i_v) from the series on [0, x_seed].
@@ -159,14 +152,15 @@ def integrate_profile(series: EvenSeries, a: float, *,
     One DOP853 solve with rtol = atol = tol follows.  The crossing is
     event-detected on the dense output and refined until |v(s_bar)| <=
     EVENT_TOL; s_star is the first passage of u through 1.
-    Integration fails safe at s_max = pi / (2 c_a) -- reaching it
-    contradicts the guaranteed crossing and raises NoCrossing.
+    Reaching s_max = s0 + ARCLENGTH_HARD_CAP without a crossing raises
+    NoCrossing.  The proved bound pi / (2 c_a) is not evaluated: it is at
+    least 158 at every height, so the cap is always the smaller bound.
 
-    monitor_slacks fills ``monitors`` from the returned states; a violation
-    beyond tolerance raises MonitorViolation; the defect monitor's bound is
-    DEFECT_PER_TOL * tol.  An integrator failure raises StepFailure.  An a
-    that is not positive and finite, a series.radius at most X_SEED, or a
-    tol below 100 eps or not finite raises ValueError.
+    monitor_slacks fills ``monitors`` from the returned states; a slack
+    below MONITOR_SLACK_TOL, or NaN, raises MonitorViolation; the defect
+    monitor's bound is DEFECT_PER_TOL * tol.  An integrator failure raises
+    StepFailure.  An a that is not positive and finite, a series.radius at
+    most X_SEED, or a tol below 100 eps or not finite raises ValueError.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"a={a} must be positive and finite")
@@ -174,9 +168,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
         raise ValueError(f"the seed X_SEED={X_SEED} must lie inside the "
                          f"certified radius {series.radius}")
     s0, iphi0, iv0 = seed_quadratures(series, a, X_SEED)
-    c_a = turning_floor(a)
-    s_max = min(math.pi / (2.0 * c_a) if c_a > 0.0 else math.inf,
-                s0 + ARCLENGTH_HARD_CAP)
+    s_max = s0 + ARCLENGTH_HARD_CAP
 
     sol = dop853.integrate(arclength_rhs, s0,
                            [X_SEED, a + series(X_SEED),
@@ -185,8 +177,8 @@ def integrate_profile(series: EvenSeries, a: float, *,
                            events=[(lambda y: y[1], -1, True),
                                    (lambda y: y[0] - 1.0, 1, False)])
     if not sol.terminated:
-        raise NoCrossing(f"no v=0 crossing before s_max={s_max} at a={a}; "
-                         "this contradicts the guaranteed crossing")
+        raise NoCrossing(f"no v=0 crossing before the arclength cap "
+                         f"s_max={s_max} at a={a}")
     s_bar = float(sol.t_events[0][0])
     y_bar = sol.y_events[0][0]
     v_residual = abs(float(y_bar[1]))
@@ -215,7 +207,8 @@ def integrate_profile(series: EvenSeries, a: float, *,
                           dense=dense, nfev=sol.nfev, n_steps=len(d.h),
                           n_rejected=sol.n_rejected)
     profile.monitors = monitor_slacks(profile, tol)
-    bad = {k: v for k, v in profile.monitors.items() if v < MONITOR_SLACK_TOL}
+    bad = {k: v for k, v in profile.monitors.items()
+           if not v >= MONITOR_SLACK_TOL}
     if bad:
         raise MonitorViolation(f"profile monitors violated at a={a}: {bad}")
     return profile

@@ -66,8 +66,8 @@ def check_certificate_reference() -> CheckResult:
     report = se.contraction_certificate(c)
     return _result("contraction certificate at reference constants",
                    report.certified,
-                   "; ".join(f"{ch.inequality_id} slack={ch.slack:.3e}"
-                             for ch in report.checks))
+                   "; ".join(f"{name} slack={slack:.3e}"
+                             for name, slack in report.slacks.items()))
 
 
 def check_small_height_law() -> CheckResult:

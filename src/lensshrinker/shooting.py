@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .arclength import (DEFAULT_TOL, MONITOR_SLACK_TOL, LensProfile,
-                        integrate_profile)
+from .arclength import DEFAULT_TOL, LensProfile, integrate_profile
 from .errors import BracketFailure, LensError
 from .series import R_STAR, picard_analytic
 
@@ -221,9 +220,9 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
 
 
 def _sample_from(profile: LensProfile) -> AngleSample:
-    ok = bool(min(profile.monitors.values()) >= MONITOR_SLACK_TOL)
+    # integrate_profile raised MonitorViolation for any failing monitor
     return AngleSample(profile.a, profile.s_bar, profile.xi,
-                       profile.alpha, ok)
+                       profile.alpha, True)
 
 
 def angle_table_to_csv(report: AngleTable, path) -> None:

@@ -10,7 +10,7 @@ from lensshrinker.arclength import (DEFAULT_TOL, MONITOR_SLACK_TOL,
                                     annulus_log_halfwidth, curvature_arrays,
                                     monitor_slacks, profile_summary,
                                     profile_to_csv, shrinker_residual,
-                                    transversality_floor, turning_floor)
+                                    transversality_floor)
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
@@ -175,16 +175,7 @@ def test_rho_stays_in_annulus(profiles):
         assert np.all(np.log(rho) < band)
 
 
-def test_turning_floor_positive_and_consistent(profiles):
-    for a in (0.5, 1.0, SQRT2):
-        _, p = profiles[a]
-        c_a = turning_floor(a)
-        assert c_a > 0.0
-        assert p.s_bar < math.pi / (2.0 * c_a)
-
-
 def test_small_height_floors_underflow_gracefully():
-    assert turning_floor(1e-3) == 0.0
     assert annulus_log_halfwidth(1e-3) > 100.0
 
 
@@ -214,6 +205,17 @@ def test_defect_fails_a_profile_with_a_wrong_rhs(monkeypatch, profiles):
     assert "'shrinker_residual'" in message
     others = set(profiles[1.0][1].monitors) - {"shrinker_residual"}
     assert not [name for name in others if f"'{name}'" in message]
+
+
+def test_a_nan_monitor_slack_fails_the_solve(monkeypatch):
+    slacks = arclength.monitor_slacks
+
+    def one_nan(profile, tol):
+        return {**slacks(profile, tol), "annulus_upper": math.nan}
+
+    monkeypatch.setattr(arclength, "monitor_slacks", one_nan)
+    with pytest.raises(MonitorViolation, match="'annulus_upper': nan"):
+        integrate_profile(picard_analytic(1.0, R_STAR), 1.0)
 
 
 def test_defect_sees_a_dense_output_off_the_ode(profiles):

@@ -348,18 +348,24 @@ def test_verify_exits_zero(capsys):
     assert "[FAIL]" not in text
 
 
-def _bench_trace():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
-    spec = importlib.util.spec_from_file_location("bench_trace", path)
+def _bench_module(name, monkeypatch):
+    """Load perfbench/<name>.py read-only; it is registered in sys.modules
+    for the test's duration, as its dataclasses look themselves up there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_benchmark_contract(tmp_path, profiles):
-    # the benchmark traces these modules and checks solve's JSON against
-    # the in-process profile, so both must hold for it to run at all
-    trace = _bench_trace()
+def test_benchmark_contract(tmp_path, profiles, monkeypatch):
+    # the benchmark traces these modules, imports its workloads from the
+    # package and checks solve's JSON against the in-process profile, so
+    # all three must hold for it to run at all
+    trace = _bench_module("bench_trace", monkeypatch)
+    workloads = _bench_module("bench_workloads", monkeypatch)
+    assert sorted(workloads.WORKLOADS) == ["cli", "mesh", "shoot", "sweep"]
     for module, _ in trace.SPAN_SITES + trace.COUNT_SITES:
         importlib.import_module(module)
     assert run(["solve", "--a", "1.0", "--output-dir", str(tmp_path)]) == EXIT_OK

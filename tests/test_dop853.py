@@ -19,13 +19,11 @@ EPS = np.finfo(float).eps
 
 
 def _scipy_solve(profile, cfg):
-    """solve_ivp from the series at X_SEED, with the bound and events of
-    integrate_profile."""
+    """solve_ivp from the series at X_SEED, with the arclength cap and the
+    events of integrate_profile."""
     a, h = profile.a, profile.series
     s0, iphi0, iv0 = seed_quadratures(h, a, X_SEED)
-    c_a = arclength.turning_floor(a)
-    s_max = min(math.pi / (2.0 * c_a) if c_a > 0.0 else math.inf,
-                s0 + arclength.ARCLENGTH_HARD_CAP)
+    s_max = s0 + arclength.ARCLENGTH_HARD_CAP
 
     def crossing(s, y):
         return y[1]

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -10,7 +12,8 @@ from lensshrinker import (BracketFailure, CertificateFailure, ContractionConstan
                           contraction_certificate, eta_coefficients, find_x0,
                           invert_L, j_function, nonlinear_Q, picard_analytic,
                           picard_c2_oracle, weighted_norm)
-from lensshrinker.series import (R_STAR, derive_contraction_constants,
+from lensshrinker.series import (CERT_MARGIN, R_STAR,
+                                 derive_contraction_constants,
                                  gauss_legendre_composite, gauss_legendre_rule,
                                  not_a_knot_spline, radial_laplacian_inverse,
                                  regime_constants, series_tail_ratio)
@@ -276,15 +279,18 @@ def test_certificate_reference_constants_pass():
     c = ContractionConstants(SQRT2, 1.0 / (36.0 * SQRT2), 6.0 * SQRT2, 0.5, "C2")
     report = contraction_certificate(c)
     assert report.certified
-    assert all(ch.passed for ch in report.checks)
+    assert all(s >= -CERT_MARGIN for s in report.slacks.values())
 
 
 def test_certificate_fails_at_widened_interval():
-    # with the same large ball, a 12x wider interval breaks the Lipschitz row
+    # with the same large ball, a 12x wider interval breaks the Lipschitz
+    # row, and the ball row with it; L = 1/2 still contracts
     c = ContractionConstants(SQRT2, 1.0 / (3.0 * SQRT2), 6.0 * SQRT2, 0.5, "C2")
     report = contraction_certificate(c)
     assert not report.certified
-    assert not report.check("c2_lipschitz").passed
+    assert report.slacks["c2_lipschitz"] < -CERT_MARGIN
+    assert report.slacks["c2_ball"] < -CERT_MARGIN
+    assert report.slacks["contraction_factor"] >= -CERT_MARGIN
 
 
 def test_certificate_smallness_regime_equality_case():
@@ -294,15 +300,30 @@ def test_certificate_smallness_regime_equality_case():
         a = 1.0 / (math.exp(3.0 * r * r / 4.0) * r * math.sqrt(3.0 * (1.0 + r * r)))
         report = contraction_certificate(ContractionConstants(a, r, R, L))
         assert report.certified
-        assert report.check("regime_ball").passed
-        assert report.check("regime_height").passed
+        # the derived constants meet R <= C_r sqrt(L), a <= K_r R with equality
+        C_r, K_r = regime_constants(r)
+        c = derive_contraction_constants(a, r)
+        assert c.R == pytest.approx(C_r * math.sqrt(c.L), rel=1e-14)
+        assert c.a == pytest.approx(K_r * c.R, rel=1e-14)
 
 
-def test_certificate_json_schema():
-    c = ContractionConstants(0.5, 0.5, 1.0, 0.5)
-    rows = contraction_certificate(c).to_json_list()
-    for row in rows:
-        assert set(row) == {"inequality_id", "lhs", "rhs", "slack", "pass"}
+def test_certificate_certified_iff_every_slack_within_margin():
+    keys = {"analytic": ["analytic_ball", "analytic_lipschitz",
+                         "contraction_factor"],
+            "C2": ["c2_ball", "c2_lipschitz", "contraction_factor"]}
+    seen = set()
+    for flavor, a, r, R, L in itertools.product(
+            keys, (0.1, 1.0, 10.0), (0.1, 0.5, 2.0), (0.1, 1.0, 10.0),
+            (0.1, 0.5, 0.99, 1.5)):
+        report = contraction_certificate(ContractionConstants(a, r, R, L,
+                                                              flavor))
+        assert list(report.slacks) == keys[flavor]
+        assert report.certified == all(s >= -CERT_MARGIN
+                                       for s in report.slacks.values())
+        seen.add((flavor, report.certified))
+    assert len(seen) == 4  # each flavor both passes and fails on the grid
+    nan_height = ContractionConstants(math.nan, 0.5, 1.0, 0.5)
+    assert not contraction_certificate(nan_height).certified
 
 
 def test_derive_constants_rejects_huge_height():
@@ -356,7 +377,7 @@ def test_picard_first_iterate_is_minus_aJ():
 def test_picard_contraction_observed():
     a, r = 0.5, 0.5
     h, info = picard_analytic(a, r, full_output=True)
-    L = info.constants.L
+    L = derive_contraction_constants(a, r).L
     d = info.distances
     for d_prev, d_next in zip(d[:-1], d[1:]):
         if d_prev == 0.0:
@@ -405,10 +426,10 @@ def test_picard_deterministic():
 
 def test_series_export_roundtrip():
     h = picard_analytic(0.9, R_STAR)
-    d = h.to_dict(0.9)
+    d = json.loads(json.dumps(h.to_dict(0.9)))
+    assert list(d) == ["a", "r", "coeffs"]
     assert d["a"] == 0.9 and d["r"] == R_STAR
-    back = EvenSeries.from_dict(d)
-    assert np.array_equal(back.coeffs, h.coeffs)
+    assert np.array_equal(np.array(d["coeffs"]), h.coeffs)
 
 
 # ---------------------------------------------------------------------------
