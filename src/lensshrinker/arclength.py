@@ -222,7 +222,7 @@ def curvature_arrays(profile: LensProfile) -> tuple[np.ndarray, np.ndarray, np.n
     u, v = profile.u[m], profile.v[m]
     up, vp = profile.up[m], profile.vp[m]
     grow = np.exp(0.5 * (u * u + v * v)) / u
-    k_alg = -vp / u + u * vp - v * up
+    k_alg = graph_profile._phi_prime(u, v, up, vp)
     k_var = profile.i_phi[m] * grow
     k_int = -vp / u - grow * profile.i_v[m]
     return k_alg, k_var, k_int

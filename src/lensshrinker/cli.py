@@ -192,11 +192,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     results = checks.run_all(cfg.pipeline, verbose=not cfg.json_output)
     payload = {"results": [{"name": r.name, "pass": r.passed,
                             "detail": r.detail} for r in results]}
-    if cfg.json_output:
-        print(json.dumps({**payload, "config": cfg.to_dict()}, sort_keys=True))
     n_fail = sum(1 for r in results if not r.passed)
-    if not cfg.json_output:
-        print(f"{len(results) - n_fail}/{len(results)} checks passed")
+    _say(cfg, payload, f"{len(results) - n_fail}/{len(results)} checks passed")
     return EXIT_OK if n_fail == 0 else EXIT_MONITOR
 
 

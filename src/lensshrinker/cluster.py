@@ -264,18 +264,11 @@ def write_obj(mesh: ClusterMesh, path) -> None:
 
 
 def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:
-    """JSON sidecar {a_star, xi, s_bar, n_theta, annulus_outer, ...}."""
-    meta = {
-        "a_star": mesh.metadata["a"],
-        "xi": mesh.metadata["xi"],
-        "s_bar": mesh.metadata["s_bar"],
-        "n_theta": mesh.metadata["n_theta"],
-        "annulus_outer": mesh.metadata["annulus_outer"],
-        "n_s": mesh.metadata["n_s"],
-        "n_r": mesh.metadata["n_r"],
-        "n_vertices": int(len(mesh.vertices)),
-        "n_triangles": int(len(mesh.triangles)),
-    }
+    """JSON sidecar: mesh.metadata with a as a_star, plus the vertex and
+    triangle counts (and the run config when given)."""
+    meta = {**mesh.metadata, "n_vertices": int(len(mesh.vertices)),
+            "n_triangles": int(len(mesh.triangles))}
+    meta["a_star"] = meta.pop("a")
     if config is not None:
         meta["config"] = config
     with open(path, "w", encoding="utf-8") as fh:

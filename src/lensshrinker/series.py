@@ -11,9 +11,10 @@ series in x^2.  The linear operator on the left, acting on coefficients, is
 
     (L f)_n = (n+2)^2 f_{n+2} - (n-1) f_n             (n even),
 
-which is inverted by a two-term recursion.  Its kernel is spanned by a single
-even entire function eta; J = 1 - eta is the particular solution with
-L J = 1 and strictly positive coefficients.  The nonlinear solution h_a is
+which invert_L inverts by a two-term recursion.  The same recursion gives
+the particular solution J = invert_L(1), with L J = 1 and strictly positive
+coefficients, and the kernel of L is spanned by the even entire function
+eta = 1 - J.  The nonlinear solution h_a is
 the fixed point of h -> invert_L(Q(h, a)), certified to contract on a norm
 ball via explicit inequalities on (a, r, R, L): contraction_certificate
 returns the slack of each (ball, Lipschitz, contraction factor) by name.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, CertificateFailure, NoContraction, NoConvergence
+from .errors import CertificateFailure, NoContraction, NoConvergence
 
 # Safety margin absorbing floating-point rounding in certificate inequalities.
 CERT_MARGIN = 1e-12
@@ -50,6 +51,15 @@ SERIES_ORDERS = (8, 16, 32, 64, 128, 256)
 # ---------------------------------------------------------------------------
 # Even series container
 # ---------------------------------------------------------------------------
+
+def _horner(c, x):
+    """sum_k c_k x^{2k} by Horner's rule in x^2; a float for scalar x."""
+    x2 = np.square(np.asarray(x, dtype=float))
+    out = np.zeros_like(x2)
+    for ck in c[::-1]:
+        out = out * x2 + ck
+    return out if out.ndim else float(out)
+
 
 @dataclass(frozen=True, eq=False)
 class EvenSeries:
@@ -87,11 +97,7 @@ class EvenSeries:
         return float(self.coeffs[n // 2])
 
     def __call__(self, x):
-        x2 = np.square(np.asarray(x, dtype=float))
-        out = np.zeros_like(x2)
-        for ck in self.coeffs[::-1]:
-            out = out * x2 + ck
-        return out if out.ndim else float(out)
+        return _horner(self.coeffs, x)
 
     def deriv(self, x):
         """First derivative; an odd function of x."""
@@ -101,18 +107,12 @@ class EvenSeries:
 
     def deriv_over_x(self, x):
         """The even function f'(x)/x, finite at x = 0."""
-        x2 = np.square(np.asarray(x, dtype=float))
-        out = np.zeros_like(x2)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            out = out * x2 + 2 * k * self.coeffs[k]
-        return out if out.ndim else float(out)
+        n = 2 * np.arange(1, len(self.coeffs))
+        return _horner(n * self.coeffs[1:], x)
 
     def deriv2(self, x):
-        x2 = np.square(np.asarray(x, dtype=float))
-        out = np.zeros_like(x2)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            out = out * x2 + 2 * k * (2 * k - 1) * self.coeffs[k]
-        return out if out.ndim else float(out)
+        n = 2 * np.arange(1, len(self.coeffs))
+        return _horner(n * (n - 1) * self.coeffs[1:], x)
 
     def truncated(self, order: int) -> "EvenSeries":
         """Copy truncated (or zero-padded) to the given even order."""
@@ -174,11 +174,8 @@ def apply_L(f: EvenSeries) -> EvenSeries:
     if f.order < 2:
         raise ValueError("apply_L needs order >= 2")
     c = f.coeffs
-    out = np.empty(len(c) - 1)
-    for k in range(len(c) - 1):
-        n = 2 * k
-        out[k] = (n + 2) ** 2 * c[k + 1] - (n - 1) * c[k]
-    return EvenSeries(out, f.radius)
+    n = 2 * np.arange(len(c) - 1)
+    return EvenSeries((n + 2) ** 2 * c[1:] - (n - 1) * c[:-1], f.radius)
 
 
 def invert_L(g: EvenSeries) -> EvenSeries:
@@ -194,31 +191,25 @@ def invert_L(g: EvenSeries) -> EvenSeries:
     return EvenSeries(h, g.radius)
 
 
+def j_function(order: int) -> EvenSeries:
+    """The particular solution J = invert_L(1): apply_L(J) = 1, J(0) = J'(0)
+    = 0, J''(0) = 1/2, and every coefficient of degree >= 2 is positive, so
+    J and all its derivatives increase on x > 0.
+    """
+    if order < 2 or order % 2:
+        raise ValueError("order must be even and >= 2")
+    return invert_L(EvenSeries(np.r_[1.0, np.zeros(order // 2 - 1)]))
+
+
 def eta_coefficients(order: int) -> EvenSeries:
-    """Kernel generator of the linear operator: eta_0 = 1, recursion
-    eta_{n+2} = (n-1) eta_n / (n+2)^2.  All coefficients beyond degree 0
-    are strictly negative; eta is entire.
+    """Kernel generator of the linear operator, eta = 1 - J: eta_0 = 1 and
+    eta_k = -J_k.  All coefficients beyond degree 0 are strictly negative;
+    eta is entire.
     """
     if order < 0 or order % 2:
         raise ValueError("order must be even and nonnegative")
-    c = np.zeros(order // 2 + 1)
-    c[0] = 1.0
-    for k in range(len(c) - 1):
-        n = 2 * k
-        c[k + 1] = (n - 1) / (n + 2) ** 2 * c[k]
-    return EvenSeries(c)
-
-
-def j_function(order: int) -> EvenSeries:
-    """The particular solution J = 1 - eta: apply_L(J) = 1, J(0) = J'(0) = 0,
-    J''(0) = 1/2, and every coefficient of degree >= 2 is positive, so J and
-    all its derivatives increase on x > 0.
-    """
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    c = -eta_coefficients(order).coeffs.copy()
-    c[0] = 0.0
-    return EvenSeries(c)
+    one = EvenSeries([1.0])
+    return one - j_function(order) if order else one
 
 
 def series_tail_ratio(f: EvenSeries, x: float) -> float:
@@ -234,32 +225,21 @@ def series_tail_ratio(f: EvenSeries, x: float) -> float:
     return last * rho / (1.0 - rho)
 
 
-def find_x0(bracket: tuple[float, float] = (1.0, 3.0)) -> float:
+def find_x0() -> float:
     """Abscissa where J equals one; unique since J increases strictly.
 
-    Bisects J(x) = 1 for J of order 200 on the bracket, after checking that
-    the truncation tail at the upper endpoint is below 1e-12.
+    Bisects J(x) = 1 for J of order 200 on [1, 3] down to a few ulps;
+    J(1) < 1 < J(3), and the truncation tail at 3 is far below 1e-12.
     """
     J = j_function(200)
-    lo, hi = bracket
-    if series_tail_ratio(J, hi) > 1e-12:
-        raise ValueError("truncation order too small for the upper endpoint")
-    if J(hi) < 1.0:
-        raise BracketFailure(f"J({hi}) < 1: enlarge the bracket")
-    if J(lo) > 1.0:
-        raise BracketFailure(f"J({lo}) > 1: shrink the bracket")
-    for _ in range(200):
+    lo, hi = 1.0, 3.0
+    while hi - lo > 4.0 * np.finfo(float).eps * hi:
         mid = 0.5 * (lo + hi)
         if J(mid) < 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-    x0 = 0.5 * (lo + hi)
-    if abs(J(x0) - 1.0) > 1e-12:
-        raise BracketFailure("bisection stalled before reaching 1e-12")
-    return x0
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +397,7 @@ def picard_analytic(a: float, r: float, full_output: bool = False):
         distances = []
         for _ in range(DEFAULT_PICARD_MAX_ITER):
             q = nonlinear_Q(h, a).truncated(order - 2)
-            h_next = EvenSeries(invert_L(q).coeffs, r)
+            h_next = invert_L(q)
             distances.append(weighted_norm(h_next - h, r))
             h = h_next
             if distances[-1] < DEFAULT_PICARD_TOL:

@@ -62,8 +62,13 @@ class AngleSample:
     s_bar: float
     xi_a: float
     alpha: float
-    monitor_pass: bool
     error: str | None = None
+
+    @property
+    def monitor_pass(self) -> bool:
+        """True exactly for a solved row: integrate_profile raises
+        MonitorViolation when any monitor fails."""
+        return self.error is None
 
     def to_dict(self) -> dict:
         return {"a": self.a, "s_bar": self.s_bar, "xi_a": self.xi_a,
@@ -114,7 +119,7 @@ def _row(a: float, cfg: PipelineConfig) -> AngleSample:
     try:
         _, profile = angle_of(a, cfg)
     except (LensError, ValueError) as exc:
-        return AngleSample(a, math.nan, math.nan, math.nan, False,
+        return AngleSample(a, math.nan, math.nan, math.nan,
                            f"{type(exc).__name__}: {exc}")
     return _sample_from(profile)
 
@@ -220,9 +225,7 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
 
 
 def _sample_from(profile: LensProfile) -> AngleSample:
-    # integrate_profile raised MonitorViolation for any failing monitor
-    return AngleSample(profile.a, profile.s_bar, profile.xi,
-                       profile.alpha, True)
+    return AngleSample(profile.a, profile.s_bar, profile.xi, profile.alpha)
 
 
 def angle_table_to_csv(report: AngleTable, path) -> None:

@@ -269,7 +269,8 @@ def test_metadata_sidecar(tmp_path, sphere_mesh):
     path = tmp_path / "lens.json"
     write_metadata(sphere_mesh, path, config={"command": "mesh"})
     meta = json.loads(path.read_text())
-    assert {"a_star", "xi", "s_bar", "n_theta", "annulus_outer"} <= set(meta)
+    assert set(meta) == {"a_star", "xi", "s_bar", "n_theta", "annulus_outer",
+                         "n_s", "n_r", "n_vertices", "n_triangles", "config"}
     assert meta["config"] == {"command": "mesh"}
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from lensshrinker import (BracketFailure, CertificateFailure, ContractionConstants,
-                          EvenSeries, NoContraction, apply_L,
+from lensshrinker import (CertificateFailure, ContractionConstants, EvenSeries,
+                          NoContraction, apply_L,
                           contraction_certificate, eta_coefficients, find_x0,
                           invert_L, j_function, nonlinear_Q, picard_analytic,
                           picard_c2_oracle, weighted_norm)
@@ -50,9 +50,10 @@ def test_eta_first_coefficients():
     assert eta.coefficient(3) == 0.0
 
 
-def test_eta_matches_exact_recursion():
-    eta = eta_coefficients(40)
-    exact = eta_fractions(40)
+@pytest.mark.parametrize("order", [40, 200])
+def test_eta_matches_exact_recursion(order):
+    eta = eta_coefficients(order)
+    exact = eta_fractions(order)
     for k, frac in enumerate(exact):
         assert eta.coeffs[k] == pytest.approx(float(frac), rel=1e-15, abs=1e-300)
 
@@ -465,11 +466,9 @@ def test_x0_defining_property_and_monotonicity():
     J = j_function(200)
     assert abs(J(x0) - 1.0) < 1e-12
     assert J(x0 - 0.1) < 1.0 < J(x0 + 0.1)
-
-
-def test_x0_bracket_failure():
-    with pytest.raises(BracketFailure):
-        find_x0(bracket=(0.2, 1.0))
+    # find_x0 bisects on [1, 3]: J brackets 1 there and order 200 resolves J(3)
+    assert J(1.0) < 1.0 < J(3.0)
+    assert series_tail_ratio(j_function(200), 3.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

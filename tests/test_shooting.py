@@ -193,8 +193,8 @@ def test_table_rows_and_trends():
 def test_table_records_failures():
     report = sample_angle_table([0.5, 2.0])
     ok = {row.a: row for row in report.table}
-    assert ok[0.5].error is None
-    assert ok[2.0].error is not None
+    assert ok[0.5].error is None and ok[0.5].monitor_pass is True
+    assert ok[2.0].error is not None and ok[2.0].monitor_pass is False
     assert math.isnan(ok[2.0].alpha)
 
 
