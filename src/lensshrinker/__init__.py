@@ -9,10 +9,11 @@ angles) that shrinks homothetically under mean curvature flow:
   independent grid-based construction used as a cross-validation oracle;
 * :mod:`lensshrinker.arclength` seeds the curve from the series and
   integrates it once, in angle form, down to the horizontal axis, with
-  three independent curvature formulas and one table of monitored
-  inequalities, whose polar bounds certify non-self-intersection;
+  three independent curvature formulas and one table of pointwise slacks
+  of the monitored inequalities, whose strictly decreasing polar angle
+  certifies non-self-intersection;
 * :mod:`lensshrinker.graph_profile` reads the region where the curve is a
-  graph y = f(x) off its states;
+  graph y = f(x) off its states, with the slacks of its inequalities;
 * :mod:`lensshrinker.shooting` locates the initial height whose profile
   meets the axis at 60 degrees (the junction condition);
 * :mod:`lensshrinker.cluster` revolves the profile into a watertight

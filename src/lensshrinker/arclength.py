@@ -32,7 +32,7 @@ recorded as s_star.
 One function, :func:`monitor_slacks`, checks every monitored inequality on
 the computed states: the radial transversality floor, the outer annulus
 bound and the strict decrease of the polar angle (which certifies that the
-curve cannot self-intersect), the graph-region inequalities on the view of
+curve cannot self-intersect), the graph-region inequalities of
 :mod:`lensshrinker.graph_profile`, and the defect of the dense output,
 which tests whether the stored curve solves the ODE.  Bounds that these
 imply are not checked again.
@@ -41,7 +41,7 @@ imply are not checked again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ DENSE_POINTS_PER_STEP = 4
 X_SEED = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class LensProfile:
     """The full profile curve from the axis to the horizontal crossing.
 
@@ -77,6 +77,7 @@ class LensProfile:
     ``dense`` gives (u, v, phi, i_phi, i_v) on [0, s_bar]: a cubic Hermite
     piece on [0, X_SEED], then DOP853's; ``nfev``, ``n_steps`` and
     ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
+    Frozen, so that a profile cannot change after it passed its monitors.
     """
 
     a: float
@@ -206,7 +207,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
                           v_residual=v_residual, monitors={}, series=series,
                           dense=dense, nfev=sol.nfev, n_steps=len(d.h),
                           n_rejected=sol.n_rejected)
-    profile.monitors = monitor_slacks(profile, tol)
+    profile = replace(profile, monitors=monitor_slacks(profile, tol))
     bad = {k: v for k, v in profile.monitors.items()
            if not v >= MONITOR_SLACK_TOL}
     if bad:
@@ -242,52 +243,40 @@ def shrinker_residual(profile: LensProfile) -> np.ndarray:
                           dphi - (-sn / u + u * sn - v * c)]), axis=0)
 
 
-def _worst(values) -> float:
-    return float(np.min(values)) if len(values) else math.inf
-
-
 def monitor_slacks(profile: LensProfile, tol: float) -> dict:
-    """Worst slack of each monitored inequality on the stored states; an
-    inequality holds where its slack is >= 0.  Pure report, never raises.
+    """Worst slack of each monitored inequality, the minimum of its slacks
+    at the stored states; it holds where its slack is >= 0.  Pure report,
+    never raises.
 
     Polar, on all states: the radial transversality (-u v' + v u')/rho >=
     K_a, log rho below the annulus band, and a strictly decreasing polar
-    angle, which certifies injectivity.  ``shrinker_residual`` is
-    DEFECT_PER_TOL * tol minus the largest ODE defect of the dense output.
-    Graph, on the view 0 < u < 1 (x = u, f = v, f' = tan phi):
-    a sqrt(1-x^2) <= f <= a, f' >= -a x/(1-x^2), f / sqrt(1-x^2)
-    increasing and (f - x f')/sqrt(1+f'^2) >= a/sqrt(1+a^2).  Before the
-    crossing: f' <= 0 from the seed on, and phi' <= 0 and f >= 0 after it.
-    Bounds these imply are not checked again: the radial speed cone and
-    the turning rate (by the radial transversality and the annulus), the
-    radial transversality up to s_star (by the graph transversality),
-    f' <= 0 on the graph view, and the inner annulus bound (by the graph
-    height bounds).
+    angle, which certifies injectivity; each theta is compared with every
+    later one, so that rises below the tolerance cannot add up.
+    ``shrinker_residual`` is DEFECT_PER_TOL * tol minus the ODE defect of
+    the dense output.  Graph: graph_profile.graph_slacks on the view
+    0 < u < 1, and before the crossing f' <= 0 from the seed on and
+    phi' <= 0 after it.  Bounds these imply, f >= 0 among them, are not
+    checked again (README, "How it works").
     """
     a = profile.a
     u, v, up, vp = profile.u, profile.v, profile.up, profile.vp
     rho = np.hypot(u, v)
-    x, f, fp, _ = graph_profile.graph_view(profile)
-    root = np.sqrt(1.0 - x * x)
+    theta = np.arctan2(v, u)
     # state 0 is the axis point, state 1 the seed, the last the crossing
     past_seed = [arr[2:-1] for arr in (u, v, up, vp)]
-    return {
+    slacks = {
         "radial_transversality_global":
-            _worst((-u * vp + v * up) / rho - transversality_floor(a)),
-        "annulus_upper": _worst(annulus_log_halfwidth(a) - np.log(rho)),
-        "theta_decreasing": _worst(-np.diff(np.arctan2(v, u))),
-        "shrinker_residual": float(DEFECT_PER_TOL * tol
-                                   - np.max(shrinker_residual(profile))),
-        "graph_height_lower": _worst(f - a * root),
-        "graph_height_upper": _worst(a - f),
-        "graph_slope_lower": _worst(fp + a * x / (1.0 - x * x)),
-        "graph_ratio_monotone": _worst(np.diff(f / root)),
-        "graph_concavity": _worst(-graph_profile._phi_prime(*past_seed)),
-        "graph_height_positive": _worst(past_seed[1]),
-        "graph_slope_negative": _worst(-vp[1:-1] / up[1:-1]),
-        "graph_transversality": _worst((f - x * fp) / np.sqrt(1.0 + fp * fp)
-                                       - a / math.sqrt(1.0 + a * a)),
+            (-u * vp + v * up) / rho - transversality_floor(a),
+        "annulus_upper": annulus_log_halfwidth(a) - np.log(rho),
+        "theta_decreasing":
+            theta[:-1] - np.maximum.accumulate(theta[:0:-1])[::-1],
+        "shrinker_residual": DEFECT_PER_TOL * tol - shrinker_residual(profile),
+        **graph_profile.graph_slacks(profile),
+        "graph_concavity": -graph_profile._phi_prime(*past_seed),
+        "graph_slope_negative": -vp[1:-1] / up[1:-1],
     }
+    return {name: float(np.min(s, initial=math.inf))
+            for name, s in slacks.items()}
 
 
 # the monitors of the polar bounds, each checked on [0, s_bar]
@@ -317,16 +306,12 @@ def profile_to_csv(profile: LensProfile, path) -> None:
     """Write s, u, v, up, vp, k_alg, k_int, rho, theta, residual_shrinker."""
     m = profile.u > 0.0
     k_alg, _, k_int = curvature_arrays(profile)
-    res = shrinker_residual(profile)
-    s = profile.s[m]
     u, v = profile.u[m], profile.v[m]
-    up, vp = profile.up[m], profile.vp[m]
-    rho = np.hypot(u, v)
-    theta = np.arctan2(v, u)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("s,u,v,up,vp,k_alg,k_int,rho,theta,residual_shrinker\n")
-        for row in zip(s, u, v, up, vp, k_alg, k_int, rho, theta, res):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    np.savetxt(path, np.column_stack(
+        [profile.s[m], u, v, profile.up[m], profile.vp[m], k_alg, k_int,
+         np.hypot(u, v), np.arctan2(v, u), shrinker_residual(profile)]),
+        fmt="%.17g", delimiter=",", comments="",
+        header="s,u,v,up,vp,k_alg,k_int,rho,theta,residual_shrinker")
 
 
 def profile_summary(profile: LensProfile) -> dict:

@@ -13,11 +13,10 @@ The graph quantities are views of its states on the strip 0 < u < 1:
 The inequalities proved for this region -- the height bounds
 a sqrt(1-x^2) < f < a, the slope bound f' > -a x/(1-x^2), monotonicity of
 the comparison ratio F = f / sqrt(1-x^2) and the transversality floor
-(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- are monitored on this view
-by :func:`lensshrinker.arclength.monitor_slacks`, with concavity (as
-phi' < 0, which stays finite at a vertical tangent), f > 0 and f' < 0 on
-the states between the seed and the crossing.  This module writes the
-view and its pointwise slacks as CSV.
+(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- have their pointwise
+slacks in :func:`graph_slacks`, which the monitors of
+:func:`lensshrinker.arclength.monitor_slacks` and the CSV of the view
+both read.
 """
 
 from __future__ import annotations
@@ -43,16 +42,28 @@ def graph_view(profile: LensProfile) -> tuple[np.ndarray, ...]:
     return x, f, vp / up, _phi_prime(x, f, up, vp) / up ** 3
 
 
+def graph_slacks(profile: LensProfile) -> dict:
+    """Pointwise slack, >= 0 where it holds, of each graph-view monitor."""
+    a = profile.a
+    x, f, fp, _ = graph_view(profile)
+    root = np.sqrt(1.0 - x * x)
+    return {
+        "graph_height_lower": f - a * root,
+        "graph_height_upper": a - f,
+        "graph_slope_lower": fp + a * x / (1.0 - x * x),
+        "graph_ratio_monotone": np.diff(f / root),
+        "graph_transversality": ((f - x * fp) / np.sqrt(1.0 + fp * fp)
+                                 - a / math.sqrt(1.0 + a * a)),
+    }
+
+
 def trajectory_to_csv(profile: LensProfile, path) -> None:
     """Write the graph view: x, f, fp, fpp, F, slack_lower, slack_upper,
     slack_transversality, one row per profile state with 0 < u < 1."""
-    a = profile.a
     x, f, fp, fpp = graph_view(profile)
-    root = np.sqrt(1.0 - x * x)
-    slack_trans = ((f - x * fp) / np.sqrt(1.0 + fp * fp)
-                   - a / math.sqrt(1.0 + a * a))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,f,fp,fpp,F,slack_lower,slack_upper,slack_transversality\n")
-        for row in zip(x, f, fp, fpp, f / root, f - a * root, a - f,
-                       slack_trans):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    slack = graph_slacks(profile)
+    np.savetxt(path, np.column_stack(
+        [x, f, fp, fpp, f / np.sqrt(1.0 - x * x), slack["graph_height_lower"],
+         slack["graph_height_upper"], slack["graph_transversality"]]),
+        fmt="%.17g", delimiter=",", comments="",
+        header="x,f,fp,fpp,F,slack_lower,slack_upper,slack_transversality")

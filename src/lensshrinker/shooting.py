@@ -40,6 +40,11 @@ class PipelineConfig:
         return replace(self, ode_tol=self.ode_tol / factor)
 
 
+def junction_residual(alpha: float) -> float:
+    """g = u'(s_bar) - 1/2 = cos alpha - 1/2, zero at the junction."""
+    return math.cos(alpha) - TARGET_UP
+
+
 def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensProfile]:
     """Terminal tangent angle and full profile for one initial height.
 
@@ -142,13 +147,9 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTabl
             rows = list(pool.map(_row, a_values, [cfg] * len(a_values)))
     else:
         rows = [_row(a, cfg) for a in a_values]
-    good = [r for r in rows if r.error is None]
-    brackets = []
-    for lo, hi in zip(good[:-1], good[1:]):
-        g_lo = math.cos(lo.alpha) - TARGET_UP
-        g_hi = math.cos(hi.alpha) - TARGET_UP
-        if g_lo == 0.0 or g_lo * g_hi < 0.0:
-            brackets.append((lo.a, hi.a))
+    g = [(r.a, junction_residual(r.alpha)) for r in rows if r.error is None]
+    brackets = [(lo, hi) for (lo, g_lo), (hi, g_hi) in zip(g[:-1], g[1:])
+                if g_lo == 0.0 or g_lo * g_hi < 0.0]
     return AngleTable(rows, brackets)
 
 
@@ -179,7 +180,7 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
 
     def g(a: float) -> tuple[float, LensProfile]:
         alpha, profile = angle_of(a, cfg)
-        return float(profile.up[-1]) - TARGET_UP, profile
+        return junction_residual(alpha), profile
 
     g_lo, prof_lo = g(a_lo)
     g_hi, prof_hi = g(a_hi)
@@ -220,8 +221,8 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
     profile = prof_lo if abs(g_lo) < abs(g_hi) else prof_hi
     table.append(_sample_from(profile))
     table.sort(key=lambda row: row.a)
-    return ShootReport(table, profile.a,
-                       abs(float(profile.up[-1]) - TARGET_UP), history, profile)
+    return ShootReport(table, profile.a, abs(junction_residual(profile.alpha)),
+                       history, profile)
 
 
 def _sample_from(profile: LensProfile) -> AngleSample:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,9 +123,24 @@ def test_one_table_holds_every_monitor(profiles):
         "radial_transversality_global", "annulus_upper", "theta_decreasing",
         "shrinker_residual", "graph_height_lower", "graph_height_upper",
         "graph_slope_lower", "graph_ratio_monotone", "graph_concavity",
-        "graph_height_positive", "graph_slope_negative",
-        "graph_transversality"}
+        "graph_slope_negative", "graph_transversality"}
     assert monitor_slacks(p, DEFAULT_TOL) == p.monitors
+
+
+def test_readme_tables_list_every_monitor(profiles):
+    # the backticked first cells of README's two monitor tables
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    names, tables, in_table = set(), 0, False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line == "| monitor | inequality | states |":
+            tables, in_table = tables + 1, True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and line.startswith("| `"):
+            names.add(line.split("`")[1])
+    assert tables == 2
+    assert names == set(profiles[1.0][1].monitors)
 
 
 def _failing(profile) -> set:
@@ -135,26 +151,76 @@ def _failing(profile) -> set:
             if v < MONITOR_SLACK_TOL and k != "shrinker_residual"}
 
 
-@pytest.mark.parametrize("target", ["annulus_upper", "theta_decreasing"])
-def test_polar_monitor_fails_alone(target, profiles):
+def _with(p, i, **state):
+    """Copy of p whose state i takes the given u, v, up or vp values."""
+    arrays = {k: getattr(p, k).copy() for k in state}
+    for k, value in state.items():
+        arrays[k][i] = value
+    return dataclasses.replace(p, **arrays)
+
+
+def _shift_v(dv):
+    return lambda p, i: _with(p, i, v=p.v[i] + dv)
+
+
+def _turn(dphi):
+    def perturb(p, i):
+        phi = math.atan2(p.vp[i], p.up[i]) + dphi
+        return _with(p, i, up=math.cos(phi), vp=math.sin(phi))
+    return perturb
+
+
+def _swapped(p, i):
+    """p with states i and i + 1 swapped."""
+    q = _with(p, i, u=p.u[i + 1], v=p.v[i + 1])
+    return _with(q, i + 1, u=p.u[i], v=p.v[i])
+
+
+# one control per monitor: (monitor, a, the state is the first with u above
+# this, perturbation of that state); shrinker_residual's is
+# test_defect_fails_a_profile_with_a_wrong_rhs
+CONTROLS = [
+    ("radial_transversality_global", 1.0, 1.45, _turn(1.0)),
+    # one state 40x farther out, same angle
+    ("annulus_upper", 1.0, 1.2,
+     lambda p, i: _with(p, i, u=40.0 * p.u[i], v=40.0 * p.v[i])),
+    ("theta_decreasing", 1.0, 1.2, _swapped),
+    ("graph_height_lower", 1.0, 0.0, _shift_v(-1e-6)),
+    ("graph_height_upper", 1.0, 0.0, _shift_v(4e-7)),
+    ("graph_slope_lower", 1.0, 0.0, _turn(-0.01)),
+    ("graph_ratio_monotone", 1.0, 0.0025, _shift_v(-1e-6)),
+    ("graph_concavity", 1.0, 0.47, _turn(-0.3)),
+    # the seed is the one state the merged slope bound alone sees
+    ("graph_slope_negative", 1.0, 0.0, lambda p, i: _with(p, i, vp=1e-6)),
+    ("graph_transversality", 0.1, 0.2, _turn(0.01)),
+]
+
+
+@pytest.mark.parametrize("target, a, u_min, perturb", CONTROLS,
+                         ids=[row[0] for row in CONTROLS])
+def test_monitor_fails_alone(target, a, u_min, perturb, profiles):
+    _, p = profiles[a]
+    i = int(np.argmax(p.u > u_min))
+    assert _failing(perturb(p, i)) == {target}
+
+
+def test_every_monitor_has_a_control(profiles):
+    controlled = {row[0] for row in CONTROLS} | {"shrinker_residual"}
+    assert controlled == set(profiles[1.0][1].monitors)
+
+
+def test_theta_decreasing_sees_a_slow_drift(profiles):
+    # ten states, each 5e-10 rad above the one before: every adjacent step
+    # is within the tolerance, the rise over all ten is not
     _, p = profiles[1.0]
     i = int(np.argmax(p.u > 1.2))
-    u, v = p.u.copy(), p.v.copy()
-    if target == "annulus_upper":  # one state 40x farther out, same angle
-        u[i] *= 40.0
-        v[i] *= 40.0
-    else:  # two adjacent states swapped
-        u[[i, i + 1]] = u[[i + 1, i]]
-        v[[i, i + 1]] = v[[i + 1, i]]
-    assert _failing(dataclasses.replace(p, u=u, v=v)) == {target}
-
-
-def test_slope_negative_covers_the_seed(profiles):
-    # the seed (state 1) is the one state the merged slope bound alone sees
-    _, p = profiles[1.0]
-    vp = p.vp.copy()
-    vp[1] = +1e-6
-    assert _failing(dataclasses.replace(p, vp=vp)) == {"graph_slope_negative"}
+    k = np.arange(i + 1, i + 11)
+    rho = np.hypot(p.u[k], p.v[k])
+    theta = math.atan2(p.v[i], p.u[i]) + 5e-10 * (k - i)
+    drifted = _with(p, k, u=rho * np.cos(theta), v=rho * np.sin(theta))
+    assert _failing(drifted) == {"theta_decreasing"}
+    assert monitor_slacks(drifted, DEFAULT_TOL)["theta_decreasing"] == \
+        pytest.approx(-5e-9, rel=1e-3)
 
 
 def test_theta_runs_from_half_pi_to_zero(profiles):

@@ -275,10 +275,7 @@ def test_metadata_sidecar(tmp_path, sphere_mesh):
 
 
 def test_resample_rejects_stub_profile(circle_profile):
-    import copy
-    stub = copy.deepcopy(circle_profile)
-    stub.s = stub.s[:4]
-    stub.u = stub.u[:4]
-    stub.v = stub.v[:4]
+    p = circle_profile
+    stub = dataclasses.replace(p, s=p.s[:4], u=p.u[:4], v=p.v[:4])
     with pytest.raises(DegenerateProfile):
         resample_profile(stub, 16)

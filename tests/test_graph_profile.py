@@ -80,7 +80,7 @@ def test_circle_arclength_at_one(circle_profile):
 def test_proved_bounds_hold(a, profiles):
     _, p = profiles[a]
     graph = {k: v for k, v in p.monitors.items() if k.startswith("graph_")}
-    assert len(graph) == 8
+    assert len(graph) == 7
     assert min(graph.values()) >= -1e-9
     xs, fs, fps, fpps = graph_view(p)
     assert np.all(fs > a * np.sqrt(1.0 - xs * xs))

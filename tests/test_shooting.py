@@ -6,7 +6,7 @@ import pytest
 
 from lensshrinker import (BracketFailure, PipelineConfig, angle_of, find_lens,
                           find_x0, sample_angle_table, shooting)
-from lensshrinker.shooting import angle_table_to_csv
+from lensshrinker.shooting import angle_table_to_csv, junction_residual
 
 SQRT2 = math.sqrt(2.0)
 
@@ -60,6 +60,13 @@ def test_find_lens_locates_junction(lens_report):
     assert min(p.monitors.values()) >= -1e-9
 
 
+def test_junction_residual_reads_the_terminal_tangent(profiles):
+    # cos alpha is the stored u'(s_bar) bit for bit, so the table's
+    # sign changes and the shoot's g are one function
+    for _, p in profiles.values():
+        assert junction_residual(p.alpha) == float(p.up[-1]) - 0.5
+
+
 def test_find_lens_brackets_nest_and_straddle(lens_report):
     hist = lens_report.bracket_history
     for lo, hi, g_lo, g_hi in hist:
@@ -92,12 +99,11 @@ def test_find_lens_evaluation_budget(monkeypatch):
 
 
 def _stub_angle_of(g):
-    # with TARGET_UP = 0 the shoot's g is u'(s_bar) itself, so g stays exact
+    # with junction_residual the identity, the shoot's g is the stub's
+    # alpha itself, so g stays exact
     def stub(a, cfg=None):
-        up = g(a)
-        return math.acos(up), SimpleNamespace(
-            a=a, up=np.array([up]), s_bar=1.0, xi=1.0, alpha=math.acos(up),
-            monitors={"stub": 0.0})
+        return g(a), SimpleNamespace(a=a, s_bar=1.0, xi=1.0, alpha=g(a),
+                                     monitors={"stub": 0.0})
     return stub
 
 
@@ -107,7 +113,7 @@ def _stub_angle_of(g):
 ], ids=["step", "flat_cubic"])
 def test_find_lens_minmax_steps(monkeypatch, g):
     monkeypatch.setattr(shooting, "angle_of", _stub_angle_of(g))
-    monkeypatch.setattr(shooting, "TARGET_UP", 0.0)
+    monkeypatch.setattr(shooting, "junction_residual", lambda alpha: alpha)
     a_lo, a_hi, tol_a = 0.05, SQRT2, 1e-10
     hist = find_lens(a_lo, a_hi, tol_a).bracket_history
     assert len(hist) - 1 <= math.ceil(math.log2((a_hi - a_lo) / tol_a)) + 2
