@@ -103,7 +103,7 @@ class LensProfile:
 
 def arclength_rhs(s, y):
     """State (u, v, phi, i_phi, i_v); the angle-form ODE plus quadratures."""
-    u, v, phi = y[0], y[1], y[2]
+    u, v, phi, _, _ = y.tolist()
     c, sn = math.cos(phi), math.sin(phi)
     e = math.exp(-0.5 * (u * u + v * v))
     return [c, sn,

@@ -229,6 +229,20 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     return out
 
 
+def _index_tokens(n: int) -> np.ndarray:
+    """The %d tokens of 1..n, NUL-padded to the width of n.  The d-digit
+    numbers 10^(d-1) .. 10^d - 1 are consecutive, and fill the first d of
+    the digit columns."""
+    width = len(str(n))
+    columns = np.zeros((width, n), dtype=np.uint8)
+    for d in range(1, width + 1):
+        lo, hi = 10 ** (d - 1), min(10 ** d - 1, n)
+        k = np.arange(lo, hi + 1)
+        for j in range(d):
+            columns[j, lo - 1:hi] = k // 10 ** (d - 1 - j) % 10 + ord("0")
+    return np.ascontiguousarray(columns.T).view(f"S{width}")[:, 0]
+
+
 def _lines(head: bytes, tokens: np.ndarray, index: np.ndarray) -> bytes:
     """One line `head tok tok tok` per row of the (rows, 3) index into the
     NUL-padded token table; the caller strips the NULs."""
@@ -246,15 +260,16 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     """Wavefront OBJ with one group per sheet; 1-based face indices.
 
     Coordinates are printed with %.17g and indices with %d.  Each distinct
-    float64 bit pattern (so -0.0 apart from 0.0) and each index is formatted
-    once into a token table that the lines gather from; the file is written
-    as bytes, so no newline is translated.
+    float64 bit pattern (so -0.0 apart from 0.0) is formatted once, and the
+    index tokens are spelled from digit columns, into token tables that the
+    lines gather from; the file is written as bytes, so no newline is
+    translated.
     """
     v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
     bits, index = np.unique(v.view(np.uint64), return_inverse=True)
     floats = bits.view(np.float64).tolist()
     coords = np.array(("%.17g " * len(floats) % tuple(floats)).encode().split())
-    ids = np.array(("%d " * len(v) % tuple(range(1, len(v) + 1))).encode().split())
+    ids = _index_tokens(len(v))
     parts = [_lines(b"v", coords, index.reshape(-1, 3))]
     for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
         parts.append(f"g {SHEET_NAMES[sheet]}\n".encode())

@@ -4,7 +4,11 @@ ODEs I*, Sec. II.10), with dense output and event location.
 The tableau, step control, initial step and dense output follow
 scipy.integrate's DOP853 and the event roots scipy.optimize.brentq (BSD-3,
 (c) Enthought, Inc. and the SciPy Developers) operation for operation, so
-steps, evaluation counts and states equal solve_ivp's bit for bit.
+steps, evaluation counts and states equal solve_ivp's bit for bit.  The step
+loop keeps the step size, the stage times and the error norms in Python
+floats, and fun's values go straight into the stage rows, where that cannot
+change a bit: a norm is sqrt(z.dot(z)), as np.linalg.norm takes it, and
+every sum over the stages stays a numpy dot in scipy's order.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ EPS = float(np.finfo(float).eps)
 RTOL_FLOOR = 100 * EPS  # below it the error estimate is rounding noise
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # step-size factor and bounds
 
-C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
-              0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-              0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
-              0.7777777777777778])
+C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+     0.7777777777777778)
 # stages 1-15 row by row below the diagonal; row 12 holds the weights B
 A = np.zeros((16, 16))
 A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379,
@@ -57,6 +61,7 @@ A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379,
     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]
 B = A[12, :12]
+A_ROWS = [A[s, :s] for s in range(16)]  # the weights of the stages before s
 E3 = np.append(B, 0.0)  # B minus the embedded 3rd-order weights
 E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
 E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
@@ -179,6 +184,11 @@ def _brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
     raise StepFailure(f"event root not found in {maxiter} iterations")
 
 
+def _norm(z) -> float:
+    # np.linalg.norm of a 1-d array, without its dispatch
+    return math.sqrt(z.dot(z))
+
+
 def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
               atol: float, events=()) -> Solution:
     """Integrate y' = fun(t, y) forward from t0 towards t_bound.
@@ -195,33 +205,28 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
                          f"100 eps = {RTOL_FLOOR}, atol={atol} finite, >= 0")
     if not t0 < t_bound:
         raise ValueError(f"need t0={t0} < t_bound={t_bound}")
-    nfev = 0
-
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
     t, y, atol = float(t0), np.asarray(y0, dtype=float), np.asarray(atol)
-    fy = f0 = f(t, y)
+    f0 = np.asarray(fun(t, y), dtype=float)
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     scale = atol + np.abs(y) * rtol
-    d0, d1 = (np.linalg.norm(z / scale) / len(y) ** 0.5 for z in (y, fy))
+    d0, d1 = (_norm(z / scale) / len(y) ** 0.5 for z in (y, f0))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    d2 = np.linalg.norm((f(t + h0, y + h0 * fy) - fy) / scale) \
-        / len(y) ** 0.5 / h0
+    d2 = _norm((fun(t + h0, y + h0 * f0) - f0) / scale) / len(y) ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
         else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_bound - t)
+    nfev = 2  # right-hand-side calls, counted where they are made
 
     K_ext = np.empty((16, len(y)))  # 12 stages, the FSAL stage, 3 dense
+    K_ext[0] = f0
     K = K_ext[:13]
+    KT = [K_ext[:s].T for s in range(16)]  # the stages before stage s
     ts, pieces = [t], []  # step starts and ends; (h, y_old, F) per step
     g = [ev(y) for ev, _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     n_rejected, terminated = 0, False
     while not terminated and t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if not h_abs >= min_step:  # also a NaN step
@@ -229,17 +234,17 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
                                   f"{min_step:.3g} at t={t}")
             t_end = min(t + h_abs, t_bound)
             h = t_end - t
-            h_abs = np.abs(h)
-            K[0] = fy
+            h_abs = abs(h)
             for s in range(1, 12):
-                K[s] = f(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = f_new = f(t + h, y_new)
+                K[s] = fun(t + C[s] * h, y + KT[s].dot(A_ROWS[s]) * h)
+            y_new = y + h * KT[12].dot(B)
+            K[12] = fun(t + h, y_new)
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+            e5 = _norm(K.T.dot(E5) / scale) ** 2
+            e3 = _norm(K.T.dot(E3) / scale) ** 2
             err = 0.0 if e5 == 0 and e3 == 0 else \
-                np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale))
+                h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
             grow = MAX_FACTOR if err == 0 else SAFETY * err ** (-1 / 8)
             if err < 1:
                 h_abs *= min(1 if rejected else MAX_FACTOR, grow)
@@ -247,9 +252,11 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
             h_abs *= max(MIN_FACTOR, grow)
             rejected, n_rejected = True, n_rejected + 1
         for s in range(13, 16):
-            K_ext[s] = f(t + C[s] * h, y + np.dot(K_ext[:s].T, A[s, :s]) * h)
-        F = hermite_rows(h, y, y_new, fy, f_new)
-        F[3:] = h * np.dot(D, K_ext)
+            K_ext[s] = fun(t + C[s] * h, y + KT[s].dot(A_ROWS[s]) * h)
+        nfev += 3
+        F = hermite_rows(h, y, y_new, K[0], K[12])
+        F[3:] = h * D.dot(K_ext)
+        K[0] = K[12]  # the last stage of a step is the first of the next
         pieces.append((h, y, F))
         g_new = [ev(y_new) for ev, _, _ in events]
         # roots in time order, none kept past the first terminal one
@@ -264,7 +271,7 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
                 terminated, t_end = True, root
                 break
         ts.append(t_end)
-        t, y, fy, g = t_end, y_new, f_new, g_new
+        t, y, g = t_end, y_new, g_new
 
     dense = DenseOutput(np.array(ts), *map(np.array, zip(*pieces)))
     return Solution(dense, f0, t_events, y_events, terminated, nfev,

@@ -47,11 +47,15 @@ def graph_slacks(profile: LensProfile) -> dict:
     a = profile.a
     x, f, fp, _ = graph_view(profile)
     root = np.sqrt(1.0 - x * x)
+    ratio = f / root
     return {
         "graph_height_lower": f - a * root,
         "graph_height_upper": a - f,
         "graph_slope_lower": fp + a * x / (1.0 - x * x),
-        "graph_ratio_monotone": np.diff(f / root),
+        # each F against every later one, so that falls below the
+        # tolerance cannot add up; np.diff(F) wherever F increases
+        "graph_ratio_monotone":
+            np.minimum.accumulate(ratio[::-1])[::-1][1:] - ratio[:-1],
         "graph_transversality": ((f - x * fp) / np.sqrt(1.0 + fp * fp)
                                  - a / math.sqrt(1.0 + a * a)),
     }

@@ -5,6 +5,8 @@ import pytest
 from lensshrinker import PipelineConfig, angle_of, find_lens
 
 A_SUITE = (0.1, 0.5, 1.0, math.sqrt(2.0))
+# the junction height find_lens() returns at the default settings
+A_STAR = 0.7860039861771013
 
 
 @pytest.fixture(scope="session")

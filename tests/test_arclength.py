@@ -223,6 +223,18 @@ def test_theta_decreasing_sees_a_slow_drift(profiles):
         pytest.approx(-5e-9, rel=1e-3)
 
 
+def test_graph_ratio_monotone_sees_a_slow_drift(profiles):
+    # states 2..11 each 5e-10 below the one before in F = f / sqrt(1 - x^2):
+    # every adjacent step is within the tolerance, the fall over all ten is not
+    _, p = profiles[1.0]
+    k = np.arange(2, 12)
+    ratio = p.v[1] / math.sqrt(1.0 - p.u[1] ** 2) - 5e-10 * (k - 1)
+    drifted = _with(p, k, v=ratio * np.sqrt(1.0 - p.u[k] ** 2))
+    assert _failing(drifted) == {"graph_ratio_monotone"}
+    assert monitor_slacks(drifted, DEFAULT_TOL)["graph_ratio_monotone"] == \
+        pytest.approx(-5e-9, rel=1e-3)
+
+
 def test_theta_runs_from_half_pi_to_zero(profiles):
     for a in A_SUITE:
         _, p = profiles[a]

@@ -251,12 +251,28 @@ def _empty_lower_cap(mesh):
                                sheet_id=mesh.sheet_id[keep])
 
 
+# vertex counts on both sides of each power of ten up to 1000
+RING_SIZES = (9, 10, 99, 100, 999, 1000)
+
+
+def _ring(sphere, n):
+    # n vertices, each in three triangles, so that every index width up to
+    # that of n is printed
+    k = np.arange(n)
+    return dataclasses.replace(
+        sphere, vertices=np.column_stack([np.cos(k), np.sin(k), k / n]),
+        triangles=np.column_stack([k, (k + 1) % n, (k + 2) % n]),
+        sheet_id=k % 3)
+
+
 @pytest.mark.parametrize("make", [
     lambda sphere, p: sphere,
     lambda sphere, p: build_cluster(p),
     lambda sphere, p: _signed_zeros(sphere),
     lambda sphere, p: _empty_lower_cap(sphere),
-], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet"])
+    *(lambda sphere, p, n=n: _ring(sphere, n) for n in RING_SIZES),
+], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet",
+        *(f"ring_{n}" for n in RING_SIZES)])
 def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
                                               make):
     mesh = make(sphere_mesh, profiles[0.5][1])

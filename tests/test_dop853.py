@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import A_STAR
 from lensshrinker import PipelineConfig, angle_of, arclength, dop853
 from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
                                     seed_quadratures)
@@ -81,6 +82,21 @@ def test_nfev_counts_every_rhs_call(monkeypatch):
     # the counters stay out of the reproducible summary
     assert set(profile_summary(p)) == {"a", "s_bar", "s_star", "xi_a",
                                        "alpha", "monitors"}
+
+
+@pytest.mark.parametrize("a, counters", [
+    (0.05, (317, 17, 5)), (A_STAR, (410, 24, 4)), (SQRT2, (455, 27, 4))])
+def test_work_counters_are_pinned(a, counters):
+    # (nfev, n_steps, n_rejected) at the default tolerance, as absolute
+    # numbers: test_matches_scipy_dop853 already ties nfev and the steps to
+    # scipy's, so this adds n_rejected and catches a change that moves both
+    # sides alike
+    _, p = angle_of(a)
+    assert (p.nfev, p.n_steps, p.n_rejected) == counters
+
+
+def test_a_star_is_pinned(lens_report):
+    assert lens_report.a_star == A_STAR
 
 
 @pytest.mark.parametrize("rtol, atol", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import A_STAR
 from lensshrinker import (CertificateFailure, ContractionConstants, EvenSeries,
                           NoContraction, apply_L,
                           contraction_certificate, eta_coefficients, find_x0,
@@ -20,7 +21,6 @@ from lensshrinker.series import (CERT_MARGIN, R_STAR,
 
 SQRT2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
-A_STAR = 0.7860039861771013
 
 
 def apply_G(g: EvenSeries) -> EvenSeries:
