@@ -20,6 +20,13 @@ angles) that shrinks homothetically under mean curvature flow:
   three-sheet mesh and exports it.
 """
 
+import os
+
+# Every BLAS call here is on 16 x 16 or smaller; a pool of OpenBLAS threads
+# only costs start-up time.  Set before the first numpy import; a value the
+# user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arclength import LensProfile, integrate_profile, polar_monitors
 from .cluster import ClusterMesh, build_cluster, write_obj
 from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,

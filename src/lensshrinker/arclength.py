@@ -103,7 +103,7 @@ class LensProfile:
 
 def arclength_rhs(s, y):
     """State (u, v, phi, i_phi, i_v); the angle-form ODE plus quadratures."""
-    u, v, phi, _, _ = y.tolist()
+    u, v, phi, _, _ = y
     c, sn = math.cos(phi), math.sin(phi)
     e = math.exp(-0.5 * (u * u + v * v))
     return [c, sn,
@@ -175,8 +175,8 @@ def integrate_profile(series: EvenSeries, a: float, *,
                            [X_SEED, a + series(X_SEED),
                             math.atan(series.deriv(X_SEED)), iphi0, iv0],
                            s_max, rtol=tol, atol=tol,
-                           events=[(lambda y: y[1], -1, True),
-                                   (lambda y: y[0] - 1.0, 1, False)])
+                           events=[((1, 0.0), -1, True),
+                                   ((0, 1.0), 1, False)])
     if not sol.terminated:
         raise NoCrossing(f"no v=0 crossing before the arclength cap "
                          f"s_max={s_max} at a={a}")

@@ -149,7 +149,7 @@ def check_small_height_crossing(cfg: PipelineConfig) -> CheckResult:
         alphas.append(abs(alpha))
     ok = max(gaps) < 0.05 and alphas[1] < alphas[0]
     return _result("small-height crossing near x0", ok,
-                   f"|xi - x0| up to {max(gaps):.4f}, "
+                   f"|xi - x0| up to {max(gaps):.2e}, "
                    f"|alpha| decreasing: {alphas[1] < alphas[0]}")
 
 

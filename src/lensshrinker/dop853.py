@@ -5,10 +5,16 @@ The tableau, step control, initial step and dense output follow
 scipy.integrate's DOP853 and the event roots scipy.optimize.brentq (BSD-3,
 (c) Enthought, Inc. and the SciPy Developers) operation for operation, so
 steps, evaluation counts and states equal solve_ivp's bit for bit.  The step
-loop keeps the step size, the stage times and the error norms in Python
-floats, and fun's values go straight into the stage rows, where that cannot
-change a bit: a norm is sqrt(z.dot(z)), as np.linalg.norm takes it, and
-every sum over the stages stays a numpy dot in scipy's order.
+loop keeps the step size, the stage times, the state and the error norms in
+Python floats wherever that cannot change a bit.  Arithmetic on single
+floats is numpy's elementwise arithmetic, one rounded operation at a time
+with no fused multiply-add, so each stage state y + (A K) h, the new state,
+the error scale and the Hermite rows are formed in floats; fun gets the
+state as a list, and its values go straight into the stage rows.  A norm is
+sqrt(z.dot(z)), as np.linalg.norm takes it, and every sum over the stages
+stays a numpy dot in scipy's order.  An event is a level of one state
+component, so Brent's method refines its root on that one column of the
+step's dense output, in the operation order of the full evaluation.
 """
 
 from __future__ import annotations
@@ -89,11 +95,13 @@ D = np.reshape([-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
 
 
 def hermite_rows(h, y_old, y_new, f_old, f_new) -> np.ndarray:
-    """Dense-output rows of the cubic Hermite interpolant; rows 3-6 zero."""
-    F = np.zeros((7, len(y_old)))
-    F[0] = y_new - y_old
-    F[1] = h * f_old - F[0]
-    F[2] = 2 * F[0] - h * (f_new + f_old)
+    """Dense-output rows of the cubic Hermite interpolant; rows 3-6 zero.
+    The arguments are float sequences, combined element by element in
+    numpy's operation order."""
+    d = [b - a for a, b in zip(y_old, y_new)]
+    F = np.zeros((7, len(d)))
+    F[:3] = (d, [h * fo - di for fo, di in zip(f_old, d)],
+             [2 * di - h * (fn + fo) for di, fo, fn in zip(d, f_old, f_new)])
     return F
 
 
@@ -102,6 +110,16 @@ def _horner(F, y_old, x):
     y = np.zeros(np.shape(y_old))
     for i in range(6, -1, -1):
         y += F[..., i, :]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
+
+
+def _horner_column(c, y_old, x):
+    # _horner(F, y_old, x)[i] on Python floats, c = F[:, i].tolist(), in
+    # _horner's operation order
+    y = 0.0
+    for i in range(6, -1, -1):
+        y += c[i]
         y *= x if i % 2 == 0 else 1 - x
     return y + y_old
 
@@ -193,12 +211,13 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
               atol: float, events=()) -> Solution:
     """Integrate y' = fun(t, y) forward from t0 towards t_bound.
 
-    ``events`` holds (g, direction, terminal) triples: the zeros of g(y)
-    crossed upward (direction +1) or downward (-1) are located on the dense
-    output of their step, and the first terminal one ends the solve.  rtol
-    below 100 eps, a non-finite or negative tolerance, or a t_bound not
-    beyond t0 raises ValueError; a step below ten float spacings, or a NaN
-    step, raises StepFailure.
+    fun gets the state as a list of floats.  ``events`` holds ((component,
+    level), direction, terminal) triples: the zeros of g = y[component] -
+    level crossed upward (direction +1) or downward (-1) are located on the
+    dense output of their step, and the first terminal one ends the solve.
+    rtol below 100 eps, a non-finite or negative tolerance, a t_bound not
+    beyond t0 or an event component outside the state raises ValueError; a
+    step below ten float spacings, or a NaN step, raises StepFailure.
     """
     if not (RTOL_FLOOR <= rtol < math.inf and 0 <= atol < math.inf):
         raise ValueError(f"need rtol={rtol} finite and at least the floor "
@@ -206,12 +225,16 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
     if not t0 < t_bound:
         raise ValueError(f"need t0={t0} < t_bound={t_bound}")
     t, y, atol = float(t0), np.asarray(y0, dtype=float), np.asarray(atol)
-    f0 = np.asarray(fun(t, y), dtype=float)
+    if not all(0 <= i < len(y) for (i, _), _, _ in events):
+        raise ValueError(f"event components {[e[0][0] for e in events]} "
+                         f"outside a state of length {len(y)}")
+    f0 = np.asarray(fun(t, y.tolist()), dtype=float)
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     scale = atol + np.abs(y) * rtol
     d0, d1 = (_norm(z / scale) / len(y) ** 0.5 for z in (y, f0))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    d2 = _norm((fun(t + h0, y + h0 * f0) - f0) / scale) / len(y) ** 0.5 / h0
+    d2 = _norm((fun(t + h0, (y + h0 * f0).tolist()) - f0) / scale) \
+        / len(y) ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
         else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_bound - t)
@@ -221,8 +244,10 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
     K_ext[0] = f0
     K = K_ext[:13]
     KT = [K_ext[:s].T for s in range(16)]  # the stages before stage s
+    # the state, atol and f at the step start as Python floats
+    y, atol, f_list = y.tolist(), float(atol), f0.tolist()
     ts, pieces = [t], []  # step starts and ends; (h, y_old, F) per step
-    g = [ev(y) for ev, _, _ in events]
+    g = [y[i] - level for (i, level), _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     n_rejected, terminated = 0, False
     while not terminated and t < t_bound:
@@ -236,13 +261,17 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
             h = t_end - t
             h_abs = abs(h)
             for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + KT[s].dot(A_ROWS[s]) * h)
-            y_new = y + h * KT[12].dot(B)
+                K[s] = fun(t + C[s] * h, [yi + di * h for yi, di in zip(
+                    y, KT[s].dot(A_ROWS[s]).tolist())])
+            y_new = [yi + h * di for yi, di in zip(y, KT[12].dot(B).tolist())]
             K[12] = fun(t + h, y_new)
             nfev += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = _norm(K.T.dot(E5) / scale) ** 2
-            e3 = _norm(K.T.dot(E3) / scale) ** 2
+            # max(|y_new|, |y|) is NaN if y_new is, as np.maximum would
+            # be, and a NaN in y makes y_new NaN
+            scale = np.array([atol + max(abs(zi), abs(yi)) * rtol
+                              for yi, zi in zip(y, y_new)])
+            e5 = _norm(KT[13].dot(E5) / scale) ** 2
+            e3 = _norm(KT[13].dot(E3) / scale) ** 2
             err = 0.0 if e5 == 0 and e3 == 0 else \
                 h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
             grow = MAX_FACTOR if err == 0 else SAFETY * err ** (-1 / 8)
@@ -252,26 +281,29 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
             h_abs *= max(MIN_FACTOR, grow)
             rejected, n_rejected = True, n_rejected + 1
         for s in range(13, 16):
-            K_ext[s] = fun(t + C[s] * h, y + KT[s].dot(A_ROWS[s]) * h)
+            K_ext[s] = fun(t + C[s] * h, [yi + di * h for yi, di in zip(
+                y, KT[s].dot(A_ROWS[s]).tolist())])
         nfev += 3
-        F = hermite_rows(h, y, y_new, K[0], K[12])
+        f_new = K[12].tolist()
+        F = hermite_rows(h, y, y_new, f_list, f_new)
         F[3:] = h * D.dot(K_ext)
         K[0] = K[12]  # the last stage of a step is the first of the next
         pieces.append((h, y, F))
-        g_new = [ev(y_new) for ev, _, _ in events]
+        g_new = [y_new[i] - level for (i, level), _, _ in events]
         # roots in time order, none kept past the first terminal one
         hits = sorted(
-            (_brentq(lambda r: ev(_horner(F, y, (r - t) / h)), t, t_end), i)
-            for i, (ev, direction, _) in enumerate(events)
-            if direction * g[i] <= 0 <= direction * g_new[i])
-        for root, i in hits:
-            t_events[i].append(root)
-            y_events[i].append(_horner(F, y, (root - t) / h))
-            if events[i][2]:
+            (_brentq(lambda r, c=F[:, i].tolist(), y0=y[i], level=level:
+                     _horner_column(c, y0, (r - t) / h) - level, t, t_end), k)
+            for k, ((i, level), direction, _) in enumerate(events)
+            if direction * g[k] <= 0 <= direction * g_new[k])
+        for root, k in hits:
+            t_events[k].append(root)
+            y_events[k].append(_horner(F, y, (root - t) / h))
+            if events[k][2]:
                 terminated, t_end = True, root
                 break
         ts.append(t_end)
-        t, y, g = t_end, y_new, g_new
+        t, y, f_list, g = t_end, y_new, f_new, g_new
 
     dense = DenseOutput(np.array(ts), *map(np.array, zip(*pieces)))
     return Solution(dense, f0, t_events, y_events, terminated, nfev,

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +271,22 @@ def test_fresh_interpreter_imports_no_process_pool():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_fresh_interpreter_defaults_to_one_openblas_thread(preset, want):
+    # the default applies when the variable is unset; a set value is kept
+    code = ("import os, lensshrinker\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == want
+
+
 def test_size_bounds_admit_their_edges():
     cfg = parse(TABLE + ["--step", "0.0001", "--jobs", str(os.cpu_count() or 1)])
     lo, hi, step = cfg.table_range
@@ -339,6 +356,14 @@ def test_verify_shoot_bounds_the_defect_by_the_ode_tolerance():
     result = checks.check_junction_shoot(cfg)
     assert result.passed, result.detail
     assert "(bound 1e-06)" in result.detail
+
+
+def test_verify_small_height_line_resolves_the_gap():
+    # |xi - x0| is about 1e-5 at a = 0.01; a fixed-point format printed 0.0000
+    result = checks.check_small_height_crossing(shooting.PipelineConfig())
+    assert result.passed, result.detail
+    gap = float(re.search(r"\|xi - x0\| up to (\S+),", result.detail)[1])
+    assert 0.0 < gap < 0.05
 
 
 def test_verify_exits_zero(capsys):

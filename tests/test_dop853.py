@@ -12,6 +12,7 @@ from lensshrinker import PipelineConfig, angle_of, arclength, dop853
 from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
                                     seed_quadratures)
 from lensshrinker.cluster import resample_profile
+from lensshrinker.dop853 import _horner, _horner_column
 from lensshrinker.errors import StepFailure
 
 SQRT2 = math.sqrt(2.0)
@@ -95,6 +96,22 @@ def test_work_counters_are_pinned(a, counters):
     assert (p.nfev, p.n_steps, p.n_rejected) == counters
 
 
+@pytest.mark.parametrize("a, hexes", [
+    (0.05, ("-0x1.26ef2714bb8a4p-4", "0x1.c7349d85c9343p+0",
+            "0x1.000801d8a92e2p+0", "0x1.c6f01efcc580bp+0")),
+    (A_STAR, ("-0x1.0c152382d7367p+0", "0x1.e984a8d2f0c57p+0",
+              "0x1.080505b03bed9p+0", "0x1.a76c4fc34054cp+0")),
+    (SQRT2, ("-0x1.921fb544417a6p+0", "0x1.1c5831add5dfbp+1",
+             "0x1.1c5831add6338p+0", "0x1.6a09e667fcf1ep+0"))])
+def test_profile_bits_are_pinned(a, hexes):
+    # (alpha, s_bar, s_star, xi) to the last bit: a change in the order of
+    # any float operation of a step or an event root moves one of them
+    alpha, p = angle_of(a)
+    assert alpha == p.alpha
+    assert tuple(float(x).hex() for x in (p.alpha, p.s_bar, p.s_star,
+                                          p.xi)) == hexes
+
+
 def test_a_star_is_pinned(lens_report):
     assert lens_report.a_star == A_STAR
 
@@ -122,9 +139,9 @@ def test_event_roots_and_terminal_stop():
     # y' = -sin t through -1/2 (at 5 pi / 6) lies beyond it and is not kept
     sol = dop853.integrate(lambda t, y: [y[1], -y[0]], 0.0, [1.0, 0.0], 10.0,
                            rtol=1e-12, atol=1e-12,
-                           events=[(lambda y: y[0], -1, True),
-                                   (lambda y: y[1] + 0.5, 1, False),
-                                   (lambda y: y[1] + 0.5, -1, False)])
+                           events=[((0, 0.0), -1, True),
+                                   ((1, -0.5), 1, False),
+                                   ((1, -0.5), -1, False)])
     assert sol.terminated
     assert sol.dense.ts[-1] == sol.t_events[0][0] == pytest.approx(math.pi / 2,
                                                             abs=1e-12)
@@ -139,15 +156,14 @@ def test_roots_in_one_step_are_kept_in_time_order():
     # y = t crosses 2.5, 3.5 and 4.5 inside the one step [1.93, 5.92] (the
     # step size grows while the error estimate is zero); the terminal root
     # at 3.5 keeps the root before it and drops the one after it, as solve_ivp
-    events = [(lambda y: y[0] - 4.5, 1, False), (lambda y: 3.5 - y[0], -1, True),
-              (lambda y: y[0] - 2.5, 1, False)]
+    events = [((0, 4.5), 1, False), ((0, 3.5), 1, True), ((0, 2.5), 1, False)]
     sol = dop853.integrate(lambda t, y: [1.0], 0.0, [0.0], 10.0,
                            rtol=1e-12, atol=1e-12, events=events)
     assert sol.dense.ts[-2] < 2.5 and sol.dense.ts[-2] + sol.dense.h[-1] > 4.5
     ref_events = []
-    for g, direction, terminal in events:
-        def event(t, y, g=g):
-            return g(y)
+    for (i, level), direction, terminal in events:
+        def event(t, y, i=i, level=level):
+            return y[i] - level
         event.direction, event.terminal = direction, terminal
         ref_events.append(event)
     ref = solve_ivp(lambda t, y: [1.0], (0.0, 10.0), [0.0], method="DOP853",
@@ -158,6 +174,42 @@ def test_roots_in_one_step_are_kept_in_time_order():
     assert sol.t_events[1] == [pytest.approx(3.5, abs=1e-14)]
     assert sol.t_events[2] == [pytest.approx(2.5, abs=1e-14)]
     assert sol.terminated and sol.nfev == ref.nfev
+
+
+def test_column_horner_is_one_column_of_horner():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        F, y_old = rng.standard_normal((7, 5)), rng.standard_normal(5)
+        for x in (0.0, 1.0, *rng.random(5)):
+            full = _horner(F, y_old, x)
+            for i in range(5):
+                got = _horner_column(F[:, i].tolist(), float(y_old[i]), x)
+                assert got.hex() == float(full[i]).hex()
+
+
+@pytest.mark.parametrize("component", [2, -1])
+def test_event_component_outside_the_state_raises(component):
+    with pytest.raises(ValueError, match="event component"):
+        dop853.integrate(lambda t, y: [y[1], -y[0]], 0.0, [1.0, 0.0], 1.0,
+                         rtol=1e-10, atol=1e-10,
+                         events=[((component, 0.0), -1, True)])
+
+
+def test_matches_scipy_on_van_der_pol():
+    # a second problem, with many rejected steps and states of both signs:
+    # the steps, nfev and the dense output equal solve_ivp's bit for bit
+    def vdp(t, y):
+        return [y[1], 5.0 * (1 - y[0] ** 2) * y[1] - y[0]]
+
+    sol = dop853.integrate(vdp, 0.0, [2.0, 0.0], 20.0, rtol=1e-9, atol=1e-9)
+    ref = solve_ivp(vdp, (0.0, 20.0), [2.0, 0.0], method="DOP853",
+                    rtol=1e-9, atol=1e-9, dense_output=True)
+    d = sol.dense
+    assert sol.n_rejected > 10 and sol.nfev == ref.nfev
+    assert np.array_equal(d.ts, ref.t)
+    x = np.array([0.0, 0.25, 0.5, 0.75])
+    points = (d.ts[:-1, None] + np.diff(d.ts)[:, None] * x).ravel()
+    assert np.array_equal(d(points), ref.sol(points))
 
 
 def test_step_failure_on_a_blow_up():
