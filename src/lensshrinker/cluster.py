@@ -243,9 +243,103 @@ def _index_tokens(n: int) -> np.ndarray:
     return np.ascontiguousarray(columns.T).view(f"S{width}")[:, 0]
 
 
+# 5^p for p <= 27 in 32-bit limbs; every one is below 2^64
+_POW5 = np.array([5 ** p for p in range(28)], dtype=np.uint64)
+_POW5_HI, _POW5_LO = _POW5 >> 32, _POW5 & 0xFFFFFFFF
+
+
+def _scaled(m: np.ndarray, e: np.ndarray,
+            k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(x 10^(16-k)) for x = m 2^e, and whether x 10^(16-k) rounds
+    half-even up from it.  For a 53-bit m, 2 <= 16 - k <= 27 and k within
+    one of floor(log10 x), m 5^(16-k) is exact in two 64-bit words and its
+    binary point lies 2..62 bits in."""
+    p = 16 - k
+    s = (-e - p).view(np.uint64)
+    m1, m0 = m >> 32, m & 0xFFFFFFFF
+    a, b, c = m0 * _POW5_LO[p], m0 * _POW5_HI[p], m1 * _POW5_LO[p]
+    mid = (a >> 32) + (b & 0xFFFFFFFF) + (c & 0xFFFFFFFF)
+    hi = m1 * _POW5_HI[p] + (b >> 32) + (c >> 32) + (mid >> 32)
+    lo = a & 0xFFFFFFFF | mid << 32
+    t = hi << (64 - s) | lo >> s
+    rem = lo & (1 << s) - 1
+    return t, rem + (t & 1) > 1 << (s - 1)
+
+
+def _float_tokens(values: np.ndarray) -> np.ndarray:
+    """One NUL-holding token per float64; deleting its NULs gives exactly
+    '%.17g' % x.
+
+    For 1e-10 <= |x| < 1e14 the 17 significant digits D come from exact
+    integer arithmetic (`_scaled`) with k = floor(log10 |x|) from np.log10,
+    moved by one where the truncated value falls outside [10^16, 10^17).
+    D is spelled from a 4-digit table whose second half has its trailing
+    zeros as NUL, used for a group when every later digit is zero.  The
+    rows, sorted by k, take one column template per k: fixed notation for
+    k >= -4, else d.ddd plus e-XX.  Every other value (zeros, subnormals,
+    the smallest and largest, inf and nan) goes through '%.17g'."""
+    x = np.abs(values)
+    fast = (x >= 1e-10) & (x < 1e14)
+    bits = x[fast].view(np.uint64)
+    m = bits & (1 << 52) - 1 | 1 << 52
+    e = (bits >> 52).view(np.int64) - 1075
+    k = np.floor(np.log10(x[fast])).astype(np.int8)
+    d, up = _scaled(m, e, k)
+    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
+    k[off] += np.where(d[off] < 10 ** 16, -1, 1)
+    d[off], up[off] = _scaled(m[off], e[off], k[off])
+    d += up
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    k += carry
+
+    order = np.argsort(k, kind="stable")
+    d, k = d[order].view(np.int64), k[order]
+    hi, lo = np.divmod(d, 10 ** 8)
+    top, g2 = np.divmod(hi, 10 ** 4)
+    g0, g1 = np.divmod(top, 10 ** 4)
+    g3, g4 = np.divmod(lo, 10 ** 4)
+    # a group with only zeros after it is looked up in the stripped half
+    stripped = 10000 * (lo == 0)
+    groups = np.column_stack([g0, g1 + stripped * (g2 == 0), g2 + stripped,
+                              g3 + 10000 * (g4 == 0), g4 + 10000])
+    digit = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    kept = np.logical_or.accumulate(digit[:, ::-1] != 0, axis=1)[:, ::-1]
+    table = np.concatenate([digit, np.where(kept, digit, -48)]) + 48
+    # columns: sign, dot, '0', then the 17 digits (group g0 is "000d")
+    chars = table.astype(np.uint8).view("V4")[:, 0][groups].view(np.uint8)
+    chars[:, 0] = np.where(values[fast][order] < 0, ord("-"), 0)
+
+    slow = values[~fast].tolist()
+    rest = np.array(("%.17g " * len(slow) % tuple(slow)).encode().split(),
+                    dtype=bytes)
+    width = max(23, rest.dtype.itemsize)
+    out = np.zeros((len(d), width), dtype=np.uint8)
+    bounds = np.searchsorted(k, np.arange(-10, 15)).tolist()
+    for kk, start, stop in zip(range(-10, 14), bounds, bounds[1:]):
+        rows = chars[start:stop]
+        if kk > 0:  # an integer digit is never stripped
+            rows[:, 4:4 + kk] = np.maximum(rows[:, 4:4 + kk], ord("0"))
+        first = max(kk + 1, 0) if kk >= -4 else 1  # first fraction digit
+        rows[:, 1] = np.where(rows[:, 3 + first], ord("."), 0)
+        if kk >= 0:
+            cols = [0, *range(3, 4 + kk), 1, *range(4 + kk, 20)]
+        elif kk >= -4:
+            cols = [0, 2, 1, *[2] * (-kk - 1), *range(3, 20)]
+        else:
+            cols = [0, 3, 1, *range(4, 20)]
+            out[start:stop, 19:23] = np.frombuffer(b"e-%02d" % -kk, np.uint8)
+        out[start:stop, :len(cols)] = rows[:, cols]
+    tokens = np.empty(len(values), dtype=f"S{width}")
+    tokens[np.flatnonzero(fast)[order]] = out.view(f"S{width}")[:, 0]
+    tokens[~fast] = rest
+    return tokens
+
+
 def _lines(head: bytes, tokens: np.ndarray, index: np.ndarray) -> bytes:
     """One line `head tok tok tok` per row of the (rows, 3) index into the
-    NUL-padded token table; the caller strips the NULs."""
+    token table.  A token may hold NUL bytes anywhere, not only as padding;
+    the caller deletes them."""
     rows, width = len(index), tokens.dtype.itemsize
     line = np.empty((rows, len(head) + 3 * (width + 1) + 1), dtype=np.uint8)
     line[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
@@ -259,23 +353,24 @@ def _lines(head: bytes, tokens: np.ndarray, index: np.ndarray) -> bytes:
 def write_obj(mesh: ClusterMesh, path) -> None:
     """Wavefront OBJ with one group per sheet; 1-based face indices.
 
-    Coordinates are printed with %.17g and indices with %d.  Each distinct
-    float64 bit pattern (so -0.0 apart from 0.0) is formatted once, and the
-    index tokens are spelled from digit columns, into token tables that the
-    lines gather from; the file is written as bytes, so no newline is
-    translated.
+    Coordinates are printed as %.17g and indices as %d.  Each distinct
+    float64 bit pattern (so -0.0 apart from 0.0) gets one token from
+    `_float_tokens`, and the index tokens are spelled from digit columns,
+    into token tables that the lines gather from.  Tokens hold NUL bytes,
+    which each part loses as it is written; the file is written as bytes,
+    so no newline is translated.
     """
     v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
     bits, index = np.unique(v.view(np.uint64), return_inverse=True)
-    floats = bits.view(np.float64).tolist()
-    coords = np.array(("%.17g " * len(floats) % tuple(floats)).encode().split())
+    coords = _float_tokens(bits.view(np.float64))
     ids = _index_tokens(len(v))
     parts = [_lines(b"v", coords, index.reshape(-1, 3))]
     for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
         parts.append(f"g {SHEET_NAMES[sheet]}\n".encode())
         parts.append(_lines(b"f", ids, mesh.sheet_triangles(sheet)))
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts).translate(None, b"\0"))
+        for part in parts:
+            fh.write(part.translate(None, b"\0"))
 
 
 def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:

@@ -8,8 +8,8 @@ import pytest
 from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
 from lensshrinker.cluster import (SHEET_ANNULUS, SHEET_LOWER, SHEET_NAMES,
-                                  SHEET_UPPER, mesh_checks, resample_profile,
-                                  write_metadata, write_obj)
+                                  SHEET_UPPER, _float_tokens, mesh_checks,
+                                  resample_profile, write_metadata, write_obj)
 from lensshrinker.errors import DegenerateProfile
 
 SQRT2 = math.sqrt(2.0)
@@ -265,20 +265,52 @@ def _ring(sphere, n):
         sheet_id=k % 3)
 
 
+def _extreme_values(sphere):
+    # both signs of values on each side of the digit-arithmetic range
+    # 1e-10 <= |x| < 1e14, at the ends of the float64 range and -0.0
+    x = np.array([5e-324, 1e-300, 9.999999999999999e-11, 1e-10,
+                  99999999999999.98, 1e14, 1e300, -0.0, 0.1, 1e-05])
+    x = np.concatenate([x, -x])
+    return dataclasses.replace(
+        _ring(sphere, len(x)),
+        vertices=np.column_stack([x, x[::-1], np.roll(x, 3)]))
+
+
 @pytest.mark.parametrize("make", [
     lambda sphere, p: sphere,
     lambda sphere, p: build_cluster(p),
     lambda sphere, p: _signed_zeros(sphere),
     lambda sphere, p: _empty_lower_cap(sphere),
     *(lambda sphere, p, n=n: _ring(sphere, n) for n in RING_SIZES),
+    lambda sphere, p: _extreme_values(sphere),
 ], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet",
-        *(f"ring_{n}" for n in RING_SIZES)])
+        *(f"ring_{n}" for n in RING_SIZES), "extreme_values"])
 def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
                                               make):
     mesh = make(sphere_mesh, profiles[0.5][1])
     path = tmp_path / "lens.obj"
     write_obj(mesh, path)
     assert path.read_bytes() == _reference_obj(mesh)
+
+
+def test_float_tokens_spell_percent_17g():
+    # deleting a token's NULs gives '%.17g' % x, on the digit-arithmetic
+    # path and on the '%.17g' fallback alike
+    rng = np.random.default_rng(18)
+    powers = 10.0 ** np.arange(-12, 16)
+    i = np.arange(1001)
+    x = np.concatenate([
+        # random bit patterns: subnormals, inf and nan among them
+        rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64),
+        rng.choice([-1.0, 1.0], 200_000) * 10 ** rng.uniform(-12, 15, 200_000),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        # dyadics whose decimal expansions end in an exact tie
+        i * 2.0 ** -20, (2 ** 17 + i) / 2 ** 17,
+        [0.0, -0.0]])
+    want = ("%.17g " * len(x) % tuple(x.tolist())).encode().split()
+    got = [token.replace(b"\0", b"") for token in _float_tokens(x).tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not wrong, wrong[:5]
 
 
 def test_metadata_sidecar(tmp_path, sphere_mesh):
