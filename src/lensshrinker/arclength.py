@@ -50,7 +50,7 @@ from .errors import MonitorViolation, NoCrossing
 from .series import EvenSeries, gauss_legendre_composite
 
 MONITOR_SLACK_TOL = -1e-9
-# DOP853's rtol and atol of each solve, unless the caller passes tol
+# DOP853's tolerance of each solve, unless the caller passes tol
 DEFAULT_TOL = 1e-12
 # bound on the dense output's ODE defect, per unit of tol
 DEFECT_PER_TOL = 1e4
@@ -150,7 +150,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     The series h seeds the curve at u = X_SEED, which must lie inside
     series.radius: v = a + h(X_SEED) and phi = atan h'(X_SEED), with
     arclength and quadratures starting from their values on [0, X_SEED].
-    One DOP853 solve with rtol = atol = tol follows.  The crossing is
+    One DOP853 solve with tolerance tol follows.  The crossing is
     event-detected on the dense output and refined until |v(s_bar)| <=
     EVENT_TOL; s_star is the first passage of u through 1.
     Reaching s_max = s0 + ARCLENGTH_HARD_CAP without a crossing raises
@@ -174,7 +174,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     sol = dop853.integrate(arclength_rhs, s0,
                            [X_SEED, a + series(X_SEED),
                             math.atan(series.deriv(X_SEED)), iphi0, iv0],
-                           s_max, rtol=tol, atol=tol,
+                           s_max, tol=tol,
                            events=[((1, 0.0), -1, True),
                                    ((0, 1.0), 1, False)])
     if not sol.terminated:

@@ -60,16 +60,6 @@ def check_kernel_functions() -> CheckResult:
                        f"norm bound holds: {norm_ok}")
 
 
-def check_certificate_reference() -> CheckResult:
-    c = se.ContractionConstants(A_CIRCLE, se.R_STAR, 6.0 * math.sqrt(2.0),
-                                0.5, "C2")
-    report = se.contraction_certificate(c)
-    return _result("contraction certificate at reference constants",
-                   report.certified,
-                   "; ".join(f"{name} slack={slack:.3e}"
-                             for name, slack in report.slacks.items()))
-
-
 def check_small_height_law() -> CheckResult:
     ratios = []
     for a in (1e-3, 1e-2, 1e-1):
@@ -83,6 +73,8 @@ def check_small_height_law() -> CheckResult:
 
 
 def check_cross_oracle() -> CheckResult:
+    # picard_c2_oracle raises unless its C2 certificate (R = 6a, L = 1/2)
+    # holds, so a = sqrt2 also checks that certificate at its largest a
     r = se.R_STAR
     worst = 0.0
     for a in (0.5, 1.0, A_CIRCLE):
@@ -154,11 +146,11 @@ def check_small_height_crossing(cfg: PipelineConfig) -> CheckResult:
 
 
 def check_mesh(cfg: PipelineConfig) -> CheckResult:
-    from .cluster import build_cluster, mesh_checks
+    from .cluster import SHEET_ANNULUS, build_cluster, mesh_checks
 
     _, profile = angle_of(A_CIRCLE, cfg)
     mesh = build_cluster(profile, n_theta=32, n_s=128, n_r=8)
-    caps = np.unique(mesh.triangles[mesh.sheet_id != 2])
+    caps = np.unique(mesh.triangles[mesh.sheet_id != SHEET_ANNULUS])
     radii = np.linalg.norm(mesh.vertices[caps], axis=1)
     sphere_err = float(np.max(np.abs(radii - math.sqrt(2.0))))
     names = {name: ok for name, ok, _ in mesh_checks(mesh)}
@@ -170,7 +162,6 @@ def check_mesh(cfg: PipelineConfig) -> CheckResult:
 SERIES_CHECKS = (
     check_operator_identities,
     check_kernel_functions,
-    check_certificate_reference,
     check_small_height_law,
     check_cross_oracle,
 )

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import checks
 from .arclength import polar_monitors, profile_summary, profile_to_csv
-from .cluster import build_cluster, write_metadata, write_obj
+from .cluster import (DEFAULT_N_THETA, MIN_N_THETA, build_cluster,
+                      write_metadata, write_obj)
 from .dop853 import RTOL_FLOOR
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
@@ -40,7 +41,7 @@ EXIT_BRACKET = 3
 EXIT_MONITOR = 4
 
 MAX_TABLE_ROWS = 10_000
-N_THETA_RANGE = (16, 4096)
+N_THETA_RANGE = (MIN_N_THETA, 4096)
 # keeps the annulus input finite; junction radii stay below 1.8
 MAX_ANNULUS_OUTER = 1000.0
 
@@ -56,7 +57,7 @@ class RunConfig:
     output_dir: str = "."
     json_output: bool = False
     table_range: tuple[float, float, float] | None = None
-    n_theta: int = 64
+    n_theta: int = DEFAULT_N_THETA
     annulus_outer: float | None = None
     pipeline: PipelineConfig = PipelineConfig()
 
@@ -85,11 +86,14 @@ class RunConfig:
                              f"(0, {MAX_ANNULUS_OUTER:g}]")
         if self.table_range is not None:
             lo, hi, step = self.table_range
-            if not (0.0 < lo <= hi <= A_CIRCLE and step > 0.0):
-                raise ValueError("table range must be ordered inside (0, sqrt(2)]")
-            # np.arange(lo, hi + step / 2, step) has ceil((hi - lo) / step + 1/2) rows
-            if (hi - lo) / step > MAX_TABLE_ROWS - 0.5:
-                raise ValueError(f"table range gives more than {MAX_TABLE_ROWS} rows")
+            if not (0.0 < lo <= hi <= A_CIRCLE and 0.0 < step < math.inf):
+                raise ValueError("table range must be ordered inside (0, sqrt(2)] "
+                                 "with a finite positive step")
+            # np.arange(lo, hi + step / 2, step) has ceil(span) rows
+            span = (hi + step / 2 - lo) / step
+            if not 0.0 < span <= MAX_TABLE_ROWS:
+                raise ValueError(f"table range gives no row or more than "
+                                 f"{MAX_TABLE_ROWS} rows")
 
     def to_dict(self) -> dict:
         p = self.pipeline
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a", type=float, default=None,
                    help="profile height (default: shoot for the junction height)")
-    p.add_argument("--n-theta", type=int, default=64)
+    p.add_argument("--n-theta", type=int, default=DEFAULT_N_THETA)
     p.add_argument("--annulus-outer", type=float, default=None,
                    help=f"annulus radius, at most {MAX_ANNULUS_OUTER:g} "
                         "(default: 3x the junction radius)")

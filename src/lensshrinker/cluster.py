@@ -28,6 +28,7 @@ SHEET_ANNULUS = 2
 SHEET_NAMES = ("upper_cap", "lower_cap", "planar_annulus")
 
 DEFAULT_N_THETA = 64
+MIN_N_THETA = 16
 DEFAULT_N_S = 256
 DEFAULT_N_R = 24
 DEFAULT_OUTER_FACTOR = 3.0
@@ -41,8 +42,7 @@ class ClusterMesh:
     triangles: np.ndarray     # (m, 3) indices
     sheet_id: np.ndarray      # (m,) in {0: upper, 1: lower, 2: annulus}
     junction: np.ndarray      # vertex indices of the shared junction circle
-    junction_radius: float
-    metadata: dict
+    metadata: dict            # a, xi (the junction radius), sizes, outer
 
     def sheet_triangles(self, sheet: int) -> np.ndarray:
         return self.triangles[self.sheet_id == sheet]
@@ -73,8 +73,8 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     sheets, and the unbounded planar sheet is truncated at annulus_outer
     (default 3x the junction radius, recorded in the metadata).
     """
-    if n_theta < 16:
-        raise ValueError("n_theta must be at least 16")
+    if n_theta < MIN_N_THETA:
+        raise ValueError(f"n_theta must be at least {MIN_N_THETA}")
     if profile.u[0] != 0.0:
         raise DegenerateProfile("profile must start on the rotation axis")
     xi = profile.xi
@@ -134,25 +134,21 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
         triangles=triangles,
         sheet_id=sheet_id,
         junction=np.arange(junction_start, junction_start + n_theta),
-        junction_radius=xi,
         metadata={"a": profile.a, "xi": xi, "s_bar": profile.s_bar,
                   "n_theta": n_theta, "n_s": n_s, "n_r": n_r,
                   "annulus_outer": float(outer)},
     )
-    _validate(mesh)
-    return mesh
-
-
-def _validate(mesh: ClusterMesh) -> None:
-    checks = mesh_checks(mesh)
-    failed = [name for name, ok, _ in checks if not ok]
+    failed = [name for name, ok, _ in mesh_checks(mesh) if not ok]
     if failed:
         raise DegenerateProfile(f"mesh validity checks failed: {failed}")
+    return mesh
 
 
 def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     """Reflection symmetry, junction coherence, orientation and quality.
 
+    Reflection symmetry: lower-cap triangle i is upper-cap triangle i with
+    z negated and its winding reversed, as build_cluster makes it.
     Junction coherence counts the triangles on each undirected edge: an edge
     of the junction circle borders exactly three, one per sheet; an edge of
     the annulus rim (at radius annulus_outer) borders one; every other edge
@@ -165,19 +161,10 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     v, t, sheet = mesh.vertices, mesh.triangles, mesh.sheet_id
     n_vert = len(v)
 
-    def vertex_mask(ids: np.ndarray) -> np.ndarray:
-        # v[mask] lists the vertices named in ids once each, in id order
-        mask = np.zeros(n_vert, dtype=bool)
-        mask[ids] = True
-        return mask
-
-    upper_set = v[vertex_mask(t[sheet == SHEET_UPPER])]
-    lower_set = v[vertex_mask(t[sheet == SHEET_LOWER])]
-    reflected = upper_set * [1.0, 1.0, -1.0]
-    sym = np.array_equal(reflected[np.lexsort(reflected.T[::-1])],
-                         lower_set[np.lexsort(lower_set.T[::-1])])
+    upper, lower = t[sheet == SHEET_UPPER], t[sheet == SHEET_LOWER]
+    sym = np.array_equal(v[lower[:, [0, 2, 1]]], v[upper] * [1.0, 1.0, -1.0])
     out.append(("reflection_symmetry", bool(sym),
-                "lower cap vertex set equals z-negated upper cap"))
+                "lower cap triangles are the z-negated upper cap triangles"))
 
     t_next = t[:, [1, 2, 0]]
     packed = (np.minimum(t, t_next) * n_vert + np.maximum(t, t_next)) << 3
@@ -192,7 +179,8 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     radius = np.hypot(v[:, 0], v[:, 1])
     on_rim = np.isclose(radius, mesh.metadata["annulus_outer"],
                         rtol=1e-12, atol=0.0)
-    on_junction = vertex_mask(mesh.junction)
+    on_junction = np.zeros(n_vert, dtype=bool)
+    on_junction[mesh.junction] = True
     junction_edge = on_junction[lo] & on_junction[hi]
     rim_edge = on_rim[lo] & on_rim[hi]
     expected = np.where(junction_edge, 3, np.where(rim_edge, 1, 2))

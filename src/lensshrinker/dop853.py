@@ -185,13 +185,16 @@ def _brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
             return xcur
         stry = math.inf  # bisect unless interpolation gives a short step
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+            try:  # a zero denominator bisects, as its inf or NaN does in C
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
         if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
             spre, scur = scur, stry
         else:
@@ -207,30 +210,31 @@ def _norm(z) -> float:
     return math.sqrt(z.dot(z))
 
 
-def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
-              atol: float, events=()) -> Solution:
+def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
+              events=()) -> Solution:
     """Integrate y' = fun(t, y) forward from t0 towards t_bound.
 
     fun gets the state as a list of floats.  ``events`` holds ((component,
     level), direction, terminal) triples: the zeros of g = y[component] -
     level crossed upward (direction +1) or downward (-1) are located on the
     dense output of their step, and the first terminal one ends the solve.
-    rtol below 100 eps, a non-finite or negative tolerance, a t_bound not
-    beyond t0 or an event component outside the state raises ValueError; a
-    step below ten float spacings, or a NaN step, raises StepFailure.
+    tol is both the relative and the absolute tolerance of each step.  A
+    tol below 100 eps or not finite, a t_bound not beyond t0 or an event
+    component outside the state raises ValueError; a step below ten float
+    spacings, or a NaN step, raises StepFailure.
     """
-    if not (RTOL_FLOOR <= rtol < math.inf and 0 <= atol < math.inf):
-        raise ValueError(f"need rtol={rtol} finite and at least the floor "
-                         f"100 eps = {RTOL_FLOOR}, atol={atol} finite, >= 0")
+    if not RTOL_FLOOR <= tol < math.inf:
+        raise ValueError(f"need tol={tol} finite and at least the floor "
+                         f"100 eps = {RTOL_FLOOR}")
     if not t0 < t_bound:
         raise ValueError(f"need t0={t0} < t_bound={t_bound}")
-    t, y, atol = float(t0), np.asarray(y0, dtype=float), np.asarray(atol)
+    t, y, tol = float(t0), np.asarray(y0, dtype=float), float(tol)
     if not all(0 <= i < len(y) for (i, _), _, _ in events):
         raise ValueError(f"event components {[e[0][0] for e in events]} "
                          f"outside a state of length {len(y)}")
     f0 = np.asarray(fun(t, y.tolist()), dtype=float)
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
-    scale = atol + np.abs(y) * rtol
+    scale = tol + np.abs(y) * tol
     d0, d1 = (_norm(z / scale) / len(y) ** 0.5 for z in (y, f0))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
     d2 = _norm((fun(t + h0, (y + h0 * f0).tolist()) - f0) / scale) \
@@ -244,8 +248,8 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
     K_ext[0] = f0
     K = K_ext[:13]
     KT = [K_ext[:s].T for s in range(16)]  # the stages before stage s
-    # the state, atol and f at the step start as Python floats
-    y, atol, f_list = y.tolist(), float(atol), f0.tolist()
+    # the state and f at the step start as Python floats
+    y, f_list = y.tolist(), f0.tolist()
     ts, pieces = [t], []  # step starts and ends; (h, y_old, F) per step
     g = [y[i] - level for (i, level), _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
@@ -268,7 +272,7 @@ def integrate(fun, t0: float, y0, t_bound: float, *, rtol: float,
             nfev += 12
             # max(|y_new|, |y|) is NaN if y_new is, as np.maximum would
             # be, and a NaN in y makes y_new NaN
-            scale = np.array([atol + max(abs(zi), abs(yi)) * rtol
+            scale = np.array([tol + max(abs(zi), abs(yi)) * tol
                               for yi, zi in zip(y, y_new)])
             e5 = _norm(KT[13].dot(E5) / scale) ** 2
             e3 = _norm(KT[13].dot(E3) / scale) ** 2

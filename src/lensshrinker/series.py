@@ -137,12 +137,10 @@ class EvenSeries:
     def __rmul__(self, scalar: float) -> "EvenSeries":
         return EvenSeries(float(scalar) * self.coeffs, self.radius)
 
-    def to_dict(self, a: float | None = None) -> dict:
+    def to_dict(self, a: float) -> dict:
         """JSON-ready export: {"a": ..., "r": ..., "coeffs": [c0, c2, ...]}."""
-        d = {"r": self.radius, "coeffs": [float(c) for c in self.coeffs]}
-        if a is not None:
-            d = {"a": float(a), **d}
-        return d
+        return {"a": float(a), "r": self.radius,
+                "coeffs": [float(c) for c in self.coeffs]}
 
 
 def weighted_norm(f: EvenSeries, r: float) -> float:
@@ -346,7 +344,8 @@ def derive_contraction_constants(a: float, r: float) -> ContractionConstants:
 
     The sufficient smallness regime R <= C_r sqrt(L), a <= K_r R is met
     with equality by R = a / K_r, L = (a/a0)^2 with a0 = C_r K_r, so
-    a >= a0 raises (a0 ~ 41.5 at r = R_STAR).  The grid oracle's C2
+    a >= a0 raises (a0 ~ 41.5 at r = R_STAR), and so does an a below
+    ~6.5e-161 there, where L underflows to 0.  The grid oracle's C2
     constants are fixed by its own rule, R = 6a and L = 1/2.
     """
     if not (a > 0.0 and r > 0.0):
@@ -354,7 +353,11 @@ def derive_contraction_constants(a: float, r: float) -> ContractionConstants:
     C_r, K_r = regime_constants(r)
     a0 = C_r * K_r
     if a < a0:
-        c = ContractionConstants(a, r, a / K_r, (a / a0) ** 2, "analytic")
+        L = (a / a0) ** 2
+        if L == 0.0:
+            raise NoContraction(f"L = (a/a0)^2 underflows to 0 at a={a}, "
+                                f"r={r} (a0 = C_r K_r = {a0})")
+        c = ContractionConstants(a, r, a / K_r, L, "analytic")
         if contraction_certificate(c).certified:
             return c
     raise NoContraction(f"no certified ball in the smallness regime for "

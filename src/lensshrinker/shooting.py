@@ -77,8 +77,7 @@ class AngleSample:
 
     def to_dict(self) -> dict:
         return {"a": self.a, "s_bar": self.s_bar, "xi_a": self.xi_a,
-                "alpha": self.alpha, "monitor_pass": self.monitor_pass,
-                "error": self.error}
+                "alpha": self.alpha, "error": self.error}
 
 
 @dataclass(frozen=True)

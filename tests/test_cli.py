@@ -95,12 +95,31 @@ def test_table_outputs(tmp_path):
     assert len(lines) == 4
     data = json.loads((out / "angle_table.json").read_text())
     assert len(data["table"]) == 3
+    # monitor_pass repeated error is None; the CSV keeps its pass column
+    for row in data["table"]:
+        assert row["error"] is None and "monitor_pass" not in row
     assert data["config"]["command"] == "table"
 
 
 def test_table_rejects_bad_range(tmp_path):
     assert run(["table", "--from", "0.8", "--to", "0.4", "--step", "0.1",
                 "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_solve_at_the_smallest_certified_heights(tmp_path, capsys):
+    # at a = 1e-160 the crossing's Brent refinement meets a zero
+    # interpolation denominator and bisects; below ~6.5e-161 the certificate's
+    # L = (a/a0)^2 underflows to 0 and the solve is refused.  The alpha pins
+    # the steps' bits only: with v ~ a far below the absolute tolerance it
+    # is ~2% off the small-height slope -J'(x0) a = -1.44055 a
+    assert run(["solve", "--a", "1e-160", "--output-dir", str(tmp_path)]) \
+        == EXIT_OK
+    summary = json.loads((tmp_path / "profile_a1e-160.json").read_text())
+    assert summary["alpha"] == -1.4103438386331787e-160
+    capsys.readouterr()
+    assert run(["solve", "--a", "1e-300", "--output-dir", str(tmp_path)]) \
+        == EXIT_CONFIG
+    assert "underflows to 0" in capsys.readouterr().err
 
 
 def test_mesh_outputs(tmp_path):
@@ -177,8 +196,12 @@ TABLE = ["table", "--from", "0.0001", "--to", "1.0"]
     ["mesh", "--a", "0.5", "--n-theta", "15"],
     ["mesh", "--a", "0.5", "--n-theta", "4097"],
     ["solve", "--a", repr(SQRT2 + 1e-13)],
+    TABLE + ["--step", "inf"],
+    # hi + step/2 rounds to hi, so np.arange(lo, hi + step/2, step) is empty
+    ["table", "--from", "0.1", "--to", "0.1", "--step", "1e-300"],
 ])
 def test_size_inputs_are_bounded(argv):
+    # validation runs before any command, so no output directory is made
     with pytest.raises(ValueError):
         parse(argv)
 
@@ -369,7 +392,7 @@ def test_verify_small_height_line_resolves_the_gap():
 def test_verify_exits_zero(capsys):
     assert run(["verify"]) == EXIT_OK
     text = capsys.readouterr().out
-    assert text.count("[PASS]") >= 10
+    assert text.count("[PASS]") == 9
     assert "[FAIL]" not in text
 
 
@@ -404,3 +427,16 @@ def test_benchmark_contract(tmp_path, profiles, monkeypatch):
     assert got["polar_monitors"] == want["polar_monitors"]
     del got["config"]
     assert got == want
+    # the table check compares the CLI's rows with sample_angle_table's on
+    # the CLI's own row rule, and the sweep check reads row.monitor_pass
+    table_dir = tmp_path / "table"
+    assert run(["table", "--from", "0.1", "--to", "0.3", "--step", "0.1",
+                "--output-dir", str(table_dir)]) == EXIT_OK
+    got = json.loads((table_dir / "angle_table.json").read_text())
+    values = list(np.arange(0.1, 0.3 + 0.5 * 0.1, 0.1))
+    report = shooting.sample_angle_table(values, shooting.PipelineConfig(jobs=1))
+    want = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+    assert len(got["table"]) == 3
+    assert got["table"] == want["table"]
+    assert got["sign_change_brackets"] == want["sign_change_brackets"]
+    assert all(row.monitor_pass is True for row in report.table)

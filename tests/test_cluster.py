@@ -24,7 +24,7 @@ def test_degenerate_case_is_a_round_sphere(sphere_mesh):
     caps = np.unique(sphere_mesh.triangles[sphere_mesh.sheet_id != SHEET_ANNULUS])
     radii = np.linalg.norm(sphere_mesh.vertices[caps], axis=1)
     assert np.max(np.abs(radii - SQRT2)) < 1e-6
-    assert sphere_mesh.junction_radius == pytest.approx(SQRT2, abs=1e-8)
+    assert sphere_mesh.metadata["xi"] == pytest.approx(SQRT2, abs=1e-8)
 
 
 def test_axis_maps_to_single_pole_vertex(sphere_mesh):

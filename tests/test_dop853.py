@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from conftest import A_STAR
 from lensshrinker import PipelineConfig, angle_of, arclength, dop853
 from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
                                     seed_quadratures)
 from lensshrinker.cluster import resample_profile
-from lensshrinker.dop853 import _horner, _horner_column
+from lensshrinker.dop853 import _brentq, _horner, _horner_column
 from lensshrinker.errors import StepFailure
 
 SQRT2 = math.sqrt(2.0)
@@ -116,29 +117,40 @@ def test_a_star_is_pinned(lens_report):
     assert lens_report.a_star == A_STAR
 
 
-@pytest.mark.parametrize("rtol, atol", [
-    (1e-14, 1e-12), (99 * EPS, 1e-12), (math.nan, 1e-12), (math.inf, 1e-12),
-    (1e-12, math.inf), (1e-12, math.nan), (1e-12, -1.0)])
-def test_rejects_tolerances_outside_the_floor(rtol, atol):
-    with pytest.raises(ValueError):
-        dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0,
-                         rtol=rtol, atol=atol)
+@pytest.mark.parametrize("tol", [1e-14, 99 * EPS, math.nan, math.inf, -1.0])
+def test_rejects_tolerances_outside_the_floor(tol):
+    with pytest.raises(ValueError, match="floor"):
+        dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0, tol=tol)
 
 
 def test_rtol_floor_is_admitted_and_tightened_100_fails_loudly():
     sol = dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0,
-                           rtol=dop853.RTOL_FLOOR, atol=0.0)
+                           tol=dop853.RTOL_FLOOR)
     assert sol.dense(np.array([1.0]))[0, 0] == pytest.approx(math.exp(-1.0),
                                                              rel=1e-13)
     with pytest.raises(ValueError, match="floor"):
         angle_of(0.786004, PipelineConfig().tightened(100.0))
 
 
+@pytest.mark.parametrize("g", [lambda x: x ** 3 - 0.1,
+                               lambda x: math.exp(x) - 2.0],
+                         ids=["cubic", "exp"])
+def test_brentq_bisects_where_the_interpolation_underflows(g):
+    # at |f| ~ 2^-530 the inverse quadratic step's denominator
+    # dblk * dpre * (fblk - fpre) underflows to 0; scipy's C code bisects on
+    # the inf or NaN that IEEE division gives there, and so must _brentq
+    def f(x):
+        return 2.0 ** -530 * g(x)
+
+    assert _brentq(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=4 * EPS,
+                                          rtol=4 * EPS)
+
+
 def test_event_roots_and_terminal_stop():
     # y = cos t: the downward zero at pi/2 ends the solve; the upward pass of
     # y' = -sin t through -1/2 (at 5 pi / 6) lies beyond it and is not kept
     sol = dop853.integrate(lambda t, y: [y[1], -y[0]], 0.0, [1.0, 0.0], 10.0,
-                           rtol=1e-12, atol=1e-12,
+                           tol=1e-12,
                            events=[((0, 0.0), -1, True),
                                    ((1, -0.5), 1, False),
                                    ((1, -0.5), -1, False)])
@@ -158,7 +170,7 @@ def test_roots_in_one_step_are_kept_in_time_order():
     # at 3.5 keeps the root before it and drops the one after it, as solve_ivp
     events = [((0, 4.5), 1, False), ((0, 3.5), 1, True), ((0, 2.5), 1, False)]
     sol = dop853.integrate(lambda t, y: [1.0], 0.0, [0.0], 10.0,
-                           rtol=1e-12, atol=1e-12, events=events)
+                           tol=1e-12, events=events)
     assert sol.dense.ts[-2] < 2.5 and sol.dense.ts[-2] + sol.dense.h[-1] > 4.5
     ref_events = []
     for (i, level), direction, terminal in events:
@@ -191,7 +203,7 @@ def test_column_horner_is_one_column_of_horner():
 def test_event_component_outside_the_state_raises(component):
     with pytest.raises(ValueError, match="event component"):
         dop853.integrate(lambda t, y: [y[1], -y[0]], 0.0, [1.0, 0.0], 1.0,
-                         rtol=1e-10, atol=1e-10,
+                         tol=1e-10,
                          events=[((component, 0.0), -1, True)])
 
 
@@ -201,7 +213,7 @@ def test_matches_scipy_on_van_der_pol():
     def vdp(t, y):
         return [y[1], 5.0 * (1 - y[0] ** 2) * y[1] - y[0]]
 
-    sol = dop853.integrate(vdp, 0.0, [2.0, 0.0], 20.0, rtol=1e-9, atol=1e-9)
+    sol = dop853.integrate(vdp, 0.0, [2.0, 0.0], 20.0, tol=1e-9)
     ref = solve_ivp(vdp, (0.0, 20.0), [2.0, 0.0], method="DOP853",
                     rtol=1e-9, atol=1e-9, dense_output=True)
     d = sol.dense
@@ -215,21 +227,21 @@ def test_matches_scipy_on_van_der_pol():
 def test_step_failure_on_a_blow_up():
     with pytest.raises(StepFailure):
         dop853.integrate(lambda t, y: [y[0] ** 2], 0.0, [1.0], 2.0,
-                         rtol=1e-10, atol=1e-10)
+                         tol=1e-10)
 
 
 def test_step_failure_on_a_nan_state():
     # a NaN state makes the step size NaN, which h < min_step never catches
     with pytest.raises(StepFailure):
         dop853.integrate(lambda t, y: [-y[0]], 0.0, [math.nan], 1.0,
-                         rtol=1e-10, atol=1e-10)
+                         tol=1e-10)
 
 
 @pytest.mark.parametrize("t_bound", [0.0, -1.0, math.nan])
 def test_rejects_an_empty_interval(t_bound):
     with pytest.raises(ValueError, match="t_bound"):
         dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], t_bound,
-                         rtol=1e-10, atol=1e-10)
+                         tol=1e-10)
 
 
 def test_dense_output_follows_the_circle_from_the_axis(circle_profile):
@@ -245,8 +257,7 @@ def test_dense_derivative_is_the_rhs_at_step_ends_and_the_slope_inside():
     def pendulum(t, y):
         return [y[1], -math.sin(y[0])]
 
-    d = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, rtol=1e-10,
-                         atol=1e-10).dense
+    d = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, tol=1e-10).dense
     ends = d.ts[1:]  # each belongs to the step it ends
     f_ends = np.array([pendulum(t, y) for t, y in zip(ends, d(ends).T)]).T
     assert np.max(np.abs(d.derivative(ends) - f_ends)) < 1e-14
@@ -270,3 +281,12 @@ def test_integrate_profile_rejects_rtol_below_floor():
     _, p = angle_of(0.5)
     with pytest.raises(ValueError):
         integrate_profile(p.series, 0.5, tol=1e-15)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_integrate_profile_rejects_tolerances_outside_the_floor(tol):
+    # the one tol is also each solve's atol: a NaN or inf one must stop
+    # integrate_profile as it stops dop853.integrate
+    _, p = angle_of(0.5)
+    with pytest.raises(ValueError, match="floor"):
+        integrate_profile(p.series, 0.5, tol=tol)

@@ -328,8 +328,18 @@ def test_certificate_certified_iff_every_slack_within_margin():
 
 
 def test_derive_constants_rejects_huge_height():
-    with pytest.raises(NoContraction):
-        derive_contraction_constants(100.0, 1.0)
+    for a in (100.0, 1e300):  # (a/a0)^2 would overflow at 1e300
+        with pytest.raises(NoContraction):
+            derive_contraction_constants(a, 1.0)
+
+
+def test_derive_constants_names_the_underflow_of_L():
+    # L = (a/a0)^2 is subnormal but positive at a = 1e-160, and 0 below
+    # ~6.5e-161
+    assert derive_contraction_constants(1e-160, R_STAR).L > 0.0
+    for a in (1e-161, 1e-300, 5e-324):
+        with pytest.raises(NoContraction, match="underflows to 0"):
+            derive_contraction_constants(a, R_STAR)
 
 
 @pytest.mark.parametrize("a, r", [(math.nan, R_STAR), (0.5, math.nan),
