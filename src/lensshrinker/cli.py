@@ -130,8 +130,17 @@ def _say(cfg: RunConfig, payload: dict, text: str) -> None:
 def cmd_solve(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     a = cfg.a
-    alpha, profile = angle_of(a, cfg.pipeline)
+    # the tag keeps 8 digits, so two heights can share it: refuse to
+    # overwrite the files of another height
     tag = f"a{a:.8g}"
+    previous = out / f"profile_{tag}.json"
+    if previous.exists():
+        with open(previous, encoding="utf-8") as fh:
+            other = json.load(fh).get("config", {}).get("a")
+        if other != a:
+            raise ValueError(f"{previous} holds the solve at a = {other!r}, "
+                             f"not at a = {a!r}; use another --output-dir")
+    alpha, profile = angle_of(a, cfg.pipeline)
     trajectory_to_csv(profile, out / f"graph_{tag}.csv")
     _write_json(out / f"series_{tag}.json", profile.series.to_dict(a), cfg)
     profile_to_csv(profile, out / f"profile_{tag}.csv")

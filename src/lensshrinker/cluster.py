@@ -32,6 +32,9 @@ MIN_N_THETA = 16
 DEFAULT_N_S = 256
 DEFAULT_N_R = 24
 DEFAULT_OUTER_FACTOR = 3.0
+# triangles (and OBJ lines) per block of mesh_checks and write_obj, so that
+# a block's temporaries stay in cache
+BLOCK = 8192
 
 
 @dataclass
@@ -75,12 +78,17 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     """
     if n_theta < MIN_N_THETA:
         raise ValueError(f"n_theta must be at least {MIN_N_THETA}")
+    if n_s < 2:
+        raise ValueError("n_s must be at least 2")
+    if n_r < 1:
+        raise ValueError("n_r must be at least 1")
     if profile.u[0] != 0.0:
         raise DegenerateProfile("profile must start on the rotation axis")
     xi = profile.xi
     outer = DEFAULT_OUTER_FACTOR * xi if annulus_outer is None else annulus_outer
-    if outer <= xi:
-        raise ValueError("annulus_outer must exceed the junction radius")
+    if not xi < outer < math.inf:
+        raise ValueError("annulus_outer must be finite and exceed the "
+                         "junction radius")
 
     u, v = resample_profile(profile, n_s)
     phi = 2.0 * math.pi * np.arange(n_theta) / n_theta
@@ -152,69 +160,108 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     Junction coherence counts the triangles on each undirected edge: an edge
     of the junction circle borders exactly three, one per sheet; an edge of
     the annulus rim (at radius annulus_outer) borders one; every other edge
-    borders two.  A missing or duplicated triangle anywhere fails it.  Each
-    edge key min*n + max carries its triangle's sheet bit in three low bits,
-    so one sort of the 3m packed keys gives every edge's run: the run length
-    is its triangle count and the OR of the low bits its set of sheets.
+    borders two.  A missing or duplicated triangle anywhere fails it.
+
+    The checks run over blocks of BLOCK triangles, so that each block's
+    temporaries stay in cache.  A block gathers its corner coordinates
+    once, column by column, and from them takes each triangle's normal z
+    (the orientation sign) and its area against its longest edge.  It
+    packs the key of each of its 3 edges as (min*n + max, class, sheet):
+    two class bits (junction: both ends on the junction circle; rim: both
+    ends at annulus_outer) and three sheet bits, one per sheet.  The
+    reflection pairs are compared block by block too, the rows of pair i
+    being the i-th upper and the i-th lower row.  Only the (3, m) key array
+    and its one sort are whole-mesh.  In the sorted keys each edge is one
+    run: its length is the edge's triangle count, its class bits give the
+    count expected, and a junction run's sheet bits OR to 0b111 if it has
+    one triangle per sheet.  The pass over the runs goes in blocks too.
     """
-    out = []
     v, t, sheet = mesh.vertices, mesh.triangles, mesh.sheet_id
-    n_vert = len(v)
-
-    upper, lower = t[sheet == SHEET_UPPER], t[sheet == SHEET_LOWER]
-    sym = np.array_equal(v[lower[:, [0, 2, 1]]], v[upper] * [1.0, 1.0, -1.0])
-    out.append(("reflection_symmetry", bool(sym),
-                "lower cap triangles are the z-negated upper cap triangles"))
-
-    t_next = t[:, [1, 2, 0]]
-    packed = (np.minimum(t, t_next) * n_vert + np.maximum(t, t_next)) << 3
-    packed |= (1 << sheet)[:, None]
-    packed = np.sort(packed, axis=None)
-    edge = packed >> 3
-    starts = np.flatnonzero(np.concatenate([[True], edge[1:] != edge[:-1]]))
-    counts = np.diff(np.append(starts, len(edge)))
-    # one bit per sheet: 0b111 on an edge of three triangles is one per sheet
-    sheet_bits = np.bitwise_or.reduceat(packed & 7, starts)
-    lo, hi = np.divmod(edge[starts], n_vert)
-    radius = np.hypot(v[:, 0], v[:, 1])
-    on_rim = np.isclose(radius, mesh.metadata["annulus_outer"],
-                        rtol=1e-12, atol=0.0)
-    on_junction = np.zeros(n_vert, dtype=bool)
-    on_junction[mesh.junction] = True
-    junction_edge = on_junction[lo] & on_junction[hi]
-    rim_edge = on_rim[lo] & on_rim[hi]
-    expected = np.where(junction_edge, 3, np.where(rim_edge, 1, 2))
-    coherent = (np.array_equal(counts, expected)
-                and np.all(sheet_bits[junction_edge] == 0b111))
-    out.append(("junction_coherence", bool(coherent),
-                "junction edges border one triangle per sheet, rim edges one, "
-                "all other edges two"))
-
-    # edge vectors e1 = p1 - p0, e2 = p2 - p0 and e2 - e1 from contiguous
-    # coordinate columns, and their cross product written out
+    n_vert, m = len(v), len(t)
     x, y, z = np.ascontiguousarray(v.T)
-    t0, t1, t2 = np.ascontiguousarray(t.T)
-    x0, y0, z0 = x[t0], y[t0], z[t0]
-    ax, ay, az = x[t1] - x0, y[t1] - y0, z[t1] - z0
-    bx, by, bz = x[t2] - x0, y[t2] - y0, z[t2] - z0
-    cx, cy, cz = bx - ax, by - ay, bz - az
-    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    # each area against its own longest edge, so the floor scales per triangle
-    longest2 = np.maximum(np.maximum(ax * ax + ay * ay + az * az,
-                                     bx * bx + by * by + bz * bz),
-                          cx * cx + cy * cy + cz * cz)
-    areas = 0.5 * np.sqrt(nx * nx + ny * ny + nz * nz)
-    out.append(("no_degenerate_triangles",
-                bool(np.all(areas > 1e-12 * longest2)),
-                f"min area {np.min(areas):.3e}"))
 
-    up_ok = np.all(nz[sheet == SHEET_UPPER] > 0.0)
-    low_ok = np.all(nz[sheet == SHEET_LOWER] < 0.0)
-    ann_ok = np.all(nz[sheet == SHEET_ANNULUS] > 0.0)
-    out.append(("orientation_consistent",
-                bool(up_ok and low_ok and ann_ok),
-                "outward normal z-sign uniform per sheet"))
-    return out
+    upper = np.flatnonzero(sheet == SHEET_UPPER)
+    lower = np.flatnonzero(sheet == SHEET_LOWER)
+    sym = len(upper) == len(lower)
+    for s in range(0, len(upper) if sym else 0, BLOCK):
+        up, low = t[upper[s:s + BLOCK]], t[lower[s:s + BLOCK]]
+        # lower corners 0, 2, 1 are upper corners 0, 1, 2 with z negated
+        sym = all(np.array_equal(x[w], x[u]) and np.array_equal(y[w], y[u])
+                  and np.array_equal(z[w], -z[u])
+                  for u, w in ((up[:, 0], low[:, 0]), (up[:, 1], low[:, 2]),
+                               (up[:, 2], low[:, 1])))
+        if not sym:
+            break
+
+    # each vertex's class bits, in their place above an edge key's three
+    # sheet bits: 1 at the annulus rim, 2 on the junction circle
+    on_rim = np.isclose(np.hypot(x, y), mesh.metadata["annulus_outer"],
+                        rtol=1e-12, atol=0.0)
+    vclass = np.where(on_rim, 1 << 3, 0)
+    vclass[mesh.junction] |= 2 << 3
+    keys = np.empty((3, m), dtype=np.int64)
+    floor_ok, oriented, min_areas = True, True, []
+    for s in range(0, m, BLOCK):
+        corners = t[s:s + BLOCK].T
+        t0, t1, t2 = corners
+        sb = sheet[s:s + BLOCK]
+        # edge vectors e1 = p1 - p0, e2 = p2 - p0 and e2 - e1, and their
+        # cross product written out
+        x0, y0, z0 = x[t0], y[t0], z[t0]
+        ax, ay, az = x[t1] - x0, y[t1] - y0, z[t1] - z0
+        bx, by, bz = x[t2] - x0, y[t2] - y0, z[t2] - z0
+        cx, cy, cz = bx - ax, by - ay, bz - az
+        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        # each area against its own longest edge, so the floor scales per
+        # triangle
+        longest2 = np.maximum(np.maximum(ax * ax + ay * ay + az * az,
+                                         bx * bx + by * by + bz * bz),
+                              cx * cx + cy * cy + cz * cz)
+        areas = 0.5 * np.sqrt(nx * nx + ny * ny + nz * nz)
+        floor_ok = floor_ok and bool(np.all(areas > 1e-12 * longest2))
+        min_areas.append(np.min(areas))
+        # outward: normal z up on the upper cap and the annulus, down on
+        # the lower cap
+        oriented = oriented and bool(
+            np.all(np.where(sb == SHEET_LOWER, -nz, nz) > 0.0))
+        # edges p0 p1, p1 p2 and p2 p0, one row of keys each
+        nxt, cls = corners[[1, 2, 0]], vclass[corners]
+        keys[:, s:s + BLOCK] = ((np.minimum(corners, nxt) * n_vert
+                                 + np.maximum(corners, nxt)) << 5
+                                | cls & cls[[1, 2, 0]] | 1 << sb)
+
+    keys = keys.ravel()
+    keys.sort()
+    # the triangles on an edge of class other, rim, junction, both
+    expected = np.array([2, 1, 3, 3])
+    # a run ends where the key above its sheet bits changes; `end` carries
+    # the last run's end from block to block
+    coherent, end = True, -1
+    for s in range(0, len(keys), 3 * BLOCK):
+        edge = keys[s:s + 3 * BLOCK + 1] >> 3
+        ends = s + np.flatnonzero(edge[1:] != edge[:-1])
+        if s + 3 * BLOCK >= len(keys):
+            ends = np.append(ends, len(keys) - 1)
+        counts = np.diff(ends, prepend=end)
+        cls = keys[ends] >> 3 & 3
+        ring = ends[cls >= 2]
+        coherent = (np.array_equal(counts, expected[cls])
+                    and bool(np.all((keys[ring] | keys[ring - 1]
+                                     | keys[ring - 2]) & 7 == 0b111)))
+        if not coherent:
+            break
+        end = ends[-1] if len(ends) else end
+
+    # np.min, not min: a NaN block minimum must print as nan
+    return [("reflection_symmetry", sym,
+             "lower cap triangles are the z-negated upper cap triangles"),
+            ("junction_coherence", coherent,
+             "junction edges border one triangle per sheet, rim edges one, "
+             "all other edges two"),
+            ("no_degenerate_triangles", floor_ok,
+             f"min area {np.min(min_areas):.3e}"),
+            ("orientation_consistent", oriented,
+             "outward normal z-sign uniform per sheet")]
 
 
 def _index_tokens(n: int) -> np.ndarray:
@@ -324,18 +371,26 @@ def _float_tokens(values: np.ndarray) -> np.ndarray:
     return tokens
 
 
-def _lines(head: bytes, tokens: np.ndarray, index: np.ndarray) -> bytes:
+def _spaced(tokens: np.ndarray) -> np.ndarray:
+    """The token table with a space before each token, one void item per
+    token, so that a line's three fields are one gather."""
+    width = tokens.dtype.itemsize
+    table = np.empty((len(tokens), width + 1), dtype=np.uint8)
+    table[:, 0] = ord(" ")
+    table[:, 1:] = tokens.view(np.uint8).reshape(-1, width)
+    return table.view(f"V{width + 1}")[:, 0]
+
+
+def _lines(head: bytes, table: np.ndarray, index: np.ndarray) -> bytes:
     """One line `head tok tok tok` per row of the (rows, 3) index into the
-    token table.  A token may hold NUL bytes anywhere, not only as padding;
-    the caller deletes them."""
-    rows, width = len(index), tokens.dtype.itemsize
-    line = np.empty((rows, len(head) + 3 * (width + 1) + 1), dtype=np.uint8)
+    `_spaced` token table, with the tokens' NUL bytes deleted.  A token may
+    hold NUL bytes anywhere, not only as padding."""
+    rows, width = len(index), table.dtype.itemsize
+    line = np.empty((rows, len(head) + 3 * width + 1), dtype=np.uint8)
     line[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
-    fields = line[:, len(head):-1].reshape(rows, 3, width + 1)
-    fields[:, :, 0] = ord(" ")
-    fields[:, :, 1:] = tokens[index].view(np.uint8).reshape(rows, 3, width)
+    line[:, len(head):-1].view(table.dtype)[...] = table[index]
     line[:, -1] = ord("\n")
-    return line.tobytes()
+    return line.tobytes().translate(None, b"\0")
 
 
 def write_obj(mesh: ClusterMesh, path) -> None:
@@ -344,21 +399,30 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     Coordinates are printed as %.17g and indices as %d.  Each distinct
     float64 bit pattern (so -0.0 apart from 0.0) gets one token from
     `_float_tokens`, and the index tokens are spelled from digit columns,
-    into token tables that the lines gather from.  Tokens hold NUL bytes,
-    which each part loses as it is written; the file is written as bytes,
-    so no newline is translated.
+    into token tables that the lines gather from.  The token tables and
+    the one np.unique are whole-mesh; the lines are built, stripped of
+    their NULs and written in blocks of BLOCK lines, so that no line
+    buffer outgrows the cache.  The file is written as bytes, so no
+    newline is translated.
     """
     v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
+    t = mesh.triangles
+    # checked before the file is opened, which a block written later
+    # could not undo
+    if t.size and not 0 <= t.min() <= t.max() < len(v):
+        raise IndexError("a triangle names a vertex outside the mesh")
     bits, index = np.unique(v.view(np.uint64), return_inverse=True)
-    coords = _float_tokens(bits.view(np.float64))
-    ids = _index_tokens(len(v))
-    parts = [_lines(b"v", coords, index.reshape(-1, 3))]
-    for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
-        parts.append(f"g {SHEET_NAMES[sheet]}\n".encode())
-        parts.append(_lines(b"f", ids, mesh.sheet_triangles(sheet)))
+    coords = _spaced(_float_tokens(bits.view(np.float64)))
+    ids = _spaced(_index_tokens(len(v)))
+    index = index.reshape(-1, 3)
     with open(path, "wb") as fh:
-        for part in parts:
-            fh.write(part.translate(None, b"\0"))
+        for s in range(0, len(index), BLOCK):
+            fh.write(_lines(b"v", coords, index[s:s + BLOCK]))
+        for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
+            fh.write(f"g {SHEET_NAMES[sheet]}\n".encode())
+            rows = np.flatnonzero(mesh.sheet_id == sheet)
+            for s in range(0, len(rows), BLOCK):
+                fh.write(_lines(b"f", ids, t[rows[s:s + BLOCK]]))
 
 
 def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:

@@ -56,6 +56,23 @@ def test_solve_reproducible_bit_for_bit(tmp_path):
         assert (out / n).read_bytes() == first[n]
 
 
+def test_solve_refuses_to_overwrite_another_height(tmp_path, capsys):
+    # both heights print as the file tag a0.78600399
+    out = tmp_path / "run"
+    where = ["--output-dir", str(out)]
+    assert run(["solve", "--a", "0.786003986", *where]) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(["solve", "--a", "0.7860039861771013", *where]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "profile_a0.78600399.json" in err
+    assert "0.786003986," in err and "0.7860039861771013" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    # the same height again is a rerun, bit for bit
+    assert run(["solve", "--a", "0.786003986", *where]) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_solve_rejects_bad_height(tmp_path):
     assert run(["solve", "--a", "-1", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--a", "1.6", "--output-dir", str(tmp_path)]) == EXIT_CONFIG

@@ -7,9 +7,10 @@ import pytest
 
 from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
-from lensshrinker.cluster import (SHEET_ANNULUS, SHEET_LOWER, SHEET_NAMES,
-                                  SHEET_UPPER, _float_tokens, mesh_checks,
-                                  resample_profile, write_metadata, write_obj)
+from lensshrinker.cluster import (BLOCK, SHEET_ANNULUS, SHEET_LOWER,
+                                  SHEET_NAMES, SHEET_UPPER, _float_tokens,
+                                  mesh_checks, resample_profile, write_metadata,
+                                  write_obj)
 from lensshrinker.errors import DegenerateProfile
 
 SQRT2 = math.sqrt(2.0)
@@ -122,6 +123,182 @@ def test_mesh_checks_negative_controls(sphere_mesh, corrupt, check):
     assert not checks[check]
 
 
+def _reference_mesh_checks(mesh) -> list[tuple[str, bool, str]]:
+    """The whole-mesh checks that mesh_checks matches verdict for verdict
+    and detail for detail."""
+    out = []
+    v, t, sheet = mesh.vertices, mesh.triangles, mesh.sheet_id
+    n_vert = len(v)
+
+    upper, lower = t[sheet == SHEET_UPPER], t[sheet == SHEET_LOWER]
+    sym = np.array_equal(v[lower[:, [0, 2, 1]]], v[upper] * [1.0, 1.0, -1.0])
+    out.append(("reflection_symmetry", bool(sym),
+                "lower cap triangles are the z-negated upper cap triangles"))
+
+    t_next = t[:, [1, 2, 0]]
+    packed = (np.minimum(t, t_next) * n_vert + np.maximum(t, t_next)) << 3
+    packed |= (1 << sheet)[:, None]
+    packed = np.sort(packed, axis=None)
+    edge = packed >> 3
+    starts = np.flatnonzero(np.concatenate([[True], edge[1:] != edge[:-1]]))
+    counts = np.diff(np.append(starts, len(edge)))
+    # one bit per sheet: 0b111 on an edge of three triangles is one per sheet
+    sheet_bits = np.bitwise_or.reduceat(packed & 7, starts)
+    lo, hi = np.divmod(edge[starts], n_vert)
+    radius = np.hypot(v[:, 0], v[:, 1])
+    on_rim = np.isclose(radius, mesh.metadata["annulus_outer"],
+                        rtol=1e-12, atol=0.0)
+    on_junction = np.zeros(n_vert, dtype=bool)
+    on_junction[mesh.junction] = True
+    junction_edge = on_junction[lo] & on_junction[hi]
+    rim_edge = on_rim[lo] & on_rim[hi]
+    expected = np.where(junction_edge, 3, np.where(rim_edge, 1, 2))
+    coherent = (np.array_equal(counts, expected)
+                and np.all(sheet_bits[junction_edge] == 0b111))
+    out.append(("junction_coherence", bool(coherent),
+                "junction edges border one triangle per sheet, rim edges one, "
+                "all other edges two"))
+
+    # edge vectors e1 = p1 - p0, e2 = p2 - p0 and e2 - e1 from contiguous
+    # coordinate columns, and their cross product written out
+    x, y, z = np.ascontiguousarray(v.T)
+    t0, t1, t2 = np.ascontiguousarray(t.T)
+    x0, y0, z0 = x[t0], y[t0], z[t0]
+    ax, ay, az = x[t1] - x0, y[t1] - y0, z[t1] - z0
+    bx, by, bz = x[t2] - x0, y[t2] - y0, z[t2] - z0
+    cx, cy, cz = bx - ax, by - ay, bz - az
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    # each area against its own longest edge, so the floor scales per triangle
+    longest2 = np.maximum(np.maximum(ax * ax + ay * ay + az * az,
+                                     bx * bx + by * by + bz * bz),
+                          cx * cx + cy * cy + cz * cz)
+    areas = 0.5 * np.sqrt(nx * nx + ny * ny + nz * nz)
+    out.append(("no_degenerate_triangles",
+                bool(np.all(areas > 1e-12 * longest2)),
+                f"min area {np.min(areas):.3e}"))
+
+    up_ok = np.all(nz[sheet == SHEET_UPPER] > 0.0)
+    low_ok = np.all(nz[sheet == SHEET_LOWER] < 0.0)
+    ann_ok = np.all(nz[sheet == SHEET_ANNULUS] > 0.0)
+    out.append(("orientation_consistent",
+                bool(up_ok and low_ok and ann_ok),
+                "outward normal z-sign uniform per sheet"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def blocks_mesh(circle_profile):
+    # 33,088 triangles: four full blocks and part of a fifth
+    mesh = build_cluster(circle_profile, n_theta=32, n_s=256, n_r=8)
+    assert len(mesh.triangles) >= 3 * BLOCK
+    return mesh
+
+
+def _drop_rows(mesh, rows):
+    keep = np.ones(len(mesh.triangles), dtype=bool)
+    keep[rows] = False
+    return dataclasses.replace(mesh, triangles=mesh.triangles[keep],
+                               sheet_id=mesh.sheet_id[keep])
+
+
+def _duplicate_rows(mesh, rows):
+    # each copy right after its row, so it may open the next block
+    return dataclasses.replace(
+        mesh, triangles=np.insert(mesh.triangles, rows + 1,
+                                  mesh.triangles[rows], axis=0),
+        sheet_id=np.insert(mesh.sheet_id, rows + 1, mesh.sheet_id[rows]))
+
+
+def _nudge_rows(mesh, rows):
+    vertices = mesh.vertices.copy()
+    vertices[mesh.triangles[rows, 1], 2] += 1e-9
+    return dataclasses.replace(mesh, vertices=vertices)
+
+
+def _flip_rows(mesh, rows):
+    triangles = mesh.triangles.copy()
+    triangles[rows, 1:] = mesh.triangles[rows][:, [2, 1]]
+    return dataclasses.replace(mesh, triangles=triangles)
+
+
+def _collapse_rows(mesh, rows):
+    triangles = mesh.triangles.copy()
+    triangles[rows, 2] = triangles[rows, 1]
+    return dataclasses.replace(mesh, triangles=triangles)
+
+
+def _relabel_rows(mesh, rows):
+    # upper to lower, lower to upper, annulus to upper
+    sheet_id = mesh.sheet_id.copy()
+    sheet_id[rows] = np.array([SHEET_LOWER, SHEET_UPPER,
+                               SHEET_UPPER])[mesh.sheet_id[rows]]
+    return dataclasses.replace(mesh, sheet_id=sheet_id)
+
+
+def _split_pair(mesh):
+    # the rows of reflection pair BLOCK - 1: the upper one ends block 0,
+    # the lower one lies blocks later
+    i = BLOCK - 1
+    rows = np.array([np.flatnonzero(mesh.sheet_id == sheet)[i]
+                     for sheet in (SHEET_UPPER, SHEET_LOWER)])
+    assert len(set(rows // BLOCK)) == 2
+    return rows
+
+
+ROWS = {"block_first": lambda mesh: np.array([BLOCK]),
+        "block_last": lambda mesh: np.array([2 * BLOCK - 1]),
+        "mesh_last": lambda mesh: np.array([len(mesh.triangles) - 1]),
+        "split_pair": _split_pair}
+
+
+@pytest.mark.parametrize("where", ROWS)
+@pytest.mark.parametrize("corrupt", [_drop_rows, _duplicate_rows, _nudge_rows,
+                                     _flip_rows, _collapse_rows, _relabel_rows])
+def test_block_checks_match_the_reference_at_block_edges(blocks_mesh, corrupt,
+                                                        where):
+    mesh = corrupt(blocks_mesh, ROWS[where](blocks_mesh))
+    assert mesh_checks(mesh) == _reference_mesh_checks(mesh)
+
+
+def test_block_checks_match_the_reference_on_built_meshes(sphere_mesh,
+                                                          blocks_mesh,
+                                                          lens_report):
+    p = lens_report.profile
+    # the rows in reverse order: the annulus first, the lower cap before the
+    # upper, and pair i still the i-th upper and the i-th lower row
+    backwards = dataclasses.replace(blocks_mesh,
+                                    triangles=blocks_mesh.triangles[::-1],
+                                    sheet_id=blocks_mesh.sheet_id[::-1])
+    for mesh in (sphere_mesh, build_cluster(p),
+                 build_cluster(p, n_theta=128, n_s=512, n_r=48), backwards):
+        want = _reference_mesh_checks(mesh)
+        assert mesh_checks(mesh) == want
+        assert all(ok for _, ok, _ in want)
+
+
+def test_block_checks_see_the_last_run_of_the_sorted_keys(blocks_mesh):
+    # a triangle on the last vertex alone: its three edges hold the largest
+    # key, so that only the last run of the sorted keys shows them
+    last = len(blocks_mesh.vertices) - 1
+    mesh = dataclasses.replace(
+        blocks_mesh, triangles=np.vstack([blocks_mesh.triangles, [last] * 3]),
+        sheet_id=np.append(blocks_mesh.sheet_id, SHEET_ANNULUS))
+    want = _reference_mesh_checks(mesh)
+    assert mesh_checks(mesh) == want
+    assert ("junction_coherence", False) in [(n, ok) for n, ok, _ in want]
+
+
+def test_block_checks_print_a_nan_area(blocks_mesh):
+    # a NaN in block 2, not the first: min() over the block minima would
+    # drop it, np.min keeps it
+    vertices = blocks_mesh.vertices.copy()
+    vertices[blocks_mesh.triangles[2 * BLOCK + 5, 0]] = np.nan
+    mesh = dataclasses.replace(blocks_mesh, vertices=vertices)
+    want = _reference_mesh_checks(mesh)
+    assert mesh_checks(mesh) == want
+    assert ("no_degenerate_triangles", False, "min area nan") in want
+
+
 @pytest.mark.parametrize("n_theta, size", [
     (16, {}), (64, {}), (4096, {"n_s": 32, "n_r": 4})])
 def test_wide_annulus_passes_the_degenerate_floor(profiles, lens_report,
@@ -160,6 +337,12 @@ def test_build_cluster_argument_validation(circle_profile):
         build_cluster(circle_profile, n_theta=8)
     with pytest.raises(ValueError):
         build_cluster(circle_profile, annulus_outer=0.5)
+    for outer in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build_cluster(circle_profile, annulus_outer=outer)
+    for size in ({"n_s": 1}, {"n_s": 0}, {"n_r": 0}, {"n_r": -1}):
+        with pytest.raises(ValueError, match="at least"):
+            build_cluster(circle_profile, **size)
 
 
 def test_resample_is_arclength_uniform(circle_profile):
@@ -276,6 +459,13 @@ def _extreme_values(sphere):
         vertices=np.column_stack([x, x[::-1], np.roll(x, 3)]))
 
 
+def _one_sheet_ring(sphere, n):
+    # n vertex lines and n face lines in one group, so that the writer's
+    # blocks end exactly at, or one line before, the last line
+    return dataclasses.replace(_ring(sphere, n),
+                               sheet_id=np.zeros(n, dtype=int))
+
+
 @pytest.mark.parametrize("make", [
     lambda sphere, p: sphere,
     lambda sphere, p: build_cluster(p),
@@ -283,14 +473,32 @@ def _extreme_values(sphere):
     lambda sphere, p: _empty_lower_cap(sphere),
     *(lambda sphere, p, n=n: _ring(sphere, n) for n in RING_SIZES),
     lambda sphere, p: _extreme_values(sphere),
+    *(lambda sphere, p, n=n: _one_sheet_ring(sphere, n)
+      for n in (BLOCK, BLOCK + 1)),
 ], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet",
-        *(f"ring_{n}" for n in RING_SIZES), "extreme_values"])
+        *(f"ring_{n}" for n in RING_SIZES), "extreme_values",
+        "block_lines", "block_lines_plus_one"])
 def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
                                               make):
     mesh = make(sphere_mesh, profiles[0.5][1])
     path = tmp_path / "lens.obj"
     write_obj(mesh, path)
     assert path.read_bytes() == _reference_obj(mesh)
+
+
+def test_obj_writer_checks_the_vertex_ids_before_opening(tmp_path,
+                                                         sphere_mesh):
+    # the lines are written block by block, so a bad id found in a late
+    # block would leave a truncated file
+    path = tmp_path / "lens.obj"
+    path.write_bytes(b"kept")
+    for bad in (-1, len(sphere_mesh.vertices)):
+        triangles = sphere_mesh.triangles.copy()
+        triangles[-1, 0] = bad
+        with pytest.raises(IndexError):
+            write_obj(dataclasses.replace(sphere_mesh, triangles=triangles),
+                      path)
+        assert path.read_bytes() == b"kept"
 
 
 def test_float_tokens_spell_percent_17g():

@@ -16,7 +16,8 @@ alike.  The file holds ``about``, ``host`` and ``runs``: each run is its
 side, workload, seed, trace flag, command and the JSON of the command's
 last line of standard output, in the order the runs were made.  Standard
 error gets, per workload and end-to-end metric, each side's median and
-quartiles and the pairs the change won.
+quartiles, the pairs the change won, the change/parent ratio of the
+medians and whether their gap exceeds the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ def host() -> str:
 
 def summary(runs: list[dict]) -> str:
     """Per workload and metric: each side's median [q1, q3] over its runs,
-    and the pairs (same workload and seed) in which the change read lower."""
+    the pairs (same workload and seed) in which the change read lower, the
+    change/parent ratio of the medians, and whether the gap between the
+    medians exceeds the parent's interquartile range q3 - q1."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         value = {(r["side"], r["seed"], name): m["value"]
@@ -71,14 +74,20 @@ def summary(runs: list[dict]) -> str:
         seeds = sorted({seed for _, seed, _ in value})
         for name in dict.fromkeys(name for _, _, name in value):
             line = f"{workload:6} {name:12}"
+            quartiles = {}
             for side in ("parent", "change"):
                 xs = [value[side, seed, name] for seed in seeds]
-                q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 \
-                    else xs * 3
+                q1, q2, q3 = quartiles[side] = \
+                    statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
                 line += f" {side} {q2:.4f} [{q1:.4f}, {q3:.4f}]"
             wins = sum(value["change", seed, name] < value["parent", seed, name]
                        for seed in seeds)
-            out.append(f"{line} change lower in {wins}/{len(seeds)} pairs")
+            (p1, p2, p3), (_, c2, _) = quartiles["parent"], quartiles["change"]
+            ratio = f"{c2 / p2:.3f}" if p2 else "n/a"
+            above = "above" if abs(c2 - p2) > p3 - p1 else "not above"
+            out.append(f"{line} change lower in {wins}/{len(seeds)} pairs, "
+                       f"change/parent {ratio}, median gap {abs(c2 - p2):.4f} "
+                       f"{above} parent IQR {p3 - p1:.4f}")
     return "\n".join(out)
 
 
