@@ -194,9 +194,9 @@ def integrate_profile(series: EvenSeries, a: float, *,
     u, v, phi, i_phi, i_v = np.column_stack([y_axis, d(grid), y_bar])
     # the axis segment [0, s0] as one cubic Hermite piece; phi'(0) = h''(0)
     k0, e0 = series.deriv2(0.0), math.exp(-0.5 * a * a)
-    axis = dop853.hermite_rows(s0, y_axis, d.y_old[0],
-                               np.array([1.0, 0.0, k0, e0 * k0, e0 * a]),
-                               sol.f0)
+    axis = np.zeros((7, len(y_axis)))
+    axis[:3] = dop853.hermite_rows(s0, y_axis, d.y_old[0],
+                                   [1.0, 0.0, k0, e0 * k0, e0 * a], sol.f0)
     dense = dop853.DenseOutput(np.append(0.0, d.ts), np.append(s0, d.h),
                                np.vstack([y_axis, d.y_old]),
                                np.concatenate([axis[None], d.F]))

@@ -3,22 +3,23 @@ ODEs I*, Sec. II.10), with dense output and event location.
 
 The tableau, step control, initial step and dense output follow
 scipy.integrate's DOP853 and the event roots scipy.optimize.brentq (BSD-3,
-(c) Enthought, Inc. and the SciPy Developers) operation for operation, so
-steps, evaluation counts and states equal solve_ivp's bit for bit.  The step
-loop keeps the step size, the stage times, the state and the error norms in
-Python floats wherever that cannot change a bit.  Arithmetic on single
-floats is numpy's elementwise arithmetic, one rounded operation at a time
-with no fused multiply-add, so each stage state y + (A K) h, the new state,
-the error scale and the Hermite rows are formed in floats; fun gets the
-state as a list, and its values go straight into the stage rows.  A norm is
-sqrt(z.dot(z)), as np.linalg.norm takes it, and every sum over the stages
-stays a numpy dot in scipy's order.  An event is a level of one state
-component, so Brent's method refines its root on that one column of the
-step's dense output, in the operation order of the full evaluation.
+(c) Enthought, Inc. and the SciPy Developers), so the evaluation counts and
+the accepted and rejected steps are solve_ivp's.  No sum goes through BLAS.
+For each state length, straight-line code generated from the tableau forms
+the stage states, the new state, the two error vectors and the dense rows
+from Python floats: each sum runs over its tableau row's nonzero
+coefficients in index order, one rounded binary64 operation at a time, and
+each norm is a sum of squares in index order.  So the bits of a solve
+depend on IEEE arithmetic and on fun alone, and are the same whichever BLAS
+kernel numpy loads.  scipy's sums are BLAS dots, in another order, so its
+states differ from these in the last bits.  An event is a level of one
+state component, so Brent's method refines its root on that one column of
+the step's dense output, in the operation order of the full evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -67,7 +68,6 @@ A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379,
     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]
 B = A[12, :12]
-A_ROWS = [A[s, :s] for s in range(16)]  # the weights of the stages before s
 E3 = np.append(B, 0.0)  # B minus the embedded 3rd-order weights
 E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
 E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
@@ -94,15 +94,13 @@ D = np.reshape([-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
     -149.72683625798564], (4, 16))
 
 
-def hermite_rows(h, y_old, y_new, f_old, f_new) -> np.ndarray:
-    """Dense-output rows of the cubic Hermite interpolant; rows 3-6 zero.
-    The arguments are float sequences, combined element by element in
-    numpy's operation order."""
+def hermite_rows(h, y_old, y_new, f_old, f_new) -> list:
+    """Dense-output rows 0-2 of the cubic Hermite interpolant, as lists;
+    its rows 3-6 are zero.  The arguments are float sequences, combined
+    element by element."""
     d = [b - a for a, b in zip(y_old, y_new)]
-    F = np.zeros((7, len(d)))
-    F[:3] = (d, [h * fo - di for fo, di in zip(f_old, d)],
-             [2 * di - h * (fn + fo) for di, fo, fn in zip(d, f_old, f_new)])
-    return F
+    return [d, [h * fo - di for fo, di in zip(f_old, d)],
+            [2 * di - h * (fn + fo) for di, fo, fn in zip(d, f_old, f_new)]]
 
 
 def _horner(F, y_old, x):
@@ -115,7 +113,7 @@ def _horner(F, y_old, x):
 
 
 def _horner_column(c, y_old, x):
-    # _horner(F, y_old, x)[i] on Python floats, c = F[:, i].tolist(), in
+    # _horner(F, y_old, x)[i] on Python floats, c = F[:, i], in
     # _horner's operation order
     y = 0.0
     for i in range(6, -1, -1):
@@ -205,9 +203,63 @@ def _brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
     raise StepFailure(f"event root not found in {maxiter} iterations")
 
 
-def _norm(z) -> float:
-    # np.linalg.norm of a 1-d array, without its dispatch
-    return math.sqrt(z.dot(z))
+def _sum_of_squares(z, scale) -> float:
+    # sum of (z_i / scale_i)^2 in index order; the builtin sum() is
+    # compensated from Python 3.12 on, so it would tie the bits to a version
+    total = 0.0
+    for zi, si in zip(z, scale):
+        q = zi / si
+        total += q * q
+    return total
+
+
+def _generate(n: int, c=C, a=A, e5=E5, e3=E3, d=D):
+    """The functions ``step`` and ``dense`` of DOP853 with this tableau for
+    states of length n, as compiled straight-line Python.
+
+    step(fun, t, h, y, f) evaluates stages 1-12 from y and f = fun(t, y)
+    and returns (y_new, the stage-12 row, the E5 and E3 error vectors, all
+    13 stage rows as one flat tuple); dense(fun, t, h, y, K) evaluates
+    stages 13-15 from that tuple K and returns the dense rows h D K as four
+    lists.  Stage j's component i is the local k{j}_{i}; a row's sum runs
+    over its nonzero coefficients in index order, each written as the
+    literal repr() gives back exactly.
+    """
+    def dot(row, i):
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(
+            row.tolist()) if w)
+
+    def ks(*stages):
+        return "".join(f"k{j}_{i}, " for j in stages for i in range(n))
+
+    def state(s):
+        return ", ".join(f"y{i} + ({dot(a[s, :s], i)}) * h" for i in range(n))
+
+    def stage(s):
+        return f"    {ks(s)}= fun(t + {float(c[s])!r} * h, [{state(s)}])\n"
+
+    def sums(row, times=""):
+        return "[" + ", ".join(f"{times}({dot(row, i)})" for i in range(n)) + "]"
+
+    head = "    " + "".join(f"y{i}, " for i in range(n)) + "= y\n"
+    src = (f"def step(fun, t, h, y, f):\n{head}    {ks(0)}= f\n"
+           + "".join(stage(s) for s in range(1, 12))
+           + f"    y_new = [{state(12)}]\n"
+           + f"    {ks(12)}= fun(t + h, y_new)\n"
+           + f"    return y_new, [{ks(12)}], {sums(e5)}, {sums(e3)}, "
+           + f"({ks(*range(13))})\n"
+           + f"def dense(fun, t, h, y, K):\n{head}    {ks(*range(13))}= K\n"
+           + "".join(stage(s) for s in range(13, 16))
+           + f"    return [{', '.join(sums(row, 'h * ') for row in d)}]\n")
+    namespace = {}
+    exec(compile(src, f"<dop853 stages, n={n}>", "exec"), namespace)
+    return namespace["step"], namespace["dense"]
+
+
+@functools.cache
+def _stage_code(n: int):
+    # the generated functions of the default tableau, once per state length
+    return _generate(n)
 
 
 def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
@@ -228,28 +280,26 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
                          f"100 eps = {RTOL_FLOOR}")
     if not t0 < t_bound:
         raise ValueError(f"need t0={t0} < t_bound={t_bound}")
-    t, y, tol = float(t0), np.asarray(y0, dtype=float), float(tol)
-    if not all(0 <= i < len(y) for (i, _), _, _ in events):
+    t, y, tol = float(t0), np.asarray(y0, dtype=float).tolist(), float(tol)
+    n = len(y)
+    if not all(0 <= i < n for (i, _), _, _ in events):
         raise ValueError(f"event components {[e[0][0] for e in events]} "
-                         f"outside a state of length {len(y)}")
-    f0 = np.asarray(fun(t, y.tolist()), dtype=float)
+                         f"outside a state of length {n}")
+    f0 = np.asarray(fun(t, y), dtype=float)
+    f = f0.tolist()
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
-    scale = tol + np.abs(y) * tol
-    d0, d1 = (_norm(z / scale) / len(y) ** 0.5 for z in (y, f0))
+    scale = [tol + abs(yi) * tol for yi in y]
+    d0, d1 = (math.sqrt(_sum_of_squares(z, scale)) / n ** 0.5 for z in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    d2 = _norm((fun(t + h0, (y + h0 * f0).tolist()) - f0) / scale) \
-        / len(y) ** 0.5 / h0
+    f1 = fun(t + h0, [yi + h0 * fi for yi, fi in zip(y, f)])
+    d2 = math.sqrt(_sum_of_squares([b - a for a, b in zip(f, f1)], scale)) \
+        / n ** 0.5 / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
         else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_bound - t)
     nfev = 2  # right-hand-side calls, counted where they are made
 
-    K_ext = np.empty((16, len(y)))  # 12 stages, the FSAL stage, 3 dense
-    K_ext[0] = f0
-    K = K_ext[:13]
-    KT = [K_ext[:s].T for s in range(16)]  # the stages before stage s
-    # the state and f at the step start as Python floats
-    y, f_list = y.tolist(), f0.tolist()
+    step, dense_rows = _stage_code(n)
     ts, pieces = [t], []  # step starts and ends; (h, y_old, F) per step
     g = [y[i] - level for (i, level), _, _ in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
@@ -264,50 +314,40 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
             t_end = min(t + h_abs, t_bound)
             h = t_end - t
             h_abs = abs(h)
-            for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, [yi + di * h for yi, di in zip(
-                    y, KT[s].dot(A_ROWS[s]).tolist())])
-            y_new = [yi + h * di for yi, di in zip(y, KT[12].dot(B).tolist())]
-            K[12] = fun(t + h, y_new)
+            y_new, f_new, err5, err3, K = step(fun, t, h, y, f)
             nfev += 12
             # max(|y_new|, |y|) is NaN if y_new is, as np.maximum would
             # be, and a NaN in y makes y_new NaN
-            scale = np.array([tol + max(abs(zi), abs(yi)) * tol
-                              for yi, zi in zip(y, y_new)])
-            e5 = _norm(KT[13].dot(E5) / scale) ** 2
-            e3 = _norm(KT[13].dot(E3) / scale) ** 2
+            scale = [tol + max(abs(zi), abs(yi)) * tol
+                     for yi, zi in zip(y, y_new)]
+            e5, e3 = _sum_of_squares(err5, scale), _sum_of_squares(err3, scale)
             err = 0.0 if e5 == 0 and e3 == 0 else \
-                h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
+                h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
             grow = MAX_FACTOR if err == 0 else SAFETY * err ** (-1 / 8)
             if err < 1:
                 h_abs *= min(1 if rejected else MAX_FACTOR, grow)
                 break
             h_abs *= max(MIN_FACTOR, grow)
             rejected, n_rejected = True, n_rejected + 1
-        for s in range(13, 16):
-            K_ext[s] = fun(t + C[s] * h, [yi + di * h for yi, di in zip(
-                y, KT[s].dot(A_ROWS[s]).tolist())])
+        F = hermite_rows(h, y, y_new, f, f_new) + dense_rows(fun, t, h, y, K)
         nfev += 3
-        f_new = K[12].tolist()
-        F = hermite_rows(h, y, y_new, f_list, f_new)
-        F[3:] = h * D.dot(K_ext)
-        K[0] = K[12]  # the last stage of a step is the first of the next
         pieces.append((h, y, F))
         g_new = [y_new[i] - level for (i, level), _, _ in events]
         # roots in time order, none kept past the first terminal one
         hits = sorted(
-            (_brentq(lambda r, c=F[:, i].tolist(), y0=y[i], level=level:
+            (_brentq(lambda r, c=[row[i] for row in F], y0=y[i], level=level:
                      _horner_column(c, y0, (r - t) / h) - level, t, t_end), k)
             for k, ((i, level), direction, _) in enumerate(events)
             if direction * g[k] <= 0 <= direction * g_new[k])
         for root, k in hits:
             t_events[k].append(root)
-            y_events[k].append(_horner(F, y, (root - t) / h))
+            y_events[k].append(_horner(np.array(F), y, (root - t) / h))
             if events[k][2]:
                 terminated, t_end = True, root
                 break
         ts.append(t_end)
-        t, y, f_list, g = t_end, y_new, f_new, g_new
+        # the last stage of a step is the first of the next
+        t, y, f, g = t_end, y_new, f_new, g_new
 
     dense = DenseOutput(np.array(ts), *map(np.array, zip(*pieces)))
     return Solution(dense, f0, t_events, y_events, terminated, nfev,

@@ -128,11 +128,11 @@ def test_solve_at_the_smallest_certified_heights(tmp_path, capsys):
     # interpolation denominator and bisects; below ~6.5e-161 the certificate's
     # L = (a/a0)^2 underflows to 0 and the solve is refused.  The alpha pins
     # the steps' bits only: with v ~ a far below the absolute tolerance it
-    # is ~2% off the small-height slope -J'(x0) a = -1.44055 a
+    # is ~0.4% off the small-height slope -J'(x0) a = -1.44055 a
     assert run(["solve", "--a", "1e-160", "--output-dir", str(tmp_path)]) \
         == EXIT_OK
     summary = json.loads((tmp_path / "profile_a1e-160.json").read_text())
-    assert summary["alpha"] == -1.4103438386331787e-160
+    assert summary["alpha"] == -1.4354062936326017e-160
     capsys.readouterr()
     assert run(["solve", "--a", "1e-300", "--output-dir", str(tmp_path)]) \
         == EXIT_CONFIG

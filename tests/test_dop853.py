@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from conftest import A_STAR
+import lensshrinker
 from lensshrinker import PipelineConfig, angle_of, arclength, dop853
 from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
                                     seed_quadratures)
@@ -19,6 +23,15 @@ from lensshrinker.errors import StepFailure
 SQRT2 = math.sqrt(2.0)
 HEIGHTS = [float(a) for a in np.geomspace(0.005, SQRT2, 11)]
 EPS = np.finfo(float).eps
+# In-repo stage sums run in index order and scipy's through BLAS dots, so
+# the two agree on the work done but not to the bit.  Each bound is about
+# twice the largest deviation measured under the SkylakeX, Haswell and
+# Sandybridge OpenBLAS kernels: step times 4.4e-6 relative (the error
+# estimate cancels O(1) stage values, so its rounding moves the step
+# size), event times 15 EPS * s_bar, alpha, xi and dense states 6e-15.
+STEP_RTOL = 1e-5
+EVENT_RTOL = 32 * EPS
+STATE_TOL = 1e-14
 
 
 def _scipy_solve(profile, cfg):
@@ -50,15 +63,15 @@ def test_matches_scipy_dop853(a):
     ref = _scipy_solve(p, cfg)
     assert ref.status == 1
     steps = p.dense.ts[1:]  # breakpoint 0 is the axis
-    # accepted steps up to the crossing step, bit for bit
+    # the same accepted steps and right-hand-side calls up to the crossing
     assert len(steps) == len(ref.t) == p.n_steps + 1
-    assert np.array_equal(steps[:-1], ref.t[:-1])
+    assert np.allclose(steps[:-1], ref.t[:-1], rtol=STEP_RTOL, atol=0)
     assert p.nfev == ref.nfev
     s_bar, s_star = ref.t_events[0][0], ref.t_events[1][0]
-    assert abs(p.s_bar - s_bar) <= 4 * EPS * s_bar
-    assert abs(p.s_star - s_star) <= 4 * EPS * s_bar
-    assert abs(p.alpha - ref.y_events[0][0][2]) <= 1e-15
-    assert abs(p.xi - ref.y_events[0][0][0]) <= 1e-15
+    assert abs(p.s_bar - s_bar) <= EVENT_RTOL * s_bar
+    assert abs(p.s_star - s_star) <= EVENT_RTOL * s_bar
+    assert abs(p.alpha - ref.y_events[0][0][2]) <= STATE_TOL
+    assert abs(p.xi - ref.y_events[0][0][0]) <= STATE_TOL
     # the evidence behind the constant crossing bound arclength.EVENT_TOL
     assert p.v_residual <= 1e-15
     # dense states on the profile grid of every step before the crossing step
@@ -66,7 +79,7 @@ def test_matches_scipy_dop853(a):
     u, v, phi, i_phi, i_v = ref.sol(p.s[head])
     for got, want in ((p.u, u), (p.v, v), (p.up, np.cos(phi)),
                       (p.vp, np.sin(phi)), (p.i_phi, i_phi), (p.i_v, i_v)):
-        assert np.array_equal(got[head], want)
+        assert np.max(np.abs(got[head] - want)) <= STATE_TOL
 
 
 def test_nfev_counts_every_rhs_call(monkeypatch):
@@ -98,15 +111,16 @@ def test_work_counters_are_pinned(a, counters):
 
 
 @pytest.mark.parametrize("a, hexes", [
-    (0.05, ("-0x1.26ef2714bb8a4p-4", "0x1.c7349d85c9343p+0",
-            "0x1.000801d8a92e2p+0", "0x1.c6f01efcc580bp+0")),
-    (A_STAR, ("-0x1.0c152382d7367p+0", "0x1.e984a8d2f0c57p+0",
-              "0x1.080505b03bed9p+0", "0x1.a76c4fc34054cp+0")),
-    (SQRT2, ("-0x1.921fb544417a6p+0", "0x1.1c5831add5dfbp+1",
-             "0x1.1c5831add6338p+0", "0x1.6a09e667fcf1ep+0"))])
+    (0.05, ("-0x1.26ef2714bb8a7p-4", "0x1.c7349d85c934dp+0",
+            "0x1.000801d8a92e5p+0", "0x1.c6f01efcc580dp+0")),
+    (A_STAR, ("-0x1.0c152382d7363p+0", "0x1.e984a8d2f0c53p+0",
+              "0x1.080505b03bed8p+0", "0x1.a76c4fc34054ap+0")),
+    (SQRT2, ("-0x1.921fb544417aep+0", "0x1.1c5831add5dfcp+1",
+             "0x1.1c5831add6336p+0", "0x1.6a09e667fcf1ep+0"))])
 def test_profile_bits_are_pinned(a, hexes):
     # (alpha, s_bar, s_star, xi) to the last bit: a change in the order of
-    # any float operation of a step or an event root moves one of them
+    # any float operation of a step or an event root moves one of them.
+    # No sum goes through BLAS, so the bits are the same on every kernel
     alpha, p = angle_of(a)
     assert alpha == p.alpha
     assert tuple(float(x).hex() for x in (p.alpha, p.s_bar, p.s_star,
@@ -115,6 +129,86 @@ def test_profile_bits_are_pinned(a, hexes):
 
 def test_a_star_is_pinned(lens_report):
     assert lens_report.a_star == A_STAR
+
+
+_PINNED_BITS = f"""
+from lensshrinker import angle_of, find_lens
+for a in (0.05, {A_STAR!r}, {SQRT2!r}):
+    p = angle_of(a)[1]
+    print(*(float(x).hex() for x in (p.alpha, p.s_bar, p.s_star, p.xi)))
+print(find_lens().a_star.hex())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
+    # OpenBLAS picks its kernel by CPU when numpy loads it, and kernels round
+    # a dot's sum differently; a child interpreter forced onto another
+    # kernel must give this process's profile bits and a*
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=
+               os.path.dirname(os.path.dirname(lensshrinker.__file__)))
+    child = subprocess.run([sys.executable, "-c", _PINNED_BITS], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=120)
+    here = [" ".join(float(x).hex() for x in (p.alpha, p.s_bar, p.s_star,
+                                                p.xi))
+            for p in (angle_of(a)[1] for a in (0.05, A_STAR, SQRT2))]
+    assert child.stdout.splitlines() == [*here, lens_report.a_star.hex()]
+
+
+def _reference_stages(fun, t, h, y, f):
+    """dop853._generate's step and dense rows by loops over the tableau
+    arrays, each sum over its row's nonzero weights in index order."""
+    def dot(row, i):
+        total = None
+        for w, k in zip(row.tolist(), K):
+            if w:
+                total = w * k[i] if total is None else total + w * k[i]
+        return total
+
+    n, K = len(y), [list(f)]
+    for s in range(1, 16):
+        state = [y[i] + dot(dop853.A[s, :s], i) * h for i in range(n)]
+        K.append(list(fun(t + dop853.C[s] * h, state)))
+        if s == 12:
+            y_new = state
+    rows = [[h * dot(w, i) for i in range(n)] for w in dop853.D]
+    return (y_new, K[12], [dot(dop853.E5, i) for i in range(n)],
+            [dot(dop853.E3, i) for i in range(n)], rows)
+
+
+def _generated_equals_reference(n, seed, **tableau):
+    # the generated functions of this tableau against the reference with
+    # the default one, on a seeded random step of a coupled nonlinear fun
+    def fun(t, y):
+        return [math.sin(t + yi) * (1 + i) + 0.5 * y[i - 1] * yi
+                for i, yi in enumerate(y)]
+
+    rng = np.random.default_rng(seed)
+    t, h, y = float(rng.random()), float(rng.random()), \
+        rng.standard_normal(n).tolist()
+    f = fun(t, y)
+    step, dense = dop853._generate(n, **tableau)
+    y_new, f_new, err5, err3, K = step(fun, t, h, y, f)
+    got = (y_new, f_new, err5, err3, dense(fun, t, h, y, K))
+    want = _reference_stages(fun, t, h, y, f)
+    return repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_generated_stages_equal_the_loop_reference_bit_for_bit(n):
+    # repr spells every float exactly, so equal reprs are equal bits
+    for seed in range(20):
+        assert _generated_equals_reference(n, seed)
+
+
+def test_a_coefficient_moved_by_one_ulp_fails_the_reference():
+    # the negative control: the comparison sees a one-ulp change in one
+    # weight of stage 8, on every seeded step
+    a = dop853.A.copy()
+    a[8, 5] = np.nextafter(a[8, 5], math.inf)
+    for seed in range(20):
+        assert not _generated_equals_reference(5, seed, a=a)
 
 
 @pytest.mark.parametrize("tol", [1e-14, 99 * EPS, math.nan, math.inf, -1.0])
@@ -168,6 +262,7 @@ def test_roots_in_one_step_are_kept_in_time_order():
     # y = t crosses 2.5, 3.5 and 4.5 inside the one step [1.93, 5.92] (the
     # step size grows while the error estimate is zero); the terminal root
     # at 3.5 keeps the root before it and drops the one after it, as solve_ivp
+    # does, to within the few ulps by which the stage sums differ
     events = [((0, 4.5), 1, False), ((0, 3.5), 1, True), ((0, 2.5), 1, False)]
     sol = dop853.integrate(lambda t, y: [1.0], 0.0, [0.0], 10.0,
                            tol=1e-12, events=events)
@@ -181,7 +276,9 @@ def test_roots_in_one_step_are_kept_in_time_order():
     ref = solve_ivp(lambda t, y: [1.0], (0.0, 10.0), [0.0], method="DOP853",
                     rtol=1e-12, atol=1e-12, dense_output=True,
                     events=ref_events)
-    assert [list(te) for te in ref.t_events] == sol.t_events
+    assert [len(te) for te in ref.t_events] == [len(te) for te in sol.t_events]
+    for want, got in zip(ref.t_events, sol.t_events):
+        assert np.allclose(got, want, rtol=8 * EPS, atol=0)
     assert sol.t_events[0] == []
     assert sol.t_events[1] == [pytest.approx(3.5, abs=1e-14)]
     assert sol.t_events[2] == [pytest.approx(2.5, abs=1e-14)]
@@ -209,7 +306,9 @@ def test_event_component_outside_the_state_raises(component):
 
 def test_matches_scipy_on_van_der_pol():
     # a second problem, with many rejected steps and states of both signs:
-    # the steps, nfev and the dense output equal solve_ivp's bit for bit
+    # nfev and the steps equal solve_ivp's, and the step times and dense
+    # output agree to twice the largest deviation measured under three
+    # OpenBLAS kernels (2e-8 relative and 4.8e-13 on states up to 7.6)
     def vdp(t, y):
         return [y[1], 5.0 * (1 - y[0] ** 2) * y[1] - y[0]]
 
@@ -218,10 +317,11 @@ def test_matches_scipy_on_van_der_pol():
                     rtol=1e-9, atol=1e-9, dense_output=True)
     d = sol.dense
     assert sol.n_rejected > 10 and sol.nfev == ref.nfev
-    assert np.array_equal(d.ts, ref.t)
+    assert len(d.ts) == len(ref.t)
+    assert np.allclose(d.ts, ref.t, rtol=4e-8, atol=0)
     x = np.array([0.0, 0.25, 0.5, 0.75])
     points = (d.ts[:-1, None] + np.diff(d.ts)[:, None] * x).ravel()
-    assert np.array_equal(d(points), ref.sol(points))
+    assert np.max(np.abs(d(points) - ref.sol(points))) <= 1e-12
 
 
 def test_step_failure_on_a_blow_up():
