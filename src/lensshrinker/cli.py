@@ -8,8 +8,10 @@ series and crossing tolerances are constants.  Every JSON output embeds
 the configuration that produced it, so outputs are reproducible bit for
 bit; no timestamps are written.
 
-Exit codes: 0 success, 2 configuration, I/O or other pipeline error, 3
-bracket failure, 4 monitor violation or failed verification.
+Exit codes: 0 success, 2 configuration, I/O or other pipeline error
+(``table --jobs`` above 1 where os.fork is missing counts as
+configuration), 3 bracket failure, 4 monitor violation or failed
+verification.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks
 from .arclength import polar_monitors, profile_summary, profile_to_csv
 from .cluster import (DEFAULT_N_THETA, MIN_N_THETA, build_cluster,
                       write_metadata, write_obj)
@@ -75,6 +76,8 @@ class RunConfig:
             raise ValueError("bracket must be ordered inside (0, sqrt(2)]")
         if not self.tol_a < hi - lo:
             raise ValueError(f"tol_a must be below the bracket width {hi - lo}")
+        if p.jobs > 1 and not hasattr(os, "fork"):
+            raise ValueError("jobs > 1 needs os.fork, which this platform lacks")
         cpus = os.cpu_count() or 1
         if not 1 <= p.jobs <= cpus:
             raise ValueError(f"jobs must lie in [1, {cpus}] (the CPU count)")
@@ -202,6 +205,7 @@ def cmd_mesh(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import checks  # imported here, so that no other command loads it
     results = checks.run_all(cfg.pipeline, verbose=not cfg.json_output)
     payload = {"results": [{"name": r.name, "pass": r.passed,
                             "detail": r.detail} for r in results]}
@@ -240,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="a_from", type=float, required=True)
     p.add_argument("--to", dest="a_to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--jobs", type=int, default=defaults.jobs)
+    p.add_argument("--jobs", type=int, default=defaults.jobs,
+                   help="processes, the caller included; above 1 the caller "
+                        "forks (POSIX only)")
 
     p = sub.add_parser("mesh", help="export the three-sheet cluster mesh")
     common(p)

@@ -298,17 +298,36 @@ def test_fresh_interpreter_imports_no_scipy(tmp_path):
 
 
 def test_fresh_interpreter_imports_no_process_pool():
-    # the pool is imported only by table --jobs > 1
+    # no command loads a process pool, and only verify loads checks; a
+    # forked table child leaves by os._exit, so the caller's unflushed
+    # stdout buffer reaches the pipe once
     code = ("import sys\n"
             "import lensshrinker, lensshrinker.cli\n"
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
-            " if m in sys.modules))\n")
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "print(sorted(m for m in pool + ('lensshrinker.checks',)"
+            " if m in sys.modules))\n"
+            "from lensshrinker import PipelineConfig, sample_angle_table\n"
+            "table = sample_angle_table([0.4, 0.9], PipelineConfig(jobs=2))\n"
+            "assert all(row.error is None for row in table.table)\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    # a block-buffered stdout holds the first line when the child forks
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_table_jobs_without_fork_is_a_configuration_error(tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    code = run(["table", "--from", "0.5", "--to", "0.6", "--step", "0.1",
+                "--jobs", "2", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "os.fork" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])

@@ -1,11 +1,16 @@
+import json
 import math
+import os
+import re
+import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lensshrinker import (BracketFailure, PipelineConfig, angle_of, find_lens,
-                          find_x0, sample_angle_table, shooting)
+from lensshrinker import (BracketFailure, PipelineConfig, angle_of, dop853,
+                          find_lens, find_x0, sample_angle_table, shooting)
 from lensshrinker.shooting import angle_table_to_csv, junction_residual
 
 SQRT2 = math.sqrt(2.0)
@@ -213,15 +218,93 @@ def test_table_continuity_of_arclength():
     assert np.all(diffs < 0.05)
 
 
+def _table_text(report):
+    # json spells each float exactly and NaN as NaN, so equal text is equal
+    # bits, error rows included
+    return json.dumps(report.to_dict())
+
+
 def test_table_parallel_matches_serial():
-    cfg = PipelineConfig(jobs=2)
-    values = [0.4, 0.9]
+    values = [1.5, 0.3, 0.7, 0.9, 1.2]  # 1.5 is an error row
     serial = sample_angle_table(values)
-    parallel = sample_angle_table(values, cfg)
-    for row_s, row_p in zip(serial.table, parallel.table):
-        assert row_s.a == row_p.a
-        assert row_s.alpha == row_p.alpha
-        assert row_s.s_bar == row_p.s_bar
+    assert serial.table[-1].error is not None
+    assert serial.sign_change_brackets == [(0.7, 0.9)]
+    for jobs in (2, 3):
+        parallel = sample_angle_table(values, PipelineConfig(jobs=jobs))
+        assert _table_text(parallel) == _table_text(serial)
+        assert parallel.sign_change_brackets == serial.sign_change_brackets
+    # one row forks nothing
+    one = sample_angle_table([0.7], PipelineConfig(jobs=2))
+    assert _table_text(one) == _table_text(sample_angle_table([0.7]))
+
+
+def test_forked_table_generates_the_stage_code_once_in_the_caller(
+        tmp_path, monkeypatch):
+    log = tmp_path / "pids"
+    generate = dop853._generate
+
+    def logged(n):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return generate(n)
+
+    monkeypatch.setattr(dop853, "_generate", logged)
+    dop853._stage_code.cache_clear()
+    sample_angle_table([0.3, 0.5, 0.9, 1.2], PipelineConfig(jobs=2))
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def _child_raises(a, in_child):
+    if in_child:
+        raise RuntimeError(f"boom at a = {a}")
+
+
+def _child_killed(a, in_child):
+    if in_child:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _caller_raises(a, in_child):
+    if in_child:
+        time.sleep(60)  # so the child must be killed, not awaited
+    elif a == 0.5:  # the caller's second row, after the fork
+        raise RuntimeError(f"boom at a = {a}")
+
+
+@pytest.mark.parametrize("fault, error, match", [
+    (_child_raises, RuntimeError, "boom at a = 0.9"),
+    (_child_killed, ChildProcessError,
+     re.escape("a = [0.9, 1.2] ended by signal 9")),
+    (_caller_raises, RuntimeError, "boom at a = 0.5"),
+], ids=["child_raises", "child_killed", "caller_raises"])
+def test_forked_table_failures_leave_no_child_or_fd(monkeypatch, fault, error,
+                                                    match):
+    # the caller solves [0.3, 0.5], one child [0.9, 1.2]
+    caller = os.getpid()
+    solve = shooting.angle_of
+
+    def angle_of(a, cfg=None):
+        fault(a, os.getpid() != caller)
+        return solve(a, cfg)
+
+    monkeypatch.setattr(shooting, "angle_of", angle_of)
+    fds = sorted(os.listdir("/dev/fd"))
+    start = time.monotonic()
+    with pytest.raises(error, match=match) as info:
+        sample_angle_table([0.3, 0.5, 0.9, 1.2], PipelineConfig(jobs=2))
+    assert time.monotonic() - start < 30
+    if fault is _child_raises:
+        assert info.value.__notes__ == ["raised while solving a = [0.9, 1.2]"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == fds
+
+
+def test_table_without_fork_refuses_jobs(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        sample_angle_table([0.5], PipelineConfig(jobs=2))
+    assert sample_angle_table([0.5]).table[0].error is None
 
 
 def test_table_csv(tmp_path):
