@@ -5,8 +5,8 @@ Each height a gives a profile meeting the horizontal axis at some angle
 alpha(a): near -0 for shallow caps, exactly -90 degrees for the circle at
 a = sqrt(2).  A lens-shaped cluster of three surfaces needs the caps to
 meet the plane at 60 degrees (exterior angles of 120 degrees), that is
-alpha = -60 degrees, equivalently u'(s_bar) = 1/2.  ITP steps inside a
-validated bracket pin the height that does it.
+alpha = -60 degrees, equivalently u'(s_bar) = 1/2.  Brent's method inside
+a validated bracket pins the height that does it.
 """
 
 import math
@@ -30,7 +30,7 @@ print(f"  sign changes of u'(s_bar) - 1/2 inside: {report.sign_change_brackets}"
 x0 = find_x0()
 print(f"\nas a -> 0 the crossing radius tends to x0 = {x0:.6f} and the angle to 0.")
 
-print("\nITP steps inside a validated bracket for the junction height:")
+print("\nBrent's method inside a validated bracket for the junction height:")
 lens = find_lens()
 p = lens.profile
 print(f"  a* = {lens.a_star:.12f}")
@@ -39,7 +39,7 @@ print(f"  target             (0.5, -sqrt(3)/2 = {-math.sqrt(3)/2:.12f})")
 print(f"  angle = {math.degrees(p.alpha):.9f} degrees, "
       f"residual |u' - 1/2| = {lens.alpha_residual:.2e}")
 print(f"  junction circle radius xi = {p.xi:.9f}, curve length s_bar = {p.s_bar:.9f}")
-print(f"  ITP steps: {len(lens.bracket_history) - 1}; each bracket straddles "
+print(f"  Brent steps: {len(lens.bracket_history) - 1}; each bracket straddles "
       f"the sign change of g = u'(s_bar) - 1/2:")
 for lo, hi, g_lo, g_hi in lens.bracket_history:
     print(f"    ({lo:.15f}, {hi:.15f})  width {hi - lo:.1e}  "

@@ -150,9 +150,12 @@ def integrate_profile(series: EvenSeries, a: float, *,
     The series h seeds the curve at u = X_SEED, which must lie inside
     series.radius: v = a + h(X_SEED) and phi = atan h'(X_SEED), with
     arclength and quadratures starting from their values on [0, X_SEED].
-    One DOP853 solve with tolerance tol follows.  The crossing is
-    event-detected on the dense output and refined until |v(s_bar)| <=
-    EVENT_TOL; s_star is the first passage of u through 1.
+    One DOP853 solve with tolerance tol follows; it ends with the step over
+    which v falls through 0.  Brent's method refines the crossing s_bar on
+    that step's dense output, which must leave |v(s_bar)| <= EVENT_TOL, and
+    s_star, the first passage of u through 1, on the first step over which
+    u rises through 1; an s_star not before s_bar is NaN.  The last step's
+    dense piece is cut at s_bar.
     Reaching s_max = s0 + ARCLENGTH_HARD_CAP without a crossing raises
     NoCrossing.  The proved bound pi / (2 c_a) is not evaluated: it is at
     least 158 at every height, so the cap is always the smaller bound.
@@ -174,24 +177,28 @@ def integrate_profile(series: EvenSeries, a: float, *,
     sol = dop853.integrate(arclength_rhs, s0,
                            [X_SEED, a + series(X_SEED),
                             math.atan(series.deriv(X_SEED)), iphi0, iv0],
-                           s_max, tol=tol,
-                           events=[((1, 0.0), -1, True),
-                                   ((0, 1.0), 1, False)])
-    if not sol.terminated:
+                           s_max, tol=tol, stop=1)
+    if not sol.stopped:
         raise NoCrossing(f"no v=0 crossing before the arclength cap "
                          f"s_max={s_max} at a={a}")
-    s_bar = float(sol.t_events[0][0])
-    y_bar = sol.y_events[0][0]
-    v_residual = abs(float(y_bar[1]))
-    if v_residual > EVENT_TOL:
-        raise NoCrossing(f"event refinement left |v(s_bar)|={v_residual}")
-    s_star = float(sol.t_events[1][0]) if sol.t_events[1] else math.nan
-
     d = sol.dense
+    s_bar = d.root(1, 0.0, len(d.h) - 1)
+    # s_star on the first piece over which u rises through 1, if before s_bar
+    u_ends = np.append(d.y_old[1:, 0], sol.y[0])
+    rises = np.flatnonzero((d.y_old[:, 0] <= 1.0) & (u_ends >= 1.0))
+    s_star = d.root(0, 1.0, rises[0]) if len(rises) else math.nan
+    if not s_star < s_bar:
+        s_star = math.nan
+    # the last piece cut at s_bar
+    d = dop853.DenseOutput(np.append(d.ts[:-1], s_bar), d.h, d.y_old, d.F)
     frac = np.arange(DENSE_POINTS_PER_STEP + 1) / (DENSE_POINTS_PER_STEP + 1)
     grid = (d.ts[:-1, None] + np.diff(d.ts)[:, None] * frac).ravel()
     y_axis = np.array([0.0, a, 0.0, 0.0, 0.0])
-    u, v, phi, i_phi, i_v = np.column_stack([y_axis, d(grid), y_bar])
+    u, v, phi, i_phi, i_v = np.column_stack([y_axis,
+                                             d(np.append(grid, s_bar))])
+    v_residual = abs(float(v[-1]))
+    if v_residual > EVENT_TOL:
+        raise NoCrossing(f"crossing refinement left |v(s_bar)|={v_residual}")
     # the axis segment [0, s0] as one cubic Hermite piece; phi'(0) = h''(0)
     k0, e0 = series.deriv2(0.0), math.exp(-0.5 * a * a)
     axis = np.zeros((7, len(y_axis)))
@@ -203,7 +210,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     profile = LensProfile(a=a, s=np.concatenate([[0.0], grid, [s_bar]]),
                           u=u, v=v, up=np.cos(phi), vp=np.sin(phi),
                           i_phi=i_phi, i_v=i_v, s_bar=s_bar, s_star=s_star,
-                          xi=float(y_bar[0]), alpha=float(y_bar[2]),
+                          xi=float(u[-1]), alpha=float(phi[-1]),
                           v_residual=v_residual, monitors={}, series=series,
                           dense=dense, nfev=sol.nfev, n_steps=len(d.h),
                           n_rejected=sol.n_rejected)

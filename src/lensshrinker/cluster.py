@@ -434,5 +434,5 @@ def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:
     if config is not None:
         meta["config"] = config
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -1,8 +1,8 @@
 """DOP853, the Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, *Solving
-ODEs I*, Sec. II.10), with dense output and event location.
+ODEs I*, Sec. II.10), with dense output, and Brent's root finder.
 
 The tableau, step control, initial step and dense output follow
-scipy.integrate's DOP853 and the event roots scipy.optimize.brentq (BSD-3,
+scipy.integrate's DOP853 and ``brentq`` follows scipy.optimize.brentq (BSD-3,
 (c) Enthought, Inc. and the SciPy Developers), so the evaluation counts and
 the accepted and rejected steps are solve_ivp's.  No sum goes through BLAS.
 For each state length, straight-line code generated from the tableau forms
@@ -12,9 +12,9 @@ coefficients in index order, one rounded binary64 operation at a time, and
 each norm is a sum of squares in index order.  So the bits of a solve
 depend on IEEE arithmetic and on fun alone, and are the same whichever BLAS
 kernel numpy loads.  scipy's sums are BLAS dots, in another order, so its
-states differ from these in the last bits.  An event is a level of one
-state component, so Brent's method refines its root on that one column of
-the step's dense output, in the operation order of the full evaluation.
+states differ from these in the last bits.  A root of one state component
+is refined by Brent's method on that one column of its step's dense output,
+in the operation order of the full evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepFailure
+from .errors import NoConvergence, StepFailure
 
 EPS = float(np.finfo(float).eps)
 RTOL_FLOOR = 100 * EPS  # below it the error estimate is rounding noise
@@ -156,19 +156,32 @@ class DenseOutput:
             p = p * m
         return (dp / self.h[k][:, None]).T
 
+    def root(self, i: int, level: float, k: int) -> float:
+        """Brent's root of y[i] - level on piece k, over [ts[k], ts[k+1]],
+        where it must change sign."""
+        t, h = float(self.ts[k]), float(self.h[k])
+        y_old, c = float(self.y_old[k, i]), self.F[k, :, i].tolist()
+        return brentq(lambda r: _horner_column(c, y_old, (r - t) / h) - level,
+                      t, float(self.ts[k + 1]))
 
-# the dense output, fun(t0, y0), each event's roots and states, the work done
-Solution = namedtuple("Solution", "dense f0 t_events y_events terminated "
-                                  "nfev n_rejected")
+
+# the dense output, fun(t0, y0), the state after the last step, whether the
+# stop component fell through 0, the work done
+Solution = namedtuple("Solution", "dense f0 y stopped nfev n_rejected")
 
 
-def _brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
-    """Brent's root of f on a sign-changing bracket, as scipy's brentq."""
+def brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
+    """Brent's root of f on the bracket [xpre, xcur] or [xcur, xpre], where
+    f changes sign, as scipy.optimize.brentq: each point f is evaluated at
+    lies inside the last sign-changing bracket, and the root returned is the
+    end of the last bracket with the smaller |f|, once that bracket is
+    narrower than xtol + rtol |root|.  No sign change raises ValueError,
+    maxiter iterations without a root NoConvergence."""
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("event function has no sign change on the step")
+        raise ValueError(f"no sign change on the bracket [{xpre!r}, {xcur!r}]")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -200,7 +213,8 @@ def _brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise StepFailure(f"event root not found in {maxiter} iterations")
+    raise NoConvergence(f"Brent's method found no root in {maxiter} "
+                        f"iterations")
 
 
 def _sum_of_squares(z, scale) -> float:
@@ -263,15 +277,14 @@ def _stage_code(n: int):
 
 
 def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
-              events=()) -> Solution:
+              stop: int | None = None) -> Solution:
     """Integrate y' = fun(t, y) forward from t0 towards t_bound.
 
-    fun gets the state as a list of floats.  ``events`` holds ((component,
-    level), direction, terminal) triples: the zeros of g = y[component] -
-    level crossed upward (direction +1) or downward (-1) are located on the
-    dense output of their step, and the first terminal one ends the solve.
+    fun gets the state as a list of floats.  With a component ``stop``, the
+    solve ends with the first step over which y[stop] falls through 0, from
+    >= 0 at its start to <= 0 at its end; DenseOutput.root locates the zero.
     tol is both the relative and the absolute tolerance of each step.  A
-    tol below 100 eps or not finite, a t_bound not beyond t0 or an event
+    tol below 100 eps or not finite, a t_bound not beyond t0 or a stop
     component outside the state raises ValueError; a step below ten float
     spacings, or a NaN step, raises StepFailure.
     """
@@ -282,9 +295,9 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
         raise ValueError(f"need t0={t0} < t_bound={t_bound}")
     t, y, tol = float(t0), np.asarray(y0, dtype=float).tolist(), float(tol)
     n = len(y)
-    if not all(0 <= i < n for (i, _), _, _ in events):
-        raise ValueError(f"event components {[e[0][0] for e in events]} "
-                         f"outside a state of length {n}")
+    if stop is not None and not 0 <= stop < n:
+        raise ValueError(f"stop component {stop} outside a state of "
+                         f"length {n}")
     f0 = np.asarray(fun(t, y), dtype=float)
     f = f0.tolist()
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
@@ -301,10 +314,8 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
 
     step, dense_rows = _stage_code(n)
     ts, pieces = [t], []  # step starts and ends; (h, y_old, F) per step
-    g = [y[i] - level for (i, level), _, _ in events]
-    t_events, y_events = [[] for _ in events], [[] for _ in events]
-    n_rejected, terminated = 0, False
-    while not terminated and t < t_bound:
+    n_rejected, stopped = 0, False
+    while not stopped and t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
@@ -332,23 +343,10 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
         F = hermite_rows(h, y, y_new, f, f_new) + dense_rows(fun, t, h, y, K)
         nfev += 3
         pieces.append((h, y, F))
-        g_new = [y_new[i] - level for (i, level), _, _ in events]
-        # roots in time order, none kept past the first terminal one
-        hits = sorted(
-            (_brentq(lambda r, c=[row[i] for row in F], y0=y[i], level=level:
-                     _horner_column(c, y0, (r - t) / h) - level, t, t_end), k)
-            for k, ((i, level), direction, _) in enumerate(events)
-            if direction * g[k] <= 0 <= direction * g_new[k])
-        for root, k in hits:
-            t_events[k].append(root)
-            y_events[k].append(_horner(np.array(F), y, (root - t) / h))
-            if events[k][2]:
-                terminated, t_end = True, root
-                break
         ts.append(t_end)
+        stopped = stop is not None and y[stop] >= 0 >= y_new[stop]
         # the last stage of a step is the first of the next
-        t, y, f, g = t_end, y_new, f_new, g_new
+        t, y, f = t_end, y_new, f_new
 
     dense = DenseOutput(np.array(ts), *map(np.array, zip(*pieces)))
-    return Solution(dense, f0, t_events, y_events, terminated, nfev,
-                    n_rejected)
+    return Solution(dense, f0, np.array(y), stopped, nfev, n_rejected)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dop853 import brentq
 from .errors import CertificateFailure, NoContraction, NoConvergence
 
 # Safety margin absorbing floating-point rounding in certificate inequalities.
@@ -226,18 +227,11 @@ def series_tail_ratio(f: EvenSeries, x: float) -> float:
 def find_x0() -> float:
     """Abscissa where J equals one; unique since J increases strictly.
 
-    Bisects J(x) = 1 for J of order 200 on [1, 3] down to a few ulps;
+    Brent's root of J(x) - 1 for J of order 200 on [1, 3], to a few ulps;
     J(1) < 1 < J(3), and the truncation tail at 3 is far below 1e-12.
     """
     J = j_function(200)
-    lo, hi = 1.0, 3.0
-    while hi - lo > 4.0 * np.finfo(float).eps * hi:
-        mid = 0.5 * (lo + hi)
-        if J(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda x: J(x) - 1.0, 1.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

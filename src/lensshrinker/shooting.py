@@ -4,9 +4,9 @@ Each height a in (0, sqrt(2]) yields one profile curve ending on the
 horizontal axis with tangent angle alpha(a); the map is continuous, equals
 -pi/2 at the circle height sqrt(2) and tends to 0 as a -> 0.  The
 lens-shaped cluster needs alpha = -pi/3, equivalently u'(s_bar) = 1/2,
-which ITP steps locate inside a validated sign-changing bracket.  Nothing
-here assumes alpha(a) is monotone: the bracket endpoints are checked at
-runtime, and table sampling reports every sign change it sees.
+which Brent's method locates inside a validated sign-changing bracket.
+Nothing here assumes alpha(a) is monotone: the bracket endpoints are
+checked at runtime, and table sampling reports every sign change it sees.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pickle
 from dataclasses import dataclass, replace
 
 from .arclength import DEFAULT_TOL, LensProfile, integrate_profile
+from .dop853 import RTOL_FLOOR, brentq
 from .errors import BracketFailure, LensError
 from .series import R_STAR, picard_analytic
 
@@ -37,6 +38,15 @@ class PipelineConfig:
 
     ode_tol: float = DEFAULT_TOL
     jobs: int = 1
+
+    def __post_init__(self):
+        if not RTOL_FLOOR <= self.ode_tol < math.inf:
+            raise ValueError(f"ode_tol={self.ode_tol} must be finite and at "
+                             f"least the floor 100 eps = {RTOL_FLOOR}")
+        if not (isinstance(self.jobs, int) and self.jobs >= 1):
+            raise ValueError(f"jobs={self.jobs!r} must be an int >= 1")
+        if self.jobs > 1 and not hasattr(os, "fork"):
+            raise ValueError("jobs > 1 needs os.fork, which this platform lacks")
 
     def tightened(self, factor: float = 10.0) -> "PipelineConfig":
         """Copy with ode_tol divided by factor."""
@@ -79,8 +89,11 @@ class AngleSample:
         return self.error is None
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "s_bar": self.s_bar, "xi_a": self.xi_a,
-                "alpha": self.alpha, "error": self.error}
+        """The row, with a failed row's NaN fields as None (JSON null)."""
+        values = {"a": self.a, "s_bar": self.s_bar, "xi_a": self.xi_a,
+                  "alpha": self.alpha}
+        return {**{k: None if math.isnan(x) else x for k, x in values.items()},
+                "error": self.error}
 
 
 @dataclass(frozen=True)
@@ -164,9 +177,7 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTabl
 
 
 def _forked_rows(a_values: list, cfg: PipelineConfig) -> list:
-    if not hasattr(os, "fork"):
-        raise ValueError("jobs > 1 needs os.fork, which this platform lacks")
-    k = max(1, min(cfg.jobs, len(a_values)))
+    k = min(cfg.jobs, len(a_values))
     cuts = [len(a_values) * i // k for i in range(k + 1)]
     own, *chunks = [a_values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     # solved before the fork, so that every child inherits a warm process
@@ -233,20 +244,17 @@ def _fork_chunk(chunk: list, cfg: PipelineConfig):
 def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1],
               tol_a: float = DEFAULT_TOL_A,
               cfg: PipelineConfig | None = None) -> ShootReport:
-    """Solve u'(s_bar) = 1/2 by ITP steps inside a validated bracket.
+    """Solve u'(s_bar) = 1/2 by Brent's method inside a validated bracket.
 
-    The endpoints must satisfy alpha(a_lo) > -pi/3 > alpha(a_hi).  Each step
-    evaluates one ITP point (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the
-    regula falsi point, truncated towards the midpoint and projected into a
-    window around it that shrinks so that no run takes more than one step
-    beyond bisection's count (two with the rounding of the width), while a
-    smooth g converges superlinearly.  The bracket shrinks until its width
-    drops below tol_a or its midpoint is not strictly inside it; tol_a must
-    lie in (0, a_hi - a_lo), and it is only set here, since cfg holds the
-    tolerances of each solve.  The report carries every bracket with its g
-    values (each straddles the sign change), the endpoint of the last
-    bracket with the smaller |u'(s_bar) - 1/2| as a_star, its profile and
-    that residual; a_star is never solved twice.
+    The endpoints must satisfy alpha(a_lo) > -pi/3 > alpha(a_hi).
+    dop853.brentq shrinks the bracket until it is narrower than tol_a + 4
+    eps a; tol_a must lie in (0, a_hi - a_lo), and it is only set here,
+    since cfg holds the tolerances of each solve.  Each height Brent solves
+    lies inside the last bracket, so the sign of its g = u'(s_bar) - 1/2
+    gives the next one.  The report carries every bracket with its g values
+    (each straddles the sign change), the endpoint of the last bracket with
+    the smaller |g| as a_star, its profile and that residual; no height,
+    a_star included, is solved twice.
     """
     cfg = cfg or PipelineConfig()
     if not 0.0 < a_lo < a_hi <= A_CIRCLE:
@@ -255,49 +263,30 @@ def find_lens(a_lo: float = DEFAULT_BRACKET[0], a_hi: float = DEFAULT_BRACKET[1]
         raise ValueError(f"tol_a={tol_a} must be positive and below the "
                          f"bracket width {a_hi - a_lo}")
 
-    def g(a: float) -> tuple[float, LensProfile]:
-        alpha, profile = angle_of(a, cfg)
-        return junction_residual(alpha), profile
-
-    g_lo, prof_lo = g(a_lo)
-    g_hi, prof_hi = g(a_hi)
+    solved = {a: angle_of(a, cfg)[1] for a in (a_lo, a_hi)}
+    g_lo, g_hi = (junction_residual(solved[a].alpha) for a in (a_lo, a_hi))
     if not (g_lo > 0.0 > g_hi):
         raise BracketFailure(
             f"bracket endpoints do not straddle the junction condition: "
             f"g({a_lo})={g_lo:.6g}, g({a_hi})={g_hi:.6g}")
+    history = [(a_lo, a_hi, g_lo, g_hi)]
 
-    table = [_sample_from(prof_lo), _sample_from(prof_hi)]
-    lo, hi = a_lo, a_hi
-    history = [(lo, hi, g_lo, g_hi)]
-    kappa1 = 0.2 / (a_hi - a_lo)  # ITP constants: kappa2 = 2, n0 = 1
-    n_max = math.ceil(max(0.0, math.log2(a_hi - a_lo) - math.log2(tol_a))) + 1
-    while hi - lo > tol_a:
-        width, mid = hi - lo, 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats: the bracket cannot shrink
-        x_f = lo + width * g_lo / (g_lo - g_hi)
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = kappa1 * width * width
-        x = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        # the step may leave mid by r and still end within n_max steps
-        r = math.ldexp(tol_a, n_max - len(history)) - 0.5 * width
-        if abs(x - mid) > r:
-            x = mid - sigma * r
-        if not lo < x < hi:
-            x = mid  # rounding put the step on an endpoint
-        try:
-            g_x, prof_x = g(x)
-        except LensError as exc:
-            raise type(exc)(f"at a={x!r} inside the bracket "
-                            f"({lo!r}, {hi!r}): {exc}") from exc
-        if g_x > 0.0:
-            lo, g_lo, prof_lo = x, g_x, prof_x
-        else:
-            hi, g_hi, prof_hi = x, g_x, prof_x
-        history.append((lo, hi, g_lo, g_hi))
-    profile = prof_lo if abs(g_lo) < abs(g_hi) else prof_hi
-    table.append(_sample_from(profile))
-    table.sort(key=lambda row: row.a)
+    def g(a: float) -> float:
+        if a not in solved:
+            lo, hi, g_lo, g_hi = history[-1]
+            try:
+                solved[a] = angle_of(a, cfg)[1]
+            except LensError as exc:
+                raise type(exc)(f"at a={a!r} inside the bracket "
+                                f"({lo!r}, {hi!r}): {exc}") from exc
+            g_a = junction_residual(solved[a].alpha)
+            history.append((a, hi, g_a, g_hi) if g_a > 0.0
+                           else (lo, a, g_lo, g_a))
+        return junction_residual(solved[a].alpha)
+
+    profile = solved[brentq(g, a_lo, a_hi, xtol=tol_a)]
+    table = sorted((_sample_from(solved[a]) for a in (a_lo, a_hi, profile.a)),
+                   key=lambda row: row.a)
     return ShootReport(table, profile.a, abs(junction_residual(profile.alpha)),
                        history, profile)
 

@@ -5,7 +5,9 @@ import pytest
 from lensshrinker import PipelineConfig, angle_of, find_lens
 
 A_SUITE = (0.1, 0.5, 1.0, math.sqrt(2.0))
-# the junction height find_lens() returns at the default settings
+# a fixed height next to the junction, pinned by the bit and counter tests:
+# the a* of find_lens() at the default settings while it took ITP steps
+# (Brent's a* is pinned in test_dop853.test_a_star_is_pinned)
 A_STAR = 0.7860039861771009
 
 

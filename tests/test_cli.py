@@ -382,7 +382,9 @@ def _strict_json(text):
     ["shoot", "--tol-a", "1e-8"],
     ["table", "--from", "0.5", "--to", "0.9", "--step", "0.2"],
     ["mesh", "--a", "0.9", "--n-theta", "16"],
-], ids=["solve", "shoot", "table", "mesh"])
+    # one failed row, whose NaN fields are written as null
+    ["table", "--from", "1e-300", "--to", "1e-300", "--step", "1"],
+], ids=["solve", "shoot", "table", "mesh", "table_failed_row"])
 def test_json_outputs_are_strict_json(tmp_path, capsys, argv):
     assert run(argv + ["--json", "--output-dir", str(tmp_path)]) == EXIT_OK
     _strict_json(capsys.readouterr().out)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq as scipy_brentq
 
 from conftest import A_STAR
 import lensshrinker
@@ -17,8 +17,8 @@ from lensshrinker import PipelineConfig, angle_of, arclength, dop853
 from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
                                     seed_quadratures)
 from lensshrinker.cluster import resample_profile
-from lensshrinker.dop853 import _brentq, _horner, _horner_column
-from lensshrinker.errors import StepFailure
+from lensshrinker.dop853 import DenseOutput, _horner_column, brentq
+from lensshrinker.errors import NoConvergence, StepFailure
 
 SQRT2 = math.sqrt(2.0)
 HEIGHTS = [float(a) for a in np.geomspace(0.005, SQRT2, 11)]
@@ -119,7 +119,7 @@ def test_work_counters_are_pinned(a, counters):
              "0x1.1c5831add6336p+0", "0x1.6a09e667fcf1ep+0"))])
 def test_profile_bits_are_pinned(a, hexes):
     # (alpha, s_bar, s_star, xi) to the last bit: a change in the order of
-    # any float operation of a step or an event root moves one of them.
+    # any float operation of a step or a crossing root moves one of them.
     # No sum goes through BLAS, so the bits are the same on every kernel
     alpha, p = angle_of(a)
     assert alpha == p.alpha
@@ -128,7 +128,8 @@ def test_profile_bits_are_pinned(a, hexes):
 
 
 def test_a_star_is_pinned(lens_report):
-    assert lens_report.a_star == A_STAR
+    # Brent's a*; A_STAR, the pinned height above, is the last a* of ITP
+    assert lens_report.a_star == 0.7860039861771021
 
 
 _PINNED_BITS = f"""
@@ -232,76 +233,108 @@ def test_rtol_floor_is_admitted_and_tightened_100_fails_loudly():
 def test_brentq_bisects_where_the_interpolation_underflows(g):
     # at |f| ~ 2^-530 the inverse quadratic step's denominator
     # dblk * dpre * (fblk - fpre) underflows to 0; scipy's C code bisects on
-    # the inf or NaN that IEEE division gives there, and so must _brentq
+    # the inf or NaN that IEEE division gives there, and so must brentq
     def f(x):
         return 2.0 ** -530 * g(x)
 
-    assert _brentq(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=4 * EPS,
-                                          rtol=4 * EPS)
+    assert brentq(f, 0.0, 1.0) == scipy_brentq(f, 0.0, 1.0, xtol=4 * EPS,
+                                               rtol=4 * EPS)
+
+
+def test_brentq_iteration_limit_raises_no_convergence():
+    with pytest.raises(NoConvergence, match="Brent's method found no root "
+                                            "in 2 iterations"):
+        brentq(lambda x: math.exp(x) - 2.0, 0.0, 1.0, maxiter=2)
+    with pytest.raises(ValueError, match="no sign change"):
+        brentq(lambda x: x + 1.0, 0.0, 1.0)
 
 
 def test_event_roots_and_terminal_stop():
-    # y = cos t: the downward zero at pi/2 ends the solve; the upward pass of
-    # y' = -sin t through -1/2 (at 5 pi / 6) lies beyond it and is not kept
-    sol = dop853.integrate(lambda t, y: [y[1], -y[0]], 0.0, [1.0, 0.0], 10.0,
-                           tol=1e-12,
-                           events=[((0, 0.0), -1, True),
-                                   ((1, -0.5), 1, False),
-                                   ((1, -0.5), -1, False)])
-    assert sol.terminated
-    assert sol.dense.ts[-1] == sol.t_events[0][0] == pytest.approx(math.pi / 2,
-                                                            abs=1e-12)
-    assert sol.t_events[1] == []
-    assert sol.t_events[2][0] == pytest.approx(math.pi / 6, abs=1e-12)
-    assert sol.y_events[2][0][1] == pytest.approx(-0.5, abs=1e-12)
-    n_steps = len(sol.dense.h)
+    # y = cos t: the solve ends with the step over which y falls through 0,
+    # and DenseOutput.root finds pi/2 on it where solve_ivp's terminal event
+    # stops; y' = -sin t falls through -1/2 at pi/6 on an earlier piece
+    def fun(t, y):
+        return [y[1], -y[0]]
+
+    sol = dop853.integrate(fun, 0.0, [1.0, 0.0], 10.0, tol=1e-12, stop=0)
+    d, last = sol.dense, len(sol.dense.h) - 1
+    assert sol.stopped and d.y_old[last, 0] >= 0.0 >= sol.y[0]
+    root = d.root(0, 0.0, last)
+    assert d.ts[last] < root < d.ts[-1]
+
+    def crossing(t, y):
+        return y[0]
+
+    crossing.terminal, crossing.direction = True, -1
+    ref = solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-12, dense_output=True,
+                    events=[crossing])
+    assert ref.status == 1 and len(ref.t) == len(d.ts)
+    assert sol.nfev == ref.nfev
+    assert abs(root - ref.t_events[0][0]) <= EVENT_RTOL * root
+    assert root == pytest.approx(math.pi / 2, abs=1e-12)
+    k = int(np.searchsorted(d.ts, math.pi / 6)) - 1
+    assert d.root(1, -0.5, k) == pytest.approx(math.pi / 6, abs=1e-12)
+    n_steps = len(d.h)
     assert sol.nfev == 2 + 12 * (n_steps + sol.n_rejected) + 3 * n_steps
 
 
-def test_roots_in_one_step_are_kept_in_time_order():
-    # y = t crosses 2.5, 3.5 and 4.5 inside the one step [1.93, 5.92] (the
-    # step size grows while the error estimate is zero); the terminal root
-    # at 3.5 keeps the root before it and drops the one after it, as solve_ivp
-    # does, to within the few ulps by which the stage sums differ
-    events = [((0, 4.5), 1, False), ((0, 3.5), 1, True), ((0, 2.5), 1, False)]
-    sol = dop853.integrate(lambda t, y: [1.0], 0.0, [0.0], 10.0,
-                           tol=1e-12, events=events)
-    assert sol.dense.ts[-2] < 2.5 and sol.dense.ts[-2] + sol.dense.h[-1] > 4.5
-    ref_events = []
-    for (i, level), direction, terminal in events:
-        def event(t, y, i=i, level=level):
-            return y[i] - level
-        event.direction, event.terminal = direction, terminal
-        ref_events.append(event)
-    ref = solve_ivp(lambda t, y: [1.0], (0.0, 10.0), [0.0], method="DOP853",
+def test_roots_in_one_step_match_solve_ivp():
+    # y = (t, 3.5 - t): the last step holds the crossings of t through 2.5
+    # and 4.5 and the stop at 3.5 (the step size grows while the error
+    # estimate is zero); DenseOutput.root gives solve_ivp's crossing and
+    # terminal event times to within the few ulps by which the stage sums
+    # differ, and the crossing past the stop on the full step
+    def fun(t, y):
+        return [1.0, -1.0]
+
+    sol = dop853.integrate(fun, 0.0, [0.0, 3.5], 10.0, tol=1e-12, stop=1)
+    d, last = sol.dense, len(sol.dense.h) - 1
+    assert sol.stopped and d.ts[last] < 2.5 and d.ts[-1] > 4.5
+
+    def up_through(level):
+        def event(t, y):
+            return y[0] - level
+        event.direction = 1
+        return event
+
+    def stop(t, y):
+        return y[1]
+
+    stop.terminal, stop.direction = True, -1
+    ref = solve_ivp(fun, (0.0, 10.0), [0.0, 3.5], method="DOP853",
                     rtol=1e-12, atol=1e-12, dense_output=True,
-                    events=ref_events)
-    assert [len(te) for te in ref.t_events] == [len(te) for te in sol.t_events]
-    for want, got in zip(ref.t_events, sol.t_events):
-        assert np.allclose(got, want, rtol=8 * EPS, atol=0)
-    assert sol.t_events[0] == []
-    assert sol.t_events[1] == [pytest.approx(3.5, abs=1e-14)]
-    assert sol.t_events[2] == [pytest.approx(2.5, abs=1e-14)]
-    assert sol.terminated and sol.nfev == ref.nfev
+                    events=[up_through(2.5), stop])
+    assert sol.nfev == ref.nfev and len(ref.t) == len(d.ts)
+    got = [d.root(0, 2.5, last), d.root(1, 0.0, last)]
+    want = [te[0] for te in ref.t_events]
+    assert np.allclose(got, want, rtol=8 * EPS, atol=0)
+    assert got == [pytest.approx(2.5, abs=1e-14), pytest.approx(3.5, abs=1e-14)]
+    assert d.root(0, 4.5, last) == pytest.approx(4.5, abs=1e-14)
 
 
 def test_column_horner_is_one_column_of_horner():
+    # DenseOutput.root evaluates one column, in DenseOutput.__call__'s order
     rng = np.random.default_rng(17)
     for _ in range(20):
         F, y_old = rng.standard_normal((7, 5)), rng.standard_normal(5)
+        t0, h = rng.standard_normal(), rng.random() + 0.1
+        d = DenseOutput(np.array([t0, t0 + h]), np.array([h]), y_old[None],
+                        F[None])
         for x in (0.0, 1.0, *rng.random(5)):
-            full = _horner(F, y_old, x)
+            t = t0 + x * h
+            full = d(np.array([t]))[:, 0]
             for i in range(5):
-                got = _horner_column(F[:, i].tolist(), float(y_old[i]), x)
+                got = _horner_column(F[:, i].tolist(), float(y_old[i]),
+                                     (t - t0) / h)
                 assert got.hex() == float(full[i]).hex()
 
 
 @pytest.mark.parametrize("component", [2, -1])
-def test_event_component_outside_the_state_raises(component):
-    with pytest.raises(ValueError, match="event component"):
+def test_stop_component_outside_the_state_raises(component):
+    with pytest.raises(ValueError, match="stop component"):
         dop853.integrate(lambda t, y: [y[1], -y[0]], 0.0, [1.0, 0.0], 1.0,
-                         tol=1e-10,
-                         events=[((component, 0.0), -1, True)])
+                         tol=1e-10, stop=component)
 
 
 def test_matches_scipy_on_van_der_pol():

@@ -476,7 +476,7 @@ def test_x0_defining_property_and_monotonicity():
     J = j_function(200)
     assert abs(J(x0) - 1.0) < 1e-12
     assert J(x0 - 0.1) < 1.0 < J(x0 + 0.1)
-    # find_x0 bisects on [1, 3]: J brackets 1 there and order 200 resolves J(3)
+    # find_x0 searches [1, 3]: J brackets 1 there and order 200 resolves J(3)
     assert J(1.0) < 1.0 < J(3.0)
     assert series_tail_ratio(j_function(200), 3.0) < 1e-12
 

@@ -17,12 +17,15 @@ side, workload, seed, trace flag, command and the JSON of the command's
 last line of standard output, in the order the runs were made.  Standard
 error gets, per workload and end-to-end metric, each side's median and
 quartiles, the pairs the change won, the change/parent ratio of the
-medians and whether their gap exceeds the parent's interquartile range.
+medians, whether their gap exceeds the parent's interquartile range and
+whether the change's median is within the metric's relative ``bound`` of
+the parent's; then the net change of physical lines in ``src/**/*.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -61,11 +64,23 @@ def host() -> str:
             f"{platform.python_version()}, numpy {np.__version__}")
 
 
-def summary(runs: list[dict]) -> str:
+def source_lines(root: str) -> int:
+    """Physical lines of the checkout's src/**/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "**", "*.py"),
+                          recursive=True):
+        with open(path, "rb") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def summary(runs: list[dict], bounds: dict) -> str:
     """Per workload and metric: each side's median [q1, q3] over its runs,
     the pairs (same workload and seed) in which the change read lower, the
-    change/parent ratio of the medians, and whether the gap between the
-    medians exceeds the parent's interquartile range q3 - q1."""
+    change/parent ratio of the medians, whether the gap between the
+    medians exceeds the parent's interquartile range q3 - q1, and, for a
+    metric of ``bounds`` (name -> (bound, better)), whether the change's
+    median is worse than the parent's by more than that fraction of it."""
     out = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         value = {(r["side"], r["seed"], name): m["value"]
@@ -85,9 +100,15 @@ def summary(runs: list[dict]) -> str:
             (p1, p2, p3), (_, c2, _) = quartiles["parent"], quartiles["change"]
             ratio = f"{c2 / p2:.3f}" if p2 else "n/a"
             above = "above" if abs(c2 - p2) > p3 - p1 else "not above"
-            out.append(f"{line} change lower in {wins}/{len(seeds)} pairs, "
-                       f"change/parent {ratio}, median gap {abs(c2 - p2):.4f} "
-                       f"{above} parent IQR {p3 - p1:.4f}")
+            line += (f" change lower in {wins}/{len(seeds)} pairs, "
+                     f"change/parent {ratio}, median gap {abs(c2 - p2):.4f} "
+                     f"{above} parent IQR {p3 - p1:.4f}")
+            if name in bounds:
+                bound, better = bounds[name]
+                worse = p2 - c2 if better == "higher" else c2 - p2
+                line += (", within" if worse <= bound * abs(p2) else
+                         ", OUTSIDE") + f" bound {bound:g}"
+            out.append(line)
     return "\n".join(out)
 
 
@@ -118,7 +139,12 @@ def main(argv=None) -> int:
         json.dump({"about": args.about, "host": host(), "runs": runs}, fh,
                   indent=1)
         fh.write("\n")
-    print(summary(runs), file=sys.stderr)
+    bounds = {m["name"]: (m["bound"], m["better"])
+              for m in bench["end_to_end"]}
+    print(summary(runs, bounds), file=sys.stderr)
+    before, after = source_lines(args.parent), source_lines(args.change)
+    print(f"src/**/*.py physical lines: {before} parent, {after} change, "
+          f"net {after - before:+d}", file=sys.stderr)
     return 0
 
 
