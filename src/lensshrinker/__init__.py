@@ -22,7 +22,7 @@ angles) that shrinks homothetically under mean curvature flow:
 
 import os
 
-# The few BLAS calls left (np.convolve and one matmul in the series) are too
+# The one BLAS call left (the C2 oracle's matmul in the series) is too
 # small to gain from threads, and starting OpenBLAS's pool costs import time:
 # a fresh numpy import took a median 241 ms unset and 171 ms at 1 on a 2-CPU
 # host.  Set before the first numpy import; a value the user set is kept.

@@ -12,9 +12,9 @@ coefficients in index order, one rounded binary64 operation at a time, and
 each norm is a sum of squares in index order.  So the bits of a solve
 depend on IEEE arithmetic and on fun alone, and are the same whichever BLAS
 kernel numpy loads.  scipy's sums are BLAS dots, in another order, so its
-states differ from these in the last bits.  A root of one state component
-is refined by Brent's method on that one column of its step's dense output,
-in the operation order of the full evaluation.
+states differ from these in the last bits.  One Horner routine evaluates
+a step's dense output and its derivative, on numpy rows or on the one
+column of Python floats whose root Brent's method refines: the same bits.
 """
 
 from __future__ import annotations
@@ -103,65 +103,56 @@ def hermite_rows(h, y_old, y_new, f_old, f_new) -> list:
             [2 * di - h * (fn + fo) for di, fo, fn in zip(d, f_old, f_new)]]
 
 
-def _horner(F, y_old, x):
-    # y_old + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))), innermost first
-    y = np.zeros(np.shape(y_old))
+def _horner(F, x):
+    """The piece polynomial less y_old, x (F[0] + (1-x) (F[1] + ...)), and its
+    x-derivative, innermost first: on numpy rows F[0..6] and an x that
+    broadcasts with them, or on Python floats, with the same bits."""
+    p = dp = 0.0
+    w = 1 - x
     for i in range(6, -1, -1):
-        y += F[..., i, :]
-        y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
-
-
-def _horner_column(c, y_old, x):
-    # _horner(F, y_old, x)[i] on Python floats, c = F[:, i], in
-    # _horner's operation order
-    y = 0.0
-    for i in range(6, -1, -1):
-        y += c[i]
-        y *= x if i % 2 == 0 else 1 - x
-    return y + y_old
+        p = p + F[i]
+        if i % 2:
+            dp, p = dp * w - p, p * w
+        else:
+            dp, p = dp * x + p, p * x
+    return p, dp
 
 
 @dataclass(frozen=True)
 class DenseOutput:
     """Piece k covers [ts[k], ts[k+1]] in x = (t - ts[k]) / h[k], h[k] its
-    full step; a point shared by two pieces belongs to the lower one."""
+    full step; a point shared by two pieces belongs to the lower one.  The
+    states, their derivative and the roots all read the pieces by _horner."""
 
     ts: np.ndarray     # (m + 1,)
     h: np.ndarray      # (m,)
     y_old: np.ndarray  # (m, n)
     F: np.ndarray      # (m, 7, n)
 
-    def _locate(self, t):
-        # piece index and local coordinate x of each point of t
+    def _horner_at(self, t):
+        # piece index of each point of t, and _horner at its local x
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
-        return k, ((t - self.ts[k]) / self.h[k])[:, None]
+        x = ((t - self.ts[k]) / self.h[k])[:, None]
+        return k, *_horner(self.F[k].swapaxes(0, 1), x)
 
     def __call__(self, t) -> np.ndarray:
         """States at the 1-d array of points t, shape (n, len(t))."""
-        k, x = self._locate(t)
-        return _horner(self.F[k], self.y_old[k], x).T
+        k, p, _ = self._horner_at(t)
+        return (p + self.y_old[k]).T
 
     def derivative(self, t) -> np.ndarray:
         """Exact t-derivative of each piece's polynomial at the points t,
         shape (n, len(t)); it equals the right-hand side at step ends."""
-        k, x = self._locate(t)
-        F = self.F[k]
-        p = dp = 0.0  # the Horner value and its x-derivative, innermost first
-        for i in range(6, -1, -1):
-            m, dm = (x, 1.0) if i % 2 == 0 else (1 - x, -1.0)
-            p = p + F[:, i, :]
-            dp = dp * m + p * dm
-            p = p * m
+        k, _, dp = self._horner_at(t)
         return (dp / self.h[k][:, None]).T
 
     def root(self, i: int, level: float, k: int) -> float:
         """Brent's root of y[i] - level on piece k, over [ts[k], ts[k+1]],
-        where it must change sign."""
+        where it must change sign; y[i] is __call__'s to the bit."""
         t, h = float(self.ts[k]), float(self.h[k])
         y_old, c = float(self.y_old[k, i]), self.F[k, :, i].tolist()
-        return brentq(lambda r: _horner_column(c, y_old, (r - t) / h) - level,
+        return brentq(lambda r: _horner(c, (r - t) / h)[0] + y_old - level,
                       t, float(self.ts[k + 1]))
 
 

@@ -238,6 +238,19 @@ def find_x0() -> float:
 # The nonlinearity
 # ---------------------------------------------------------------------------
 
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of the polynomials a and b: entry n adds
+    a[k] b[n-k] in increasing k, one rounded binary64 operation at a time,
+    so its bits, unlike np.convolve's BLAS dots, are the same on every CPU."""
+    la, lb = len(a), len(b)
+    # row k of outer(a, b), padded to la + lb entries and read back in rows
+    # of la + lb - 1, moves k places right: to the degrees it multiplies
+    terms = np.zeros((la, la + lb))
+    terms[:, :lb] = np.multiply.outer(a, b)
+    terms = terms.ravel()[:la * (la + lb - 1)].reshape(la, -1)
+    return np.add.accumulate(terms)[-1]
+
+
 def nonlinear_Q(h: EvenSeries, a: float) -> EvenSeries:
     """Q(h, a) = -a + (x - 1/x) h'^3 - h'^2 (h + a), exact in coefficients.
 
@@ -254,14 +267,14 @@ def nonlinear_Q(h: EvenSeries, a: float) -> EvenSeries:
         return EvenSeries(np.array([-a]), h.radius)
     # d[j] = coefficient of x^{2j+1} in h'
     d = 2.0 * np.arange(1, m) * c[1:]
-    s2 = np.convolve(d, d)        # h'^2: s2[i] at degree 2i + 2
-    s3 = np.convolve(s2, d)       # h'^3: s3[i] at degree 2i + 3
+    s2 = _cauchy(d, d)            # h'^2: s2[i] at degree 2i + 2
+    s3 = _cauchy(s2, d)           # h'^3: s3[i] at degree 2i + 3
     q = np.zeros(len(s3) + 2)     # x h'^3 tops out at degree 2 len(s3) + 2
     q[0] = -a
     q[2:] += s3                   # x h'^3
     q[1:-1] -= s3                 # h'^3 / x (exact shift)
     q[1:len(s2) + 1] -= a * s2    # a h'^2 shares the shift index
-    q[1:] -= np.convolve(s2, c)   # h'^2 h: degrees (2i+2) + 2j
+    q[1:] -= _cauchy(s2, c)       # h'^2 h: degrees (2i+2) + 2j
     return EvenSeries(q, h.radius)
 
 

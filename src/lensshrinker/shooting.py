@@ -7,6 +7,7 @@ lens-shaped cluster needs alpha = -pi/3, equivalently u'(s_bar) = 1/2,
 which Brent's method locates inside a validated sign-changing bracket.
 Nothing here assumes alpha(a) is monotone: the bracket endpoints are
 checked at runtime, and table sampling reports every sign change it sees.
+A table takes one path for any jobs; with one process it forks no child.
 """
 
 from __future__ import annotations
@@ -147,37 +148,27 @@ def _row(a: float, cfg: PipelineConfig) -> AngleSample:
 def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTable:
     """Tabulate (a, s_bar, xi_a, alpha) rows, recording per-row failures.
 
-    Rows are independent.  With cfg.jobs > 1 the sorted heights split into
-    k = min(jobs, rows) contiguous chunks: the caller solves the first row
-    of its own chunk, then forks k - 1 children with os.fork (POSIX only;
-    elsewhere this raises ValueError), so each child starts with the
-    compiled stage code, the quadrature rule and numpy already loaded.  The
-    rows and their bits are those of jobs == 1.  A child that raises passes
-    its exception to the caller, one that dies raises ChildProcessError,
-    and an exception in the caller kills its children; every child is
-    reaped and every pipe closed before the call returns or raises.  As
-    with any fork, the caller should run no other thread; the package
-    keeps OpenBLAS to one.  On a shared 2-CPU host, the first call of a
-    fresh interpreter over 11 rows took a median 51 ms serially and 47 ms
-    with jobs = 2: two CPU-bound processes each ran at 0.75-1.15x the
-    speed of one there, so jobs = 2 can at best halve a table.  The table
-    also lists every sub-bracket on which u'(s_bar) - 1/2 changes sign,
-    since the angle map is not known to be monotone.
+    Rows are independent.  For every cfg.jobs the sorted heights split
+    into k = max(1, min(jobs, rows)) contiguous chunks: the caller solves
+    the first row of its own chunk, then forks k - 1 children with os.fork
+    (none for jobs == 1; POSIX only, elsewhere jobs > 1 raises ValueError),
+    so each child starts with the compiled stage code, the quadrature rule
+    and numpy already loaded.  The rows and their bits are the same for
+    every jobs.  A child that raises passes its exception to the caller,
+    one that dies raises ChildProcessError, and an exception in the caller
+    kills its children; every child is reaped and every pipe closed before
+    the call returns or raises.  As with any fork, the caller should run no
+    other thread; the package keeps OpenBLAS to one.  On a shared 2-CPU
+    host, the first call of a fresh interpreter over 11 rows took a median
+    51 ms with jobs = 1 and 47 ms with jobs = 2: two CPU-bound processes
+    each ran at 0.75-1.15x the speed of one there, so jobs = 2 can at best
+    halve a table.  The table also lists every sub-bracket on which
+    u'(s_bar) - 1/2 changes sign, since the angle map is not known to be
+    monotone.
     """
     cfg = cfg or PipelineConfig()
     a_values = sorted(float(a) for a in a_values)
-    if cfg.jobs > 1:
-        rows = _forked_rows(a_values, cfg)
-    else:
-        rows = [_row(a, cfg) for a in a_values]
-    g = [(r.a, junction_residual(r.alpha)) for r in rows if r.error is None]
-    brackets = [(lo, hi) for (lo, g_lo), (hi, g_hi) in zip(g[:-1], g[1:])
-                if g_lo == 0.0 or g_lo * g_hi < 0.0]
-    return AngleTable(rows, brackets)
-
-
-def _forked_rows(a_values: list, cfg: PipelineConfig) -> list:
-    k = min(cfg.jobs, len(a_values))
+    k = max(1, min(cfg.jobs, len(a_values)))
     cuts = [len(a_values) * i // k for i in range(k + 1)]
     own, *chunks = [a_values[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     # solved before the fork, so that every child inherits a warm process
@@ -210,7 +201,10 @@ def _forked_rows(a_values: list, cfg: PipelineConfig) -> list:
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return rows
+    g = [(r.a, junction_residual(r.alpha)) for r in rows if r.error is None]
+    brackets = [(lo, hi) for (lo, g_lo), (hi, g_hi) in zip(g[:-1], g[1:])
+                if g_lo == 0.0 or g_lo * g_hi < 0.0]
+    return AngleTable(rows, brackets)
 
 
 def _fork_chunk(chunk: list, cfg: PipelineConfig):

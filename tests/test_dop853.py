@@ -1,6 +1,7 @@
 """The in-repo DOP853 against scipy's solve_ivp as an independent reference."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -13,12 +14,14 @@ from scipy.optimize import brentq as scipy_brentq
 
 from conftest import A_STAR
 import lensshrinker
-from lensshrinker import PipelineConfig, angle_of, arclength, dop853
+from lensshrinker import (PipelineConfig, angle_of, arclength, dop853,
+                          picard_analytic)
 from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
                                     seed_quadratures)
 from lensshrinker.cluster import resample_profile
-from lensshrinker.dop853 import DenseOutput, _horner_column, brentq
+from lensshrinker.dop853 import DenseOutput, _horner, brentq
 from lensshrinker.errors import NoConvergence, StepFailure
+from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
 HEIGHTS = [float(a) for a in np.geomspace(0.005, SQRT2, 11)]
@@ -132,20 +135,27 @@ def test_a_star_is_pinned(lens_report):
     assert lens_report.a_star == 0.7860039861771021
 
 
+# heights and radii at which a BLAS dot in the series product once gave
+# coefficient bits that differed between OpenBLAS kernels
+_SERIES_POINTS = [(0.3349954407339448, R_STAR), (0.4258777130659485, R_STAR),
+                  (0.1, 1.0), (0.2, 1.0)]
 _PINNED_BITS = f"""
-from lensshrinker import angle_of, find_lens
+from lensshrinker import angle_of, find_lens, picard_analytic
 for a in (0.05, {A_STAR!r}, {SQRT2!r}):
     p = angle_of(a)[1]
     print(*(float(x).hex() for x in (p.alpha, p.s_bar, p.s_star, p.xi)))
 print(find_lens().a_star.hex())
+for a, r in {_SERIES_POINTS!r}:
+    print(*(c.hex() for c in picard_analytic(a, r).coeffs.tolist()))
 """
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Prescott"])
 def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
     # OpenBLAS picks its kernel by CPU when numpy loads it, and kernels round
     # a dot's sum differently; a child interpreter forced onto another
-    # kernel must give this process's profile bits and a*
+    # kernel must give this process's profile bits, a* and series
+    # coefficients
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=
                os.path.dirname(os.path.dirname(lensshrinker.__file__)))
     child = subprocess.run([sys.executable, "-c", _PINNED_BITS], env=env,
@@ -154,7 +164,10 @@ def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
     here = [" ".join(float(x).hex() for x in (p.alpha, p.s_bar, p.s_star,
                                                 p.xi))
             for p in (angle_of(a)[1] for a in (0.05, A_STAR, SQRT2))]
-    assert child.stdout.splitlines() == [*here, lens_report.a_star.hex()]
+    series = [" ".join(c.hex() for c in picard_analytic(a, r).coeffs.tolist())
+              for a, r in _SERIES_POINTS]
+    assert child.stdout.splitlines() == [*here, lens_report.a_star.hex(),
+                                         *series]
 
 
 def _reference_stages(fun, t, h, y, f):
@@ -313,21 +326,27 @@ def test_roots_in_one_step_match_solve_ivp():
     assert d.root(0, 4.5, last) == pytest.approx(4.5, abs=1e-14)
 
 
-def test_column_horner_is_one_column_of_horner():
-    # DenseOutput.root evaluates one column, in DenseOutput.__call__'s order
+def test_root_and_derivative_read_the_one_horner():
+    # DenseOutput.root evaluates one column of Python floats through
+    # _horner, as __call__ evaluates every column: the same bits.  The
+    # derivative shares the value's loop, and its bits are pinned
     rng = np.random.default_rng(17)
+    derivs = []
     for _ in range(20):
         F, y_old = rng.standard_normal((7, 5)), rng.standard_normal(5)
         t0, h = rng.standard_normal(), rng.random() + 0.1
         d = DenseOutput(np.array([t0, t0 + h]), np.array([h]), y_old[None],
                         F[None])
-        for x in (0.0, 1.0, *rng.random(5)):
-            t = t0 + x * h
-            full = d(np.array([t]))[:, 0]
+        ts = t0 + h * np.array([0.0, 1.0, *rng.random(5)])
+        full = d(ts)
+        for j, t in enumerate(ts.tolist()):
             for i in range(5):
-                got = _horner_column(F[:, i].tolist(), float(y_old[i]),
-                                     (t - t0) / h)
-                assert got.hex() == float(full[i]).hex()
+                got = (_horner(F[:, i].tolist(), (t - t0) / h)[0]
+                       + float(y_old[i]))
+                assert got.hex() == float(full[i, j]).hex()
+        derivs.append(d.derivative(ts))
+    digest = hashlib.sha256(np.array(derivs).tobytes()).hexdigest()
+    assert digest[:16] == "d62f0f956ba6b62d"
 
 
 @pytest.mark.parametrize("component", [2, -1])

@@ -13,7 +13,7 @@ from lensshrinker import (CertificateFailure, ContractionConstants, EvenSeries,
                           contraction_certificate, eta_coefficients, find_x0,
                           invert_L, j_function, nonlinear_Q, picard_analytic,
                           picard_c2_oracle, weighted_norm)
-from lensshrinker.series import (CERT_MARGIN, R_STAR,
+from lensshrinker.series import (CERT_MARGIN, R_STAR, _cauchy,
                                  derive_contraction_constants,
                                  gauss_legendre_composite, gauss_legendre_rule,
                                  not_a_knot_spline, radial_laplacian_inverse,
@@ -257,6 +257,24 @@ def test_q_matches_pointwise_formula_at_high_order():
         hp = h.deriv(x)
         pointwise = -a + (x - 1.0 / x) * hp ** 3 - hp ** 2 * (h(x) + a)
         np.testing.assert_allclose(q(x), pointwise, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("la, lb", [(1, 1), (1, 3), (3, 1), (4, 4), (7, 4),
+                                    (7, 5), (31, 16)])
+def test_cauchy_product_is_the_plain_double_loop(la, lb):
+    # nonlinear_Q's products add each entry's terms in increasing k, bit for
+    # bit as this loop; np.convolve (BLAS) agrees to rounding
+    rng = np.random.default_rng(la * 100 + lb)
+    a, b = rng.standard_normal(la).tolist(), rng.standard_normal(lb).tolist()
+    want = []
+    for n in range(la + lb - 1):
+        total = 0.0
+        for k in range(max(0, n - lb + 1), min(la, n + 1)):
+            total += a[k] * b[n - k]
+        want.append(total.hex())
+    got = _cauchy(np.array(a), np.array(b))
+    assert [x.hex() for x in got.tolist()] == want
+    np.testing.assert_allclose(got, np.convolve(a, b), rtol=0, atol=1e-13)
 
 
 def test_q_rejects_nonzero_constant():

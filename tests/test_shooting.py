@@ -238,6 +238,13 @@ def test_table_parallel_matches_serial():
     assert _table_text(one) == _table_text(sample_angle_table([0.7]))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_table_of_no_heights_is_empty_for_every_jobs(jobs):
+    # one chunked path for every jobs: no heights make one empty chunk
+    empty = sample_angle_table([], PipelineConfig(jobs=jobs))
+    assert empty.table == [] and empty.sign_change_brackets == []
+
+
 def test_forked_table_generates_the_stage_code_once_in_the_caller(
         tmp_path, monkeypatch):
     log = tmp_path / "pids"
