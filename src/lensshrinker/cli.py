@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .arclength import polar_monitors, profile_summary, profile_to_csv
-from .cluster import (DEFAULT_N_THETA, MIN_N_THETA, build_cluster,
+from .cluster import (DEFAULT_N_THETA, MIN_N_THETA, build_cluster, sidecar,
                       write_metadata, write_obj)
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
@@ -192,7 +192,7 @@ def cmd_mesh(cfg: RunConfig) -> int:
                          annulus_outer=cfg.annulus_outer)
     write_obj(mesh, out / "lens.obj")
     write_metadata(mesh, out / "lens.json", cfg.to_dict())
-    _say(cfg, mesh.metadata,
+    _say(cfg, sidecar(mesh),
          f"mesh for a={profile.a:.12g}: {len(mesh.vertices)} vertices, "
          f"{len(mesh.triangles)} triangles -> {out / 'lens.obj'}")
     return EXIT_OK

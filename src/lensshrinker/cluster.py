@@ -66,6 +66,25 @@ def resample_profile(profile: LensProfile, n_s: int) -> tuple[np.ndarray, np.nda
     return u, v
 
 
+def _circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi j / n_theta for j = 0 .. n_theta - 1, each a
+    signed entry of one quarter wave sin(pi k / 2 n_theta), k = 0 ..
+    n_theta, chosen by the quadrant of 4j.  So the reflections in both
+    axes (for even n_theta; in the x-axis for any) and the quarter turns
+    (when 4 | n_theta) map the table onto itself exactly.  + 0.0 turns
+    -0.0 into 0.0."""
+    quarter = np.sin(0.5 * math.pi * np.arange(n_theta + 1) / n_theta)
+
+    def wave(m: np.ndarray) -> np.ndarray:
+        # sin(pi m / 2 n_theta) for integer m
+        q, r = np.divmod(m % (4 * n_theta), n_theta)
+        return (np.where(q < 2, 1.0, -1.0)
+                * quarter[np.where(q % 2 == 1, n_theta - r, r)] + 0.0)
+
+    m = 4 * np.arange(n_theta)
+    return wave(m + n_theta), wave(m)
+
+
 def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
                   annulus_outer: float | None = None,
                   n_s: int = DEFAULT_N_S, n_r: int = DEFAULT_N_R) -> ClusterMesh:
@@ -91,8 +110,7 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
                          "junction radius")
 
     u, v = resample_profile(profile, n_s)
-    phi = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    cos_p, sin_p = _circle(n_theta)
 
     def rings(radius: np.ndarray, height: np.ndarray) -> np.ndarray:
         # one ring of n_theta vertices per radius, flattened ring by ring
@@ -278,99 +296,6 @@ def _index_tokens(n: int) -> np.ndarray:
     return np.ascontiguousarray(columns.T).view(f"S{width}")[:, 0]
 
 
-# 5^p for p <= 27 in 32-bit limbs; every one is below 2^64
-_POW5 = np.array([5 ** p for p in range(28)], dtype=np.uint64)
-_POW5_HI, _POW5_LO = _POW5 >> 32, _POW5 & 0xFFFFFFFF
-
-
-def _scaled(m: np.ndarray, e: np.ndarray,
-            k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(x 10^(16-k)) for x = m 2^e, and whether x 10^(16-k) rounds
-    half-even up from it.  For a 53-bit m, 2 <= 16 - k <= 27 and k within
-    one of floor(log10 x), m 5^(16-k) is exact in two 64-bit words and its
-    binary point lies 2..62 bits in."""
-    p = 16 - k
-    s = (-e - p).view(np.uint64)
-    m1, m0 = m >> 32, m & 0xFFFFFFFF
-    a, b, c = m0 * _POW5_LO[p], m0 * _POW5_HI[p], m1 * _POW5_LO[p]
-    mid = (a >> 32) + (b & 0xFFFFFFFF) + (c & 0xFFFFFFFF)
-    hi = m1 * _POW5_HI[p] + (b >> 32) + (c >> 32) + (mid >> 32)
-    lo = a & 0xFFFFFFFF | mid << 32
-    t = hi << (64 - s) | lo >> s
-    rem = lo & (1 << s) - 1
-    return t, rem + (t & 1) > 1 << (s - 1)
-
-
-def _float_tokens(values: np.ndarray) -> np.ndarray:
-    """One NUL-holding token per float64; deleting its NULs gives exactly
-    '%.17g' % x.
-
-    For 1e-10 <= |x| < 1e14 the 17 significant digits D come from exact
-    integer arithmetic (`_scaled`) with k = floor(log10 |x|) from np.log10,
-    moved by one where the truncated value falls outside [10^16, 10^17).
-    D is spelled from a 4-digit table whose second half has its trailing
-    zeros as NUL, used for a group when every later digit is zero.  The
-    rows, sorted by k, take one column template per k: fixed notation for
-    k >= -4, else d.ddd plus e-XX.  Every other value (zeros, subnormals,
-    the smallest and largest, inf and nan) goes through '%.17g'."""
-    x = np.abs(values)
-    fast = (x >= 1e-10) & (x < 1e14)
-    bits = x[fast].view(np.uint64)
-    m = bits & (1 << 52) - 1 | 1 << 52
-    e = (bits >> 52).view(np.int64) - 1075
-    k = np.floor(np.log10(x[fast])).astype(np.int8)
-    d, up = _scaled(m, e, k)
-    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
-    k[off] += np.where(d[off] < 10 ** 16, -1, 1)
-    d[off], up[off] = _scaled(m[off], e[off], k[off])
-    d += up
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    k += carry
-
-    order = np.argsort(k, kind="stable")
-    d, k = d[order].view(np.int64), k[order]
-    hi, lo = np.divmod(d, 10 ** 8)
-    top, g2 = np.divmod(hi, 10 ** 4)
-    g0, g1 = np.divmod(top, 10 ** 4)
-    g3, g4 = np.divmod(lo, 10 ** 4)
-    # a group with only zeros after it is looked up in the stripped half
-    stripped = 10000 * (lo == 0)
-    groups = np.column_stack([g0, g1 + stripped * (g2 == 0), g2 + stripped,
-                              g3 + 10000 * (g4 == 0), g4 + 10000])
-    digit = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    kept = np.logical_or.accumulate(digit[:, ::-1] != 0, axis=1)[:, ::-1]
-    table = np.concatenate([digit, np.where(kept, digit, -48)]) + 48
-    # columns: sign, dot, '0', then the 17 digits (group g0 is "000d")
-    chars = table.astype(np.uint8).view("V4")[:, 0][groups].view(np.uint8)
-    chars[:, 0] = np.where(values[fast][order] < 0, ord("-"), 0)
-
-    slow = values[~fast].tolist()
-    rest = np.array(("%.17g " * len(slow) % tuple(slow)).encode().split(),
-                    dtype=bytes)
-    width = max(23, rest.dtype.itemsize)
-    out = np.zeros((len(d), width), dtype=np.uint8)
-    bounds = np.searchsorted(k, np.arange(-10, 15)).tolist()
-    for kk, start, stop in zip(range(-10, 14), bounds, bounds[1:]):
-        rows = chars[start:stop]
-        if kk > 0:  # an integer digit is never stripped
-            rows[:, 4:4 + kk] = np.maximum(rows[:, 4:4 + kk], ord("0"))
-        first = max(kk + 1, 0) if kk >= -4 else 1  # first fraction digit
-        rows[:, 1] = np.where(rows[:, 3 + first], ord("."), 0)
-        if kk >= 0:
-            cols = [0, *range(3, 4 + kk), 1, *range(4 + kk, 20)]
-        elif kk >= -4:
-            cols = [0, 2, 1, *[2] * (-kk - 1), *range(3, 20)]
-        else:
-            cols = [0, 3, 1, *range(4, 20)]
-            out[start:stop, 19:23] = np.frombuffer(b"e-%02d" % -kk, np.uint8)
-        out[start:stop, :len(cols)] = rows[:, cols]
-    tokens = np.empty(len(values), dtype=f"S{width}")
-    tokens[np.flatnonzero(fast)[order]] = out.view(f"S{width}")[:, 0]
-    tokens[~fast] = rest
-    return tokens
-
-
 def _spaced(tokens: np.ndarray) -> np.ndarray:
     """The token table with a space before each token, one void item per
     token, so that a line's three fields are one gather."""
@@ -383,8 +308,8 @@ def _spaced(tokens: np.ndarray) -> np.ndarray:
 
 def _lines(head: bytes, table: np.ndarray, index: np.ndarray) -> bytes:
     """One line `head tok tok tok` per row of the (rows, 3) index into the
-    `_spaced` token table, with the tokens' NUL bytes deleted.  A token may
-    hold NUL bytes anywhere, not only as padding."""
+    `_spaced` token table, with the tokens' NUL padding deleted.  A token
+    holds NUL bytes only as trailing padding."""
     rows, width = len(index), table.dtype.itemsize
     line = np.empty((rows, len(head) + 3 * width + 1), dtype=np.uint8)
     line[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
@@ -397,13 +322,15 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     """Wavefront OBJ with one group per sheet; 1-based face indices.
 
     Coordinates are printed as %.17g and indices as %d.  Each distinct
-    float64 bit pattern (so -0.0 apart from 0.0) gets one token from
-    `_float_tokens`, and the index tokens are spelled from digit columns,
-    into token tables that the lines gather from.  The token tables and
-    the one np.unique are whole-mesh; the lines are built, stripped of
-    their NULs and written in blocks of BLOCK lines, so that no line
-    buffer outgrows the cache.  The file is written as bytes, so no
-    newline is translated.
+    magnitude bit pattern gets one '%.17g' token, and a coordinate whose
+    sign bit is set takes the token's '-'-prefixed twin (so -0.0 prints
+    -0, and a NaN prints nan whatever its sign).  The index tokens are
+    spelled from digit columns.  The lines gather from these token
+    tables, NUL-padded to one width each.  The token tables and the one
+    np.unique are whole-mesh; the lines are built, stripped of their
+    padding and written in blocks of BLOCK lines, so that no line buffer
+    outgrows the cache.  The file is written as bytes, so no newline is
+    translated.
     """
     v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
     t = mesh.triangles
@@ -411,10 +338,14 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     # could not undo
     if t.size and not 0 <= t.min() <= t.max() < len(v):
         raise IndexError("a triangle names a vertex outside the mesh")
-    bits, index = np.unique(v.view(np.uint64), return_inverse=True)
-    coords = _spaced(_float_tokens(bits.view(np.float64)))
+    mags, index = np.unique(v.view(np.uint64) & ((1 << 63) - 1),
+                            return_inverse=True)
+    x = mags.view(np.float64).tolist()
+    tokens = np.array(("%.17g " * len(x) % tuple(x)).encode().split(),
+                      dtype=bytes)
+    coords = _spaced(np.concatenate([tokens, np.char.add(b"-", tokens)]))
+    index = index.reshape(-1, 3) + len(x) * (np.signbit(v) & ~np.isnan(v))
     ids = _spaced(_index_tokens(len(v)))
-    index = index.reshape(-1, 3)
     with open(path, "wb") as fh:
         for s in range(0, len(index), BLOCK):
             fh.write(_lines(b"v", coords, index[s:s + BLOCK]))
@@ -425,12 +356,19 @@ def write_obj(mesh: ClusterMesh, path) -> None:
                 fh.write(_lines(b"f", ids, t[rows[s:s + BLOCK]]))
 
 
-def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:
-    """JSON sidecar: mesh.metadata with a as a_star, plus the vertex and
-    triangle counts (and the run config when given)."""
+def sidecar(mesh: ClusterMesh) -> dict:
+    """The sidecar's payload: mesh.metadata with a as a_star, plus the
+    vertex and triangle counts."""
     meta = {**mesh.metadata, "n_vertices": int(len(mesh.vertices)),
             "n_triangles": int(len(mesh.triangles))}
     meta["a_star"] = meta.pop("a")
+    return meta
+
+
+def write_metadata(mesh: ClusterMesh, path, config: dict | None = None) -> None:
+    """JSON sidecar: the `sidecar` payload, plus the run config when
+    given."""
+    meta = sidecar(mesh)
     if config is not None:
         meta["config"] = config
     with open(path, "w", encoding="utf-8") as fh:

@@ -387,11 +387,15 @@ def _strict_json(text):
 ], ids=["solve", "shoot", "table", "mesh", "table_failed_row"])
 def test_json_outputs_are_strict_json(tmp_path, capsys, argv):
     assert run(argv + ["--json", "--output-dir", str(tmp_path)]) == EXIT_OK
-    _strict_json(capsys.readouterr().out)
+    printed = _strict_json(capsys.readouterr().out)
     files = sorted(tmp_path.glob("*.json"))
     assert files
     for path in files:
         _strict_json(path.read_text())
+    # stdout is the payload of the command's main JSON file
+    main = {"solve": "profile_a0.9.json", "shoot": "shoot_report.json",
+            "table": "angle_table.json", "mesh": "lens.json"}[argv[0]]
+    assert printed == _strict_json((tmp_path / main).read_text())
 
 
 def test_output_dir_on_a_regular_file_exits_2(tmp_path, capsys):
