@@ -5,7 +5,8 @@ The cap height f(x) = a + h(x) of a rotationally symmetric self-shrinking
 surface satisfies a second-order ODE whose 1/x coefficient makes the axis a
 degenerate point: classical ODE theory gives nothing there.  Working with
 even power series instead, the full linear part of the equation inverts
-explicitly, and the nonlinear solution is a certified fixed point.
+explicitly, and the nonlinear solution is a certified fixed point whose
+coefficients one forward recursion computes, degree by degree.
 """
 
 import math
@@ -44,9 +45,12 @@ print("=" * 72)
 for a in (0.1, 1.0, math.sqrt(2.0)):
     consts = derive_contraction_constants(a, R_STAR)
     report = contraction_certificate(consts)
-    h, info = picard_analytic(a, R_STAR, full_output=True)
+    h = picard_analytic(a, R_STAR)
+    gap = weighted_norm(h + a * j_function(h.order), R_STAR)
     print(f"a = {a:.4f}: ball R = {consts.R:.4f}, contraction L = {consts.L:.2e},"
-          f" certified = {report.certified}, {len(info.distances)} iterations")
+          f" certified = {report.certified}")
+    print(f"           order {h.order} by one forward recursion,"
+          f" ||h + aJ|| = {gap:.3e}")
     print(f"           h''(0) = {h.deriv2(0.0):+.6f}   (exactly -a/2)")
 
 print("\nAt a = sqrt(2) the solution is the circle of radius sqrt(2):")

@@ -10,7 +10,8 @@ class NoContraction(LensError):
 
 
 class NoConvergence(LensError):
-    """A fixed-point iteration exceeded its iteration budget."""
+    """A root finder, the grid iteration or the series recursion ran out of
+    its budget, or a fixed point left its certified ball."""
 
 
 class CertificateFailure(LensError):

@@ -18,6 +18,8 @@ eta = 1 - J.  The nonlinear solution h_a is
 the fixed point of h -> invert_L(Q(h, a)), certified to contract on a norm
 ball via explicit inequalities on (a, r, R, L): contraction_certificate
 returns the slack of each (ball, Lipschitz, contraction factor) by name.
+The map is triangular in the coefficients, so picard_analytic computes the
+fixed point by one forward recursion, with no iteration.
 
 A second, independent C^2 construction of the same solution iterates
 h -> T^{-1} P(h, a) on a grid, where T h = h'' + h'/x is the radial Laplacian
@@ -43,10 +45,8 @@ CERT_MARGIN = 1e-12
 # the analytic certificate at this radius admits every a below ~41.
 R_STAR = 1.0 / (36.0 * math.sqrt(2.0))
 
-DEFAULT_PICARD_TOL = 1e-14
-DEFAULT_PICARD_MAX_ITER = 200
-# truncation orders picard_analytic tries, until the tail is below eps * a
-SERIES_ORDERS = (8, 16, 32, 64, 128, 256)
+# highest order picard_analytic grows a series to before giving up
+MAX_SERIES_ORDER = 256
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def nonlinear_Q(h: EvenSeries, a: float) -> EvenSeries:
 class ContractionConstants:
     """Constants (a, r, R, L) for a certified fixed-point ball.
 
-    flavor "analytic" certifies the series iteration in the weighted norm;
+    flavor "analytic" certifies the series map in the weighted norm;
     flavor "C2" certifies the grid iteration in the sup norm of h''.
     """
 
@@ -375,60 +375,42 @@ def derive_contraction_constants(a: float, r: float) -> ContractionConstants:
 # Series fixed point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PicardInfo:
-    """Diagnostics of a converged series iteration."""
+def picard_analytic(a: float, r: float) -> EvenSeries:
+    """Taylor coefficients of the fixed point of h -> invert_L(Q(h, a)).
 
-    distances: tuple[float, ...]
-    linear_gap: float      # || h + a J ||_r
-    linear_gap_bound: float
+    The map is triangular in the coefficients: Q's degree-2k coefficient
+    reads h_0..h_k only, and invert_L sets h_{k+1} from it and h_k.  So one
+    forward recursion from h_0 = 0,
 
+        h_{k+1} = (Q_k(h_0..h_k) + (2k - 1) h_k) / (2k + 2)^2,
 
-def picard_analytic(a: float, r: float, full_output: bool = False):
-    """Fixed point of h -> invert_L(Q(h, a)) on truncated even series.
-
-    At each order of SERIES_ORDERS the iteration starts from h = 0 (so the
-    first iterate is -a J) and stops when the weighted-norm distance
-    between successive iterates drops below DEFAULT_PICARD_TOL; the first
-    order whose fixed point has a tail estimate at r of at most eps * a is
-    kept.  The (a, r) pair must admit a certified contraction ball, whose
-    constants derive_contraction_constants picks; its L bounds the distance
+    gives the truncated fixed point exactly, one even degree at a time; the
+    first order whose tail estimate at r is at most eps * a is kept.  The
+    (a, r) pair must admit a certified contraction ball, whose constants
+    derive_contraction_constants picks; its L bounds the distance
     ||h + a J||_r of the fixed point from the linear solution.
 
-    Returns the solution series (radius = r), plus a PicardInfo on the
-    kept order's iteration when ``full_output`` is set.
-
-    Raises NoContraction when no certificate exists and NoConvergence when
-    the iteration budget or SERIES_ORDERS is exhausted.
+    Returns the solution series (radius = r).  Raises NoContraction when no
+    certificate exists, and NoConvergence when the tail is still above
+    eps * a at MAX_SERIES_ORDER or the series leaves the certified ball.
     """
     constants = derive_contraction_constants(a, r)
-    for order in SERIES_ORDERS:
-        h = EvenSeries(np.zeros(order // 2 + 1), r)
-        distances = []
-        for _ in range(DEFAULT_PICARD_MAX_ITER):
-            q = nonlinear_Q(h, a).truncated(order - 2)
-            h_next = invert_L(q)
-            distances.append(weighted_norm(h_next - h, r))
-            h = h_next
-            if distances[-1] < DEFAULT_PICARD_TOL:
-                break
-        else:
-            raise NoConvergence(f"series iteration did not reach "
-                                f"tol={DEFAULT_PICARD_TOL} in "
-                                f"{DEFAULT_PICARD_MAX_ITER} steps (a={a}, r={r})")
+    h = EvenSeries([0.0], r)
+    for k in range(MAX_SERIES_ORDER // 2):
+        q = nonlinear_Q(h, a).coeffs[k]
+        h = EvenSeries(np.r_[h.coeffs, (q + (2 * k - 1) * h.coeffs[k])
+                             / (2 * k + 2) ** 2], r)
         if series_tail_ratio(h, r) <= np.finfo(float).eps * a:
             break
     else:
         raise NoConvergence(f"series tail at r={r} stays above eps * a up to "
-                            f"order {order} (a={a})")
-    gap = weighted_norm(h + a * j_function(order), r)
+                            f"order {MAX_SERIES_ORDER} (a={a})")
+    gap = weighted_norm(h + a * j_function(h.order), r)
     L = constants.L
     gap_bound = L * a * r * math.exp(r * r / 2.0) / (2.0 * (1.0 - L))
     if gap > gap_bound * (1.0 + 1e-9) + 1e-15:
         raise NoConvergence("fixed point violates the certified distance "
                             "to the linear solution")
-    if full_output:
-        return h, PicardInfo(tuple(distances), gap, gap_bound)
     return h
 
 

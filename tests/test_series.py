@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -21,6 +22,7 @@ from lensshrinker.series import (CERT_MARGIN, R_STAR, _cauchy,
 
 SQRT2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
+C_R1, K_R1 = regime_constants(1.0)
 
 
 def apply_G(g: EvenSeries) -> EvenSeries:
@@ -394,42 +396,69 @@ def test_picard_circle_coefficients():
     assert h.coefficient(6) == pytest.approx(-SQRT2 / 128.0, rel=1e-12)
 
 
-def test_picard_first_iterate_is_minus_aJ():
-    a = 0.25
-    _, info = picard_analytic(a, 1.0, full_output=True)
-    J = j_function(64)
-    # the first iterate distance is exactly || -aJ - 0 ||_r
-    assert info.distances[0] == pytest.approx(a * weighted_norm(J, 1.0),
-                                              rel=1e-14)
-
-
-def test_picard_contraction_observed():
-    a, r = 0.5, 0.5
-    h, info = picard_analytic(a, r, full_output=True)
-    L = derive_contraction_constants(a, r).L
-    d = info.distances
-    for d_prev, d_next in zip(d[:-1], d[1:]):
-        if d_prev == 0.0:
-            continue
-        assert d_next <= L * d_prev * (1.0 + 1e-9) + 1e-18
-
-
 def test_picard_linear_gap_bound_holds():
-    _, info = picard_analytic(0.2, 1.0, full_output=True)
-    assert info.linear_gap <= info.linear_gap_bound * (1.0 + 1e-9)
+    a, r = 0.2, 1.0
+    h = picard_analytic(a, r)
+    L = derive_contraction_constants(a, r).L
+    gap_bound = L * a * r * math.exp(r * r / 2.0) / (2.0 * (1.0 - L))
+    assert weighted_norm(h + a * j_function(h.order), r) <= gap_bound
 
 
-def test_picard_order_is_the_first_doubling_with_tail_below_eps_a():
+def test_picard_order_is_the_first_with_tail_below_eps_a():
     heights = [float(a) for a in np.geomspace(0.005, SQRT2, 11)] + [A_STAR]
-    for a in heights:
-        h = picard_analytic(a, R_STAR)
-        assert h.order == 8
-        assert series_tail_ratio(h, R_STAR) <= EPS * a
-    a = 0.01
-    h = picard_analytic(a, 1.0)
-    assert h.order == 32
-    assert series_tail_ratio(h, 1.0) <= EPS * a
-    assert series_tail_ratio(h.truncated(16), 1.0) > EPS * a
+    cases = [(a, R_STAR) for a in heights] + [(0.01, 1.0)]
+    for a, r in cases:
+        h = picard_analytic(a, r)
+        assert series_tail_ratio(h, r) <= EPS * a
+        assert series_tail_ratio(h.truncated(h.order - 2), r) > EPS * a
+
+
+# heights in [1e-3, sqrt(2)] and 1e-160, at R_STAR and, where it is
+# certified (a below ~0.27), at r = 1
+_FIXED_POINT_CASES = [
+    (a, r) for r in (R_STAR, 1.0)
+    for a in [*np.geomspace(1e-3, SQRT2, 10).tolist(), 1e-160]
+    if r == R_STAR or a < C_R1 * K_R1]
+
+
+@pytest.mark.parametrize("a, r", _FIXED_POINT_CASES)
+def test_picard_is_the_exact_truncated_fixed_point(a, r):
+    h = picard_analytic(a, r)
+    image = invert_L(nonlinear_Q(h, a).truncated(h.order - 2))
+    assert image.coeffs.tobytes() == h.coeffs.tobytes()
+
+
+def taylor_by_mpmath(a, order):
+    """Taylor coefficients b_0..b_order of the profile f = a + h at the
+    axis, to 50 digits, from the graph equation
+
+        x f'' = (1 + f'^2) (x^2 f' - x f - f'),    f(0) = a, f'(0) = 0:
+
+    its x^m coefficient reads (m+1)^2 b_{m+1} = [x^m] (x^2 f' - x f
+    + f'^2 (x^2 f' - x f - f')), whose right side needs b_0..b_m only."""
+    with mpmath.workdps(50):
+        b = [mpmath.mpf(a)]
+        for m in range(order):
+            fp = [(j + 1) * b[j + 1] for j in range(m)]      # f' to x^(m-1)
+            g = [(fp[j - 2] if j >= 2 else 0) - (b[j - 1] if j >= 1 else 0)
+                 - fp[j] for j in range(m - 1)]              # to x^(m-2)
+            # f'^2 to x^m; f'(0) = 0 drops the terms i = 0 and i = k
+            fp2 = [mpmath.fsum(fp[i] * fp[k - i] for i in range(1, k))
+                   for k in range(m + 1)]
+            rhs = (fp[m - 2] if m >= 2 else 0) - (b[m - 1] if m >= 1 else 0)
+            rhs += mpmath.fsum(fp2[k] * g[m - k] for k in range(2, m + 1))
+            b.append(rhs / (m + 1) ** 2)
+        return b
+
+
+@pytest.mark.parametrize("a, r", _FIXED_POINT_CASES)
+def test_picard_matches_a_50_digit_taylor_recursion(a, r):
+    h = picard_analytic(a, r)
+    b = taylor_by_mpmath(a, h.order)
+    assert all(b[n] == 0 for n in range(1, h.order + 1, 2))
+    for k in range(1, len(h.coeffs)):
+        ref = b[2 * k]
+        assert abs(h.coeffs[k] - ref) <= 1e-14 * abs(ref), (k, h.coeffs[k])
 
 
 def test_picard_small_height_cubic_law():
