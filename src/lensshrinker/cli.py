@@ -2,7 +2,7 @@
 
 Subcommands: ``solve`` (one profile), ``shoot`` (locate the junction
 height), ``table`` (sample the angle map), ``mesh`` (export the cluster
-geometry), ``verify`` (run the invariant suite).  Each takes one accuracy
+geometry), ``verify`` (run the acceptance gate).  Each takes one accuracy
 option, ``--ode-tol`` (the rtol and atol of every profile solve); the
 series and crossing tolerances are constants.  Every JSON output embeds
 the configuration that produced it, so outputs are reproducible bit for
@@ -133,7 +133,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     previous = out / f"profile_{tag}.json"
     if previous.exists():
         with open(previous, encoding="utf-8") as fh:
-            other = json.load(fh).get("config", {}).get("a")
+            other = json.load(fh)  # not a solve's file: another run's
+        other = other.get("config") if isinstance(other, dict) else None
+        other = other.get("a") if isinstance(other, dict) else None
         if other != a:
             raise ValueError(f"{previous} holds the solve at a = {other!r}, "
                              f"not at a = {a!r}; use another --output-dir")
@@ -204,7 +206,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = {"results": [{"name": r.name, "pass": r.passed,
                             "detail": r.detail} for r in results]}
     n_fail = sum(1 for r in results if not r.passed)
-    _say(cfg, payload, f"{len(results) - n_fail}/{len(results)} checks passed")
+    _say(cfg, payload, f"{len(results) - n_fail}/{len(results)} criteria passed")
     return EXIT_OK if n_fail == 0 else EXIT_MONITOR
 
 
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 3x the junction radius)")
     p.add_argument("--tol-a", type=float, default=DEFAULT_TOL_A)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+    p = sub.add_parser("verify", help="run the acceptance gate")
     common(p)
     return ap
 

@@ -1,180 +1,40 @@
-"""Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance gate: one test per criterion of ``lensshrinker.checks``, each
+printing its PASS/FAIL line; ``lensshrinker verify`` runs the same code.
 
-Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
-measured numbers).  Tolerances are pinned here and nowhere else.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the measured
+numbers.  The tolerances live in ``checks``; this module pins the contract
+values, so that a loosened bound shows up here, and the runtime budgets,
+which stay out of ``verify``'s output.
 """
 
-import math
 import time
 
-import numpy as np
-
-from lensshrinker import (ContractionConstants, EvenSeries, angle_of, apply_L,
-                          build_cluster, contraction_certificate,
-                          eta_coefficients, find_lens, find_x0, invert_L,
-                          j_function, picard_analytic, picard_c2_oracle,
-                          weighted_norm)
-from lensshrinker.arclength import curvature_arrays
-from lensshrinker.cluster import SHEET_ANNULUS, mesh_checks
-from lensshrinker.series import R_STAR
+from lensshrinker import checks
 from lensshrinker.shooting import PipelineConfig
 
-SQRT2 = math.sqrt(2.0)
-MONITOR_TOL = -1e-9
+BUDGET_S = {checks.criterion_1_circle_regression: 1.0,
+            checks.criterion_2_junction_located: 30.0,
+            checks.criterion_3_small_height_asymptotics: 5.0}
 
 
-def report(criterion: str, passed: bool, detail: str) -> None:
-    print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
-    assert passed, f"{criterion}: {detail}"
+def test_contract_values():
+    assert (checks.CIRCLE_TOL, checks.JUNCTION_TOL, checks.CURVATURE_TOL,
+            checks.MONITOR_SLACK_TOL, checks.ORACLE_TOL) \
+        == (1e-8, 1e-9, 1e-8, -1e-9, 1e-8)
 
 
-def test_criterion_1_circle_regression():
-    t0 = time.perf_counter()
-    alpha, profile = angle_of(SQRT2)
-    elapsed = time.perf_counter() - t0
-    s_bar_err = abs(profile.s_bar - math.pi / SQRT2)
-    angle_err = abs(alpha + math.pi / 2.0)
-    dev = float(np.max(np.hypot(
-        profile.u - SQRT2 * np.sin(profile.s / SQRT2),
-        profile.v - SQRT2 * np.cos(profile.s / SQRT2))))
-    ok = (s_bar_err < 1e-8 and angle_err < 1e-8 * math.pi / 180.0
-          and dev < 1e-8 and elapsed < 1.0)
-    report("criterion 1 (circle regression)", ok,
-           f"|s_bar - pi/sqrt2|={s_bar_err:.2e}, |alpha + pi/2|={angle_err:.2e} rad, "
-           f"max deviation={dev:.2e}, runtime={elapsed:.2f}s")
+def _gate(criterion):
+    def test():
+        t0 = time.perf_counter()
+        result = criterion(PipelineConfig())
+        elapsed = time.perf_counter() - t0
+        print(f"{result.line()}, runtime={elapsed:.2f}s")
+        assert result.passed, result.line()
+        assert elapsed < BUDGET_S.get(criterion, float("inf"))
+    return test
 
 
-def test_criterion_2_junction_located():
-    t0 = time.perf_counter()
-    rep = find_lens()
-    rep_tight = find_lens(cfg=PipelineConfig().tightened(10.0))
-    elapsed = time.perf_counter() - t0
-    p = rep.profile
-    up_err = abs(float(p.up[-1]) - 0.5)
-    vp_err = abs(float(p.vp[-1]) + math.sqrt(3.0) / 2.0)
-    drift = abs(rep_tight.a_star - rep.a_star)
-    worst = min(p.monitors.values())
-    ok = (0.0 < rep.a_star < SQRT2 and up_err < 1e-9 and vp_err < 1e-9
-          and worst >= MONITOR_TOL and drift < 1e-7 and elapsed < 30.0)
-    report("criterion 2 (junction height found)", ok,
-           f"a*={rep.a_star:.12f}, |u'-1/2|={up_err:.2e}, "
-           f"|v'+sqrt3/2|={vp_err:.2e}, refinement drift={drift:.2e}, "
-           f"worst monitor slack={worst:.2e}, runtime={elapsed:.1f}s")
-
-
-def test_criterion_3_small_height_asymptotics():
-    t0 = time.perf_counter()
-    x0 = find_x0()
-    gaps = {}
-    alphas = {}
-    for a in (0.01, 0.005):
-        alpha, profile = angle_of(a)
-        gaps[a] = abs(profile.xi - x0)
-        alphas[a] = abs(alpha)
-    elapsed = time.perf_counter() - t0
-    ok = (max(gaps.values()) < 0.05 and alphas[0.005] < alphas[0.01]
-          and elapsed < 5.0)
-    report("criterion 3 (small-height asymptotics)", ok,
-           f"x0={x0:.6f}, |xi-x0|={gaps[0.01]:.2e}/{gaps[0.005]:.2e}, "
-           f"|alpha|={alphas[0.01]:.4f}>{alphas[0.005]:.4f}, "
-           f"runtime={elapsed:.2f}s")
-
-
-def test_criterion_4_curvature_identities(profiles, lens_report):
-    worst_int = worst_var = 0.0
-    axis_err = 0.0
-    suite = [p for _, p in profiles.values()] + [lens_report.profile]
-    for p in suite:
-        k_alg, k_var, k_int = curvature_arrays(p)
-        worst_int = max(worst_int, float(np.max(np.abs(k_alg - k_int))))
-        worst_var = max(worst_var, float(np.max(np.abs(k_alg - k_var))))
-        h = picard_analytic(p.a, R_STAR)
-        axis_err = max(axis_err, abs(h.deriv2(0.0) + p.a / 2.0))
-    ok = worst_int < 1e-8 and worst_var < 1e-8 and axis_err < 1e-8
-    report("criterion 4 (curvature identity suite)", ok,
-           f"max|k_alg-k_int|={worst_int:.2e}, max|k_alg-k_var|={worst_var:.2e}, "
-           f"|k(0+) + a/2|={axis_err:.2e}")
-
-
-def test_criterion_5_inequality_monitors(profiles):
-    worst = math.inf
-    worst_residual = 0.0
-    for a, (_, p) in profiles.items():
-        worst = min(worst, min(p.monitors.values()))
-        worst_residual = max(worst_residual,
-                             1e-8 - p.monitors["shrinker_residual"])
-    ok = worst >= MONITOR_TOL and worst_residual < 1e-8
-    report("criterion 5 (inequality monitors)", ok,
-           f"worst slack={worst:.2e} over heights (0.1, 0.5, 1, sqrt2); "
-           f"max shrinker residual={worst_residual:.2e}")
-
-
-def test_criterion_6_operator_suite():
-    rng = np.random.default_rng(42)
-    worst_roundtrip = 0.0
-    for _ in range(100):
-        g = EvenSeries(rng.standard_normal(21))
-        back = apply_L(invert_L(g))
-        scale = max(1.0, float(np.max(np.abs(g.coeffs))))
-        worst_roundtrip = max(worst_roundtrip, float(
-            np.max(np.abs(back.coeffs - g.coeffs))) / scale)
-
-    eta = eta_coefficients(60)
-    J = j_function(60)
-    kernel_err = float(np.max(np.abs(apply_L(eta).coeffs)))
-    lj = apply_L(J).coeffs
-    unit_err = float(abs(lj[0] - 1.0) + np.max(np.abs(lj[1:])))
-    norm_ok = all(weighted_norm(J, r) <= 0.5 * r * math.exp(r * r / 2.0)
-                  for r in (0.5, 1.0, 2.0))
-
-    cert = contraction_certificate(ContractionConstants(
-        SQRT2, 1.0 / (36.0 * SQRT2), 6.0 * SQRT2, 0.5, "C2"))
-
-    ratios = []
-    for a in (0.01, 0.02, 0.05, 0.1):
-        h = picard_analytic(a, 1.0)
-        ratios.append(weighted_norm(h + a * j_function(h.order), 1.0) / a**3)
-    cubic_ok = max(ratios) < 0.1 and max(ratios) / min(ratios) < 2.0
-
-    ok = (worst_roundtrip < 1e-13 and kernel_err < 1e-13 and unit_err < 1e-13
-          and norm_ok and cert.certified and cubic_ok)
-    report("criterion 6 (operator and series suite)", ok,
-           f"roundtrip={worst_roundtrip:.2e}, |L eta|={kernel_err:.2e}, "
-           f"|L J - 1|={unit_err:.2e}, J norm bound={norm_ok}, "
-           f"certificate={cert.certified}, cubic ratios="
-           f"[{min(ratios):.4f},{max(ratios):.4f}]")
-
-
-def test_criterion_7_cross_oracle():
-    worst_sup = 0.0
-    for a in (0.5, 1.0, SQRT2):
-        samples = picard_c2_oracle(a, R_STAR)
-        h = picard_analytic(a, R_STAR)
-        xs = np.array([p.x for p in samples])
-        sup = float(np.max(np.abs(
-            np.array([p.f - a for p in samples]) - h(xs))))
-        worst_sup = max(worst_sup, sup)
-
-    worst_quotient = 0.0
-    pairs = [(0.5, 1.0), (1.0, SQRT2), (0.2, 0.7)]
-    for a1, a2 in pairs:
-        s1 = picard_c2_oracle(a1, R_STAR, grid=65)
-        s2 = picard_c2_oracle(a2, R_STAR, grid=65)
-        gap = max(abs(p.fpp - q.fpp) for p, q in zip(s1, s2))
-        worst_quotient = max(worst_quotient, gap / abs(a1 - a2))
-
-    ok = worst_sup < 1e-8 and worst_quotient <= 37.0 / 12.0
-    report("criterion 7 (cross-oracle agreement)", ok,
-           f"sup|series - grid|={worst_sup:.2e}, "
-           f"Lipschitz quotient={worst_quotient:.4f} <= {37/12:.4f}")
-
-
-def test_criterion_8_mesh_validity(circle_profile):
-    mesh = build_cluster(circle_profile, n_theta=32, n_s=128, n_r=8)
-    results = {name: ok for name, ok, _ in mesh_checks(mesh)}
-    caps = np.unique(mesh.triangles[mesh.sheet_id != SHEET_ANNULUS])
-    radius_err = float(np.max(np.abs(
-        np.linalg.norm(mesh.vertices[caps], axis=1) - SQRT2)))
-    ok = all(results.values()) and radius_err < 1e-6
-    report("criterion 8 (mesh validity)", ok,
-           f"checks={results}, sphere radius error={radius_err:.2e}")
+# one test per criterion, named test_<criterion function>, so that each
+# criterion keeps its test id as criteria are added
+for _criterion in checks.CRITERIA:
+    globals()["test_" + _criterion.__name__] = _gate(_criterion)

@@ -73,6 +73,17 @@ def test_solve_refuses_to_overwrite_another_height(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
+@pytest.mark.parametrize("text", ['[]', '{"config": [1]}', '"x"'])
+def test_solve_refuses_a_foreign_json_file_at_its_tag(tmp_path, capsys, text):
+    previous = tmp_path / "profile_a0.9.json"
+    previous.write_text(text)
+    assert run(["solve", "--a", "0.9", "--output-dir", str(tmp_path)]) \
+        == EXIT_CONFIG
+    assert "use another --output-dir" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [previous.name]
+    assert previous.read_text() == text
+
+
 def test_solve_rejects_bad_height(tmp_path):
     assert run(["solve", "--a", "-1", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--a", "1.6", "--output-dir", str(tmp_path)]) == EXIT_CONFIG
@@ -418,24 +429,62 @@ def test_runconfig_roundtrip_defaults():
 
 def test_verify_shoot_bounds_the_defect_by_the_ode_tolerance():
     cfg = shooting.PipelineConfig(ode_tol=1e-10)
-    result = checks.check_junction_shoot(cfg)
+    result = checks.criterion_2_junction_located(cfg)
     assert result.passed, result.detail
     assert "(bound 1e-06)" in result.detail
 
 
 def test_verify_small_height_line_resolves_the_gap():
     # |xi - x0| is about 1e-5 at a = 0.01; a fixed-point format printed 0.0000
-    result = checks.check_small_height_crossing(shooting.PipelineConfig())
+    result = checks.criterion_3_small_height_asymptotics(shooting.PipelineConfig())
     assert result.passed, result.detail
-    gap = float(re.search(r"\|xi - x0\| up to (\S+),", result.detail)[1])
-    assert 0.0 < gap < 0.05
+    gaps = re.search(r"\|xi - x0\|=(\S+)/(\S+),", result.detail).groups()
+    assert all(0.0 < float(gap) < 0.05 for gap in gaps)
 
 
 def test_verify_exits_zero(capsys):
     assert run(["verify"]) == EXIT_OK
     text = capsys.readouterr().out
-    assert text.count("[PASS]") == 9
+    assert text.count("[PASS]") == 8
     assert "[FAIL]" not in text
+
+
+def test_verify_json_lists_the_criteria_in_order(capsys):
+    assert run(["verify", "--json"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["name"] for r in results] == [c.name for c in checks.CRITERIA]
+    assert [r["name"].split(" (")[0] for r in results] \
+        == [f"criterion {n}" for n in range(1, 9)]
+    assert all(r["pass"] for r in results)
+
+
+def test_verify_fails_the_circle_and_curvature_criteria_at_1e_8(capsys):
+    # the circle deviation (3.2e-8) and the curvature split (2.5e-7) pass
+    # 1e-8 no longer; every other criterion passes with margin
+    assert run(["verify", "--ode-tol", "1e-8"]) == EXIT_MONITOR
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("[FAIL]")]
+    assert [line.split(" (")[0] for line in fails] \
+        == ["[FAIL] criterion 1", "[FAIL] criterion 4"]
+
+
+@pytest.mark.parametrize("ode_tol", [1e-10, RTOL_FLOOR])
+def test_verify_passes_at_tighter_tolerances(capsys, ode_tol):
+    # at the floor the refinement drift compares the floor with itself
+    assert run(["verify", "--ode-tol", repr(ode_tol)]) == EXIT_OK
+    assert capsys.readouterr().out.count("[PASS]") == 8
+
+
+def test_verify_reports_a_raising_criterion_under_its_name(capsys,
+                                                           monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("oracle down")
+    monkeypatch.setattr(checks.se, "picard_c2_oracle", boom)
+    assert run(["verify"]) == EXIT_MONITOR
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] \
+        == ["[FAIL] criterion 7 (cross-oracle agreement): "
+            "RuntimeError: oracle down"]
 
 
 def _bench_module(name, monkeypatch):
