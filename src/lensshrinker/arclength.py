@@ -28,7 +28,9 @@ state at u = X_SEED and the quadratures over that segment.  From there one
 adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
 :mod:`lensshrinker.dop853`) runs to the first v = 0, located by root
 refinement on the dense output; the first passage of u through 1 is
-recorded as s_star.
+recorded as s_star.  The right-hand side ``arclength_rhs`` is written once
+as source, which DOP853 compiles inline into its stages and into the
+callable that its initial step calls.
 One function, :func:`monitor_slacks`, checks every monitored inequality on
 the computed states: the radial transversality floor, the outer annulus
 bound and the strict decrease of the polar angle (which certifies that the
@@ -101,15 +103,13 @@ class LensProfile:
     n_rejected: int
 
 
-def arclength_rhs(s, y):
-    """State (u, v, phi, i_phi, i_v); the angle-form ODE plus quadratures."""
-    u, v, phi, _, _ = y
-    c, sn = math.cos(phi), math.sin(phi)
-    e = math.exp(-0.5 * (u * u + v * v))
-    return [c, sn,
-            -sn / u + u * sn - v * c,
-            e * c * sn / u,
-            e * v]
+# state (u, v, phi, i_phi, i_v): the angle-form ODE plus the quadratures,
+# written once; dop853 evaluates this source inline in its stages
+arclength_rhs = dop853.rhs("s", "u v phi i_phi i_v", """
+    c = cos(phi)
+    sn = sin(phi)
+    e = exp(-0.5 * (u * u + v * v))
+""", ("c", "sn", "-sn / u + u * sn - v * c", "e * c * sn / u", "e * v"))
 
 
 def transversality_floor(a: float) -> float:

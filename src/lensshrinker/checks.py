@@ -5,8 +5,10 @@ monitor slack and the ODE defect bound, which come from arclength."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,11 +37,21 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
+def shared_solves() -> SimpleNamespace:
+    """angle_of(a, cfg) and find_lens(cfg) for one run of the gate, each
+    solved once per (a, cfg); both are deterministic, so sharing them
+    between criteria moves no verdict and no detail."""
+    return SimpleNamespace(
+        angle_of=functools.cache(lambda a, cfg: angle_of(a, cfg)),
+        find_lens=functools.cache(lambda cfg: find_lens(cfg=cfg)))
+
+
 def _criterion(name):
-    """Make fn(cfg) -> (passed, detail) a criterion cfg -> CheckResult."""
+    """Make fn(cfg, solves) -> (passed, detail) a criterion (cfg, solves)
+    -> CheckResult, with solves from shared_solves (a fresh one if None)."""
     def make(fn):
-        def criterion(cfg: PipelineConfig) -> CheckResult:
-            passed, detail = fn(cfg)
+        def criterion(cfg: PipelineConfig, solves=None) -> CheckResult:
+            passed, detail = fn(cfg, solves or shared_solves())
             return CheckResult(name, bool(passed), detail)
         criterion.name, criterion.__name__ = name, fn.__name__
         return criterion
@@ -47,8 +59,8 @@ def _criterion(name):
 
 
 @_criterion("criterion 1 (circle regression)")
-def criterion_1_circle_regression(cfg):
-    alpha, profile = angle_of(A_CIRCLE, cfg)
+def criterion_1_circle_regression(cfg, solves):
+    alpha, profile = solves.angle_of(A_CIRCLE, cfg)
     s_bar_err = abs(profile.s_bar - math.pi / A_CIRCLE)
     alpha_err = abs(alpha + math.pi / 2.0)
     dev = np.max(np.hypot(profile.u - A_CIRCLE * np.sin(profile.s / A_CIRCLE),
@@ -60,10 +72,11 @@ def criterion_1_circle_regression(cfg):
 
 
 @_criterion("criterion 2 (junction height found)")
-def criterion_2_junction_located(cfg):
-    report = find_lens(cfg=cfg)
+def criterion_2_junction_located(cfg, solves):
+    report = solves.find_lens(cfg)
     # at the floor no tighter solve exists, and the drift reads 0
-    tight = find_lens(cfg=replace(cfg, ode_tol=max(cfg.ode_tol / 10, RTOL_FLOOR)))
+    tight = solves.find_lens(
+        replace(cfg, ode_tol=max(cfg.ode_tol / 10, RTOL_FLOOR)))
     drift = abs(tight.a_star - report.a_star)
     profile = report.profile
     res_v = abs(float(profile.vp[-1]) + math.sqrt(3.0) / 2.0)
@@ -80,11 +93,11 @@ def criterion_2_junction_located(cfg):
 
 
 @_criterion("criterion 3 (small-height asymptotics)")
-def criterion_3_small_height_asymptotics(cfg):
+def criterion_3_small_height_asymptotics(cfg, solves):
     x0 = se.find_x0()
     gaps, alphas = [], []
     for a in (0.01, 0.005):
-        alpha, profile = angle_of(a, cfg)
+        alpha, profile = solves.angle_of(a, cfg)
         gaps.append(abs(profile.xi - x0))
         alphas.append(abs(alpha))
     ok = max(gaps) < 0.05 and alphas[1] < alphas[0]
@@ -93,8 +106,9 @@ def criterion_3_small_height_asymptotics(cfg):
 
 
 @_criterion("criterion 4 (curvature identity suite)")
-def criterion_4_curvature_identities(cfg):
-    suite = [angle_of(a, cfg)[1] for a in A_SUITE] + [find_lens(cfg=cfg).profile]
+def criterion_4_curvature_identities(cfg, solves):
+    suite = ([solves.angle_of(a, cfg)[1] for a in A_SUITE]
+             + [solves.find_lens(cfg).profile])
     worst_int = worst_var = axis_err = 0.0
     for p in suite:
         k_alg, k_var, k_int = curvature_arrays(p)
@@ -107,11 +121,11 @@ def criterion_4_curvature_identities(cfg):
 
 
 @_criterion("criterion 5 (inequality monitors)")
-def criterion_5_inequality_monitors(cfg):
+def criterion_5_inequality_monitors(cfg, solves):
     tightest = []  # (slack, monitor, a) of the tightest monitor per height
     defect = 0.0
     for a in A_SUITE:
-        _, profile = angle_of(a, cfg)
+        _, profile = solves.angle_of(a, cfg)
         tightest.append(min((v, k, a) for k, v in profile.monitors.items()))
         defect = max(defect, float(np.max(shrinker_residual(profile))))
     worst, name, worst_a = min(tightest)
@@ -122,7 +136,7 @@ def criterion_5_inequality_monitors(cfg):
 
 
 @_criterion("criterion 6 (operator and series suite)")
-def criterion_6_operator_suite(cfg):
+def criterion_6_operator_suite(cfg, solves):
     roundtrip = 0.0
     for c in np.random.default_rng(42).standard_normal((100, 21)):  # order 40
         back = se.apply_L(se.invert_L(se.EvenSeries(c))).coeffs
@@ -151,7 +165,7 @@ def criterion_6_operator_suite(cfg):
 
 
 @_criterion("criterion 7 (cross-oracle agreement)")
-def criterion_7_cross_oracle(cfg):
+def criterion_7_cross_oracle(cfg, solves):
     # picard_c2_oracle raises unless its C2 certificate (R = 6a, L = 1/2)
     # holds, so a = sqrt2 also checks that certificate at its largest a
     sup = 0.0
@@ -173,8 +187,8 @@ def criterion_7_cross_oracle(cfg):
 
 
 @_criterion("criterion 8 (mesh validity)")
-def criterion_8_mesh_validity(cfg):
-    _, profile = angle_of(A_CIRCLE, cfg)
+def criterion_8_mesh_validity(cfg, solves):
+    _, profile = solves.angle_of(A_CIRCLE, cfg)
     mesh = build_cluster(profile, n_theta=32, n_s=128, n_r=8)
     caps = np.unique(mesh.triangles[mesh.sheet_id != SHEET_ANNULUS])
     radius_err = float(np.max(np.abs(
@@ -192,11 +206,12 @@ CRITERIA = (criterion_1_circle_regression, criterion_2_junction_located,
 
 
 def run_all(cfg: PipelineConfig, verbose: bool = True) -> list[CheckResult]:
-    """Results of every criterion under cfg; a crash is a failed result."""
-    results = []
+    """Results of every criterion under cfg; a crash is a failed result.
+    The criteria share one shared_solves, so no height is solved twice."""
+    results, solves = [], shared_solves()
     for criterion in CRITERIA:
         try:
-            result = criterion(cfg)
+            result = criterion(cfg, solves)
         except Exception as exc:  # reported under the criterion's name
             result = CheckResult(criterion.name, False,
                                  f"{type(exc).__name__}: {exc}")

@@ -5,22 +5,29 @@ The tableau, step control, initial step and dense output follow
 scipy.integrate's DOP853 and ``brentq`` follows scipy.optimize.brentq (BSD-3,
 (c) Enthought, Inc. and the SciPy Developers), so the evaluation counts and
 the accepted and rejected steps are solve_ivp's.  No sum goes through BLAS.
-For each state length, straight-line code generated from the tableau forms
-the stage states, the new state, the two error vectors and the dense rows
-from Python floats: each sum runs over its tableau row's nonzero
-coefficients in index order, one rounded binary64 operation at a time, and
-each norm is a sum of squares in index order.  So the bits of a solve
-depend on IEEE arithmetic and on fun alone, and are the same whichever BLAS
-kernel numpy loads.  scipy's sums are BLAS dots, in another order, so its
-states differ from these in the last bits.  One Horner routine evaluates
-a step's dense output and its derivative, on numpy rows or on the one
-column of Python floats whose root Brent's method refines: the same bits.
+The right-hand side is written once as source (``rhs``): a few statements
+over named state components and the expressions of their rates.  For each
+such form, straight-line code generated from the tableau forms the stage
+states, evaluates the form's statements inline at every stage, and forms
+the new state, the two error vectors and the dense rows from Python
+floats: each sum runs over its tableau row's nonzero coefficients in index
+order, one rounded binary64 operation at a time, and each norm is a sum of
+squares in index order.  A component or the time that the form never reads
+is not formed at a stage, but the new state carries every component.  So
+the bits of a solve depend on IEEE arithmetic and on the form alone, and
+are the same whichever BLAS kernel numpy loads.  scipy's sums are BLAS
+dots, in another order, so its states differ from these in the last bits.
+One Horner routine evaluates a step's dense output and its derivative, on
+numpy rows or on the one column of Python floats whose root Brent's method
+refines: the same bits.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import textwrap
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -218,67 +225,131 @@ def _sum_of_squares(z, scale) -> float:
     return total
 
 
-def _generate(n: int, c=C, a=A, e5=E5, e3=E3, d=D):
-    """The functions ``step`` and ``dense`` of DOP853 with this tableau for
-    states of length n, as compiled straight-line Python.
+# a right-hand side as source: the time's name, the components' names, the
+# statements over them, each component's rate and (name, value) pairs that
+# the code reads besides the math module's names
+Form = namedtuple("Form", "time state body rates env")
 
-    step(fun, t, h, y, f) evaluates stages 1-12 from y and f = fun(t, y)
-    and returns (y_new, the stage-12 row, the E5 and E3 error vectors, all
-    13 stage rows as one flat tuple); dense(fun, t, h, y, K) evaluates
-    stages 13-15 from that tuple K and returns the dense rows h D K as four
-    lists.  Stage j's component i is the local k{j}_{i}; a row's sum runs
-    over its nonzero coefficients in index order, each written as the
-    literal repr() gives back exactly.
+_MATH = {name: getattr(math, name) for name in dir(math)
+         if not name.startswith("_")}
+
+
+def _compiled(src: str, form: Form, name: str) -> dict:
+    # exec the source with the math module's names and the form's env
+    namespace = {**_MATH, **dict(form.env)}
+    exec(compile(src, f"<dop853 {name}>", "exec"), namespace)
+    return namespace
+
+
+def _names(form: Form, load=False) -> set:
+    # the names in the form's statements and rates, or those it reads
+    tree = ast.parse(form.body + "\n" + "\n".join(form.rates))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and (not load or isinstance(node.ctx, ast.Load))}
+
+
+def rhs(time: str, state: str, body: str, rates, **env):
+    """The right-hand side y' = F(time, y) written once as source, compiled
+    to fun(t, y), which returns the rates as a list; ``fun.form`` holds the
+    source, from which integrate generates its stage code.
+
+    state names the components in order, separated by spaces; body is
+    statements over them and the time, and rates the expression of each
+    component's rate.  The code reads the math module's names (cos, exp,
+    ...) and the keyword arguments env.  A rate count other than the
+    state's, or a name that starts with an underscore, which the stage code
+    keeps for its own locals, raises ValueError.
     """
+    form = Form(time, tuple(state.split()), textwrap.dedent(body).strip(),
+                tuple(rates), tuple(sorted(env.items())))
+    names = {time, *form.state} | _names(form)
+    if len(form.rates) != len(form.state) or \
+            any(name.startswith("_") for name in names):
+        raise ValueError(f"need one rate per component of {form.state} and "
+                         f"no name that starts with an underscore")
+    src = (f"def fun({time}, _y):\n    {', '.join(form.state)}, = _y\n"
+           + textwrap.indent(form.body + "\n", "    ")
+           + f"    return [{', '.join(form.rates)}]\n")
+    fun = _compiled(src, form, "rhs")["fun"]
+    fun.form = form
+    return fun
+
+
+def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
+    """The functions ``step`` and ``dense`` of DOP853 with this tableau for
+    the right-hand side ``form``, as compiled straight-line Python.
+
+    step(t, h, y, f) evaluates stages 1-12 from y and f = F(t, y) and
+    returns (y_new, the stage-12 row, the E5 and E3 error vectors, all 13
+    stage rows as one flat tuple); dense(t, h, y, K) evaluates stages
+    13-15 from that tuple K and returns the dense rows h D K as one flat
+    list, row by row.  Each stage binds the components and the time that
+    the form reads to its stage state and time (stage 12 forms every
+    component, the new state), runs the form's statements and sets its
+    component i, the local _k{j}_{i}, to rate i.  A row's sum runs over its
+    nonzero coefficients in index order, each written as the literal
+    repr() gives back exactly.
+    """
+    n, read = len(form.state), _names(form, load=True)
+    body = textwrap.indent(form.body + "\n", "    ")
+
     def dot(row, i):
-        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(
+        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(
             row.tolist()) if w)
 
     def ks(*stages):
-        return "".join(f"k{j}_{i}, " for j in stages for i in range(n))
-
-    def state(s):
-        return ", ".join(f"y{i} + ({dot(a[s, :s], i)}) * h" for i in range(n))
+        return "".join(f"_k{j}_{i}, " for j in stages for i in range(n))
 
     def stage(s):
-        return f"    {ks(s)}= fun(t + {float(c[s])!r} * h, [{state(s)}])\n"
+        src = "".join(f"    {name} = _y{i} + ({dot(a[s, :s], i)}) * _h\n"
+                      for i, name in enumerate(form.state)
+                      if s == 12 or name in read)
+        if s == 12:
+            src += f"    _y_new = [{', '.join(form.state)}]\n"
+        if form.time in read:
+            src += f"    {form.time} = _t + {float(c[s])!r} * _h\n"
+        return src + body + "".join(f"    _k{s}_{i} = {rate}\n"
+                                    for i, rate in enumerate(form.rates))
 
     def sums(row, times=""):
-        return "[" + ", ".join(f"{times}({dot(row, i)})" for i in range(n)) + "]"
+        return ", ".join(f"{times}({dot(row, i)})" for i in range(n))
 
-    head = "    " + "".join(f"y{i}, " for i in range(n)) + "= y\n"
-    src = (f"def step(fun, t, h, y, f):\n{head}    {ks(0)}= f\n"
-           + "".join(stage(s) for s in range(1, 12))
-           + f"    y_new = [{state(12)}]\n"
-           + f"    {ks(12)}= fun(t + h, y_new)\n"
-           + f"    return y_new, [{ks(12)}], {sums(e5)}, {sums(e3)}, "
+    head = "    " + "".join(f"_y{i}, " for i in range(n)) + "= _y\n"
+    src = (f"def step(_t, _h, _y, _f):\n{head}    {ks(0)}= _f\n"
+           + "".join(stage(s) for s in range(1, 13))
+           + f"    return _y_new, [{ks(12)}], [{sums(e5)}], [{sums(e3)}], "
            + f"({ks(*range(13))})\n"
-           + f"def dense(fun, t, h, y, K):\n{head}    {ks(*range(13))}= K\n"
+           + f"def dense(_t, _h, _y, _K):\n{head}    {ks(*range(13))}= _K\n"
            + "".join(stage(s) for s in range(13, 16))
-           + f"    return [{', '.join(sums(row, 'h * ') for row in d)}]\n")
-    namespace = {}
-    exec(compile(src, f"<dop853 stages, n={n}>", "exec"), namespace)
+           + f"    return [{', '.join(sums(row, '_h * ') for row in d)}]\n")
+    namespace = _compiled(src, form, "stages")
     return namespace["step"], namespace["dense"]
 
 
 @functools.cache
-def _stage_code(n: int):
-    # the generated functions of the default tableau, once per state length
-    return _generate(n)
+def _stage_code(form: Form):
+    # the generated functions of the default tableau, once per form
+    return _generate(form)
 
 
 def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
               stop: int | None = None) -> Solution:
     """Integrate y' = fun(t, y) forward from t0 towards t_bound.
 
-    fun gets the state as a list of floats.  With a component ``stop``, the
-    solve ends with the first step over which y[stop] falls through 0, from
-    >= 0 at its start to <= 0 at its end; DenseOutput.root locates the zero.
-    tol is both the relative and the absolute tolerance of each step.  A
-    tol below 100 eps or not finite, a t_bound not beyond t0 or a stop
-    component outside the state raises ValueError; a step below ten float
-    spacings, or a NaN step, raises StepFailure.
+    fun is a right-hand side made by ``rhs``: the initial step calls it,
+    and each step evaluates its form inline in the generated stage code.
+    With a component ``stop``, the solve ends with the first step over which
+    y[stop] falls through 0, from >= 0 at its start to <= 0 at its end;
+    DenseOutput.root locates the zero.  tol is both the relative and the
+    absolute tolerance of each step.  A fun without a form raises
+    TypeError; a tol below 100 eps or not finite, a t_bound not beyond t0,
+    a y0 whose length is not the form's or a stop component outside the
+    state raises ValueError; a step below ten float spacings, or a NaN
+    step, raises StepFailure.
     """
+    form = getattr(fun, "form", None)
+    if not isinstance(form, Form):
+        raise TypeError("fun must be a right-hand side made by dop853.rhs")
     if not RTOL_FLOOR <= tol < math.inf:
         raise ValueError(f"need tol={tol} finite and at least the floor "
                          f"100 eps = {RTOL_FLOOR}")
@@ -286,6 +357,9 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
         raise ValueError(f"need t0={t0} < t_bound={t_bound}")
     t, y, tol = float(t0), np.asarray(y0, dtype=float).tolist(), float(tol)
     n = len(y)
+    if n != len(form.state):
+        raise ValueError(f"a state of length {n} for the components "
+                         f"{form.state}")
     if stop is not None and not 0 <= stop < n:
         raise ValueError(f"stop component {stop} outside a state of "
                          f"length {n}")
@@ -301,10 +375,11 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
         else (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_bound - t)
-    nfev = 2  # right-hand-side calls, counted where they are made
+    nfev = 2  # right-hand-side evaluations, counted where they are made
 
-    step, dense_rows = _stage_code(n)
-    ts, pieces = [t], []  # step starts and ends; (h, y_old, F) per step
+    step, dense_rows = _stage_code(form)
+    # step starts and ends, and per step h, y_old and the rows F, flat
+    ts, hs, y_old, F = [t], [], [], []
     n_rejected, stopped = 0, False
     while not stopped and t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -316,7 +391,7 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
             t_end = min(t + h_abs, t_bound)
             h = t_end - t
             h_abs = abs(h)
-            y_new, f_new, err5, err3, K = step(fun, t, h, y, f)
+            y_new, f_new, err5, err3, K = step(t, h, y, f)
             nfev += 12
             # max(|y_new|, |y|) is NaN if y_new is, as np.maximum would
             # be, and a NaN in y makes y_new NaN
@@ -331,13 +406,18 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
                 break
             h_abs *= max(MIN_FACTOR, grow)
             rejected, n_rejected = True, n_rejected + 1
-        F = hermite_rows(h, y, y_new, f, f_new) + dense_rows(fun, t, h, y, K)
+        for row in hermite_rows(h, y, y_new, f, f_new):
+            F += row
+        F += dense_rows(t, h, y, K)
         nfev += 3
-        pieces.append((h, y, F))
         ts.append(t_end)
+        hs.append(h)
+        y_old += y
         stopped = stop is not None and y[stop] >= 0 >= y_new[stop]
         # the last stage of a step is the first of the next
         t, y, f = t_end, y_new, f_new
 
-    dense = DenseOutput(np.array(ts), *map(np.array, zip(*pieces)))
+    dense = DenseOutput(np.array(ts), np.array(hs),
+                        np.array(y_old).reshape(-1, n),
+                        np.array(F).reshape(-1, 7, n))
     return Solution(dense, f0, np.array(y), stopped, nfev, n_rejected)

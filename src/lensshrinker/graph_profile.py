@@ -35,17 +35,24 @@ def _phi_prime(u, v, up, vp):
     return -vp / u + u * vp - v * up
 
 
+def _graph_states(profile: LensProfile) -> tuple[np.ndarray, ...]:
+    # (x, f, cos phi, sin phi) on the profile states with 0 < u < 1
+    m = (profile.u > 0.0) & (profile.u < 1.0)
+    return profile.u[m], profile.v[m], profile.up[m], profile.vp[m]
+
+
 def graph_view(profile: LensProfile) -> tuple[np.ndarray, ...]:
     """(x, f, f', f'') on the profile states with 0 < u < 1."""
-    m = (profile.u > 0.0) & (profile.u < 1.0)
-    x, f, up, vp = profile.u[m], profile.v[m], profile.up[m], profile.vp[m]
+    x, f, up, vp = _graph_states(profile)
     return x, f, vp / up, _phi_prime(x, f, up, vp) / up ** 3
 
 
 def graph_slacks(profile: LensProfile) -> dict:
-    """Pointwise slack, >= 0 where it holds, of each graph-view monitor."""
+    """Pointwise slack, >= 0 where it holds, of each graph-view monitor;
+    it reads x, f and f' only."""
     a = profile.a
-    x, f, fp, _ = graph_view(profile)
+    x, f, up, vp = _graph_states(profile)
+    fp = vp / up
     root = np.sqrt(1.0 - x * x)
     ratio = f / root
     return {

@@ -19,7 +19,8 @@ the fixed point of h -> invert_L(Q(h, a)), certified to contract on a norm
 ball via explicit inequalities on (a, r, R, L): contraction_certificate
 returns the slack of each (ball, Lipschitz, contraction factor) by name.
 The map is triangular in the coefficients, so picard_analytic computes the
-fixed point by one forward recursion, with no iteration.
+fixed point by one forward recursion in Python floats, with no iteration;
+nonlinear_Q, the whole map on a truncated series, is its reference.
 
 A second, independent C^2 construction of the same solution iterates
 h -> T^{-1} P(h, a) on a grid, where T h = h'' + h'/x is the radial Laplacian
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dop853 import brentq
+from .dop853 import EPS, brentq
 from .errors import CertificateFailure, NoContraction, NoConvergence
 
 # Safety margin absorbing floating-point rounding in certificate inequalities.
@@ -152,7 +153,7 @@ def weighted_norm(f: EvenSeries, r: float) -> float:
     """
     if not r > 0.0:
         raise ValueError("norm radius r must be positive")
-    c = f.coeffs
+    c = f.coeffs.tolist()
     total = abs(c[0]) / r
     for k in range(1, len(c)):
         n = 2 * k
@@ -190,10 +191,12 @@ def invert_L(g: EvenSeries) -> EvenSeries:
     return EvenSeries(h, g.radius)
 
 
+@functools.cache
 def j_function(order: int) -> EvenSeries:
     """The particular solution J = invert_L(1): apply_L(J) = 1, J(0) = J'(0)
     = 0, J''(0) = 1/2, and every coefficient of degree >= 2 is positive, so
-    J and all its derivatives increase on x > 0.
+    J and all its derivatives increase on x > 0.  Cached per order; the
+    series is immutable.
     """
     if order < 2 or order % 2:
         raise ValueError("order must be even and >= 2")
@@ -216,12 +219,15 @@ def series_tail_ratio(f: EvenSeries, x: float) -> float:
     two-step coefficient ratio rho of the kernel-type recursion; infinite
     when the ratio test is inconclusive at the truncation order.
     """
-    n = f.order
+    return _tail_ratio(float(f.coeffs[-1]), f.order, x)
+
+
+def _tail_ratio(last: float, n: int, x: float) -> float:
+    # series_tail_ratio of a series of order n whose last coefficient is last
     rho = x * x * (n - 1) / (n + 2) ** 2
     if rho >= 1.0:
         return math.inf
-    last = abs(f.coeffs[-1]) * x ** n
-    return last * rho / (1.0 - rho)
+    return abs(last) * x ** n * rho / (1.0 - rho)
 
 
 def find_x0() -> float:
@@ -385,8 +391,14 @@ def picard_analytic(a: float, r: float) -> EvenSeries:
         h_{k+1} = (Q_k(h_0..h_k) + (2k - 1) h_k) / (2k + 2)^2,
 
     gives the truncated fixed point exactly, one even degree at a time; the
-    first order whose tail estimate at r is at most eps * a is kept.  The
-    (a, r) pair must admit a certified contraction ball, whose constants
+    first order whose tail estimate at r is at most eps * a is kept.  Q_k
+    reads one new entry each of h', h'^2, h'^3 and h'^2 h, which running
+    lists of Python floats complete as the recursion goes: each entry adds
+    its terms in increasing index and Q_k its parts in nonlinear_Q's order,
+    so the coefficients are those of nonlinear_Q to the bit (the zero pads
+    that _cauchy adds change at most the sign of a zero, which Q_k's sum
+    from +0 drops), at a cost quadratic in the order.  The (a, r) pair
+    must admit a certified contraction ball, whose constants
     derive_contraction_constants picks; its L bounds the distance
     ||h + a J||_r of the fixed point from the linear solution.
 
@@ -395,16 +407,39 @@ def picard_analytic(a: float, r: float) -> EvenSeries:
     eps * a at MAX_SERIES_ORDER or the series leaves the certified ball.
     """
     constants = derive_contraction_constants(a, r)
-    h = EvenSeries([0.0], r)
+    c = [0.0]  # h_k at degree 2k
+    # complete entries: h' (d) and h'^3 (s3) at degree 2i + 1 and 2i + 3,
+    # h'^2 (s2) and h'^2 h (p) at degree 2i + 2
+    d, s2, s3, p = [], [], [], []
+
+    def entry(x, y, i):
+        # sum of x[j] y[i - j] over j = 0..i, in increasing j
+        total = x[0] * y[i]
+        for j in range(1, i + 1):
+            total += x[j] * y[i - j]
+        return total
+
     for k in range(MAX_SERIES_ORDER // 2):
-        q = nonlinear_Q(h, a).coeffs[k]
-        h = EvenSeries(np.r_[h.coeffs, (q + (2 * k - 1) * h.coeffs[k])
-                             / (2 * k + 2) ** 2], r)
-        if series_tail_ratio(h, r) <= np.finfo(float).eps * a:
+        q = -a
+        if k:
+            i = k - 1
+            d.append(2.0 * k * c[k])
+            s2.append(entry(d, d, i))
+            s3.append(entry(s2, d, i))
+            p.append(entry(s2, c, i))
+            q = 0.0
+            if k >= 2:
+                q += s3[k - 2]  # x h'^3
+            q -= s3[i]          # h'^3 / x
+            q -= a * s2[i]
+            q -= p[i]
+        c.append((q + (2 * k - 1) * c[k]) / (2 * k + 2) ** 2)
+        if _tail_ratio(c[-1], 2 * k + 2, r) <= EPS * a:
             break
     else:
         raise NoConvergence(f"series tail at r={r} stays above eps * a up to "
                             f"order {MAX_SERIES_ORDER} (a={a})")
+    h = EvenSeries(c, r)
     gap = weighted_norm(h + a * j_function(h.order), r)
     L = constants.L
     gap_bound = L * a * r * math.exp(r * r / 2.0) / (2.0 * (1.0 - L))

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lensshrinker import (MonitorViolation, angle_of, arclength, find_x0,
-                          integrate_profile, picard_analytic, polar_monitors)
+from lensshrinker import (MonitorViolation, angle_of, arclength, dop853,
+                          find_x0, integrate_profile, picard_analytic,
+                          polar_monitors)
 from lensshrinker.arclength import (DEFAULT_TOL, MONITOR_SLACK_TOL,
                                     annulus_log_halfwidth, curvature_arrays,
                                     monitor_slacks, profile_summary,
@@ -268,14 +269,12 @@ def test_shrinker_residual_small(a, profiles):
 
 
 def test_defect_fails_a_profile_with_a_wrong_rhs(monkeypatch, profiles):
-    # phi' off by 1e-6 passes every geometric monitor; only the defect sees it
-    rhs = arclength.arclength_rhs
-
-    def skewed(s, y):
-        f = rhs(s, y)
-        f[2] *= 1.0 + 1e-6
-        return f
-
+    # phi' off by 1e-6 passes every geometric monitor; only the defect sees
+    # it.  The skew goes into the source form, which the stage code inlines
+    form = arclength.arclength_rhs.form
+    rates = list(form.rates)
+    rates[2] = f"({rates[2]}) * (1.0 + 1e-6)"
+    skewed = dop853.rhs(form.time, " ".join(form.state), form.body, rates)
     monkeypatch.setattr(arclength, "arclength_rhs", skewed)
     with pytest.raises(MonitorViolation) as err:
         angle_of(1.0)

@@ -475,6 +475,27 @@ def test_verify_passes_at_tighter_tolerances(capsys, ode_tol):
     assert capsys.readouterr().out.count("[PASS]") == 8
 
 
+def test_verify_solves_each_height_once(monkeypatch):
+    # criteria 1, 4, 5 and 8 share the heights of A_SUITE and criteria 2
+    # and 4 the shoot: one run_all solves each (a, cfg) once, and each
+    # shoot once, where unshared it made 12 angle_of and 3 find_lens calls
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, args, tuple(kwargs.items())))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(checks, "angle_of", counted(checks.angle_of))
+    monkeypatch.setattr(checks, "find_lens", counted(checks.find_lens))
+    results = checks.run_all(shooting.PipelineConfig(), verbose=False)
+    assert all(r.passed for r in results)
+    names = [name for name, _, _ in calls]
+    assert (names.count("angle_of"), names.count("find_lens")) == (6, 2)
+    assert len(set(calls)) == len(calls)
+
+
 def test_verify_reports_a_raising_criterion_under_its_name(capsys,
                                                            monkeypatch):
     def boom(*args, **kwargs):

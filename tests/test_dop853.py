@@ -1,7 +1,9 @@
 """The in-repo DOP853 against scipy's solve_ivp as an independent reference."""
 
 import dataclasses
+import dis
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -35,6 +37,10 @@ EPS = np.finfo(float).eps
 STEP_RTOL = 1e-5
 EVENT_RTOL = 32 * EPS
 STATE_TOL = 1e-14
+
+# the test problems, as source
+DECAY = dop853.rhs("t", "y", "", ["-y"])
+OSCILLATOR = dop853.rhs("t", "y0 y1", "", ["y1", "-y0"])
 
 
 def _scipy_solve(profile, cfg):
@@ -86,16 +92,17 @@ def test_matches_scipy_dop853(a):
 
 
 def test_nfev_counts_every_rhs_call(monkeypatch):
-    calls = []
-    rhs = arclength.arclength_rhs
-
-    def counting_rhs(s, y):
-        calls.append(s)
-        return rhs(s, y)
-
-    monkeypatch.setattr(arclength, "arclength_rhs", counting_rhs)
+    # each evaluation of the angle form, by the callable or inline in the
+    # stage code, runs the form's statements once, so a statement added to
+    # them counts every evaluation made
+    ticks = itertools.count()
+    form = arclength.arclength_rhs.form
+    counting = dop853.rhs(form.time, " ".join(form.state),
+                          form.body + "\ntick()", form.rates,
+                          tick=ticks.__next__)
+    monkeypatch.setattr(arclength, "arclength_rhs", counting)
     _, p = angle_of(0.786004)
-    assert p.nfev == len(calls) > 0
+    assert p.nfev == next(ticks) > 0
     assert p.n_steps > 0 and p.n_rejected >= 0
     # the counters stay out of the reproducible summary
     assert set(profile_summary(p)) == {"a", "s_bar", "s_star", "xi_a",
@@ -172,7 +179,8 @@ def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
 
 def _reference_stages(fun, t, h, y, f):
     """dop853._generate's step and dense rows by loops over the tableau
-    arrays, each sum over its row's nonzero weights in index order."""
+    arrays, each sum over its row's nonzero weights in index order; every
+    stage forms every component and its time, and calls fun."""
     def dot(row, i):
         total = None
         for w, k in zip(row.tolist(), K):
@@ -186,54 +194,113 @@ def _reference_stages(fun, t, h, y, f):
         K.append(list(fun(t + dop853.C[s] * h, state)))
         if s == 12:
             y_new = state
-    rows = [[h * dot(w, i) for i in range(n)] for w in dop853.D]
+    rows = [h * dot(w, i) for w in dop853.D for i in range(n)]
     return (y_new, K[12], [dot(dop853.E5, i) for i in range(n)],
             [dot(dop853.E3, i) for i in range(n)], rows)
 
 
-def _generated_equals_reference(n, seed, **tableau):
-    # the generated functions of this tableau against the reference with
-    # the default one, on a seeded random step of a coupled nonlinear fun
-    def fun(t, y):
-        return [math.sin(t + yi) * (1 + i) + 0.5 * y[i - 1] * yi
-                for i, yi in enumerate(y)]
+def _test_rhs(n, reads_all):
+    """A coupled nonlinear right-hand side of n components x0, x1, ...: one
+    that reads t and every component, or one whose statement and rates
+    read neither t nor the last n // 2 components."""
+    names = " ".join(f"x{i}" for i in range(n))
+    if reads_all:
+        return dop853.rhs("t", names, "", [
+            f"sin(t + x{i}) * {1 + i} + 0.5 * x{(i - 1) % n} * x{i}"
+            for i in range(n)])
+    m = n - n // 2
+    return dop853.rhs("t", names, "w = 0.5 * x0", [
+        f"sin(x{i % m}) * {1 + i} + w * x{(i - 1) % m}"
+        for i in range(n)])
 
+
+def _generated_equals_reference(fun, seed, **tableau):
+    # the generated functions of this tableau against the reference with
+    # the default one, on a seeded random step
+    n = len(fun.form.state)
     rng = np.random.default_rng(seed)
     t, h, y = float(rng.random()), float(rng.random()), \
         rng.standard_normal(n).tolist()
     f = fun(t, y)
-    step, dense = dop853._generate(n, **tableau)
-    y_new, f_new, err5, err3, K = step(fun, t, h, y, f)
-    got = (y_new, f_new, err5, err3, dense(fun, t, h, y, K))
+    step, dense = dop853._generate(fun.form, **tableau)
+    y_new, f_new, err5, err3, K = step(t, h, y, f)
+    got = (y_new, f_new, err5, err3, dense(t, h, y, K))
     want = _reference_stages(fun, t, h, y, f)
     return repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_generated_stages_equal_the_loop_reference_bit_for_bit(n):
-    # repr spells every float exactly, so equal reprs are equal bits
-    for seed in range(20):
-        assert _generated_equals_reference(n, seed)
+    # repr spells every float exactly, so equal reprs are equal bits; the
+    # generated stages skip what the form leaves unread, the reference
+    # forms it all
+    for reads_all in (True, False):
+        fun = _test_rhs(n, reads_all)
+        for seed in range(20):
+            assert _generated_equals_reference(fun, seed)
 
 
 def test_a_coefficient_moved_by_one_ulp_fails_the_reference():
     # the negative control: the comparison sees a one-ulp change in one
-    # weight of stage 8, on every seeded step
+    # weight of stage 8, on every seeded step of either right-hand side
     a = dop853.A.copy()
-    a[8, 5] = np.nextafter(a[8, 5], math.inf)
-    for seed in range(20):
-        assert not _generated_equals_reference(5, seed, a=a)
+    a[8, 7] = np.nextafter(a[8, 7], math.inf)
+    for reads_all in (True, False):
+        fun = _test_rhs(5, reads_all)
+        for seed in range(20):
+            assert not _generated_equals_reference(fun, seed, a=a)
+
+
+def test_unread_components_and_time_are_not_formed():
+    # stages 1-11 and 13-15 bind only what the form reads; stage 12 binds
+    # every component, since the new state carries them all
+    step, dense = dop853._generate(_test_rhs(5, reads_all=False).form)
+
+    def stores(fn, name):
+        return sum(ins.opname == "STORE_FAST" and ins.argval == name
+                   for ins in dis.get_instructions(fn))
+
+    assert [stores(step, f"x{i}") for i in range(5)] == [12, 12, 12, 1, 1]
+    assert [stores(dense, f"x{i}") for i in range(5)] == [3, 3, 3, 0, 0]
+    assert stores(step, "t") == stores(dense, "t") == 0
+    step, _ = dop853._generate(_test_rhs(5, reads_all=True).form)
+    assert stores(step, "t") == 12
+
+
+def test_the_angle_form_is_one_source():
+    # the callable and the stage code compile the same statements
+    f = arclength.arclength_rhs
+    assert f.form.state == ("u", "v", "phi", "i_phi", "i_v")
+    y = [0.3, 0.7, -0.4, 0.1, 0.2]
+    c, sn = math.cos(-0.4), math.sin(-0.4)
+    e = math.exp(-0.5 * (0.3 * 0.3 + 0.7 * 0.7))
+    assert f(1.0, y) == [c, sn, -sn / 0.3 + 0.3 * sn - 0.7 * c,
+                         e * c * sn / 0.3, e * 0.7]
+
+
+def test_integrate_takes_only_a_source_form():
+    with pytest.raises(TypeError, match="dop853.rhs"):
+        dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0, tol=1e-10)
+    with pytest.raises(ValueError, match="length 2"):
+        dop853.integrate(DECAY, 0.0, [1.0, 2.0], 1.0, tol=1e-10)
+
+
+@pytest.mark.parametrize("state, body, rates", [
+    ("y", "", ["-y", "y"]), ("_y", "", ["-_y"]), ("y", "_w = y", ["-_w"])])
+def test_rhs_refuses_a_form_it_cannot_inline(state, body, rates):
+    # a rate per component; underscored names are the stage code's own
+    with pytest.raises(ValueError, match="underscore"):
+        dop853.rhs("t", state, body, rates)
 
 
 @pytest.mark.parametrize("tol", [1e-14, 99 * EPS, math.nan, math.inf, -1.0])
 def test_rejects_tolerances_outside_the_floor(tol):
     with pytest.raises(ValueError, match="floor"):
-        dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0, tol=tol)
+        dop853.integrate(DECAY, 0.0, [1.0], 1.0, tol=tol)
 
 
 def test_rtol_floor_is_admitted_and_tightened_100_fails_loudly():
-    sol = dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0,
-                           tol=dop853.RTOL_FLOOR)
+    sol = dop853.integrate(DECAY, 0.0, [1.0], 1.0, tol=dop853.RTOL_FLOOR)
     assert sol.dense(np.array([1.0]))[0, 0] == pytest.approx(math.exp(-1.0),
                                                              rel=1e-13)
     with pytest.raises(ValueError, match="floor"):
@@ -266,9 +333,7 @@ def test_event_roots_and_terminal_stop():
     # y = cos t: the solve ends with the step over which y falls through 0,
     # and DenseOutput.root finds pi/2 on it where solve_ivp's terminal event
     # stops; y' = -sin t falls through -1/2 at pi/6 on an earlier piece
-    def fun(t, y):
-        return [y[1], -y[0]]
-
+    fun = OSCILLATOR
     sol = dop853.integrate(fun, 0.0, [1.0, 0.0], 10.0, tol=1e-12, stop=0)
     d, last = sol.dense, len(sol.dense.h) - 1
     assert sol.stopped and d.y_old[last, 0] >= 0.0 >= sol.y[0]
@@ -298,9 +363,7 @@ def test_roots_in_one_step_match_solve_ivp():
     # estimate is zero); DenseOutput.root gives solve_ivp's crossing and
     # terminal event times to within the few ulps by which the stage sums
     # differ, and the crossing past the stop on the full step
-    def fun(t, y):
-        return [1.0, -1.0]
-
+    fun = dop853.rhs("t", "y0 y1", "", ["1.0", "-1.0"])
     sol = dop853.integrate(fun, 0.0, [0.0, 3.5], 10.0, tol=1e-12, stop=1)
     d, last = sol.dense, len(sol.dense.h) - 1
     assert sol.stopped and d.ts[last] < 2.5 and d.ts[-1] > 4.5
@@ -352,8 +415,8 @@ def test_root_and_derivative_read_the_one_horner():
 @pytest.mark.parametrize("component", [2, -1])
 def test_stop_component_outside_the_state_raises(component):
     with pytest.raises(ValueError, match="stop component"):
-        dop853.integrate(lambda t, y: [y[1], -y[0]], 0.0, [1.0, 0.0], 1.0,
-                         tol=1e-10, stop=component)
+        dop853.integrate(OSCILLATOR, 0.0, [1.0, 0.0], 1.0, tol=1e-10,
+                         stop=component)
 
 
 def test_matches_scipy_on_van_der_pol():
@@ -361,8 +424,7 @@ def test_matches_scipy_on_van_der_pol():
     # nfev and the steps equal solve_ivp's, and the step times and dense
     # output agree to twice the largest deviation measured under three
     # OpenBLAS kernels (2e-8 relative and 4.8e-13 on states up to 7.6)
-    def vdp(t, y):
-        return [y[1], 5.0 * (1 - y[0] ** 2) * y[1] - y[0]]
+    vdp = dop853.rhs("t", "x v", "", ["v", "5.0 * (1 - x ** 2) * v - x"])
 
     sol = dop853.integrate(vdp, 0.0, [2.0, 0.0], 20.0, tol=1e-9)
     ref = solve_ivp(vdp, (0.0, 20.0), [2.0, 0.0], method="DOP853",
@@ -378,22 +440,20 @@ def test_matches_scipy_on_van_der_pol():
 
 def test_step_failure_on_a_blow_up():
     with pytest.raises(StepFailure):
-        dop853.integrate(lambda t, y: [y[0] ** 2], 0.0, [1.0], 2.0,
-                         tol=1e-10)
+        dop853.integrate(dop853.rhs("t", "y", "", ["y ** 2"]), 0.0, [1.0],
+                         2.0, tol=1e-10)
 
 
 def test_step_failure_on_a_nan_state():
     # a NaN state makes the step size NaN, which h < min_step never catches
     with pytest.raises(StepFailure):
-        dop853.integrate(lambda t, y: [-y[0]], 0.0, [math.nan], 1.0,
-                         tol=1e-10)
+        dop853.integrate(DECAY, 0.0, [math.nan], 1.0, tol=1e-10)
 
 
 @pytest.mark.parametrize("t_bound", [0.0, -1.0, math.nan])
 def test_rejects_an_empty_interval(t_bound):
     with pytest.raises(ValueError, match="t_bound"):
-        dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], t_bound,
-                         tol=1e-10)
+        dop853.integrate(DECAY, 0.0, [1.0], t_bound, tol=1e-10)
 
 
 def test_dense_output_follows_the_circle_from_the_axis(circle_profile):
@@ -406,8 +466,7 @@ def test_dense_output_follows_the_circle_from_the_axis(circle_profile):
 
 
 def test_dense_derivative_is_the_rhs_at_step_ends_and_the_slope_inside():
-    def pendulum(t, y):
-        return [y[1], -math.sin(y[0])]
+    pendulum = dop853.rhs("t", "q p", "", ["p", "-sin(q)"])
 
     d = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, tol=1e-10).dense
     ends = d.ts[1:]  # each belongs to the step it ends

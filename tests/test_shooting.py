@@ -250,10 +250,10 @@ def test_forked_table_generates_the_stage_code_once_in_the_caller(
     log = tmp_path / "pids"
     generate = dop853._generate
 
-    def logged(n):
+    def logged(form):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return generate(n)
+        return generate(form)
 
     monkeypatch.setattr(dop853, "_generate", logged)
     dop853._stage_code.cache_clear()

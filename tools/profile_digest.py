@@ -1,6 +1,7 @@
 """Print one line per fixed height: the height, a digest of its profile, a
-digest of its axis series and a digest of its mesh's OBJ bytes, so that two
-checkouts can be compared bit for bit with ``diff``.
+digest of its axis series, a digest of its mesh's OBJ bytes and a digest of
+its axis series on the radius r = 1, so that two checkouts can be compared
+bit for bit with ``diff``.
 
     python3 tools/profile_digest.py > digest.txt
 
@@ -9,10 +10,14 @@ import path.  Each line holds the height's repr, the first 16 hex digits of
 the sha256 of every field of ``angle_of(a)``'s LensProfile but the series
 (its scalars and counters, its arrays, the dense output's ts, h, y_old and
 F, and the monitors sorted by name), of the sha256 of the series
-coefficients and of the sha256 of the OBJ that ``write_obj`` writes for
-``build_cluster(profile)`` at the default sizes.  A height that does not
-solve prints its exception's name in place of all three digests, and a
-profile whose mesh is refused prints it in place of the OBJ digest.  The
+coefficients, of the sha256 of the OBJ that ``write_obj`` writes for
+``build_cluster(profile)`` at the default sizes, and of the sha256 of the
+coefficients of ``picard_analytic(a, 1.0)``, the series that ``verify``'s
+criterion 6 reads.  A height that does not solve prints its exception's
+name in place of the first three digests, a profile whose mesh is refused
+prints it in place of the OBJ digest, and a height whose series is not
+certified at r = 1 (every height above ~0.27) prints it in place of the
+last.  The
 heights are 42 geometrically spaced from 0.005 to sqrt(2), then 1e-3,
 1e-6, 1e-160, 0.3349954407339448 and 0.4258777130659485.
 """
@@ -31,7 +36,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from lensshrinker import LensError, angle_of, build_cluster  # noqa: E402
+from lensshrinker import (LensError, angle_of, build_cluster,  # noqa: E402
+                          picard_analytic)
 from lensshrinker.cluster import write_obj  # noqa: E402
 
 HEIGHTS = [*np.geomspace(0.005, math.sqrt(2.0), 42).tolist(), 1e-3, 1e-6,
@@ -81,18 +87,27 @@ def obj_digest(profile, path: str) -> str:
         return _digest([fh.read()])
 
 
+def series_digest(a: float, r: float) -> str:
+    """sha256 prefix of the coefficients of picard_analytic(a, r), or the
+    exception's name if the series is refused."""
+    try:
+        return _digest([_bytes(picard_analytic(a, r).coeffs)])
+    except (LensError, ValueError) as exc:
+        return type(exc).__name__
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "lens.obj")
         for a in HEIGHTS:
             try:
                 profile = angle_of(a)[1]
+                digests = [profile_digest(profile),
+                           _digest([_bytes(profile.series.coeffs)]),
+                           obj_digest(profile, path)]
             except (LensError, ValueError) as exc:
-                print(repr(a), *[type(exc).__name__] * 3)
-                continue
-            print(repr(a), profile_digest(profile),
-                  _digest([_bytes(profile.series.coeffs)]),
-                  obj_digest(profile, path))
+                digests = [type(exc).__name__] * 3
+            print(repr(a), *digests, series_digest(a, 1.0))
 
 
 if __name__ == "__main__":
