@@ -28,9 +28,10 @@ state at u = X_SEED and the quadratures over that segment.  From there one
 adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
 :mod:`lensshrinker.dop853`) runs to the first v = 0, located by root
 refinement on the dense output; the first passage of u through 1 is
-recorded as s_star.  The right-hand side ``arclength_rhs`` is written once
-as source, which DOP853 compiles inline into its stages and into the
-callable that its initial step calls.
+recorded as s_star.  The right-hand side is written once as source,
+``ANGLE_FORM``, which the solve takes: DOP853 compiles it inline into its
+stages and into the callable of its initial step.  ``arclength_rhs`` is
+that source compiled to a callable for solvers that take one.
 One function, :func:`monitor_slacks`, checks every monitored inequality on
 the computed states: the radial transversality floor, the outer annulus
 bound and the strict decrease of the polar angle (which certifies that the
@@ -105,11 +106,13 @@ class LensProfile:
 
 # state (u, v, phi, i_phi, i_v): the angle-form ODE plus the quadratures,
 # written once; dop853 evaluates this source inline in its stages
-arclength_rhs = dop853.rhs("s", "u v phi i_phi i_v", """
+ANGLE_FORM = dop853.rhs("s", "u v phi i_phi i_v", """
     c = cos(phi)
     sn = sin(phi)
     e = exp(-0.5 * (u * u + v * v))
 """, ("c", "sn", "-sn / u + u * sn - v * c", "e * c * sn / u", "e * v"))
+# the same source as a callable fun(s, y), for solvers that take one
+arclength_rhs = dop853.function(ANGLE_FORM)
 
 
 def transversality_floor(a: float) -> float:
@@ -174,7 +177,7 @@ def integrate_profile(series: EvenSeries, a: float, *,
     s0, iphi0, iv0 = seed_quadratures(series, a, X_SEED)
     s_max = s0 + ARCLENGTH_HARD_CAP
 
-    sol = dop853.integrate(arclength_rhs, s0,
+    sol = dop853.integrate(ANGLE_FORM, s0,
                            [X_SEED, a + series(X_SEED),
                             math.atan(series.deriv(X_SEED)), iphi0, iv0],
                            s_max, tol=tol, stop=1)
@@ -240,7 +243,7 @@ def shrinker_residual(profile: LensProfile) -> np.ndarray:
     """Defect of the dense output at the stored states with u > 0: the max
     over (u, v, phi) of |y'(s) - F(y(s))|, with y' the exact derivative of
     each step's polynomial and F the angle form, written out apart from
-    arclength_rhs so that a wrong right-hand side shows.  Zero at step
+    ANGLE_FORM so that a wrong right-hand side shows.  Zero at step
     ends, where the dense rows interpolate F."""
     m = profile.u > 0.0
     u, v = profile.u[m], profile.v[m]

@@ -5,17 +5,19 @@ The tableau, step control, initial step and dense output follow
 scipy.integrate's DOP853 and ``brentq`` follows scipy.optimize.brentq (BSD-3,
 (c) Enthought, Inc. and the SciPy Developers), so the evaluation counts and
 the accepted and rejected steps are solve_ivp's.  No sum goes through BLAS.
-The right-hand side is written once as source (``rhs``): a few statements
-over named state components and the expressions of their rates.  For each
-such form, straight-line code generated from the tableau forms the stage
-states, evaluates the form's statements inline at every stage, and forms
-the new state, the two error vectors and the dense rows from Python
-floats: each sum runs over its tableau row's nonzero coefficients in index
-order, one rounded binary64 operation at a time, and each norm is a sum of
-squares in index order.  A component or the time that the form never reads
-is not formed at a stage, but the new state carries every component.  So
-the bits of a solve depend on IEEE arithmetic and on the form alone, and
-are the same whichever BLAS kernel numpy loads.  scipy's sums are BLAS
+The right-hand side is written once as source (``rhs``), a Form: a few
+statements over named state components and the expressions of their rates.
+integrate takes the form and makes every evaluation from it: ``function``
+compiles it to the callable of the initial step, and straight-line code
+generated from the tableau forms the stage states, evaluates the form's
+statements inline at every stage, and forms the new state, the two error
+vectors and the dense rows from Python floats: each sum runs over its
+tableau row's nonzero coefficients in index order, one rounded binary64
+operation at a time, and each norm is a sum of squares in index order.
+A component or the time that the form never reads is not formed at a
+stage, but the new state carries every component.  So the bits of a solve
+depend on IEEE arithmetic and on the form alone, and are the same
+whichever BLAS kernel numpy loads.  scipy's sums are BLAS
 dots, in another order, so its states differ from these in the last bits.
 One Horner routine evaluates a step's dense output and its derivative, on
 numpy rows or on the one column of Python floats whose root Brent's method
@@ -226,17 +228,16 @@ def _sum_of_squares(z, scale) -> float:
 
 
 # a right-hand side as source: the time's name, the components' names, the
-# statements over them, each component's rate and (name, value) pairs that
-# the code reads besides the math module's names
-Form = namedtuple("Form", "time state body rates env")
+# statements over them and each component's rate
+Form = namedtuple("Form", "time state body rates")
 
 _MATH = {name: getattr(math, name) for name in dir(math)
          if not name.startswith("_")}
 
 
-def _compiled(src: str, form: Form, name: str) -> dict:
-    # exec the source with the math module's names and the form's env
-    namespace = {**_MATH, **dict(form.env)}
+def _compiled(src: str, name: str) -> dict:
+    # exec the source with the math module's names
+    namespace = dict(_MATH)
     exec(compile(src, f"<dop853 {name}>", "exec"), namespace)
     return namespace
 
@@ -248,31 +249,36 @@ def _names(form: Form, load=False) -> set:
             and (not load or isinstance(node.ctx, ast.Load))}
 
 
-def rhs(time: str, state: str, body: str, rates, **env):
-    """The right-hand side y' = F(time, y) written once as source, compiled
-    to fun(t, y), which returns the rates as a list; ``fun.form`` holds the
-    source, from which integrate generates its stage code.
+def rhs(time: str, state: str, body: str, rates) -> Form:
+    """The right-hand side y' = F(time, y) written once as source: the Form
+    that integrate generates its stage code from and ``function`` compiles.
 
     state names the components in order, separated by spaces; body is
     statements over them and the time, and rates the expression of each
     component's rate.  The code reads the math module's names (cos, exp,
-    ...) and the keyword arguments env.  A rate count other than the
-    state's, or a name that starts with an underscore, which the stage code
-    keeps for its own locals, raises ValueError.
+    ...).  A rate count other than the state's, or a name that starts with
+    an underscore, which the stage code keeps for its own locals, raises
+    ValueError.
     """
     form = Form(time, tuple(state.split()), textwrap.dedent(body).strip(),
-                tuple(rates), tuple(sorted(env.items())))
+                tuple(rates))
     names = {time, *form.state} | _names(form)
     if len(form.rates) != len(form.state) or \
             any(name.startswith("_") for name in names):
         raise ValueError(f"need one rate per component of {form.state} and "
                          f"no name that starts with an underscore")
-    src = (f"def fun({time}, _y):\n    {', '.join(form.state)}, = _y\n"
+    return form
+
+
+@functools.cache
+def function(form: Form):
+    """The form compiled to fun(t, y), which returns the rates as a list:
+    what integrate's initial step evaluates, and what scipy's solve_ivp can
+    call."""
+    src = (f"def fun({form.time}, _y):\n    {', '.join(form.state)}, = _y\n"
            + textwrap.indent(form.body + "\n", "    ")
            + f"    return [{', '.join(form.rates)}]\n")
-    fun = _compiled(src, form, "rhs")["fun"]
-    fun.form = form
-    return fun
+    return _compiled(src, "rhs")["fun"]
 
 
 def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
@@ -322,7 +328,7 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
            + f"def dense(_t, _h, _y, _K):\n{head}    {ks(*range(13))}= _K\n"
            + "".join(stage(s) for s in range(13, 16))
            + f"    return [{', '.join(sums(row, '_h * ') for row in d)}]\n")
-    namespace = _compiled(src, form, "stages")
+    namespace = _compiled(src, "stages")
     return namespace["step"], namespace["dense"]
 
 
@@ -332,24 +338,24 @@ def _stage_code(form: Form):
     return _generate(form)
 
 
-def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
+def integrate(form: Form, t0: float, y0, t_bound: float, *, tol: float,
               stop: int | None = None) -> Solution:
-    """Integrate y' = fun(t, y) forward from t0 towards t_bound.
+    """Integrate y' = F(t, y) forward from t0 towards t_bound, for the
+    right-hand side F written as ``form`` by ``rhs``.
 
-    fun is a right-hand side made by ``rhs``: the initial step calls it,
-    and each step evaluates its form inline in the generated stage code.
-    With a component ``stop``, the solve ends with the first step over which
-    y[stop] falls through 0, from >= 0 at its start to <= 0 at its end;
-    DenseOutput.root locates the zero.  tol is both the relative and the
-    absolute tolerance of each step.  A fun without a form raises
-    TypeError; a tol below 100 eps or not finite, a t_bound not beyond t0,
-    a y0 whose length is not the form's or a stop component outside the
-    state raises ValueError; a step below ten float spacings, or a NaN
-    step, raises StepFailure.
+    The initial step evaluates ``function(form)`` and each step the same
+    statements inline in the generated stage code, so every evaluation
+    comes from the one source.  With a component ``stop``, the solve ends
+    with the first step over which y[stop] falls through 0, from >= 0 at
+    its start to <= 0 at its end; DenseOutput.root locates the zero.  tol
+    is both the relative and the absolute tolerance of each step.  A form
+    not made by ``rhs`` raises TypeError; a tol below 100 eps or not
+    finite, a t_bound not beyond t0, a y0 whose length is not the form's or
+    a stop component outside the state raises ValueError; a step below ten
+    float spacings, or a NaN step, raises StepFailure.
     """
-    form = getattr(fun, "form", None)
     if not isinstance(form, Form):
-        raise TypeError("fun must be a right-hand side made by dop853.rhs")
+        raise TypeError("need a right-hand side made by dop853.rhs")
     if not RTOL_FLOOR <= tol < math.inf:
         raise ValueError(f"need tol={tol} finite and at least the floor "
                          f"100 eps = {RTOL_FLOOR}")
@@ -363,6 +369,7 @@ def integrate(fun, t0: float, y0, t_bound: float, *, tol: float,
     if stop is not None and not 0 <= stop < n:
         raise ValueError(f"stop component {stop} outside a state of "
                          f"length {n}")
+    fun = function(form)
     f0 = np.asarray(fun(t, y), dtype=float)
     f = f0.tolist()
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)

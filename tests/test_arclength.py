@@ -271,11 +271,11 @@ def test_shrinker_residual_small(a, profiles):
 def test_defect_fails_a_profile_with_a_wrong_rhs(monkeypatch, profiles):
     # phi' off by 1e-6 passes every geometric monitor; only the defect sees
     # it.  The skew goes into the source form, which the stage code inlines
-    form = arclength.arclength_rhs.form
+    form = arclength.ANGLE_FORM
     rates = list(form.rates)
     rates[2] = f"({rates[2]}) * (1.0 + 1e-6)"
     skewed = dop853.rhs(form.time, " ".join(form.state), form.body, rates)
-    monkeypatch.setattr(arclength, "arclength_rhs", skewed)
+    monkeypatch.setattr(arclength, "ANGLE_FORM", skewed)
     with pytest.raises(MonitorViolation) as err:
         angle_of(1.0)
     message = str(err.value)

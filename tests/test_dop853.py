@@ -96,11 +96,11 @@ def test_nfev_counts_every_rhs_call(monkeypatch):
     # stage code, runs the form's statements once, so a statement added to
     # them counts every evaluation made
     ticks = itertools.count()
-    form = arclength.arclength_rhs.form
+    monkeypatch.setitem(dop853._MATH, "tick", ticks.__next__)
+    form = arclength.ANGLE_FORM
     counting = dop853.rhs(form.time, " ".join(form.state),
-                          form.body + "\ntick()", form.rates,
-                          tick=ticks.__next__)
-    monkeypatch.setattr(arclength, "arclength_rhs", counting)
+                          form.body + "\ntick()", form.rates)
+    monkeypatch.setattr(arclength, "ANGLE_FORM", counting)
     _, p = angle_of(0.786004)
     assert p.nfev == next(ticks) > 0
     assert p.n_steps > 0 and p.n_rejected >= 0
@@ -214,15 +214,15 @@ def _test_rhs(n, reads_all):
         for i in range(n)])
 
 
-def _generated_equals_reference(fun, seed, **tableau):
+def _generated_equals_reference(form, seed, **tableau):
     # the generated functions of this tableau against the reference with
     # the default one, on a seeded random step
-    n = len(fun.form.state)
+    n, fun = len(form.state), dop853.function(form)
     rng = np.random.default_rng(seed)
     t, h, y = float(rng.random()), float(rng.random()), \
         rng.standard_normal(n).tolist()
     f = fun(t, y)
-    step, dense = dop853._generate(fun.form, **tableau)
+    step, dense = dop853._generate(form, **tableau)
     y_new, f_new, err5, err3, K = step(t, h, y, f)
     got = (y_new, f_new, err5, err3, dense(t, h, y, K))
     want = _reference_stages(fun, t, h, y, f)
@@ -235,9 +235,9 @@ def test_generated_stages_equal_the_loop_reference_bit_for_bit(n):
     # generated stages skip what the form leaves unread, the reference
     # forms it all
     for reads_all in (True, False):
-        fun = _test_rhs(n, reads_all)
+        form = _test_rhs(n, reads_all)
         for seed in range(20):
-            assert _generated_equals_reference(fun, seed)
+            assert _generated_equals_reference(form, seed)
 
 
 def test_a_coefficient_moved_by_one_ulp_fails_the_reference():
@@ -246,15 +246,15 @@ def test_a_coefficient_moved_by_one_ulp_fails_the_reference():
     a = dop853.A.copy()
     a[8, 7] = np.nextafter(a[8, 7], math.inf)
     for reads_all in (True, False):
-        fun = _test_rhs(5, reads_all)
+        form = _test_rhs(5, reads_all)
         for seed in range(20):
-            assert not _generated_equals_reference(fun, seed, a=a)
+            assert not _generated_equals_reference(form, seed, a=a)
 
 
 def test_unread_components_and_time_are_not_formed():
     # stages 1-11 and 13-15 bind only what the form reads; stage 12 binds
     # every component, since the new state carries them all
-    step, dense = dop853._generate(_test_rhs(5, reads_all=False).form)
+    step, dense = dop853._generate(_test_rhs(5, reads_all=False))
 
     def stores(fn, name):
         return sum(ins.opname == "STORE_FAST" and ins.argval == name
@@ -263,14 +263,15 @@ def test_unread_components_and_time_are_not_formed():
     assert [stores(step, f"x{i}") for i in range(5)] == [12, 12, 12, 1, 1]
     assert [stores(dense, f"x{i}") for i in range(5)] == [3, 3, 3, 0, 0]
     assert stores(step, "t") == stores(dense, "t") == 0
-    step, _ = dop853._generate(_test_rhs(5, reads_all=True).form)
+    step, _ = dop853._generate(_test_rhs(5, reads_all=True))
     assert stores(step, "t") == 12
 
 
 def test_the_angle_form_is_one_source():
     # the callable and the stage code compile the same statements
     f = arclength.arclength_rhs
-    assert f.form.state == ("u", "v", "phi", "i_phi", "i_v")
+    assert f is dop853.function(arclength.ANGLE_FORM)
+    assert arclength.ANGLE_FORM.state == ("u", "v", "phi", "i_phi", "i_v")
     y = [0.3, 0.7, -0.4, 0.1, 0.2]
     c, sn = math.cos(-0.4), math.sin(-0.4)
     e = math.exp(-0.5 * (0.3 * 0.3 + 0.7 * 0.7))
@@ -281,6 +282,9 @@ def test_the_angle_form_is_one_source():
 def test_integrate_takes_only_a_source_form():
     with pytest.raises(TypeError, match="dop853.rhs"):
         dop853.integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0, tol=1e-10)
+    # nor a callable compiled from a form: the solve reads no callable
+    with pytest.raises(TypeError, match="dop853.rhs"):
+        dop853.integrate(dop853.function(DECAY), 0.0, [1.0], 1.0, tol=1e-10)
     with pytest.raises(ValueError, match="length 2"):
         dop853.integrate(DECAY, 0.0, [1.0, 2.0], 1.0, tol=1e-10)
 
@@ -333,8 +337,8 @@ def test_event_roots_and_terminal_stop():
     # y = cos t: the solve ends with the step over which y falls through 0,
     # and DenseOutput.root finds pi/2 on it where solve_ivp's terminal event
     # stops; y' = -sin t falls through -1/2 at pi/6 on an earlier piece
-    fun = OSCILLATOR
-    sol = dop853.integrate(fun, 0.0, [1.0, 0.0], 10.0, tol=1e-12, stop=0)
+    sol = dop853.integrate(OSCILLATOR, 0.0, [1.0, 0.0], 10.0, tol=1e-12,
+                           stop=0)
     d, last = sol.dense, len(sol.dense.h) - 1
     assert sol.stopped and d.y_old[last, 0] >= 0.0 >= sol.y[0]
     root = d.root(0, 0.0, last)
@@ -344,9 +348,9 @@ def test_event_roots_and_terminal_stop():
         return y[0]
 
     crossing.terminal, crossing.direction = True, -1
-    ref = solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-12, dense_output=True,
-                    events=[crossing])
+    ref = solve_ivp(dop853.function(OSCILLATOR), (0.0, 10.0), [1.0, 0.0],
+                    method="DOP853", rtol=1e-12, atol=1e-12,
+                    dense_output=True, events=[crossing])
     assert ref.status == 1 and len(ref.t) == len(d.ts)
     assert sol.nfev == ref.nfev
     assert abs(root - ref.t_events[0][0]) <= EVENT_RTOL * root
@@ -363,8 +367,8 @@ def test_roots_in_one_step_match_solve_ivp():
     # estimate is zero); DenseOutput.root gives solve_ivp's crossing and
     # terminal event times to within the few ulps by which the stage sums
     # differ, and the crossing past the stop on the full step
-    fun = dop853.rhs("t", "y0 y1", "", ["1.0", "-1.0"])
-    sol = dop853.integrate(fun, 0.0, [0.0, 3.5], 10.0, tol=1e-12, stop=1)
+    form = dop853.rhs("t", "y0 y1", "", ["1.0", "-1.0"])
+    sol = dop853.integrate(form, 0.0, [0.0, 3.5], 10.0, tol=1e-12, stop=1)
     d, last = sol.dense, len(sol.dense.h) - 1
     assert sol.stopped and d.ts[last] < 2.5 and d.ts[-1] > 4.5
 
@@ -378,8 +382,8 @@ def test_roots_in_one_step_match_solve_ivp():
         return y[1]
 
     stop.terminal, stop.direction = True, -1
-    ref = solve_ivp(fun, (0.0, 10.0), [0.0, 3.5], method="DOP853",
-                    rtol=1e-12, atol=1e-12, dense_output=True,
+    ref = solve_ivp(dop853.function(form), (0.0, 10.0), [0.0, 3.5],
+                    method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True,
                     events=[up_through(2.5), stop])
     assert sol.nfev == ref.nfev and len(ref.t) == len(d.ts)
     got = [d.root(0, 2.5, last), d.root(1, 0.0, last)]
@@ -427,8 +431,8 @@ def test_matches_scipy_on_van_der_pol():
     vdp = dop853.rhs("t", "x v", "", ["v", "5.0 * (1 - x ** 2) * v - x"])
 
     sol = dop853.integrate(vdp, 0.0, [2.0, 0.0], 20.0, tol=1e-9)
-    ref = solve_ivp(vdp, (0.0, 20.0), [2.0, 0.0], method="DOP853",
-                    rtol=1e-9, atol=1e-9, dense_output=True)
+    ref = solve_ivp(dop853.function(vdp), (0.0, 20.0), [2.0, 0.0],
+                    method="DOP853", rtol=1e-9, atol=1e-9, dense_output=True)
     d = sol.dense
     assert sol.n_rejected > 10 and sol.nfev == ref.nfev
     assert len(d.ts) == len(ref.t)
@@ -470,7 +474,8 @@ def test_dense_derivative_is_the_rhs_at_step_ends_and_the_slope_inside():
 
     d = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, tol=1e-10).dense
     ends = d.ts[1:]  # each belongs to the step it ends
-    f_ends = np.array([pendulum(t, y) for t, y in zip(ends, d(ends).T)]).T
+    fun = dop853.function(pendulum)
+    f_ends = np.array([fun(t, y) for t, y in zip(ends, d(ends).T)]).T
     assert np.max(np.abs(d.derivative(ends) - f_ends)) < 1e-14
     inside = d.ts[:-1] + 0.37 * d.h
     dt = 1e-5 * d.h
