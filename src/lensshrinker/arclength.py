@@ -28,7 +28,10 @@ state at u = X_SEED and the quadratures over that segment.  From there one
 adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
 :mod:`lensshrinker.dop853`) runs to the first v = 0, located by root
 refinement on the dense output; the first passage of u through 1 is
-recorded as s_star.  The right-hand side is written once as source,
+recorded as s_star.  The dense output, a cubic Hermite piece on the axis
+segment and then DOP853's pieces, is assembled once, and one evaluation of
+it gives every stored state and the derivative that the defect monitor
+reads.  The right-hand side is written once as source,
 ``ANGLE_FORM``, which the solve takes: DOP853 compiles it inline into its
 stages and into the callable of its initial step.  ``arclength_rhs`` is
 that source compiled to a callable for solvers that take one.
@@ -43,6 +46,7 @@ imply are not checked again.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -127,6 +131,15 @@ def annulus_log_halfwidth(a: float) -> float:
     return math.sqrt(1.0 - K * K) / K * math.pi / 2.0
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_rule(x_seed: float) -> tuple[np.ndarray, np.ndarray]:
+    # the 40-node Gauss-Legendre rule on [0, x_seed]; read-only, as the
+    # solves share it
+    t, w = gauss_legendre_composite(0.0, x_seed, 1, 40)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def seed_quadratures(h: EvenSeries, a: float,
                      x_seed: float) -> tuple[float, float, float]:
     """Initial (s, i_phi, i_v) from the series on [0, x_seed].
@@ -135,7 +148,7 @@ def seed_quadratures(h: EvenSeries, a: float,
     uses the even function h'(x)/x directly, so its removable singularity at
     the axis (limit -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
     """
-    t, w = gauss_legendre_composite(0.0, x_seed, 1, 40)
+    t, w = _seed_rule(x_seed)
     f = a + h(t)
     hp_over_x = h.deriv_over_x(t)
     fp = hp_over_x * t
@@ -176,48 +189,52 @@ def integrate_profile(series: EvenSeries, a: float, *,
                          f"certified radius {series.radius}")
     s0, iphi0, iv0 = seed_quadratures(series, a, X_SEED)
     s_max = s0 + ARCLENGTH_HARD_CAP
-
-    sol = dop853.integrate(ANGLE_FORM, s0,
-                           [X_SEED, a + series(X_SEED),
-                            math.atan(series.deriv(X_SEED)), iphi0, iv0],
-                           s_max, tol=tol, stop=1)
+    y_seed = [X_SEED, a + series(X_SEED), math.atan(series.deriv(X_SEED)),
+              iphi0, iv0]
+    sol = dop853.integrate(ANGLE_FORM, s0, y_seed, s_max, tol=tol, stop=1)
     if not sol.stopped:
         raise NoCrossing(f"no v=0 crossing before the arclength cap "
                          f"s_max={s_max} at a={a}")
-    d = sol.dense
-    s_bar = d.root(1, 0.0, len(d.h) - 1)
-    # s_star on the first piece over which u rises through 1, if before s_bar
-    u_ends = np.append(d.y_old[1:, 0], sol.y[0])
-    rises = np.flatnonzero((d.y_old[:, 0] <= 1.0) & (u_ends >= 1.0))
-    s_star = d.root(0, 1.0, rises[0]) if len(rises) else math.nan
+    # the axis segment [0, s0] as one cubic Hermite piece, then DOP853's;
+    # phi'(0) = h''(0)
+    y_axis = [0.0, a, 0.0, 0.0, 0.0]
+    k0, e0 = series.deriv2(0.0), math.exp(-0.5 * a * a)
+    axis = dop853.hermite_rows(s0, y_axis, y_seed,
+                               [1.0, 0.0, k0, e0 * k0, e0 * a], sol.f0)
+    dense = dop853.DenseOutput.of([0.0, *sol.ts], [s0, *sol.h],
+                                  y_axis + sol.y_old, axis + sol.F)
+    n_steps = len(sol.h)
+    s_bar = dense.root(1, 0.0, n_steps)
+    # s_star on the first step over which u rises through 1, if before
+    # s_bar; u_ends holds u at every step end
+    u_ends = [*sol.y_old[::len(y_axis)], sol.y[0]]
+    s_star = next((dense.root(0, 1.0, k + 1) for k in range(n_steps)
+                   if u_ends[k] <= 1.0 <= u_ends[k + 1]), math.nan)
     if not s_star < s_bar:
         s_star = math.nan
-    # the last piece cut at s_bar
-    d = dop853.DenseOutput(np.append(d.ts[:-1], s_bar), d.h, d.y_old, d.F)
+    # the last piece cut at s_bar, now that the roots have read its end
+    dense.ts[-1] = s_bar
+    ts = dense.ts[1:]
     frac = np.arange(DENSE_POINTS_PER_STEP + 1) / (DENSE_POINTS_PER_STEP + 1)
-    grid = (d.ts[:-1, None] + np.diff(d.ts)[:, None] * frac).ravel()
-    y_axis = np.array([0.0, a, 0.0, 0.0, 0.0])
-    u, v, phi, i_phi, i_v = np.column_stack([y_axis,
-                                             d(np.append(grid, s_bar))])
+    s = np.concatenate([[0.0], (ts[:-1, None] + np.diff(ts)[:, None]
+                                * frac).ravel(), [s_bar]])
+    # every stored state and its derivative from one pass over the pieces:
+    # the axis piece gives y_axis at 0 and y_seed at s0 exactly (its row 0
+    # is y_seed - y_axis, and v0 - a is exact, v0 being within a factor 2
+    # of a), and every later point falls on a piece of DOP853
+    k, p, dp = dense._horner_at(s)
+    u, v, phi, i_phi, i_v = (p + dense.y_old[k]).T
     v_residual = abs(float(v[-1]))
     if v_residual > EVENT_TOL:
         raise NoCrossing(f"crossing refinement left |v(s_bar)|={v_residual}")
-    # the axis segment [0, s0] as one cubic Hermite piece; phi'(0) = h''(0)
-    k0, e0 = series.deriv2(0.0), math.exp(-0.5 * a * a)
-    axis = np.zeros((7, len(y_axis)))
-    axis[:3] = dop853.hermite_rows(s0, y_axis, d.y_old[0],
-                                   [1.0, 0.0, k0, e0 * k0, e0 * a], sol.f0)
-    dense = dop853.DenseOutput(np.append(0.0, d.ts), np.append(s0, d.h),
-                               np.vstack([y_axis, d.y_old]),
-                               np.concatenate([axis[None], d.F]))
-    profile = LensProfile(a=a, s=np.concatenate([[0.0], grid, [s_bar]]),
-                          u=u, v=v, up=np.cos(phi), vp=np.sin(phi),
+    profile = LensProfile(a=a, s=s, u=u, v=v, up=np.cos(phi), vp=np.sin(phi),
                           i_phi=i_phi, i_v=i_v, s_bar=s_bar, s_star=s_star,
                           xi=float(u[-1]), alpha=float(phi[-1]),
                           v_residual=v_residual, monitors={}, series=series,
-                          dense=dense, nfev=sol.nfev, n_steps=len(d.h),
+                          dense=dense, nfev=sol.nfev, n_steps=n_steps,
                           n_rejected=sol.n_rejected)
-    profile = replace(profile, monitors=monitor_slacks(profile, tol))
+    defect = _defect(profile, (dp[:, :3] / dense.h[k][:, None]).T)
+    profile = replace(profile, monitors=monitor_slacks(profile, tol, defect))
     bad = {k: v for k, v in profile.monitors.items()
            if not v >= MONITOR_SLACK_TOL}
     if bad:
@@ -239,21 +256,29 @@ def curvature_arrays(profile: LensProfile) -> tuple[np.ndarray, np.ndarray, np.n
     return k_alg, k_var, k_int
 
 
+def _defect(profile: LensProfile, rates: np.ndarray) -> np.ndarray:
+    # shrinker_residual from the dense output's (u', v', phi') at every
+    # stored state
+    m = profile.u > 0.0
+    u, v = profile.u[m], profile.v[m]
+    c, sn = profile.up[m], profile.vp[m]  # (cos phi, sin phi)
+    du, dv, dphi = rates[:, m]
+    return np.max(np.abs([du - c, dv - sn,
+                          dphi - (-sn / u + u * sn - v * c)]), axis=0)
+
+
 def shrinker_residual(profile: LensProfile) -> np.ndarray:
     """Defect of the dense output at the stored states with u > 0: the max
     over (u, v, phi) of |y'(s) - F(y(s))|, with y' the exact derivative of
     each step's polynomial and F the angle form, written out apart from
     ANGLE_FORM so that a wrong right-hand side shows.  Zero at step
-    ends, where the dense rows interpolate F."""
-    m = profile.u > 0.0
-    u, v = profile.u[m], profile.v[m]
-    c, sn = profile.up[m], profile.vp[m]  # (cos phi, sin phi)
-    du, dv, dphi = profile.dense.derivative(profile.s[m])[:3]
-    return np.max(np.abs([du - c, dv - sn,
-                          dphi - (-sn / u + u * sn - v * c)]), axis=0)
+    ends, where the dense rows interpolate F.  integrate_profile forms the
+    same values from the rates of the pass that gives the states."""
+    return _defect(profile, profile.dense.derivative(profile.s)[:3])
 
 
-def monitor_slacks(profile: LensProfile, tol: float) -> dict:
+def monitor_slacks(profile: LensProfile, tol: float,
+                   defect: np.ndarray | None = None) -> dict:
     """Worst slack of each monitored inequality, the minimum of its slacks
     at the stored states; it holds where its slack is >= 0.  Pure report,
     never raises.
@@ -263,7 +288,8 @@ def monitor_slacks(profile: LensProfile, tol: float) -> dict:
     angle, which certifies injectivity; each theta is compared with every
     later one, so that rises below the tolerance cannot add up.
     ``shrinker_residual`` is DEFECT_PER_TOL * tol minus the ODE defect of
-    the dense output.  Graph: graph_profile.graph_slacks on the view
+    the dense output, shrinker_residual(profile) unless the caller passes
+    it as ``defect``.  Graph: graph_profile.graph_slacks on the view
     0 < u < 1, and before the crossing f' <= 0 from the seed on and
     phi' <= 0 after it.  Bounds these imply, f >= 0 among them, are not
     checked again (README, "How it works").
@@ -280,7 +306,8 @@ def monitor_slacks(profile: LensProfile, tol: float) -> dict:
         "annulus_upper": annulus_log_halfwidth(a) - np.log(rho),
         "theta_decreasing":
             theta[:-1] - np.maximum.accumulate(theta[:0:-1])[::-1],
-        "shrinker_residual": DEFECT_PER_TOL * tol - shrinker_residual(profile),
+        "shrinker_residual": DEFECT_PER_TOL * tol - (
+            shrinker_residual(profile) if defect is None else defect),
         **graph_profile.graph_slacks(profile),
         "graph_concavity": -graph_profile._phi_prime(*past_seed),
         "graph_slope_negative": -vp[1:-1] / up[1:-1],

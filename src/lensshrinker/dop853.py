@@ -11,7 +11,7 @@ integrate takes the form and makes every evaluation from it: ``function``
 compiles it to the callable of the initial step, and straight-line code
 generated from the tableau forms the stage states, evaluates the form's
 statements inline at every stage, and forms the new state, the two error
-vectors and the dense rows from Python floats: each sum runs over its
+norms and all seven dense rows from Python floats: each sum runs over its
 tableau row's nonzero coefficients in index order, one rounded binary64
 operation at a time, and each norm is a sum of squares in index order.
 A component or the time that the form never reads is not formed at a
@@ -19,9 +19,10 @@ stage, but the new state carries every component.  So the bits of a solve
 depend on IEEE arithmetic and on the form alone, and are the same
 whichever BLAS kernel numpy loads.  scipy's sums are BLAS
 dots, in another order, so its states differ from these in the last bits.
-One Horner routine evaluates a step's dense output and its derivative, on
-numpy rows or on the one column of Python floats whose root Brent's method
-refines: the same bits.
+One Horner routine, _horner, evaluates the dense output's states and
+their derivative together on numpy rows; the function whose root Brent's
+method refines is its value on one column, unrolled in the same operation
+order on Python floats: the same bits.
 """
 
 from __future__ import annotations
@@ -104,12 +105,14 @@ D = np.reshape([-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
 
 
 def hermite_rows(h, y_old, y_new, f_old, f_new) -> list:
-    """Dense-output rows 0-2 of the cubic Hermite interpolant, as lists;
-    its rows 3-6 are zero.  The arguments are float sequences, combined
-    element by element."""
+    """The 7 dense-output rows of the cubic Hermite interpolant as one flat
+    list, row by row, as DenseOutput.of takes a piece's rows; rows 3-6 are
+    zero.  The arguments are float sequences, combined element by element,
+    in the order of the rows that the generated ``dense`` writes."""
     d = [b - a for a, b in zip(y_old, y_new)]
-    return [d, [h * fo - di for fo, di in zip(f_old, d)],
-            [2 * di - h * (fn + fo) for di, fo, fn in zip(d, f_old, f_new)]]
+    return [*d, *(h * fo - di for fo, di in zip(f_old, d)),
+            *(2 * di - h * (fn + fo) for di, fo, fn in zip(d, f_old, f_new)),
+            *[0.0] * (4 * len(d))]
 
 
 def _horner(F, x):
@@ -138,6 +141,14 @@ class DenseOutput:
     y_old: np.ndarray  # (m, n)
     F: np.ndarray      # (m, 7, n)
 
+    @classmethod
+    def of(cls, ts, h, y_old, F) -> "DenseOutput":
+        """The pieces from flat float lists: ts, and per piece h, y_old and
+        the 7 rows of F, row by row."""
+        m = len(h)
+        return cls(np.array(ts), np.array(h), np.array(y_old).reshape(m, -1),
+                   np.array(F).reshape(m, 7, -1))
+
     def _horner_at(self, t):
         # piece index of each point of t, and _horner at its local x
         t = np.asarray(t, dtype=float)
@@ -156,18 +167,36 @@ class DenseOutput:
         k, _, dp = self._horner_at(t)
         return (dp / self.h[k][:, None]).T
 
+    def _offset(self, i: int, level: float, k: int):
+        # y[i] - level on piece k as a function of t: _horner's p unrolled,
+        # in its operation order and without the derivative
+        t, h = float(self.ts[k]), float(self.h[k])
+        y_old = float(self.y_old[k, i])
+        c0, c1, c2, c3, c4, c5, c6 = self.F[k, :, i].tolist()
+
+        def offset(r):
+            x = (r - t) / h
+            w = 1 - x
+            return ((((((((0.0 + c6) * x + c5) * w + c4) * x + c3) * w + c2)
+                     * x + c1) * w + c0) * x + y_old - level)
+        return offset
+
     def root(self, i: int, level: float, k: int) -> float:
         """Brent's root of y[i] - level on piece k, over [ts[k], ts[k+1]],
         where it must change sign; y[i] is __call__'s to the bit."""
-        t, h = float(self.ts[k]), float(self.h[k])
-        y_old, c = float(self.y_old[k, i]), self.F[k, :, i].tolist()
-        return brentq(lambda r: _horner(c, (r - t) / h)[0] + y_old - level,
-                      t, float(self.ts[k + 1]))
+        return brentq(self._offset(i, level, k), float(self.ts[k]),
+                      float(self.ts[k + 1]))
 
 
-# the dense output, fun(t0, y0), the state after the last step, whether the
-# stop component fell through 0, the work done
-Solution = namedtuple("Solution", "dense f0 y stopped nfev n_rejected")
+class Solution(namedtuple("Solution",
+                          "ts h y_old F f0 y stopped nfev n_rejected")):
+    """The pieces as DenseOutput.of takes them (flat float lists), fun(t0,
+    y0) and the state after the last step as lists, whether the stop
+    component fell through 0, and the work done."""
+
+    @property
+    def dense(self) -> DenseOutput:
+        return DenseOutput.of(self.ts, self.h, self.y_old, self.F)
 
 
 def brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
@@ -218,8 +247,9 @@ def brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
 
 
 def _sum_of_squares(z, scale) -> float:
-    # sum of (z_i / scale_i)^2 in index order; the builtin sum() is
-    # compensated from Python 3.12 on, so it would tie the bits to a version
+    # sum of (z_i / scale_i)^2 in index order, as the generated step forms
+    # its error norms; the builtin sum() is compensated from Python 3.12 on,
+    # so it would tie the bits to a version
     total = 0.0
     for zi, si in zip(z, scale):
         q = zi / si
@@ -285,16 +315,19 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
     """The functions ``step`` and ``dense`` of DOP853 with this tableau for
     the right-hand side ``form``, as compiled straight-line Python.
 
-    step(t, h, y, f) evaluates stages 1-12 from y and f = F(t, y) and
-    returns (y_new, the stage-12 row, the E5 and E3 error vectors, all 13
-    stage rows as one flat tuple); dense(t, h, y, K) evaluates stages
-    13-15 from that tuple K and returns the dense rows h D K as one flat
-    list, row by row.  Each stage binds the components and the time that
-    the form reads to its stage state and time (stage 12 forms every
-    component, the new state), runs the form's statements and sets its
-    component i, the local _k{j}_{i}, to rate i.  A row's sum runs over its
-    nonzero coefficients in index order, each written as the literal
-    repr() gives back exactly.
+    step(t, h, y, f, tol) evaluates stages 1-12 from y and f = F(t, y) and
+    returns (y_new, the stage-12 row, the E5 and E3 error norms, a flat
+    tuple K of y_new and all 13 stage rows): each norm is the sum of squares
+    of the error over scale = tol + max(|y_new|, |y|) tol, added in index
+    order from 0.0 as _sum_of_squares does; the scale is NaN if y_new is,
+    as np.maximum's would be, and a NaN in y makes y_new NaN.  dense(t, h,
+    y, K) evaluates stages 13-15 from K and returns the 7 dense rows as one
+    flat list, row by row: rows 0-2 those of hermite_rows, rows 3-6 h D K.
+    Each stage binds the components and the time that the form reads to its
+    stage state and time (stage 12 forms every component, the new state),
+    runs the form's statements and sets its component i, the local _k{j}_{i},
+    to rate i.  A row's sum runs over its nonzero coefficients in index
+    order, each written as the literal repr() gives back exactly.
     """
     n, read = len(form.state), _names(form, load=True)
     body = textwrap.indent(form.body + "\n", "    ")
@@ -303,31 +336,42 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
         return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(
             row.tolist()) if w)
 
-    def ks(*stages):
-        return "".join(f"_k{j}_{i}, " for j in stages for i in range(n))
+    def each(fmt, stages=(None,)):
+        # fmt for every stage j of stages and component i, each with ", "
+        return "".join(fmt.format(j=j, i=i) + ", " for j in stages
+                       for i in range(n))
 
     def stage(s):
         src = "".join(f"    {name} = _y{i} + ({dot(a[s, :s], i)}) * _h\n"
                       for i, name in enumerate(form.state)
                       if s == 12 or name in read)
-        if s == 12:
-            src += f"    _y_new = [{', '.join(form.state)}]\n"
+        if s == 12:  # the new state, and the error norms over its scale
+            src += f"    {each('_z{i}')}= {', '.join(form.state)},\n" \
+                "    _e5 = _e3 = 0.0\n" + "".join(
+                    f"    _s = _tol + max(abs(_z{i}), abs(_y{i})) * _tol\n"
+                    f"    _q = ({dot(e5, i)}) / _s\n    _e5 += _q * _q\n"
+                    f"    _q = ({dot(e3, i)}) / _s\n    _e3 += _q * _q\n"
+                    for i in range(n))
         if form.time in read:
             src += f"    {form.time} = _t + {float(c[s])!r} * _h\n"
         return src + body + "".join(f"    _k{s}_{i} = {rate}\n"
                                     for i, rate in enumerate(form.rates))
 
-    def sums(row, times=""):
-        return ", ".join(f"{times}({dot(row, i)})" for i in range(n))
-
-    head = "    " + "".join(f"_y{i}, " for i in range(n)) + "= _y\n"
-    src = (f"def step(_t, _h, _y, _f):\n{head}    {ks(0)}= _f\n"
+    head = f"    {each('_y{i}')}= _y\n"
+    K = each("_z{i}") + each("_k{j}_{i}", range(13))  # what dense reads
+    src = (f"def step(_t, _h, _y, _f, _tol):\n{head}"
+           f"    {each('_k0_{i}')}= _f\n"
            + "".join(stage(s) for s in range(1, 13))
-           + f"    return _y_new, [{ks(12)}], [{sums(e5)}], [{sums(e3)}], "
-           + f"({ks(*range(13))})\n"
-           + f"def dense(_t, _h, _y, _K):\n{head}    {ks(*range(13))}= _K\n"
+           + f"    return [{each('_z{i}')}], [{each('_k12_{i}')}], _e5, _e3, "
+           f"({K})\n"
+           f"def dense(_t, _h, _y, _K):\n{head}    {K}= _K\n"
+           f"    {each('_d{i}')}= {each('_z{i} - _y{i}')}\n"
            + "".join(stage(s) for s in range(13, 16))
-           + f"    return [{', '.join(sums(row, '_h * ') for row in d)}]\n")
+           # the Hermite rows, then h D K
+           + f"    return [{each('_d{i}')}{each('_h * _k0_{i} - _d{i}')}"
+           + each("2 * _d{i} - _h * (_k12_{i} + _k0_{i})")
+           + ", ".join(f"_h * ({dot(row, i)})" for row in d for i in range(n))
+           + "]\n")
     namespace = _compiled(src, "stages")
     return namespace["step"], namespace["dense"]
 
@@ -370,8 +414,7 @@ def integrate(form: Form, t0: float, y0, t_bound: float, *, tol: float,
         raise ValueError(f"stop component {stop} outside a state of "
                          f"length {n}")
     fun = function(form)
-    f0 = np.asarray(fun(t, y), dtype=float)
-    f = f0.tolist()
+    f0 = f = np.asarray(fun(t, y), dtype=float).tolist()
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     scale = [tol + abs(yi) * tol for yi in y]
     d0, d1 = (math.sqrt(_sum_of_squares(z, scale)) / n ** 0.5 for z in (y, f))
@@ -398,13 +441,8 @@ def integrate(form: Form, t0: float, y0, t_bound: float, *, tol: float,
             t_end = min(t + h_abs, t_bound)
             h = t_end - t
             h_abs = abs(h)
-            y_new, f_new, err5, err3, K = step(t, h, y, f)
+            y_new, f_new, e5, e3, K = step(t, h, y, f, tol)
             nfev += 12
-            # max(|y_new|, |y|) is NaN if y_new is, as np.maximum would
-            # be, and a NaN in y makes y_new NaN
-            scale = [tol + max(abs(zi), abs(yi)) * tol
-                     for yi, zi in zip(y, y_new)]
-            e5, e3 = _sum_of_squares(err5, scale), _sum_of_squares(err3, scale)
             err = 0.0 if e5 == 0 and e3 == 0 else \
                 h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
             grow = MAX_FACTOR if err == 0 else SAFETY * err ** (-1 / 8)
@@ -413,8 +451,6 @@ def integrate(form: Form, t0: float, y0, t_bound: float, *, tol: float,
                 break
             h_abs *= max(MIN_FACTOR, grow)
             rejected, n_rejected = True, n_rejected + 1
-        for row in hermite_rows(h, y, y_new, f, f_new):
-            F += row
         F += dense_rows(t, h, y, K)
         nfev += 3
         ts.append(t_end)
@@ -423,8 +459,4 @@ def integrate(form: Form, t0: float, y0, t_bound: float, *, tol: float,
         stopped = stop is not None and y[stop] >= 0 >= y_new[stop]
         # the last stage of a step is the first of the next
         t, y, f = t_end, y_new, f_new
-
-    dense = DenseOutput(np.array(ts), np.array(hs),
-                        np.array(y_old).reshape(-1, n),
-                        np.array(F).reshape(-1, 7, n))
-    return Solution(dense, f0, np.array(y), stopped, nfev, n_rejected)
+    return Solution(ts, hs, y_old, F, f0, y, stopped, nfev, n_rejected)

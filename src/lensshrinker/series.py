@@ -55,12 +55,17 @@ MAX_SERIES_ORDER = 256
 # ---------------------------------------------------------------------------
 
 def _horner(c, x):
-    """sum_k c_k x^{2k} by Horner's rule in x^2; a float for scalar x."""
-    x2 = np.square(np.asarray(x, dtype=float))
-    out = np.zeros_like(x2)
+    """sum_k c_k x^{2k} by Horner's rule in x^2, for the list of floats c; a
+    float for scalar x.  A Python float x takes the same operations on
+    Python floats, with the same bits as the array of x."""
+    if type(x) is float:
+        x2, out = x * x, 0.0
+    else:
+        x2 = np.square(np.asarray(x, dtype=float))
+        out = np.zeros_like(x2)
     for ck in c[::-1]:
         out = out * x2 + ck
-    return out if out.ndim else float(out)
+    return out if type(out) is float or out.ndim else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +75,9 @@ class EvenSeries:
     ``coeffs[k]`` is the coefficient of x^{2k}; odd-degree coefficients are
     implicitly zero, so evaluation is automatically symmetric in x -> -x.
     ``radius`` records the interval half-width the series is certified (or
-    intended to be used) on; it is metadata, not a truncation device.
+    intended to be used) on; it is metadata, not a truncation device.  The
+    series and its derivatives evaluate by Horner's rule in x^2 on numpy
+    arrays, or on Python floats for a float x, with the same bits.
     """
 
     coeffs: np.ndarray
@@ -99,22 +106,25 @@ class EvenSeries:
         return float(self.coeffs[n // 2])
 
     def __call__(self, x):
-        return _horner(self.coeffs, x)
+        return _horner(self.coeffs.tolist(), x)
 
     def deriv(self, x):
         """First derivative; an odd function of x."""
+        if type(x) is float:
+            return self.deriv_over_x(x) * x
         x = np.asarray(x, dtype=float)
         out = self.deriv_over_x(x) * x
         return out if out.ndim else float(out)
 
     def deriv_over_x(self, x):
         """The even function f'(x)/x, finite at x = 0."""
-        n = 2 * np.arange(1, len(self.coeffs))
-        return _horner(n * self.coeffs[1:], x)
+        c = self.coeffs.tolist()
+        return _horner([2 * k * c[k] for k in range(1, len(c))], x)
 
     def deriv2(self, x):
-        n = 2 * np.arange(1, len(self.coeffs))
-        return _horner(n * (n - 1) * self.coeffs[1:], x)
+        c = self.coeffs.tolist()
+        return _horner([2 * k * (2 * k - 1) * c[k] for k in range(1, len(c))],
+                       x)
 
     def truncated(self, order: int) -> "EvenSeries":
         """Copy truncated (or zero-padded) to the given even order."""

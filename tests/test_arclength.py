@@ -5,14 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import A_STAR
 from lensshrinker import (MonitorViolation, angle_of, arclength, dop853,
                           find_x0, integrate_profile, picard_analytic,
                           polar_monitors)
-from lensshrinker.arclength import (DEFAULT_TOL, MONITOR_SLACK_TOL,
+from lensshrinker.arclength import (DEFAULT_TOL, DEFECT_PER_TOL,
+                                    MONITOR_SLACK_TOL, X_SEED,
                                     annulus_log_halfwidth, curvature_arrays,
                                     monitor_slacks, profile_summary,
-                                    profile_to_csv, shrinker_residual,
-                                    transversality_floor)
+                                    profile_to_csv, seed_quadratures,
+                                    shrinker_residual, transversality_floor)
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
@@ -287,12 +289,45 @@ def test_defect_fails_a_profile_with_a_wrong_rhs(monkeypatch, profiles):
 def test_a_nan_monitor_slack_fails_the_solve(monkeypatch):
     slacks = arclength.monitor_slacks
 
-    def one_nan(profile, tol):
-        return {**slacks(profile, tol), "annulus_upper": math.nan}
+    def one_nan(*args):
+        return {**slacks(*args), "annulus_upper": math.nan}
 
     monkeypatch.setattr(arclength, "monitor_slacks", one_nan)
     with pytest.raises(MonitorViolation, match="'annulus_upper': nan"):
         integrate_profile(picard_analytic(1.0, R_STAR), 1.0)
+
+
+@pytest.mark.parametrize("a", [0.005, A_STAR, SQRT2])
+def test_a_solve_evaluates_its_dense_output_once(a, monkeypatch):
+    # the states and the defect's rates come from one vectorized pass
+    calls = []
+    horner_at = dop853.DenseOutput._horner_at
+
+    def counted(self, t):
+        calls.append(len(t))
+        return horner_at(self, t)
+
+    monkeypatch.setattr(dop853.DenseOutput, "_horner_at", counted)
+    p = integrate_profile(picard_analytic(a, R_STAR), a)
+    assert calls == [len(p.s)]
+
+
+@pytest.mark.parametrize("a", [1e-160, 0.005, A_STAR, SQRT2])
+def test_the_defect_monitor_is_the_worst_shrinker_residual(a):
+    # the solve's defect, from the pass that gives the states, is
+    # shrinker_residual's to the bit; the states at the axis and at the
+    # seed are the exact axis point and series seed
+    h = picard_analytic(a, R_STAR)
+    p = integrate_profile(h, a)
+    assert (DEFECT_PER_TOL * DEFAULT_TOL - np.max(shrinker_residual(p))
+            == p.monitors["shrinker_residual"])
+    s0, iphi0, iv0 = seed_quadratures(h, a, X_SEED)
+    phi = np.array([0.0, math.atan(h.deriv(X_SEED))])
+    assert p.s[1] == s0
+    for got, want in ((p.u, [0.0, X_SEED]), (p.v, [a, a + h(X_SEED)]),
+                      (p.up, np.cos(phi)), (p.vp, np.sin(phi)),
+                      (p.i_phi, [0.0, iphi0]), (p.i_v, [0.0, iv0])):
+        assert got[:2].tobytes() == np.array(want).tobytes()
 
 
 def test_defect_sees_a_dense_output_off_the_ode(profiles):

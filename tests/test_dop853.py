@@ -177,10 +177,13 @@ def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
                                          *series]
 
 
-def _reference_stages(fun, t, h, y, f):
+def _reference_stages(fun, t, h, y, f, tol):
     """dop853._generate's step and dense rows by loops over the tableau
     arrays, each sum over its row's nonzero weights in index order; every
-    stage forms every component and its time, and calls fun."""
+    stage forms every component and its time, and calls fun.  The error
+    norms are _sum_of_squares of the error vectors over the scale tol +
+    max(|y_new|, |y|) tol, and the dense rows are hermite_rows' rows 0-2,
+    then h D K."""
     def dot(row, i):
         total = None
         for w, k in zip(row.tolist(), K):
@@ -194,9 +197,12 @@ def _reference_stages(fun, t, h, y, f):
         K.append(list(fun(t + dop853.C[s] * h, state)))
         if s == 12:
             y_new = state
-    rows = [h * dot(w, i) for w in dop853.D for i in range(n)]
-    return (y_new, K[12], [dot(dop853.E5, i) for i in range(n)],
-            [dot(dop853.E3, i) for i in range(n)], rows)
+    rows = dop853.hermite_rows(h, y, y_new, f, K[12])[:3 * n] + [
+        h * dot(w, i) for w in dop853.D for i in range(n)]
+    scale = [tol + max(abs(z), abs(yi)) * tol for yi, z in zip(y, y_new)]
+    return (y_new, K[12], *(dop853._sum_of_squares(
+        [dot(w, i) for i in range(n)], scale) for w in (dop853.E5, dop853.E3)),
+            rows)
 
 
 def _test_rhs(n, reads_all):
@@ -221,11 +227,12 @@ def _generated_equals_reference(form, seed, **tableau):
     rng = np.random.default_rng(seed)
     t, h, y = float(rng.random()), float(rng.random()), \
         rng.standard_normal(n).tolist()
+    tol = 10.0 ** -rng.uniform(3.0, 13.0)
     f = fun(t, y)
     step, dense = dop853._generate(form, **tableau)
-    y_new, f_new, err5, err3, K = step(t, h, y, f)
-    got = (y_new, f_new, err5, err3, dense(t, h, y, K))
-    want = _reference_stages(fun, t, h, y, f)
+    y_new, f_new, e5, e3, K = step(t, h, y, f, tol)
+    got = (y_new, f_new, e5, e3, dense(t, h, y, K))
+    want = _reference_stages(fun, t, h, y, f, tol)
     return repr(got) == repr(want)
 
 
@@ -249,6 +256,19 @@ def test_a_coefficient_moved_by_one_ulp_fails_the_reference():
         form = _test_rhs(5, reads_all)
         for seed in range(20):
             assert not _generated_equals_reference(form, seed, a=a)
+
+
+@pytest.mark.parametrize("name, index", [("e5", 7), ("e3", 5)])
+def test_an_error_weight_moved_by_one_ulp_fails_the_reference(name, index):
+    # the comparison sees the generated error norms: a one-ulp change in
+    # one weight of E5 or E3 moves the norm on every seeded step
+    weights = getattr(dop853, name.upper()).copy()
+    weights[index] = np.nextafter(weights[index], math.inf)
+    for reads_all in (True, False):
+        form = _test_rhs(5, reads_all)
+        for seed in range(20):
+            assert not _generated_equals_reference(form, seed,
+                                                   **{name: weights})
 
 
 def test_unread_components_and_time_are_not_formed():
@@ -394,8 +414,8 @@ def test_roots_in_one_step_match_solve_ivp():
 
 
 def test_root_and_derivative_read_the_one_horner():
-    # DenseOutput.root evaluates one column of Python floats through
-    # _horner, as __call__ evaluates every column: the same bits.  The
+    # _horner on one column of Python floats gives __call__'s bits on
+    # every column (the root's unrolled form is held to it below).  The
     # derivative shares the value's loop, and its bits are pinned
     rng = np.random.default_rng(17)
     derivs = []
@@ -414,6 +434,23 @@ def test_root_and_derivative_read_the_one_horner():
         derivs.append(d.derivative(ts))
     digest = hashlib.sha256(np.array(derivs).tobytes()).hexdigest()
     assert digest[:16] == "d62f0f956ba6b62d"
+
+
+def test_the_root_function_is_the_horner_value_to_the_bit():
+    # root hands Brent _horner's p unrolled, value only: the bits of
+    # _horner(c, x)[0] + y_old - level on random pieces and points
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        F, y_old = rng.standard_normal((7, 2)), rng.standard_normal(2)
+        t0, h = rng.standard_normal(), rng.random() + 0.1
+        d = DenseOutput(np.array([t0, t0 + h]), np.array([h]), y_old[None],
+                        F[None])
+        level = float(rng.standard_normal())
+        offset = d._offset(1, level, 0)
+        for r in (t0, t0 + h, *(t0 + h * rng.random(8))):
+            want = (_horner(F[:, 1].tolist(), (r - t0) / h)[0]
+                    + float(y_old[1]) - level)
+            assert offset(r).hex() == want.hex()
 
 
 @pytest.mark.parametrize("component", [2, -1])

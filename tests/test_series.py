@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import A_STAR
+from lensshrinker.arclength import X_SEED
 from lensshrinker import (CertificateFailure, ContractionConstants, EvenSeries,
                           NoContraction, apply_L,
                           contraction_certificate, eta_coefficients, find_x0,
@@ -290,6 +291,18 @@ def test_even_series_is_symmetric():
     xs = rng.uniform(0.0, 2.0, size=12)
     assert np.array_equal(f(xs), f(-xs))
     assert f.coefficient(7) == 0.0
+
+
+@pytest.mark.parametrize("a", np.geomspace(1e-6, SQRT2, 10).tolist())
+def test_even_series_at_a_float_is_the_array_path_to_the_bit(a):
+    # a Python float runs the Horner loop on floats: the bits of the
+    # one-point array, returned as a float
+    h = picard_analytic(a, R_STAR)
+    for x in (0.0, -0.0, X_SEED, h.radius / 2, h.radius):
+        for f in (h, h.deriv, h.deriv2, h.deriv_over_x):
+            got = f(x)
+            assert type(got) is float
+            assert got.hex() == float(f(np.array([x]))[0]).hex()
 
 
 # ---------------------------------------------------------------------------

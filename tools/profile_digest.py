@@ -1,7 +1,8 @@
 """Print one line per fixed height: the height, a digest of its profile, a
-digest of its axis series, a digest of its mesh's OBJ bytes and a digest of
-its axis series on the radius r = 1, so that two checkouts can be compared
-bit for bit with ``diff``.
+digest of its axis series, a digest of its mesh's OBJ bytes, a digest of
+its axis series on the radius r = 1, a digest of its ODE defect and a
+digest of its CSV files, so that two checkouts can be compared bit for bit
+with ``diff``.
 
     python3 tools/profile_digest.py > digest.txt
 
@@ -11,15 +12,23 @@ the sha256 of every field of ``angle_of(a)``'s LensProfile but the series
 (its scalars and counters, its arrays, the dense output's ts, h, y_old and
 F, and the monitors sorted by name), of the sha256 of the series
 coefficients, of the sha256 of the OBJ that ``write_obj`` writes for
-``build_cluster(profile)`` at the default sizes, and of the sha256 of the
+``build_cluster(profile)`` at the default sizes, of the sha256 of the
 coefficients of ``picard_analytic(a, 1.0)``, the series that ``verify``'s
-criterion 6 reads.  A height that does not solve prints its exception's
-name in place of the first three digests, a profile whose mesh is refused
-prints it in place of the OBJ digest, and a height whose series is not
-certified at r = 1 (every height above ~0.27) prints it in place of the
-last.  The
-heights are 42 geometrically spaced from 0.005 to sqrt(2), then 1e-3,
-1e-6, 1e-160, 0.3349954407339448 and 0.4258777130659485.
+criterion 6 reads, of the sha256 of ``shrinker_residual(profile)``, the
+defect at every state that the monitors see only as its worst value, and
+of the sha256 of the bytes that ``profile_to_csv`` and
+``trajectory_to_csv`` write.  A height that does not solve prints its
+exception's name in place of the profile, series, OBJ, defect and CSV
+digests, a profile whose mesh is refused prints it in place of the OBJ
+digest, and a height whose series is not certified at r = 1 (every height
+above ~0.27) prints it in place of that series' digest.  The heights are
+42 geometrically spaced from 0.005 to sqrt(2), then 1e-3, 1e-6, 1e-160,
+0.3349954407339448 and 0.4258777130659485.
+
+The CSV bytes also depend on numpy's SIMD dispatch (the CPU features numpy
+selects at import, ROADMAP item 13): np.cos, np.sin, np.arctan2 and the
+like may round differently on another host.  So compare two checkouts on
+one host.
 """
 
 from __future__ import annotations
@@ -38,7 +47,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from lensshrinker import (LensError, angle_of, build_cluster,  # noqa: E402
                           picard_analytic)
+from lensshrinker.arclength import (profile_to_csv,  # noqa: E402
+                                    shrinker_residual)
 from lensshrinker.cluster import write_obj  # noqa: E402
+from lensshrinker.graph_profile import trajectory_to_csv  # noqa: E402
 
 HEIGHTS = [*np.geomspace(0.005, math.sqrt(2.0), 42).tolist(), 1e-3, 1e-6,
            1e-160, 0.3349954407339448, 0.4258777130659485]
@@ -87,6 +99,17 @@ def obj_digest(profile, path: str) -> str:
         return _digest([fh.read()])
 
 
+def csv_digest(profile, path: str) -> str:
+    """sha256 prefix of the bytes of profile_to_csv, then of
+    trajectory_to_csv, each written to path."""
+    parts = []
+    for write in (profile_to_csv, trajectory_to_csv):
+        write(profile, path)
+        with open(path, "rb") as fh:
+            parts.append(fh.read())
+    return _digest(parts)
+
+
 def series_digest(a: float, r: float) -> str:
     """sha256 prefix of the coefficients of picard_analytic(a, r), or the
     exception's name if the series is refused."""
@@ -99,15 +122,19 @@ def series_digest(a: float, r: float) -> str:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "lens.obj")
+        csv_path = os.path.join(tmp, "lens.csv")
         for a in HEIGHTS:
             try:
                 profile = angle_of(a)[1]
                 digests = [profile_digest(profile),
                            _digest([_bytes(profile.series.coeffs)]),
                            obj_digest(profile, path)]
+                tail = [_digest([_bytes(shrinker_residual(profile))]),
+                        csv_digest(profile, csv_path)]
             except (LensError, ValueError) as exc:
                 digests = [type(exc).__name__] * 3
-            print(repr(a), *digests, series_digest(a, 1.0))
+                tail = digests[:2]
+            print(repr(a), *digests, series_digest(a, 1.0), *tail)
 
 
 if __name__ == "__main__":
