@@ -312,7 +312,9 @@ def monitor_slacks(profile: LensProfile, tol: float,
         "graph_concavity": -graph_profile._phi_prime(*past_seed),
         "graph_slope_negative": -vp[1:-1] / up[1:-1],
     }
-    return {name: float(np.min(s, initial=math.inf))
+    # the ufunc's reduce itself: np.min's wrapper costs more than the
+    # reduction on these ~100-point arrays, and gives the same bits
+    return {name: float(np.minimum.reduce(s, initial=math.inf))
             for name, s in slacks.items()}
 
 

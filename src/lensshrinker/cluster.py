@@ -13,8 +13,10 @@ The map (u, v) -> (u cos(phi), u sin(phi), v) sends the profile plane into
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +37,19 @@ DEFAULT_OUTER_FACTOR = 3.0
 # triangles (and OBJ lines) per block of mesh_checks and write_obj, so that
 # a block's temporaries stay in cache
 BLOCK = 8192
+# the mesh sizes (n_theta, n_s, n_r) whose connectivity and OBJ face block
+# stay cached
+CACHED_SIZES = 4
 
 
 @dataclass
 class ClusterMesh:
-    """Triangle mesh of the lens cluster with per-triangle sheet labels."""
+    """Triangle mesh of the lens cluster with per-triangle sheet labels.
+
+    From build_cluster, triangles, sheet_id and junction are read-only
+    arrays shared by every mesh of the same sizes (n_theta, n_s, n_r), so
+    an in-place write to them raises ValueError; copy them to edit.
+    """
 
     vertices: np.ndarray      # (n, 3)
     triangles: np.ndarray     # (m, 3) indices
@@ -85,6 +95,77 @@ def _circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     return wave(m + n_theta), wave(m)
 
 
+class _Connectivity:
+    """The part of a cluster mesh that depends on its sizes alone: the
+    read-only triangles, sheet ids and junction vertex ids, the vertex
+    count, and the OBJ face block, made on the first export."""
+
+    __slots__ = ("triangles", "sheet_id", "junction", "n_vertices",
+                 "_faces", "__weakref__")
+
+    def __init__(self, triangles: np.ndarray, sheet_id: np.ndarray,
+                 junction: np.ndarray, n_vertices: int):
+        for arr in (triangles, sheet_id, junction):
+            arr.flags.writeable = False
+        self.triangles, self.sheet_id = triangles, sheet_id
+        self.junction, self.n_vertices = junction, n_vertices
+        self._faces = None
+        _BY_TRIANGLES[id(triangles)] = self
+
+    def faces(self) -> bytes:
+        if self._faces is None:
+            self._faces = b"".join(_face_lines(
+                self.triangles, _sheet_rows(self.sheet_id), self.n_vertices))
+        return self._faces
+
+
+# each live _Connectivity by the id of its triangles.  An entry leaves
+# with its connectivity, which keeps the triangles alive until then, so
+# no other array holds that id meanwhile
+_BY_TRIANGLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@functools.lru_cache(maxsize=CACHED_SIZES)
+def _connectivity(n_theta: int, n_s: int, n_r: int) -> _Connectivity:
+    """The triangles, sheet ids and junction of the cluster mesh at these
+    sizes, which no profile changes.  The vertices are laid out as
+    build_cluster makes them: the pole and the n_s - 1 upper cap rings
+    (the last is the junction), the lower cap's mirror of all but the
+    junction ring, then the n_r annulus rings."""
+    n_upper = 1 + (n_s - 1) * n_theta
+    junction_start = n_upper - n_theta
+    annulus_offset = n_upper + junction_start
+    nxt = (np.arange(n_theta) + 1) % n_theta
+
+    def band(inner_ids: np.ndarray, outer_ids: np.ndarray) -> np.ndarray:
+        # the two triangles of every quad between consecutive rings of ids
+        a, b = inner_ids, outer_ids
+        a_n, b_n = a[:, nxt], b[:, nxt]
+        quads = np.stack([np.stack([a, b, b_n], axis=-1),
+                          np.stack([a, b_n, a_n], axis=-1)], axis=2)
+        return quads.reshape(-1, 3)
+
+    # upper cap: pole fan then bands, outward normal pointing away from z=0
+    cap_rings = 1 + np.arange((n_s - 1) * n_theta).reshape(n_s - 1, n_theta)
+    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64),
+                           cap_rings[0], cap_rings[0][nxt]])
+    upper_tris = np.concatenate([fan, band(cap_rings[:-1], cap_rings[1:])])
+    # lower cap: mirrored ids (the junction ring is shared), winding flipped
+    lower_tris = np.where(upper_tris >= junction_start, upper_tris,
+                          upper_tris + n_upper)[:, [0, 2, 1]]
+    # planar annulus from the junction ring outward, outward normal +z
+    ann_ids = annulus_offset + np.arange(n_r * n_theta).reshape(n_r, n_theta)
+    ann_rings = np.concatenate([cap_rings[-1:], ann_ids])
+    annulus_tris = band(ann_rings[:-1], ann_rings[1:])
+    triangles = np.concatenate([upper_tris, lower_tris, annulus_tris])
+    sheet_id = np.repeat([SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS],
+                         [len(upper_tris), len(lower_tris), len(annulus_tris)])
+    return _Connectivity(
+        triangles, sheet_id,
+        np.arange(junction_start, junction_start + n_theta),
+        annulus_offset + n_r * n_theta)
+
+
 def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
                   annulus_outer: float | None = None,
                   n_s: int = DEFAULT_N_S, n_r: int = DEFAULT_N_R) -> ClusterMesh:
@@ -94,6 +175,12 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     junction circle vertices are created once and shared by all three
     sheets, and the unbounded planar sheet is truncated at annulus_outer
     (default 3x the junction radius, recorded in the metadata).
+
+    The connectivity (triangles, sheet ids, junction ids) depends on the
+    sizes alone: it is built once per size, for the last CACHED_SIZES
+    sizes, and the mesh shares its read-only arrays.  The vertices and
+    metadata are the call's own, and every mesh passes all of
+    mesh_checks.
     """
     if n_theta < MIN_N_THETA:
         raise ValueError(f"n_theta must be at least {MIN_N_THETA}")
@@ -126,40 +213,14 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     # annulus rings strictly outside the junction circle, z = 0
     radii = np.linspace(xi, outer, n_r + 1)[1:]
     annulus = rings(radii, np.zeros(n_r))
-    annulus_offset = len(upper) + len(lower)
     vertices = np.concatenate([upper, lower, annulus])
 
-    nxt = (np.arange(n_theta) + 1) % n_theta
-
-    def band(inner_ids: np.ndarray, outer_ids: np.ndarray) -> np.ndarray:
-        # the two triangles of every quad between consecutive rings of ids
-        a, b = inner_ids, outer_ids
-        a_n, b_n = a[:, nxt], b[:, nxt]
-        quads = np.stack([np.stack([a, b, b_n], axis=-1),
-                          np.stack([a, b_n, a_n], axis=-1)], axis=2)
-        return quads.reshape(-1, 3)
-
-    # upper cap: pole fan then bands, outward normal pointing away from z=0
-    cap_rings = 1 + np.arange((n_s - 1) * n_theta).reshape(n_s - 1, n_theta)
-    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64),
-                           cap_rings[0], cap_rings[0][nxt]])
-    upper_tris = np.concatenate([fan, band(cap_rings[:-1], cap_rings[1:])])
-    # lower cap: mirrored ids (the junction ring is shared), winding flipped
-    lower_tris = np.where(upper_tris >= junction_start, upper_tris,
-                          upper_tris + len(upper))[:, [0, 2, 1]]
-    # planar annulus from the junction ring outward, outward normal +z
-    ann_ids = annulus_offset + np.arange(n_r * n_theta).reshape(n_r, n_theta)
-    ann_rings = np.concatenate([cap_rings[-1:], ann_ids])
-    annulus_tris = band(ann_rings[:-1], ann_rings[1:])
-    triangles = np.concatenate([upper_tris, lower_tris, annulus_tris])
-    sheet_id = np.repeat([SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS],
-                         [len(upper_tris), len(lower_tris), len(annulus_tris)])
-
+    conn = _connectivity(n_theta, n_s, n_r)
     mesh = ClusterMesh(
         vertices=vertices,
-        triangles=triangles,
-        sheet_id=sheet_id,
-        junction=np.arange(junction_start, junction_start + n_theta),
+        triangles=conn.triangles,
+        sheet_id=conn.sheet_id,
+        junction=conn.junction,
         metadata={"a": profile.a, "xi": xi, "s_bar": profile.s_bar,
                   "n_theta": n_theta, "n_s": n_s, "n_r": n_r,
                   "annulus_outer": float(outer)},
@@ -178,7 +239,8 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     Junction coherence counts the triangles on each undirected edge: an edge
     of the junction circle borders exactly three, one per sheet; an edge of
     the annulus rim (at radius annulus_outer) borders one; every other edge
-    borders two.  A missing or duplicated triangle anywhere fails it.
+    borders two.  A missing or duplicated triangle anywhere fails it, and
+    so does a sheet id other than 0, 1 and 2.
 
     The checks run over blocks of BLOCK triangles, so that each block's
     temporaries stay in cache.  A block gathers its corner coordinates
@@ -200,6 +262,10 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
 
     upper = np.flatnonzero(sheet == SHEET_UPPER)
     lower = np.flatnonzero(sheet == SHEET_LOWER)
+    # every triangle on one of the three sheets: the shifted bit of any
+    # other id would land in a class bit or the edge field of its keys
+    labelled = len(upper) + len(lower) + np.count_nonzero(
+        sheet == SHEET_ANNULUS) == m
     sym = len(upper) == len(lower)
     for s in range(0, len(upper) if sym else 0, BLOCK):
         up, low = t[upper[s:s + BLOCK]], t[lower[s:s + BLOCK]]
@@ -254,8 +320,8 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     expected = np.array([2, 1, 3, 3])
     # a run ends where the key above its sheet bits changes; `end` carries
     # the last run's end from block to block
-    coherent, end = True, -1
-    for s in range(0, len(keys), 3 * BLOCK):
+    coherent, end = labelled, -1
+    for s in range(0, len(keys) if labelled else 0, 3 * BLOCK):
         edge = keys[s:s + 3 * BLOCK + 1] >> 3
         ends = s + np.flatnonzero(edge[1:] != edge[:-1])
         if s + 3 * BLOCK >= len(keys):
@@ -318,6 +384,24 @@ def _lines(head: bytes, table: np.ndarray, index: np.ndarray) -> bytes:
     return line.tobytes().translate(None, b"\0")
 
 
+def _sheet_rows(sheet_id: np.ndarray) -> list[np.ndarray]:
+    """The rows of each sheet's triangles, upper, lower, annulus."""
+    return [np.flatnonzero(sheet_id == sheet)
+            for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS)]
+
+
+def _face_lines(triangles: np.ndarray, rows: list[np.ndarray],
+                n_vertices: int):
+    """The OBJ face block in pieces: each sheet's `g` line, then its `f`
+    lines in blocks of BLOCK lines."""
+    ids = _spaced(_index_tokens(n_vertices))
+    for sheet, sheet_rows in zip((SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS),
+                                 rows):
+        yield f"g {SHEET_NAMES[sheet]}\n".encode()
+        for s in range(0, len(sheet_rows), BLOCK):
+            yield _lines(b"f", ids, triangles[sheet_rows[s:s + BLOCK]])
+
+
 def write_obj(mesh: ClusterMesh, path) -> None:
     """Wavefront OBJ with one group per sheet; 1-based face indices.
 
@@ -331,13 +415,30 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     padding and written in blocks of BLOCK lines, so that no line buffer
     outgrows the cache.  The file is written as bytes, so no newline is
     translated.
+
+    The face block (the `g` and `f` lines) depends on the triangles and
+    sheet ids alone.  For a mesh whose triangles and sheet_id are the
+    cached read-only arrays of its size, as build_cluster returns them,
+    the block is built on the first export of that size and written
+    whole after; any other mesh gets its block built per call.  A vertex
+    id outside the mesh raises IndexError and a sheet id other than 0, 1
+    and 2 (or a sheet_id whose length is not the triangle count) raises
+    ValueError, both before the file is opened.
     """
     v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
-    t = mesh.triangles
+    t, sheet_id = mesh.triangles, mesh.sheet_id
     # checked before the file is opened, which a block written later
     # could not undo
     if t.size and not 0 <= t.min() <= t.max() < len(v):
         raise IndexError("a triangle names a vertex outside the mesh")
+    conn = _BY_TRIANGLES.get(id(t))
+    if conn is not None and conn.sheet_id is sheet_id:
+        faces = [conn.faces()]
+    else:
+        rows = _sheet_rows(sheet_id)
+        if len(sheet_id) != len(t) or sum(map(len, rows)) != len(t):
+            raise ValueError("a triangle's sheet id is not 0, 1 or 2")
+        faces = _face_lines(t, rows, len(v))
     mags, index = np.unique(v.view(np.uint64) & ((1 << 63) - 1),
                             return_inverse=True)
     x = mags.view(np.float64).tolist()
@@ -345,15 +446,10 @@ def write_obj(mesh: ClusterMesh, path) -> None:
                       dtype=bytes)
     coords = _spaced(np.concatenate([tokens, np.char.add(b"-", tokens)]))
     index = index.reshape(-1, 3) + len(x) * (np.signbit(v) & ~np.isnan(v))
-    ids = _spaced(_index_tokens(len(v)))
     with open(path, "wb") as fh:
         for s in range(0, len(index), BLOCK):
             fh.write(_lines(b"v", coords, index[s:s + BLOCK]))
-        for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
-            fh.write(f"g {SHEET_NAMES[sheet]}\n".encode())
-            rows = np.flatnonzero(mesh.sheet_id == sheet)
-            for s in range(0, len(rows), BLOCK):
-                fh.write(_lines(b"f", ids, t[rows[s:s + BLOCK]]))
+        fh.writelines(faces)
 
 
 def sidecar(mesh: ClusterMesh) -> dict:

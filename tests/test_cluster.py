@@ -152,6 +152,21 @@ def test_mesh_checks_negative_controls(sphere_mesh, corrupt, check):
     assert not checks[check]
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 7, 64])
+def test_an_unknown_sheet_id_fails_junction_coherence(sphere_mesh, bad):
+    # an annulus triangle off the junction ring: 1 << -1 and 1 << 64 are 0,
+    # so no edge count or junction sheet set would show it; 3 and 7 shift
+    # into the class bits and the edge field
+    on_ring = np.isin(sphere_mesh.triangles, sphere_mesh.junction).any(axis=1)
+    t = np.flatnonzero(~on_ring & (sphere_mesh.sheet_id == SHEET_ANNULUS))[0]
+    sheet_id = sphere_mesh.sheet_id.copy()
+    sheet_id[t] = bad
+    mesh = dataclasses.replace(sphere_mesh, sheet_id=sheet_id)
+    want = _reference_mesh_checks(mesh)
+    assert mesh_checks(mesh) == want
+    assert [name for name, ok, _ in want if not ok] == ["junction_coherence"]
+
+
 def _reference_mesh_checks(mesh) -> list[tuple[str, bool, str]]:
     """The whole-mesh checks that mesh_checks matches verdict for verdict
     and detail for detail."""
@@ -183,7 +198,9 @@ def _reference_mesh_checks(mesh) -> list[tuple[str, bool, str]]:
     rim_edge = on_rim[lo] & on_rim[hi]
     expected = np.where(junction_edge, 3, np.where(rim_edge, 1, 2))
     coherent = (np.array_equal(counts, expected)
-                and np.all(sheet_bits[junction_edge] == 0b111))
+                and np.all(sheet_bits[junction_edge] == 0b111)
+                and np.all(np.isin(sheet, (SHEET_UPPER, SHEET_LOWER,
+                                           SHEET_ANNULUS))))
     out.append(("junction_coherence", bool(coherent),
                 "junction edges border one triangle per sheet, rim edges one, "
                 "all other edges two"))
@@ -498,6 +515,15 @@ def _one_sheet_ring(sphere, n):
                                sheet_id=np.zeros(n, dtype=int))
 
 
+SMALL = {"n_theta": 16, "n_s": 16, "n_r": 2}
+
+
+def _rotated_corners(mesh):
+    triangles = mesh.triangles[:, [1, 2, 0]]
+    assert triangles.flags.writeable
+    return dataclasses.replace(mesh, triangles=triangles)
+
+
 @pytest.mark.parametrize("make", [
     lambda sphere, p: sphere,
     lambda sphere, p: build_cluster(p),
@@ -507,15 +533,26 @@ def _one_sheet_ring(sphere, n):
     lambda sphere, p: _extreme_values(sphere),
     *(lambda sphere, p, n=n: _one_sheet_ring(sphere, n)
       for n in (BLOCK, BLOCK + 1)),
+    # meshes exported in turn into one file: the second export of a size
+    # writes its cached face block, also after another size's export
+    lambda sphere, p: [build_cluster(p, **SMALL),
+                       build_cluster(angle_of(SQRT2)[1], **SMALL)],
+    lambda sphere, p: [build_cluster(p, **SMALL), build_cluster(p),
+                       build_cluster(angle_of(SQRT2)[1], **SMALL)],
+    # the cached sheet ids with corners rotated in a writable copy of the
+    # triangles: the same mesh, other f lines
+    lambda sphere, p: _rotated_corners(build_cluster(p, **SMALL)),
 ], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet",
         *(f"ring_{n}" for n in RING_SIZES), "extreme_values",
-        "block_lines", "block_lines_plus_one"])
+        "block_lines", "block_lines_plus_one", "one_size_in_turn",
+        "another_size_between", "writable_triangles"])
 def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
                                               make):
-    mesh = make(sphere_mesh, profiles[0.5][1])
+    made = make(sphere_mesh, profiles[0.5][1])
     path = tmp_path / "lens.obj"
-    write_obj(mesh, path)
-    assert path.read_bytes() == _reference_obj(mesh)
+    for mesh in made if isinstance(made, list) else [made]:
+        write_obj(mesh, path)
+        assert path.read_bytes() == _reference_obj(mesh)
 
 
 def test_obj_writer_checks_the_vertex_ids_before_opening(tmp_path,
@@ -531,6 +568,39 @@ def test_obj_writer_checks_the_vertex_ids_before_opening(tmp_path,
             write_obj(dataclasses.replace(sphere_mesh, triangles=triangles),
                       path)
         assert path.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("relabel", [
+    lambda ids: np.where(np.arange(len(ids)) == len(ids) - 1, 3, ids),
+    lambda ids: np.where(np.arange(len(ids)) == len(ids) - 1, 7, ids),
+    lambda ids: ids[:-1],
+], ids=["sheet_3", "sheet_7", "short"])
+def test_obj_writer_checks_the_sheet_ids_before_opening(tmp_path,
+                                                        circle_profile,
+                                                        relabel):
+    # write_obj writes sheets 0, 1 and 2 only: a triangle of no sheet would
+    # be dropped from the file
+    mesh = build_cluster(circle_profile, **SMALL)
+    assert len(mesh.triangles) == 992
+    path = tmp_path / "lens.obj"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError):
+        write_obj(dataclasses.replace(mesh, sheet_id=relabel(mesh.sheet_id)),
+                  path)
+    assert path.read_bytes() == b"kept"
+
+
+def test_meshes_of_one_size_share_read_only_connectivity(profiles):
+    # the connectivity depends on the sizes alone, not on the height
+    first, second = (build_cluster(profiles[a][1], **SMALL)
+                     for a in (0.5, SQRT2))
+    assert not np.array_equal(first.vertices, second.vertices)
+    for name in ("triangles", "sheet_id", "junction"):
+        shared = getattr(first, name)
+        assert getattr(second, name) is shared
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = shared[0]
 
 
 def test_metadata_sidecar(tmp_path, sphere_mesh):
