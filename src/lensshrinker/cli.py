@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--jobs", type=int, default=defaults.jobs,
                    help="processes, the caller included; above 1 the caller "
-                        "forks (POSIX only)")
+                        "forks (POSIX only), which pays from about 16 rows "
+                        "(2 jobs on a 2-CPU host: 1.34x the time of 1 at 11 "
+                        "rows, 0.83x at 21)")
 
     p = sub.add_parser("mesh", help="export the three-sheet cluster mesh")
     common(p)

@@ -18,6 +18,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,9 +99,10 @@ def _circle(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
 class _Connectivity:
     """The part of a cluster mesh that depends on its sizes alone: the
     read-only triangles, sheet ids and junction vertex ids, the vertex
-    count, and the OBJ face block, made on the first export."""
+    count, what mesh_checks reads of the triangles and sheet ids, and the
+    OBJ face block, made on the first export."""
 
-    __slots__ = ("triangles", "sheet_id", "junction", "n_vertices",
+    __slots__ = ("triangles", "sheet_id", "junction", "n_vertices", "facts",
                  "_faces", "__weakref__")
 
     def __init__(self, triangles: np.ndarray, sheet_id: np.ndarray,
@@ -109,6 +111,7 @@ class _Connectivity:
             arr.flags.writeable = False
         self.triangles, self.sheet_id = triangles, sheet_id
         self.junction, self.n_vertices = junction, n_vertices
+        self.facts = _mesh_facts(triangles, sheet_id, n_vertices)
         self._faces = None
         _BY_TRIANGLES[id(triangles)] = self
 
@@ -123,6 +126,13 @@ class _Connectivity:
 # with its connectivity, which keeps the triangles alive until then, so
 # no other array holds that id meanwhile
 _BY_TRIANGLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _cached(mesh: ClusterMesh) -> _Connectivity | None:
+    """The cached connectivity whose read-only triangles and sheet_id the
+    mesh holds, as build_cluster returns them, or None."""
+    conn = _BY_TRIANGLES.get(id(mesh.triangles))
+    return conn if conn is not None and conn.sheet_id is mesh.sheet_id else None
 
 
 @functools.lru_cache(maxsize=CACHED_SIZES)
@@ -176,11 +186,11 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     sheets, and the unbounded planar sheet is truncated at annulus_outer
     (default 3x the junction radius, recorded in the metadata).
 
-    The connectivity (triangles, sheet ids, junction ids) depends on the
-    sizes alone: it is built once per size, for the last CACHED_SIZES
-    sizes, and the mesh shares its read-only arrays.  The vertices and
-    metadata are the call's own, and every mesh passes all of
-    mesh_checks.
+    The connectivity (triangles, sheet ids, junction ids, and what
+    mesh_checks reads of them) depends on the sizes alone: it is built
+    once per size, for the last CACHED_SIZES sizes, and the mesh shares
+    its read-only arrays.  The vertices and metadata are the call's own,
+    and every mesh passes all of mesh_checks.
     """
     if n_theta < MIN_N_THETA:
         raise ValueError(f"n_theta must be at least {MIN_N_THETA}")
@@ -231,6 +241,99 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     return mesh
 
 
+class _MeshFacts(NamedTuple):
+    """What mesh_checks reads of a mesh's triangles and sheet ids alone;
+    its arrays are read-only."""
+
+    labelled: bool     # one sheet id per triangle, each 0, 1 or 2
+    # (upper, lower) vertex id arrays, one entry per distinct mirror pair
+    # that the i-th upper and the i-th lower row imply; None if the caps
+    # differ in triangle count or sheet_id is not one id per triangle
+    mirror: tuple[np.ndarray, np.ndarray] | None
+    # (lo, hi) vertex id arrays, one entry per distinct undirected edge;
+    # None unless labelled
+    edges: tuple[np.ndarray, np.ndarray] | None
+    # per edge, the class that its triangles call for: 0 (inner) for two,
+    # 1 (rim) for one, 2 (junction) for three with one per sheet, and 3,
+    # which no edge has, for anything else
+    want: np.ndarray | None
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """True at the first entry of each run of equal entries of a."""
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
+def _split(keys: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only high part (keys >> b) and low b bits of keys, the
+    low bits taken in place."""
+    high = keys >> b
+    keys &= (1 << b) - 1
+    high.flags.writeable = keys.flags.writeable = False
+    return high, keys
+
+
+def _mesh_facts(t: np.ndarray, sheet: np.ndarray, n: int) -> _MeshFacts:
+    """The mirror pairs and edges of triangles t, with vertex ids below n
+    and sheet ids sheet.  With b the bit length of n, the keys of the
+    corner pairs (upper << b | lower) and of the triangle edges
+    ((min << b | max) << 3 | the triangle's sheet bit) are sorted once
+    each.  Among the sorted edge keys each edge is one run: its length is
+    the edge's triangle count, and a run of three ORs its keys' low bits
+    to 0b111 if it has one triangle per sheet.  The keys are packed in
+    blocks of BLOCK triangles, so that each block's temporaries stay in
+    cache, into one buffer, the pair keys and then the edge keys: on the
+    first mesh of a process, fresh pages cost more than the sorts."""
+    # the keys need 2 b + 3 bits, which an int32 array would wrap
+    t, m, b = t.astype(np.int64, copy=False), len(t), n.bit_length()
+    if len(sheet) != m:
+        return _MeshFacts(False, None, None, None)
+    upper = np.flatnonzero(sheet == SHEET_UPPER)
+    lower = np.flatnonzero(sheet == SHEET_LOWER)
+    labelled = len(upper) + len(lower) + np.count_nonzero(
+        sheet == SHEET_ANNULUS) == m
+    buf = np.empty(3 * m, dtype=np.int64)
+    mirror = edges = want = None
+    if len(upper) == len(lower):
+        pairs = buf[:3 * len(upper)].reshape(-1, 3)
+        for s in range(0, len(upper), BLOCK):
+            # lower corners 0, 2, 1 are upper corners 0, 1, 2 mirrored
+            rows = pairs[s:s + BLOCK]
+            np.left_shift(np.take(t, upper[s:s + BLOCK], axis=0), b, out=rows)
+            rows |= np.take(t, lower[s:s + BLOCK], axis=0)[:, [0, 2, 1]]
+        pairs = pairs.ravel()
+        pairs.sort()
+        mirror = _split(pairs[_firsts(pairs)], b)
+    if labelled:
+        # edges p0 p1, p1 p2 and p2 p0, one row of keys each
+        rows = buf.reshape(3, m)
+        for s in range(0, m, BLOCK):
+            corners = t[s:s + BLOCK].T
+            nxt = corners[[1, 2, 0]]
+            rows[:, s:s + BLOCK] = ((np.minimum(corners, nxt) << b
+                                     | np.maximum(corners, nxt)) << 3
+                                    | 1 << sheet[s:s + BLOCK])
+        keys = buf
+        keys.sort()
+        # the sheet bits (in the low bits of a byte), then the edges in place
+        sheets = keys.astype(np.uint8)
+        keys >>= 3
+        starts = np.flatnonzero(_firsts(keys))
+        counts = np.diff(starts, append=len(keys))
+        three = np.flatnonzero(counts == 3)
+        first = starts[three]
+        one_each = (sheets[first] | sheets[first + 1] | sheets[first + 2]
+                    ) & 7 == 0b111
+        want = np.array([3, 1, 0, 3], dtype=np.uint8)[
+            np.minimum(counts, 3, out=counts)]
+        want[three[one_each]] = 2
+        want.flags.writeable = False
+        edges = _split(keys[starts], b)
+    return _MeshFacts(labelled, mirror, edges, want)
+
+
 def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     """Reflection symmetry, junction coherence, orientation and quality.
 
@@ -240,55 +343,45 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
     of the junction circle borders exactly three, one per sheet; an edge of
     the annulus rim (at radius annulus_outer) borders one; every other edge
     borders two.  A missing or duplicated triangle anywhere fails it, and
-    so does a sheet id other than 0, 1 and 2.
+    so does a sheet id other than 0, 1 and 2.  A sheet_id that is not one
+    id per triangle fails both and orientation too.
 
-    The checks run over blocks of BLOCK triangles, so that each block's
-    temporaries stay in cache.  A block gathers its corner coordinates
-    once, column by column, and from them takes each triangle's normal z
-    (the orientation sign) and its area against its longest edge.  It
-    packs the key of each of its 3 edges as (min*n + max, class, sheet):
-    two class bits (junction: both ends on the junction circle; rim: both
-    ends at annulus_outer) and three sheet bits, one per sheet.  The
-    reflection pairs are compared block by block too, the rows of pair i
-    being the i-th upper and the i-th lower row.  Only the (3, m) key array
-    and its one sort are whole-mesh.  In the sorted keys each edge is one
-    run: its length is the edge's triangle count, its class bits give the
-    count expected, and a junction run's sheet bits OR to 0b111 if it has
-    one triangle per sheet.  The pass over the runs goes in blocks too.
+    What the triangles and sheet ids fix alone (the distinct mirror pairs
+    of vertices, each distinct edge with the class its triangle count and
+    sheets call for) is made once per cached mesh size, and per call for
+    any other mesh; see _mesh_facts.  Each call compares the mirror pairs'
+    coordinates, gives each edge the class of its ends (rim: both at
+    annulus_outer; junction: both on the junction circle) and compares it
+    with the class called for.  It takes each triangle's normal z (the
+    orientation sign) and its area against its longest edge over blocks
+    of BLOCK triangles, so that each block's temporaries stay in cache.
     """
     v, t, sheet = mesh.vertices, mesh.triangles, mesh.sheet_id
-    n_vert, m = len(v), len(t)
+    m = len(t)
+    conn = _cached(mesh)
+    facts = conn.facts if conn is not None else _mesh_facts(t, sheet, len(v))
     x, y, z = np.ascontiguousarray(v.T)
 
-    upper = np.flatnonzero(sheet == SHEET_UPPER)
-    lower = np.flatnonzero(sheet == SHEET_LOWER)
-    # every triangle on one of the three sheets: the shifted bit of any
-    # other id would land in a class bit or the edge field of its keys
-    labelled = len(upper) + len(lower) + np.count_nonzero(
-        sheet == SHEET_ANNULUS) == m
-    sym = len(upper) == len(lower)
-    for s in range(0, len(upper) if sym else 0, BLOCK):
-        up, low = t[upper[s:s + BLOCK]], t[lower[s:s + BLOCK]]
-        # lower corners 0, 2, 1 are upper corners 0, 1, 2 with z negated
-        sym = all(np.array_equal(x[w], x[u]) and np.array_equal(y[w], y[u])
-                  and np.array_equal(z[w], -z[u])
-                  for u, w in ((up[:, 0], low[:, 0]), (up[:, 1], low[:, 2]),
-                               (up[:, 2], low[:, 1])))
-        if not sym:
-            break
+    sym = facts.mirror is not None
+    if sym:
+        up, low = facts.mirror
+        sym = (np.array_equal(x[low], x[up]) and np.array_equal(y[low], y[up])
+               and np.array_equal(z[low], -z[up]))
 
-    # each vertex's class bits, in their place above an edge key's three
-    # sheet bits: 1 at the annulus rim, 2 on the junction circle
-    on_rim = np.isclose(np.hypot(x, y), mesh.metadata["annulus_outer"],
-                        rtol=1e-12, atol=0.0)
-    vclass = np.where(on_rim, 1 << 3, 0)
-    vclass[mesh.junction] |= 2 << 3
-    keys = np.empty((3, m), dtype=np.int64)
-    floor_ok, oriented, min_areas = True, True, []
+    coherent = facts.labelled
+    if coherent:
+        # each vertex's class bits: 1 at the annulus rim, 2 on the junction
+        # circle; an edge's class is the AND of its ends', junction first
+        vclass = np.isclose(np.hypot(x, y), mesh.metadata["annulus_outer"],
+                            rtol=1e-12, atol=0.0).astype(np.uint8)
+        vclass[mesh.junction] |= 2
+        lo, hi = facts.edges
+        coherent = np.array_equal(np.minimum(vclass[lo] & vclass[hi], 2),
+                                  facts.want)
+
+    floor_ok, oriented, min_areas = True, len(sheet) == m, []
     for s in range(0, m, BLOCK):
-        corners = t[s:s + BLOCK].T
-        t0, t1, t2 = corners
-        sb = sheet[s:s + BLOCK]
+        t0, t1, t2 = t[s:s + BLOCK].T
         # edge vectors e1 = p1 - p0, e2 = p2 - p0 and e2 - e1, and their
         # cross product written out
         x0, y0, z0 = x[t0], y[t0], z[t0]
@@ -306,35 +399,8 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
         min_areas.append(np.min(areas))
         # outward: normal z up on the upper cap and the annulus, down on
         # the lower cap
-        oriented = oriented and bool(
-            np.all(np.where(sb == SHEET_LOWER, -nz, nz) > 0.0))
-        # edges p0 p1, p1 p2 and p2 p0, one row of keys each
-        nxt, cls = corners[[1, 2, 0]], vclass[corners]
-        keys[:, s:s + BLOCK] = ((np.minimum(corners, nxt) * n_vert
-                                 + np.maximum(corners, nxt)) << 5
-                                | cls & cls[[1, 2, 0]] | 1 << sb)
-
-    keys = keys.ravel()
-    keys.sort()
-    # the triangles on an edge of class other, rim, junction, both
-    expected = np.array([2, 1, 3, 3])
-    # a run ends where the key above its sheet bits changes; `end` carries
-    # the last run's end from block to block
-    coherent, end = labelled, -1
-    for s in range(0, len(keys) if labelled else 0, 3 * BLOCK):
-        edge = keys[s:s + 3 * BLOCK + 1] >> 3
-        ends = s + np.flatnonzero(edge[1:] != edge[:-1])
-        if s + 3 * BLOCK >= len(keys):
-            ends = np.append(ends, len(keys) - 1)
-        counts = np.diff(ends, prepend=end)
-        cls = keys[ends] >> 3 & 3
-        ring = ends[cls >= 2]
-        coherent = (np.array_equal(counts, expected[cls])
-                    and bool(np.all((keys[ring] | keys[ring - 1]
-                                     | keys[ring - 2]) & 7 == 0b111)))
-        if not coherent:
-            break
-        end = ends[-1] if len(ends) else end
+        oriented = oriented and bool(np.all(
+            np.where(sheet[s:s + BLOCK] == SHEET_LOWER, -nz, nz) > 0.0))
 
     # np.min, not min: a NaN block minimum must print as nan
     return [("reflection_symmetry", sym,
@@ -431,8 +497,8 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     # could not undo
     if t.size and not 0 <= t.min() <= t.max() < len(v):
         raise IndexError("a triangle names a vertex outside the mesh")
-    conn = _BY_TRIANGLES.get(id(t))
-    if conn is not None and conn.sheet_id is sheet_id:
+    conn = _cached(mesh)
+    if conn is not None:
         faces = [conn.faces()]
     else:
         rows = _sheet_rows(sheet_id)

@@ -8,7 +8,7 @@ import pytest
 from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
 from lensshrinker.cluster import (BLOCK, SHEET_ANNULUS, SHEET_LOWER,
-                                  SHEET_NAMES, SHEET_UPPER, _circle,
+                                  SHEET_NAMES, SHEET_UPPER, _cached, _circle,
                                   mesh_checks, resample_profile, write_metadata,
                                   write_obj)
 from lensshrinker.errors import DegenerateProfile
@@ -345,6 +345,72 @@ def test_block_checks_print_a_nan_area(blocks_mesh):
     assert ("no_degenerate_triangles", False, "min area nan") in want
 
 
+def _nudge_lower_vertex(mesh):
+    # corner 0 of the lower cap's first band triangle, past the pole fan
+    vid = mesh.sheet_triangles(SHEET_LOWER)[len(mesh.junction), 0]
+    vertices = mesh.vertices.copy()
+    vertices[vid, 2] += 1e-9
+    return vertices
+
+
+def _widen_rim_vertex(mesh):
+    vertices = mesh.vertices.copy()
+    vertices[-1, :2] *= 1.0 + 1e-9
+    return vertices
+
+
+def _nan_vertex(mesh):
+    vertices = mesh.vertices.copy()
+    vertices[mesh.triangles[len(mesh.triangles) // 2, 1]] = np.nan
+    return vertices
+
+
+@pytest.mark.parametrize("corrupt, check", [
+    (_nudge_lower_vertex, "reflection_symmetry"),
+    (_widen_rim_vertex, "junction_coherence"),
+    (_nan_vertex, "no_degenerate_triangles"),
+])
+def test_cached_facts_meet_new_vertices(lens_report, corrupt, check):
+    # corrupted vertices with the cached triangles and sheet ids: the facts
+    # made once for the size must still let each call see the corruption
+    built = build_cluster(lens_report.profile, **SMALL)
+    mesh = dataclasses.replace(built, vertices=corrupt(built))
+    assert _cached(mesh) is _cached(built) is not None
+    want = _reference_mesh_checks(mesh)
+    assert mesh_checks(mesh) == want
+    assert check in [name for name, ok, _ in want if not ok]
+    # a copy of the triangles takes the facts made per call
+    fresh = dataclasses.replace(mesh, triangles=mesh.triangles.copy())
+    assert _cached(fresh) is None
+    assert mesh_checks(fresh) == want
+
+
+def test_int32_triangles_get_the_same_verdicts(lens_report):
+    # the packed keys need more than 32 bits at the default size
+    mesh = build_cluster(lens_report.profile)
+    narrow = dataclasses.replace(mesh,
+                                 triangles=mesh.triangles.astype(np.int32))
+    assert mesh_checks(narrow) == mesh_checks(mesh)
+    assert all(ok for _, ok, _ in mesh_checks(narrow))
+
+
+@pytest.mark.parametrize("resize", [
+    lambda ids: ids[:-1],
+    lambda ids: np.append(ids, SHEET_ANNULUS),
+], ids=["short", "long"])
+def test_a_sheet_id_of_another_length_fails_the_checks(circle_profile,
+                                                       resize):
+    # no triangle has a sheet, so no check that reads one can pass
+    mesh = build_cluster(circle_profile, **SMALL)
+    assert len(mesh.triangles) == 992
+    checks = dict((name, ok) for name, ok, _ in mesh_checks(
+        dataclasses.replace(mesh, sheet_id=resize(mesh.sheet_id))))
+    assert checks == {"reflection_symmetry": False,
+                      "junction_coherence": False,
+                      "no_degenerate_triangles": True,
+                      "orientation_consistent": False}
+
+
 @pytest.mark.parametrize("n_theta, size", [
     (16, {}), (64, {}), (4096, {"n_s": 32, "n_r": 4})])
 def test_wide_annulus_passes_the_degenerate_floor(profiles, lens_report,
@@ -601,6 +667,18 @@ def test_meshes_of_one_size_share_read_only_connectivity(profiles):
         assert not shared.flags.writeable
         with pytest.raises(ValueError):
             shared[0] = shared[0]
+
+
+def test_check_facts_are_made_once_per_size_and_read_only(profiles):
+    first, second = (build_cluster(profiles[a][1], **SMALL)
+                     for a in (0.5, SQRT2))
+    facts = _cached(first).facts
+    assert _cached(second).facts is facts
+    assert facts.labelled
+    for arr in (*facts.mirror, *facts.edges, facts.want):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def test_metadata_sidecar(tmp_path, sphere_mesh):
