@@ -278,7 +278,7 @@ def shrinker_residual(profile: LensProfile) -> np.ndarray:
 
 
 def monitor_slacks(profile: LensProfile, tol: float,
-                   defect: np.ndarray | None = None) -> dict:
+                   defect: np.ndarray) -> dict:
     """Worst slack of each monitored inequality, the minimum of its slacks
     at the stored states; it holds where its slack is >= 0.  Pure report,
     never raises.
@@ -287,9 +287,9 @@ def monitor_slacks(profile: LensProfile, tol: float,
     K_a, log rho below the annulus band, and a strictly decreasing polar
     angle, which certifies injectivity; each theta is compared with every
     later one, so that rises below the tolerance cannot add up.
-    ``shrinker_residual`` is DEFECT_PER_TOL * tol minus the ODE defect of
-    the dense output, shrinker_residual(profile) unless the caller passes
-    it as ``defect``.  Graph: graph_profile.graph_slacks on the view
+    ``shrinker_residual`` is DEFECT_PER_TOL * tol minus ``defect``, the ODE
+    defect of the dense output at the states, shrinker_residual(profile)
+    to the bit.  Graph: graph_profile.graph_slacks on the view
     0 < u < 1, and before the crossing f' <= 0 from the seed on and
     phi' <= 0 after it.  Bounds these imply, f >= 0 among them, are not
     checked again (README, "How it works").
@@ -306,8 +306,7 @@ def monitor_slacks(profile: LensProfile, tol: float,
         "annulus_upper": annulus_log_halfwidth(a) - np.log(rho),
         "theta_decreasing":
             theta[:-1] - np.maximum.accumulate(theta[:0:-1])[::-1],
-        "shrinker_residual": DEFECT_PER_TOL * tol - (
-            shrinker_residual(profile) if defect is None else defect),
+        "shrinker_residual": DEFECT_PER_TOL * tol - defect,
         **graph_profile.graph_slacks(profile),
         "graph_concavity": -graph_profile._phi_prime(*past_seed),
         "graph_slope_negative": -vp[1:-1] / up[1:-1],

@@ -31,9 +31,9 @@ from .cluster import (DEFAULT_N_THETA, MIN_N_THETA, build_cluster, sidecar,
                       write_metadata, write_obj)
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
-from .shooting import (A_CIRCLE, DEFAULT_BRACKET, DEFAULT_TOL_A, PipelineConfig,
-                       angle_of, angle_table_to_csv, find_lens,
-                       sample_angle_table)
+from .shooting import (A_CIRCLE, A_MIN, DEFAULT_BRACKET, DEFAULT_TOL_A,
+                       PipelineConfig, angle_of, angle_table_to_csv,
+                       find_lens, sample_angle_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,11 +64,12 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 < self.tol_a < math.inf:
             raise ValueError("tol_a must be positive and finite")
-        if self.a is not None and not 0.0 < self.a <= A_CIRCLE:
-            raise ValueError("a must lie in (0, sqrt(2)]")
+        resolved = f"[A_MIN = {A_MIN:g}, sqrt(2)]"
+        if self.a is not None and not A_MIN <= self.a <= A_CIRCLE:
+            raise ValueError(f"a must lie in {resolved}")
         lo, hi = self.bracket
-        if not 0.0 < lo < hi <= A_CIRCLE:
-            raise ValueError("bracket must be ordered inside (0, sqrt(2)]")
+        if not A_MIN <= lo < hi <= A_CIRCLE:
+            raise ValueError(f"bracket must be ordered inside {resolved}")
         if not self.tol_a < hi - lo:
             raise ValueError(f"tol_a must be below the bracket width {hi - lo}")
         cpus = os.cpu_count() or 1

@@ -58,9 +58,6 @@ class ClusterMesh:
     junction: np.ndarray      # vertex indices of the shared junction circle
     metadata: dict            # a, xi (the junction radius), sizes, outer
 
-    def sheet_triangles(self, sheet: int) -> np.ndarray:
-        return self.triangles[self.sheet_id == sheet]
-
 
 def resample_profile(profile: LensProfile, n_s: int) -> tuple[np.ndarray, np.ndarray]:
     """Arclength-uniform (u, v) samples from the axis to the crossing,

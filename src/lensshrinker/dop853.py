@@ -20,9 +20,8 @@ depend on IEEE arithmetic and on the form alone, and are the same
 whichever BLAS kernel numpy loads.  scipy's sums are BLAS
 dots, in another order, so its states differ from these in the last bits.
 One Horner routine, _horner, evaluates the dense output's states and
-their derivative together on numpy rows; the function whose root Brent's
-method refines is its value on one column, unrolled in the same operation
-order on Python floats: the same bits.
+their derivative together on numpy rows, and the function whose root
+Brent's method refines on one column of Python floats: the same bits.
 """
 
 from __future__ import annotations
@@ -167,36 +166,19 @@ class DenseOutput:
         k, _, dp = self._horner_at(t)
         return (dp / self.h[k][:, None]).T
 
-    def _offset(self, i: int, level: float, k: int):
-        # y[i] - level on piece k as a function of t: _horner's p unrolled,
-        # in its operation order and without the derivative
-        t, h = float(self.ts[k]), float(self.h[k])
-        y_old = float(self.y_old[k, i])
-        c0, c1, c2, c3, c4, c5, c6 = self.F[k, :, i].tolist()
-
-        def offset(r):
-            x = (r - t) / h
-            w = 1 - x
-            return ((((((((0.0 + c6) * x + c5) * w + c4) * x + c3) * w + c2)
-                     * x + c1) * w + c0) * x + y_old - level)
-        return offset
-
     def root(self, i: int, level: float, k: int) -> float:
         """Brent's root of y[i] - level on piece k, over [ts[k], ts[k+1]],
         where it must change sign; y[i] is __call__'s to the bit."""
-        return brentq(self._offset(i, level, k), float(self.ts[k]),
-                      float(self.ts[k + 1]))
+        t, h = float(self.ts[k]), float(self.h[k])
+        c, y_old = self.F[k, :, i].tolist(), float(self.y_old[k, i])
+        return brentq(lambda r: _horner(c, (r - t) / h)[0] + y_old - level,
+                      t, float(self.ts[k + 1]))
 
 
-class Solution(namedtuple("Solution",
-                          "ts h y_old F f0 y stopped nfev n_rejected")):
-    """The pieces as DenseOutput.of takes them (flat float lists), fun(t0,
-    y0) and the state after the last step as lists, whether the stop
-    component fell through 0, and the work done."""
-
-    @property
-    def dense(self) -> DenseOutput:
-        return DenseOutput.of(self.ts, self.h, self.y_old, self.F)
+# the pieces as DenseOutput.of takes them (flat float lists), fun(t0, y0)
+# and the state after the last step as lists, whether the stop component
+# fell through 0, and the work done
+Solution = namedtuple("Solution", "ts h y_old F f0 y stopped nfev n_rejected")
 
 
 def brentq(f, xpre, xcur, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):

@@ -56,16 +56,12 @@ MAX_SERIES_ORDER = 256
 
 def _horner(c, x):
     """sum_k c_k x^{2k} by Horner's rule in x^2, for the list of floats c; a
-    float for scalar x.  A Python float x takes the same operations on
-    Python floats, with the same bits as the array of x."""
-    if type(x) is float:
-        x2, out = x * x, 0.0
-    else:
-        x2 = np.square(np.asarray(x, dtype=float))
-        out = np.zeros_like(x2)
+    float for scalar x."""
+    x2 = np.square(np.asarray(x, dtype=float))
+    out = np.zeros_like(x2)
     for ck in c[::-1]:
         out = out * x2 + ck
-    return out if type(out) is float or out.ndim else float(out)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +72,7 @@ class EvenSeries:
     implicitly zero, so evaluation is automatically symmetric in x -> -x.
     ``radius`` records the interval half-width the series is certified (or
     intended to be used) on; it is metadata, not a truncation device.  The
-    series and its derivatives evaluate by Horner's rule in x^2 on numpy
-    arrays, or on Python floats for a float x, with the same bits.
+    series and its derivatives evaluate by Horner's rule in x^2.
     """
 
     coeffs: np.ndarray
@@ -110,8 +105,6 @@ class EvenSeries:
 
     def deriv(self, x):
         """First derivative; an odd function of x."""
-        if type(x) is float:
-            return self.deriv_over_x(x) * x
         x = np.asarray(x, dtype=float)
         out = self.deriv_over_x(x) * x
         return out if out.ndim else float(out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .arclength import DEFAULT_TOL, LensProfile, integrate_profile
 from .dop853 import RTOL_FLOOR, brentq
@@ -23,6 +23,9 @@ from .errors import BracketFailure, LensError
 from .series import R_STAR, picard_analytic
 
 A_CIRCLE = math.sqrt(2.0)
+# the smallest height solved: at and above it xi follows the small-height
+# law x0 + c2 a^2 to 1e-8, below it the absolute tolerance swamps v ~ a
+A_MIN = 2e-4
 TARGET_UP = 0.5  # u'(s_bar) at the 120-degree junction
 
 DEFAULT_BRACKET = (0.05, A_CIRCLE)
@@ -49,10 +52,6 @@ class PipelineConfig:
         if self.jobs > 1 and not hasattr(os, "fork"):
             raise ValueError("jobs > 1 needs os.fork, which this platform lacks")
 
-    def tightened(self, factor: float = 10.0) -> "PipelineConfig":
-        """Copy with ode_tol divided by factor."""
-        return replace(self, ode_tol=self.ode_tol / factor)
-
 
 def junction_residual(alpha: float) -> float:
     """g = u'(s_bar) - 1/2 = cos alpha - 1/2, zero at the junction."""
@@ -65,10 +64,12 @@ def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensPr
     Composes the pipeline: the axis series on [0, R_STAR], then one
     angle-form integration that it seeds, out to the crossing.
     Deterministic: identical (a, cfg) inputs give bitwise-identical results.
+    An a outside [A_MIN, sqrt(2)] raises ValueError.
     """
     cfg = cfg or PipelineConfig()
-    if not 0.0 < a <= A_CIRCLE:
-        raise ValueError(f"a={a} outside the supported range (0, sqrt(2)]")
+    if not A_MIN <= a <= A_CIRCLE:
+        raise ValueError(f"a={a} outside the resolved range "
+                         f"[A_MIN = {A_MIN:g}, sqrt(2)]")
     profile = integrate_profile(picard_analytic(a, R_STAR), a, tol=cfg.ode_tol)
     return profile.alpha, profile
 

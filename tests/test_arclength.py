@@ -127,7 +127,7 @@ def test_one_table_holds_every_monitor(profiles):
         "shrinker_residual", "graph_height_lower", "graph_height_upper",
         "graph_slope_lower", "graph_ratio_monotone", "graph_concavity",
         "graph_slope_negative", "graph_transversality"}
-    assert monitor_slacks(p, DEFAULT_TOL) == p.monitors
+    assert monitor_slacks(p, DEFAULT_TOL, shrinker_residual(p)) == p.monitors
 
 
 def test_readme_tables_list_every_monitor(profiles):
@@ -149,7 +149,7 @@ def test_readme_tables_list_every_monitor(profiles):
 def _failing(profile) -> set:
     """Monitors a perturbed copy fails, apart from the ODE defect, which
     every state moved off the ODE fails by design."""
-    slacks = monitor_slacks(profile, DEFAULT_TOL)
+    slacks = monitor_slacks(profile, DEFAULT_TOL, shrinker_residual(profile))
     return {k for k, v in slacks.items()
             if v < MONITOR_SLACK_TOL and k != "shrinker_residual"}
 
@@ -222,8 +222,8 @@ def test_theta_decreasing_sees_a_slow_drift(profiles):
     theta = math.atan2(p.v[i], p.u[i]) + 5e-10 * (k - i)
     drifted = _with(p, k, u=rho * np.cos(theta), v=rho * np.sin(theta))
     assert _failing(drifted) == {"theta_decreasing"}
-    assert monitor_slacks(drifted, DEFAULT_TOL)["theta_decreasing"] == \
-        pytest.approx(-5e-9, rel=1e-3)
+    slacks = monitor_slacks(drifted, DEFAULT_TOL, shrinker_residual(drifted))
+    assert slacks["theta_decreasing"] == pytest.approx(-5e-9, rel=1e-3)
 
 
 def test_graph_ratio_monotone_sees_a_slow_drift(profiles):
@@ -234,8 +234,8 @@ def test_graph_ratio_monotone_sees_a_slow_drift(profiles):
     ratio = p.v[1] / math.sqrt(1.0 - p.u[1] ** 2) - 5e-10 * (k - 1)
     drifted = _with(p, k, v=ratio * np.sqrt(1.0 - p.u[k] ** 2))
     assert _failing(drifted) == {"graph_ratio_monotone"}
-    assert monitor_slacks(drifted, DEFAULT_TOL)["graph_ratio_monotone"] == \
-        pytest.approx(-5e-9, rel=1e-3)
+    slacks = monitor_slacks(drifted, DEFAULT_TOL, shrinker_residual(drifted))
+    assert slacks["graph_ratio_monotone"] == pytest.approx(-5e-9, rel=1e-3)
 
 
 def test_theta_runs_from_half_pi_to_zero(profiles):

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from lensshrinker import checks, cli, shooting
-from lensshrinker.arclength import polar_monitors, profile_summary
+from lensshrinker.arclength import (integrate_profile, polar_monitors,
+                                    profile_summary)
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_MONITOR, EXIT_OK,
                               RunConfig, config_from_args, build_parser, main)
 from lensshrinker.dop853 import RTOL_FLOOR
 from lensshrinker.errors import DegenerateProfile, MonitorViolation, NoCrossing
+from lensshrinker.series import R_STAR, picard_analytic
 
 SQRT2 = math.sqrt(2.0)
 
@@ -135,19 +137,25 @@ def test_table_rejects_bad_range(tmp_path):
 
 
 def test_solve_at_the_smallest_certified_heights(tmp_path, capsys):
-    # at a = 1e-160 the crossing's Brent refinement meets a zero
-    # interpolation denominator and bisects; below ~6.5e-161 the certificate's
-    # L = (a/a0)^2 underflows to 0 and the solve is refused.  The alpha pins
-    # the steps' bits only: with v ~ a far below the absolute tolerance it
-    # is ~0.4% off the small-height slope -J'(x0) a = -1.44055 a
-    assert run(["solve", "--a", "1e-160", "--output-dir", str(tmp_path)]) \
-        == EXIT_OK
-    summary = json.loads((tmp_path / "profile_a1e-160.json").read_text())
-    assert summary["alpha"] == -1.4354062936326017e-160
-    capsys.readouterr()
-    assert run(["solve", "--a", "1e-300", "--output-dir", str(tmp_path)]) \
-        == EXIT_CONFIG
-    assert "underflows to 0" in capsys.readouterr().err
+    # A_MIN is the smallest height solved.  Below it, down to the 1e-160
+    # that the series certificate still admits and below, solve, shoot and
+    # mesh exit 2 and name A_MIN before they make the output directory
+    out = tmp_path / "out"
+    assert run(["solve", "--a", repr(shooting.A_MIN), "--output-dir",
+                str(out)]) == EXIT_OK
+    refused = tmp_path / "refused"
+    for argv in (["solve", "--a", "1e-160"], ["solve", "--a", "1e-300"],
+                 ["shoot", "--a-lo", "1e-5"], ["mesh", "--a", "1.9e-4"]):
+        capsys.readouterr()
+        assert run(argv + ["--output-dir", str(refused)]) == EXIT_CONFIG
+        assert "A_MIN" in capsys.readouterr().err
+        assert not refused.exists()
+    # at a = 1e-160 the library still solves: the crossing's Brent
+    # refinement meets a zero interpolation denominator and bisects.  The
+    # alpha pins the steps' bits only: with v ~ a far below the absolute
+    # tolerance it is ~0.4% off the small-height slope -J'(x0) a
+    p = integrate_profile(picard_analytic(1e-160, R_STAR), 1e-160)
+    assert p.alpha == -1.4354062936326017e-160
 
 
 def test_mesh_outputs(tmp_path):

@@ -40,8 +40,9 @@ def test_axis_maps_to_single_pole_vertex(sphere_mesh):
 def test_reflection_symmetry_exact(sphere_mesh):
     checks = dict((name, ok) for name, ok, _ in mesh_checks(sphere_mesh))
     assert checks["reflection_symmetry"]
-    lower_ids = np.unique(sphere_mesh.sheet_triangles(SHEET_LOWER))
-    upper_ids = np.unique(sphere_mesh.sheet_triangles(SHEET_UPPER))
+    tri, sheet = sphere_mesh.triangles, sphere_mesh.sheet_id
+    lower_ids = np.unique(tri[sheet == SHEET_LOWER])
+    upper_ids = np.unique(tri[sheet == SHEET_UPPER])
     mirrored = sphere_mesh.vertices[upper_ids] * np.array([1.0, 1.0, -1.0])
     assert np.array_equal(np.sort(mirrored, axis=0),
                           np.sort(sphere_mesh.vertices[lower_ids], axis=0))
@@ -107,7 +108,8 @@ def _duplicate_annulus_triangle(mesh):
 
 
 def _nudge_lower_cap_vertex(mesh):
-    lower_only = np.setdiff1d(mesh.sheet_triangles(SHEET_LOWER), mesh.junction)
+    lower_only = np.setdiff1d(mesh.triangles[mesh.sheet_id == SHEET_LOWER],
+                              mesh.junction)
     vertices = mesh.vertices.copy()
     vertices[lower_only[len(lower_only) // 2], 2] += 1e-9
     return dataclasses.replace(mesh, vertices=vertices)
@@ -347,7 +349,7 @@ def test_block_checks_print_a_nan_area(blocks_mesh):
 
 def _nudge_lower_vertex(mesh):
     # corner 0 of the lower cap's first band triangle, past the pole fan
-    vid = mesh.sheet_triangles(SHEET_LOWER)[len(mesh.junction), 0]
+    vid = mesh.triangles[mesh.sheet_id == SHEET_LOWER][len(mesh.junction), 0]
     vertices = mesh.vertices.copy()
     vertices[vid, 2] += 1e-9
     return vertices
@@ -439,7 +441,8 @@ def test_junction_angle_at_lens_height(lens_report):
 def test_annulus_truncation_recorded(sphere_mesh):
     meta = sphere_mesh.metadata
     assert meta["annulus_outer"] == pytest.approx(3.0 * meta["xi"], rel=1e-12)
-    outer_ids = np.unique(sphere_mesh.sheet_triangles(SHEET_ANNULUS))
+    outer_ids = np.unique(
+        sphere_mesh.triangles[sphere_mesh.sheet_id == SHEET_ANNULUS])
     r = np.hypot(*sphere_mesh.vertices[outer_ids, :2].T)
     assert np.max(r) == pytest.approx(meta["annulus_outer"], rel=1e-12)
 
@@ -516,8 +519,9 @@ def test_obj_export(tmp_path, sphere_mesh):
         elif ln.startswith("f "):
             faces[group].append([int(tok) for tok in ln.split()[1:]])
     for sheet, name in enumerate(["upper_cap", "lower_cap", "planar_annulus"]):
-        assert np.array_equal(np.array(faces[name]).reshape(-1, 3),
-                              sphere_mesh.sheet_triangles(sheet) + 1)
+        assert np.array_equal(
+            np.array(faces[name]).reshape(-1, 3),
+            sphere_mesh.triangles[sphere_mesh.sheet_id == sheet] + 1)
 
 
 def _reference_obj(mesh) -> bytes:
@@ -525,7 +529,7 @@ def _reference_obj(mesh) -> bytes:
     v = mesh.vertices
     parts = ["v %.17g %.17g %.17g\n" * len(v) % tuple(v.ravel().tolist())]
     for sheet in (SHEET_UPPER, SHEET_LOWER, SHEET_ANNULUS):
-        f = mesh.sheet_triangles(sheet) + 1
+        f = mesh.triangles[mesh.sheet_id == sheet] + 1
         parts.append(f"g {SHEET_NAMES[sheet]}\n")
         parts.append("f %d %d %d\n" * len(f) % tuple(f.ravel().tolist()))
     return "".join(parts).encode()

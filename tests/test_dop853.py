@@ -325,10 +325,12 @@ def test_rejects_tolerances_outside_the_floor(tol):
 
 def test_rtol_floor_is_admitted_and_tightened_100_fails_loudly():
     sol = dop853.integrate(DECAY, 0.0, [1.0], 1.0, tol=dop853.RTOL_FLOOR)
-    assert sol.dense(np.array([1.0]))[0, 0] == pytest.approx(math.exp(-1.0),
-                                                             rel=1e-13)
+    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    assert d(np.array([1.0]))[0, 0] == pytest.approx(math.exp(-1.0),
+                                                     rel=1e-13)
+    cfg = PipelineConfig()
     with pytest.raises(ValueError, match="floor"):
-        angle_of(0.786004, PipelineConfig().tightened(100.0))
+        angle_of(0.786004, dataclasses.replace(cfg, ode_tol=cfg.ode_tol / 100))
 
 
 @pytest.mark.parametrize("g", [lambda x: x ** 3 - 0.1,
@@ -359,7 +361,8 @@ def test_event_roots_and_terminal_stop():
     # stops; y' = -sin t falls through -1/2 at pi/6 on an earlier piece
     sol = dop853.integrate(OSCILLATOR, 0.0, [1.0, 0.0], 10.0, tol=1e-12,
                            stop=0)
-    d, last = sol.dense, len(sol.dense.h) - 1
+    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    last = len(d.h) - 1
     assert sol.stopped and d.y_old[last, 0] >= 0.0 >= sol.y[0]
     root = d.root(0, 0.0, last)
     assert d.ts[last] < root < d.ts[-1]
@@ -389,7 +392,8 @@ def test_roots_in_one_step_match_solve_ivp():
     # differ, and the crossing past the stop on the full step
     form = dop853.rhs("t", "y0 y1", "", ["1.0", "-1.0"])
     sol = dop853.integrate(form, 0.0, [0.0, 3.5], 10.0, tol=1e-12, stop=1)
-    d, last = sol.dense, len(sol.dense.h) - 1
+    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    last = len(d.h) - 1
     assert sol.stopped and d.ts[last] < 2.5 and d.ts[-1] > 4.5
 
     def up_through(level):
@@ -415,8 +419,9 @@ def test_roots_in_one_step_match_solve_ivp():
 
 def test_root_and_derivative_read_the_one_horner():
     # _horner on one column of Python floats gives __call__'s bits on
-    # every column (the root's unrolled form is held to it below).  The
-    # derivative shares the value's loop, and its bits are pinned
+    # every column, and root is Brent's method on it, to the bit, at the
+    # level halfway between the piece's end values.  The derivative shares
+    # the value's loop, and its bits are pinned
     rng = np.random.default_rng(17)
     derivs = []
     for _ in range(20):
@@ -431,14 +436,27 @@ def test_root_and_derivative_read_the_one_horner():
                 got = (_horner(F[:, i].tolist(), (t - t0) / h)[0]
                        + float(y_old[i]))
                 assert got.hex() == float(full[i, j]).hex()
+        for i in range(5):
+            c, y0 = F[:, i].tolist(), float(y_old[i])
+            level = float(full[i, 0] + full[i, 1]) / 2
+            want = brentq(lambda r: _horner(c, (r - t0) / h)[0] + y0 - level,
+                          t0, t0 + h)
+            assert d.root(i, level, 0).hex() == want.hex()
         derivs.append(d.derivative(ts))
     digest = hashlib.sha256(np.array(derivs).tobytes()).hexdigest()
     assert digest[:16] == "d62f0f956ba6b62d"
 
 
-def test_the_root_function_is_the_horner_value_to_the_bit():
-    # root hands Brent _horner's p unrolled, value only: the bits of
+def test_the_root_function_is_the_horner_value_to_the_bit(monkeypatch):
+    # the function root hands Brent gives the bits of
     # _horner(c, x)[0] + y_old - level on random pieces and points
+    handed = []
+
+    def spy(f, xpre, xcur):
+        handed.append(f)
+        return xpre
+
+    monkeypatch.setattr(dop853, "brentq", spy)
     rng = np.random.default_rng(29)
     for _ in range(50):
         F, y_old = rng.standard_normal((7, 2)), rng.standard_normal(2)
@@ -446,7 +464,8 @@ def test_the_root_function_is_the_horner_value_to_the_bit():
         d = DenseOutput(np.array([t0, t0 + h]), np.array([h]), y_old[None],
                         F[None])
         level = float(rng.standard_normal())
-        offset = d._offset(1, level, 0)
+        d.root(1, level, 0)
+        offset = handed.pop()
         for r in (t0, t0 + h, *(t0 + h * rng.random(8))):
             want = (_horner(F[:, 1].tolist(), (r - t0) / h)[0]
                     + float(y_old[1]) - level)
@@ -470,7 +489,7 @@ def test_matches_scipy_on_van_der_pol():
     sol = dop853.integrate(vdp, 0.0, [2.0, 0.0], 20.0, tol=1e-9)
     ref = solve_ivp(dop853.function(vdp), (0.0, 20.0), [2.0, 0.0],
                     method="DOP853", rtol=1e-9, atol=1e-9, dense_output=True)
-    d = sol.dense
+    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
     assert sol.n_rejected > 10 and sol.nfev == ref.nfev
     assert len(d.ts) == len(ref.t)
     assert np.allclose(d.ts, ref.t, rtol=4e-8, atol=0)
@@ -509,7 +528,8 @@ def test_dense_output_follows_the_circle_from_the_axis(circle_profile):
 def test_dense_derivative_is_the_rhs_at_step_ends_and_the_slope_inside():
     pendulum = dop853.rhs("t", "q p", "", ["p", "-sin(q)"])
 
-    d = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, tol=1e-10).dense
+    sol = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, tol=1e-10)
+    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
     ends = d.ts[1:]  # each belongs to the step it ends
     fun = dop853.function(pendulum)
     f_ends = np.array([fun(t, y) for t, y in zip(ends, d(ends).T)]).T

@@ -4,6 +4,7 @@ import os
 import re
 import signal
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 from lensshrinker import (BracketFailure, PipelineConfig, angle_of, dop853,
                           find_lens, find_x0, sample_angle_table, shooting)
+from lensshrinker.arclength import integrate_profile
+from lensshrinker.series import R_STAR, picard_analytic
 from lensshrinker.shooting import angle_table_to_csv, junction_residual
 
 SQRT2 = math.sqrt(2.0)
@@ -39,6 +42,22 @@ def test_angle_of_rejects_out_of_range():
     for a in (0.0, -1.0, 1.5):
         with pytest.raises(ValueError):
             angle_of(a)
+
+
+def test_xi_follows_the_small_height_law_from_a_min():
+    # xi = x0 + c2 a^2 + O(a^4) with c2 = K(x0)/J'(x0), where the series is
+    # h = -a J + a^3 K + O(a^5); the O(a^4) term is ~1e-10 at a = 1e-2.
+    # Below A_MIN the absolute tolerance swamps v ~ a: at 1e-6 the library
+    # solve, which still runs there, is ~1e-6 off the law
+    x0, c2 = find_x0(), -0.20527643462296638
+    for a in np.geomspace(shooting.A_MIN, 1e-2, 17).tolist():
+        assert abs(angle_of(a)[1].xi - x0 - c2 * a * a) < 1e-8
+    p = integrate_profile(picard_analytic(1e-6, R_STAR), 1e-6)
+    assert abs(p.xi - x0 - c2 * 1e-12) > 1e-7
+    with pytest.raises(ValueError, match="A_MIN"):
+        angle_of(math.nextafter(shooting.A_MIN, 0.0))
+    row, = sample_angle_table([1e-5]).table
+    assert row.error.startswith("ValueError") and "A_MIN" in row.error
 
 
 def test_angle_deterministic():
@@ -167,7 +186,8 @@ def test_find_lens_rejects_bad_bracket():
 
 
 def test_find_lens_refinement_stability(lens_report):
-    cfg10 = PipelineConfig().tightened(10.0)
+    cfg = PipelineConfig()
+    cfg10 = replace(cfg, ode_tol=cfg.ode_tol / 10.0)
     rep10 = find_lens(cfg=cfg10)
     assert abs(rep10.a_star - lens_report.a_star) < 1e-7
 
@@ -176,8 +196,8 @@ def test_refinement_is_cauchy():
     # drift between successive tolerance decades stays bounded
     base = PipelineConfig(ode_tol=1e-10)
     a1 = find_lens(tol_a=1e-8, cfg=base).a_star
-    a2 = find_lens(tol_a=1e-8, cfg=base.tightened(10.0)).a_star
-    a3 = find_lens(tol_a=1e-8, cfg=base.tightened(100.0)).a_star
+    a2, a3 = (find_lens(tol_a=1e-8, cfg=replace(base, ode_tol=tol)).a_star
+              for tol in (base.ode_tol / 10.0, base.ode_tol / 100.0))
     d12, d23 = abs(a2 - a1), abs(a3 - a2)
     assert d23 <= 10.0 * d12 + 1e-8
 

@@ -19,9 +19,11 @@ defect at every state that the monitors see only as its worst value, and
 of the sha256 of the bytes that ``profile_to_csv`` and
 ``trajectory_to_csv`` write.  A height that does not solve prints its
 exception's name in place of the profile, series, OBJ, defect and CSV
-digests, a profile whose mesh is refused prints it in place of the OBJ
-digest, and a height whose series is not certified at r = 1 (every height
-above ~0.27) prints it in place of that series' digest.  The heights are
+digests (1e-6 and 1e-160 lie below shooting.A_MIN, so ``angle_of``
+refuses them with ValueError, while their r = 1 series still solve), a
+profile whose mesh is refused prints it in place of the OBJ digest, and a
+height whose series is not certified at r = 1 (every height above ~0.27)
+prints it in place of that series' digest.  The heights are
 42 geometrically spaced from 0.005 to sqrt(2), then 1e-3, 1e-6, 1e-160,
 0.3349954407339448 and 0.4258777130659485.
 
