@@ -34,7 +34,7 @@ from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,
                      LensError, MonitorViolation, NoContraction,
                      NoConvergence, NoCrossing, StepFailure)
 from .graph_profile import graph_view
-from .series import (ContractionConstants, EvenSeries, ProfileSample, apply_L,
+from .series import (ContractionConstants, EvenSeries, apply_L,
                      contraction_certificate, eta_coefficients, find_x0,
                      invert_L, j_function, nonlinear_Q, picard_analytic,
                      picard_c2_oracle, weighted_norm)
@@ -47,7 +47,7 @@ __all__ = [
     "AngleTable", "BracketFailure", "CertificateFailure", "ClusterMesh",
     "ContractionConstants", "DegenerateProfile", "EvenSeries", "LensError",
     "LensProfile", "MonitorViolation", "NoContraction", "NoConvergence",
-    "NoCrossing", "PipelineConfig", "ProfileSample", "ShootReport",
+    "NoCrossing", "PipelineConfig", "ShootReport",
     "StepFailure", "angle_of", "apply_L", "build_cluster",
     "contraction_certificate", "eta_coefficients", "find_lens", "find_x0",
     "graph_view", "integrate_profile", "invert_L", "j_function",

@@ -84,7 +84,9 @@ class LensProfile:
     ``dense`` gives (u, v, phi, i_phi, i_v) on [0, s_bar]: a cubic Hermite
     piece on [0, X_SEED], then DOP853's; ``nfev``, ``n_steps`` and
     ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
-    Frozen, so that a profile cannot change after it passed its monitors.
+    Frozen, and integrate_profile makes its arrays and those of its dense
+    output read-only, so that a profile cannot change after it passed its
+    monitors; dataclasses.replace still makes a changed copy.
     """
 
     a: float
@@ -233,6 +235,11 @@ def integrate_profile(series: EvenSeries, a: float, *,
                           v_residual=v_residual, monitors={}, series=series,
                           dense=dense, nfev=sol.nfev, n_steps=n_steps,
                           n_rejected=sol.n_rejected)
+    # read-only, as LensProfile's docstring promises: one profile goes to
+    # many readers, such as verify's shared solves
+    for array in (s, u, v, profile.up, profile.vp, i_phi, i_v,
+                  dense.ts, dense.h, dense.y_old, dense.F):
+        array.flags.writeable = False
     defect = _defect(profile, (dp[:, :3] / dense.h[k][:, None]).T)
     profile = replace(profile, monitors=monitor_slacks(profile, tol, defect))
     bad = {k: v for k, v in profile.monitors.items()
@@ -264,16 +271,18 @@ def _defect(profile: LensProfile, rates: np.ndarray) -> np.ndarray:
     c, sn = profile.up[m], profile.vp[m]  # (cos phi, sin phi)
     du, dv, dphi = rates[:, m]
     return np.max(np.abs([du - c, dv - sn,
-                          dphi - (-sn / u + u * sn - v * c)]), axis=0)
+                          dphi - graph_profile._phi_prime(u, v, c, sn)]),
+                  axis=0)
 
 
 def shrinker_residual(profile: LensProfile) -> np.ndarray:
     """Defect of the dense output at the stored states with u > 0: the max
     over (u, v, phi) of |y'(s) - F(y(s))|, with y' the exact derivative of
-    each step's polynomial and F the angle form, written out apart from
-    ANGLE_FORM so that a wrong right-hand side shows.  Zero at step
-    ends, where the dense rows interpolate F.  integrate_profile forms the
-    same values from the rates of the pass that gives the states."""
+    each step's polynomial and F the angle form, its phi' from
+    graph_profile._phi_prime, apart from ANGLE_FORM, so that a wrong
+    right-hand side shows.  Zero at step ends, where the dense rows
+    interpolate F.  integrate_profile forms the same values from the rates
+    of the pass that gives the states."""
     return _defect(profile, profile.dense.derivative(profile.s)[:3])
 
 

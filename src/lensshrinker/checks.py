@@ -170,16 +170,14 @@ def criterion_7_cross_oracle(cfg, solves):
     # holds, so a = sqrt2 also checks that certificate at its largest a
     sup = 0.0
     for a in (0.5, 1.0, A_CIRCLE):
-        samples = se.picard_c2_oracle(a, se.R_STAR)
+        xs, f, _, _ = se.picard_c2_oracle(a, se.R_STAR)
         h = se.picard_analytic(a, se.R_STAR)
-        xs = np.array([p.x for p in samples])
-        grid_h = np.array([p.f - a for p in samples])
-        sup = max(sup, float(np.max(np.abs(grid_h - h(xs)))))
+        sup = max(sup, float(np.max(np.abs(f - a - h(xs)))))
     quotient = 0.0  # of h'' in a; the C2 estimate bounds it by 37/12
     for a1, a2 in ((0.5, 1.0), (1.0, A_CIRCLE), (0.2, 0.7)):
-        s1 = se.picard_c2_oracle(a1, se.R_STAR, grid=65)
-        s2 = se.picard_c2_oracle(a2, se.R_STAR, grid=65)
-        gap = max(abs(p.fpp - q.fpp) for p, q in zip(s1, s2))
+        fpp1 = se.picard_c2_oracle(a1, se.R_STAR, grid=65)[3]
+        fpp2 = se.picard_c2_oracle(a2, se.R_STAR, grid=65)[3]
+        gap = float(np.max(np.abs(fpp1 - fpp2)))
         quotient = max(quotient, gap / abs(a1 - a2))
     ok = sup < ORACLE_TOL and quotient <= 37.0 / 12.0
     return ok, (f"sup|series - grid|={sup:.2e}, "

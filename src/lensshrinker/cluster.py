@@ -287,10 +287,8 @@ def _mesh_facts(t: np.ndarray, sheet: np.ndarray, n: int) -> _MeshFacts:
     t, m, b = t.astype(np.int64, copy=False), len(t), n.bit_length()
     if len(sheet) != m:
         return _MeshFacts(False, None, None, None)
-    upper = np.flatnonzero(sheet == SHEET_UPPER)
-    lower = np.flatnonzero(sheet == SHEET_LOWER)
-    labelled = len(upper) + len(lower) + np.count_nonzero(
-        sheet == SHEET_ANNULUS) == m
+    upper, lower, annulus = _sheet_rows(sheet)
+    labelled = len(upper) + len(lower) + len(annulus) == m
     buf = np.empty(3 * m, dtype=np.int64)
     mirror = edges = want = None
     if len(upper) == len(lower):

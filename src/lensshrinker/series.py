@@ -539,16 +539,6 @@ def not_a_knot_spline(x: np.ndarray, y: np.ndarray):
     return spline
 
 
-@dataclass(frozen=True)
-class ProfileSample:
-    """One point of the graph solution y = f(x)."""
-
-    x: float
-    f: float
-    fp: float
-    fpp: float
-
-
 def picard_c2_oracle(a: float, r: float, grid: int = 129):
     """Independent C^2 solution of the axis Cauchy problem on a uniform grid.
 
@@ -562,7 +552,8 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129):
     100 iterations).  The pair (a, r) must satisfy the C2 certificate with
     R = 6a, L = 1/2.
 
-    Returns the list of profile samples (x, a + h, h', h'') on the grid.
+    Returns the grid and the graph solution f = a + h on it as the four
+    arrays (x, f, f', f'').
     This route never touches the series machinery; it is the
     cross-validation oracle for picard_analytic.
     """
@@ -594,5 +585,4 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129):
     hpp[0] = -a / 2.0
     if np.max(np.abs(hpp)) > 6.0 * a + 1e-9:
         raise CertificateFailure("computed h'' exceeds the certified bound 6a")
-    return [ProfileSample(float(x), float(a + hi), float(hpi), float(hppi))
-            for x, hi, hpi, hppi in zip(xs, h, hp, hpp)]
+    return xs, a + h, hp, hpp

@@ -159,12 +159,9 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTabl
     one that dies raises ChildProcessError, and an exception in the caller
     kills its children; every child is reaped and every pipe closed before
     the call returns or raises.  As with any fork, the caller should run no
-    other thread; the package keeps OpenBLAS to one.  On a shared 2-vCPU
-    host, the first call of a fresh interpreter over the 11 rows 0.2, 0.3,
-    ..., 1.2 took a median 23 ms with jobs = 1 and 37 ms with jobs = 2
-    (12 alternated interpreters each); in a warm process the median of 15
-    calls read 16 ms and 19 ms (10 processes each).  So there the fork
-    costs more than the child saves on 11 rows.  The table also lists
+    other thread; the package keeps OpenBLAS to one.  On short tables the
+    fork costs more than the child saves (README, ``table --jobs``).  The
+    table also lists
     every sub-bracket on which u'(s_bar) - 1/2 changes sign, since the
     angle map is not known to be monotone.
     """

@@ -339,6 +339,27 @@ def test_defect_sees_a_dense_output_off_the_ode(profiles):
     assert np.max(shrinker_residual(bent)) > 1e-3
 
 
+def test_a_profile_and_its_dense_output_are_read_only():
+    # one profile goes to many readers, so no reader may change its arrays
+    _, p = angle_of(0.9)
+    for name in ("s", "u", "v", "up", "vp", "i_phi", "i_v"):
+        array = getattr(p, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[3] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
+    for name in ("ts", "h", "y_old", "F"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p.dense, name)[0] = 7.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.u = p.u.copy()
+    # a changed copy is still made by replace, and leaves p as it was
+    u = p.u.copy()
+    u[3] = 7.0
+    q = dataclasses.replace(p, u=u)
+    assert q.u[3] == 7.0 and p.u[3] != 7.0 and q.dense is p.dense
+
+
 @pytest.mark.parametrize("a", A_SUITE)
 def test_unit_speed_drift(a, profiles):
     # the tangent is (cos phi, sin phi), so unit speed holds to roundoff

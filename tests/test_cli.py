@@ -15,7 +15,7 @@ from lensshrinker import checks, cli, shooting
 from lensshrinker.arclength import (integrate_profile, polar_monitors,
                                     profile_summary)
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_MONITOR, EXIT_OK,
-                              RunConfig, config_from_args, build_parser, main)
+                              config_from_args, build_parser, main)
 from lensshrinker.dop853 import RTOL_FLOOR
 from lensshrinker.errors import DegenerateProfile, MonitorViolation, NoCrossing
 from lensshrinker.series import R_STAR, picard_analytic
@@ -367,7 +367,7 @@ def test_fresh_interpreter_defaults_to_one_openblas_thread(preset, want):
 
 def test_size_bounds_admit_their_edges():
     cfg = parse(TABLE + ["--step", "0.0001", "--jobs", str(os.cpu_count() or 1)])
-    lo, hi, step = cfg.table_range
+    lo, hi, step = cfg.a_from, cfg.a_to, cfg.step
     assert len(np.arange(lo, hi + 0.5 * step, step)) == 10_000
     assert parse(["solve", "--a", repr(SQRT2)]).a == SQRT2
     for n_theta in ("16", "4096"):
@@ -426,13 +426,30 @@ def test_output_dir_on_a_regular_file_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_runconfig_roundtrip_defaults():
-    cfg = RunConfig(command="solve", a=0.5)
-    cfg.validate()
-    d = cfg.to_dict()
-    assert d["tolerances"]["tol_a"] == 1e-10
-    assert d["jobs"] == 1
-    assert "order" not in d and "x_seed" not in d
+def _config_block(command, **settings):
+    block = {"command": command, "a": None, "annulus_outer": None,
+             "bracket": [0.05, SQRT2], "jobs": 1, "n_theta": 64,
+             "output_dir": "out",
+             "tolerances": {"ode_tol": 1e-12, "tol_a": 1e-10}}
+    return {**block, **settings}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["solve", "--a", "0.5"], _config_block("solve", a=0.5)),
+    (["shoot"], _config_block("shoot")),
+    (["table", "--from", "0.5", "--to", "0.9", "--step", "0.2"],
+     _config_block("table", table_range=[0.5, 0.9, 0.2])),
+    (["mesh", "--a", "0.9", "--n-theta", "16"],
+     _config_block("mesh", a=0.9, n_theta=16)),
+    (["verify"], _config_block("verify")),
+], ids=["solve", "shoot", "table", "mesh", "verify"])
+def test_config_block_defaults(tmp_path, monkeypatch, capsys, argv, want):
+    # every key and default of the config block, in stdout and in each file
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--json", "--output-dir", "out"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"] == want
+    for path in (tmp_path / "out").glob("*.json"):
+        assert json.loads(path.read_text())["config"] == want, path.name
 
 
 def test_verify_shoot_bounds_the_defect_by_the_ode_tolerance():

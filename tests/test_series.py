@@ -590,36 +590,36 @@ def test_not_a_knot_spline_reproduces_cubics():
 
 
 def test_c2_oracle_initial_conditions():
-    samples = picard_c2_oracle(1.0, R_STAR, grid=65)
-    assert samples[0].x == 0.0
-    assert samples[0].f == 1.0
-    assert samples[0].fp == 0.0
-    assert samples[0].fpp == pytest.approx(-0.5, abs=1e-14)
+    x, f, fp, fpp = picard_c2_oracle(1.0, R_STAR, grid=65)
+    assert x.shape == f.shape == fp.shape == fpp.shape == (65,)
+    assert x[0] == 0.0
+    assert f[0] == 1.0
+    assert fp[0] == 0.0
+    assert fpp[0] == pytest.approx(-0.5, abs=1e-14)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, SQRT2])
 def test_cross_oracle_agreement(a):
-    samples = picard_c2_oracle(a, R_STAR)
+    xs, f, fp, _ = picard_c2_oracle(a, R_STAR)
     h = picard_analytic(a, R_STAR)
-    xs = np.array([p.x for p in samples])
-    sup = np.max(np.abs(np.array([p.f - a for p in samples]) - h(xs)))
-    sup_p = np.max(np.abs(np.array([p.fp for p in samples]) - h.deriv(xs)))
+    sup = np.max(np.abs(f - a - h(xs)))
+    sup_p = np.max(np.abs(fp - h.deriv(xs)))
     assert sup < 1e-8
     assert sup_p < 1e-8
 
 
 def test_c2_oracle_second_derivative_bound():
     for a in (0.5, 1.0, SQRT2):
-        samples = picard_c2_oracle(a, R_STAR)
-        assert max(abs(p.fpp) for p in samples) <= 6.0 * a
+        fpp = picard_c2_oracle(a, R_STAR)[3]
+        assert np.max(np.abs(fpp)) <= 6.0 * a
 
 
 def test_c2_oracle_lipschitz_in_height():
     pairs = [(0.5, 1.0), (1.0, SQRT2), (0.1, 0.3)]
     for a1, a2 in pairs:
-        s1 = picard_c2_oracle(a1, R_STAR, grid=65)
-        s2 = picard_c2_oracle(a2, R_STAR, grid=65)
-        gap = max(abs(p.fpp - q.fpp) for p, q in zip(s1, s2))
+        fpp1 = picard_c2_oracle(a1, R_STAR, grid=65)[3]
+        fpp2 = picard_c2_oracle(a2, R_STAR, grid=65)[3]
+        gap = np.max(np.abs(fpp1 - fpp2))
         assert gap <= 37.0 / 12.0 * abs(a1 - a2)
 
 

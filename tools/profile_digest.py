@@ -1,8 +1,9 @@
 """Print one line per fixed height: the height, a digest of its profile, a
 digest of its axis series, a digest of its mesh's OBJ bytes, a digest of
 its axis series on the radius r = 1, a digest of its ODE defect and a
-digest of its CSV files, so that two checkouts can be compared bit for bit
-with ``diff``.
+digest of its CSV files, then one line per fixed CLI command with the
+digests of what it writes, so that two checkouts can be compared bit for
+bit with ``diff``.
 
     python3 tools/profile_digest.py > digest.txt
 
@@ -27,6 +28,13 @@ prints it in place of that series' digest.  The heights are
 42 geometrically spaced from 0.005 to sqrt(2), then 1e-3, 1e-6, 1e-160,
 0.3349954407339448 and 0.4258777130659485.
 
+Then one line per CLI command of CLI_COMMANDS: the command, its exit
+code, the digest of its ``--json`` stdout and, for each file it writes,
+the file's name and digest.  Each command runs as ``python -m
+lensshrinker.cli`` from this checkout's ``src``, in a fresh temporary
+working directory with the relative ``--output-dir out``, so the
+``config`` block that each output embeds is the same in every checkout.
+
 The CSV bytes also depend on numpy's SIMD dispatch (the CPU features numpy
 selects at import, ROADMAP item 13): np.cos, np.sin, np.arctan2 and the
 like may round differently on another host.  So compare two checkouts on
@@ -39,13 +47,15 @@ import dataclasses
 import hashlib
 import math
 import os
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+sys.path.insert(0, SRC)
 
 from lensshrinker import (LensError, angle_of, build_cluster,  # noqa: E402
                           picard_analytic)
@@ -56,6 +66,14 @@ from lensshrinker.graph_profile import trajectory_to_csv  # noqa: E402
 
 HEIGHTS = [*np.geomspace(0.005, math.sqrt(2.0), 42).tolist(), 1e-3, 1e-6,
            1e-160, 0.3349954407339448, 0.4258777130659485]
+CLI_COMMANDS = [
+    *(["solve", "--a", repr(a)] for a in (0.5, 0.786004, math.sqrt(2.0))),
+    ["shoot"],
+    *(["table", "--from", "0.1", "--to", "1.4", "--step", "0.1", "--jobs", j]
+      for j in ("1", "2")),
+    ["mesh", "--a", "0.786004", "--n-theta", "16"],
+    ["mesh"],
+]
 
 
 def _digest(parts) -> str:
@@ -121,6 +139,25 @@ def series_digest(a: float, r: float) -> str:
         return type(exc).__name__
 
 
+def cli_digest(argv: list[str]) -> str:
+    """The command, its exit code, the digest of its --json stdout and the
+    name and digest of each file it writes, run in a fresh directory."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("LENS_OUTPUT_DIR", None)
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lensshrinker.cli", *argv, "--json",
+             "--output-dir", "out"], cwd=cwd, env=env, capture_output=True,
+            stdin=subprocess.DEVNULL, check=False)
+        out = os.path.join(cwd, "out")
+        files = []
+        for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+            with open(os.path.join(out, name), "rb") as fh:
+                files.append(f"{name}={_digest([fh.read()])}")
+    return " ".join([repr(" ".join(argv)), str(proc.returncode),
+                     _digest([proc.stdout]), *files])
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "lens.obj")
@@ -137,6 +174,8 @@ def main() -> None:
                 digests = [type(exc).__name__] * 3
                 tail = digests[:2]
             print(repr(a), *digests, series_digest(a, 1.0), *tail)
+    for argv in CLI_COMMANDS:
+        print(cli_digest(argv))
 
 
 if __name__ == "__main__":
