@@ -448,7 +448,9 @@ def test_config_block_defaults(tmp_path, monkeypatch, capsys, argv, want):
     monkeypatch.chdir(tmp_path)
     assert run(argv + ["--json", "--output-dir", "out"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["config"] == want
-    for path in (tmp_path / "out").glob("*.json"):
+    files = sorted((tmp_path / "out").glob("*.json"))
+    assert bool(files) == (argv[0] != "verify")  # verify writes no file
+    for path in files:
         assert json.loads(path.read_text())["config"] == want, path.name
 
 
