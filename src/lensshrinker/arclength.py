@@ -46,7 +46,6 @@ imply are not checked again.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -133,24 +132,16 @@ def annulus_log_halfwidth(a: float) -> float:
     return math.sqrt(1.0 - K * K) / K * math.pi / 2.0
 
 
-@functools.lru_cache(maxsize=8)
-def _seed_rule(x_seed: float) -> tuple[np.ndarray, np.ndarray]:
-    # the 40-node Gauss-Legendre rule on [0, x_seed]; read-only, as the
-    # solves share it
-    t, w = gauss_legendre_composite(0.0, x_seed, 1, 40)
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
 def seed_quadratures(h: EvenSeries, a: float,
                      x_seed: float) -> tuple[float, float, float]:
     """Initial (s, i_phi, i_v) from the series on [0, x_seed].
 
-    40-node Gauss-Legendre on the analytic segment; the i_phi integrand
-    uses the even function h'(x)/x directly, so its removable singularity at
-    the axis (limit -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
+    40-node Gauss-Legendre on the analytic segment, the cached one-cell
+    gauss_legendre_composite; the i_phi integrand uses the even function
+    h'(x)/x directly, so its removable singularity at the axis (limit
+    -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
     """
-    t, w = _seed_rule(x_seed)
+    t, w = gauss_legendre_composite(0.0, x_seed, 1, 40)
     f = a + h(t)
     hp_over_x = h.deriv_over_x(t)
     fp = hp_over_x * t

@@ -65,6 +65,7 @@ def _write_json(path: Path, payload: dict, args) -> None:
 
 
 def _out_dir(args) -> Path:
+    # made after the computation, so that a command that fails makes none
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -79,12 +80,11 @@ def _say(args, payload: dict, text: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    out = _out_dir(args)
     a = args.a
     # the tag keeps 8 digits, so two heights can share it: refuse to
     # overwrite the files of another height
     tag = f"a{a:.8g}"
-    previous = out / f"profile_{tag}.json"
+    previous = Path(args.output_dir) / f"profile_{tag}.json"
     if previous.exists():
         with open(previous, encoding="utf-8") as fh:
             other = json.load(fh)  # not a solve's file: another run's
@@ -94,6 +94,7 @@ def cmd_solve(args) -> int:
             raise ValueError(f"{previous} holds the solve at a = {other!r}, "
                              f"not at a = {a!r}; use another --output-dir")
     alpha, profile = angle_of(a, args.pipeline)
+    out = _out_dir(args)
     trajectory_to_csv(profile, out / f"graph_{tag}.csv")
     _write_json(out / f"series_{tag}.json", profile.series.to_dict(a), args)
     profile_to_csv(profile, out / f"profile_{tag}.csv")
@@ -109,11 +110,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    out = _out_dir(args)
     report = find_lens(args.a_lo, args.a_hi, args.tol_a, args.pipeline)
     payload = report.to_dict()
     profile = report.profile
     payload["profile"] = profile_summary(profile)
+    out = _out_dir(args)
     _write_json(out / "shoot_report.json", payload, args)
     profile_to_csv(profile, out / "profile_lens.csv")
     _say(args, payload,
@@ -125,10 +126,10 @@ def cmd_shoot(args) -> int:
 
 
 def cmd_table(args) -> int:
-    out = _out_dir(args)
     step = args.step
     values = list(np.arange(args.a_from, args.a_to + 0.5 * step, step))
     report = sample_angle_table(values, args.pipeline)
+    out = _out_dir(args)
     angle_table_to_csv(report, out / "angle_table.csv")
     _write_json(out / "angle_table.json", report.to_dict(), args)
     n_err = sum(1 for r in report.table if r.error is not None)
@@ -139,7 +140,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    out = _out_dir(args)
     if args.a is not None:
         _, profile = angle_of(args.a, args.pipeline)
     else:
@@ -147,6 +147,7 @@ def cmd_mesh(args) -> int:
                             args.pipeline).profile
     mesh = build_cluster(profile, n_theta=args.n_theta,
                          annulus_outer=args.annulus_outer)
+    out = _out_dir(args)
     write_obj(mesh, out / "lens.obj")
     write_metadata(mesh, out / "lens.json", _config(args))
     _say(args, sidecar(mesh),

@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +48,9 @@ class ClusterMesh:
 
     From build_cluster, triangles, sheet_id and junction are read-only
     arrays shared by every mesh of the same sizes (n_theta, n_s, n_r), so
-    an in-place write to them raises ValueError; copy them to edit.
+    an in-place write to them raises ValueError; copy them to edit.  Such
+    a mesh also holds its size's cached connectivity, which
+    dataclasses.replace keeps; see _cached.
     """
 
     vertices: np.ndarray      # (n, 3)
@@ -57,6 +58,8 @@ class ClusterMesh:
     sheet_id: np.ndarray      # (m,) in {0: upper, 1: lower, 2: annulus}
     junction: np.ndarray      # vertex indices of the shared junction circle
     metadata: dict            # a, xi (the junction radius), sizes, outer
+    _connectivity: _Connectivity | None = field(default=None, repr=False,
+                                                compare=False)
 
 
 def resample_profile(profile: LensProfile, n_s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,9 +102,6 @@ class _Connectivity:
     count, what mesh_checks reads of the triangles and sheet ids, and the
     OBJ face block, made on the first export."""
 
-    __slots__ = ("triangles", "sheet_id", "junction", "n_vertices", "facts",
-                 "_faces", "__weakref__")
-
     def __init__(self, triangles: np.ndarray, sheet_id: np.ndarray,
                  junction: np.ndarray, n_vertices: int):
         for arr in (triangles, sheet_id, junction):
@@ -109,27 +109,22 @@ class _Connectivity:
         self.triangles, self.sheet_id = triangles, sheet_id
         self.junction, self.n_vertices = junction, n_vertices
         self.facts = _mesh_facts(triangles, sheet_id, n_vertices)
-        self._faces = None
-        _BY_TRIANGLES[id(triangles)] = self
 
+    @functools.cached_property
     def faces(self) -> bytes:
-        if self._faces is None:
-            self._faces = b"".join(_face_lines(
-                self.triangles, _sheet_rows(self.sheet_id), self.n_vertices))
-        return self._faces
-
-
-# each live _Connectivity by the id of its triangles.  An entry leaves
-# with its connectivity, which keeps the triangles alive until then, so
-# no other array holds that id meanwhile
-_BY_TRIANGLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        return b"".join(_face_lines(
+            self.triangles, _sheet_rows(self.sheet_id), self.n_vertices))
 
 
 def _cached(mesh: ClusterMesh) -> _Connectivity | None:
-    """The cached connectivity whose read-only triangles and sheet_id the
-    mesh holds, as build_cluster returns them, or None."""
-    conn = _BY_TRIANGLES.get(id(mesh.triangles))
-    return conn if conn is not None and conn.sheet_id is mesh.sheet_id else None
+    """The mesh's connectivity while the mesh holds that connectivity's
+    own triangles and sheet_id, as build_cluster returns them and a
+    dataclasses.replace of the vertices keeps them, or None."""
+    conn = mesh._connectivity
+    if (conn is not None and conn.triangles is mesh.triangles
+            and conn.sheet_id is mesh.sheet_id):
+        return conn
+    return None
 
 
 @functools.lru_cache(maxsize=CACHED_SIZES)
@@ -183,18 +178,21 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
     sheets, and the unbounded planar sheet is truncated at annulus_outer
     (default 3x the junction radius, recorded in the metadata).
 
-    The connectivity (triangles, sheet ids, junction ids, and what
-    mesh_checks reads of them) depends on the sizes alone: it is built
-    once per size, for the last CACHED_SIZES sizes, and the mesh shares
-    its read-only arrays.  The vertices and metadata are the call's own,
-    and every mesh passes all of mesh_checks.
+    The connectivity (triangles, sheet ids, junction ids, what
+    mesh_checks reads of them and the OBJ face block) depends on the
+    sizes alone: it is built once per size, for the last CACHED_SIZES
+    sizes, and the mesh holds it and shares its read-only arrays.  The
+    vertices and metadata are the call's own, and every mesh passes all
+    of mesh_checks.  A size that is not an int, or below its least value,
+    raises ValueError.
     """
-    if n_theta < MIN_N_THETA:
-        raise ValueError(f"n_theta must be at least {MIN_N_THETA}")
-    if n_s < 2:
-        raise ValueError("n_s must be at least 2")
-    if n_r < 1:
-        raise ValueError("n_r must be at least 1")
+    # before the cache, whose key takes 16.0 for 16
+    for name, size, least in (("n_theta", n_theta, MIN_N_THETA),
+                              ("n_s", n_s, 2), ("n_r", n_r, 1)):
+        if not isinstance(size, int):
+            raise ValueError(f"{name} must be an int, not {size!r}")
+        if size < least:
+            raise ValueError(f"{name} must be at least {least}")
     if profile.u[0] != 0.0:
         raise DegenerateProfile("profile must start on the rotation axis")
     xi = profile.xi
@@ -231,6 +229,7 @@ def build_cluster(profile: LensProfile, n_theta: int = DEFAULT_N_THETA,
         metadata={"a": profile.a, "xi": xi, "s_bar": profile.s_bar,
                   "n_theta": n_theta, "n_s": n_s, "n_r": n_r,
                   "annulus_outer": float(outer)},
+        _connectivity=conn,
     )
     failed = [name for name, ok, _ in mesh_checks(mesh) if not ok]
     if failed:
@@ -343,8 +342,9 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
 
     What the triangles and sheet ids fix alone (the distinct mirror pairs
     of vertices, each distinct edge with the class its triangle count and
-    sheets call for) is made once per cached mesh size, and per call for
-    any other mesh; see _mesh_facts.  Each call compares the mirror pairs'
+    sheets call for) is made once per cached mesh size, read from the
+    connectivity the mesh holds (see _cached), and per call for any other
+    mesh; see _mesh_facts.  Each call compares the mirror pairs'
     coordinates, gives each edge the class of its ends (rim: both at
     annulus_outer; junction: both on the junction circle) and compares it
     with the class called for.  It takes each triangle's normal z (the
@@ -478,13 +478,12 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     translated.
 
     The face block (the `g` and `f` lines) depends on the triangles and
-    sheet ids alone.  For a mesh whose triangles and sheet_id are the
-    cached read-only arrays of its size, as build_cluster returns them,
-    the block is built on the first export of that size and written
-    whole after; any other mesh gets its block built per call.  A vertex
-    id outside the mesh raises IndexError and a sheet id other than 0, 1
-    and 2 (or a sheet_id whose length is not the triangle count) raises
-    ValueError, both before the file is opened.
+    sheet ids alone.  For a mesh that holds its size's cached
+    connectivity (see _cached), the block is built on the first export
+    of that size and written whole after; any other mesh gets its block
+    built per call.  A vertex id outside the mesh raises IndexError and a
+    sheet id other than 0, 1 and 2 (or a sheet_id whose length is not the
+    triangle count) raises ValueError, both before the file is opened.
     """
     v = np.ascontiguousarray(mesh.vertices, dtype=np.float64)
     t, sheet_id = mesh.triangles, mesh.sheet_id
@@ -494,7 +493,7 @@ def write_obj(mesh: ClusterMesh, path) -> None:
         raise IndexError("a triangle names a vertex outside the mesh")
     conn = _cached(mesh)
     if conn is not None:
-        faces = [conn.faces()]
+        faces = [conn.faces]
     else:
         rows = _sheet_rows(sheet_id)
         if len(sheet_id) != len(t) or sum(map(len, rows)) != len(t):

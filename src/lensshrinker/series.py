@@ -457,22 +457,17 @@ def picard_analytic(a: float, r: float) -> EvenSeries:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre rule on [-1, 1]; read-only, as callers share it."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    xg.flags.writeable = wg.flags.writeable = False
-    return xg, wg
-
-
 def gauss_legendre_composite(lo: float, hi: float, cells: int,
                              nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    xg, wg = gauss_legendre_rule(nodes)
+    """Composite Gauss-Legendre nodes and weights on [lo, hi]; cached and
+    read-only, as the solves and the C2 oracle share them."""
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(lo, hi, cells + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
     xs = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
     ws = (halves[:, None] * wg[None, :]).ravel()
+    xs.flags.writeable = ws.flags.writeable = False
     return xs, ws
 
 

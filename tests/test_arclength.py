@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import A_STAR
-from lensshrinker import (MonitorViolation, angle_of, arclength, dop853,
-                          find_x0, integrate_profile, picard_analytic,
+from lensshrinker import (MonitorViolation, NoCrossing, angle_of, arclength,
+                          dop853, find_x0, integrate_profile, picard_analytic,
                           polar_monitors)
 from lensshrinker.arclength import (DEFAULT_TOL, DEFECT_PER_TOL,
                                     MONITOR_SLACK_TOL, X_SEED,
@@ -33,6 +33,20 @@ def test_circle_crossing_data(circle_profile):
     assert p.vp[-1] == pytest.approx(-1.0, abs=1e-8)
     assert p.alpha == pytest.approx(-math.pi / 2.0, abs=1e-8)
     assert p.v_residual < 1e-10
+
+
+def test_no_crossing_before_the_arclength_cap(monkeypatch):
+    # the circle crosses at s_bar = pi / sqrt(2) ~ 2.22, past s0 + 1
+    monkeypatch.setattr(arclength, "ARCLENGTH_HARD_CAP", 1.0)
+    with pytest.raises(NoCrossing, match="arclength cap"):
+        integrate_profile(picard_analytic(SQRT2, R_STAR), SQRT2)
+
+
+def test_a_crossing_above_the_event_tolerance_raises(monkeypatch):
+    # |v(s_bar)| is at least 0, so no crossing meets a negative tolerance
+    monkeypatch.setattr(arclength, "EVENT_TOL", -1.0)
+    with pytest.raises(NoCrossing, match="crossing refinement"):
+        integrate_profile(picard_analytic(SQRT2, R_STAR), SQRT2)
 
 
 def test_circle_whole_curve_regression(circle_profile):

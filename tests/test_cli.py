@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lensshrinker import checks, cli, shooting
+from lensshrinker import arclength, checks, cli, shooting
 from lensshrinker.arclength import (integrate_profile, polar_monitors,
                                     profile_summary)
 from lensshrinker.cli import (EXIT_BRACKET, EXIT_CONFIG, EXIT_MONITOR, EXIT_OK,
@@ -270,6 +270,26 @@ def test_annulus_outer_is_bounded_before_any_solve(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "find_lens", no_solve)
     out = tmp_path / "out"
     assert run(argv + ["--output-dir", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["shoot", "--a-lo", "0.05", "--a-hi", "0.06"], EXIT_BRACKET),
+    (["mesh", "--a", "0.786", "--annulus-outer", "1.0"], EXIT_CONFIG),
+], ids=["shoot_no_sign_change", "mesh_annulus_inside_the_junction"])
+def test_a_failed_command_creates_no_output_dir(tmp_path, argv, code):
+    out = tmp_path / "out"
+    assert run(argv + ["--output-dir", str(out)]) == code
+    assert not out.exists()
+
+
+def test_a_solve_without_a_crossing_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(arclength, "ARCLENGTH_HARD_CAP", 1.0)
+    out = tmp_path / "out"
+    assert run(["solve", "--a", repr(SQRT2), "--output-dir", str(out)]) \
+        == EXIT_CONFIG
+    assert "no v=0 crossing before the arclength cap" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

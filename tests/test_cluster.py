@@ -458,6 +458,25 @@ def test_build_cluster_argument_validation(circle_profile):
     for size in ({"n_s": 1}, {"n_s": 0}, {"n_r": 0}, {"n_r": -1}):
         with pytest.raises(ValueError, match="at least"):
             build_cluster(circle_profile, **size)
+    # checked before the size cache, whose key takes 16.0 for 16
+    for name, value in (("n_theta", 16.0), ("n_s", 32.0), ("n_r", 2.0),
+                        ("n_theta", "16"), ("n_r", np.int64(2))):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            build_cluster(circle_profile, **{**SMALL, name: value})
+
+
+def test_build_cluster_refuses_a_profile_off_the_axis(circle_profile):
+    p = circle_profile
+    with pytest.raises(DegenerateProfile, match="rotation axis"):
+        build_cluster(dataclasses.replace(p, u=p.u + 1e-3), **SMALL)
+
+
+def test_build_cluster_raises_on_a_failed_mesh_check(circle_profile):
+    # an annulus 1e-13 of the junction radius wide: its triangles fall
+    # below the area floor, and its radial edges join two rim vertices
+    outer = circle_profile.xi * (1.0 + 1e-13)
+    with pytest.raises(DegenerateProfile, match="mesh validity checks"):
+        build_cluster(circle_profile, annulus_outer=outer, **SMALL)
 
 
 def test_resample_is_arclength_uniform(circle_profile):
@@ -692,6 +711,13 @@ def test_metadata_sidecar(tmp_path, sphere_mesh):
     assert set(meta) == {"a_star", "xi", "s_bar", "n_theta", "annulus_outer",
                          "n_s", "n_r", "n_vertices", "n_triangles", "config"}
     assert meta["config"] == {"command": "mesh"}
+
+
+def test_resample_rejects_a_profile_past_its_crossing(circle_profile):
+    # the dense output runs on past s_bar, where v < 0
+    p = dataclasses.replace(circle_profile, s_bar=1.1 * circle_profile.s_bar)
+    with pytest.raises(DegenerateProfile, match="open quadrant"):
+        resample_profile(p, 64)
 
 
 def test_resample_rejects_stub_profile(circle_profile):

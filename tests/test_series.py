@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -9,15 +10,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import A_STAR
-from lensshrinker.arclength import X_SEED
+from lensshrinker.arclength import X_SEED, seed_quadratures
 from lensshrinker import (CertificateFailure, ContractionConstants, EvenSeries,
-                          NoContraction, apply_L,
+                          NoContraction, NoConvergence, apply_L,
                           contraction_certificate, eta_coefficients, find_x0,
                           invert_L, j_function, nonlinear_Q, picard_analytic,
-                          picard_c2_oracle, weighted_norm)
+                          picard_c2_oracle, series, weighted_norm)
 from lensshrinker.series import (CERT_MARGIN, R_STAR, _cauchy,
                                  derive_contraction_constants,
-                                 gauss_legendre_composite, gauss_legendre_rule,
+                                 gauss_legendre_composite,
                                  not_a_knot_spline, radial_laplacian_inverse,
                                  regime_constants, series_tail_ratio)
 
@@ -623,20 +624,47 @@ def test_c2_oracle_lipschitz_in_height():
         assert gap <= 37.0 / 12.0 * abs(a1 - a2)
 
 
+def test_series_tail_above_eps_at_the_order_cap(monkeypatch):
+    monkeypatch.setattr(series, "MAX_SERIES_ORDER", 4)
+    with pytest.raises(NoConvergence, match="tail"):
+        picard_analytic(0.5, R_STAR)
+
+
+def test_fixed_point_outside_the_certified_distance(monkeypatch):
+    # an L far below the certified one shrinks the distance bound from the
+    # linear solution under the fixed point's
+    derive = series.derive_contraction_constants
+    monkeypatch.setattr(series, "derive_contraction_constants",
+                        lambda a, r: dataclasses.replace(derive(a, r),
+                                                         L=1e-30))
+    with pytest.raises(NoConvergence, match="certified distance"):
+        picard_analytic(0.5, R_STAR)
+
+
 def test_c2_oracle_rejects_uncertified_interval():
     with pytest.raises(CertificateFailure):
         picard_c2_oracle(SQRT2, 1.0 / (3.0 * SQRT2))
 
 
-@pytest.mark.parametrize("nodes", [10, 40])
-def test_gauss_legendre_rule_cached_and_read_only(nodes):
-    xg, wg = gauss_legendre_rule(nodes)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
-    assert np.array_equal(xg, ref_x) and np.array_equal(wg, ref_w)
-    assert gauss_legendre_rule(nodes)[0] is xg
-    assert not xg.flags.writeable and not wg.flags.writeable
-    with pytest.raises(ValueError):
-        xg[0] = 0.0
-    # the composite rule built on the cached arrays leaves them untouched
-    xs, ws = gauss_legendre_composite(0.0, 2.0, 3, nodes)
-    assert np.array_equal(xg, ref_x) and ws.flags.writeable
+@pytest.mark.parametrize("rule, read", [
+    ((0.0, X_SEED, 1, 40),
+     lambda: seed_quadratures(picard_analytic(0.5, R_STAR), 0.5, X_SEED)),
+    ((0.0, 18.0, 16, 10),
+     lambda: radial_laplacian_inverse(np.cos, np.array([0.5]))),
+], ids=["seed", "c2_oracle"])
+def test_gauss_legendre_composite_cached_and_read_only(rule, read):
+    xs, ws = gauss_legendre_composite(*rule)
+    again = gauss_legendre_composite(*rule)
+    assert again[0] is xs and again[1] is ws
+    for arr in (xs, ws):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the cached arrays are the uncached rule's
+    ref_x, ref_w = gauss_legendre_composite.__wrapped__(*rule)
+    assert ref_x is not xs
+    assert np.array_equal(xs, ref_x) and np.array_equal(ws, ref_w)
+    # the seed quadratures and the C2 oracle's inversion read the cache
+    hits = gauss_legendre_composite.cache_info().hits
+    read()
+    assert gauss_legendre_composite.cache_info().hits == hits + 1
