@@ -43,7 +43,6 @@ one host.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -95,16 +94,20 @@ def _bytes(value) -> bytes:
     return repr(value).encode()
 
 
+# every LensProfile field but the series, in a fixed order
+PROFILE_FIELDS = ("a", "s", "u", "v", "up", "vp", "i_phi", "i_v", "s_bar",
+                  "s_star", "xi", "alpha", "v_residual", "monitors", "dense",
+                  "nfev", "n_steps", "n_rejected")
+
+
 def profile_digest(profile) -> str:
     """sha256 prefix of every LensProfile field but the series."""
     parts = []
-    for field in dataclasses.fields(profile):
-        if field.name == "series":
-            continue
-        value = getattr(profile, field.name)
-        if field.name == "dense":
+    for name in PROFILE_FIELDS:
+        value = getattr(profile, name)
+        if name == "dense":
             value = {k: getattr(value, k) for k in ("ts", "h", "y_old", "F")}
-        parts.append(field.name.encode() + b":" + _bytes(value) + b"\n")
+        parts.append(name.encode() + b":" + _bytes(value) + b"\n")
     return _digest(parts)
 
 
