@@ -25,11 +25,11 @@ import os
 # The one BLAS call left (the C2 oracle's matmul in the series) is too
 # small to gain from threads, and starting OpenBLAS's pool costs import time:
 # a fresh numpy import took a median 241 ms unset and 171 ms at 1 on a 2-CPU
-# host.  Set before the first numpy import; a value the user set is kept.
+# host.  Set before the first numpy import, which the profile path never
+# makes; a value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arclength import LensProfile, integrate_profile, polar_monitors
-from .cluster import ClusterMesh, build_cluster, write_obj
 from .errors import (BracketFailure, CertificateFailure, DegenerateProfile,
                      LensError, MonitorViolation, NoContraction,
                      NoConvergence, NoCrossing, StepFailure)
@@ -40,6 +40,18 @@ from .series import (ContractionConstants, EvenSeries, apply_L,
                      picard_c2_oracle, weighted_norm)
 from .shooting import (AngleTable, PipelineConfig, ShootReport, angle_of,
                        find_lens, sample_angle_table)
+
+# the mesh needs numpy, which the profile path never imports: its names
+# load lensshrinker.cluster on first use (PEP 562)
+_CLUSTER = ("ClusterMesh", "build_cluster", "write_obj")
+
+
+def __getattr__(name):
+    if name in _CLUSTER:
+        from . import cluster
+        return getattr(cluster, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

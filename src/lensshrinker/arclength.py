@@ -46,13 +46,15 @@ imply are not checked again.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+import textwrap
+from dataclasses import dataclass
 
 from . import dop853, graph_profile
+from ._views import ArrayField, fill, floats, readonly
 from .errors import MonitorViolation, NoCrossing
+from .graph_profile import PHI_PRIME, _phi_prime
 from .series import EvenSeries, gauss_legendre_composite
 
 MONITOR_SLACK_TOL = -1e-9
@@ -71,31 +73,36 @@ DENSE_POINTS_PER_STEP = 4
 X_SEED = 1e-3
 
 
+def _fill_states(profile: LensProfile) -> None:
+    # the stored states that the profile was not given, from its dense
+    # output at the points of integrate_profile's pass
+    s, (u, v, phi, i_phi, i_v), _ = profile._samples
+    fill(profile, {"s": s, "u": u, "v": v, "up": list(map(math.cos, phi)),
+                   "vp": list(map(math.sin, phi)), "i_phi": i_phi,
+                   "i_v": i_v})
+
+
 @dataclass(frozen=True)
 class LensProfile:
     """The full profile curve from the axis to the horizontal crossing.
 
-    Arrays hold the exact axis point at s = 0, then the dense output at
-    every accepted step (the first is the series seed) and at
+    The stored states are the exact axis point at s = 0, then the dense
+    output at every accepted step (the first is the series seed) and at
     DENSE_POINTS_PER_STEP interior points of each step, then the refined
     crossing state; ``s`` is strictly increasing up to s_bar and (up, vp) =
     (cos phi, sin phi).  ``series`` is the axis series that seeded the curve.
     ``dense`` gives (u, v, phi, i_phi, i_v) on [0, s_bar]: a cubic Hermite
     piece on [0, X_SEED], then DOP853's; ``nfev``, ``n_steps`` and
     ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
-    Frozen, and integrate_profile makes its arrays and those of its dense
-    output read-only, so that a profile cannot change after it passed its
-    monitors; dataclasses.replace still makes a changed copy.
+    The state fields s, u, v, up, vp, i_phi and i_v read as read-only numpy
+    arrays, built on first read (_views.ArrayField): integrate_profile
+    gives the profile s, u, v, up and vp as floats, and i_phi and i_v are
+    evaluated on the dense output when first read.  Frozen, so that a
+    profile cannot change after it passed its monitors;
+    dataclasses.replace still makes a changed copy.
     """
 
     a: float
-    s: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    up: np.ndarray
-    vp: np.ndarray
-    i_phi: np.ndarray
-    i_v: np.ndarray
     s_bar: float
     s_star: float
     xi: float
@@ -107,6 +114,18 @@ class LensProfile:
     nfev: int
     n_steps: int
     n_rejected: int
+    s: ArrayField = ArrayField(fill=_fill_states)
+    u: ArrayField = ArrayField(fill=_fill_states)
+    v: ArrayField = ArrayField(fill=_fill_states)
+    up: ArrayField = ArrayField(fill=_fill_states)
+    vp: ArrayField = ArrayField(fill=_fill_states)
+    i_phi: ArrayField = ArrayField(fill=_fill_states)
+    i_v: ArrayField = ArrayField(fill=_fill_states)
+
+    @functools.cached_property
+    def _samples(self) -> tuple:
+        # the dense output's stored states and their rates (sample's), once
+        return self.dense.sample(DENSE_POINTS_PER_STEP, range(5), rates=True)
 
 
 # state (u, v, phi, i_phi, i_v): the angle-form ODE plus the quadratures,
@@ -137,19 +156,22 @@ def seed_quadratures(h: EvenSeries, a: float,
     """Initial (s, i_phi, i_v) from the series on [0, x_seed].
 
     40-node Gauss-Legendre on the analytic segment, the cached one-cell
-    gauss_legendre_composite; the i_phi integrand uses the even function
-    h'(x)/x directly, so its removable singularity at the axis (limit
-    -(a/2) e^{-a^2/2}) never meets a numerical 1/x.
+    gauss_legendre_composite, each sum correctly rounded (math.fsum); the
+    i_phi integrand uses the even function h'(x)/x directly, so its
+    removable singularity at the axis (limit -(a/2) e^{-a^2/2}) never meets
+    a numerical 1/x.
     """
-    t, w = gauss_legendre_composite(0.0, x_seed, 1, 40)
-    f = a + h(t)
-    hp_over_x = h.deriv_over_x(t)
-    fp = hp_over_x * t
-    sq = np.sqrt(1.0 + fp * fp)
-    e = np.exp(-0.5 * (t * t + f * f))
-    return (float(np.sum(w * sq)),
-            float(np.sum(w * e * hp_over_x / sq)),
-            float(np.sum(w * e * f * sq)))
+    s, i_phi, i_v = [], [], []
+    for t, w in zip(*gauss_legendre_composite(0.0, x_seed, 1, 40)):
+        f = a + h(t)
+        hp_over_x = h.deriv_over_x(t)
+        fp = hp_over_x * t
+        sq = math.sqrt(1.0 + fp * fp)
+        e = math.exp(-0.5 * (t * t + f * f))
+        s.append(w * sq)
+        i_phi.append(w * e * hp_over_x / sq)
+        i_v.append(w * e * f * sq)
+    return math.fsum(s), math.fsum(i_phi), math.fsum(i_v)
 
 
 def integrate_profile(series: EvenSeries, a: float, *,
@@ -194,8 +216,9 @@ def integrate_profile(series: EvenSeries, a: float, *,
     k0, e0 = series.deriv2(0.0), math.exp(-0.5 * a * a)
     axis = dop853.hermite_rows(s0, y_axis, y_seed,
                                [1.0, 0.0, k0, e0 * k0, e0 * a], sol.f0)
-    dense = dop853.DenseOutput.of([0.0, *sol.ts], [s0, *sol.h],
-                                  y_axis + sol.y_old, axis + sol.F)
+    ts, hs, ys, F = [0.0, *sol.ts], [s0, *sol.h], y_axis + sol.y_old, \
+        axis + sol.F
+    dense = dop853.DenseOutput(ts, hs, ys, F)
     n_steps = len(sol.h)
     s_bar = dense.root(1, 0.0, n_steps)
     # s_star on the first step over which u rises through 1, if before
@@ -205,116 +228,225 @@ def integrate_profile(series: EvenSeries, a: float, *,
                    if u_ends[k] <= 1.0 <= u_ends[k + 1]), math.nan)
     if not s_star < s_bar:
         s_star = math.nan
-    # the last piece cut at s_bar, now that the roots have read its end
-    dense.ts[-1] = s_bar
-    ts = dense.ts[1:]
-    frac = np.arange(DENSE_POINTS_PER_STEP + 1) / (DENSE_POINTS_PER_STEP + 1)
-    s = np.concatenate([[0.0], (ts[:-1, None] + np.diff(ts)[:, None]
-                                * frac).ravel(), [s_bar]])
-    # every stored state and its derivative from one pass over the pieces:
-    # the axis piece gives y_axis at 0 and y_seed at s0 exactly (its row 0
-    # is y_seed - y_axis, and v0 - a is exact, v0 being within a factor 2
-    # of a), and every later point falls on a piece of DOP853
-    k, p, dp = dense._horner_at(s)
-    u, v, phi, i_phi, i_v = (p + dense.y_old[k]).T
-    v_residual = abs(float(v[-1]))
+    # the last piece cut at s_bar, now that the roots have read its end;
+    # the dense output has made no array of ts yet
+    ts[-1] = s_bar
+    # every stored state, its derivative and the monitors' terms from one
+    # pass over the pieces: the axis piece gives y_axis at 0 and y_seed at
+    # s0 exactly (its row 0 is y_seed - y_axis, and v0 - a is exact, v0
+    # being within a factor 2 of a), and every later point falls on a
+    # piece of DOP853
+    slacks, z, xi, v_end, alpha = _solve_pass(DENSE_POINTS_PER_STEP)(
+        ts, hs, ys, F, *_bounds(a, tol))
+    v_residual = abs(v_end)
     if v_residual > EVENT_TOL:
         raise NoCrossing(f"crossing refinement left |v(s_bar)|={v_residual}")
-    profile = LensProfile(a=a, s=s, u=u, v=v, up=np.cos(phi), vp=np.sin(phi),
-                          i_phi=i_phi, i_v=i_v, s_bar=s_bar, s_star=s_star,
-                          xi=float(u[-1]), alpha=float(phi[-1]),
-                          v_residual=v_residual, monitors={}, series=series,
-                          dense=dense, nfev=sol.nfev, n_steps=n_steps,
-                          n_rejected=sol.n_rejected)
-    # read-only, as LensProfile's docstring promises: one profile goes to
-    # many readers, such as verify's shared solves
-    for array in (s, u, v, profile.up, profile.vp, i_phi, i_v,
-                  dense.ts, dense.h, dense.y_old, dense.F):
-        array.flags.writeable = False
-    defect = _defect(profile, (dp[:, :3] / dense.h[k][:, None]).T)
-    profile = replace(profile, monitors=monitor_slacks(profile, tol, defect))
-    bad = {k: v for k, v in profile.monitors.items()
-           if not v >= MONITOR_SLACK_TOL}
+    monitors = _report(slacks, z)
+    bad = {k: v for k, v in monitors.items() if not v >= MONITOR_SLACK_TOL}
     if bad:
         raise MonitorViolation(f"profile monitors violated at a={a}: {bad}")
-    return profile
+    return LensProfile(a=a, s_bar=s_bar, s_star=s_star, xi=xi, alpha=alpha,
+                       v_residual=v_residual, monitors=monitors,
+                       series=series, dense=dense, nfev=sol.nfev,
+                       n_steps=n_steps, n_rejected=sol.n_rejected)
 
 
-def curvature_arrays(profile: LensProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Algebraic, variation-of-constants and integral curvature on the states
-    with u > 0; the integral forms agree with the first only along true
-    solutions started orthogonally to the axis, a sharp consistency check."""
-    m = profile.u > 0.0
-    u, v = profile.u[m], profile.v[m]
-    up, vp = profile.up[m], profile.vp[m]
-    grow = np.exp(0.5 * (u * u + v * v)) / u
-    k_alg = graph_profile._phi_prime(u, v, up, vp)
-    k_var = profile.i_phi[m] * grow
-    k_int = -vp / u - grow * profile.i_v[m]
+def _curvatures(profile: LensProfile) -> tuple[list, list, list]:
+    # curvature_arrays' lists
+    k_alg, k_var, k_int = [], [], []
+    for u, v, up, vp, i_phi, i_v in zip(*(floats(profile, k) for k in (
+            "u", "v", "up", "vp", "i_phi", "i_v"))):
+        if u > 0.0:
+            grow = math.exp(0.5 * (u * u + v * v)) / u
+            k_alg.append(_phi_prime(u, v, up, vp))
+            k_var.append(i_phi * grow)
+            k_int.append(-vp / u - grow * i_v)
     return k_alg, k_var, k_int
 
 
-def _defect(profile: LensProfile, rates: np.ndarray) -> np.ndarray:
-    # shrinker_residual from the dense output's (u', v', phi') at every
-    # stored state
-    m = profile.u > 0.0
-    u, v = profile.u[m], profile.v[m]
-    c, sn = profile.up[m], profile.vp[m]  # (cos phi, sin phi)
-    du, dv, dphi = rates[:, m]
-    return np.max(np.abs([du - c, dv - sn,
-                          dphi - graph_profile._phi_prime(u, v, c, sn)]),
-                  axis=0)
+def curvature_arrays(profile: LensProfile) -> tuple:
+    """Algebraic, variation-of-constants and integral curvature on the states
+    with u > 0, read-only arrays; the integral forms agree with the first
+    only along true solutions started orthogonally to the axis, a sharp
+    consistency check."""
+    return tuple(map(readonly, _curvatures(profile)))
 
 
-def shrinker_residual(profile: LensProfile) -> np.ndarray:
-    """Defect of the dense output at the stored states with u > 0: the max
-    over (u, v, phi) of |y'(s) - F(y(s))|, with y' the exact derivative of
-    each step's polynomial and F the angle form, its phi' from
-    graph_profile._phi_prime, apart from ANGLE_FORM, so that a wrong
+# the dense output's defect d at a state with u > 0: the largest of
+# |u' - cos phi|, |v' - sin phi| and |phi' - PHI_PRIME|, from the rates
+# (r0, r1, r2) of its polynomial; it sets pp to PHI_PRIME
+DEFECT = (f"pp = {PHI_PRIME}\nd = abs(r0 - up)\nq = abs(r1 - vp)\n"
+          "if q > d:\n    d = q\nq = abs(r2 - pp)\nif q > d:\n    d = q\n")
+_defect_at = graph_profile._compiled(
+    "def _defect_at(u, v, up, vp, r0, r1, r2):\n"
+    + textwrap.indent(DEFECT, "    ") + "    return d\n", "_defect_at")
+
+
+def _residuals(profile: LensProfile) -> list:
+    # shrinker_residual's list, from the dense output alone
+    _, (u, v, phi, _, _), (r0, r1, r2, _, _) = profile._samples
+    return [_defect_at(*state, math.cos(p), math.sin(p), *rates)
+            for *state, p, rates in list(zip(u, v, phi, zip(r0, r1, r2)))[1:]]
+
+
+def shrinker_residual(profile: LensProfile):
+    """Defect of the dense output at its stored states but the axis point,
+    a read-only array: the max over (u, v, phi) of |y'(s) - F(y(s))|, with
+    y(s) and y'(s) the value and exact derivative of each step's
+    polynomial and F the angle form, its phi' from
+    graph_profile.PHI_PRIME, apart from ANGLE_FORM, so that a wrong
     right-hand side shows.  Zero at step ends, where the dense rows
-    interpolate F.  integrate_profile forms the same values from the rates
-    of the pass that gives the states."""
-    return _defect(profile, profile.dense.derivative(profile.s)[:3])
+    interpolate F.  integrate_profile forms the same values (DEFECT) in
+    the pass that gives the states."""
+    return readonly(_residuals(profile))
 
 
-def monitor_slacks(profile: LensProfile, tol: float,
-                   defect: np.ndarray) -> dict:
+# every monitor, as monitor_slacks reports them
+MONITORS = ("radial_transversality_global", "annulus_upper",
+            "theta_decreasing", "shrinker_residual", "graph_height_lower",
+            "graph_height_upper", "graph_slope_lower", "graph_ratio_monotone",
+            "graph_transversality", "graph_concavity", "graph_slope_negative")
+# each monitor as source over a state's u, v, up and vp (cos phi, sin phi),
+# rho, d (the defect), pp (PHI_PRIME) and the graph's locals: (name, the
+# states it reads, its term at a state, its slack there as a format of the
+# term, the fold whose term gives the worst slack).  The slack is monotone
+# in the term, so its least value is the slack of the terms' min or max.
+# All states but the axis point have u > 0 and a defect, the seed is state
+# 1, the crossing the last, and the graph monitors read the states with
+# 0 < u < 1 (graph_profile.GRAPH_TERMS).  The two monotone monitors hold
+# pairs: theta_i - theta_j and F_j - F_i for i < j, each state against
+# every earlier one, which the running min of theta (tmin) and max of F
+# (fmax) stand for.
+_TERMS = (
+    ("radial_transversality_global", "all", "(-u * vp + v * up) / rho",
+     "{} - floor", "min"),
+    ("annulus_upper", "all", "rho", "band - log({})", "max"),
+    ("theta_decreasing", "all", "tmin - theta", "{}", "min"),
+    ("shrinker_residual", "past_axis", "d", "bound - {}", "max"),
+    *((name, "graph", *rest) for name, *rest in graph_profile.GRAPH_TERMS),
+    ("graph_ratio_monotone", "graph", "ratio - fmax", "{}", "min"),
+    ("graph_concavity", "inner", "pp", "-{}", "max"),
+    ("graph_slope_negative", "seed inner", "vp / up", "-{}", "max"),
+)
+
+
+def _state_source(kind: str, defect: str) -> str:
+    """The fold of one state of kind axis, seed, inner or crossing, as
+    statements over u, v, up and vp: each term into its running min or max
+    m_j, and every state and defect into the sum z, which is not finite if
+    one of them is not.  defect sets d and pp."""
+    def fold(where):
+        return "".join(
+            f"q = {term}\nif q {'<' if how == 'min' else '>'} m{j}:\n"
+            f"    m{j} = q\n" for j, (_, reads, term, _, how) in
+            enumerate(_TERMS) if where in reads.split())
+    src = ("rho = hypot(u, v)\ntheta = atan2(v, u)\n" + fold("all")
+           + "if theta < tmin:\n    tmin = theta\n")
+    if kind == "axis":
+        src += "z += u + v + up + vp\n"
+    else:
+        src += defect + "z += u + v + up + vp + d\n" + fold("past_axis")
+    src += "if 0.0 < u < 1.0:\n" + textwrap.indent(
+        graph_profile.GRAPH_LOCALS + f"ratio = {graph_profile.RATIO}\n"
+        + fold("graph") + "if ratio > fmax:\n    fmax = ratio\n", "    ")
+    return src + (fold(kind) if kind in ("seed", "inner") else "")
+
+
+def _fold_source(name: str, args: str, body: str) -> str:
+    # a function over args that runs body from fresh folds, then returns
+    # the slacks of the folds and z, and whatever body sets in ret
+    return (f"def {name}({args}, a, floor, band, bound, graph_floor):\n"
+            + "".join(f"    m{j} = {'' if how == 'min' else '-'}inf\n"
+                      for j, (*_, how) in enumerate(_TERMS))
+            + "    tmin, fmax, z, ret = inf, -inf, 0.0, ()\n"
+            + textwrap.indent(body, "    ")
+            + "    return [" + ", ".join(slack.format(f"m{j}") for j, (
+                *_, slack, _) in enumerate(_TERMS)) + "], z, *ret\n")
+
+
+@functools.cache
+def _solve_pass(points: int):
+    """integrate_profile's pass, as compiled Python: over the pieces of the
+    dense output (flat lists ts, hs, Y, F as DenseOutput.sample reads
+    them) at DenseOutput.sample's points, each state and its rates by
+    dop853.horner_source (horner_end_source at the end of a piece that is
+    not cut, where x = 1), then its defect (DEFECT) and its fold; it
+    returns the folds' slacks and z, then the last state's u, v and
+    phi."""
+    angle = "u, v, phi = v0, v1, v2\nup = cos(phi)\nvp = sin(phi)\n"
+    point = ("x = (s - t) / h\nw = 1.0 - x\n" + "".join(
+        dop853.horner_source(i, True) for i in range(3)) + angle)
+    end = "".join(dop853.horner_end_source(i, True) for i in range(3)) + angle
+    piece = "t, h, t1 = ts[k], hs[k], ts[k + 1]\n" + \
+        dop853.piece_source(5, range(3))
+    inner = "for s in [t + (t1 - t) * f for f in fracs]:\n" + \
+        textwrap.indent(point + _state_source("inner", DEFECT), "    ")
+    body = (f"fracs = [j / {points + 1} for j in range(1, {points + 1})]\n"
+            "k = 0\n" + piece + "s = t\n" + point
+            + _state_source("axis", DEFECT) + end
+            + _state_source("seed", DEFECT)
+            + "for k in range(1, len(hs)):\n"
+            + textwrap.indent(piece + inner + "if k == len(hs) - 1:\n"
+                              "    break\n" + end
+                              + _state_source("inner", DEFECT), "    ")
+            + "s = t1\n" + point + _state_source("crossing", DEFECT)
+            + "ret = u, v, phi\n")
+    return graph_profile._compiled(
+        _fold_source("solve_pass", "ts, hs, Y, F", body), "solve_pass")
+
+
+@functools.cache
+def _states_fold():
+    """monitor_slacks' fold over given states U, V, UP, VP and the defect
+    D at every state but the first, as compiled Python."""
+    given = f"pp = {PHI_PRIME}\nd = next(D)\n"
+    state = "u, v, up, vp = U[i], V[i], UP[i], VP[i]\n"
+    body = ("D = iter(D)\nn = len(U)\n"
+            "i = 0\n" + state + _state_source("axis", given)
+            + "i = 1\n" + state + _state_source("seed", given)
+            + "for i in range(2, n - 1):\n"
+            + textwrap.indent(state + _state_source("inner", given), "    ")
+            + "i = n - 1\n" + state + _state_source("crossing", given))
+    return graph_profile._compiled(
+        _fold_source("fold", "U, V, UP, VP, D", body), "fold")
+
+
+def _bounds(a: float, tol: float) -> tuple:
+    # the constants of the slacks at height a and tolerance tol
+    return (a, transversality_floor(a), annulus_log_halfwidth(a),
+            DEFECT_PER_TOL * tol, a / math.sqrt(1.0 + a * a))
+
+
+def _report(slacks: list, z: float) -> dict:
+    # monitor_slacks' dict from a fold's slacks and sum
+    if not math.isfinite(z):
+        return dict.fromkeys(MONITORS, math.nan)
+    worst = {name: slack for (name, *_), slack in zip(_TERMS, slacks)}
+    return {name: worst[name] for name in MONITORS}
+
+
+def monitor_slacks(profile: LensProfile, tol: float, defect) -> dict:
     """Worst slack of each monitored inequality, the minimum of its slacks
     at the stored states; it holds where its slack is >= 0.  Pure report,
-    never raises.
+    never raises; a state or a defect that is not finite makes every slack
+    NaN.  integrate_profile computes the same slacks, to the bit, in the
+    pass that gives the states.
 
     Polar, on all states: the radial transversality (-u v' + v u')/rho >=
     K_a, log rho below the annulus band, and a strictly decreasing polar
     angle, which certifies injectivity; each theta is compared with every
     later one, so that rises below the tolerance cannot add up.
     ``shrinker_residual`` is DEFECT_PER_TOL * tol minus ``defect``, the ODE
-    defect of the dense output at the states, shrinker_residual(profile)
-    to the bit.  Graph: graph_profile.graph_slacks on the view
-    0 < u < 1, and before the crossing f' <= 0 from the seed on and
-    phi' <= 0 after it.  Bounds these imply, f >= 0 among them, are not
-    checked again (README, "How it works").
+    defect of the dense output at every state but the axis point, as
+    shrinker_residual(profile) gives it.  Graph: graph_profile's slacks on
+    the view 0 < u < 1, and before the crossing f' <= 0 from the seed on
+    and phi' <= 0 after it.  Bounds these imply, f >= 0 among them, are
+    not checked again (README, "How it works").
     """
-    a = profile.a
-    u, v, up, vp = profile.u, profile.v, profile.up, profile.vp
-    rho = np.hypot(u, v)
-    theta = np.arctan2(v, u)
-    # state 0 is the axis point, state 1 the seed, the last the crossing
-    past_seed = [arr[2:-1] for arr in (u, v, up, vp)]
-    slacks = {
-        "radial_transversality_global":
-            (-u * vp + v * up) / rho - transversality_floor(a),
-        "annulus_upper": annulus_log_halfwidth(a) - np.log(rho),
-        "theta_decreasing":
-            theta[:-1] - np.maximum.accumulate(theta[:0:-1])[::-1],
-        "shrinker_residual": DEFECT_PER_TOL * tol - defect,
-        **graph_profile.graph_slacks(profile),
-        "graph_concavity": -graph_profile._phi_prime(*past_seed),
-        "graph_slope_negative": -vp[1:-1] / up[1:-1],
-    }
-    # the ufunc's reduce itself: np.min's wrapper costs more than the
-    # reduction on these ~100-point arrays, and gives the same bits
-    return {name: float(np.minimum.reduce(s, initial=math.inf))
-            for name, s in slacks.items()}
+    defect = defect.tolist() if hasattr(defect, "tolist") else defect
+    return _report(*_states_fold()(
+        *(floats(profile, k) for k in ("u", "v", "up", "vp")), defect,
+        *_bounds(profile.a, tol)))
 
 
 # the monitors of the polar bounds, each checked on [0, s_bar]
@@ -341,15 +473,17 @@ def polar_monitors(profile: LensProfile, a: float) -> PolarReport:
 
 
 def profile_to_csv(profile: LensProfile, path) -> None:
-    """Write s, u, v, up, vp, k_alg, k_int, rho, theta, residual_shrinker."""
-    m = profile.u > 0.0
-    k_alg, _, k_int = curvature_arrays(profile)
-    u, v = profile.u[m], profile.v[m]
-    np.savetxt(path, np.column_stack(
-        [profile.s[m], u, v, profile.up[m], profile.vp[m], k_alg, k_int,
-         np.hypot(u, v), np.arctan2(v, u), shrinker_residual(profile)]),
-        fmt="%.17g", delimiter=",", comments="",
-        header="s,u,v,up,vp,k_alg,k_int,rho,theta,residual_shrinker")
+    """Write s, u, v, up, vp, k_alg, k_int, rho, theta, residual_shrinker,
+    one row per state with u > 0."""
+    states = [row for row in zip(*(floats(profile, k) for k in
+                                   ("s", "u", "v", "up", "vp")))
+              if row[1] > 0.0]
+    k_alg, _, k_int = _curvatures(profile)
+    _, u, v, _, _ = columns = list(zip(*states))
+    graph_profile.write_csv(
+        path, "s,u,v,up,vp,k_alg,k_int,rho,theta,residual_shrinker",
+        [*columns, k_alg, k_int, map(math.hypot, u, v), map(math.atan2, v, u),
+         _residuals(profile)])
 
 
 def profile_summary(profile: LensProfile) -> dict:

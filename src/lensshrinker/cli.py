@@ -23,16 +23,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .arclength import polar_monitors, profile_summary, profile_to_csv
-from .cluster import (DEFAULT_N_THETA, MIN_N_THETA, build_cluster, sidecar,
-                      write_metadata, write_obj)
 from .errors import BracketFailure, LensError, MonitorViolation
 from .graph_profile import trajectory_to_csv
-from .shooting import (A_CIRCLE, A_MIN, DEFAULT_BRACKET, DEFAULT_TOL_A,
-                       PipelineConfig, angle_of, angle_table_to_csv,
-                       find_lens, sample_angle_table)
+from .shooting import (A_CIRCLE, A_MIN, DEFAULT_BRACKET, DEFAULT_N_THETA,
+                       DEFAULT_TOL_A, MIN_N_THETA, PipelineConfig, angle_of,
+                       angle_table_to_csv, find_lens, sample_angle_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,6 +65,28 @@ def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _refuse_a_file_in(output_dir: str) -> None:
+    """Raise NotADirectoryError if output_dir, or the nearest of its
+    ancestors that exists, is not a directory: a path that no mkdir can
+    make, refused before the computation; nothing is made."""
+    out = Path(output_dir)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"output directory {out}: {path} "
+                                         f"is not a directory")
+            return
+
+
+def table_heights(lo: float, hi: float, step: float) -> list:
+    """The table's heights, np.arange(lo, hi + step / 2, step) to the bit:
+    ceil((hi + step / 2 - lo) / step) rows, lo, lo + step, then lo + i
+    ((lo + step) - lo), as arange fills them."""
+    n = math.ceil((hi + 0.5 * step - lo) / step)
+    delta = (lo + step) - lo
+    return [lo, lo + step, *(lo + i * delta for i in range(2, n))][:n]
 
 
 def _say(args, payload: dict, text: str) -> None:
@@ -126,8 +144,7 @@ def cmd_shoot(args) -> int:
 
 
 def cmd_table(args) -> int:
-    step = args.step
-    values = list(np.arange(args.a_from, args.a_to + 0.5 * step, step))
+    values = table_heights(args.a_from, args.a_to, args.step)
     report = sample_angle_table(values, args.pipeline)
     out = _out_dir(args)
     angle_table_to_csv(report, out / "angle_table.csv")
@@ -139,7 +156,24 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+# the mesh's names, which need numpy: each loads lensshrinker.cluster on
+# first read (PEP 562), which only cmd_mesh makes
+_CLUSTER = ("build_cluster", "sidecar", "write_metadata", "write_obj")
+
+
+def __getattr__(name):
+    if name in _CLUSTER:
+        from . import cluster
+        return getattr(cluster, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_mesh(args) -> int:
+    # read off the module, so that its __getattr__ loads the cluster here
+    # and a name set on the module is the one called
+    cli = sys.modules[__name__]
+    build_cluster, sidecar, write_metadata, write_obj = (
+        getattr(cli, name) for name in _CLUSTER)
     if args.a is not None:
         _, profile = angle_of(args.a, args.pipeline)
     else:
@@ -250,7 +284,7 @@ def config_from_args(args):
         if not (0.0 < lo <= hi <= A_CIRCLE and 0.0 < step < math.inf):
             raise ValueError("table range must be ordered inside (0, sqrt(2)] "
                              "with a finite positive step")
-        # np.arange(lo, hi + step / 2, step) has ceil(span) rows
+        # table_heights(lo, hi, step) has ceil(span) rows
         span = (hi + step / 2 - lo) / step
         if not 0.0 < span <= MAX_TABLE_ROWS:
             raise ValueError(f"table range gives no row or more than "
@@ -270,6 +304,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if args.command != "verify":
+            _refuse_a_file_in(args.output_dir)
         return COMMANDS[args.command](args)
     except BracketFailure as exc:
         print(f"bracket failure: {exc}", file=sys.stderr)

@@ -23,14 +23,13 @@ import numpy as np
 
 from .arclength import LensProfile
 from .errors import DegenerateProfile
+from .shooting import DEFAULT_N_THETA, MIN_N_THETA
 
 SHEET_UPPER = 0
 SHEET_LOWER = 1
 SHEET_ANNULUS = 2
 SHEET_NAMES = ("upper_cap", "lower_cap", "planar_annulus")
 
-DEFAULT_N_THETA = 64
-MIN_N_THETA = 16
 DEFAULT_N_S = 256
 DEFAULT_N_R = 24
 DEFAULT_OUTER_FACTOR = 3.0

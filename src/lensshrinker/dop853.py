@@ -29,15 +29,15 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import sys
 import textwrap
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._views import ArrayField, floats
 from .errors import NoConvergence, StepFailure
 
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 RTOL_FLOOR = 100 * EPS  # below it the error estimate is rounding noise
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # step-size factor and bounds
 
@@ -46,8 +46,7 @@ C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
      0.7777777777777778)
 # stages 1-15 row by row below the diagonal; row 12 holds the weights B
-A = np.zeros((16, 16))
-A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379,
+_BELOW = (0.05260015195876773, 0.0197250569845379,
     0.0591751709536137, 0.02958758547680685, 0.0, 0.08876275643042054,
     0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792,
     0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242,
@@ -75,16 +74,19 @@ A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379,
     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
     -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
-    -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]
-B = A[12, :12]
-E3 = np.append(B, 0.0)  # B minus the embedded 3rd-order weights
-E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
-E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
-               -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-               0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
-               0.0])
+    -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)
+A = tuple(_BELOW[s * (s - 1) // 2:s * (s + 1) // 2] + (0.0,) * (16 - s)
+          for s in range(16))
+B = A[12][:12]
+# B minus the embedded 3rd-order weights
+E3 = tuple(b - {0: 0.2440944881889764, 8: 0.7338466882816118,
+                11: 0.022058823529411766}.get(i, 0.0)
+           for i, b in enumerate(B + (0.0,)))
+E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+      -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+      0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
 # dense-output rows F[3:] = h D K over all 16 stages
-D = np.reshape([-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+_D = (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
@@ -100,7 +102,8 @@ D = np.reshape([-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
     0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
     -43.53345659001114, 96.32455395918828, -39.17726167561544,
-    -149.72683625798564], (4, 16))
+    -149.72683625798564)
+D = tuple(_D[16 * r:16 * r + 16] for r in range(4))
 
 
 def hermite_rows(h, y_old, y_new, f_old, f_new) -> list:
@@ -118,9 +121,10 @@ def _horner(F, x):
     """The piece polynomial less y_old, x (F[0] + (1-x) (F[1] + ...)), and its
     x-derivative, innermost first: on numpy rows F[0..6] and an x that
     broadcasts with them, or on Python floats, with the same bits."""
-    p = dp = 0.0
-    w = 1 - x
-    for i in range(6, -1, -1):
+    w = 1.0 - x
+    dp = F[6]  # the innermost row, F[6] x, and its derivative
+    p = dp * x
+    for i in range(5, -1, -1):
         p = p + F[i]
         if i % 2:
             dp, p = dp * w - p, p * w
@@ -129,50 +133,134 @@ def _horner(F, x):
     return p, dp
 
 
+def _shape(*tail):
+    # an ArrayField shape: one block of the given trailing shape per piece
+    return lambda dense: (len(floats(dense, "h")), *tail)
+
+
 @dataclass(frozen=True)
 class DenseOutput:
     """Piece k covers [ts[k], ts[k+1]] in x = (t - ts[k]) / h[k], h[k] its
     full step; a point shared by two pieces belongs to the lower one.  The
-    states, their derivative and the roots all read the pieces by _horner."""
+    states, their derivative, the samples and the roots all read the
+    pieces by _horner.  The fields are kept as given, flat float lists from
+    integrate, and read as read-only arrays (_views.ArrayField); sample and
+    root run on Python floats, __call__ and derivative on numpy."""
 
-    ts: np.ndarray     # (m + 1,)
-    h: np.ndarray      # (m,)
-    y_old: np.ndarray  # (m, n)
-    F: np.ndarray      # (m, 7, n)
+    ts: ArrayField = ArrayField()                     # (m + 1,)
+    h: ArrayField = ArrayField()                      # (m,)
+    y_old: ArrayField = ArrayField(_shape(-1))        # (m, n)
+    F: ArrayField = ArrayField(_shape(7, -1))         # (m, 7, n)
 
     @classmethod
     def of(cls, ts, h, y_old, F) -> "DenseOutput":
         """The pieces from flat float lists: ts, and per piece h, y_old and
         the 7 rows of F, row by row."""
-        m = len(h)
-        return cls(np.array(ts), np.array(h), np.array(y_old).reshape(m, -1),
-                   np.array(F).reshape(m, 7, -1))
+        return cls(ts, h, y_old, F)
 
     def _horner_at(self, t):
         # piece index of each point of t, and _horner at its local x
+        import numpy as np
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
         x = ((t - self.ts[k]) / self.h[k])[:, None]
         return k, *_horner(self.F[k].swapaxes(0, 1), x)
 
-    def __call__(self, t) -> np.ndarray:
+    def __call__(self, t):
         """States at the 1-d array of points t, shape (n, len(t))."""
         k, p, _ = self._horner_at(t)
         return (p + self.y_old[k]).T
 
-    def derivative(self, t) -> np.ndarray:
+    def derivative(self, t):
         """Exact t-derivative of each piece's polynomial at the points t,
         shape (n, len(t)); it equals the right-hand side at step ends."""
         k, _, dp = self._horner_at(t)
         return (dp / self.h[k][:, None]).T
 
+    def sample(self, points: int, components, rates: bool = False):
+        """Each piece's states at ``points`` interior points, from piece 1
+        on, then at its end, after the state at ts[0]: (s, the values of
+        each component of ``components``, and with rates their exact
+        derivatives), lists of Python floats.
+
+        The interior points of piece k are ts[k] + (ts[k+1] - ts[k]) j /
+        (points + 1), j = 1..points, and each state is _horner's at x =
+        (s - ts[k]) / h[k] plus y_old, each derivative its dp over h[k], to
+        the bit; the point ts[k+1] belongs to piece k.  Piece 0, the axis
+        segment of a profile, gives its two ends only.
+        """
+        ts, h = floats(self, "ts"), floats(self, "h")
+        return _sampler(len(floats(self, "y_old")) // len(h), points,
+                        tuple(components), rates)(
+            ts, h, floats(self, "y_old"), floats(self, "F"))
+
     def root(self, i: int, level: float, k: int) -> float:
         """Brent's root of y[i] - level on piece k, over [ts[k], ts[k+1]],
         where it must change sign; y[i] is __call__'s to the bit."""
-        t, h = float(self.ts[k]), float(self.h[k])
-        c, y_old = self.F[k, :, i].tolist(), float(self.y_old[k, i])
+        ts, F, y = floats(self, "ts"), floats(self, "F"), floats(self, "y_old")
+        n = len(y) // len(floats(self, "h"))
+        t, h = ts[k], floats(self, "h")[k]
+        c, y_old = F[7 * n * k + i::n][:7], y[n * k + i]
         return brentq(lambda r: _horner(c, (r - t) / h)[0] + y_old - level,
-                      t, float(self.ts[k + 1]))
+                      t, ts[k + 1])
+
+
+def horner_source(i, rates: bool) -> str:
+    """_horner's loop unrolled, operation for operation, as statements for
+    component i: from x, w = 1 - x, the rows f0_i .. f6_i and the old
+    state y_i of a piece, they set v_i to the state at x and, if rates, r_i
+    to its derivative, dp over the step h; the bits of _horner's."""
+    src = f"dp = f6_{i}\np = dp * x\n" if rates else f"p = f6_{i} * x\n"
+    for r in range(5, -1, -1):
+        z = "w" if r % 2 else "x"
+        src += f"p = p + f{r}_{i}\n"
+        if rates:
+            src += f"dp = dp * {z} {'-' if r % 2 else '+'} p\n"
+        src += f"p = p * {z}\n"
+    return src + f"v{i} = p + y{i}\n" + (f"r{i} = dp / h\n" if rates else "")
+
+
+def horner_end_source(i, rates: bool) -> str:
+    """horner_source at x = 1, where w = 0: there _horner's value is row 0
+    and its derivative row 0 less rows 1 and 2, to the bit for finite
+    rows (each odd row's product with w is a zero that the next sum
+    drops)."""
+    return f"v{i} = f0_{i} + y{i}\n" + \
+        (f"r{i} = (f0_{i} - (f2_{i} + f1_{i})) / h\n" if rates else "")
+
+
+def piece_source(n: int, components) -> str:
+    """Statements that load piece k's old state y_i and rows fr_i of each
+    component i of a state of n components from the flat lists Y and F."""
+    return "".join(f"y{i} = Y[{n} * k + {i}]\n" for i in components) + \
+        "".join(f"f{r}_{i} = F[{7 * n} * k + {r * n + i}]\n"
+                for i in components for r in range(7))
+
+
+@functools.cache
+def _sampler(n: int, points: int, components: tuple, rates: bool):
+    """DenseOutput.sample's loop over the pieces for states of n
+    components, as compiled Python: per point, horner_source for each
+    component, on the piece's rows held in locals."""
+    values = [f"V{i}" for i in components]
+    derivs = [f"R{i}" for i in components if rates]
+    point = "x = (s - t) / h\nw = 1.0 - x\n" + "".join(
+        horner_source(i, rates) + f"V{i}.append(v{i})\n"
+        + (f"R{i}.append(r{i})\n" if rates else "") for i in components)
+    src = ("def sample(ts, hs, Y, F):\n"
+           + "".join(f"    {name} = []\n" for name in ["S", *values, *derivs])
+           + f"    fracs = [j / {points + 1} for j in range(1, {points + 1})]\n"
+           "    for k in range(len(hs)):\n"
+           "        t, h, t1 = ts[k], hs[k], ts[k + 1]\n"
+           + textwrap.indent(piece_source(n, components), " " * 8)
+           + "        pts = [t] if k == 0 else "
+           "[t + (t1 - t) * f for f in fracs]\n"
+           "        pts.append(t1)\n"
+           "        for s in pts:\n"
+           "            S.append(s)\n"
+           + textwrap.indent(point, " " * 12)
+           + f"    return S, [{', '.join(values)}], [{', '.join(derivs)}]\n")
+    return _compiled(src, "sample")["sample"]
 
 
 # the pieces as DenseOutput.of takes them (flat float lists), fun(t0, y0)
@@ -315,8 +403,8 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
     body = textwrap.indent(form.body + "\n", "    ")
 
     def dot(row, i):
-        return " + ".join(f"{w!r} * _k{j}_{i}" for j, w in enumerate(
-            row.tolist()) if w)
+        return " + ".join(f"{float(w)!r} * _k{j}_{i}"
+                          for j, w in enumerate(row) if w)
 
     def each(fmt, stages=(None,)):
         # fmt for every stage j of stages and component i, each with ", "
@@ -324,7 +412,7 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
                        for i in range(n))
 
     def stage(s):
-        src = "".join(f"    {name} = _y{i} + ({dot(a[s, :s], i)}) * _h\n"
+        src = "".join(f"    {name} = _y{i} + ({dot(a[s][:s], i)}) * _h\n"
                       for i, name in enumerate(form.state)
                       if s == 12 or name in read)
         if s == 12:  # the new state, and the error norms over its scale
@@ -387,7 +475,7 @@ def integrate(form: Form, t0: float, y0, t_bound: float, *, tol: float,
                          f"100 eps = {RTOL_FLOOR}")
     if not t0 < t_bound:
         raise ValueError(f"need t0={t0} < t_bound={t_bound}")
-    t, y, tol = float(t0), np.asarray(y0, dtype=float).tolist(), float(tol)
+    t, y, tol = float(t0), [float(yi) for yi in y0], float(tol)
     n = len(y)
     if n != len(form.state):
         raise ValueError(f"a state of length {n} for the components "
@@ -396,7 +484,7 @@ def integrate(form: Form, t0: float, y0, t_bound: float, *, tol: float,
         raise ValueError(f"stop component {stop} outside a state of "
                          f"length {n}")
     fun = function(form)
-    f0 = f = np.asarray(fun(t, y), dtype=float).tolist()
+    f0 = f = [float(fi) for fi in fun(t, y)]
     # initial step size (Hairer, Norsett & Wanner, Sec. II.4)
     scale = [tol + abs(yi) * tol for yi in y]
     d0, d1 = (math.sqrt(_sum_of_squares(z, scale)) / n ** 0.5 for z in (y, f))

@@ -22,59 +22,123 @@ both read.
 from __future__ import annotations
 
 import math
+import textwrap
 from typing import TYPE_CHECKING
 
-import numpy as np
+from ._views import floats, readonly
 
 if TYPE_CHECKING:
     from .arclength import LensProfile
 
 
-def _phi_prime(u, v, up, vp):
-    """Curvature phi' = -sin phi / u + u sin phi - v cos phi (needs u > 0)."""
-    return -vp / u + u * vp - v * up
+# phi' of the angle form at a state with u > 0, from (u, v) and (up, vp) =
+# (cos phi, sin phi): source that the monitors' generated code inlines
+PHI_PRIME = "-vp / u + u * vp - v * up"
+# the graph view's monitors at a state with 0 < u < 1, as source: the
+# locals fp = f' and root = sqrt(1 - x^2) that they read, then per monitor
+# (name, the state's term, the slack as a format of the term, and the fold
+# that the worst slack takes of the terms: the slack is monotone in the
+# term, so its least value is the slack of the term's min or max)
+GRAPH_LOCALS = "fp = vp / up\nroot = sqrt(1.0 - u * u)\n"
+GRAPH_TERMS = (
+    ("graph_height_lower", "v - a * root", "{}", "min"),
+    ("graph_height_upper", "v", "a - {}", "max"),
+    ("graph_slope_lower", "fp + a * u / (1.0 - u * u)", "{}", "min"),
+    ("graph_transversality", "(v - u * fp) / sqrt(1.0 + fp * fp)",
+     "{} - graph_floor", "min"),
+)
+# F = f / sqrt(1 - x^2), each compared with every later one
+RATIO = "v / root"
 
 
-def _graph_states(profile: LensProfile) -> tuple[np.ndarray, ...]:
+def _compiled(src: str, name: str):
+    # the function name that src defines, with the math module's names
+    namespace = {k: getattr(math, k) for k in dir(math) if k[0] != "_"}
+    exec(compile(src, f"<graph_profile {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_phi_prime = _compiled(f"def _phi_prime(u, v, up, vp):\n"
+                       f"    return {PHI_PRIME}\n", "_phi_prime")
+_phi_prime.__doc__ = "Curvature phi' (needs u > 0); PHI_PRIME as a function."
+
+# every graph state's slack of each GRAPH_TERMS monitor, and its F
+_terms = _compiled(
+    "def _terms(X, FS, UP, VP, a):\n"
+    "    graph_floor = a / sqrt(1.0 + a * a)\n"
+    + "".join(f"    L{j} = []\n" for j in range(len(GRAPH_TERMS)))
+    + "    ratio = []\n"
+    "    for u, v, up, vp in zip(X, FS, UP, VP):\n"
+    + textwrap.indent(GRAPH_LOCALS, " " * 8)
+    + "".join(f"        L{j}.append({slack.format(f'({term})')})\n"
+              for j, (_, term, slack, _) in enumerate(GRAPH_TERMS))
+    + f"        ratio.append({RATIO})\n"
+    f"    return [{', '.join(f'L{j}' for j in range(len(GRAPH_TERMS)))}], "
+    "ratio\n", "_terms")
+
+
+def falls(ratio) -> list:
+    """Per state but the last, the least later F minus F: negative wherever
+    F falls, however slowly (graph_ratio_monotone's slack)."""
+    out, least = [], math.inf
+    for i in range(len(ratio) - 1, 0, -1):
+        least = ratio[i] if ratio[i] < least else least
+        out.append(least - ratio[i - 1])
+    return out[::-1]
+
+
+def _graph_states(profile: LensProfile) -> tuple[list, ...]:
     # (x, f, cos phi, sin phi) on the profile states with 0 < u < 1
-    m = (profile.u > 0.0) & (profile.u < 1.0)
-    return profile.u[m], profile.v[m], profile.up[m], profile.vp[m]
+    rows = [row for row in zip(*(floats(profile, k) for k in
+                                 ("u", "v", "up", "vp")))
+            if 0.0 < row[0] < 1.0]
+    return tuple(map(list, zip(*rows))) if rows else ([], [], [], [])
 
 
-def graph_view(profile: LensProfile) -> tuple[np.ndarray, ...]:
-    """(x, f, f', f'') on the profile states with 0 < u < 1."""
+def _view(profile: LensProfile) -> tuple[list, ...]:
+    # graph_view's lists: x, f, f' and f''
     x, f, up, vp = _graph_states(profile)
-    return x, f, vp / up, _phi_prime(x, f, up, vp) / up ** 3
+    return (x, f, [s / c for c, s in zip(up, vp)],
+            [_phi_prime(xi, fi, c, s) / c ** 3
+             for xi, fi, c, s in zip(x, f, up, vp)])
+
+
+def graph_view(profile: LensProfile) -> tuple:
+    """(x, f, f', f'') on the profile states with 0 < u < 1, read-only
+    arrays."""
+    return tuple(map(readonly, _view(profile)))
+
+
+def _slacks(profile: LensProfile) -> dict:
+    # graph_slacks' lists: each slack at each graph state, in order
+    terms, ratio = _terms(*_graph_states(profile), profile.a)
+    slacks = {name: values for (name, *_), values in zip(GRAPH_TERMS, terms)}
+    slacks["graph_ratio_monotone"] = falls(ratio)
+    return slacks
 
 
 def graph_slacks(profile: LensProfile) -> dict:
-    """Pointwise slack, >= 0 where it holds, of each graph-view monitor;
-    it reads x, f and f' only."""
-    a = profile.a
-    x, f, up, vp = _graph_states(profile)
-    fp = vp / up
-    root = np.sqrt(1.0 - x * x)
-    ratio = f / root
-    return {
-        "graph_height_lower": f - a * root,
-        "graph_height_upper": a - f,
-        "graph_slope_lower": fp + a * x / (1.0 - x * x),
-        # each F against every later one, so that falls below the
-        # tolerance cannot add up; np.diff(F) wherever F increases
-        "graph_ratio_monotone":
-            np.minimum.accumulate(ratio[::-1])[::-1][1:] - ratio[:-1],
-        "graph_transversality": ((f - x * fp) / np.sqrt(1.0 + fp * fp)
-                                 - a / math.sqrt(1.0 + a * a)),
-    }
+    """Pointwise slack, >= 0 where it holds, of each graph-view monitor, as
+    read-only arrays; it reads x, f and f' only."""
+    return {name: readonly(values)
+            for name, values in _slacks(profile).items()}
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write the header line, then one row of the columns' floats per line,
+    each as '%.17g', comma-separated (np.savetxt's bytes)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(["%.17g" % value for value in row]) + "\n")
 
 
 def trajectory_to_csv(profile: LensProfile, path) -> None:
     """Write the graph view: x, f, fp, fpp, F, slack_lower, slack_upper,
     slack_transversality, one row per profile state with 0 < u < 1."""
-    x, f, fp, fpp = graph_view(profile)
-    slack = graph_slacks(profile)
-    np.savetxt(path, np.column_stack(
-        [x, f, fp, fpp, f / np.sqrt(1.0 - x * x), slack["graph_height_lower"],
-         slack["graph_height_upper"], slack["graph_transversality"]]),
-        fmt="%.17g", delimiter=",", comments="",
-        header="x,f,fp,fpp,F,slack_lower,slack_upper,slack_transversality")
+    x, f, fp, fpp = _view(profile)
+    (lower, upper, _, transversality), ratio = _terms(
+        *_graph_states(profile), profile.a)
+    write_csv(path, "x,f,fp,fpp,F,slack_lower,slack_upper,"
+              "slack_transversality",
+              [x, f, fp, fpp, ratio, lower, upper, transversality])

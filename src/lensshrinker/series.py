@@ -34,8 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._views import ArrayField
 from .dop853 import EPS, brentq
 from .errors import CertificateFailure, NoContraction, NoConvergence
 
@@ -55,13 +54,13 @@ MAX_SERIES_ORDER = 256
 # ---------------------------------------------------------------------------
 
 def _horner(c, x):
-    """sum_k c_k x^{2k} by Horner's rule in x^2, for the list of floats c; a
-    float for scalar x."""
-    x2 = np.square(np.asarray(x, dtype=float))
-    out = np.zeros_like(x2)
-    for ck in c[::-1]:
+    """sum_k c_k x^{2k} by Horner's rule in x^2, for the sequence of floats
+    c, at a float x or elementwise on a numpy array x."""
+    x2 = x * x
+    out = 0.0
+    for ck in reversed(c):
         out = out * x2 + ck
-    return out if out.ndim else float(out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,25 +71,30 @@ class EvenSeries:
     implicitly zero, so evaluation is automatically symmetric in x -> -x.
     ``radius`` records the interval half-width the series is certified (or
     intended to be used) on; it is metadata, not a truncation device.  The
-    series and its derivatives evaluate by Horner's rule in x^2.
+    series and its derivatives evaluate by Horner's rule in x^2, on Python
+    floats (``c``, the coefficients as a tuple) or elementwise on a numpy
+    array; ``coeffs`` reads as a read-only array.
     """
 
-    coeffs: np.ndarray
+    coeffs: ArrayField = ArrayField()
     radius: float = 1.0
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
+        try:
+            c = tuple(map(float, self.__dict__["_floats_coeffs"]))
+        except TypeError:
+            c = ()
+        if not c:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
-        c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "c", c)
 
     @property
     def order(self) -> int:
         """Largest retained even degree."""
-        return 2 * (len(self.coeffs) - 1)
+        return 2 * (len(self.c) - 1)
 
     def coefficient(self, n: int) -> float:
         """Coefficient of x^n (zero for odd n or n beyond the truncation)."""
@@ -98,54 +102,52 @@ class EvenSeries:
             raise ValueError("degree must be nonnegative")
         if n % 2 == 1 or n > self.order:
             return 0.0
-        return float(self.coeffs[n // 2])
+        return self.c[n // 2]
+
+    @functools.cached_property
+    def _over_x(self) -> tuple:
+        # the coefficients of f'(x)/x, then those of f''
+        c = self.c
+        return ([2 * k * c[k] for k in range(1, len(c))],
+                [2 * k * (2 * k - 1) * c[k] for k in range(1, len(c))])
 
     def __call__(self, x):
-        return _horner(self.coeffs.tolist(), x)
+        return _horner(self.c, x)
 
     def deriv(self, x):
         """First derivative; an odd function of x."""
-        x = np.asarray(x, dtype=float)
-        out = self.deriv_over_x(x) * x
-        return out if out.ndim else float(out)
+        return self.deriv_over_x(x) * x
 
     def deriv_over_x(self, x):
         """The even function f'(x)/x, finite at x = 0."""
-        c = self.coeffs.tolist()
-        return _horner([2 * k * c[k] for k in range(1, len(c))], x)
+        return _horner(self._over_x[0], x)
 
     def deriv2(self, x):
-        c = self.coeffs.tolist()
-        return _horner([2 * k * (2 * k - 1) * c[k] for k in range(1, len(c))],
-                       x)
+        return _horner(self._over_x[1], x)
 
     def truncated(self, order: int) -> "EvenSeries":
         """Copy truncated (or zero-padded) to the given even order."""
         if order < 0 or order % 2:
             raise ValueError("order must be even and nonnegative")
         m = order // 2 + 1
-        c = np.zeros(m)
-        k = min(m, len(self.coeffs))
-        c[:k] = self.coeffs[:k]
-        return EvenSeries(c, self.radius)
+        return EvenSeries(self.c[:m] + (0.0,) * (m - len(self.c)),
+                          self.radius)
 
     def __add__(self, other: "EvenSeries") -> "EvenSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n)
-        c[: len(self.coeffs)] += self.coeffs
-        c[: len(other.coeffs)] += other.coeffs
-        return EvenSeries(c, min(self.radius, other.radius))
+        n = max(len(self.c), len(other.c))
+        a, b = (f.c + (0.0,) * (n - len(f.c)) for f in (self, other))
+        return EvenSeries([0.0 + x + y for x, y in zip(a, b)],
+                          min(self.radius, other.radius))
 
     def __sub__(self, other: "EvenSeries") -> "EvenSeries":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: float) -> "EvenSeries":
-        return EvenSeries(float(scalar) * self.coeffs, self.radius)
+        return EvenSeries([float(scalar) * x for x in self.c], self.radius)
 
     def to_dict(self, a: float) -> dict:
         """JSON-ready export: {"a": ..., "r": ..., "coeffs": [c0, c2, ...]}."""
-        return {"a": float(a), "r": self.radius,
-                "coeffs": [float(c) for c in self.coeffs]}
+        return {"a": float(a), "r": self.radius, "coeffs": list(self.c)}
 
 
 def weighted_norm(f: EvenSeries, r: float) -> float:
@@ -156,7 +158,7 @@ def weighted_norm(f: EvenSeries, r: float) -> float:
     """
     if not r > 0.0:
         raise ValueError("norm radius r must be positive")
-    c = f.coeffs.tolist()
+    c = f.c
     total = abs(c[0]) / r
     for k in range(1, len(c)):
         n = 2 * k
@@ -176,9 +178,9 @@ def apply_L(f: EvenSeries) -> EvenSeries:
     """
     if f.order < 2:
         raise ValueError("apply_L needs order >= 2")
-    c = f.coeffs
-    n = 2 * np.arange(len(c) - 1)
-    return EvenSeries((n + 2) ** 2 * c[1:] - (n - 1) * c[:-1], f.radius)
+    c = f.c
+    return EvenSeries([(2 * k + 2) ** 2 * c[k + 1] - (2 * k - 1) * c[k]
+                       for k in range(len(c) - 1)], f.radius)
 
 
 def invert_L(g: EvenSeries) -> EvenSeries:
@@ -186,8 +188,8 @@ def invert_L(g: EvenSeries) -> EvenSeries:
 
     Recursion: h_{n+2} = (g_n + (n-1) h_n) / (n+2)^2 with h_0 = 0.
     """
-    c = g.coeffs
-    h = np.zeros(len(c) + 1)
+    c = g.c
+    h = [0.0] * (len(c) + 1)
     for k in range(len(c)):
         n = 2 * k
         h[k + 1] = (c[k] + (n - 1) * h[k]) / (n + 2) ** 2
@@ -203,7 +205,7 @@ def j_function(order: int) -> EvenSeries:
     """
     if order < 2 or order % 2:
         raise ValueError("order must be even and >= 2")
-    return invert_L(EvenSeries(np.r_[1.0, np.zeros(order // 2 - 1)]))
+    return invert_L(EvenSeries([1.0] + [0.0] * (order // 2 - 1)))
 
 
 def eta_coefficients(order: int) -> EvenSeries:
@@ -222,7 +224,7 @@ def series_tail_ratio(f: EvenSeries, x: float) -> float:
     two-step coefficient ratio rho of the kernel-type recursion; infinite
     when the ratio test is inconclusive at the truncation order.
     """
-    return _tail_ratio(float(f.coeffs[-1]), f.order, x)
+    return _tail_ratio(f.c[-1], f.order, x)
 
 
 def _tail_ratio(last: float, n: int, x: float) -> float:
@@ -247,17 +249,21 @@ def find_x0() -> float:
 # The nonlinearity
 # ---------------------------------------------------------------------------
 
-def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the product of the polynomials a and b: entry n adds
-    a[k] b[n-k] in increasing k, one rounded binary64 operation at a time,
-    so its bits, unlike np.convolve's BLAS dots, are the same on every CPU."""
-    la, lb = len(a), len(b)
-    # row k of outer(a, b), padded to la + lb entries and read back in rows
-    # of la + lb - 1, moves k places right: to the degrees it multiplies
-    terms = np.zeros((la, la + lb))
-    terms[:, :lb] = np.multiply.outer(a, b)
-    terms = terms.ravel()[:la * (la + lb - 1)].reshape(la, -1)
-    return np.add.accumulate(terms)[-1]
+def _entry(a, b, n: int) -> float:
+    """Coefficient n of the product of the polynomials a and b: a[k]
+    b[n-k] added in increasing k, one rounded binary64 operation at a time,
+    so its bits, unlike np.convolve's BLAS dots, are the same on every
+    CPU."""
+    lo, hi = max(0, n - len(b) + 1), min(n, len(a) - 1)
+    total = a[lo] * b[n - lo]
+    for k in range(lo + 1, hi + 1):
+        total += a[k] * b[n - k]
+    return total
+
+
+def _cauchy(a, b) -> list:
+    """Coefficients of the product of the polynomials a and b, by _entry."""
+    return [_entry(a, b, n) for n in range(len(a) + len(b) - 1)]
 
 
 def nonlinear_Q(h: EvenSeries, a: float) -> EvenSeries:
@@ -268,22 +274,26 @@ def nonlinear_Q(h: EvenSeries, a: float) -> EvenSeries:
     makes h' odd, h'^3/x and x h'^3 and h'^2 (h+a) even) and is returned at
     full polynomial length, untruncated.
     """
-    if h.coeffs[0] != 0.0:
+    c = h.c
+    if c[0] != 0.0:
         raise ValueError("nonlinear_Q requires a zero constant term")
-    c = h.coeffs
     m = len(c)
     if m < 2:
-        return EvenSeries(np.array([-a]), h.radius)
+        return EvenSeries([-a], h.radius)
     # d[j] = coefficient of x^{2j+1} in h'
-    d = 2.0 * np.arange(1, m) * c[1:]
+    d = [2.0 * j * c[j] for j in range(1, m)]
     s2 = _cauchy(d, d)            # h'^2: s2[i] at degree 2i + 2
     s3 = _cauchy(s2, d)           # h'^3: s3[i] at degree 2i + 3
-    q = np.zeros(len(s3) + 2)     # x h'^3 tops out at degree 2 len(s3) + 2
+    q = [0.0] * (len(s3) + 2)     # x h'^3 tops out at degree 2 len(s3) + 2
     q[0] = -a
-    q[2:] += s3                   # x h'^3
-    q[1:-1] -= s3                 # h'^3 / x (exact shift)
-    q[1:len(s2) + 1] -= a * s2    # a h'^2 shares the shift index
-    q[1:] -= _cauchy(s2, c)       # h'^2 h: degrees (2i+2) + 2j
+    for i, x in enumerate(s3):
+        q[i + 2] += x             # x h'^3
+    for i, x in enumerate(s3):
+        q[i + 1] -= x             # h'^3 / x (exact shift)
+    for i, x in enumerate(s2):
+        q[i + 1] -= a * x         # a h'^2 shares the shift index
+    for i, x in enumerate(_cauchy(s2, c)):
+        q[i + 1] -= x             # h'^2 h: degrees (2i+2) + 2j
     return EvenSeries(q, h.radius)
 
 
@@ -415,21 +425,14 @@ def picard_analytic(a: float, r: float) -> EvenSeries:
     # h'^2 (s2) and h'^2 h (p) at degree 2i + 2
     d, s2, s3, p = [], [], [], []
 
-    def entry(x, y, i):
-        # sum of x[j] y[i - j] over j = 0..i, in increasing j
-        total = x[0] * y[i]
-        for j in range(1, i + 1):
-            total += x[j] * y[i - j]
-        return total
-
     for k in range(MAX_SERIES_ORDER // 2):
         q = -a
         if k:
             i = k - 1
             d.append(2.0 * k * c[k])
-            s2.append(entry(d, d, i))
-            s3.append(entry(s2, d, i))
-            p.append(entry(s2, c, i))
+            s2.append(_entry(d, d, i))
+            s3.append(_entry(s2, d, i))
+            p.append(_entry(s2, c, i))
             q = 0.0
             if k >= 2:
                 q += s3[k - 2]  # x h'^3
@@ -456,22 +459,48 @@ def picard_analytic(a: float, r: float) -> EvenSeries:
 # Independent C^2 construction on a grid
 # ---------------------------------------------------------------------------
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    # P_n(x) and P_n'(x) by the three-term recursion
+    p0, p1 = 1.0, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=8)
 def gauss_legendre_composite(lo: float, hi: float, cells: int,
-                             nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]; cached and
-    read-only, as the solves and the C2 oracle share them."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(lo, hi, cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    xs = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
-    ws = (halves[:, None] * wg[None, :]).ravel()
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
+                             nodes: int) -> tuple[tuple, tuple]:
+    """Composite Gauss-Legendre nodes and weights on [lo, hi], ascending,
+    as tuples of floats; cached, as the solves and the C2 oracle share
+    them.  Each node of the one-cell rule on [-1, 1] is Newton's root of
+    P_n from Chebyshev's guess, stopped once the step no longer shrinks,
+    with the weight 2 / ((1 - x^2) P_n'(x)^2); the rule is mirrored, so
+    it is exactly symmetric."""
+    half = []  # (node, weight) of the nodes x >= 0, descending
+    for i in range(nodes // 2 + nodes % 2):
+        x, step = math.cos(math.pi * (i + 0.75) / (nodes + 0.5)), math.inf
+        for _ in range(100):
+            p, dp = _legendre(nodes, x)
+            if not abs(p / dp) < step:
+                break
+            step = abs(p / dp)
+            x -= p / dp
+        x = 0.0 if 2 * i + 1 == nodes else x
+        dp = _legendre(nodes, x)[1]
+        half.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)))
+    rule = [(-x, w) for x, w in half[:nodes // 2]] + half[::-1]
+    # the cells as np.linspace(lo, hi, cells + 1) makes their edges
+    step = (hi - lo) / cells
+    edges = [k * step + lo for k in range(cells)] + [hi]
+    xs, ws = [], []
+    for e0, e1 in zip(edges, edges[1:]):
+        mid, width = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
+        xs += [mid + width * x for x, _ in rule]
+        ws += [width * w for _, w in rule]
+    return tuple(xs), tuple(ws)
 
 
-def radial_laplacian_inverse(g, xs: np.ndarray):
+def radial_laplacian_inverse(g, xs):
     """Solve h'' + h'/x = g with h(0) = h'(0) = 0 at the points xs.
 
     Uses the closed form h(x) = int_0^x (log x - log t) t g(t) dt with the
@@ -483,14 +512,15 @@ def radial_laplacian_inverse(g, xs: np.ndarray):
     evaluated by composite Gauss-Legendre on [0, 18] with 16 cells of 10
     nodes.  Returns (h, h').
     """
-    wn, ww = gauss_legendre_composite(0.0, 18.0, 16, 10)
+    import numpy as np
+    wn, ww = map(np.array, gauss_legendre_composite(0.0, 18.0, 16, 10))
     ew = np.exp(-wn)
     base_w = ww * np.exp(-2.0 * wn)
     gv = np.asarray(g(xs[:, None] * ew), dtype=float)
     return xs * xs * (gv @ (wn * base_w)), xs * (gv @ base_w)
 
 
-def not_a_knot_spline(x: np.ndarray, y: np.ndarray):
+def not_a_knot_spline(x, y):
     """Cubic spline through (x, y) with not-a-knot ends, as a callable.
 
     The knot slopes solve a tridiagonal system by the Thomas algorithm:
@@ -498,6 +528,7 @@ def not_a_knot_spline(x: np.ndarray, y: np.ndarray):
     the third derivative continuous across the second and the second-to-last
     knot.  Points outside [x[0], x[-1]] use the end pieces.
     """
+    import numpy as np
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n = len(x)
     if n < 4:
@@ -552,6 +583,7 @@ def picard_c2_oracle(a: float, r: float, grid: int = 129):
     This route never touches the series machinery; it is the
     cross-validation oracle for picard_analytic.
     """
+    import numpy as np
     consts = ContractionConstants(a, r, 6.0 * a, 0.5, "C2")
     report = contraction_certificate(consts)
     if not report.certified:

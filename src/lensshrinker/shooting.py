@@ -30,6 +30,10 @@ TARGET_UP = 0.5  # u'(s_bar) at the 120-degree junction
 
 DEFAULT_BRACKET = (0.05, A_CIRCLE)
 DEFAULT_TOL_A = 1e-10
+# the mesh's angular resolution: build_cluster's and the CLI's default,
+# and its least value; here, so that the CLI reads them without numpy
+DEFAULT_N_THETA = 64
+MIN_N_THETA = 16
 
 
 @dataclass(frozen=True)

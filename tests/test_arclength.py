@@ -301,27 +301,45 @@ def test_defect_fails_a_profile_with_a_wrong_rhs(monkeypatch, profiles):
 
 
 def test_a_nan_monitor_slack_fails_the_solve(monkeypatch):
-    slacks = arclength.monitor_slacks
-
-    def one_nan(*args):
-        return {**slacks(*args), "annulus_upper": math.nan}
-
-    monkeypatch.setattr(arclength, "monitor_slacks", one_nan)
+    # a NaN band makes the annulus slack NaN, which no comparison passes
+    monkeypatch.setattr(arclength, "annulus_log_halfwidth",
+                        lambda a: math.nan)
     with pytest.raises(MonitorViolation, match="'annulus_upper': nan"):
         integrate_profile(picard_analytic(1.0, R_STAR), 1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_state_that_is_not_finite_makes_every_slack_nan(value, profiles):
+    # the folds' comparisons would pass over a NaN, so the sum of every
+    # state and defect decides
+    _, p = profiles[1.0]
+    bad = _with(p, 5, v=value)
+    slacks = monitor_slacks(bad, DEFAULT_TOL, shrinker_residual(bad))
+    assert all(math.isnan(x) for x in slacks.values())
+    assert set(slacks) == set(p.monitors)
+    defect = shrinker_residual(p).copy()
+    defect[7] = value
+    assert all(math.isnan(x) for x in
+               monitor_slacks(p, DEFAULT_TOL, defect).values())
+
+
 @pytest.mark.parametrize("a", [0.005, A_STAR, SQRT2])
 def test_a_solve_evaluates_its_dense_output_once(a, monkeypatch):
-    # the states and the defect's rates come from one vectorized pass
+    # the states and the defect's rates come from one pass over the pieces,
+    # and the solve makes no vectorized (numpy) evaluation
     calls = []
-    horner_at = dop853.DenseOutput._horner_at
+    sample = dop853.DenseOutput.sample
 
-    def counted(self, t):
-        calls.append(len(t))
-        return horner_at(self, t)
+    def counted(self, *args, **kwargs):
+        out = sample(self, *args, **kwargs)
+        calls.append(len(out[0]))
+        return out
 
-    monkeypatch.setattr(dop853.DenseOutput, "_horner_at", counted)
+    def vectorized(self, t):
+        raise AssertionError("a vectorized evaluation")
+
+    monkeypatch.setattr(dop853.DenseOutput, "sample", counted)
+    monkeypatch.setattr(dop853.DenseOutput, "_horner_at", vectorized)
     p = integrate_profile(picard_analytic(a, R_STAR), a)
     assert calls == [len(p.s)]
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,109 @@ def test_fresh_interpreter_imports_no_process_pool():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+_NO_NUMPY = {
+    "import": "import lensshrinker\n",
+    "solve": "assert cli.main(['solve', '--a', '0.9', *OUT]) == 0\n",
+    "shoot": "assert cli.main(['shoot', *OUT]) == 0\n",
+    **{f"table_jobs_{j}": "assert cli.main(['table', '--from', '0.4', "
+       f"'--to', '0.9', '--step', '0.1', '--jobs', '{j}', *OUT]) == 0\n"
+       for j in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("command", list(_NO_NUMPY))
+def test_a_profile_command_imports_no_numpy(command, tmp_path):
+    # solve, shoot and table run on the standard library: numpy is loaded
+    # only by the mesh, the acceptance gate and readers of arrays
+    if command == "table_jobs_2" and (os.cpu_count() or 1) < 2:
+        pytest.skip("--jobs 2 needs two CPUs")
+    code = ("import contextlib, io, sys\n"
+            f"OUT = ['--output-dir', {str(tmp_path / 'out')!r}]\n"
+            "from lensshrinker import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            + textwrap.indent(_NO_NUMPY[command], "    ")
+            + "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [["mesh", "--a", "0.9", "--n-theta", "16"],
+                                  ["verify"]], ids=["mesh", "verify"])
+def test_mesh_and_verify_pass_from_a_fresh_process(argv, tmp_path):
+    # the commands that need numpy load it on their own
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "lensshrinker.cli", *argv,
+                           "--output-dir", str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def _arange_cases():
+    # a grid of (from, to, step), the row bound's edge and the edges of
+    # test_size_bounds_admit_their_edges, then seeded random triples
+    grid = [(lo, hi, step) for lo in (0.0001, 0.05, 0.1, 0.2, 0.3, 1 / 3)
+            for hi in (lo, 0.7, 1.0, 1.2, 1.4, SQRT2)
+            for step in (0.1, 0.05, 0.01, 0.3, 1e-3, 0.0001, 1.0, 0.7)
+            if lo <= hi]
+    edges = [(0.0001, 1.0, 0.0001), (0.0001, 1.0, 0.0001 * (1 + 1e-12)),
+             (0.0001, 1.0, 0.0001 * (1 - 1e-12)), (0.1, 0.1, 1e-300),
+             (0.2, 1.2, 0.1), (0.1, 1.4, 0.1)]
+    rng = np.random.default_rng(35)
+    lo = rng.uniform(1e-4, 1.4, 2000)
+    hi = lo + rng.uniform(0.0, 1.4, 2000) * (SQRT2 - lo)
+    step = 10.0 ** rng.uniform(-3.9, 0.2, 2000)
+    return grid + edges + list(zip(lo.tolist(), hi.tolist(), step.tolist()))
+
+
+def test_table_heights_are_np_arange_bit_for_bit():
+    for lo, hi, step in _arange_cases():
+        want = np.arange(lo, hi + 0.5 * step, step).tolist()
+        got = cli.table_heights(lo, hi, step)
+        assert [x.hex() for x in got] == [x.hex() for x in want], \
+            (lo, hi, step)
+    edge = cli.table_heights(0.0001, 1.0, 0.0001)
+    assert len(edge) == cli.MAX_TABLE_ROWS
+
+
+def test_a_table_heights_check_sees_one_ulp():
+    # the negative control: a height one ulp off fails the comparison
+    got = cli.table_heights(0.2, 1.2, 0.1)
+    got[3] = math.nextafter(got[3], math.inf)
+    want = np.arange(0.2, 1.2 + 0.05, 0.1).tolist()
+    assert [x.hex() for x in got] != [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "0.9"], ["shoot"],
+    ["table", "--from", "0.4", "--to", "0.9", "--step", "0.1"],
+    ["mesh", "--a", "0.9"], ["mesh"]],
+    ids=["solve", "shoot", "table", "mesh_a", "mesh"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_an_output_dir_on_a_file_is_refused_before_computing(
+        argv, under, tmp_path, monkeypatch, capsys):
+    # no solve runs and no directory is made; the error line is the one
+    # that a failed mkdir after the computation printed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("angle_of", "find_lens", "sample_angle_table"):
+        monkeypatch.setattr(cli, name, no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert run([*argv, "--output-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == ""
 
 
 def test_table_jobs_without_fork_is_a_configuration_error(tmp_path,
