@@ -62,6 +62,11 @@ class ArrayField:
         return value
 
 
+def given_value(obj, name: str):
+    """What obj's ArrayField name was given, as it was given."""
+    return obj.__dict__[vars(type(obj))[name].key]
+
+
 def floats(obj, name: str):
     """obj's ArrayField name as a flat sequence of Python floats."""
     return vars(type(obj))[name].floats(obj)

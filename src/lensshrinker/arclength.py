@@ -29,14 +29,19 @@ adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
 :mod:`lensshrinker.dop853`) runs to the first v = 0, located by root
 refinement on the dense output; the first passage of u through 1 is
 recorded as s_star.  The dense output, a cubic Hermite piece on the axis
-segment and then DOP853's pieces, is assembled once, and one evaluation of
-it gives every stored state and the derivative that the defect monitor
-reads.  The right-hand side is written once as source,
+segment and then DOP853's pieces, is assembled once as flat lists of
+Python floats, and one generated pass over its pieces evaluates every
+stored state and its derivative, the defect and every monitor's term,
+folded into the worst slack of each; no numpy is loaded, and the arrays
+of a profile are built only when a reader asks for them.  The right-hand
+side is written once as source,
 ``ANGLE_FORM``, which the solve takes: DOP853 compiles it inline into its
 stages and into the callable of its initial step.  ``arclength_rhs`` is
 that source compiled to a callable for solvers that take one.
-One function, :func:`monitor_slacks`, checks every monitored inequality on
-the computed states: the radial transversality floor, the outer annulus
+The monitors are written once as source (``_TERMS``), which the solve's
+pass and :func:`monitor_slacks`, its fold over given states, both inline.
+They check every monitored inequality on the stored states: the radial
+transversality floor, the outer annulus
 bound and the strict decrease of the polar angle (which certifies that the
 curve cannot self-intersect), the graph-region inequalities of
 :mod:`lensshrinker.graph_profile`, and the defect of the dense output,
@@ -95,10 +100,9 @@ class LensProfile:
     piece on [0, X_SEED], then DOP853's; ``nfev``, ``n_steps`` and
     ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
     The state fields s, u, v, up, vp, i_phi and i_v read as read-only numpy
-    arrays, built on first read (_views.ArrayField): integrate_profile
-    gives the profile s, u, v, up and vp as floats, and i_phi and i_v are
-    evaluated on the dense output when first read.  Frozen, so that a
-    profile cannot change after it passed its monitors;
+    arrays, evaluated on the dense output (DenseOutput.sample, once per
+    profile) and built on first read (_views.ArrayField).  Frozen, so that
+    a profile cannot change after it passed its monitors;
     dataclasses.replace still makes a changed copy.
     """
 
@@ -125,7 +129,7 @@ class LensProfile:
     @functools.cached_property
     def _samples(self) -> tuple:
         # the dense output's stored states and their rates (sample's), once
-        return self.dense.sample(DENSE_POINTS_PER_STEP, range(5), rates=True)
+        return self.dense.sample(DENSE_POINTS_PER_STEP)
 
 
 # state (u, v, phi, i_phi, i_v): the angle-form ODE plus the quadratures,
@@ -277,9 +281,9 @@ def curvature_arrays(profile: LensProfile) -> tuple:
 # (r0, r1, r2) of its polynomial; it sets pp to PHI_PRIME
 DEFECT = (f"pp = {PHI_PRIME}\nd = abs(r0 - up)\nq = abs(r1 - vp)\n"
           "if q > d:\n    d = q\nq = abs(r2 - pp)\nif q > d:\n    d = q\n")
-_defect_at = graph_profile._compiled(
+_defect_at = dop853._compiled(
     "def _defect_at(u, v, up, vp, r0, r1, r2):\n"
-    + textwrap.indent(DEFECT, "    ") + "    return d\n", "_defect_at")
+    + textwrap.indent(DEFECT, "    ") + "    return d\n", "defect")["_defect_at"]
 
 
 def _residuals(profile: LensProfile) -> list:
@@ -301,11 +305,6 @@ def shrinker_residual(profile: LensProfile):
     return readonly(_residuals(profile))
 
 
-# every monitor, as monitor_slacks reports them
-MONITORS = ("radial_transversality_global", "annulus_upper",
-            "theta_decreasing", "shrinker_residual", "graph_height_lower",
-            "graph_height_upper", "graph_slope_lower", "graph_ratio_monotone",
-            "graph_transversality", "graph_concavity", "graph_slope_negative")
 # each monitor as source over a state's u, v, up and vp (cos phi, sin phi),
 # rho, d (the defect), pp (PHI_PRIME) and the graph's locals: (name, the
 # states it reads, its term at a state, its slack there as a format of the
@@ -375,8 +374,8 @@ def _solve_pass(points: int):
     phi."""
     angle = "u, v, phi = v0, v1, v2\nup = cos(phi)\nvp = sin(phi)\n"
     point = ("x = (s - t) / h\nw = 1.0 - x\n" + "".join(
-        dop853.horner_source(i, True) for i in range(3)) + angle)
-    end = "".join(dop853.horner_end_source(i, True) for i in range(3)) + angle
+        map(dop853.horner_source, range(3))) + angle)
+    end = "".join(map(dop853.horner_end_source, range(3))) + angle
     piece = "t, h, t1 = ts[k], hs[k], ts[k + 1]\n" + \
         dop853.piece_source(5, range(3))
     inner = "for s in [t + (t1 - t) * f for f in fracs]:\n" + \
@@ -391,8 +390,8 @@ def _solve_pass(points: int):
                               + _state_source("inner", DEFECT), "    ")
             + "s = t1\n" + point + _state_source("crossing", DEFECT)
             + "ret = u, v, phi\n")
-    return graph_profile._compiled(
-        _fold_source("solve_pass", "ts, hs, Y, F", body), "solve_pass")
+    return dop853._compiled(_fold_source("solve_pass", "ts, hs, Y, F", body),
+                            "solve pass")["solve_pass"]
 
 
 @functools.cache
@@ -407,8 +406,8 @@ def _states_fold():
             + "for i in range(2, n - 1):\n"
             + textwrap.indent(state + _state_source("inner", given), "    ")
             + "i = n - 1\n" + state + _state_source("crossing", given))
-    return graph_profile._compiled(
-        _fold_source("fold", "U, V, UP, VP, D", body), "fold")
+    return dop853._compiled(_fold_source("fold", "U, V, UP, VP, D", body),
+                            "monitor fold")["fold"]
 
 
 def _bounds(a: float, tol: float) -> tuple:
@@ -419,18 +418,18 @@ def _bounds(a: float, tol: float) -> tuple:
 
 def _report(slacks: list, z: float) -> dict:
     # monitor_slacks' dict from a fold's slacks and sum
-    if not math.isfinite(z):
-        return dict.fromkeys(MONITORS, math.nan)
-    worst = {name: slack for (name, *_), slack in zip(_TERMS, slacks)}
-    return {name: worst[name] for name in MONITORS}
+    return {name: slack if math.isfinite(z) else math.nan
+            for (name, *_), slack in zip(_TERMS, slacks)}
 
 
 def monitor_slacks(profile: LensProfile, tol: float, defect) -> dict:
     """Worst slack of each monitored inequality, the minimum of its slacks
-    at the stored states; it holds where its slack is >= 0.  Pure report,
-    never raises; a state or a defect that is not finite makes every slack
-    NaN.  integrate_profile computes the same slacks, to the bit, in the
-    pass that gives the states.
+    at the stored states; it holds where its slack is >= 0.  Pure report:
+    a state or a defect that is not finite makes every slack NaN, and only
+    a state past the axis point at u = 0 or cos phi = 0, where a slack
+    divides by zero, raises (ZeroDivisionError).  integrate_profile
+    computes the same slacks, to the bit, in the pass that gives the
+    states.
 
     Polar, on all states: the radial transversality (-u v' + v u')/rho >=
     K_a, log rho below the annulus band, and a strictly decreasing polar

@@ -20,8 +20,12 @@ depend on IEEE arithmetic and on the form alone, and are the same
 whichever BLAS kernel numpy loads.  scipy's sums are BLAS
 dots, in another order, so its states differ from these in the last bits.
 One Horner routine, _horner, evaluates the dense output's states and
-their derivative together on numpy rows, and the function whose root
-Brent's method refines on one column of Python floats: the same bits.
+their derivative together on numpy rows (__call__, derivative), and the
+function whose root Brent's method refines on one column of Python
+floats; horner_source unrolls it, operation for operation, into the
+generated loops over the pieces (DenseOutput.sample, and a profile's
+solve pass): the same bits.  The module runs on Python floats alone and
+loads numpy only for DenseOutput's arrays and vectorised evaluation.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ D = tuple(_D[16 * r:16 * r + 16] for r in range(4))
 
 def hermite_rows(h, y_old, y_new, f_old, f_new) -> list:
     """The 7 dense-output rows of the cubic Hermite interpolant as one flat
-    list, row by row, as DenseOutput.of takes a piece's rows; rows 3-6 are
+    list, row by row, as DenseOutput takes a piece's rows; rows 3-6 are
     zero.  The arguments are float sequences, combined element by element,
     in the order of the rows that the generated ``dense`` writes."""
     d = [b - a for a, b in zip(y_old, y_new)]
@@ -143,20 +147,16 @@ class DenseOutput:
     """Piece k covers [ts[k], ts[k+1]] in x = (t - ts[k]) / h[k], h[k] its
     full step; a point shared by two pieces belongs to the lower one.  The
     states, their derivative, the samples and the roots all read the
-    pieces by _horner.  The fields are kept as given, flat float lists from
-    integrate, and read as read-only arrays (_views.ArrayField); sample and
-    root run on Python floats, __call__ and derivative on numpy."""
+    pieces by _horner.  The fields are kept as given, as integrate's flat
+    float lists (ts, and per piece h, y_old and the 7 rows of F, row by
+    row) or as arrays, and read as read-only arrays (_views.ArrayField);
+    sample and root run on Python floats, __call__ and derivative on
+    numpy."""
 
     ts: ArrayField = ArrayField()                     # (m + 1,)
     h: ArrayField = ArrayField()                      # (m,)
     y_old: ArrayField = ArrayField(_shape(-1))        # (m, n)
     F: ArrayField = ArrayField(_shape(7, -1))         # (m, 7, n)
-
-    @classmethod
-    def of(cls, ts, h, y_old, F) -> "DenseOutput":
-        """The pieces from flat float lists: ts, and per piece h, y_old and
-        the 7 rows of F, row by row."""
-        return cls(ts, h, y_old, F)
 
     def _horner_at(self, t):
         # piece index of each point of t, and _horner at its local x
@@ -177,22 +177,20 @@ class DenseOutput:
         k, _, dp = self._horner_at(t)
         return (dp / self.h[k][:, None]).T
 
-    def sample(self, points: int, components, rates: bool = False):
-        """Each piece's states at ``points`` interior points, from piece 1
-        on, then at its end, after the state at ts[0]: (s, the values of
-        each component of ``components``, and with rates their exact
-        derivatives), lists of Python floats.
+    def sample(self, points: int):
+        """The states at ts[0], then at ``points`` interior points of each
+        piece from piece 1 on and at every piece's end: (s, the values of
+        each component, their exact derivatives), lists of Python floats.
 
         The interior points of piece k are ts[k] + (ts[k+1] - ts[k]) j /
         (points + 1), j = 1..points, and each state is _horner's at x =
         (s - ts[k]) / h[k] plus y_old, each derivative its dp over h[k], to
-        the bit; the point ts[k+1] belongs to piece k.  Piece 0, the axis
-        segment of a profile, gives its two ends only.
+        the bit; the point ts[k+1] belongs to piece k.  Piece 0 (a
+        profile's axis segment) gives its two ends only.
         """
-        ts, h = floats(self, "ts"), floats(self, "h")
-        return _sampler(len(floats(self, "y_old")) // len(h), points,
-                        tuple(components), rates)(
-            ts, h, floats(self, "y_old"), floats(self, "F"))
+        h, y = floats(self, "h"), floats(self, "y_old")
+        return _sampler(len(y) // len(h), points)(floats(self, "ts"), h, y,
+                                                  floats(self, "F"))
 
     def root(self, i: int, level: float, k: int) -> float:
         """Brent's root of y[i] - level on piece k, over [ts[k], ts[k+1]],
@@ -205,28 +203,25 @@ class DenseOutput:
                       t, ts[k + 1])
 
 
-def horner_source(i, rates: bool) -> str:
+def horner_source(i) -> str:
     """_horner's loop unrolled, operation for operation, as statements for
     component i: from x, w = 1 - x, the rows f0_i .. f6_i and the old
-    state y_i of a piece, they set v_i to the state at x and, if rates, r_i
-    to its derivative, dp over the step h; the bits of _horner's."""
-    src = f"dp = f6_{i}\np = dp * x\n" if rates else f"p = f6_{i} * x\n"
+    state y_i of a piece, they set v_i to the state at x and r_i to its
+    derivative, dp over the step h; the bits of _horner's."""
+    src = f"dp = f6_{i}\np = dp * x\n"
     for r in range(5, -1, -1):
         z = "w" if r % 2 else "x"
-        src += f"p = p + f{r}_{i}\n"
-        if rates:
-            src += f"dp = dp * {z} {'-' if r % 2 else '+'} p\n"
-        src += f"p = p * {z}\n"
-    return src + f"v{i} = p + y{i}\n" + (f"r{i} = dp / h\n" if rates else "")
+        src += (f"p = p + f{r}_{i}\ndp = dp * {z} {'-' if r % 2 else '+'} p\n"
+                f"p = p * {z}\n")
+    return src + f"v{i} = p + y{i}\nr{i} = dp / h\n"
 
 
-def horner_end_source(i, rates: bool) -> str:
+def horner_end_source(i) -> str:
     """horner_source at x = 1, where w = 0: there _horner's value is row 0
     and its derivative row 0 less rows 1 and 2, to the bit for finite
     rows (each odd row's product with w is a zero that the next sum
     drops)."""
-    return f"v{i} = f0_{i} + y{i}\n" + \
-        (f"r{i} = (f0_{i} - (f2_{i} + f1_{i})) / h\n" if rates else "")
+    return f"v{i} = f0_{i} + y{i}\nr{i} = (f0_{i} - (f2_{i} + f1_{i})) / h\n"
 
 
 def piece_source(n: int, components) -> str:
@@ -238,21 +233,20 @@ def piece_source(n: int, components) -> str:
 
 
 @functools.cache
-def _sampler(n: int, points: int, components: tuple, rates: bool):
+def _sampler(n: int, points: int):
     """DenseOutput.sample's loop over the pieces for states of n
     components, as compiled Python: per point, horner_source for each
     component, on the piece's rows held in locals."""
-    values = [f"V{i}" for i in components]
-    derivs = [f"R{i}" for i in components if rates]
+    values, derivs = [f"V{i}" for i in range(n)], [f"R{i}" for i in range(n)]
     point = "x = (s - t) / h\nw = 1.0 - x\n" + "".join(
-        horner_source(i, rates) + f"V{i}.append(v{i})\n"
-        + (f"R{i}.append(r{i})\n" if rates else "") for i in components)
+        horner_source(i) + f"V{i}.append(v{i})\nR{i}.append(r{i})\n"
+        for i in range(n))
     src = ("def sample(ts, hs, Y, F):\n"
            + "".join(f"    {name} = []\n" for name in ["S", *values, *derivs])
            + f"    fracs = [j / {points + 1} for j in range(1, {points + 1})]\n"
            "    for k in range(len(hs)):\n"
            "        t, h, t1 = ts[k], hs[k], ts[k + 1]\n"
-           + textwrap.indent(piece_source(n, components), " " * 8)
+           + textwrap.indent(piece_source(n, range(n)), " " * 8)
            + "        pts = [t] if k == 0 else "
            "[t + (t1 - t) * f for f in fracs]\n"
            "        pts.append(t1)\n"
@@ -263,7 +257,7 @@ def _sampler(n: int, points: int, components: tuple, rates: bool):
     return _compiled(src, "sample")["sample"]
 
 
-# the pieces as DenseOutput.of takes them (flat float lists), fun(t0, y0)
+# the pieces as DenseOutput takes them (flat float lists), fun(t0, y0)
 # and the state after the last step as lists, whether the stop component
 # fell through 0, and the work done
 Solution = namedtuple("Solution", "ts h y_old F f0 y stopped nfev n_rejected")

@@ -13,10 +13,12 @@ The graph quantities are views of its states on the strip 0 < u < 1:
 The inequalities proved for this region -- the height bounds
 a sqrt(1-x^2) < f < a, the slope bound f' > -a x/(1-x^2), monotonicity of
 the comparison ratio F = f / sqrt(1-x^2) and the transversality floor
-(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- have their pointwise
-slacks in :func:`graph_slacks`, which the monitors of
-:func:`lensshrinker.arclength.monitor_slacks` and the CSV of the view
-both read.
+(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- are written once as
+source, ``GRAPH_TERMS``: the monitors of
+:func:`lensshrinker.arclength.monitor_slacks` inline it in their
+generated pass, and :func:`graph_slacks` and the CSV of the view compile
+it to their per-state loop.  Everything here runs on Python floats;
+numpy is loaded only to return arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import textwrap
 from typing import TYPE_CHECKING
 
 from ._views import floats, readonly
+from .dop853 import _compiled
 
 if TYPE_CHECKING:
     from .arclength import LensProfile
@@ -51,15 +54,8 @@ GRAPH_TERMS = (
 RATIO = "v / root"
 
 
-def _compiled(src: str, name: str):
-    # the function name that src defines, with the math module's names
-    namespace = {k: getattr(math, k) for k in dir(math) if k[0] != "_"}
-    exec(compile(src, f"<graph_profile {name}>", "exec"), namespace)
-    return namespace[name]
-
-
 _phi_prime = _compiled(f"def _phi_prime(u, v, up, vp):\n"
-                       f"    return {PHI_PRIME}\n", "_phi_prime")
+                       f"    return {PHI_PRIME}\n", "phi'")["_phi_prime"]
 _phi_prime.__doc__ = "Curvature phi' (needs u > 0); PHI_PRIME as a function."
 
 # every graph state's slack of each GRAPH_TERMS monitor, and its F
@@ -74,10 +70,10 @@ _terms = _compiled(
               for j, (_, term, slack, _) in enumerate(GRAPH_TERMS))
     + f"        ratio.append({RATIO})\n"
     f"    return [{', '.join(f'L{j}' for j in range(len(GRAPH_TERMS)))}], "
-    "ratio\n", "_terms")
+    "ratio\n", "graph terms")["_terms"]
 
 
-def falls(ratio) -> list:
+def _falls(ratio) -> list:
     """Per state but the last, the least later F minus F: negative wherever
     F falls, however slowly (graph_ratio_monotone's slack)."""
     out, least = [], math.inf
@@ -113,7 +109,7 @@ def _slacks(profile: LensProfile) -> dict:
     # graph_slacks' lists: each slack at each graph state, in order
     terms, ratio = _terms(*_graph_states(profile), profile.a)
     slacks = {name: values for (name, *_), values in zip(GRAPH_TERMS, terms)}
-    slacks["graph_ratio_monotone"] = falls(ratio)
+    slacks["graph_ratio_monotone"] = _falls(ratio)
     return slacks
 
 

@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._views import ArrayField
+from ._views import ArrayField, given_value
 from .dop853 import EPS, brentq
 from .errors import CertificateFailure, NoContraction, NoConvergence
 
@@ -80,11 +80,12 @@ class EvenSeries:
     radius: float = 1.0
 
     def __post_init__(self):
+        given = given_value(self, "coeffs")
         try:
-            c = tuple(map(float, self.__dict__["_floats_coeffs"]))
-        except TypeError:
+            c = tuple(map(float, given))
+        except TypeError:  # not a sequence, or not of numbers
             c = ()
-        if not c:
+        if not c or getattr(given, "ndim", 1) != 1:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")

@@ -326,7 +326,7 @@ def test_rejects_tolerances_outside_the_floor(tol):
 
 def test_rtol_floor_is_admitted_and_tightened_100_fails_loudly():
     sol = dop853.integrate(DECAY, 0.0, [1.0], 1.0, tol=dop853.RTOL_FLOOR)
-    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    d = DenseOutput(sol.ts, sol.h, sol.y_old, sol.F)
     assert d(np.array([1.0]))[0, 0] == pytest.approx(math.exp(-1.0),
                                                      rel=1e-13)
     cfg = PipelineConfig()
@@ -362,7 +362,7 @@ def test_event_roots_and_terminal_stop():
     # stops; y' = -sin t falls through -1/2 at pi/6 on an earlier piece
     sol = dop853.integrate(OSCILLATOR, 0.0, [1.0, 0.0], 10.0, tol=1e-12,
                            stop=0)
-    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    d = DenseOutput(sol.ts, sol.h, sol.y_old, sol.F)
     last = len(d.h) - 1
     assert sol.stopped and d.y_old[last, 0] >= 0.0 >= sol.y[0]
     root = d.root(0, 0.0, last)
@@ -393,7 +393,7 @@ def test_roots_in_one_step_match_solve_ivp():
     # differ, and the crossing past the stop on the full step
     form = dop853.rhs("t", "y0 y1", "", ["1.0", "-1.0"])
     sol = dop853.integrate(form, 0.0, [0.0, 3.5], 10.0, tol=1e-12, stop=1)
-    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    d = DenseOutput(sol.ts, sol.h, sol.y_old, sol.F)
     last = len(d.h) - 1
     assert sol.stopped and d.ts[last] < 2.5 and d.ts[-1] > 4.5
 
@@ -490,7 +490,7 @@ def test_matches_scipy_on_van_der_pol():
     sol = dop853.integrate(vdp, 0.0, [2.0, 0.0], 20.0, tol=1e-9)
     ref = solve_ivp(dop853.function(vdp), (0.0, 20.0), [2.0, 0.0],
                     method="DOP853", rtol=1e-9, atol=1e-9, dense_output=True)
-    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    d = DenseOutput(sol.ts, sol.h, sol.y_old, sol.F)
     assert sol.n_rejected > 10 and sol.nfev == ref.nfev
     assert len(d.ts) == len(ref.t)
     assert np.allclose(d.ts, ref.t, rtol=4e-8, atol=0)
@@ -530,7 +530,7 @@ def test_dense_derivative_is_the_rhs_at_step_ends_and_the_slope_inside():
     pendulum = dop853.rhs("t", "q p", "", ["p", "-sin(q)"])
 
     sol = dop853.integrate(pendulum, 0.0, [1.0, 0.0], 10.0, tol=1e-10)
-    d = DenseOutput.of(sol.ts, sol.h, sol.y_old, sol.F)
+    d = DenseOutput(sol.ts, sol.h, sol.y_old, sol.F)
     ends = d.ts[1:]  # each belongs to the step it ends
     fun = dop853.function(pendulum)
     f_ends = np.array([fun(t, y) for t, y in zip(ends, d(ends).T)]).T
