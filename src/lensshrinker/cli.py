@@ -239,9 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--jobs", type=int,
                    help="processes, the caller included; above 1 the caller "
-                        "forks (POSIX only), which pays from about 16 rows "
-                        "(2 jobs on a 2-CPU host: 1.34x the time of 1 at 11 "
-                        "rows, 0.83x at 21)")
+                        "forks (POSIX only), which costs ~3 ms and pays only "
+                        "on long tables with a second CPU free (2 jobs on a "
+                        "2-CPU host with none free: 1.20x the time of 1 at 11 "
+                        "rows, 1.05x at 161)")
 
     p = command("mesh", "export the three-sheet cluster mesh")
     p.add_argument("--a", type=float,

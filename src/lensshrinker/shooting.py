@@ -157,8 +157,8 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTabl
     into k = max(1, min(jobs, rows)) contiguous chunks: the caller solves
     the first row of its own chunk, then forks k - 1 children with os.fork
     (none for jobs == 1; POSIX only, elsewhere jobs > 1 raises ValueError),
-    so each child starts with the compiled stage code, the quadrature rule
-    and numpy already loaded.  The rows and their bits are the same for
+    so each child starts with the compiled stage code, the solve pass and
+    the quadrature rule already made; neither loads numpy.  The rows and their bits are the same for
     every jobs.  A child that raises passes its exception to the caller,
     one that dies raises ChildProcessError, and an exception in the caller
     kills its children; every child is reaped and every pipe closed before

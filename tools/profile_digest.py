@@ -5,7 +5,11 @@ digest of its CSV files, then one line per fixed CLI command with the
 digests of what it writes, so that two checkouts can be compared bit for
 bit with ``diff``.
 
-    python3 tools/profile_digest.py > digest.txt
+    python3 tools/profile_digest.py > tests/golden/digest.txt
+
+tests/golden/digest.txt holds this checkout's digest, and
+tests/test_digest.py diffs it against a fresh run, so a change that moves
+an output byte commits the new file and its diff lists what moved.
 
 The checkout is the one holding this script: its ``src`` goes first on the
 import path.  Each line holds the height's repr, the first 16 hex digits of
@@ -35,10 +39,12 @@ lensshrinker.cli`` from this checkout's ``src``, in a fresh temporary
 working directory with the relative ``--output-dir out``, so the
 ``config`` block that each output embeds is the same in every checkout.
 
-The CSV bytes also depend on numpy's SIMD dispatch (the CPU features numpy
-selects at import, ROADMAP item 13): np.cos, np.sin, np.arctan2 and the
-like may round differently on another host.  So compare two checkouts on
-one host.
+The profile path runs on Python floats and math.* (ROADMAP items 13 and
+16), so the profile, series, defect and CSV digests and the lines of
+solve, shoot and table depend on IEEE binary64 arithmetic and the host's
+libm only.  The OBJ digests and the mesh lines also depend on numpy's
+SIMD dispatch (the CPU features numpy selects at import), and every
+digest on the libm, so compare two checkouts on one host.
 """
 
 from __future__ import annotations
