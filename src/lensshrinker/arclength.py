@@ -33,17 +33,17 @@ segment and then DOP853's pieces, is assembled once as flat lists of
 Python floats, and one generated pass over its pieces evaluates every
 stored state and its derivative, the defect and every monitor's term,
 folded into the worst slack of each; no numpy is loaded, and the arrays
-of a profile are built only when a reader asks for them.  The right-hand
-side is written once as source,
-``ANGLE_FORM``, which the solve takes: DOP853 compiles it inline into its
-stages and into the callable of its initial step.  ``arclength_rhs`` is
-that source compiled to a callable for solvers that take one.
-The monitors are written once as source (``_TERMS``), which the solve's
-pass and :func:`monitor_slacks`, its fold over given states, both inline.
-They check every monitored inequality on the stored states: the radial
-transversality floor, the outer annulus
-bound and the strict decrease of the polar angle (which certifies that the
-curve cannot self-intersect), the graph-region inequalities of
+of a profile are built only when a reader asks for them, by the same
+pass, which then keeps the states and their defect.  The right-hand side
+is written once as source, ``ANGLE_FORM``, which the solve takes: DOP853
+compiles it inline into its stages and into the callable of its initial
+step.  ``arclength_rhs`` is that source compiled to a callable for
+solvers that take one.  The monitors are written once as source
+(``_TERMS``), which the pass (:func:`dense_pass`) inlines.  They check
+every monitored inequality on the stored states: the radial
+transversality floor, the outer annulus bound and the strict decrease of
+the polar angle (which certifies that the curve cannot self-intersect),
+the graph-region inequalities of
 :mod:`lensshrinker.graph_profile`, and the defect of the dense output,
 which tests whether the stored curve solves the ODE.  Bounds that these
 imply are not checked again.
@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import textwrap
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import dop853, graph_profile
 from ._views import ArrayField, fill, floats, readonly
@@ -79,16 +79,17 @@ X_SEED = 1e-3
 
 
 def _fill_states(profile: LensProfile) -> None:
-    # the stored states that the profile was not given, from its dense
-    # output at the points of integrate_profile's pass
-    s, (u, v, phi, i_phi, i_v), _ = profile._samples
-    fill(profile, {"s": s, "u": u, "v": v, "up": list(map(math.cos, phi)),
-                   "vp": list(map(math.sin, phi)), "i_phi": i_phi,
-                   "i_v": i_v})
+    # the stored states that the profile was not given, from the pass over
+    # its dense output
+    s, u, v, up, vp, i_phi, i_v, _ = profile._states
+    fill(profile, {"s": s, "u": u, "v": v, "up": up, "vp": vp,
+                   "i_phi": i_phi, "i_v": i_v})
 
 
-@dataclass(frozen=True)
-class LensProfile:
+class LensProfile(namedtuple(
+        "LensProfile", "a s_bar s_star xi alpha v_residual monitors series "
+        "dense nfev n_steps n_rejected s u v up vp i_phi i_v",
+        defaults=(None,) * 7)):
     """The full profile curve from the axis to the horizontal crossing.
 
     The stored states are the exact axis point at s = 0, then the dense
@@ -100,36 +101,24 @@ class LensProfile:
     piece on [0, X_SEED], then DOP853's; ``nfev``, ``n_steps`` and
     ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
     The state fields s, u, v, up, vp, i_phi and i_v read as read-only numpy
-    arrays, evaluated on the dense output (DenseOutput.sample, once per
-    profile) and built on first read (_views.ArrayField).  Frozen, so that
-    a profile cannot change after it passed its monitors;
-    dataclasses.replace still makes a changed copy.
+    arrays, which the pass over the dense output gives (dense_pass, run
+    once per profile to keep its states) and which are built on first read
+    (_views.ArrayField).  A tuple, so that a profile cannot change after it
+    passed its monitors; _replace makes a changed copy.
     """
 
-    a: float
-    s_bar: float
-    s_star: float
-    xi: float
-    alpha: float
-    v_residual: float
-    monitors: dict
-    series: EvenSeries
-    dense: dop853.DenseOutput
-    nfev: int
-    n_steps: int
-    n_rejected: int
-    s: ArrayField = ArrayField(fill=_fill_states)
-    u: ArrayField = ArrayField(fill=_fill_states)
-    v: ArrayField = ArrayField(fill=_fill_states)
-    up: ArrayField = ArrayField(fill=_fill_states)
-    vp: ArrayField = ArrayField(fill=_fill_states)
-    i_phi: ArrayField = ArrayField(fill=_fill_states)
-    i_v: ArrayField = ArrayField(fill=_fill_states)
+    s = ArrayField(fill=_fill_states)
+    u = ArrayField(fill=_fill_states)
+    v = ArrayField(fill=_fill_states)
+    up = ArrayField(fill=_fill_states)
+    vp = ArrayField(fill=_fill_states)
+    i_phi = ArrayField(fill=_fill_states)
+    i_v = ArrayField(fill=_fill_states)
 
     @functools.cached_property
-    def _samples(self) -> tuple:
-        # the dense output's stored states and their rates (sample's), once
-        return self.dense.sample(DENSE_POINTS_PER_STEP)
+    def _states(self) -> tuple:
+        # the pass's stored states and their defect, once
+        return dense_pass(self.dense, self.a, DEFAULT_TOL, keep=True)[-1]
 
 
 # state (u, v, phi, i_phi, i_v): the angle-form ODE plus the quadratures,
@@ -195,11 +184,12 @@ def integrate_profile(series: EvenSeries, a: float, *,
     NoCrossing.  The proved bound pi / (2 c_a) is not evaluated: it is at
     least 158 at every height, so the cap is always the smaller bound.
 
-    monitor_slacks fills ``monitors`` from the returned states; a slack
-    below MONITOR_SLACK_TOL, or NaN, raises MonitorViolation; the defect
-    monitor's bound is DEFECT_PER_TOL * tol.  An integrator failure raises
-    StepFailure.  An a that is not positive and finite, a series.radius at
-    most X_SEED, or a tol below 100 eps or not finite raises ValueError.
+    One pass over the dense output's pieces (dense_pass) fills
+    ``monitors``; a slack below MONITOR_SLACK_TOL, or NaN, raises
+    MonitorViolation; the defect monitor's bound is DEFECT_PER_TOL * tol.
+    An integrator failure raises StepFailure.  An a that is not positive
+    and finite, a series.radius at most X_SEED, or a tol below 100 eps or
+    not finite raises ValueError.
     """
     if not 0.0 < a < math.inf:
         raise ValueError(f"a={a} must be positive and finite")
@@ -240,12 +230,10 @@ def integrate_profile(series: EvenSeries, a: float, *,
     # s0 exactly (its row 0 is y_seed - y_axis, and v0 - a is exact, v0
     # being within a factor 2 of a), and every later point falls on a
     # piece of DOP853
-    slacks, z, xi, v_end, alpha = _solve_pass(DENSE_POINTS_PER_STEP)(
-        ts, hs, ys, F, *_bounds(a, tol))
+    monitors, xi, v_end, alpha, _ = dense_pass(dense, a, tol)
     v_residual = abs(v_end)
     if v_residual > EVENT_TOL:
         raise NoCrossing(f"crossing refinement left |v(s_bar)|={v_residual}")
-    monitors = _report(slacks, z)
     bad = {k: v for k, v in monitors.items() if not v >= MONITOR_SLACK_TOL}
     if bad:
         raise MonitorViolation(f"profile monitors violated at a={a}: {bad}")
@@ -281,16 +269,6 @@ def curvature_arrays(profile: LensProfile) -> tuple:
 # (r0, r1, r2) of its polynomial; it sets pp to PHI_PRIME
 DEFECT = (f"pp = {PHI_PRIME}\nd = abs(r0 - up)\nq = abs(r1 - vp)\n"
           "if q > d:\n    d = q\nq = abs(r2 - pp)\nif q > d:\n    d = q\n")
-_defect_at = dop853._compiled(
-    "def _defect_at(u, v, up, vp, r0, r1, r2):\n"
-    + textwrap.indent(DEFECT, "    ") + "    return d\n", "defect")["_defect_at"]
-
-
-def _residuals(profile: LensProfile) -> list:
-    # shrinker_residual's list, from the dense output alone
-    _, (u, v, phi, _, _), (r0, r1, r2, _, _) = profile._samples
-    return [_defect_at(*state, math.cos(p), math.sin(p), *rates)
-            for *state, p, rates in list(zip(u, v, phi, zip(r0, r1, r2)))[1:]]
 
 
 def shrinker_residual(profile: LensProfile):
@@ -300,9 +278,9 @@ def shrinker_residual(profile: LensProfile):
     polynomial and F the angle form, its phi' from
     graph_profile.PHI_PRIME, apart from ANGLE_FORM, so that a wrong
     right-hand side shows.  Zero at step ends, where the dense rows
-    interpolate F.  integrate_profile forms the same values (DEFECT) in
-    the pass that gives the states."""
-    return readonly(_residuals(profile))
+    interpolate F.  The pass that gives the states forms it (DEFECT), as
+    integrate_profile's pass does for the defect monitor."""
+    return readonly(profile._states[-1])
 
 
 # each monitor as source over a state's u, v, up and vp (cos phi, sin phi),
@@ -310,12 +288,13 @@ def shrinker_residual(profile: LensProfile):
 # states it reads, its term at a state, its slack there as a format of the
 # term, the fold whose term gives the worst slack).  The slack is monotone
 # in the term, so its least value is the slack of the terms' min or max.
-# All states but the axis point have u > 0 and a defect, the seed is state
-# 1, the crossing the last, and the graph monitors read the states with
-# 0 < u < 1 (graph_profile.GRAPH_TERMS).  The two monotone monitors hold
-# pairs: theta_i - theta_j and F_j - F_i for i < j, each state against
-# every earlier one, which the running min of theta (tmin) and max of F
-# (fmax) stand for.
+# The states read are all of them, those past the axis point (which have
+# u > 0 and a defect), the graph states with 0 < u < 1
+# (graph_profile.GRAPH_TERMS), the seed and the inner states (past the
+# axis point, before the crossing), or the inner states alone.  The two
+# monotone monitors hold pairs: theta_i - theta_j and F_j - F_i for i < j,
+# each state against every earlier one, which the running min of theta
+# (tmin) and max of F (fmax) stand for.
 _TERMS = (
     ("radial_transversality_global", "all", "(-u * vp + v * up) / rho",
      "{} - floor", "min"),
@@ -329,85 +308,83 @@ _TERMS = (
 )
 
 
-def _state_source(kind: str, defect: str) -> str:
-    """The fold of one state of kind axis, seed, inner or crossing, as
-    statements over u, v, up and vp: each term into its running min or max
-    m_j, and every state and defect into the sum z, which is not finite if
-    one of them is not.  defect sets d and pp."""
-    def fold(where):
-        return "".join(
-            f"q = {term}\nif q {'<' if how == 'min' else '>'} m{j}:\n"
-            f"    m{j} = q\n" for j, (_, reads, term, _, how) in
-            enumerate(_TERMS) if where in reads.split())
-    src = ("rho = hypot(u, v)\ntheta = atan2(v, u)\n" + fold("all")
-           + "if theta < tmin:\n    tmin = theta\n")
-    if kind == "axis":
-        src += "z += u + v + up + vp\n"
-    else:
-        src += defect + "z += u + v + up + vp + d\n" + fold("past_axis")
-    src += "if 0.0 < u < 1.0:\n" + textwrap.indent(
-        graph_profile.GRAPH_LOCALS + f"ratio = {graph_profile.RATIO}\n"
-        + fold("graph") + "if ratio > fmax:\n    fmax = ratio\n", "    ")
-    return src + (fold(kind) if kind in ("seed", "inner") else "")
-
-
-def _fold_source(name: str, args: str, body: str) -> str:
-    # a function over args that runs body from fresh folds, then returns
-    # the slacks of the folds and z, and whatever body sets in ret
-    return (f"def {name}({args}, a, floor, band, bound, graph_floor):\n"
-            + "".join(f"    m{j} = {'' if how == 'min' else '-'}inf\n"
-                      for j, (*_, how) in enumerate(_TERMS))
-            + "    tmin, fmax, z, ret = inf, -inf, 0.0, ()\n"
-            + textwrap.indent(body, "    ")
-            + "    return [" + ", ".join(slack.format(f"m{j}") for j, (
-                *_, slack, _) in enumerate(_TERMS)) + "], z, *ret\n")
+def _indent(src: str) -> str:
+    return textwrap.indent(src, "    ")
 
 
 @functools.cache
 def _solve_pass(points: int):
-    """integrate_profile's pass, as compiled Python: over the pieces of the
-    dense output (flat lists ts, hs, Y, F as DenseOutput.sample reads
-    them) at DenseOutput.sample's points, each state and its rates by
-    dop853.horner_source (horner_end_source at the end of a piece that is
-    not cut, where x = 1), then its defect (DEFECT) and its fold; it
-    returns the folds' slacks and z, then the last state's u, v and
-    phi."""
-    angle = "u, v, phi = v0, v1, v2\nup = cos(phi)\nvp = sin(phi)\n"
-    point = ("x = (s - t) / h\nw = 1.0 - x\n" + "".join(
-        map(dop853.horner_source, range(3))) + angle)
-    end = "".join(map(dop853.horner_end_source, range(3))) + angle
-    piece = "t, h, t1 = ts[k], hs[k], ts[k + 1]\n" + \
-        dop853.piece_source(5, range(3))
-    inner = "for s in [t + (t1 - t) * f for f in fracs]:\n" + \
-        textwrap.indent(point + _state_source("inner", DEFECT), "    ")
-    body = (f"fracs = [j / {points + 1} for j in range(1, {points + 1})]\n"
-            "k = 0\n" + piece + "s = t\n" + point
-            + _state_source("axis", DEFECT) + end
-            + _state_source("seed", DEFECT)
-            + "for k in range(1, len(hs)):\n"
-            + textwrap.indent(piece + inner + "if k == len(hs) - 1:\n"
-                              "    break\n" + end
-                              + _state_source("inner", DEFECT), "    ")
-            + "s = t1\n" + point + _state_source("crossing", DEFECT)
-            + "ret = u, v, phi\n")
-    return dop853._compiled(_fold_source("solve_pass", "ts, hs, Y, F", body),
-                            "solve pass")["solve_pass"]
+    """dense_pass's loop, as compiled Python, over the pieces of a dense
+    output (the flat lists ts, hs, Y and F that DenseOutput keeps): the
+    axis point and the seed, the ends of piece 0, then on each later piece
+    ``points`` interior points, ts[k] + (ts[k+1] - ts[k]) j / (points + 1)
+    for j = 1..points, and its end.  At each point the state and its rates
+    by dop853.horner_source (horner_end_source at the end of a piece that
+    is not cut, where x = 1), the defect (DEFECT) past the axis point, and
+    one fold of the monitors' terms, with a branch for the terms that only
+    some kinds of state read.  Every state and defect is added to the sum
+    z, which is not finite if one of them is not.  It returns the folds'
+    slacks and z, the last state's u, v and phi, and, with keep, the lists
+    of the states s, u, v, up, vp, i_phi and i_v and of the defect (empty
+    lists without)."""
+    e = points + 1
 
+    def fold(reads):
+        # each term of the states ``reads`` into its running min or max
+        return "".join(
+            f"q = {term}\nif q {'<' if how == 'min' else '>'} m{j}:\n"
+            f"    m{j} = q\n" for j, (_, where, term, _, how) in
+            enumerate(_TERMS) if where == reads)
 
-@functools.cache
-def _states_fold():
-    """monitor_slacks' fold over given states U, V, UP, VP and the defect
-    D at every state but the first, as compiled Python."""
-    given = f"pp = {PHI_PRIME}\nd = next(D)\n"
-    state = "u, v, up, vp = U[i], V[i], UP[i], VP[i]\n"
-    body = ("D = iter(D)\nn = len(U)\n"
-            "i = 0\n" + state + _state_source("axis", given)
-            + "i = 1\n" + state + _state_source("seed", given)
-            + "for i in range(2, n - 1):\n"
-            + textwrap.indent(state + _state_source("inner", given), "    ")
-            + "i = n - 1\n" + state + _state_source("crossing", given))
-    return dop853._compiled(_fold_source("fold", "U, V, UP, VP, D", body),
-                            "monitor fold")["fold"]
+    def each(source):
+        return "".join(map(source, range(3)))
+
+    state = (
+        f"if j < {e} or cut:\n"
+        + _indent(f"s = t1 if j == {e} else t + (t1 - t) * (j / {e})\n"
+                  "x = (s - t) / h\nw = 1.0 - x\n"
+                  + each(dop853.horner_source))
+        + "else:\n"
+        + _indent("s = t1\nx = 1.0\n" + each(dop853.horner_end_source))
+        + "u, v, phi = v0, v1, v2\nup = cos(phi)\nvp = sin(phi)\n"
+        "rho = hypot(u, v)\ntheta = atan2(v, u)\n" + fold("all")
+        + "if theta < tmin:\n    tmin = theta\n"
+        "if j:\n" + _indent(DEFECT + "z += u + v + up + vp + d\n"
+                            + fold("past_axis") + "if keep:\n"
+                            "    D.append(d)\n")
+        + "else:\n    z += u + v + up + vp\n"
+        "if 0.0 < u < 1.0:\n" + _indent(
+            graph_profile.GRAPH_LOCALS + f"ratio = {graph_profile.RATIO}\n"
+            + fold("graph") + "if ratio > fmax:\n    fmax = ratio\n")
+        + f"if j and (j < {e} or not cut):\n"
+        + _indent(fold("seed inner") + "if k:\n" + _indent(fold("inner")))
+        # i_phi and i_v, formed only to be kept, by _horner (x = 1 at a
+        # piece's end, where horner_end_source's bits are its bits)
+        + "if keep:\n" + _indent(
+            "".join(f"{name}.append({value})\n" for name, value in zip(
+                ("S", "U", "V", "UP", "VP"), ("s", "u", "v", "up", "vp")))
+            + "IP.append(horner(c3, x)[0] + y3)\n"
+            "IV.append(horner(c4, x)[0] + y4)\n"))
+    src = ("def solve_pass(ts, hs, Y, F, a, floor, band, bound, graph_floor, "
+           "keep):\n" + _indent(
+               "".join(f"m{j} = {'' if how == 'min' else '-'}inf\n"
+                       for j, (*_, how) in enumerate(_TERMS))
+               + "tmin, fmax, z = inf, -inf, 0.0\n"
+               "kept = S, U, V, UP, VP, IP, IV, D = [], [], [], [], [], [], "
+               "[], []\nlast = len(hs) - 1\n"
+               "for k in range(len(hs)):\n" + _indent(
+                   "t, h, t1 = ts[k], hs[k], ts[k + 1]\ncut = k == last\n"
+                   + dop853.piece_source(5, range(3)) + "if keep:\n"
+                   "    y3, y4 = Y[5 * k + 3], Y[5 * k + 4]\n"
+                   "    rows = F[35 * k:35 * k + 35]\n"
+                   "    c3, c4 = rows[3::5], rows[4::5]\n"
+                   + f"for j in range(1, {e + 1}) if k else (0, {e}):\n"
+                   + _indent(state))
+               + "return [" + ", ".join(slack.format(f"m{j}") for j, (
+                   *_, slack, _) in enumerate(_TERMS))
+               + "], z, u, v, phi, kept\n"))
+    return dop853._compiled(src, "solve pass",
+                            horner=dop853._horner)["solve_pass"]
 
 
 def _bounds(a: float, tol: float) -> tuple:
@@ -416,36 +393,34 @@ def _bounds(a: float, tol: float) -> tuple:
             DEFECT_PER_TOL * tol, a / math.sqrt(1.0 + a * a))
 
 
-def _report(slacks: list, z: float) -> dict:
-    # monitor_slacks' dict from a fold's slacks and sum
-    return {name: slack if math.isfinite(z) else math.nan
-            for (name, *_), slack in zip(_TERMS, slacks)}
-
-
-def monitor_slacks(profile: LensProfile, tol: float, defect) -> dict:
-    """Worst slack of each monitored inequality, the minimum of its slacks
-    at the stored states; it holds where its slack is >= 0.  Pure report:
-    a state or a defect that is not finite makes every slack NaN, and only
-    a state past the axis point at u = 0 or cos phi = 0, where a slack
-    divides by zero, raises (ZeroDivisionError).  integrate_profile
-    computes the same slacks, to the bit, in the pass that gives the
-    states.
+def dense_pass(dense: dop853.DenseOutput, a: float, tol: float,
+               keep: bool = False) -> tuple:
+    """integrate_profile's pass over the pieces of a profile's dense output
+    at height a and tolerance tol: the worst slack of each monitored
+    inequality by name, the minimum of its slacks at the stored states (it
+    holds where its slack is >= 0), then the last state's u, v and phi,
+    then the stored states s, u, v, up, vp, i_phi and i_v and the defect
+    at each but the axis point, as lists, if keep, or empty lists.  Pure
+    report: a state or a defect that is not finite makes every slack NaN,
+    and only a state past the axis point at u = 0 or cos phi = 0, where a
+    slack divides by zero, raises (ZeroDivisionError).
 
     Polar, on all states: the radial transversality (-u v' + v u')/rho >=
     K_a, log rho below the annulus band, and a strictly decreasing polar
     angle, which certifies injectivity; each theta is compared with every
     later one, so that rises below the tolerance cannot add up.
-    ``shrinker_residual`` is DEFECT_PER_TOL * tol minus ``defect``, the ODE
-    defect of the dense output at every state but the axis point, as
+    ``shrinker_residual`` is DEFECT_PER_TOL * tol minus the ODE defect of
+    the dense output at every state but the axis point, as
     shrinker_residual(profile) gives it.  Graph: graph_profile's slacks on
     the view 0 < u < 1, and before the crossing f' <= 0 from the seed on
     and phi' <= 0 after it.  Bounds these imply, f >= 0 among them, are
     not checked again (README, "How it works").
     """
-    defect = defect.tolist() if hasattr(defect, "tolist") else defect
-    return _report(*_states_fold()(
-        *(floats(profile, k) for k in ("u", "v", "up", "vp")), defect,
-        *_bounds(profile.a, tol)))
+    slacks, z, *rest = _solve_pass(DENSE_POINTS_PER_STEP)(
+        *(floats(dense, k) for k in ("ts", "h", "y_old", "F")),
+        *_bounds(a, tol), keep)
+    return ({name: slack if math.isfinite(z) else math.nan
+             for (name, *_), slack in zip(_TERMS, slacks)}, *rest)
 
 
 # the monitors of the polar bounds, each checked on [0, s_bar]
@@ -453,9 +428,8 @@ POLAR_MONITORS = ("radial_transversality_global", "annulus_upper",
                   "theta_decreasing")
 
 
-@dataclass(frozen=True)
-class PolarReport:
-    rows: tuple[dict, ...]
+class PolarReport(namedtuple("PolarReport", "rows")):
+    __slots__ = ()
 
     def to_json_list(self) -> list[dict]:
         return [dict(r) for r in self.rows]
@@ -482,7 +456,7 @@ def profile_to_csv(profile: LensProfile, path) -> None:
     graph_profile.write_csv(
         path, "s,u,v,up,vp,k_alg,k_int,rho,theta,residual_shrinker",
         [*columns, k_alg, k_int, map(math.hypot, u, v), map(math.atan2, v, u),
-         _residuals(profile)])
+         profile._states[-1]])
 
 
 def profile_summary(profile: LensProfile) -> dict:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,7 +76,7 @@ def criterion_2_junction_located(cfg, solves):
     report = solves.find_lens(cfg)
     # at the floor no tighter solve exists, and the drift reads 0
     tight = solves.find_lens(
-        replace(cfg, ode_tol=max(cfg.ode_tol / 10, RTOL_FLOOR)))
+        cfg._replace(ode_tol=max(cfg.ode_tol / 10, RTOL_FLOOR)))
     drift = abs(tight.a_star - report.a_star)
     profile = report.profile
     res_v = abs(float(profile.vp[-1]) + math.sqrt(3.0) / 2.0)

@@ -14,7 +14,7 @@ statements inline at every stage, and forms the new state, the two error
 norms and all seven dense rows from Python floats: each sum runs over its
 tableau row's nonzero coefficients in index order, one rounded binary64
 operation at a time, and each norm is a sum of squares in index order.
-A component or the time that the form never reads is not formed at a
+A component or the time that the form never names is not formed at a
 stage, but the new state carries every component.  So the bits of a solve
 depend on IEEE arithmetic and on the form alone, and are the same
 whichever BLAS kernel numpy loads.  scipy's sums are BLAS
@@ -23,20 +23,18 @@ One Horner routine, _horner, evaluates the dense output's states and
 their derivative together on numpy rows (__call__, derivative), and the
 function whose root Brent's method refines on one column of Python
 floats; horner_source unrolls it, operation for operation, into the
-generated loops over the pieces (DenseOutput.sample, and a profile's
-solve pass): the same bits.  The module runs on Python floats alone and
-loads numpy only for DenseOutput's arrays and vectorised evaluation.
+generated loop over the pieces of a profile's solve pass: the same bits.
+The module runs on Python floats alone and loads numpy only for
+DenseOutput's arrays and vectorised evaluation.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
 import sys
 import textwrap
 from collections import namedtuple
-from dataclasses import dataclass
 
 from ._views import ArrayField, floats
 from .errors import NoConvergence, StepFailure
@@ -142,21 +140,19 @@ def _shape(*tail):
     return lambda dense: (len(floats(dense, "h")), *tail)
 
 
-@dataclass(frozen=True)
-class DenseOutput:
+class DenseOutput(namedtuple("DenseOutput", "ts h y_old F")):
     """Piece k covers [ts[k], ts[k+1]] in x = (t - ts[k]) / h[k], h[k] its
     full step; a point shared by two pieces belongs to the lower one.  The
-    states, their derivative, the samples and the roots all read the
-    pieces by _horner.  The fields are kept as given, as integrate's flat
-    float lists (ts, and per piece h, y_old and the 7 rows of F, row by
-    row) or as arrays, and read as read-only arrays (_views.ArrayField);
-    sample and root run on Python floats, __call__ and derivative on
-    numpy."""
+    states, their derivative and the roots all read the pieces by _horner.
+    The fields are kept as given, as integrate's flat float lists (ts, and
+    per piece h, y_old and the 7 rows of F, row by row) or as arrays, and
+    read as read-only arrays (_views.ArrayField); root runs on Python
+    floats, __call__ and derivative on numpy."""
 
-    ts: ArrayField = ArrayField()                     # (m + 1,)
-    h: ArrayField = ArrayField()                      # (m,)
-    y_old: ArrayField = ArrayField(_shape(-1))        # (m, n)
-    F: ArrayField = ArrayField(_shape(7, -1))         # (m, 7, n)
+    ts = ArrayField()                     # (m + 1,)
+    h = ArrayField()                      # (m,)
+    y_old = ArrayField(_shape(-1))        # (m, n)
+    F = ArrayField(_shape(7, -1))         # (m, 7, n)
 
     def _horner_at(self, t):
         # piece index of each point of t, and _horner at its local x
@@ -176,21 +172,6 @@ class DenseOutput:
         shape (n, len(t)); it equals the right-hand side at step ends."""
         k, _, dp = self._horner_at(t)
         return (dp / self.h[k][:, None]).T
-
-    def sample(self, points: int):
-        """The states at ts[0], then at ``points`` interior points of each
-        piece from piece 1 on and at every piece's end: (s, the values of
-        each component, their exact derivatives), lists of Python floats.
-
-        The interior points of piece k are ts[k] + (ts[k+1] - ts[k]) j /
-        (points + 1), j = 1..points, and each state is _horner's at x =
-        (s - ts[k]) / h[k] plus y_old, each derivative its dp over h[k], to
-        the bit; the point ts[k+1] belongs to piece k.  Piece 0 (a
-        profile's axis segment) gives its two ends only.
-        """
-        h, y = floats(self, "h"), floats(self, "y_old")
-        return _sampler(len(y) // len(h), points)(floats(self, "ts"), h, y,
-                                                  floats(self, "F"))
 
     def root(self, i: int, level: float, k: int) -> float:
         """Brent's root of y[i] - level on piece k, over [ts[k], ts[k+1]],
@@ -230,31 +211,6 @@ def piece_source(n: int, components) -> str:
     return "".join(f"y{i} = Y[{n} * k + {i}]\n" for i in components) + \
         "".join(f"f{r}_{i} = F[{7 * n} * k + {r * n + i}]\n"
                 for i in components for r in range(7))
-
-
-@functools.cache
-def _sampler(n: int, points: int):
-    """DenseOutput.sample's loop over the pieces for states of n
-    components, as compiled Python: per point, horner_source for each
-    component, on the piece's rows held in locals."""
-    values, derivs = [f"V{i}" for i in range(n)], [f"R{i}" for i in range(n)]
-    point = "x = (s - t) / h\nw = 1.0 - x\n" + "".join(
-        horner_source(i) + f"V{i}.append(v{i})\nR{i}.append(r{i})\n"
-        for i in range(n))
-    src = ("def sample(ts, hs, Y, F):\n"
-           + "".join(f"    {name} = []\n" for name in ["S", *values, *derivs])
-           + f"    fracs = [j / {points + 1} for j in range(1, {points + 1})]\n"
-           "    for k in range(len(hs)):\n"
-           "        t, h, t1 = ts[k], hs[k], ts[k + 1]\n"
-           + textwrap.indent(piece_source(n, range(n)), " " * 8)
-           + "        pts = [t] if k == 0 else "
-           "[t + (t1 - t) * f for f in fracs]\n"
-           "        pts.append(t1)\n"
-           "        for s in pts:\n"
-           "            S.append(s)\n"
-           + textwrap.indent(point, " " * 12)
-           + f"    return S, [{', '.join(values)}], [{', '.join(derivs)}]\n")
-    return _compiled(src, "sample")["sample"]
 
 
 # the pieces as DenseOutput takes them (flat float lists), fun(t0, y0)
@@ -329,18 +285,24 @@ _MATH = {name: getattr(math, name) for name in dir(math)
          if not name.startswith("_")}
 
 
-def _compiled(src: str, name: str) -> dict:
-    # exec the source with the math module's names
-    namespace = dict(_MATH)
+def _compiled(src: str, name: str, **names) -> dict:
+    # exec the source with the math module's names and the given ones
+    namespace = dict(_MATH, **names)
     exec(compile(src, f"<dop853 {name}>", "exec"), namespace)
     return namespace
 
 
-def _names(form: Form, load=False) -> set:
-    # the names in the form's statements and rates, or those it reads
-    tree = ast.parse(form.body + "\n" + "\n".join(form.rates))
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
-            and (not load or isinstance(node.ctx, ast.Load))}
+def _names(form: Form) -> set:
+    # the names that the form's statements and rates read or assign (and
+    # the attributes they name), from their compiled code and the code
+    # nested in it, a comprehension's say
+    codes, names = [compile(form.body + "\n" + "\n".join(form.rates),
+                            "<form>", "exec")], set()
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names, code.co_varnames)
+        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+    return names
 
 
 def rhs(time: str, state: str, body: str, rates) -> Form:
@@ -387,13 +349,14 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
     as np.maximum's would be, and a NaN in y makes y_new NaN.  dense(t, h,
     y, K) evaluates stages 13-15 from K and returns the 7 dense rows as one
     flat list, row by row: rows 0-2 those of hermite_rows, rows 3-6 h D K.
-    Each stage binds the components and the time that the form reads to its
-    stage state and time (stage 12 forms every component, the new state),
-    runs the form's statements and sets its component i, the local _k{j}_{i},
-    to rate i.  A row's sum runs over its nonzero coefficients in index
-    order, each written as the literal repr() gives back exactly.
+    Each stage binds the components and the time that the form reads (or
+    assigns) to its stage state and time (stage 12 forms every component,
+    the new state), runs the form's statements and sets its component i,
+    the local _k{j}_{i}, to rate i.  A row's sum runs over its nonzero
+    coefficients in index order, each written as the literal repr() gives
+    back exactly.
     """
-    n, read = len(form.state), _names(form, load=True)
+    n, read = len(form.state), _names(form)
     body = textwrap.indent(form.body + "\n", "    ")
 
     def dot(row, i):

@@ -14,10 +14,10 @@ The inequalities proved for this region -- the height bounds
 a sqrt(1-x^2) < f < a, the slope bound f' > -a x/(1-x^2), monotonicity of
 the comparison ratio F = f / sqrt(1-x^2) and the transversality floor
 (f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- are written once as
-source, ``GRAPH_TERMS``: the monitors of
-:func:`lensshrinker.arclength.monitor_slacks` inline it in their
-generated pass, and :func:`graph_slacks` and the CSV of the view compile
-it to their per-state loop.  Everything here runs on Python floats;
+source, ``GRAPH_TERMS``: the generated pass of
+:func:`lensshrinker.arclength.dense_pass` inlines it in its monitors,
+and :func:`graph_slacks` and the CSV of the view compile it to their
+per-state loop.  Everything here runs on Python floats;
 numpy is loaded only to return arrays.
 """
 

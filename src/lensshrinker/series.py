@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from ._views import ArrayField, given_value
+from ._views import ArrayField
 from .dop853 import EPS, brentq
 from .errors import CertificateFailure, NoContraction, NoConvergence
 
@@ -63,8 +63,7 @@ def _horner(c, x):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class EvenSeries:
+class EvenSeries(namedtuple("EvenSeries", "coeffs radius", defaults=(1.0,))):
     """Truncated even power series sum_k c_k x^{2k}.
 
     ``coeffs[k]`` is the coefficient of x^{2k}; odd-degree coefficients are
@@ -76,21 +75,26 @@ class EvenSeries:
     array; ``coeffs`` reads as a read-only array.
     """
 
-    coeffs: ArrayField = ArrayField()
-    radius: float = 1.0
+    coeffs = ArrayField()
 
-    def __post_init__(self):
-        given = given_value(self, "coeffs")
+    def __new__(cls, coeffs, radius=1.0):
         try:
-            c = tuple(map(float, given))
+            c = tuple(map(float, coeffs))
         except TypeError:  # not a sequence, or not of numbers
             c = ()
-        if not c or getattr(given, "ndim", 1) != 1:
+        if not c or getattr(coeffs, "ndim", 1) != 1:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
-        if not self.radius > 0.0:
+        if not radius > 0.0:
             raise ValueError("radius must be positive")
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "c", c)
+        return super().__new__(cls, c, radius)
+
+    # so that _replace checks and converts a changed copy as __new__ does
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    @property
+    def c(self) -> tuple:
+        """The coefficients, a tuple of floats."""
+        return self[0]
 
     @property
     def order(self) -> int:
@@ -302,34 +306,33 @@ def nonlinear_Q(h: EvenSeries, a: float) -> EvenSeries:
 # Contraction certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionConstants:
+class ContractionConstants(namedtuple("ContractionConstants", "a r R L flavor",
+                                      defaults=("analytic",))):
     """Constants (a, r, R, L) for a certified fixed-point ball.
 
     flavor "analytic" certifies the series map in the weighted norm;
     flavor "C2" certifies the grid iteration in the sup norm of h''.
     """
 
-    a: float
-    r: float
-    R: float
-    L: float
-    flavor: str = "analytic"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.flavor not in ("analytic", "C2"):
             raise ValueError("flavor must be 'analytic' or 'C2'")
         if min(self.a, self.r, self.R, self.L) <= 0.0:
             raise ValueError("all constants must be positive")
+        return self
+
+    # so that _replace checks a changed copy as __new__ does
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(namedtuple("CertificateReport", "slacks certified")):
     """Slack rhs - lhs of each certificate inequality, keyed by its id; the
     constants are certified when every slack is at least -CERT_MARGIN."""
 
-    slacks: dict
-    certified: bool
+    __slots__ = ()
 
 
 def regime_constants(r: float) -> tuple[float, float]:

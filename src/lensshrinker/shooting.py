@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arclength import DEFAULT_TOL, LensProfile, integrate_profile
 from .dop853 import RTOL_FLOOR, brentq
@@ -36,18 +35,18 @@ DEFAULT_N_THETA = 64
 MIN_N_THETA = 16
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(namedtuple("PipelineConfig", "ode_tol jobs",
+                                defaults=(DEFAULT_TOL, 1))):
     """Settings of the single-profile pipeline: ode_tol is the one accuracy
     setting of each solve (DOP853's rtol and atol), jobs the number of
     processes that compute a table, the caller included (jobs > 1 forks,
     so it needs POSIX os.fork; see sample_angle_table).  The series and
     crossing tolerances are constants of their modules."""
 
-    ode_tol: float = DEFAULT_TOL
-    jobs: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not RTOL_FLOOR <= self.ode_tol < math.inf:
             raise ValueError(f"ode_tol={self.ode_tol} must be finite and at "
                              f"least the floor 100 eps = {RTOL_FLOOR}")
@@ -55,6 +54,10 @@ class PipelineConfig:
             raise ValueError(f"jobs={self.jobs!r} must be an int >= 1")
         if self.jobs > 1 and not hasattr(os, "fork"):
             raise ValueError("jobs > 1 needs os.fork, which this platform lacks")
+        return self
+
+    # so that _replace checks a changed copy as __new__ does
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def junction_residual(alpha: float) -> float:
@@ -78,15 +81,11 @@ def angle_of(a: float, cfg: PipelineConfig | None = None) -> tuple[float, LensPr
     return profile.alpha, profile
 
 
-@dataclass(frozen=True)
-class AngleSample:
+class AngleSample(namedtuple("AngleSample", "a s_bar xi_a alpha error",
+                             defaults=(None,))):
     """One row of the a -> alpha(a) map."""
 
-    a: float
-    s_bar: float
-    xi_a: float
-    alpha: float
-    error: str | None = None
+    __slots__ = ()
 
     @property
     def monitor_pass(self) -> bool:
@@ -102,13 +101,11 @@ class AngleSample:
                 "error": self.error}
 
 
-@dataclass(frozen=True)
-class AngleTable:
+class AngleTable(namedtuple("AngleTable", "table sign_change_brackets")):
     """Rows of the angle map, sorted by a, and every sub-bracket (lo, hi)
     of successive good rows on which u'(s_bar) - 1/2 changes sign."""
 
-    table: list[AngleSample]
-    sign_change_brackets: list[tuple[float, float]]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -117,8 +114,8 @@ class AngleTable:
         }
 
 
-@dataclass(frozen=True)
-class ShootReport:
+class ShootReport(namedtuple("ShootReport", "table a_star alpha_residual "
+                                            "bracket_history profile")):
     """Outcome of a shooting run.
 
     ``table`` holds the bracket endpoints and a_star; each
@@ -126,11 +123,7 @@ class ShootReport:
     g = u'(s_bar) - 1/2, so every row shows its own sign change.
     """
 
-    table: list[AngleSample]
-    a_star: float
-    alpha_residual: float
-    bracket_history: list[tuple[float, float, float, float]]
-    profile: LensProfile
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -192,6 +185,7 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTabl
                 how = f"signal {-code}" if code < 0 else f"exit status {code}"
                 raise ChildProcessError(
                     f"the process solving a = {chunk} ended by {how}")
+            import pickle  # _fork_chunk loaded it
             ok, value = pickle.loads(data)
             if not ok:
                 value.add_note(f"raised while solving a = {chunk}")
@@ -214,6 +208,7 @@ def _fork_chunk(chunk: list, cfg: PipelineConfig):
     """Fork a child that pickles (True, its rows) or (False, the exception)
     into a pipe and leaves by os._exit, so that it never flushes the stdio
     buffers it inherited or returns into the caller's frames."""
+    import pickle  # here, so that only a forking table pays ~2 ms for it
     r, w = os.pipe()
     try:
         pid = os.fork()

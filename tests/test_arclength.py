@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -8,11 +7,11 @@ import pytest
 from conftest import A_STAR
 from lensshrinker import (MonitorViolation, NoCrossing, angle_of, arclength,
                           dop853, find_x0, integrate_profile, picard_analytic,
-                          polar_monitors)
+                          polar_monitors, series, shooting)
 from lensshrinker.arclength import (DEFAULT_TOL, DEFECT_PER_TOL,
                                     MONITOR_SLACK_TOL, X_SEED,
                                     annulus_log_halfwidth, curvature_arrays,
-                                    monitor_slacks, profile_summary,
+                                    dense_pass, profile_summary,
                                     profile_to_csv, seed_quadratures,
                                     shrinker_residual, transversality_floor)
 from lensshrinker.series import R_STAR
@@ -141,7 +140,7 @@ def test_one_table_holds_every_monitor(profiles):
         "shrinker_residual", "graph_height_lower", "graph_height_upper",
         "graph_slope_lower", "graph_ratio_monotone", "graph_concavity",
         "graph_slope_negative", "graph_transversality"}
-    assert monitor_slacks(p, DEFAULT_TOL, shrinker_residual(p)) == p.monitors
+    assert dense_pass(p.dense, p.a, DEFAULT_TOL)[0] == p.monitors
 
 
 def test_readme_tables_list_every_monitor(profiles):
@@ -160,55 +159,77 @@ def test_readme_tables_list_every_monitor(profiles):
     assert names == set(profiles[1.0][1].monitors)
 
 
+def _slacks(profile) -> dict:
+    """The worst slack of each monitor that integrate_profile's pass reads
+    off the profile's dense output."""
+    return dense_pass(profile.dense, profile.a, DEFAULT_TOL)[0]
+
+
 def _failing(profile) -> set:
     """Monitors a perturbed copy fails, apart from the ODE defect, which
     every state moved off the ODE fails by design."""
-    slacks = monitor_slacks(profile, DEFAULT_TOL, shrinker_residual(profile))
-    return {k for k, v in slacks.items()
+    return {k for k, v in _slacks(profile).items()
             if v < MONITOR_SLACK_TOL and k != "shrinker_residual"}
 
 
-def _with(p, i, **state):
-    """Copy of p whose state i takes the given u, v, up or vp values."""
-    arrays = {k: getattr(p, k).copy() for k in state}
-    for k, value in state.items():
-        arrays[k][i] = value
-    return dataclasses.replace(p, **arrays)
+def _ends(p):
+    """(u, v, phi) at the end of each piece of p's dense output: its old
+    state plus its row 0, the pass's bits."""
+    return p.dense.y_old[:, :3] + p.dense.F[:, 0, :3]
+
+
+def _held(p, pieces, **state):
+    """Copy of p whose dense output holds each piece of pieces at one
+    state, so that the pass sees every stored state on the piece there:
+    the piece's end state with the given u, v or phi (numbers, or arrays
+    over pieces), and rows of zeros."""
+    y_old, F = p.dense.y_old.copy(), p.dense.F.copy()
+    y_old[pieces] += F[pieces, 0]
+    for name, value in state.items():
+        y_old[pieces, ("u", "v", "phi").index(name)] = value
+    F[pieces] = 0.0
+    return p._replace(dense=p.dense._replace(y_old=y_old, F=F))
 
 
 def _shift_v(dv):
-    return lambda p, i: _with(p, i, v=p.v[i] + dv)
+    return lambda p, k: _held(p, k, v=_ends(p)[k, 1] + dv)
 
 
 def _turn(dphi):
-    def perturb(p, i):
-        phi = math.atan2(p.vp[i], p.up[i]) + dphi
-        return _with(p, i, up=math.cos(phi), vp=math.sin(phi))
-    return perturb
+    return lambda p, k: _held(p, k, phi=_ends(p)[k, 2] + dphi)
 
 
-def _swapped(p, i):
-    """p with states i and i + 1 swapped."""
-    q = _with(p, i, u=p.u[i + 1], v=p.v[i + 1])
-    return _with(q, i + 1, u=p.u[i], v=p.v[i])
+def _back(p, k):
+    """p with piece k held where piece k - 1 starts, at its own tangent."""
+    u, v, _ = _ends(p)[k - 2]
+    return _held(p, k, u=u, v=v)
 
 
-# one control per monitor: (monitor, a, the state is the first with u above
-# this, perturbation of that state); shrinker_residual's is
+def _ratio_below(p, k):
+    """p with piece k held 1e-6 below the F = f / sqrt(1 - x^2) at the end
+    of piece k - 1."""
+    (u0, v0, _), (u, _, _) = _ends(p)[k - 1:k + 1]
+    return _held(p, k, v=(v0 / math.sqrt(1.0 - u0 * u0) - 1e-6)
+                 * math.sqrt(1.0 - u * u))
+
+
+# one control per monitor: (monitor, a, the piece is the first whose end
+# has u above this, perturbation of that piece); shrinker_residual's is
 # test_defect_fails_a_profile_with_a_wrong_rhs
 CONTROLS = [
     ("radial_transversality_global", 1.0, 1.45, _turn(1.0)),
-    # one state 40x farther out, same angle
+    # one piece held 40x farther out, same angle
     ("annulus_upper", 1.0, 1.2,
-     lambda p, i: _with(p, i, u=40.0 * p.u[i], v=40.0 * p.v[i])),
-    ("theta_decreasing", 1.0, 1.2, _swapped),
+     lambda p, k: _held(p, k, u=40.0 * _ends(p)[k, 0],
+                        v=40.0 * _ends(p)[k, 1])),
+    ("theta_decreasing", 1.0, 1.3, _back),
     ("graph_height_lower", 1.0, 0.0, _shift_v(-1e-6)),
     ("graph_height_upper", 1.0, 0.0, _shift_v(4e-7)),
     ("graph_slope_lower", 1.0, 0.0, _turn(-0.01)),
-    ("graph_ratio_monotone", 1.0, 0.0025, _shift_v(-1e-6)),
-    ("graph_concavity", 1.0, 0.47, _turn(-0.3)),
+    ("graph_ratio_monotone", 1.0, 0.01, _ratio_below),
+    ("graph_concavity", 1.0, 0.5, _turn(-0.4)),
     # the seed is the one state the merged slope bound alone sees
-    ("graph_slope_negative", 1.0, 0.0, lambda p, i: _with(p, i, vp=1e-6)),
+    ("graph_slope_negative", 1.0, 0.0, lambda p, k: _held(p, k, phi=1e-6)),
     ("graph_transversality", 0.1, 0.2, _turn(0.01)),
 ]
 
@@ -217,8 +238,8 @@ CONTROLS = [
                          ids=[row[0] for row in CONTROLS])
 def test_monitor_fails_alone(target, a, u_min, perturb, profiles):
     _, p = profiles[a]
-    i = int(np.argmax(p.u > u_min))
-    assert _failing(perturb(p, i)) == {target}
+    k = int(np.argmax(_ends(p)[:, 0] > u_min))
+    assert _failing(perturb(p, k)) == {target}
 
 
 def test_every_monitor_has_a_control(profiles):
@@ -227,29 +248,34 @@ def test_every_monitor_has_a_control(profiles):
 
 
 def test_theta_decreasing_sees_a_slow_drift(profiles):
-    # ten states, each 5e-10 rad above the one before: every adjacent step
-    # is within the tolerance, the rise over all ten is not
+    # the four pieces after piece i held at the end of piece i, each turned
+    # 5e-10 rad above the one before about the origin: every adjacent step
+    # is within the tolerance, the rise over all four is not
     _, p = profiles[1.0]
-    i = int(np.argmax(p.u > 1.2))
-    k = np.arange(i + 1, i + 11)
-    rho = np.hypot(p.u[k], p.v[k])
-    theta = math.atan2(p.v[i], p.u[i]) + 5e-10 * (k - i)
-    drifted = _with(p, k, u=rho * np.cos(theta), v=rho * np.sin(theta))
+    ends = _ends(p)
+    i = int(np.argmax(ends[:, 0] > 1.0))
+    k = np.arange(i + 1, i + 5)
+    u, v, phi = ends[i]
+    theta = math.atan2(v, u) + 5e-10 * (k - i)
+    drifted = _held(p, k, u=math.hypot(u, v) * np.cos(theta),
+                    v=math.hypot(u, v) * np.sin(theta), phi=phi)
     assert _failing(drifted) == {"theta_decreasing"}
-    slacks = monitor_slacks(drifted, DEFAULT_TOL, shrinker_residual(drifted))
-    assert slacks["theta_decreasing"] == pytest.approx(-5e-9, rel=1e-3)
+    assert _slacks(drifted)["theta_decreasing"] == pytest.approx(-2e-9,
+                                                                 rel=1e-3)
 
 
 def test_graph_ratio_monotone_sees_a_slow_drift(profiles):
-    # states 2..11 each 5e-10 below the one before in F = f / sqrt(1 - x^2):
-    # every adjacent step is within the tolerance, the fall over all ten is not
+    # pieces 1..10 held at the seed, each 5e-10 below the one before in
+    # F = f / sqrt(1 - x^2): every adjacent step is within the tolerance,
+    # the fall over all ten is not
     _, p = profiles[1.0]
-    k = np.arange(2, 12)
-    ratio = p.v[1] / math.sqrt(1.0 - p.u[1] ** 2) - 5e-10 * (k - 1)
-    drifted = _with(p, k, v=ratio * np.sqrt(1.0 - p.u[k] ** 2))
+    k = np.arange(1, 11)
+    u, v, phi = _ends(p)[0]
+    root = math.sqrt(1.0 - u * u)
+    drifted = _held(p, k, u=u, v=(v / root - 5e-10 * k) * root, phi=phi)
     assert _failing(drifted) == {"graph_ratio_monotone"}
-    slacks = monitor_slacks(drifted, DEFAULT_TOL, shrinker_residual(drifted))
-    assert slacks["graph_ratio_monotone"] == pytest.approx(-5e-9, rel=1e-3)
+    assert _slacks(drifted)["graph_ratio_monotone"] == pytest.approx(
+        -5e-9, rel=1e-3)
 
 
 def test_theta_runs_from_half_pi_to_zero(profiles):
@@ -313,35 +339,42 @@ def test_a_state_that_is_not_finite_makes_every_slack_nan(value, profiles):
     # the folds' comparisons would pass over a NaN, so the sum of every
     # state and defect decides
     _, p = profiles[1.0]
-    bad = _with(p, 5, v=value)
-    slacks = monitor_slacks(bad, DEFAULT_TOL, shrinker_residual(bad))
+    slacks = _slacks(_held(p, 5, v=value))
     assert all(math.isnan(x) for x in slacks.values())
     assert set(slacks) == set(p.monitors)
-    defect = shrinker_residual(p).copy()
-    defect[7] = value
-    assert all(math.isnan(x) for x in
-               monitor_slacks(p, DEFAULT_TOL, defect).values())
+    # a row that is not finite makes the rates, and so the defect, at the
+    # piece's end not finite (and its interior states too)
+    F = p.dense.F.copy()
+    F[5, 1, 0] = value
+    bent = p._replace(dense=p.dense._replace(F=F))
+    assert all(math.isnan(x) for x in _slacks(bent).values())
 
 
 @pytest.mark.parametrize("a", [0.005, A_STAR, SQRT2])
 def test_a_solve_evaluates_its_dense_output_once(a, monkeypatch):
-    # the states and the defect's rates come from one pass over the pieces,
-    # and the solve makes no vectorized (numpy) evaluation
+    # the solve's monitors come from one pass over the pieces, which keeps
+    # no state; the arrays and the defect from one more, which keeps them,
+    # on the first read; and nothing makes a vectorized (numpy) evaluation
     calls = []
-    sample = dop853.DenseOutput.sample
+    solve_pass = arclength._solve_pass
 
-    def counted(self, *args, **kwargs):
-        out = sample(self, *args, **kwargs)
-        calls.append(len(out[0]))
-        return out
+    def counted(points):
+        def run(*args):
+            out = solve_pass(points)(*args)
+            calls.append(len(out[-1][0]))
+            return out
+        return run
 
     def vectorized(self, t):
         raise AssertionError("a vectorized evaluation")
 
-    monkeypatch.setattr(dop853.DenseOutput, "sample", counted)
+    monkeypatch.setattr(arclength, "_solve_pass", counted)
     monkeypatch.setattr(dop853.DenseOutput, "_horner_at", vectorized)
     p = integrate_profile(picard_analytic(a, R_STAR), a)
-    assert calls == [len(p.s)]
+    assert calls == [0]
+    curvature_arrays(p)
+    shrinker_residual(p)
+    assert calls == [0, len(p.s)]
 
 
 @pytest.mark.parametrize("a", [1e-160, 0.005, A_STAR, SQRT2])
@@ -366,8 +399,7 @@ def test_defect_sees_a_dense_output_off_the_ode(profiles):
     _, p = profiles[1.0]
     d = p.dense
     v_up = np.array([1.0, 1.01, 1.0, 1.0, 1.0])  # the v rows scaled by 1.01
-    bent = dataclasses.replace(
-        p, dense=dataclasses.replace(d, y_old=d.y_old * v_up, F=d.F * v_up))
+    bent = p._replace(dense=d._replace(y_old=d.y_old * v_up, F=d.F * v_up))
     assert np.max(shrinker_residual(bent)) > 1e-3
 
 
@@ -383,13 +415,43 @@ def test_a_profile_and_its_dense_output_are_read_only():
     for name in ("ts", "h", "y_old", "F"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(p.dense, name)[0] = 7.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    u = p.u
+    with pytest.raises(AttributeError):
         p.u = p.u.copy()
-    # a changed copy is still made by replace, and leaves p as it was
+    assert p.u is u
+    # a changed copy is still made by _replace, and leaves p as it was
     u = p.u.copy()
     u[3] = 7.0
-    q = dataclasses.replace(p, u=u)
+    q = p._replace(u=u)
     assert q.u[3] == 7.0 and p.u[3] != 7.0 and q.dense is p.dense
+
+
+def _records() -> dict:
+    # one of each record of the profile path, by its class's name
+    _, p = angle_of(0.9)
+    constants = series.derive_contraction_constants(0.9, R_STAR)
+    row = shooting.AngleSample(0.9, p.s_bar, p.xi, p.alpha)
+    records = [p, p.dense, p.series, constants,
+               series.contraction_certificate(constants),
+               polar_monitors(p, 0.9), shooting.PipelineConfig(), row,
+               shooting.AngleTable([row], []),
+               shooting.ShootReport([row], 0.9, 0.0, [], p)]
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize("name", [
+    "LensProfile", "DenseOutput", "EvenSeries", "ContractionConstants",
+    "CertificateReport", "PolarReport", "PipelineConfig", "AngleSample",
+    "AngleTable", "ShootReport"])
+def test_a_record_refuses_assignment_to_each_field(name):
+    # a record passes from solve to reader unchanged: writing any field
+    # raises and leaves the value as it was
+    record = _records()[name]
+    for field in record._fields:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 7.0)
+        assert getattr(record, field) is value
 
 
 @pytest.mark.parametrize("a", A_SUITE)

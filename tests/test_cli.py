@@ -363,17 +363,28 @@ def test_fresh_interpreter_imports_no_process_pool():
 _NO_NUMPY = {
     "import": "import lensshrinker\n",
     "solve": "assert cli.main(['solve', '--a', '0.9', *OUT]) == 0\n",
+    "solve_circle_json": "assert cli.main(['solve', '--a', str(2 ** 0.5), "
+                         "'--ode-tol', '1e-10', '--json', *OUT]) == 0\n",
     "shoot": "assert cli.main(['shoot', *OUT]) == 0\n",
+    "shoot_bracket_json": "assert cli.main(['shoot', '--a-lo', '0.5', "
+                          "'--a-hi', '1.2', '--json', *OUT]) == 0\n",
     **{f"table_jobs_{j}": "assert cli.main(['table', '--from', '0.4', "
        f"'--to', '0.9', '--step', '0.1', '--jobs', '{j}', *OUT]) == 0\n"
        for j in (1, 2)},
+    # a row below A_MIN fails, and its error is written as a row
+    "table_failed_row": "assert cli.main(['table', '--from', '0.0001', "
+                        "'--to', '0.3', '--step', '0.1', *OUT]) == 0\n",
 }
+# modules a profile command does not load: numpy, dataclasses and the
+# inspect it imports, ast, and pickle, which only a table that forks needs
+_NOT_LOADED = ("numpy", "dataclasses", "inspect", "ast", "pickle")
 
 
 @pytest.mark.parametrize("command", list(_NO_NUMPY))
 def test_a_profile_command_imports_no_numpy(command, tmp_path):
     # solve, shoot and table run on the standard library: numpy is loaded
-    # only by the mesh, the acceptance gate and readers of arrays
+    # only by the mesh, the acceptance gate and readers of arrays, and
+    # pickle only by a table that forks
     if command == "table_jobs_2" and (os.cpu_count() or 1) < 2:
         pytest.skip("--jobs 2 needs two CPUs")
     code = ("import contextlib, io, sys\n"
@@ -381,13 +392,14 @@ def test_a_profile_command_imports_no_numpy(command, tmp_path):
             "from lensshrinker import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             + textwrap.indent(_NO_NUMPY[command], "    ")
-            + "print('numpy' in sys.modules)\n")
+            + f"print([m for m in {_NOT_LOADED!r} if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == \
+        str(["pickle"] if command == "table_jobs_2" else [])
 
 
 @pytest.mark.parametrize("argv", [["mesh", "--a", "0.9", "--n-theta", "16"],

@@ -468,7 +468,7 @@ def test_build_cluster_argument_validation(circle_profile):
 def test_build_cluster_refuses_a_profile_off_the_axis(circle_profile):
     p = circle_profile
     with pytest.raises(DegenerateProfile, match="rotation axis"):
-        build_cluster(dataclasses.replace(p, u=p.u + 1e-3), **SMALL)
+        build_cluster(p._replace(u=p.u + 1e-3), **SMALL)
 
 
 def test_build_cluster_raises_on_a_failed_mesh_check(circle_profile):
@@ -509,7 +509,7 @@ def test_residual_on_circle_is_roundoff(circle_profile):
 
 def test_residual_negative_control(profiles):
     _, p = profiles[1.0]
-    assert curvature_split(dataclasses.replace(p, v=p.v * 1.01)) > 1e-3
+    assert curvature_split(p._replace(v=p.v * 1.01)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +715,13 @@ def test_metadata_sidecar(tmp_path, sphere_mesh):
 
 def test_resample_rejects_a_profile_past_its_crossing(circle_profile):
     # the dense output runs on past s_bar, where v < 0
-    p = dataclasses.replace(circle_profile, s_bar=1.1 * circle_profile.s_bar)
+    p = circle_profile._replace(s_bar=1.1 * circle_profile.s_bar)
     with pytest.raises(DegenerateProfile, match="open quadrant"):
         resample_profile(p, 64)
 
 
 def test_resample_rejects_stub_profile(circle_profile):
     p = circle_profile
-    stub = dataclasses.replace(p, s=p.s[:4], u=p.u[:4], v=p.v[:4])
+    stub = p._replace(s=p.s[:4], u=p.u[:4], v=p.v[:4])
     with pytest.raises(DegenerateProfile):
         resample_profile(stub, 16)

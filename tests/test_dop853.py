@@ -1,6 +1,5 @@
 """The in-repo DOP853 against scipy's solve_ivp as an independent reference."""
 
-import dataclasses
 import dis
 import hashlib
 import itertools
@@ -331,7 +330,7 @@ def test_rtol_floor_is_admitted_and_tightened_100_fails_loudly():
                                                      rel=1e-13)
     cfg = PipelineConfig()
     with pytest.raises(ValueError, match="floor"):
-        angle_of(0.786004, dataclasses.replace(cfg, ode_tol=cfg.ode_tol / 100))
+        angle_of(0.786004, cfg._replace(ode_tol=cfg.ode_tol / 100))
 
 
 @pytest.mark.parametrize("g", [lambda x: x ** 3 - 0.1,
@@ -546,7 +545,7 @@ def test_resampling_ignores_the_stored_state_set(profiles):
     # (keeping the axis point and the crossing) leaves it unchanged
     p = profiles[0.5][1]
     keep = np.r_[0, np.arange(1, len(p.s) - 1, 3), len(p.s) - 1]
-    thin = dataclasses.replace(p, s=p.s[keep], u=p.u[keep], v=p.v[keep])
+    thin = p._replace(s=p.s[keep], u=p.u[keep], v=p.v[keep])
     for a, b in zip(resample_profile(p, 256), resample_profile(thin, 256)):
         assert np.array_equal(a, b)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -635,8 +634,7 @@ def test_fixed_point_outside_the_certified_distance(monkeypatch):
     # linear solution under the fixed point's
     derive = series.derive_contraction_constants
     monkeypatch.setattr(series, "derive_contraction_constants",
-                        lambda a, r: dataclasses.replace(derive(a, r),
-                                                         L=1e-30))
+                        lambda a, r: derive(a, r)._replace(L=1e-30))
     with pytest.raises(NoConvergence, match="certified distance"):
         picard_analytic(0.5, R_STAR)
 

@@ -4,7 +4,6 @@ import os
 import re
 import signal
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,7 +186,7 @@ def test_find_lens_rejects_bad_bracket():
 
 def test_find_lens_refinement_stability(lens_report):
     cfg = PipelineConfig()
-    cfg10 = replace(cfg, ode_tol=cfg.ode_tol / 10.0)
+    cfg10 = cfg._replace(ode_tol=cfg.ode_tol / 10.0)
     rep10 = find_lens(cfg=cfg10)
     assert abs(rep10.a_star - lens_report.a_star) < 1e-7
 
@@ -196,7 +195,7 @@ def test_refinement_is_cauchy():
     # drift between successive tolerance decades stays bounded
     base = PipelineConfig(ode_tol=1e-10)
     a1 = find_lens(tol_a=1e-8, cfg=base).a_star
-    a2, a3 = (find_lens(tol_a=1e-8, cfg=replace(base, ode_tol=tol)).a_star
+    a2, a3 = (find_lens(tol_a=1e-8, cfg=base._replace(ode_tol=tol)).a_star
               for tol in (base.ode_tol / 10.0, base.ode_tol / 100.0))
     d12, d23 = abs(a2 - a1), abs(a3 - a2)
     assert d23 <= 10.0 * d12 + 1e-8

@@ -12,14 +12,11 @@ For each workload W of the change's BENCHMARK.json and each pair i of
 with T the file's ``run_seconds`` and seed S = 1 + 1000 i, runs once from
 the root of each checkout; even pairs run the parent first, odd pairs the
 change first, so that a drift of the host's speed falls on both sides
-alike.  The file holds ``about``, ``host`` and ``runs``: each run is its
-side, workload, seed, trace flag, command and the JSON of the command's
-last line of standard output, in the order the runs were made.  Standard
-error gets, per workload and end-to-end metric, each side's median and
-quartiles, the pairs the change won, the change/parent ratio of the
-medians, whether their gap exceeds the parent's interquartile range and
-whether the change's median is within the metric's relative ``bound`` of
-the parent's; then the net change of physical lines in ``src/**/*.py``.
+alike.  The file holds ``about``, ``host`` (host()) and ``runs``: each run
+is its side, workload, seed, trace flag, command and the JSON of the
+command's last line of standard output, in the order the runs were made.
+Standard error gets the verdict of summary(), then the net change of
+physical lines in ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -51,8 +48,11 @@ def run_one(root: str, workload: str, seed: int, seconds: float) -> dict:
             "stdout": json.loads(lines[-1])}
 
 
-def host() -> str:
-    """CPU count and model, Python and numpy versions of this machine."""
+def host(roots: dict) -> str:
+    """CPU count and model, Python and numpy versions of this machine,
+    whether Python writes bytecode (if not, each process compiles the
+    package from source), and the HEAD commit of each checkout of roots,
+    side -> root, "+changes" if its tracked files differ from it."""
     model = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -60,8 +60,20 @@ def host() -> str:
                          if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
+    commits = []
+    for side, root in roots.items():
+        git = ["git", "-C", root]
+        head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
+                              text=True, check=False).stdout.strip()
+        dirty = head and subprocess.run(git + ["diff", "--quiet", "HEAD"],
+                                        check=False).returncode
+        commits.append(f"{side} {head or 'no git'}{' +changes' * bool(dirty)}")
     return (f"{os.cpu_count()} CPU {model}; Python "
-            f"{platform.python_version()}, numpy {np.__version__}")
+            f"{platform.python_version()}, numpy {np.__version__}; "
+            f"dont_write_bytecode {sys.flags.dont_write_bytecode}, "
+            f"PYTHONDONTWRITEBYTECODE "
+            f"{os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}; "
+            + ", ".join(commits))
 
 
 def source_lines(root: str) -> int:
@@ -136,8 +148,8 @@ def main(argv=None) -> int:
                       f"{json.dumps(run['stdout']['metrics'])}",
                       file=sys.stderr, flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"about": args.about, "host": host(), "runs": runs}, fh,
-                  indent=1)
+        json.dump({"about": args.about, "host": host(roots), "runs": runs},
+                  fh, indent=1)
         fh.write("\n")
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in bench["end_to_end"]}

@@ -1,9 +1,6 @@
-"""Print one line per fixed height: the height, a digest of its profile, a
-digest of its axis series, a digest of its mesh's OBJ bytes, a digest of
-its axis series on the radius r = 1, a digest of its ODE defect and a
-digest of its CSV files, then one line per fixed CLI command with the
-digests of what it writes, so that two checkouts can be compared bit for
-bit with ``diff``.
+"""Print one line per fixed height, then one per fixed CLI command, of
+digests of what this checkout computes and writes, so that two checkouts
+can be compared bit for bit with ``diff``.
 
     python3 tools/profile_digest.py > tests/golden/digest.txt
 
@@ -12,32 +9,22 @@ tests/test_digest.py diffs it against a fresh run, so a change that moves
 an output byte commits the new file and its diff lists what moved.
 
 The checkout is the one holding this script: its ``src`` goes first on the
-import path.  Each line holds the height's repr, the first 16 hex digits of
-the sha256 of every field of ``angle_of(a)``'s LensProfile but the series
-(its scalars and counters, its arrays, the dense output's ts, h, y_old and
-F, and the monitors sorted by name), of the sha256 of the series
-coefficients, of the sha256 of the OBJ that ``write_obj`` writes for
-``build_cluster(profile)`` at the default sizes, of the sha256 of the
-coefficients of ``picard_analytic(a, 1.0)``, the series that ``verify``'s
-criterion 6 reads, of the sha256 of ``shrinker_residual(profile)``, the
-defect at every state that the monitors see only as its worst value, and
-of the sha256 of the bytes that ``profile_to_csv`` and
-``trajectory_to_csv`` write.  A height that does not solve prints its
-exception's name in place of the profile, series, OBJ, defect and CSV
-digests (1e-6 and 1e-160 lie below shooting.A_MIN, so ``angle_of``
-refuses them with ValueError, while their r = 1 series still solve), a
-profile whose mesh is refused prints it in place of the OBJ digest, and a
-height whose series is not certified at r = 1 (every height above ~0.27)
-prints it in place of that series' digest.  The heights are
-42 geometrically spaced from 0.005 to sqrt(2), then 1e-3, 1e-6, 1e-160,
-0.3349954407339448 and 0.4258777130659485.
-
-Then one line per CLI command of CLI_COMMANDS: the command, its exit
-code, the digest of its ``--json`` stdout and, for each file it writes,
-the file's name and digest.  Each command runs as ``python -m
-lensshrinker.cli`` from this checkout's ``src``, in a fresh temporary
-working directory with the relative ``--output-dir out``, so the
-``config`` block that each output embeds is the same in every checkout.
+import path.  A digest is the first 16 hex digits of a sha256.  A height's
+line holds its repr and the digests of ``angle_of(a)``'s profile
+(profile_digest), of its series' coefficients, of its mesh's OBJ
+(obj_digest), of the coefficients of ``picard_analytic(a, 1.0)``, the
+series that ``verify``'s criterion 6 reads (series_digest), of
+``shrinker_residual(profile)``, the defect at every state that the
+monitors see only as its worst value, and of its CSV files (csv_digest);
+each digest that cannot be made prints the exception's name instead
+(1e-6 and 1e-160 lie below shooting.A_MIN, while their r = 1 series still
+solve; no series above ~0.27 is certified at r = 1).  The heights are 42
+geometrically spaced from 0.005 to sqrt(2), then 1e-3, 1e-6, 1e-160,
+0.3349954407339448 and 0.4258777130659485.  Each command of CLI_COMMANDS
+runs as ``python -m lensshrinker.cli`` from this checkout's ``src``
+(cli_digest), in a fresh temporary working directory with the relative
+``--output-dir out``, so the ``config`` block that each output embeds is
+the same in every checkout.
 
 The profile path runs on Python floats and math.* (ROADMAP items 13 and
 16), so the profile, series, defect and CSV digests and the lines of

@@ -154,10 +154,11 @@ def main(argv=None) -> int:
     ap.add_argument("--about", required=True)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    base_name, base_root = args.base.split("=", 1)
+    named = [v.split("=", 1) for v in [args.base, *args.variant]]
+    (base_name, base_root), *variants = named
     comparisons = []
     for loop in args.loop:
-        for name, root in (v.split("=", 1) for v in args.variant):
+        for name, root in variants:
             sides = [("variant", os.path.abspath(root)),
                      ("base", os.path.abspath(base_root))]
             runs = [run_pair(sides[::1 if i % 2 == 0 else -1], loop,
@@ -172,8 +173,8 @@ def main(argv=None) -> int:
                   f"{v['base_won']}/{v['pairs']} pays {v['base_pays']} "
                   f"same bits {v['same_bits']}", file=sys.stderr, flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"about": args.about, "host": host(), "reps": args.reps,
-                   "comparisons": comparisons}, fh, indent=1)
+        json.dump(dict(about=args.about, host=host(dict(named)),
+                       reps=args.reps, comparisons=comparisons), fh, indent=1)
         fh.write("\n")
     return 0
 
