@@ -30,20 +30,19 @@ adaptive 8th-order Runge-Kutta solve (the in-repo DOP853 of
 refinement on the dense output; the first passage of u through 1 is
 recorded as s_star.  The dense output, a cubic Hermite piece on the axis
 segment and then DOP853's pieces, is assembled once as flat lists of
-Python floats, and one generated pass over its pieces evaluates every
-stored state and its derivative, the defect and every monitor's term,
-folded into the worst slack of each; no numpy is loaded, and the arrays
-of a profile are built only when a reader asks for them, by the same
-pass, which then keeps the states and their defect.  The right-hand side
-is written once as source, ``ANGLE_FORM``, which the solve takes: DOP853
-compiles it inline into its stages and into the callable of its initial
-step.  ``arclength_rhs`` is that source compiled to a callable for
-solvers that take one.  The monitors are written once as source
-(``_TERMS``), which the pass (:func:`dense_pass`) inlines.  They check
-every monitored inequality on the stored states: the radial
-transversality floor, the outer annulus bound and the strict decrease of
-the polar angle (which certifies that the curve cannot self-intersect),
-the graph-region inequalities of
+Python floats, and one plain pass over its pieces (:func:`dense_pass`)
+evaluates every stored state and its derivative by dop853's one Horner
+routine, forms the defect, and folds every monitor's term into the worst
+slack of each; no numpy is loaded, and the arrays of a profile are built
+only when a reader asks for them, by the same pass, which then keeps the
+states and their defect.  The right-hand side is written once as source,
+``ANGLE_FORM``, which the solve takes: DOP853 compiles it inline into its
+stages and into the callable of its initial step.  ``arclength_rhs`` is
+that source compiled to a callable for solvers that take one.  The
+monitors check every monitored inequality on the stored states: the
+radial transversality floor, the outer annulus bound and the strict
+decrease of the polar angle (which certifies that the curve cannot
+self-intersect), the graph-region inequalities of
 :mod:`lensshrinker.graph_profile`, and the defect of the dense output,
 which tests whether the stored curve solves the ODE.  Bounds that these
 imply are not checked again.
@@ -53,13 +52,12 @@ from __future__ import annotations
 
 import functools
 import math
-import textwrap
 from collections import namedtuple
 
 from . import dop853, graph_profile
 from ._views import ArrayField, fill, floats, readonly
 from .errors import MonitorViolation, NoCrossing
-from .graph_profile import PHI_PRIME, _phi_prime
+from .graph_profile import phi_prime
 from .series import EvenSeries, gauss_legendre_composite
 
 MONITOR_SLACK_TOL = -1e-9
@@ -250,7 +248,7 @@ def _curvatures(profile: LensProfile) -> tuple[list, list, list]:
             "u", "v", "up", "vp", "i_phi", "i_v"))):
         if u > 0.0:
             grow = math.exp(0.5 * (u * u + v * v)) / u
-            k_alg.append(_phi_prime(u, v, up, vp))
+            k_alg.append(phi_prime(u, v, up, vp))
             k_var.append(i_phi * grow)
             k_int.append(-vp / u - grow * i_v)
     return k_alg, k_var, k_int
@@ -264,133 +262,16 @@ def curvature_arrays(profile: LensProfile) -> tuple:
     return tuple(map(readonly, _curvatures(profile)))
 
 
-# the dense output's defect d at a state with u > 0: the largest of
-# |u' - cos phi|, |v' - sin phi| and |phi' - PHI_PRIME|, from the rates
-# (r0, r1, r2) of its polynomial; it sets pp to PHI_PRIME
-DEFECT = (f"pp = {PHI_PRIME}\nd = abs(r0 - up)\nq = abs(r1 - vp)\n"
-          "if q > d:\n    d = q\nq = abs(r2 - pp)\nif q > d:\n    d = q\n")
-
-
 def shrinker_residual(profile: LensProfile):
     """Defect of the dense output at its stored states but the axis point,
     a read-only array: the max over (u, v, phi) of |y'(s) - F(y(s))|, with
     y(s) and y'(s) the value and exact derivative of each step's
-    polynomial and F the angle form, its phi' from
-    graph_profile.PHI_PRIME, apart from ANGLE_FORM, so that a wrong
-    right-hand side shows.  Zero at step ends, where the dense rows
-    interpolate F.  The pass that gives the states forms it (DEFECT), as
+    polynomial and F the angle form, its phi' written out in the pass
+    (graph_profile.phi_prime's expression), apart from ANGLE_FORM, so that
+    a wrong right-hand side shows.  Zero at step ends, where the dense rows
+    interpolate F.  The pass that gives the states forms it, as
     integrate_profile's pass does for the defect monitor."""
     return readonly(profile._states[-1])
-
-
-# each monitor as source over a state's u, v, up and vp (cos phi, sin phi),
-# rho, d (the defect), pp (PHI_PRIME) and the graph's locals: (name, the
-# states it reads, its term at a state, its slack there as a format of the
-# term, the fold whose term gives the worst slack).  The slack is monotone
-# in the term, so its least value is the slack of the terms' min or max.
-# The states read are all of them, those past the axis point (which have
-# u > 0 and a defect), the graph states with 0 < u < 1
-# (graph_profile.GRAPH_TERMS), the seed and the inner states (past the
-# axis point, before the crossing), or the inner states alone.  The two
-# monotone monitors hold pairs: theta_i - theta_j and F_j - F_i for i < j,
-# each state against every earlier one, which the running min of theta
-# (tmin) and max of F (fmax) stand for.
-_TERMS = (
-    ("radial_transversality_global", "all", "(-u * vp + v * up) / rho",
-     "{} - floor", "min"),
-    ("annulus_upper", "all", "rho", "band - log({})", "max"),
-    ("theta_decreasing", "all", "tmin - theta", "{}", "min"),
-    ("shrinker_residual", "past_axis", "d", "bound - {}", "max"),
-    *((name, "graph", *rest) for name, *rest in graph_profile.GRAPH_TERMS),
-    ("graph_ratio_monotone", "graph", "ratio - fmax", "{}", "min"),
-    ("graph_concavity", "inner", "pp", "-{}", "max"),
-    ("graph_slope_negative", "seed inner", "vp / up", "-{}", "max"),
-)
-
-
-def _indent(src: str) -> str:
-    return textwrap.indent(src, "    ")
-
-
-@functools.cache
-def _solve_pass(points: int):
-    """dense_pass's loop, as compiled Python, over the pieces of a dense
-    output (the flat lists ts, hs, Y and F that DenseOutput keeps): the
-    axis point and the seed, the ends of piece 0, then on each later piece
-    ``points`` interior points, ts[k] + (ts[k+1] - ts[k]) j / (points + 1)
-    for j = 1..points, and its end.  At each point the state and its rates
-    by dop853.horner_source (horner_end_source at the end of a piece that
-    is not cut, where x = 1), the defect (DEFECT) past the axis point, and
-    one fold of the monitors' terms, with a branch for the terms that only
-    some kinds of state read.  Every state and defect is added to the sum
-    z, which is not finite if one of them is not.  It returns the folds'
-    slacks and z, the last state's u, v and phi, and, with keep, the lists
-    of the states s, u, v, up, vp, i_phi and i_v and of the defect (empty
-    lists without)."""
-    e = points + 1
-
-    def fold(reads):
-        # each term of the states ``reads`` into its running min or max
-        return "".join(
-            f"q = {term}\nif q {'<' if how == 'min' else '>'} m{j}:\n"
-            f"    m{j} = q\n" for j, (_, where, term, _, how) in
-            enumerate(_TERMS) if where == reads)
-
-    def each(source):
-        return "".join(map(source, range(3)))
-
-    state = (
-        f"if j < {e} or cut:\n"
-        + _indent(f"s = t1 if j == {e} else t + (t1 - t) * (j / {e})\n"
-                  "x = (s - t) / h\nw = 1.0 - x\n"
-                  + each(dop853.horner_source))
-        + "else:\n"
-        + _indent("s = t1\nx = 1.0\n" + each(dop853.horner_end_source))
-        + "u, v, phi = v0, v1, v2\nup = cos(phi)\nvp = sin(phi)\n"
-        "rho = hypot(u, v)\ntheta = atan2(v, u)\n" + fold("all")
-        + "if theta < tmin:\n    tmin = theta\n"
-        "if j:\n" + _indent(DEFECT + "z += u + v + up + vp + d\n"
-                            + fold("past_axis") + "if keep:\n"
-                            "    D.append(d)\n")
-        + "else:\n    z += u + v + up + vp\n"
-        "if 0.0 < u < 1.0:\n" + _indent(
-            graph_profile.GRAPH_LOCALS + f"ratio = {graph_profile.RATIO}\n"
-            + fold("graph") + "if ratio > fmax:\n    fmax = ratio\n")
-        + f"if j and (j < {e} or not cut):\n"
-        + _indent(fold("seed inner") + "if k:\n" + _indent(fold("inner")))
-        # i_phi and i_v, formed only to be kept, by _horner (x = 1 at a
-        # piece's end, where horner_end_source's bits are its bits)
-        + "if keep:\n" + _indent(
-            "".join(f"{name}.append({value})\n" for name, value in zip(
-                ("S", "U", "V", "UP", "VP"), ("s", "u", "v", "up", "vp")))
-            + "IP.append(horner(c3, x)[0] + y3)\n"
-            "IV.append(horner(c4, x)[0] + y4)\n"))
-    src = ("def solve_pass(ts, hs, Y, F, a, floor, band, bound, graph_floor, "
-           "keep):\n" + _indent(
-               "".join(f"m{j} = {'' if how == 'min' else '-'}inf\n"
-                       for j, (*_, how) in enumerate(_TERMS))
-               + "tmin, fmax, z = inf, -inf, 0.0\n"
-               "kept = S, U, V, UP, VP, IP, IV, D = [], [], [], [], [], [], "
-               "[], []\nlast = len(hs) - 1\n"
-               "for k in range(len(hs)):\n" + _indent(
-                   "t, h, t1 = ts[k], hs[k], ts[k + 1]\ncut = k == last\n"
-                   + dop853.piece_source(5, range(3)) + "if keep:\n"
-                   "    y3, y4 = Y[5 * k + 3], Y[5 * k + 4]\n"
-                   "    rows = F[35 * k:35 * k + 35]\n"
-                   "    c3, c4 = rows[3::5], rows[4::5]\n"
-                   + f"for j in range(1, {e + 1}) if k else (0, {e}):\n"
-                   + _indent(state))
-               + "return [" + ", ".join(slack.format(f"m{j}") for j, (
-                   *_, slack, _) in enumerate(_TERMS))
-               + "], z, u, v, phi, kept\n"))
-    return dop853._compiled(src, "solve pass",
-                            horner=dop853._horner)["solve_pass"]
-
-
-def _bounds(a: float, tol: float) -> tuple:
-    # the constants of the slacks at height a and tolerance tol
-    return (a, transversality_floor(a), annulus_log_halfwidth(a),
-            DEFECT_PER_TOL * tol, a / math.sqrt(1.0 + a * a))
 
 
 def dense_pass(dense: dop853.DenseOutput, a: float, tol: float,
@@ -405,22 +286,142 @@ def dense_pass(dense: dop853.DenseOutput, a: float, tol: float,
     and only a state past the axis point at u = 0 or cos phi = 0, where a
     slack divides by zero, raises (ZeroDivisionError).
 
+    The stored states are the axis point and the seed, the ends of piece
+    0, then on each later piece DENSE_POINTS_PER_STEP interior points,
+    evenly spaced in s, and its end.  Each state and its rates come from
+    dop853._horner, or, at the end of a piece that is not cut, from rows
+    0-2, which are _horner's bits at x = 1.  Every state and defect is
+    added to the sum z, which is not finite if one of them is not; the
+    folds' comparisons pass over a NaN.
+
     Polar, on all states: the radial transversality (-u v' + v u')/rho >=
     K_a, log rho below the annulus band, and a strictly decreasing polar
     angle, which certifies injectivity; each theta is compared with every
-    later one, so that rises below the tolerance cannot add up.
-    ``shrinker_residual`` is DEFECT_PER_TOL * tol minus the ODE defect of
-    the dense output at every state but the axis point, as
-    shrinker_residual(profile) gives it.  Graph: graph_profile's slacks on
-    the view 0 < u < 1, and before the crossing f' <= 0 from the seed on
-    and phi' <= 0 after it.  Bounds these imply, f >= 0 among them, are
-    not checked again (README, "How it works").
+    later one (the running min tmin stands for the earlier ones), so that
+    rises below the tolerance cannot add up.  ``shrinker_residual`` is
+    DEFECT_PER_TOL * tol minus the ODE defect of the dense output at every
+    state but the axis point, as shrinker_residual(profile) gives it.
+    Graph: graph_profile.graph_terms' slacks on the view 0 < u < 1, with F
+    compared with every earlier one (the running max fmax), and before the
+    crossing f' <= 0 from the seed on and phi' <= 0 after it.  Bounds these
+    imply, f >= 0 among them, are not checked again (README, "How it
+    works").
     """
-    slacks, z, *rest = _solve_pass(DENSE_POINTS_PER_STEP)(
-        *(floats(dense, k) for k in ("ts", "h", "y_old", "F")),
-        *_bounds(a, tol), keep)
-    return ({name: slack if math.isfinite(z) else math.nan
-             for (name, *_), slack in zip(_TERMS, slacks)}, *rest)
+    ts, hs, Y, F = (floats(dense, k) for k in ("ts", "h", "y_old", "F"))
+    horner, inf = dop853._horner, math.inf
+    cos, sin, hypot, atan2, sqrt = (math.cos, math.sin, math.hypot,
+                                    math.atan2, math.sqrt)
+    # each monitor's running min or max of its term over the states
+    radial = rise = lower = slope = transversal = fall = inf
+    rho_max = defect = v_max = k_max = fp_max = -inf
+    tmin, fmax, z = inf, -inf, 0.0
+    kept = S, U, V, UP, VP, IP, IV, D = [], [], [], [], [], [], [], []
+    e, last = DENSE_POINTS_PER_STEP + 1, len(hs) - 1
+    for k in range(len(hs)):
+        t, h, t1 = ts[k], hs[k], ts[k + 1]
+        y0, y1, y2, y3, y4 = Y[5 * k:5 * k + 5]
+        rows = F[35 * k:35 * k + 35]
+        c0, c1, c2 = rows[0::5], rows[1::5], rows[2::5]
+        if keep:
+            c3, c4 = rows[3::5], rows[4::5]
+        for j in range(1, e + 1) if k else (0, e):
+            if j == e and k < last:
+                s, x = t1, 1.0
+                u, v, phi = c0[0] + y0, c1[0] + y1, c2[0] + y2
+                r0 = (c0[0] - (c0[2] + c0[1])) / h
+                r1 = (c1[0] - (c1[2] + c1[1])) / h
+                r2 = (c2[0] - (c2[2] + c2[1])) / h
+            else:
+                s = t1 if j == e else t + (t1 - t) * (j / e)
+                x = (s - t) / h
+                p, dp = horner(c0, x)
+                u, r0 = p + y0, dp / h
+                p, dp = horner(c1, x)
+                v, r1 = p + y1, dp / h
+                p, dp = horner(c2, x)
+                phi, r2 = p + y2, dp / h
+            up, vp = cos(phi), sin(phi)
+            rho, theta = hypot(u, v), atan2(v, u)
+            q = (-u * vp + v * up) / rho
+            if q < radial:
+                radial = q
+            if rho > rho_max:
+                rho_max = rho
+            q = tmin - theta
+            if q < rise:
+                rise = q
+            if theta < tmin:
+                tmin = theta
+            if j:
+                # phi' (graph_profile.phi_prime) and the defect
+                pp = -vp / u + u * vp - v * up
+                d = abs(r0 - up)
+                q = abs(r1 - vp)
+                if q > d:
+                    d = q
+                q = abs(r2 - pp)
+                if q > d:
+                    d = q
+                z += u + v + up + vp + d
+                if d > defect:
+                    defect = d
+                if keep:
+                    D.append(d)
+            else:
+                z += u + v + up + vp
+            if 0.0 < u < 1.0:
+                # graph_profile.graph_terms, with the graph floor left to
+                # the slack
+                fp = vp / up
+                root = sqrt(1.0 - u * u)
+                ratio = v / root
+                q = v - a * root
+                if q < lower:
+                    lower = q
+                if v > v_max:
+                    v_max = v
+                q = fp + a * u / (1.0 - u * u)
+                if q < slope:
+                    slope = q
+                q = (v - u * fp) / sqrt(1.0 + fp * fp)
+                if q < transversal:
+                    transversal = q
+                q = ratio - fmax
+                if q < fall:
+                    fall = q
+                if ratio > fmax:
+                    fmax = ratio
+            if j and (j < e or k < last):
+                # the seed and the inner states
+                q = vp / up
+                if q > fp_max:
+                    fp_max = q
+                if k and pp > k_max:
+                    k_max = pp
+            if keep:
+                S.append(s)
+                U.append(u)
+                V.append(v)
+                UP.append(up)
+                VP.append(vp)
+                IP.append(horner(c3, x)[0] + y3)
+                IV.append(horner(c4, x)[0] + y4)
+    slacks = {
+        "radial_transversality_global": radial - transversality_floor(a),
+        "annulus_upper": annulus_log_halfwidth(a) - math.log(rho_max),
+        "theta_decreasing": rise,
+        "shrinker_residual": DEFECT_PER_TOL * tol - defect,
+        "graph_height_lower": lower,
+        "graph_height_upper": a - v_max,
+        "graph_slope_lower": slope,
+        "graph_transversality": transversal - graph_profile.graph_floor(a),
+        "graph_ratio_monotone": fall,
+        "graph_concavity": -k_max,
+        "graph_slope_negative": -fp_max,
+    }
+    if not math.isfinite(z):
+        slacks = dict.fromkeys(slacks, math.nan)
+    return slacks, u, v, phi, kept
 
 
 # the monitors of the polar bounds, each checked on [0, s_bar]

@@ -19,11 +19,12 @@ stage, but the new state carries every component.  So the bits of a solve
 depend on IEEE arithmetic and on the form alone, and are the same
 whichever BLAS kernel numpy loads.  scipy's sums are BLAS
 dots, in another order, so its states differ from these in the last bits.
-One Horner routine, _horner, evaluates the dense output's states and
-their derivative together on numpy rows (__call__, derivative), and the
-function whose root Brent's method refines on one column of Python
-floats; horner_source unrolls it, operation for operation, into the
-generated loop over the pieces of a profile's solve pass: the same bits.
+One Horner routine, _horner, written out once, evaluates the dense
+output's states and their derivative together: on numpy rows for
+__call__ and derivative, and on Python floats for the function whose
+root Brent's method refines and for the plain pass over a profile's
+pieces (arclength.dense_pass), with the same bits.  A form's stage code
+and its callable are the only code that the module generates.
 The module runs on Python floats alone and loads numpy only for
 DenseOutput's arrays and vectorised evaluation.
 """
@@ -121,18 +122,26 @@ def hermite_rows(h, y_old, y_new, f_old, f_new) -> list:
 
 def _horner(F, x):
     """The piece polynomial less y_old, x (F[0] + (1-x) (F[1] + ...)), and its
-    x-derivative, innermost first: on numpy rows F[0..6] and an x that
-    broadcasts with them, or on Python floats, with the same bits."""
+    x-derivative, innermost first, on the 7 rows F[0..6]: numpy rows and an
+    x that broadcasts with them, or Python floats, with the same bits.  At
+    x = 1, where w = 0, the value is F[0] and the derivative F[0] - (F[2] +
+    F[1]) to the bit for finite rows, each odd row's product with w being
+    a zero that the next sum drops."""
+    f0, f1, f2, f3, f4, f5, f6 = F
     w = 1.0 - x
-    dp = F[6]  # the innermost row, F[6] x, and its derivative
-    p = dp * x
-    for i in range(5, -1, -1):
-        p = p + F[i]
-        if i % 2:
-            dp, p = dp * w - p, p * w
-        else:
-            dp, p = dp * x + p, p * x
-    return p, dp
+    p = f6 * x + f5
+    dp = f6 * w - p
+    p = p * w + f4
+    dp = dp * x + p
+    p = p * x + f3
+    dp = dp * w - p
+    p = p * w + f2
+    dp = dp * x + p
+    p = p * x + f1
+    dp = dp * w - p
+    p = p * w + f0
+    dp = dp * x + p
+    return p * x, dp
 
 
 def _shape(*tail):
@@ -182,35 +191,6 @@ class DenseOutput(namedtuple("DenseOutput", "ts h y_old F")):
         c, y_old = F[7 * n * k + i::n][:7], y[n * k + i]
         return brentq(lambda r: _horner(c, (r - t) / h)[0] + y_old - level,
                       t, ts[k + 1])
-
-
-def horner_source(i) -> str:
-    """_horner's loop unrolled, operation for operation, as statements for
-    component i: from x, w = 1 - x, the rows f0_i .. f6_i and the old
-    state y_i of a piece, they set v_i to the state at x and r_i to its
-    derivative, dp over the step h; the bits of _horner's."""
-    src = f"dp = f6_{i}\np = dp * x\n"
-    for r in range(5, -1, -1):
-        z = "w" if r % 2 else "x"
-        src += (f"p = p + f{r}_{i}\ndp = dp * {z} {'-' if r % 2 else '+'} p\n"
-                f"p = p * {z}\n")
-    return src + f"v{i} = p + y{i}\nr{i} = dp / h\n"
-
-
-def horner_end_source(i) -> str:
-    """horner_source at x = 1, where w = 0: there _horner's value is row 0
-    and its derivative row 0 less rows 1 and 2, to the bit for finite
-    rows (each odd row's product with w is a zero that the next sum
-    drops)."""
-    return f"v{i} = f0_{i} + y{i}\nr{i} = (f0_{i} - (f2_{i} + f1_{i})) / h\n"
-
-
-def piece_source(n: int, components) -> str:
-    """Statements that load piece k's old state y_i and rows fr_i of each
-    component i of a state of n components from the flat lists Y and F."""
-    return "".join(f"y{i} = Y[{n} * k + {i}]\n" for i in components) + \
-        "".join(f"f{r}_{i} = F[{7 * n} * k + {r * n + i}]\n"
-                for i in components for r in range(7))
 
 
 # the pieces as DenseOutput takes them (flat float lists), fun(t0, y0)
@@ -285,9 +265,10 @@ _MATH = {name: getattr(math, name) for name in dir(math)
          if not name.startswith("_")}
 
 
-def _compiled(src: str, name: str, **names) -> dict:
-    # exec the source with the math module's names and the given ones
-    namespace = dict(_MATH, **names)
+def _compiled(src: str, name: str) -> dict:
+    # exec the source of a form's callable (function) or of its stage code
+    # (_generate) with the math module's names
+    namespace = dict(_MATH)
     exec(compile(src, f"<dop853 {name}>", "exec"), namespace)
     return namespace
 

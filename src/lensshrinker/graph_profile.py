@@ -13,74 +13,47 @@ The graph quantities are views of its states on the strip 0 < u < 1:
 The inequalities proved for this region -- the height bounds
 a sqrt(1-x^2) < f < a, the slope bound f' > -a x/(1-x^2), monotonicity of
 the comparison ratio F = f / sqrt(1-x^2) and the transversality floor
-(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- are written once as
-source, ``GRAPH_TERMS``: the generated pass of
-:func:`lensshrinker.arclength.dense_pass` inlines it in its monitors,
-and :func:`graph_slacks` and the CSV of the view compile it to their
-per-state loop.  Everything here runs on Python floats;
-numpy is loaded only to return arrays.
+(f - x f') / sqrt(1+f'^2) >= a / sqrt(1+a^2) -- are checked on every
+stored state by the pass of :func:`lensshrinker.arclength.dense_pass`,
+which writes their terms out in its loop; :func:`graph_terms` writes the
+same terms once per state for the CSV of the view, and a test holds the
+pass's worst slacks to the extremes of the CSV's columns, to the bit.
+Everything here runs on Python floats; numpy is loaded only to return
+arrays.
 """
 
 from __future__ import annotations
 
 import math
-import textwrap
 from typing import TYPE_CHECKING
 
 from ._views import floats, readonly
-from .dop853 import _compiled
 
 if TYPE_CHECKING:
     from .arclength import LensProfile
 
 
-# phi' of the angle form at a state with u > 0, from (u, v) and (up, vp) =
-# (cos phi, sin phi): source that the monitors' generated code inlines
-PHI_PRIME = "-vp / u + u * vp - v * up"
-# the graph view's monitors at a state with 0 < u < 1, as source: the
-# locals fp = f' and root = sqrt(1 - x^2) that they read, then per monitor
-# (name, the state's term, the slack as a format of the term, and the fold
-# that the worst slack takes of the terms: the slack is monotone in the
-# term, so its least value is the slack of the term's min or max)
-GRAPH_LOCALS = "fp = vp / up\nroot = sqrt(1.0 - u * u)\n"
-GRAPH_TERMS = (
-    ("graph_height_lower", "v - a * root", "{}", "min"),
-    ("graph_height_upper", "v", "a - {}", "max"),
-    ("graph_slope_lower", "fp + a * u / (1.0 - u * u)", "{}", "min"),
-    ("graph_transversality", "(v - u * fp) / sqrt(1.0 + fp * fp)",
-     "{} - graph_floor", "min"),
-)
-# F = f / sqrt(1 - x^2), each compared with every later one
-RATIO = "v / root"
+def phi_prime(u: float, v: float, up: float, vp: float) -> float:
+    """The curvature phi' of the angle form at a state with u > 0, from
+    (u, v) and (up, vp) = (cos phi, sin phi)."""
+    return -vp / u + u * vp - v * up
 
 
-_phi_prime = _compiled(f"def _phi_prime(u, v, up, vp):\n"
-                       f"    return {PHI_PRIME}\n", "phi'")["_phi_prime"]
-_phi_prime.__doc__ = "Curvature phi' (needs u > 0); PHI_PRIME as a function."
-
-# every graph state's slack of each GRAPH_TERMS monitor, and its F
-_terms = _compiled(
-    "def _terms(X, FS, UP, VP, a):\n"
-    "    graph_floor = a / sqrt(1.0 + a * a)\n"
-    + "".join(f"    L{j} = []\n" for j in range(len(GRAPH_TERMS)))
-    + "    ratio = []\n"
-    "    for u, v, up, vp in zip(X, FS, UP, VP):\n"
-    + textwrap.indent(GRAPH_LOCALS, " " * 8)
-    + "".join(f"        L{j}.append({slack.format(f'({term})')})\n"
-              for j, (_, term, slack, _) in enumerate(GRAPH_TERMS))
-    + f"        ratio.append({RATIO})\n"
-    f"    return [{', '.join(f'L{j}' for j in range(len(GRAPH_TERMS)))}], "
-    "ratio\n", "graph terms")["_terms"]
+def graph_floor(a: float) -> float:
+    """a / sqrt(1 + a^2), the floor of the graph transversality."""
+    return a / math.sqrt(1.0 + a * a)
 
 
-def _falls(ratio) -> list:
-    """Per state but the last, the least later F minus F: negative wherever
-    F falls, however slowly (graph_ratio_monotone's slack)."""
-    out, least = [], math.inf
-    for i in range(len(ratio) - 1, 0, -1):
-        least = ratio[i] if ratio[i] < least else least
-        out.append(least - ratio[i - 1])
-    return out[::-1]
+def graph_terms(u: float, v: float, up: float, vp: float, a: float,
+                floor: float) -> tuple:
+    """At a state with 0 < u < 1, at height a: F = f / sqrt(1 - x^2), then
+    the slack, >= 0 where it holds, of graph_height_lower,
+    graph_height_upper, graph_slope_lower and graph_transversality (whose
+    floor is graph_floor(a))."""
+    fp = vp / up
+    root = math.sqrt(1.0 - u * u)
+    return (v / root, v - a * root, a - v, fp + a * u / (1.0 - u * u),
+            (v - u * fp) / math.sqrt(1.0 + fp * fp) - floor)
 
 
 def _graph_states(profile: LensProfile) -> tuple[list, ...]:
@@ -95,7 +68,7 @@ def _view(profile: LensProfile) -> tuple[list, ...]:
     # graph_view's lists: x, f, f' and f''
     x, f, up, vp = _graph_states(profile)
     return (x, f, [s / c for c, s in zip(up, vp)],
-            [_phi_prime(xi, fi, c, s) / c ** 3
+            [phi_prime(xi, fi, c, s) / c ** 3
              for xi, fi, c, s in zip(x, f, up, vp)])
 
 
@@ -103,21 +76,6 @@ def graph_view(profile: LensProfile) -> tuple:
     """(x, f, f', f'') on the profile states with 0 < u < 1, read-only
     arrays."""
     return tuple(map(readonly, _view(profile)))
-
-
-def _slacks(profile: LensProfile) -> dict:
-    # graph_slacks' lists: each slack at each graph state, in order
-    terms, ratio = _terms(*_graph_states(profile), profile.a)
-    slacks = {name: values for (name, *_), values in zip(GRAPH_TERMS, terms)}
-    slacks["graph_ratio_monotone"] = _falls(ratio)
-    return slacks
-
-
-def graph_slacks(profile: LensProfile) -> dict:
-    """Pointwise slack, >= 0 where it holds, of each graph-view monitor, as
-    read-only arrays; it reads x, f and f' only."""
-    return {name: readonly(values)
-            for name, values in _slacks(profile).items()}
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -133,8 +91,11 @@ def trajectory_to_csv(profile: LensProfile, path) -> None:
     """Write the graph view: x, f, fp, fpp, F, slack_lower, slack_upper,
     slack_transversality, one row per profile state with 0 < u < 1."""
     x, f, fp, fpp = _view(profile)
-    (lower, upper, _, transversality), ratio = _terms(
-        *_graph_states(profile), profile.a)
+    a = profile.a
+    floor = graph_floor(a)
+    ratio, lower, upper, _, transversality = list(zip(
+        *(graph_terms(*state, a, floor)
+          for state in zip(*_graph_states(profile))))) or [()] * 5
     write_csv(path, "x,f,fp,fpp,F,slack_lower,slack_upper,"
               "slack_transversality",
               [x, f, fp, fpp, ratio, lower, upper, transversality])

@@ -150,9 +150,9 @@ def sample_angle_table(a_values, cfg: PipelineConfig | None = None) -> AngleTabl
     into k = max(1, min(jobs, rows)) contiguous chunks: the caller solves
     the first row of its own chunk, then forks k - 1 children with os.fork
     (none for jobs == 1; POSIX only, elsewhere jobs > 1 raises ValueError),
-    so each child starts with the compiled stage code, the solve pass and
-    the quadrature rule already made; neither loads numpy.  The rows and their bits are the same for
-    every jobs.  A child that raises passes its exception to the caller,
+    so each child starts with the compiled stage code and the quadrature
+    rule already made; neither loads numpy.  The rows and their bits are
+    the same for every jobs.  A child that raises passes its exception to the caller,
     one that dies raises ChildProcessError, and an exception in the caller
     kills its children; every child is reaped and every pipe closed before
     the call returns or raises.  As with any fork, the caller should run no

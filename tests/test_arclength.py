@@ -356,19 +356,17 @@ def test_a_solve_evaluates_its_dense_output_once(a, monkeypatch):
     # no state; the arrays and the defect from one more, which keeps them,
     # on the first read; and nothing makes a vectorized (numpy) evaluation
     calls = []
-    solve_pass = arclength._solve_pass
+    plain = arclength.dense_pass
 
-    def counted(points):
-        def run(*args):
-            out = solve_pass(points)(*args)
-            calls.append(len(out[-1][0]))
-            return out
-        return run
+    def counted(*args, **kwargs):
+        out = plain(*args, **kwargs)
+        calls.append(len(out[-1][0]))
+        return out
 
     def vectorized(self, t):
         raise AssertionError("a vectorized evaluation")
 
-    monkeypatch.setattr(arclength, "_solve_pass", counted)
+    monkeypatch.setattr(arclength, "dense_pass", counted)
     monkeypatch.setattr(dop853.DenseOutput, "_horner_at", vectorized)
     p = integrate_profile(picard_analytic(a, R_STAR), a)
     assert calls == [0]

@@ -6,8 +6,11 @@ import pytest
 from lensshrinker import (EvenSeries, MonitorViolation, PipelineConfig,
                           angle_of, arclength, graph_view, integrate_profile,
                           j_function, picard_analytic)
-from lensshrinker.arclength import X_SEED, seed_quadratures
-from lensshrinker.graph_profile import trajectory_to_csv
+from conftest import A_STAR
+from lensshrinker.arclength import (X_SEED, curvature_arrays,
+                                    seed_quadratures)
+from lensshrinker.graph_profile import (graph_floor, graph_terms,
+                                        trajectory_to_csv)
 from lensshrinker.series import R_STAR
 
 SQRT2 = math.sqrt(2.0)
@@ -179,3 +182,33 @@ def test_csv_export(tmp_path, profiles):
     assert len(lines) == int(np.sum((p.u > 0.0) & (p.u < 1.0))) + 1
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(p.u[1], rel=1e-16)
+
+
+@pytest.mark.parametrize("a", [0.005, A_STAR, SQRT2])
+def test_the_pass_shares_its_graph_formulas_with_the_readers(a, tmp_path):
+    # the solve's pass writes the graph terms and phi' out in its loop, the
+    # graph CSV reads graph_terms and curvature_arrays reads phi_prime: each
+    # graph slack of the pass is the extreme of the readers' per-state
+    # values, to the bit
+    p = integrate_profile(picard_analytic(a, R_STAR), a)
+    path = tmp_path / "graph.csv"
+    trajectory_to_csv(p, path)
+    _, _, _, _, *csv = np.loadtxt(path, delimiter=",", skiprows=1,
+                                  unpack=True)
+    ratio, lower, upper, slope, transversality = zip(*(
+        graph_terms(*state, a, graph_floor(a))
+        for state in zip(p.u.tolist(), p.v.tolist(), p.up.tolist(),
+                         p.vp.tolist()) if 0.0 < state[0] < 1.0))
+    for got, want in zip(csv, (ratio, lower, upper, transversality)):
+        assert got.tobytes() == np.array(want).tobytes()
+    falls = [ratio[j] - max(ratio[:j]) for j in range(1, len(ratio))]
+    assert {name: p.monitors[name] for name in (
+        "graph_height_lower", "graph_height_upper", "graph_slope_lower",
+        "graph_transversality", "graph_ratio_monotone")} == {
+        "graph_height_lower": min(lower), "graph_height_upper": min(upper),
+        "graph_slope_lower": min(slope),
+        "graph_transversality": min(transversality),
+        "graph_ratio_monotone": min(falls)}
+    # k_alg starts at the seed and ends at the crossing
+    k_alg = curvature_arrays(p)[0]
+    assert p.monitors["graph_concavity"] == -max(k_alg[1:-1].tolist())

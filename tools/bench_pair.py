@@ -12,11 +12,12 @@ For each workload W of the change's BENCHMARK.json and each pair i of
 with T the file's ``run_seconds`` and seed S = 1 + 1000 i, runs once from
 the root of each checkout; even pairs run the parent first, odd pairs the
 change first, so that a drift of the host's speed falls on both sides
-alike.  The file holds ``about``, ``host`` (host()) and ``runs``: each run
-is its side, workload, seed, trace flag, command and the JSON of the
-command's last line of standard output, in the order the runs were made.
-Standard error gets the verdict of summary(), then the net change of
-physical lines in ``src/**/*.py``.
+alike.  The file holds ``about``, ``host`` (host()), ``summary``
+(summary() of the runs) and ``runs``: each run is its side, workload,
+seed, trace flag, command and the JSON of the command's last line of
+standard output, in the order the runs were made.  Standard error gets
+each entry of the summary, then the net change of physical lines in
+``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -78,50 +80,49 @@ def host(roots: dict) -> str:
 
 def source_lines(root: str) -> int:
     """Physical lines of the checkout's src/**/*.py."""
-    total = 0
-    for path in glob.glob(os.path.join(root, "src", "**", "*.py"),
-                          recursive=True):
-        with open(path, "rb") as fh:
-            total += sum(1 for _ in fh)
-    return total
+    return sum(Path(path).read_bytes().count(b"\n") for path in glob.glob(
+        os.path.join(root, "src", "**", "*.py"), recursive=True))
 
 
-def summary(runs: list[dict], bounds: dict) -> str:
-    """Per workload and metric: each side's median [q1, q3] over its runs,
-    the pairs (same workload and seed) in which the change read lower, the
-    change/parent ratio of the medians, whether the gap between the
-    medians exceeds the parent's interquartile range q3 - q1, and, for a
-    metric of ``bounds`` (name -> (bound, better)), whether the change's
-    median is worse than the parent's by more than that fraction of it."""
+def paired(reference: list, candidate: list) -> dict:
+    """The rule by which a candidate gains on a reference, lower being
+    better, over pairs i of runs reference[i] and candidate[i]: each side's
+    [q1, median, q3], the pairs the candidate read lower in, the ratio of
+    the medians, candidate/reference (None if the reference's is 0), and
+    ``gain``: lower in at least 9 of every 10 pairs and its median lower by
+    more than the reference's q3 - q1."""
+    (r1, r2, r3), (c1, c2, c3) = (
+        statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+        for xs in (reference, candidate))
+    wins = sum(c < r for r, c in zip(reference, candidate))
+    return {"reference": [r1, r2, r3], "candidate": [c1, c2, c3],
+            "pairs": len(reference), "candidate_lower": wins,
+            "ratio": c2 / r2 if r2 else None,
+            "gain": 10 * wins >= 9 * len(reference) and r2 - c2 > r3 - r1}
+
+
+def summary(runs: list[dict], bounds: dict) -> list[dict]:
+    """Per workload and metric, paired() of the parent (reference) and the
+    change (candidate) over the pairs (same workload and seed), and, for a
+    metric of ``bounds`` (name -> (bound, better)), ``within_bound``:
+    whether the change's median is worse than the parent's by no more than
+    that fraction of it."""
+    values = {}
+    for r in runs:
+        for name, m in r["stdout"]["metrics"].items():
+            values.setdefault((r["workload"], name), {}).setdefault(
+                r["side"], {})[r["seed"]] = m["value"]
     out = []
-    for workload in dict.fromkeys(r["workload"] for r in runs):
-        value = {(r["side"], r["seed"], name): m["value"]
-                 for r in runs if r["workload"] == workload
-                 for name, m in r["stdout"]["metrics"].items()}
-        seeds = sorted({seed for _, seed, _ in value})
-        for name in dict.fromkeys(name for _, _, name in value):
-            line = f"{workload:6} {name:12}"
-            quartiles = {}
-            for side in ("parent", "change"):
-                xs = [value[side, seed, name] for seed in seeds]
-                q1, q2, q3 = quartiles[side] = \
-                    statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-                line += f" {side} {q2:.4f} [{q1:.4f}, {q3:.4f}]"
-            wins = sum(value["change", seed, name] < value["parent", seed, name]
-                       for seed in seeds)
-            (p1, p2, p3), (_, c2, _) = quartiles["parent"], quartiles["change"]
-            ratio = f"{c2 / p2:.3f}" if p2 else "n/a"
-            above = "above" if abs(c2 - p2) > p3 - p1 else "not above"
-            line += (f" change lower in {wins}/{len(seeds)} pairs, "
-                     f"change/parent {ratio}, median gap {abs(c2 - p2):.4f} "
-                     f"{above} parent IQR {p3 - p1:.4f}")
-            if name in bounds:
-                bound, better = bounds[name]
-                worse = p2 - c2 if better == "higher" else c2 - p2
-                line += (", within" if worse <= bound * abs(p2) else
-                         ", OUTSIDE") + f" bound {bound:g}"
-            out.append(line)
-    return "\n".join(out)
+    for (workload, name), sides in values.items():
+        rule = paired(*([sides[side][seed] for seed in sorted(sides["parent"])]
+                        for side in ("parent", "change")))
+        if name in bounds:
+            bound, better = bounds[name]
+            (_, p2, _), (_, c2, _) = rule["reference"], rule["candidate"]
+            worse = p2 - c2 if better == "higher" else c2 - p2
+            rule["within_bound"] = worse <= bound * abs(p2)
+        out.append({"workload": workload, "metric": name, **rule})
+    return out
 
 
 def main(argv=None) -> int:
@@ -147,13 +148,15 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} {side}: "
                       f"{json.dumps(run['stdout']['metrics'])}",
                       file=sys.stderr, flush=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"about": args.about, "host": host(roots), "runs": runs},
-                  fh, indent=1)
-        fh.write("\n")
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in bench["end_to_end"]}
-    print(summary(runs, bounds), file=sys.stderr)
+    result = summary(runs, bounds)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump({"about": args.about, "host": host(roots),
+                   "summary": result, "runs": runs}, fh, indent=1)
+        fh.write("\n")
+    for entry in result:
+        print(json.dumps(entry), file=sys.stderr)
     before, after = source_lines(args.parent), source_lines(args.change)
     print(f"src/**/*.py physical lines: {before} parent, {after} change, "
           f"net {after - before:+d}", file=sys.stderr)

@@ -20,11 +20,13 @@ each digest that cannot be made prints the exception's name instead
 (1e-6 and 1e-160 lie below shooting.A_MIN, while their r = 1 series still
 solve; no series above ~0.27 is certified at r = 1).  The heights are 42
 geometrically spaced from 0.005 to sqrt(2), then 1e-3, 1e-6, 1e-160,
-0.3349954407339448 and 0.4258777130659485.  Each command of CLI_COMMANDS
-runs as ``python -m lensshrinker.cli`` from this checkout's ``src``
-(cli_digest), in a fresh temporary working directory with the relative
-``--output-dir out``, so the ``config`` block that each output embeds is
-the same in every checkout.
+0.3349954407339448 and 0.4258777130659485, as literal floats: the first 42
+are np.geomspace's on numpy's default CPU dispatch; another dispatch of
+its power, or libm's pow, moves the 33rd by one ulp.  Each command of
+CLI_COMMANDS runs as ``python -m lensshrinker.cli`` from this checkout's
+``src`` (cli_digest), in a fresh temporary working directory with the
+relative ``--output-dir out``, so the ``config`` block that each output
+embeds is the same in every checkout.
 
 The profile path runs on Python floats and math.* (ROADMAP items 13 and
 16), so the profile, series, defect and CSV digests and the lines of
@@ -56,8 +58,22 @@ from lensshrinker.arclength import (profile_to_csv,  # noqa: E402
 from lensshrinker.cluster import write_obj  # noqa: E402
 from lensshrinker.graph_profile import trajectory_to_csv  # noqa: E402
 
-HEIGHTS = [*np.geomspace(0.005, math.sqrt(2.0), 42).tolist(), 1e-3, 1e-6,
-           1e-160, 0.3349954407339448, 0.4258777130659485]
+HEIGHTS = [
+    0.005, 0.005738042817773531, 0.006585027075720481, 0.0075570334633364225,
+    0.008672516317594359, 0.009952653993639215, 0.011421750953197304,
+    0.01310769920467835, 0.015042507855788088, 0.017262910832641355,
+    0.019811064303420514, 0.022735347047738323, 0.02609127896737271,
+    0.029942575177051716, 0.03436235568806511, 0.03943453365153628,
+    0.04525540851828927, 0.05193549436275537, 0.059601618083145215,
+    0.06839932731393446, 0.07849565376685251, 0.09008228446466518,
+    0.1033792010762208, 0.11863885644851484, 0.13615096763065312,
+    0.15624801638919716, 0.17931156164667866, 0.20577948369009597,
+    0.23615429768662016, 0.2710126943454127, 0.31101648886282957,
+    0.3569251860257, 0.4096104000314499, 0.4700724027971609,
+    0.5394591149407592, 0.6190878999936572, 0.7104705756258206,
+    0.8153421167418333, 0.9356935953997481, 1.0738099829440435,
+    1.2323135320571175, 1.4142135623730951, 1e-3, 1e-6, 1e-160,
+    0.3349954407339448, 0.4258777130659485]
 CLI_COMMANDS = [
     *(["solve", "--a", repr(a)] for a in (0.5, 0.786004, math.sqrt(2.0))),
     ["shoot"],

@@ -23,13 +23,9 @@ tenants of the host cancels, as in perfbench's calibrated rounds.
 Each side also digests the bits of s, u, v, alpha, xi and s_bar of its
 profiles (every sweep height, or the shoot's a*), so the file shows
 whether the two sides computed the same numbers.  Per comparison the file
-holds each side's median and quartiles in probes over the pairs, the
-pairs the base was faster in, the variant/base ratio of the medians,
-``base_pays``: the base faster in at least 9 of every 10 pairs and its
-median lower by more than the variant's interquartile range, and the
-median and quartiles of the variant/base ratio within each pair, which
-the host's drift between pairs does not spread.  Standard
-error gets one line per comparison.
+holds its runs and ``summary``, verdict() of them, which standard error
+gets too; the variant/base ratio within each pair is not spread by the
+host's drift between pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ import subprocess
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pair import host  # noqa: E402
+from bench_pair import host, paired  # noqa: E402
 
 CHILD = """
 import hashlib, importlib, importlib.util, json, math, os, statistics, sys
@@ -119,25 +115,15 @@ def run_pair(roots: list, loop: str, reps: int, cpu: int) -> dict:
 
 
 def verdict(runs: list[dict]) -> dict:
-    """Each side's median [q1, q3] in probes, the pairs the base won and
-    whether the base pays by the 9-of-10 rule."""
-    out = {}
-    for side in ("base", "variant"):
-        q1, q2, q3 = statistics.quantiles([r[side]["probes"] for r in runs],
-                                          n=4)
-        out[side + "_probes"] = {"median": q2, "q1": q1, "q3": q3}
-    wins = sum(r["base"]["probes"] < r["variant"]["probes"] for r in runs)
-    base, variant = (out[side + "_probes"]["median"]
-                     for side in ("base", "variant"))
-    iqr = out["variant_probes"]["q3"] - out["variant_probes"]["q1"]
-    pays = 10 * wins >= 9 * len(runs) and variant - base > iqr
-    q1, q2, q3 = statistics.quantiles(
-        [r["variant"]["probes"] / r["base"]["probes"] for r in runs], n=4)
+    """paired() of the variant (reference) and the base in probes, whose
+    ``gain`` says whether the base pays, the quartiles of the variant/base
+    ratio within each pair, and whether every run computed the same bits."""
+    out = paired(*([r[side]["probes"] for r in runs]
+                   for side in ("variant", "base")))
     checks = {r[side]["check"] for r in runs for side in ("base", "variant")}
-    out.update(pairs=len(runs), base_won=wins,
-               variant_over_base=variant / base, base_pays=pays,
-               pair_ratio={"median": q2, "q1": q1, "q3": q3},
-               same_bits=len(checks) == 1)
+    out.update(pair_ratio=statistics.quantiles(
+        [r["variant"]["probes"] / r["base"]["probes"] for r in runs], n=4),
+        same_bits=len(checks) == 1)
     return out
 
 
@@ -165,13 +151,8 @@ def main(argv=None) -> int:
                              args.reps, args.cpu) for i in range(args.pairs)]
             v = verdict(runs)
             comparisons.append({"base": base_name, "variant": name,
-                                "loop": loop, **v, "runs": runs})
-            print(f"{loop:5} {name:20} base {v['base_probes']['median']:.3f} "
-                  f"variant {v['variant_probes']['median']:.3f} "
-                  f"ratio {v['variant_over_base']:.3f} pair ratio "
-                  f"{v['pair_ratio']['median']:.3f} base won "
-                  f"{v['base_won']}/{v['pairs']} pays {v['base_pays']} "
-                  f"same bits {v['same_bits']}", file=sys.stderr, flush=True)
+                                "loop": loop, "summary": v, "runs": runs})
+            print(loop, name, json.dumps(v), file=sys.stderr, flush=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(dict(about=args.about, host=host(dict(named)),
                        reps=args.reps, comparisons=comparisons), fh, indent=1)
