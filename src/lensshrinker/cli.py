@@ -247,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("mesh", "export the three-sheet cluster mesh")
     p.add_argument("--a", type=float,
                    help="profile height (default: shoot for the junction height)")
-    p.add_argument("--n-theta", type=int)
+    p.add_argument("--n-theta", type=int,
+                   help=f"vertices per ring about the axis, in "
+                        f"{list(N_THETA_RANGE)} (default {DEFAULT_N_THETA}; "
+                        f"a multiple of 4 keeps the quarter-turn symmetry)")
     p.add_argument("--annulus-outer", type=float,
                    help=f"annulus radius, at most {MAX_ANNULUS_OUTER:g} "
                         "(default: 3x the junction radius)")

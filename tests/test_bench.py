@@ -17,14 +17,30 @@ def _load(name: str) -> dict:
     return json.loads((ROOT / name).read_text(encoding="utf-8"))
 
 
-def test_the_bench_summary_is_recomputed_from_its_runs():
-    bench = _load("BENCH_37.json")
+def _recomputed_summary(name: str) -> list:
+    """The file's summary, checked against bench_pair.summary of its runs
+    and to hold every workload and end-to-end metric."""
+    bench = _load(name)
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in _load("BENCHMARK.json")["end_to_end"]}
     assert bench_pair.summary(bench["runs"], bounds) == bench["summary"]
     assert {(e["workload"], e["metric"]) for e in bench["summary"]} == {
         (w["name"], m["name"]) for w in _load("BENCHMARK.json")["workloads"]
         for m in _load("BENCHMARK.json")["end_to_end"]}
+    return bench["summary"]
+
+
+def test_the_bench_summary_is_recomputed_from_its_runs():
+    _recomputed_summary("BENCH_37.json")
+
+
+def test_the_graded_mesh_gain_is_recomputed_from_its_runs():
+    # the mesh round is lower in at least 9 of 10 pairs and by more than
+    # the parent's quartile spread, and every metric is within its bound
+    summary = _recomputed_summary("BENCH_38.json")
+    assert all(e["within_bound"] for e in summary)
+    mesh = {e["metric"]: e for e in summary if e["workload"] == "mesh"}
+    assert mesh["round_cal_s"]["gain"] and mesh["round_cal_s"]["pairs"] == 20
 
 
 def test_the_solve_pair_summary_is_recomputed_from_its_runs():

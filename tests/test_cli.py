@@ -564,7 +564,7 @@ def test_output_dir_on_a_regular_file_exits_2(tmp_path, capsys):
 
 def _config_block(command, **settings):
     block = {"command": command, "a": None, "annulus_outer": None,
-             "bracket": [0.05, SQRT2], "jobs": 1, "n_theta": 64,
+             "bracket": [0.05, SQRT2], "jobs": 1, "n_theta": 80,
              "output_dir": "out",
              "tolerances": {"ode_tol": 1e-12, "tol_a": 1e-10}}
     return {**block, **settings}

@@ -1,10 +1,15 @@
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lensshrinker
 from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
 from lensshrinker.cluster import (BLOCK, SHEET_ANNULUS, SHEET_LOWER,
@@ -75,6 +80,33 @@ def test_mesh_is_exactly_symmetric_under_the_circle_maps(lens_report,
         maps.append((0.0 - y, x, z))
     for image in maps:
         assert np.array_equal(_bit_rows(*image), rows)
+
+
+_DEFAULT_OBJ = """
+import hashlib, sys
+from lensshrinker import build_cluster, find_lens, write_obj
+write_obj(build_cluster(find_lens().profile), sys.argv[1])
+with open(sys.argv[1], "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_obj_bytes_are_the_same_under_another_simd_dispatch(lens_report,
+                                                           tmp_path):
+    # the ring angles and the meridian map take math.sin, so a child
+    # interpreter with numpy's AVX-512 dispatch turned off writes the
+    # default OBJ at a* to the byte
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=os.path.dirname(os.path.dirname(
+                   lensshrinker.__file__)))
+    child = subprocess.run([sys.executable, "-c", _DEFAULT_OBJ,
+                            str(tmp_path / "child.obj")], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=120)
+    write_obj(build_cluster(lens_report.profile), tmp_path / "here.obj")
+    here = hashlib.sha256((tmp_path / "here.obj").read_bytes()).hexdigest()
+    assert child.stdout.split() == [here]
 
 
 def test_junction_shared_by_three_sheets(sphere_mesh):
@@ -479,12 +511,18 @@ def test_build_cluster_raises_on_a_failed_mesh_check(circle_profile):
         build_cluster(circle_profile, annulus_outer=outer, **SMALL)
 
 
-def test_resample_is_arclength_uniform(circle_profile):
-    u, v = resample_profile(circle_profile, 64)
-    assert u[0] == 0.0 and v[-1] == 0.0
+def test_resample_grades_the_meridian_by_the_sin_rule(circle_profile):
+    # on the circle of radius sqrt(2) about the origin the arclength from
+    # the pole is sqrt(2) atan2(u, v); sample k sits at s_bar sin(pi k / 2
+    # (n_s - 1)), so the chords shrink from the pole to the junction
+    p, n_s = circle_profile, 64
+    u, v = resample_profile(p, n_s)
+    want = [p.s_bar * math.sin(0.5 * math.pi * k / (n_s - 1))
+            for k in range(n_s)]
+    assert np.max(np.abs(SQRT2 * np.arctan2(u, v) - want)) < 1e-12
+    assert (u[0], v[0], u[-1], v[-1]) == (0.0, p.v[0], p.u[-1], 0.0)
     assert v[0] == pytest.approx(SQRT2, abs=1e-12)
-    seg = np.hypot(np.diff(u), np.diff(v))
-    assert np.max(seg) / np.min(seg) < 1.001
+    assert np.all(np.diff(np.hypot(np.diff(u), np.diff(v))) < 0.0)
 
 
 # ---------------------------------------------------------------------------
