@@ -22,7 +22,12 @@ solve; no series above ~0.27 is certified at r = 1).  The heights are 42
 geometrically spaced from 0.005 to sqrt(2), then 1e-3, 1e-6, 1e-160,
 0.3349954407339448 and 0.4258777130659485, as literal floats: the first 42
 are np.geomspace's on numpy's default CPU dispatch; another dispatch of
-its power, or libm's pow, moves the 33rd by one ulp.  Each command of
+its power, or libm's pow, moves the 33rd by one ulp.  One line then
+holds the obj_digest of the mesh at a = 0.786004 and the LARGE sizes
+(n_theta, n_s, n_r) = (128, 512, 48) that perfbench's mesh workload
+writes: 18,400 distinct coordinate magnitudes among 410,502
+coordinates, where a hashed dedupe of the magnitudes has clashes to
+resolve.  Each command of
 CLI_COMMANDS runs as ``python -m lensshrinker.cli`` from this checkout's
 ``src`` (cli_digest), in a fresh temporary working directory with the
 relative ``--output-dir out``, so the ``config`` block that each output
@@ -77,6 +82,7 @@ HEIGHTS = [
     0.8153421167418333, 0.9356935953997481, 1.0738099829440435,
     1.2323135320571175, 1.4142135623730951, 1e-3, 1e-6, 1e-160,
     0.3349954407339448, 0.4258777130659485]
+LARGE = {"n_theta": 128, "n_s": 512, "n_r": 48}
 CLI_COMMANDS = [
     *(["solve", "--a", repr(a)] for a in (0.5, 0.786004, math.sqrt(2.0))),
     ["shoot"],
@@ -123,11 +129,12 @@ def profile_digest(profile) -> str:
     return _digest(parts)
 
 
-def obj_digest(profile, path: str) -> str:
-    """sha256 prefix of the default-size OBJ bytes of the profile's mesh,
-    written to path, or the exception's name if the mesh is refused."""
+def obj_digest(profile, path: str, **sizes) -> str:
+    """sha256 prefix of the OBJ bytes of the profile's mesh at the sizes
+    (the defaults if none), written to path, or the exception's name if
+    the mesh is refused."""
     try:
-        write_obj(build_cluster(profile), path)
+        write_obj(build_cluster(profile, **sizes), path)
     except (LensError, ValueError) as exc:
         return type(exc).__name__
     with open(path, "rb") as fh:
@@ -189,6 +196,9 @@ def main() -> None:
                 digests = [type(exc).__name__] * 3
                 tail = digests[:2]
             print(repr(a), *digests, series_digest(a, 1.0), *tail)
+        sizes = " ".join(map(str, LARGE.values()))
+        print(repr(f"obj 0.786004 {sizes}"),
+              obj_digest(angle_of(0.786004)[1], path, **LARGE))
     for argv in CLI_COMMANDS:
         print(cli_digest(argv))
 
