@@ -423,6 +423,41 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
              "outward normal z-sign uniform per sheet")]
 
 
+# 2^64 / golden ratio, odd: Knuth's multiplicative hash (TAOCP vol. 3, 6.4)
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct(keys: np.ndarray, bits: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse) of the uint64 keys, with each distinct key once
+    in distinct and distinct[inverse] == keys, found without sorting the
+    keys.  Each key hashes to one of 2^bits slots (default bits: the bit
+    length of len(keys)) by the top bits of key * _HASH mod 2^64.  The
+    key written last to a slot stands for it, and the representatives are
+    numbered in the order of their positions in keys.  A key that differs
+    from its slot's representative differs from every representative, so
+    np.unique numbers these few clashing keys after them."""
+    n = len(keys)
+    b = max(n.bit_length(), 1) if bits is None else bits
+    slot = ((keys * _HASH) >> np.uint64(64 - b)).astype(np.intp)
+    at = np.empty(1 << b, dtype=np.intp)
+    at[slot] = np.arange(n)
+    rep = at[slot]
+    # the representatives' positions are the only ones marked
+    mark = np.zeros(n, dtype=bool)
+    mark[rep] = True
+    first = np.flatnonzero(mark)
+    ids = np.empty(n, dtype=np.intp)
+    ids[first] = np.arange(len(first))
+    inverse, distinct = ids[rep], keys[first]
+    clash = np.flatnonzero(keys[rep] != keys)
+    if len(clash):
+        rest, ids = np.unique(keys[clash], return_inverse=True)
+        inverse[clash] = len(distinct) + ids
+        distinct = np.concatenate([distinct, rest])
+    return distinct, inverse
+
+
 def _index_tokens(n: int) -> np.ndarray:
     """The %d tokens of 1..n, NUL-padded to the width of n.  The d-digit
     numbers 10^(d-1) .. 10^d - 1 are consecutive, and fill the first d of
@@ -485,8 +520,11 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     sign bit is set takes the token's '-'-prefixed twin (so -0.0 prints
     -0, and a NaN prints nan whatever its sign).  The index tokens are
     spelled from digit columns.  The lines gather from these token
-    tables, NUL-padded to one width each.  The token tables and the one
-    np.unique are whole-mesh; the lines are built, stripped of their
+    tables, NUL-padded to one width each.  The distinct magnitudes come
+    from one hashed pass (see _distinct), whose order the bytes do not
+    depend on, since each coordinate indexes its own magnitude's token.
+    The token tables and that pass are whole-mesh; the lines are built,
+    stripped of their
     padding and written in blocks of BLOCK lines, so that no line buffer
     outgrows the cache.  The file is written as bytes, so no newline is
     translated.
@@ -513,8 +551,7 @@ def write_obj(mesh: ClusterMesh, path) -> None:
         if len(sheet_id) != len(t) or sum(map(len, rows)) != len(t):
             raise ValueError("a triangle's sheet id is not 0, 1 or 2")
         faces = _face_lines(t, rows, len(v))
-    mags, index = np.unique(v.view(np.uint64) & ((1 << 63) - 1),
-                            return_inverse=True)
+    mags, index = _distinct(v.view(np.uint64).ravel() & ((1 << 63) - 1))
     x = mags.view(np.float64).tolist()
     tokens = np.array(("%.17g " * len(x) % tuple(x)).encode().split(),
                       dtype=bytes)

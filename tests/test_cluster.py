@@ -14,7 +14,7 @@ from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
 from lensshrinker.cluster import (BLOCK, SHEET_ANNULUS, SHEET_LOWER,
                                   SHEET_NAMES, SHEET_UPPER, _cached, _circle,
-                                  mesh_checks, resample_profile, write_metadata,
+                                  _distinct, mesh_checks, resample_profile, write_metadata,
                                   write_obj)
 from lensshrinker.errors import DegenerateProfile
 
@@ -91,13 +91,17 @@ with open(sys.argv[1], "rb") as fh:
 """
 
 
+@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                      "X86_V4 X86_V3"],
+                         ids=["no_avx512", "no_x86_v3"])
 def test_obj_bytes_are_the_same_under_another_simd_dispatch(lens_report,
-                                                           tmp_path):
-    # the ring angles and the meridian map take math.sin, so a child
-    # interpreter with numpy's AVX-512 dispatch turned off writes the
+                                                           tmp_path,
+                                                           disabled):
+    # the ring angles and the meridian map take math.sin, and the writer's
+    # dedupe takes integer multiply, shift, gather and scatter, so a child
+    # interpreter with some of numpy's SIMD dispatch turned off writes the
     # default OBJ at a* to the byte
-    env = dict(os.environ,
-               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.path.dirname(os.path.dirname(
                    lensshrinker.__file__)))
     child = subprocess.run([sys.executable, "-c", _DEFAULT_OBJ,
@@ -635,6 +639,35 @@ def _extreme_values(sphere):
         vertices=np.column_stack([x, x[::-1], np.roll(x, 3)]))
 
 
+def _perturbed(sphere):
+    # every coordinate times 1 + 1e-9 N(0, 1): ~24,000 distinct magnitudes
+    # in 2^15 hash slots, so thousands of keys clash with a representative
+    rng = np.random.default_rng(39)
+    v = sphere.vertices * (1.0 + 1e-9 * rng.standard_normal(
+        sphere.vertices.shape))
+    assert len(np.unique(np.abs(v))) > 0.9 * v.size
+    return dataclasses.replace(sphere, vertices=v)
+
+
+def _one_value(sphere):
+    # one magnitude, every coordinate its '-' twin
+    return dataclasses.replace(sphere,
+                               vertices=np.full_like(sphere.vertices, -0.3))
+
+
+def _nan_payloads(sphere):
+    # NaNs of both signs with distinct payloads: distinct magnitude keys
+    # that all print nan, never -nan
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000001, 0xFFF8000000000002,
+                     0x7FF0000000000003, 0xFFF4000000000000],
+                    dtype=np.uint64)
+    v = sphere.vertices.copy()
+    v.ravel()[:600] = np.tile(bits, 100).view(np.float64)
+    assert np.isnan(v).sum() == 600 and np.signbit(v[np.isnan(v)]).any()
+    return dataclasses.replace(sphere, vertices=v)
+
+
 def _one_sheet_ring(sphere, n):
     # n vertex lines and n face lines in one group, so that the writer's
     # blocks end exactly at, or one line before, the last line
@@ -658,6 +691,9 @@ def _rotated_corners(mesh):
     lambda sphere, p: _empty_lower_cap(sphere),
     *(lambda sphere, p, n=n: _ring(sphere, n) for n in RING_SIZES),
     lambda sphere, p: _extreme_values(sphere),
+    lambda sphere, p: _perturbed(sphere),
+    lambda sphere, p: _one_value(sphere),
+    lambda sphere, p: _nan_payloads(sphere),
     *(lambda sphere, p, n=n: _one_sheet_ring(sphere, n)
       for n in (BLOCK, BLOCK + 1)),
     # meshes exported in turn into one file: the second export of a size
@@ -671,7 +707,7 @@ def _rotated_corners(mesh):
     lambda sphere, p: _rotated_corners(build_cluster(p, **SMALL)),
 ], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet",
         *(f"ring_{n}" for n in RING_SIZES), "extreme_values",
-        "block_lines", "block_lines_plus_one", "one_size_in_turn",
+        "perturbed", "one_value", "nan_payloads", "block_lines", "block_lines_plus_one", "one_size_in_turn",
         "another_size_between", "writable_triangles"])
 def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
                                               make):
@@ -680,6 +716,27 @@ def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
     for mesh in made if isinstance(made, list) else [made]:
         write_obj(mesh, path)
         assert path.read_bytes() == _reference_obj(mesh)
+
+
+def _drawn_keys(n_distinct, n):
+    # n keys drawn with repeats from n_distinct random 63-bit keys
+    rng = np.random.default_rng(n)
+    pool = rng.integers(0, 1 << 63, size=n_distinct, dtype=np.uint64)
+    return pool[rng.integers(0, n_distinct, size=n)]
+
+
+@pytest.mark.parametrize("keys, bits", [
+    (np.zeros(0, dtype=np.uint64), None),
+    (_drawn_keys(3000, 20000), None),
+    (_drawn_keys(20000, 20000), None),
+    # four slots: all but at most four distinct keys clash
+    (_drawn_keys(3000, 20000), 2),
+], ids=["empty", "repeated", "mostly_distinct", "tiny_table"])
+def test_distinct_rebuilds_its_keys_and_holds_each_once(keys, bits):
+    distinct, inverse = _distinct(keys, bits)
+    assert distinct.dtype == keys.dtype and len(inverse) == len(keys)
+    assert np.array_equal(distinct[inverse], keys)
+    assert np.array_equal(np.sort(distinct), np.unique(keys))
 
 
 def test_obj_writer_checks_the_vertex_ids_before_opening(tmp_path,
