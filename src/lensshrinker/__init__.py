@@ -22,11 +22,10 @@ angles) that shrinks homothetically under mean curvature flow:
 
 import os
 
-# The one BLAS call left (the C2 oracle's matmul in the series) is too
-# small to gain from threads, and starting OpenBLAS's pool costs import time:
-# a fresh numpy import took a median 241 ms unset and 171 ms at 1 on a 2-CPU
-# host.  Set before the first numpy import, which the profile path never
-# makes; a value the user set is kept.
+# The package makes no BLAS call, and starting OpenBLAS's thread pool costs
+# import time: a fresh numpy import took a median 241 ms unset and 171 ms
+# at 1 on a 2-CPU host.  Set before the first numpy import, which the
+# profile path never makes; a value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arclength import LensProfile, integrate_profile, polar_monitors

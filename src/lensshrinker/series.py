@@ -514,14 +514,21 @@ def radial_laplacian_inverse(g, xs):
         h'(x) = x   * int_0^inf   e^{-2w} g(x e^{-w}) dw,
 
     evaluated by composite Gauss-Legendre on [0, 18] with 16 cells of 10
-    nodes.  Returns (h, h').
+    nodes.  Each sum adds the nodes' terms in index order, elementwise
+    over xs, so no BLAS kernel or SIMD dispatch moves a bit.  Returns
+    (h, h').
     """
     import numpy as np
     wn, ww = map(np.array, gauss_legendre_composite(0.0, 18.0, 16, 10))
     ew = np.exp(-wn)
     base_w = ww * np.exp(-2.0 * wn)
     gv = np.asarray(g(xs[:, None] * ew), dtype=float)
-    return xs * xs * (gv @ (wn * base_w)), xs * (gv @ base_w)
+    h, hp = np.zeros(len(xs)), np.zeros(len(xs))
+    for column, w_h, w_hp in zip(gv.T, (wn * base_w).tolist(),
+                                 base_w.tolist()):
+        h += column * w_h
+        hp += column * w_hp
+    return xs * xs * h, xs * hp
 
 
 def not_a_knot_spline(x, y):
