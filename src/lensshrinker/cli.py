@@ -42,12 +42,15 @@ MAX_ANNULUS_OUTER = 1000.0
 
 
 def _config(args) -> dict:
-    """The JSON config block: every setting the command ran with."""
+    """The JSON config block: every setting the command ran with.  The
+    mesh sizes are mesh's alone, so no other command's bytes move with
+    their defaults."""
     d = {"command": args.command, "a": args.a,
          "bracket": [args.a_lo, args.a_hi],
          "tolerances": {"ode_tol": args.ode_tol, "tol_a": args.tol_a},
-         "output_dir": args.output_dir, "jobs": args.jobs,
-         "n_theta": args.n_theta, "annulus_outer": args.annulus_outer}
+         "output_dir": args.output_dir, "jobs": args.jobs}
+    if args.command == "mesh":
+        d.update(n_theta=args.n_theta, annulus_outer=args.annulus_outer)
     if args.command == "table":
         d["table_range"] = [args.a_from, args.a_to, args.step]
     return d

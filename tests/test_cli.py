@@ -563,10 +563,12 @@ def test_output_dir_on_a_regular_file_exits_2(tmp_path, capsys):
 
 
 def _config_block(command, **settings):
-    block = {"command": command, "a": None, "annulus_outer": None,
-             "bracket": [0.05, SQRT2], "jobs": 1, "n_theta": 80,
-             "output_dir": "out",
+    block = {"command": command, "a": None, "bracket": [0.05, SQRT2],
+             "jobs": 1, "output_dir": "out",
              "tolerances": {"ode_tol": 1e-12, "tol_a": 1e-10}}
+    if command == "mesh":
+        # the mesh sizes only in mesh's block
+        block.update(annulus_outer=None, n_theta=80)
     return {**block, **settings}
 
 
