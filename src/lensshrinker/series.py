@@ -514,20 +514,19 @@ def radial_laplacian_inverse(g, xs):
         h'(x) = x   * int_0^inf   e^{-2w} g(x e^{-w}) dw,
 
     evaluated by composite Gauss-Legendre on [0, 18] with 16 cells of 10
-    nodes.  Each sum adds the nodes' terms in index order, elementwise
-    over xs, so no BLAS kernel or SIMD dispatch moves a bit.  Returns
-    (h, h').
+    nodes.  The node weights take math.exp, and each sum adds the nodes'
+    terms in index order, elementwise over xs, so no BLAS kernel or SIMD
+    dispatch moves a bit.  Returns (h, h').
     """
     import numpy as np
-    wn, ww = map(np.array, gauss_legendre_composite(0.0, 18.0, 16, 10))
-    ew = np.exp(-wn)
-    base_w = ww * np.exp(-2.0 * wn)
+    wn, ww = gauss_legendre_composite(0.0, 18.0, 16, 10)
+    ew = np.array([math.exp(-w) for w in wn])
+    base_w = [q * math.exp(-2.0 * w) for w, q in zip(wn, ww)]
     gv = np.asarray(g(xs[:, None] * ew), dtype=float)
     h, hp = np.zeros(len(xs)), np.zeros(len(xs))
-    for column, w_h, w_hp in zip(gv.T, (wn * base_w).tolist(),
-                                 base_w.tolist()):
-        h += column * w_h
-        hp += column * w_hp
+    for column, w, q in zip(gv.T, wn, base_w):
+        h += column * (w * q)
+        hp += column * q
     return xs * xs * h, xs * hp
 
 

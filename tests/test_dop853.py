@@ -22,7 +22,7 @@ from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
 from lensshrinker.cluster import resample_profile
 from lensshrinker.dop853 import DenseOutput, _horner, brentq
 from lensshrinker.errors import NoConvergence, StepFailure
-from lensshrinker.series import R_STAR
+from lensshrinker.series import R_STAR, picard_c2_oracle
 
 SQRT2 = math.sqrt(2.0)
 HEIGHTS = [float(a) for a in np.geomspace(0.005, SQRT2, 11)]
@@ -147,12 +147,14 @@ _SERIES_POINTS = [(0.3349954407339448, R_STAR), (0.4258777130659485, R_STAR),
                   (0.1, 1.0), (0.2, 1.0)]
 _PINNED_BITS = f"""
 from lensshrinker import angle_of, find_lens, picard_analytic
+from lensshrinker.series import picard_c2_oracle
 for a in (0.05, {A_STAR!r}, {SQRT2!r}):
     p = angle_of(a)[1]
     print(*(float(x).hex() for x in (p.alpha, p.s_bar, p.s_star, p.xi)))
 print(find_lens().a_star.hex())
 for a, r in {_SERIES_POINTS!r}:
     print(*(c.hex() for c in picard_analytic(a, r).coeffs.tolist()))
+print(*(x.hex() for x in picard_c2_oracle(1.0, {R_STAR!r})[1].tolist()))
 """
 
 
@@ -161,7 +163,7 @@ def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
     # OpenBLAS picks its kernel by CPU when numpy loads it, and kernels round
     # a dot's sum differently; a child interpreter forced onto another
     # kernel must give this process's profile bits, a* and series
-    # coefficients
+    # coefficients, and the C2 grid oracle's heights
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=
                os.path.dirname(os.path.dirname(lensshrinker.__file__)))
     child = subprocess.run([sys.executable, "-c", _PINNED_BITS], env=env,
@@ -172,8 +174,10 @@ def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
             for p in (angle_of(a)[1] for a in (0.05, A_STAR, SQRT2))]
     series = [" ".join(c.hex() for c in picard_analytic(a, r).coeffs.tolist())
               for a, r in _SERIES_POINTS]
+    oracle = " ".join(x.hex() for x in
+                      picard_c2_oracle(1.0, R_STAR)[1].tolist())
     assert child.stdout.splitlines() == [*here, lens_report.a_star.hex(),
-                                         *series]
+                                         *series, oracle]
 
 
 def _reference_stages(fun, t, h, y, f, tol):
