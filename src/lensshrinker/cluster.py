@@ -430,8 +430,8 @@ _HASH = np.uint64(0x9E3779B97F4A7C15)
 def _distinct(keys: np.ndarray, bits: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inverse) of the uint64 keys, with each distinct key once
-    in distinct and distinct[inverse] == keys, found without sorting the
-    keys.  Each key hashes to one of 2^bits slots (default bits: the bit
+    in distinct and distinct[inverse] == keys, found without a sort of
+    all the keys.  Each key hashes to one of 2^bits slots (default bits: the bit
     length of len(keys)) by the top bits of key * _HASH mod 2^64.  The
     key written last to a slot stands for it, and the representatives are
     numbered in the order of their positions in keys.  A key that differs
@@ -524,9 +524,8 @@ def write_obj(mesh: ClusterMesh, path) -> None:
     from one hashed pass (see _distinct), whose order the bytes do not
     depend on, since each coordinate indexes its own magnitude's token.
     The token tables and that pass are whole-mesh; the lines are built,
-    stripped of their
-    padding and written in blocks of BLOCK lines, so that no line buffer
-    outgrows the cache.  The file is written as bytes, so no newline is
+    stripped of their padding and written in blocks of BLOCK lines, so
+    that no line buffer outgrows the cache.  The file is written as bytes, so no newline is
     translated.
 
     The face block (the `g` and `f` lines) depends on the triangles and
