@@ -59,3 +59,16 @@ def test_the_rule_needs_nine_of_ten_pairs_and_the_reference_spread():
     assert not bench_pair.paired(reference, eight)["gain"]
     assert not bench_pair.paired(reference, [x - 1.0 for x in reference])[
         "gain"]
+
+
+def test_the_hashed_dedupe_gain_is_recomputed_from_its_runs():
+    # the OBJ writer's hashed dedupe: the mesh round is lower in at least
+    # 9 of 10 pairs and by more than the parent's quartile spread, and
+    # every metric is within its bound
+    summary = _recomputed_summary("BENCH_39.json")
+    assert all(e["within_bound"] for e in summary)
+    gains = {(e["workload"], e["metric"]) for e in summary if e["gain"]}
+    assert gains == {("mesh", "round_cal_s")}
+    mesh = next(e for e in summary
+                if (e["workload"], e["metric"]) == ("mesh", "round_cal_s"))
+    assert mesh["pairs"] == 20

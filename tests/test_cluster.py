@@ -14,8 +14,8 @@ from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
 from lensshrinker.cluster import (BLOCK, SHEET_ANNULUS, SHEET_LOWER,
                                   SHEET_NAMES, SHEET_UPPER, _cached, _circle,
-                                  _distinct, mesh_checks, resample_profile, write_metadata,
-                                  write_obj)
+                                  _distinct, mesh_checks, resample_profile,
+                                  write_metadata, write_obj)
 from lensshrinker.errors import DegenerateProfile
 
 SQRT2 = math.sqrt(2.0)
@@ -707,8 +707,9 @@ def _rotated_corners(mesh):
     lambda sphere, p: _rotated_corners(build_cluster(p, **SMALL)),
 ], ids=["sphere", "computed_height", "signed_zeros", "empty_sheet",
         *(f"ring_{n}" for n in RING_SIZES), "extreme_values",
-        "perturbed", "one_value", "nan_payloads", "block_lines", "block_lines_plus_one", "one_size_in_turn",
-        "another_size_between", "writable_triangles"])
+        "perturbed", "one_value", "nan_payloads", "block_lines",
+        "block_lines_plus_one", "one_size_in_turn", "another_size_between",
+        "writable_triangles"])
 def test_obj_bytes_match_the_reference_writer(tmp_path, sphere_mesh, profiles,
                                               make):
     made = make(sphere_mesh, profiles[0.5][1])

@@ -7,6 +7,7 @@ A change that moves an output byte regenerates the file,
 
 and the diff of that file is the list of what moved."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,16 +27,33 @@ def _moved(want: bytes, got: bytes) -> list:
         [(i, None, line) for i, line in enumerate(g[len(w):], len(w))]
 
 
-@pytest.fixture(scope="module")
-def digest() -> bytes:
+def _digest(env=None) -> bytes:
     proc = subprocess.run([sys.executable, str(ROOT / "tools" /
                                                "profile_digest.py")],
-                          capture_output=True, check=True, timeout=300)
+                          capture_output=True, check=True, timeout=300,
+                          env=env)
     return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def digest() -> bytes:
+    return _digest()
 
 
 def test_the_digest_is_the_committed_one(digest):
     assert _moved(GOLDEN.read_bytes(), digest) == []
+
+
+@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                      "X86_V4 X86_V3"],
+                         ids=["no_avx512", "no_x86_v3"])
+def test_the_digest_is_the_same_under_another_simd_dispatch(disabled):
+    # the profile path runs on Python floats, and the mesh path on math.sin
+    # tables, elementwise arithmetic and integer hashing: with some of
+    # numpy's SIMD dispatch turned off (in the CLI children too), no line
+    # moves
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+    assert _moved(GOLDEN.read_bytes(), _digest(env)) == []
 
 
 def test_a_flipped_byte_fails_the_digest(digest):

@@ -37,10 +37,10 @@ The profile path runs on Python floats and math.* (ROADMAP items 13 and
 16), so the profile, series, defect and CSV digests and the lines of
 solve, shoot and table depend on IEEE binary64 arithmetic and the host's
 libm only.  The OBJ digests and the mesh lines are computed on numpy,
-but from math.sin ring angles and meridian arclengths and elementwise
-binary64 arithmetic, so no SIMD dispatch should move them
-(tests/test_cluster.py checks the default OBJ at a* under one other
-dispatch).  Every digest depends on the libm, so compare two checkouts on
+but from math.sin ring angles and meridian arclengths, elementwise
+binary64 arithmetic and an integer hash, so no SIMD dispatch should move
+them (tests/test_digest.py checks every line under two other dispatch
+settings).  Every digest depends on the libm, so compare two checkouts on
 one host.
 """
 
