@@ -55,7 +55,7 @@ import math
 from collections import namedtuple
 
 from . import dop853, graph_profile
-from ._views import ArrayField, fill, floats, readonly
+from ._views import ArrayField, floats, readonly
 from .errors import MonitorViolation, NoCrossing
 from .graph_profile import phi_prime
 from .series import EvenSeries, gauss_legendre_composite
@@ -76,42 +76,32 @@ DENSE_POINTS_PER_STEP = 4
 X_SEED = 1e-3
 
 
-def _fill_states(profile: LensProfile) -> None:
-    # the stored states that the profile was not given, from the pass over
-    # its dense output
-    s, u, v, up, vp, i_phi, i_v, _ = profile._states
-    fill(profile, {"s": s, "u": u, "v": v, "up": up, "vp": vp,
-                   "i_phi": i_phi, "i_v": i_v})
+def _state(i: int) -> ArrayField:
+    # stored state i of a profile, from the pass over its dense output
+    return ArrayField(source=lambda profile: profile._states[i])
 
 
 class LensProfile(namedtuple(
         "LensProfile", "a s_bar s_star xi alpha v_residual monitors series "
-        "dense nfev n_steps n_rejected s u v up vp i_phi i_v",
-        defaults=(None,) * 7)):
+        "dense nfev n_steps n_rejected")):
     """The full profile curve from the axis to the horizontal crossing.
 
-    The stored states are the exact axis point at s = 0, then the dense
-    output at every accepted step (the first is the series seed) and at
-    DENSE_POINTS_PER_STEP interior points of each step, then the refined
-    crossing state; ``s`` is strictly increasing up to s_bar and (up, vp) =
-    (cos phi, sin phi).  ``series`` is the axis series that seeded the curve.
-    ``dense`` gives (u, v, phi, i_phi, i_v) on [0, s_bar]: a cubic Hermite
-    piece on [0, X_SEED], then DOP853's; ``nfev``, ``n_steps`` and
-    ``n_rejected`` count right-hand-side calls, accepted and rejected steps.
-    The state fields s, u, v, up, vp, i_phi and i_v read as read-only numpy
-    arrays, which the pass over the dense output gives (dense_pass, run
-    once per profile to keep its states) and which are built on first read
-    (_views.ArrayField).  A tuple, so that a profile cannot change after it
-    passed its monitors; _replace makes a changed copy.
+    ``series`` is the axis series that seeded the curve.  ``dense`` gives
+    (u, v, phi, i_phi, i_v) on [0, s_bar]: a cubic Hermite piece on [0,
+    X_SEED], then DOP853's; ``nfev``, ``n_steps`` and ``n_rejected`` count
+    right-hand-side calls, accepted and rejected steps.  The stored states
+    s, u, v, up, vp, i_phi and i_v are read-only numpy arrays derived from
+    ``dense`` alone, by one pass over it (dense_pass, run once per profile
+    to keep its states; _views.ArrayField): the exact axis point at s = 0,
+    then the dense output at every accepted step (the first is the series
+    seed) and at DENSE_POINTS_PER_STEP interior points of each step, then
+    the refined crossing state; ``s`` is strictly increasing up to s_bar
+    and (up, vp) = (cos phi, sin phi).  A tuple, so that a profile cannot
+    change after it passed its monitors; _replace makes a changed copy of
+    its 12 fields, whose states are those of its dense output.
     """
 
-    s = ArrayField(fill=_fill_states)
-    u = ArrayField(fill=_fill_states)
-    v = ArrayField(fill=_fill_states)
-    up = ArrayField(fill=_fill_states)
-    vp = ArrayField(fill=_fill_states)
-    i_phi = ArrayField(fill=_fill_states)
-    i_v = ArrayField(fill=_fill_states)
+    s, u, v, up, vp, i_phi, i_v = map(_state, range(7))
 
     @functools.cached_property
     def _states(self) -> tuple:

@@ -427,18 +427,17 @@ def mesh_checks(mesh: ClusterMesh) -> list[tuple[str, bool, str]]:
 _HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _distinct(keys: np.ndarray, bits: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inverse) of the uint64 keys, with each distinct key once
     in distinct and distinct[inverse] == keys, found without a sort of
-    all the keys.  Each key hashes to one of 2^bits slots (default bits: the bit
-    length of len(keys)) by the top bits of key * _HASH mod 2^64.  The
-    key written last to a slot stands for it, and the representatives are
+    all the keys.  Each key hashes to one of 2^b slots, b the bit length
+    of len(keys), by the top bits of key * _HASH mod 2^64.  The key
+    written last to a slot stands for it, and the representatives are
     numbered in the order of their positions in keys.  A key that differs
     from its slot's representative differs from every representative, so
     np.unique numbers these few clashing keys after them."""
     n = len(keys)
-    b = max(n.bit_length(), 1) if bits is None else bits
+    b = max(n.bit_length(), 1)
     slot = ((keys * _HASH) >> np.uint64(64 - b)).astype(np.intp)
     at = np.empty(1 << b, dtype=np.intp)
     at[slot] = np.arange(n)

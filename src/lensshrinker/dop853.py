@@ -153,10 +153,10 @@ class DenseOutput(namedtuple("DenseOutput", "ts h y_old F")):
     """Piece k covers [ts[k], ts[k+1]] in x = (t - ts[k]) / h[k], h[k] its
     full step; a point shared by two pieces belongs to the lower one.  The
     states, their derivative and the roots all read the pieces by _horner.
-    The fields are kept as given, as integrate's flat float lists (ts, and
-    per piece h, y_old and the 7 rows of F, row by row) or as arrays, and
-    read as read-only arrays (_views.ArrayField); root runs on Python
-    floats, __call__ and derivative on numpy."""
+    The fields hold integrate's flat lists of Python floats (ts, and per
+    piece h, y_old and the 7 rows of F, row by row) and read as read-only
+    arrays (_views.ArrayField); root runs on Python floats, __call__ and
+    derivative on numpy."""
 
     ts = ArrayField()                     # (m + 1,)
     h = ArrayField()                      # (m,)
@@ -318,9 +318,10 @@ def function(form: Form):
     return _compiled(src, "rhs")["fun"]
 
 
-def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
-    """The functions ``step`` and ``dense`` of DOP853 with this tableau for
-    the right-hand side ``form``, as compiled straight-line Python.
+def _generate(form: Form):
+    """The functions ``step`` and ``dense`` of DOP853 with the module's
+    tableau C, A, E5, E3 and D for the right-hand side ``form``, as
+    compiled straight-line Python.
 
     step(t, h, y, f, tol) evaluates stages 1-12 from y and f = F(t, y) and
     returns (y_new, the stage-12 row, the E5 and E3 error norms, a flat
@@ -350,18 +351,18 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
                        for i in range(n))
 
     def stage(s):
-        src = "".join(f"    {name} = _y{i} + ({dot(a[s][:s], i)}) * _h\n"
+        src = "".join(f"    {name} = _y{i} + ({dot(A[s][:s], i)}) * _h\n"
                       for i, name in enumerate(form.state)
                       if s == 12 or name in read)
         if s == 12:  # the new state, and the error norms over its scale
             src += f"    {each('_z{i}')}= {', '.join(form.state)},\n" \
                 "    _e5 = _e3 = 0.0\n" + "".join(
                     f"    _s = _tol + max(abs(_z{i}), abs(_y{i})) * _tol\n"
-                    f"    _q = ({dot(e5, i)}) / _s\n    _e5 += _q * _q\n"
-                    f"    _q = ({dot(e3, i)}) / _s\n    _e3 += _q * _q\n"
+                    f"    _q = ({dot(E5, i)}) / _s\n    _e5 += _q * _q\n"
+                    f"    _q = ({dot(E3, i)}) / _s\n    _e3 += _q * _q\n"
                     for i in range(n))
         if form.time in read:
-            src += f"    {form.time} = _t + {float(c[s])!r} * _h\n"
+            src += f"    {form.time} = _t + {float(C[s])!r} * _h\n"
         return src + body + "".join(f"    _k{s}_{i} = {rate}\n"
                                     for i, rate in enumerate(form.rates))
 
@@ -378,7 +379,7 @@ def _generate(form: Form, c=C, a=A, e5=E5, e3=E3, d=D):
            # the Hermite rows, then h D K
            + f"    return [{each('_d{i}')}{each('_h * _k0_{i} - _d{i}')}"
            + each("2 * _d{i} - _h * (_k12_{i} + _k0_{i})")
-           + ", ".join(f"_h * ({dot(row, i)})" for row in d for i in range(n))
+           + ", ".join(f"_h * ({dot(row, i)})" for row in D for i in range(n))
            + "]\n")
     namespace = _compiled(src, "stages")
     return namespace["step"], namespace["dense"]

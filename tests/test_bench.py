@@ -19,8 +19,12 @@ def _load(name: str) -> dict:
 
 def _recomputed_summary(name: str) -> list:
     """The file's summary, checked against bench_pair.summary of its runs
-    and to hold every workload and end-to-end metric."""
+    and to hold every workload and end-to-end metric; its source_lines,
+    where the file has them, hold a count for each side."""
     bench = _load(name)
+    if "source_lines" in bench:
+        assert sorted(bench["source_lines"]) == ["change", "parent"]
+        assert all(isinstance(n, int) for n in bench["source_lines"].values())
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in _load("BENCHMARK.json")["end_to_end"]}
     assert bench_pair.summary(bench["runs"], bounds) == bench["summary"]
@@ -72,3 +76,12 @@ def test_the_hashed_dedupe_gain_is_recomputed_from_its_runs():
     mesh = next(e for e in summary
                 if (e["workload"], e["metric"]) == ("mesh", "round_cal_s"))
     assert mesh["pairs"] == 20
+
+
+def test_the_state_views_change_is_within_every_bound():
+    # no gain claimed: every metric is within its bound, and the change
+    # has fewer lines of source than its parent
+    summary = _recomputed_summary("BENCH_40.json")
+    assert all(e["within_bound"] for e in summary)
+    lines = _load("BENCH_40.json")["source_lines"]
+    assert lines["change"] < lines["parent"]

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import SIMD_SETTINGS, dispatch_check
 import lensshrinker
 from lensshrinker import angle_of, build_cluster
 from lensshrinker.arclength import curvature_arrays, shrinker_residual
@@ -91,20 +92,20 @@ with open(sys.argv[1], "rb") as fh:
 """
 
 
-@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
-                                      "X86_V4 X86_V3"],
-                         ids=["no_avx512", "no_x86_v3"])
+@SIMD_SETTINGS
 def test_obj_bytes_are_the_same_under_another_simd_dispatch(lens_report,
                                                            tmp_path,
-                                                           disabled):
+                                                           disabled, kept):
     # the ring angles and the meridian map take math.sin, and the writer's
     # dedupe takes integer multiply, shift, gather and scatter, so a child
     # interpreter with some of numpy's SIMD dispatch turned off writes the
-    # default OBJ at a* to the byte
+    # default OBJ at a* to the byte; the child first checks that the
+    # setting turned off what it names
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.path.dirname(os.path.dirname(
                    lensshrinker.__file__)))
-    child = subprocess.run([sys.executable, "-c", _DEFAULT_OBJ,
+    child = subprocess.run([sys.executable, "-c",
+                            dispatch_check(kept) + _DEFAULT_OBJ,
                             str(tmp_path / "child.obj")], env=env,
                            capture_output=True, text=True, check=True,
                            timeout=120)
@@ -502,9 +503,14 @@ def test_build_cluster_argument_validation(circle_profile):
 
 
 def test_build_cluster_refuses_a_profile_off_the_axis(circle_profile):
+    # the axis piece's old state moved off the axis, so the first stored
+    # state has u = 1e-3
     p = circle_profile
+    y_old = p.dense.y_old.ravel().tolist()
+    y_old[0] += 1e-3
+    off = p._replace(dense=p.dense._replace(y_old=y_old))
     with pytest.raises(DegenerateProfile, match="rotation axis"):
-        build_cluster(p._replace(u=p.u + 1e-3), **SMALL)
+        build_cluster(off, **SMALL)
 
 
 def test_build_cluster_raises_on_a_failed_mesh_check(circle_profile):
@@ -550,8 +556,13 @@ def test_residual_on_circle_is_roundoff(circle_profile):
 
 
 def test_residual_negative_control(profiles):
+    # the v rows of the dense output scaled by 1.01, and so its states' v
     _, p = profiles[1.0]
-    assert curvature_split(p._replace(v=p.v * 1.01)) > 1e-3
+    d = p.dense
+    v_up = np.array([1.0, 1.01, 1.0, 1.0, 1.0])
+    bent = d._replace(y_old=(d.y_old * v_up).ravel().tolist(),
+                      F=(d.F * v_up).ravel().tolist())
+    assert curvature_split(p._replace(dense=bent)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -726,15 +737,15 @@ def _drawn_keys(n_distinct, n):
     return pool[rng.integers(0, n_distinct, size=n)]
 
 
-@pytest.mark.parametrize("keys, bits", [
-    (np.zeros(0, dtype=np.uint64), None),
-    (_drawn_keys(3000, 20000), None),
-    (_drawn_keys(20000, 20000), None),
-    # four slots: all but at most four distinct keys clash
-    (_drawn_keys(3000, 20000), 2),
-], ids=["empty", "repeated", "mostly_distinct", "tiny_table"])
-def test_distinct_rebuilds_its_keys_and_holds_each_once(keys, bits):
-    distinct, inverse = _distinct(keys, bits)
+# repeated and mostly_distinct leave 880 and 3,075 keys that differ from
+# their slot's representative, so the clash step runs on both
+@pytest.mark.parametrize("keys", [
+    np.zeros(0, dtype=np.uint64),
+    _drawn_keys(3000, 20000),
+    _drawn_keys(20000, 20000),
+], ids=["empty", "repeated", "mostly_distinct"])
+def test_distinct_rebuilds_its_keys_and_holds_each_once(keys):
+    distinct, inverse = _distinct(keys)
     assert distinct.dtype == keys.dtype and len(inverse) == len(keys)
     assert np.array_equal(distinct[inverse], keys)
     assert np.array_equal(np.sort(distinct), np.unique(keys))
@@ -817,7 +828,11 @@ def test_resample_rejects_a_profile_past_its_crossing(circle_profile):
 
 
 def test_resample_rejects_stub_profile(circle_profile):
-    p = circle_profile
-    stub = p._replace(s=p.s[:4], u=p.u[:4], v=p.v[:4])
-    with pytest.raises(DegenerateProfile):
+    # the dense output cut to its axis piece, whose states are the axis
+    # point and the seed
+    d = circle_profile.dense
+    stub = circle_profile._replace(dense=d._replace(
+        ts=d.ts[:2].tolist(), h=d.h[:1].tolist(),
+        y_old=d.y_old[:1].ravel().tolist(), F=d.F[:1].ravel().tolist()))
+    with pytest.raises(DegenerateProfile, match="too short"):
         resample_profile(stub, 16)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SIMD_SETTINGS, dispatch_check
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "digest.txt"
 
@@ -27,9 +29,13 @@ def _moved(want: bytes, got: bytes) -> list:
         [(i, None, line) for i, line in enumerate(g[len(w):], len(w))]
 
 
-def _digest(env=None) -> bytes:
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" /
-                                               "profile_digest.py")],
+TOOL = str(ROOT / "tools" / "profile_digest.py")
+
+
+def _digest(env=None, first="") -> bytes:
+    # the tool run as a script, after the source first, if any
+    run = f"import runpy\nrunpy.run_path({TOOL!r}, run_name='__main__')\n"
+    proc = subprocess.run([sys.executable, "-c", first + run],
                           capture_output=True, check=True, timeout=300,
                           env=env)
     return proc.stdout
@@ -44,16 +50,16 @@ def test_the_digest_is_the_committed_one(digest):
     assert _moved(GOLDEN.read_bytes(), digest) == []
 
 
-@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
-                                      "X86_V4 X86_V3"],
-                         ids=["no_avx512", "no_x86_v3"])
-def test_the_digest_is_the_same_under_another_simd_dispatch(disabled):
+@SIMD_SETTINGS
+def test_the_digest_is_the_same_under_another_simd_dispatch(disabled, kept):
     # the profile path runs on Python floats, and the mesh path on math.sin
     # tables, elementwise arithmetic and integer hashing: with some of
     # numpy's SIMD dispatch turned off (in the CLI children too), no line
-    # moves
+    # moves; the child first checks that the setting turned off what it
+    # names
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
-    assert _moved(GOLDEN.read_bytes(), _digest(env)) == []
+    assert _moved(GOLDEN.read_bytes(),
+                  _digest(env, dispatch_check(kept))) == []
 
 
 def test_a_flipped_byte_fails_the_digest(digest):

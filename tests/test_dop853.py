@@ -19,7 +19,6 @@ from lensshrinker import (PipelineConfig, angle_of, arclength, dop853,
                           picard_analytic)
 from lensshrinker.arclength import (X_SEED, integrate_profile, profile_summary,
                                     seed_quadratures)
-from lensshrinker.cluster import resample_profile
 from lensshrinker.dop853 import DenseOutput, _horner, brentq
 from lensshrinker.errors import NoConvergence, StepFailure
 from lensshrinker.series import R_STAR, picard_c2_oracle
@@ -180,9 +179,14 @@ def test_bits_are_the_same_under_other_blas_kernels(coretype, lens_report):
                                          *series, oracle]
 
 
+# the tableau as the module defines it, kept here so that a control that
+# moves a weight of dop853's moves the generated code alone
+C, A, D, E5, E3 = dop853.C, dop853.A, dop853.D, dop853.E5, dop853.E3
+
+
 def _reference_stages(fun, t, h, y, f, tol):
-    """dop853._generate's step and dense rows by loops over the tableau
-    arrays, each sum over its row's nonzero weights in index order; every
+    """dop853._generate's step and dense rows by loops over the unmoved
+    tableau, each sum over its row's nonzero weights in index order; every
     stage forms every component and its time, and calls fun.  The error
     norms are _sum_of_squares of the error vectors over the scale tol +
     max(|y_new|, |y|) tol, and the dense rows are hermite_rows' rows 0-2,
@@ -196,16 +200,15 @@ def _reference_stages(fun, t, h, y, f, tol):
 
     n, K = len(y), [list(f)]
     for s in range(1, 16):
-        state = [y[i] + dot(np.asarray(dop853.A)[s, :s], i) * h
-                 for i in range(n)]
-        K.append(list(fun(t + dop853.C[s] * h, state)))
+        state = [y[i] + dot(A[s][:s], i) * h for i in range(n)]
+        K.append(list(fun(t + C[s] * h, state)))
         if s == 12:
             y_new = state
     rows = dop853.hermite_rows(h, y, y_new, f, K[12])[:3 * n] + [
-        h * dot(w, i) for w in dop853.D for i in range(n)]
+        h * dot(w, i) for w in D for i in range(n)]
     scale = [tol + max(abs(z), abs(yi)) * tol for yi, z in zip(y, y_new)]
     return (y_new, K[12], *(dop853._sum_of_squares(
-        [dot(w, i) for i in range(n)], scale) for w in (dop853.E5, dop853.E3)),
+        [dot(w, i) for i in range(n)], scale) for w in (E5, E3)),
             rows)
 
 
@@ -224,16 +227,16 @@ def _test_rhs(n, reads_all):
         for i in range(n)])
 
 
-def _generated_equals_reference(form, seed, **tableau):
-    # the generated functions of this tableau against the reference with
-    # the default one, on a seeded random step
+def _generated_equals_reference(form, seed):
+    # the functions generated from dop853's tableau against the reference,
+    # on a seeded random step
     n, fun = len(form.state), dop853.function(form)
     rng = np.random.default_rng(seed)
     t, h, y = float(rng.random()), float(rng.random()), \
         rng.standard_normal(n).tolist()
     tol = 10.0 ** -rng.uniform(3.0, 13.0)
     f = fun(t, y)
-    step, dense = dop853._generate(form, **tableau)
+    step, dense = dop853._generate(form)
     y_new, f_new, e5, e3, K = step(t, h, y, f, tol)
     got = (y_new, f_new, e5, e3, dense(t, h, y, K))
     want = _reference_stages(fun, t, h, y, f, tol)
@@ -251,28 +254,30 @@ def test_generated_stages_equal_the_loop_reference_bit_for_bit(n):
             assert _generated_equals_reference(form, seed)
 
 
-def test_a_coefficient_moved_by_one_ulp_fails_the_reference():
+def test_a_coefficient_moved_by_one_ulp_fails_the_reference(monkeypatch):
     # the negative control: the comparison sees a one-ulp change in one
     # weight of stage 8, on every seeded step of either right-hand side
-    a = np.array(dop853.A)
-    a[8, 7] = np.nextafter(a[8, 7], math.inf)
+    row = list(A[8])
+    row[7] = math.nextafter(row[7], math.inf)
+    monkeypatch.setattr(dop853, "A", (*A[:8], tuple(row), *A[9:]))
     for reads_all in (True, False):
         form = _test_rhs(5, reads_all)
         for seed in range(20):
-            assert not _generated_equals_reference(form, seed, a=a)
+            assert not _generated_equals_reference(form, seed)
 
 
 @pytest.mark.parametrize("name, index", [("e5", 7), ("e3", 5)])
-def test_an_error_weight_moved_by_one_ulp_fails_the_reference(name, index):
+def test_an_error_weight_moved_by_one_ulp_fails_the_reference(name, index,
+                                                              monkeypatch):
     # the comparison sees the generated error norms: a one-ulp change in
     # one weight of E5 or E3 moves the norm on every seeded step
-    weights = np.array(getattr(dop853, name.upper()))
-    weights[index] = np.nextafter(weights[index], math.inf)
+    weights = list(getattr(dop853, name.upper()))
+    weights[index] = math.nextafter(weights[index], math.inf)
+    monkeypatch.setattr(dop853, name.upper(), tuple(weights))
     for reads_all in (True, False):
         form = _test_rhs(5, reads_all)
         for seed in range(20):
-            assert not _generated_equals_reference(form, seed,
-                                                   **{name: weights})
+            assert not _generated_equals_reference(form, seed)
 
 
 def test_unread_components_and_time_are_not_formed():
@@ -359,6 +364,16 @@ def test_brentq_iteration_limit_raises_no_convergence():
         brentq(lambda x: x + 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("f, root", [(lambda x: x, 0.0),
+                                     (lambda x: x - 1.0, 1.0),
+                                     (lambda x: x * x, 0.0)],
+                         ids=["low_end", "high_end", "no_sign_change"])
+def test_brentq_returns_an_end_that_is_an_exact_root(f, root):
+    # an end where f is exactly 0 is returned before the sign test, as by
+    # scipy's brentq
+    assert brentq(f, 0.0, 1.0) == root == scipy_brentq(f, 0.0, 1.0)
+
+
 def test_event_roots_and_terminal_stop():
     # y = cos t: the solve ends with the step over which y falls through 0,
     # and DenseOutput.root finds pi/2 on it where solve_ivp's terminal event
@@ -431,8 +446,7 @@ def test_root_and_derivative_read_the_one_horner():
     for _ in range(20):
         F, y_old = rng.standard_normal((7, 5)), rng.standard_normal(5)
         t0, h = rng.standard_normal(), rng.random() + 0.1
-        d = DenseOutput(np.array([t0, t0 + h]), np.array([h]), y_old[None],
-                        F[None])
+        d = DenseOutput([t0, t0 + h], [h], y_old.tolist(), F.ravel().tolist())
         ts = t0 + h * np.array([0.0, 1.0, *rng.random(5)])
         full = d(ts)
         for j, t in enumerate(ts.tolist()):
@@ -465,8 +479,7 @@ def test_the_root_function_is_the_horner_value_to_the_bit(monkeypatch):
     for _ in range(50):
         F, y_old = rng.standard_normal((7, 2)), rng.standard_normal(2)
         t0, h = rng.standard_normal(), rng.random() + 0.1
-        d = DenseOutput(np.array([t0, t0 + h]), np.array([h]), y_old[None],
-                        F[None])
+        d = DenseOutput([t0, t0 + h], [h], y_old.tolist(), F.ravel().tolist())
         level = float(rng.standard_normal())
         d.root(1, level, 0)
         offset = handed.pop()
@@ -542,16 +555,6 @@ def test_dense_derivative_is_the_rhs_at_step_ends_and_the_slope_inside():
     dt = 1e-5 * d.h
     central = (d(inside + dt) - d(inside - dt)) / (2 * dt)
     assert np.max(np.abs(d.derivative(inside) - central)) < 1e-9
-
-
-def test_resampling_ignores_the_stored_state_set(profiles):
-    # the mesh comes from the dense output, so thinning the stored states
-    # (keeping the axis point and the crossing) leaves it unchanged
-    p = profiles[0.5][1]
-    keep = np.r_[0, np.arange(1, len(p.s) - 1, 3), len(p.s) - 1]
-    thin = p._replace(s=p.s[keep], u=p.u[keep], v=p.v[keep])
-    for a, b in zip(resample_profile(p, 256), resample_profile(thin, 256)):
-        assert np.array_equal(a, b)
 
 
 def test_integrate_profile_rejects_rtol_below_floor():

@@ -285,6 +285,40 @@ def test_q_rejects_nonzero_constant():
         nonlinear_Q(EvenSeries(np.array([1.0, 0.5])), 1.0)
 
 
+def test_q_of_the_zero_constant_is_minus_a():
+    # h = 0 has no h' terms, so Q(0, a) = -a, at the series' radius
+    q = nonlinear_Q(EvenSeries([0.0], 0.7), 1.5)
+    assert q.c == (-1.5,) and q.radius == 0.7
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: EvenSeries(5), "non-empty 1-d"),
+    (lambda: EvenSeries([]), "non-empty 1-d"),
+    (lambda: EvenSeries(np.ones((2, 2))), "non-empty 1-d"),
+    (lambda: EvenSeries([1.0], 0.0), "radius must be positive"),
+    (lambda: EvenSeries([1.0], math.nan), "radius must be positive"),
+    (lambda: EvenSeries([1.0]).coefficient(-1), "nonnegative"),
+    (lambda: EvenSeries([1.0]).truncated(3), "even and nonnegative"),
+    (lambda: apply_L(EvenSeries([1.0])), "order >= 2"),
+    (lambda: j_function(3), "even and >= 2"),
+    (lambda: eta_coefficients(-2), "even and nonnegative"),
+    (lambda: ContractionConstants(0.5, 0.5, 1.0, 0.5, "C3"), "flavor"),
+    (lambda: ContractionConstants(0.5, 0.5, 0.0, 0.5), "must be positive"),
+], ids=["not_a_sequence", "empty", "two_d", "zero_radius", "nan_radius",
+        "negative_degree", "odd_order", "apply_L_order_0", "j_odd_order",
+        "eta_negative_order", "bad_flavor", "zero_constant"])
+def test_a_series_input_out_of_range_raises(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_tail_ratio_is_infinite_where_the_ratio_test_fails():
+    # at order 2, rho = x^2 / 16: the estimate is finite below x = 4 only
+    x2 = EvenSeries([0.0, 1.0])
+    assert 0.0 < series_tail_ratio(x2, math.nextafter(4.0, 0.0)) < math.inf
+    assert series_tail_ratio(x2, 4.0) == math.inf
+
+
 def test_even_series_is_symmetric():
     rng = np.random.default_rng(3)
     f = EvenSeries(rng.standard_normal(9))

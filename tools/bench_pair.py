@@ -12,12 +12,12 @@ For each workload W of the change's BENCHMARK.json and each pair i of
 with T the file's ``run_seconds`` and seed S = 1 + 1000 i, runs once from
 the root of each checkout; even pairs run the parent first, odd pairs the
 change first, so that a drift of the host's speed falls on both sides
-alike.  The file holds ``about``, ``host`` (host()), ``summary``
-(summary() of the runs) and ``runs``: each run is its side, workload,
-seed, trace flag, command and the JSON of the command's last line of
-standard output, in the order the runs were made.  Standard error gets
-each entry of the summary, then the net change of physical lines in
-``src/**/*.py``.
+alike.  The file holds ``about``, ``host`` (host()), ``source_lines``
+(source_lines() of each side, by side), ``summary`` (summary() of the
+runs) and ``runs``: each run is its side, workload, seed, trace flag,
+command and the JSON of the command's last line of standard output, in
+the order the runs were made.  Standard error gets each entry of the
+summary, then the net change of physical lines in ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -151,13 +151,15 @@ def main(argv=None) -> int:
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in bench["end_to_end"]}
     result = summary(runs, bounds)
+    lines = {side: source_lines(root) for side, root in roots.items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"about": args.about, "host": host(roots),
-                   "summary": result, "runs": runs}, fh, indent=1)
+                   "source_lines": lines, "summary": result, "runs": runs},
+                  fh, indent=1)
         fh.write("\n")
     for entry in result:
         print(json.dumps(entry), file=sys.stderr)
-    before, after = source_lines(args.parent), source_lines(args.change)
+    before, after = lines["parent"], lines["change"]
     print(f"src/**/*.py physical lines: {before} parent, {after} change, "
           f"net {after - before:+d}", file=sys.stderr)
     return 0

@@ -112,14 +112,16 @@ def _bytes(value) -> bytes:
     return repr(value).encode()
 
 
-# every LensProfile field but the series, in a fixed order
+# every LensProfile field but the series, and the stored states derived
+# from its dense output, in a fixed order
 PROFILE_FIELDS = ("a", "s", "u", "v", "up", "vp", "i_phi", "i_v", "s_bar",
                   "s_star", "xi", "alpha", "v_residual", "monitors", "dense",
                   "nfev", "n_steps", "n_rejected")
 
 
 def profile_digest(profile) -> str:
-    """sha256 prefix of every LensProfile field but the series."""
+    """sha256 prefix of every LensProfile field but the series, and of
+    its stored states."""
     parts = []
     for name in PROFILE_FIELDS:
         value = getattr(profile, name)
